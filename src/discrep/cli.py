@@ -110,9 +110,10 @@ def cmd_lemmas(args) -> int:
     ps = _load(args)
     report = auxiliary.lemma_suite(ps, seed=args.seed or 20240601)
     lines = [
-        f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}" for c in report.checks
+        f"{'SKIP' if c.skipped else 'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}"
+        for c in report.checks
     ]
-    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} ({report.skipped} skipped)")
     _emit(args, report.to_json(), lines)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

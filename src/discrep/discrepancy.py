@@ -6,37 +6,75 @@ For a point multiset P of size N the discrepancy function is
 
 (closed boxes).  The counting part is constant on the open cells of the
 grid cut by the point coordinates, so on each cell D = c - N*x*y with an
-integer c, and every norm reduces to closed-form cell integrals:
+integer c, and every norm reduces to closed-form cell integrals.
 
-  * L2: polynomial on each cell -> exact rational; cross-checked against
-    the O(N^2) pairwise closed form (sums of (1 - max) products).
-  * L1: |c - N*x*y| integrates in closed form; when the hyperbola
-    xy = c/N crosses a cell the antiderivative picks up a logarithm, which
-    is evaluated in interval arithmetic so the result carries a rigorous
+The three exact norms read one grid, `CellDecomposition`: the sorted
+distinct cuts of each axis (0 and 1 included), the closed prefix-count
+table over every pair of cuts, and each axis's cuts as integers over that
+axis's common denominator.  With K x-cuts and L y-cuts (K, L <= N + 2) the
+grid costs O(K L) time and memory, and the kernels on top of it cost:
+
+  * L-infinity, O(K L): the sup is attained at (or as a one-sided limit
+    toward) a grid corner.  At corner (i, j) the closed count is
+    table[i][j] and the strict count is table[i-1][j-1]; the deviations
+    are compared by cross-multiplying each coordinate's own numerator and
+    denominator.  (Dobkin, Eppstein & Mitchell, ACM TOG 1996, reach
+    O(N log^2 N).)
+  * L1, O(K L) integer additions: |c - N*x*y| integrates in closed form.
+    On a cell that the hyperbola xy = c/N misses, the integral is
+    +-[c dx dy - N/4 d(x^2) d(y^2)], a product of an x factor and a y
+    factor, so the signed y factors are summed per column as integers and
+    multiplied by the column's x factors once.  Where the hyperbola
+    crosses a cell the antiderivative picks up a logarithm, which is
+    evaluated in interval arithmetic so the result carries a rigorous
     error bound (exact rational when no cell has a sign change).
-  * L-infinity: the sup is attained at (or as a one-sided limit toward) a
-    grid corner; both the closed-box count and the strict count are
-    examined at every candidate corner.
+  * L2, O(N log N): the pairwise closed form (sums of (1 - max) products),
+    summed in x order with a Fenwick tree of integer numerators over the
+    y ranks (Heinrich, Math. Comp. 1996); cross-checked against
+    integrating (c - N*x*y)^2 cell by cell.
 
-Monte-Carlo estimators of the L1/L2 norms serve as independent oracles.
+A grid of more than MAX_GRID_CELLS cells raises ResourceLimitError before
+the table is built.  Monte-Carlo estimators of the L1/L2 norms serve as
+independent oracles.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from mpmath import iv, mp, mpf
 
 from .dyadic import DyadicRectangle, haar_point_kernel
+from .errors import ResourceLimitError
 from .pointsets import PointSet
+
+# About N = 4096 points with distinct coordinates.
+MAX_GRID_CELLS = 1 << 24
 
 
 def _iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+@contextmanager
+def _iv_precision(dps: int):
+    """Set mpmath's global interval precision to `dps` digits for the block.
+
+    mpmath 1.3 has no `iv.workdps`; the previous precision is restored on
+    exit, so calls must not interleave across threads.
+    """
+    old = iv.dps
+    try:
+        iv.dps = dps
+        yield
+    finally:
+        iv.dps = old
 
 
 def _iv_endpoints(x) -> tuple[mpf, mpf]:
@@ -50,18 +88,47 @@ def _as_mpf(value) -> mpf:
     return mpf(value)
 
 
+def _axis_integers(cuts: list[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(Q, cuts * Q) with Q the lcm of the cuts' denominators."""
+    den = math.lcm(*(q.denominator for q in cuts))
+    return den, tuple(q.numerator * (den // q.denominator) for q in cuts)
+
+
+def _prefix_table(ranks, nx: int, ny: int) -> tuple[tuple[int, ...], ...]:
+    """table[i][j] = #{p : rank_x(p) <= i, rank_y(p) <= j}."""
+    grid = [[0] * ny for _ in range(nx)]
+    for i, j in ranks:
+        grid[i][j] += 1
+    table = []
+    prev = (0,) * ny
+    for row in grid:
+        prev = tuple(a + b for a, b in zip(prev, accumulate(row)))
+        table.append(prev)
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class CellDecomposition:
     """Grid cut by the point coordinates, with the counting value per open cell.
 
     cell_counts[i][j] is the (constant) value of the counting part of D on
     the open cell (x_cuts[i], x_cuts[i+1]) x (y_cuts[j], y_cuts[j+1]); it
-    equals the closed-box count at the lower-left corner.
+    equals the closed-box count at the lower-left corner.  table[i][j] is
+    the closed-box count at every corner (x_cuts[i], y_cuts[j]), including
+    the x = 1 row and the y = 1 column.  x_cuts[i] == x_ints[i] / x_den with
+    x_den the lcm of the x cuts' denominators (likewise for y), and
+    point_ranks[k] holds the cut indices of point k.
     """
 
     x_cuts: tuple[Fraction, ...]
     y_cuts: tuple[Fraction, ...]
     cell_counts: tuple[tuple[int, ...], ...]
+    table: tuple[tuple[int, ...], ...]
+    x_den: int
+    x_ints: tuple[int, ...]
+    y_den: int
+    y_ints: tuple[int, ...]
+    point_ranks: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_pointset(cls, ps: PointSet) -> "CellDecomposition":
@@ -69,18 +136,16 @@ class CellDecomposition:
             raise ValueError("point set must be nonempty")
         xs = sorted({Fraction(0), Fraction(1), *(p.x for p in ps)})
         ys = sorted({Fraction(0), Fraction(1), *(p.y for p in ps)})
-        grid = [[0] * len(ys) for _ in range(len(xs))]
-        for p in ps:
-            grid[bisect_left(xs, p.x)][bisect_left(ys, p.y)] += 1
-        # inclusive 2-D prefix sums: grid[i][j] = #{p : p_x <= xs[i], p_y <= ys[j]}
-        for i in range(len(xs)):
-            for j in range(1, len(ys)):
-                grid[i][j] += grid[i][j - 1]
-        for i in range(1, len(xs)):
-            for j in range(len(ys)):
-                grid[i][j] += grid[i - 1][j]
-        counts = tuple(tuple(grid[i][:-1]) for i in range(len(xs) - 1))
-        return cls(tuple(xs), tuple(ys), counts)
+        cells = (len(xs) - 1) * (len(ys) - 1)
+        if cells > MAX_GRID_CELLS:
+            raise ResourceLimitError(
+                f"grid of {cells} cells exceeds the {MAX_GRID_CELLS}-cell budget"
+            )
+        ranks = tuple((bisect_left(xs, p.x), bisect_left(ys, p.y)) for p in ps)
+        table = _prefix_table(ranks, len(xs), len(ys))
+        counts = tuple(row[:-1] for row in table[:-1])
+        return cls(tuple(xs), tuple(ys), counts, table,
+                   *_axis_integers(xs), *_axis_integers(ys), ranks)
 
     def cells(self):
         """Yield (a, b, c, d, count) over all cells [a,b] x [c,d]."""
@@ -116,16 +181,44 @@ def haar_inner_product(ps: PointSet, rect: DyadicRectangle) -> Fraction:
 
 
 def l2_norm_sq(ps: PointSet) -> Fraction:
-    """Exact squared L2 norm of D via the O(N^2) pairwise closed form."""
-    if len(ps) < 1:
-        raise ValueError("point set must be nonempty")
+    """Exact squared L2 norm of D via the pairwise closed form
+
+        sum_{p,q} (1 - max(p_x, q_x)) (1 - max(p_y, q_y))
+            - N/2 sum_p (1 - p_x^2)(1 - p_y^2) + N^2/9,
+
+    with the pair sum taken in O(N log N): points are visited by increasing
+    x, so every earlier point q has 1 - q_x >= 1 - p_x, and a Fenwick tree
+    over the y ranks holds the count and the sum of 1 - q_y of the earlier
+    points.  Coordinates are integer numerators over each axis's common
+    denominator; one Fraction is built at the end.
+    """
+    grid = CellDecomposition.from_pointset(ps)
     n = len(ps)
-    pair_sum = Fraction(0)
-    for p in ps:
-        for q in ps:
-            pair_sum += (1 - max(p.x, q.x)) * (1 - max(p.y, q.y))
-    single = sum((1 - p.x ** 2) * (1 - p.y ** 2) for p in ps)
-    return pair_sum - Fraction(n, 2) * single + Fraction(n * n, 9)
+    qx, qy = grid.x_den, grid.y_den
+    xi, yi = grid.x_ints, grid.y_ints
+    size = len(yi)
+    tree_count = [0] * (size + 1)
+    tree_sum = [0] * (size + 1)
+    seen_sum = pair = single = 0
+    for i, j in sorted(grid.point_ranks):
+        u, v = qx - xi[i], qy - yi[j]
+        below_count = below_sum = 0
+        r = j + 1
+        while r:
+            below_count += tree_count[r]
+            below_sum += tree_sum[r]
+            r &= r - 1
+        # min(1 - p_y, 1 - q_y) is 1 - q_y for earlier q above p, else 1 - p_y
+        pair += u * (v + 2 * (seen_sum - below_sum + v * below_count))
+        seen_sum += v
+        r = j + 1
+        while r <= size:
+            tree_count[r] += 1
+            tree_sum[r] += v
+            r += r & -r
+        single += (qx * qx - xi[i] * xi[i]) * (qy * qy - yi[j] * yi[j])
+    q2 = (qx * qy) ** 2
+    return Fraction(18 * pair * qx * qy - 9 * n * single + 2 * n * n * q2, 18 * q2)
 
 
 def l2_norm_sq_direct(ps: PointSet) -> Fraction:
@@ -163,37 +256,66 @@ def _l1_terms(ps: PointSet):
     """Split the L1 integral into an exact rational part plus log terms.
 
     Returns (rational, logs) with logs a list of (coefficient, ratio) pairs
-    meaning coefficient * ln(ratio); both components exact Fractions.
+    meaning coefficient * ln(ratio), in column-major cell order; both
+    components exact Fractions.
+
+    Every cell contributes s * [k (b-a)(d-c) - N/4 (b^2-a^2)(d^2-c^2)] with
+    s = -1 where c - Nxy <= 0 on the whole cell, and s = +1 elsewhere
+    (c - Nxy >= 0 on the whole cell, or the hyperbola crosses it; the two
+    tests cannot both hold because a c < b d).  In integers over the axis
+    denominators that is s [k dX dY / (Qx Qy) - N dX2 dY2 / (4 Qx^2 Qy^2)],
+    so per column only s k dY and s dY2 are summed, and no two
+    common-denominator integers are multiplied per cell.  A crossed cell
+    adds the closed-form correction 2 (Nxy - c)^+ in Fractions.
     """
+    grid = CellDecomposition.from_pointset(ps)
     n = len(ps)
-    rational = Fraction(0)
+    xs, ys = grid.x_cuts, grid.y_cuts
+    xi, yi = grid.x_ints, grid.y_ints
+    rows = [
+        (yi[j + 1] - yi[j], yi[j + 1] * yi[j + 1] - yi[j] * yi[j],
+         ys[j].numerator, ys[j].denominator, ys[j + 1].numerator, ys[j + 1].denominator)
+        for j in range(len(ys) - 1)
+    ]
+    sum_kdxdy = sum_dx2dy2 = 0
+    crossed = Fraction(0)
     logs: list[tuple[Fraction, Fraction]] = []
-    for a, b, c, d, k in CellDecomposition.from_pointset(ps).cells():
-        signed = k * (b - a) * (d - c) - Fraction(n, 4) * (b * b - a * a) * (d * d - c * c)
-        t = Fraction(k, n)
-        if t >= b * d:
-            rational += signed          # c - Nxy >= 0 on the whole cell
-            continue
-        if t <= a * c:
-            rational += -signed         # c - Nxy <= 0 on the whole cell
-            continue
-        # hyperbola xy = t crosses the cell: |.| = (c - Nxy) + 2 (Nxy - c)^+
-        rational += signed
-        x_lo = max(a, t / d)            # d > 0 here since t < b*d
-        x_hi = min(b, t / c) if c > 0 else b
-        if c > 0 and x_hi < b:
-            # x in [x_hi, b]: the full strip c..d lies above the hyperbola
-            rational += 2 * (
-                Fraction(n, 4) * (b * b - x_hi * x_hi) * (d * d - c * c)
-                - k * (d - c) * (b - x_hi)
-            )
-        if x_hi > x_lo:
-            # x in [x_lo, x_hi]: y from t/x to d; antiderivative has a log
-            rational += 2 * (
-                Fraction(n, 4) * d * d * (x_hi * x_hi - x_lo * x_lo)
-                - n * t * d * (x_hi - x_lo)
-            )
-            logs.append((Fraction(k * k, n), x_hi / x_lo))
+    for i, counts in enumerate(grid.cell_counts):
+        a, b = xs[i], xs[i + 1]
+        n_an, ad = n * a.numerator, a.denominator
+        n_bn, bd = n * b.numerator, b.denominator
+        col_kdy = col_dy2 = 0
+        for j, k in enumerate(counts):
+            dy, dy2, cn, cd, dn, dd = rows[j]
+            if k * ad * cd <= n_an * cn:        # k/N <= a c: c - Nxy <= 0 on the cell
+                col_kdy -= k * dy
+                col_dy2 -= dy2
+                continue
+            col_kdy += k * dy
+            col_dy2 += dy2
+            if k * bd * dd >= n_bn * dn:        # k/N >= b d: c - Nxy >= 0 on the cell
+                continue
+            # hyperbola xy = t crosses the cell: |.| = (c - Nxy) + 2 (Nxy - c)^+
+            c, d, t = ys[j], ys[j + 1], Fraction(k, n)
+            x_lo = max(a, t / d)            # d > 0 here since t < b*d
+            x_hi = min(b, t / c) if c > 0 else b
+            if c > 0 and x_hi < b:
+                # x in [x_hi, b]: the full strip c..d lies above the hyperbola
+                crossed += 2 * (
+                    Fraction(n, 4) * (b * b - x_hi * x_hi) * (d * d - c * c)
+                    - k * (d - c) * (b - x_hi)
+                )
+            if x_hi > x_lo:
+                # x in [x_lo, x_hi]: y from t/x to d; antiderivative has a log
+                crossed += 2 * (
+                    Fraction(n, 4) * d * d * (x_hi * x_hi - x_lo * x_lo)
+                    - n * t * d * (x_hi - x_lo)
+                )
+                logs.append((Fraction(k * k, n), x_hi / x_lo))
+        sum_kdxdy += (xi[i + 1] - xi[i]) * col_kdy
+        sum_dx2dy2 += (xi[i + 1] * xi[i + 1] - xi[i] * xi[i]) * col_dy2
+    q = grid.x_den * grid.y_den
+    rational = Fraction(4 * q * sum_kdxdy - n * sum_dx2dy2, 4 * q * q) + crossed
     return rational, logs
 
 
@@ -208,14 +330,10 @@ def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     if not logs:
         return L1Norm(rational, Fraction(0), True, 0)
     for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
-        old = iv.dps
-        try:
-            iv.dps = attempt_dps
+        with _iv_precision(attempt_dps):
             total = _iv_fraction(rational)
             for coeff, ratio in logs:
                 total += _iv_fraction(coeff) * iv.log(_iv_fraction(ratio))
-        finally:
-            iv.dps = old
         with mp.workdps(attempt_dps):
             lo, hi = _iv_endpoints(total)
             mid = +((lo + hi) / 2)
@@ -230,22 +348,26 @@ def linf_norm(ps: PointSet) -> Fraction:
 
     The sup of D over a region of constant count sits at the lower-left
     corner (closed count); the sup of -D is the one-sided limit into the
-    upper-right corner (strict count).  Both counts are evaluated at every
-    candidate corner (point coordinates and 1) and the max of |.| taken.
+    upper-right corner (strict count).  Both counts are read from the
+    prefix table at every grid corner, and the larger of closed - Nxy and
+    Nxy - strict is kept.  Corners on x = 0 or y = 0 that no point lies on
+    have both counts 0 and Nxy = 0, so they never change the max.
     """
-    if len(ps) < 1:
-        raise ValueError("point set must be nonempty")
+    grid = CellDecomposition.from_pointset(ps)
     n = len(ps)
-    xs = sorted({Fraction(1), *(p.x for p in ps)})
-    ys = sorted({Fraction(1), *(p.y for p in ps)})
-    best = Fraction(0)
-    for x in xs:
-        for y in ys:
-            closed = sum(1 for p in ps if p.x <= x and p.y <= y)
-            strict = sum(1 for p in ps if p.x < x and p.y < y)
-            nxy = n * x * y
-            best = max(best, abs(closed - nxy), abs(strict - nxy))
-    return best
+    y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
+    best_num, best_den = 0, 1
+    strict_row = (0,) * len(y_parts)
+    for x, closed_row in zip(grid.x_cuts, grid.table):
+        n_xn, xd = n * x.numerator, x.denominator
+        for (yn, yd), closed, strict in zip(y_parts, closed_row, strict_row):
+            den = xd * yd
+            nxy = n_xn * yn                 # N x y = nxy / den
+            num = max(closed * den - nxy, nxy - strict * den)
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+        strict_row = (0, *closed_row[:-1])
+    return Fraction(best_num, best_den)
 
 
 def monte_carlo_norm(

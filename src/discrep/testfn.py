@@ -52,11 +52,8 @@ from .auxiliary import (
     n_from_pointcount,
 )
 from .combinatorics import elementary_symmetric, sign_sum_moment
+from .discrepancy import _iv_fraction, _iv_precision
 from .pointsets import PointSet
-
-
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
 def _iv_lower(x) -> mpf:
@@ -395,9 +392,7 @@ def certificate(
         total_error += ip.error
     stabilized = all(t.stabilized for t in trees)
 
-    old = iv.dps
-    try:
-        iv.dps = dps
+    with _iv_precision(dps):
         a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
         cos_a, sin_a = iv.cos(a), iv.sin(a)
         main_iv = cos_a ** n * sin_a * _iv_fraction(abs(total))
@@ -411,8 +406,6 @@ def certificate(
             dn_low = _iv_lower((main_iv - err_iv) / iv.sqrt(iv.log(iv.mpf(count))))
         else:
             dn_low = None
-    finally:
-        iv.dps = old
 
     with mp.workdps(dps):
         main_low = +main_low
@@ -438,9 +431,7 @@ def certificate(
 
 def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
     """The certificate's error series alone, rounded up (depends on n, N only)."""
-    old = iv.dps
-    try:
-        iv.dps = dps
+    with _iv_precision(dps):
         a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
         cos_a, sin_a = iv.cos(a), iv.sin(a)
         err_iv = iv.mpf(0)
@@ -448,22 +439,16 @@ def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
             weight = Fraction(count, 16 * (1 << n)) * error_tuple_sum(n, p)
             err_iv += cos_a ** (n + 1 - p) * sin_a ** p * _iv_fraction(weight)
         out = _iv_upper(err_iv)
-    finally:
-        iv.dps = old
     with mp.workdps(dps):
         return +out
 
 
 def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
     """Lower bound cos^n(a) sin(a) (n+1)(2^n - N) N 2^-2n / 16 on the main term."""
-    old = iv.dps
-    try:
-        iv.dps = dps
+    with _iv_precision(dps):
         a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
         mass = Fraction((n + 1) * ((1 << n) - count) * count, 16 * (1 << (2 * n)))
         out = _iv_lower(iv.cos(a) ** n * iv.sin(a) * _iv_fraction(mass))
-    finally:
-        iv.dps = old
     with mp.workdps(dps):
         return +out
 

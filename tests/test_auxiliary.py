@@ -275,6 +275,43 @@ def test_lemma_suite_flags_corrupted_tree():
     assert any("i=1" in c.witness for c in failing)
 
 
+def test_skipped_product_checks_are_not_passed():
+    # n = 5 exceeds the product guard; a piece cap of 10 stops the enumeration
+    for ps, kwargs in ((van_der_corput(4), {}), (van_der_corput(2), {"piece_cap": 10})):
+        report = lemma_suite(ps, **kwargs)
+        skipped = [c for c in report.checks if c.skipped]
+        assert skipped and all(c.name == "product_bounds" for c in skipped)
+        assert not any(c.passed for c in skipped)
+        assert all("skipped" in c.witness for c in skipped)
+        assert report.skipped == len(skipped)
+        assert report.passed
+
+
+def _unimodular_checks(ps, trees=None):
+    # product_max_n=0 skips the product checks, which are not under test here
+    report = lemma_suite(ps, trees=trees, product_max_n=0)
+    return [c for c in report.checks if c.name == "values_unimodular"]
+
+
+def test_unimodular_check_passes_sets_with_one_truncated_sample():
+    # each set has one tree with uncovered mass 5.7e-6 and 1 of 400 samples
+    # truncated, which a 3-sigma normal approximation wrongly rejected
+    for seed in (12, 27, 56, 87, 88):
+        checks = _unimodular_checks(random_uniform(3, seed))
+        assert all(c.passed for c in checks), [c.witness for c in checks]
+        assert any("truncated 1/400" in c.witness for c in checks)
+
+
+def test_unimodular_check_fails_understated_mass():
+    ps = van_der_corput(2)
+    trees = [build_tree(ps, i, max_level=0) for i in range(4)]
+    assert all(c.passed for c in _unimodular_checks(ps, trees))
+    # level 0 leaves half the square occupied; claim a quarter
+    trees[1].uncovered_mass = lambda level=None: Fraction(1, 4)
+    failing = [c for c in _unimodular_checks(ps, trees) if not c.passed]
+    assert len(failing) == 1 and failing[0].witness.startswith("i=1:")
+
+
 def test_tree_summary_schema():
     tree = build_tree(ORIGIN, 0)
     summary = tree.summary()

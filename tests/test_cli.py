@@ -123,6 +123,38 @@ def test_lemmas_failing_check_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert "forged" in payload["checks"][0]["witness"]
 
 
+def test_lemmas_skipped_product_check_is_not_passed(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    run(capsys, "gen", "--kind", "vdc", "--m", "4", "--out", str(out))  # N = 16, n = 5
+    code, stdout, _ = run(capsys, "lemmas", "--in", str(out), "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    skipped = [c for c in payload["checks"] if c["skipped"]]
+    assert [c["name"] for c in skipped] == ["product_bounds"]
+    assert skipped[0]["passed"] is False
+    assert payload["passed"] is True
+    assert payload["skipped"] == 1
+
+    code, text, _ = run(capsys, "lemmas", "--in", str(out))
+    assert code == 0
+    assert "SKIP product_bounds: skipped: n=5" in text
+    assert "overall: PASS (1 skipped)" in text
+
+
+def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("prefix table built for an oversize grid")
+
+    monkeypatch.setattr("discrep.discrepancy._prefix_table", no_table)
+    # 4097 distinct coordinates per axis: 4097^2 cells, over the 2^24-cell budget
+    side = 4097
+    big = tmp_path / "big.csv"
+    big.write_text("x,y\n" + "".join(f"{k}/{side},{side - k}/{side}\n" for k in range(side)))
+    code, _, err = run(capsys, "norms", "--in", str(big), "--json")
+    assert code == 3
+    assert "resource limit" in err
+
+
 def test_comb_json(capsys):
     code, stdout, _ = run(capsys, "comb", "--n", "1", "--k", "3", "--json")
     assert code == 0

@@ -1,0 +1,193 @@
+"""The integer-grid norm kernels against the per-cell Fraction kernels they replaced.
+
+The oracles below are the original Fraction routes: O(N^3) corner
+counting for L-infinity, per-cell integration for the L1 terms and the
+O(N^2) pairwise sum for L2.  The fast kernels must agree with them
+exactly, including the order of the L1 log terms, so the L1 interval
+enclosure, which depends only on those terms, is identical too.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from discrep import discrepancy
+from discrep.discrepancy import (
+    MAX_GRID_CELLS,
+    CellDecomposition,
+    _l1_terms,
+    l1_norm,
+    l2_norm_sq,
+    l2_norm_sq_direct,
+    linf_norm,
+)
+from discrep.dyadic import Point
+from discrep.errors import ResourceLimitError
+from discrep.pointsets import PointSet, random_uniform, van_der_corput
+
+
+def linf_oracle(ps):
+    n = len(ps)
+    xs = sorted({Fraction(1), *(p.x for p in ps)})
+    ys = sorted({Fraction(1), *(p.y for p in ps)})
+    best = Fraction(0)
+    for x in xs:
+        for y in ys:
+            closed = sum(1 for p in ps if p.x <= x and p.y <= y)
+            strict = sum(1 for p in ps if p.x < x and p.y < y)
+            nxy = n * x * y
+            best = max(best, abs(closed - nxy), abs(strict - nxy))
+    return best
+
+
+def l1_terms_oracle(ps):
+    n = len(ps)
+    rational = Fraction(0)
+    logs = []
+    for a, b, c, d, k in CellDecomposition.from_pointset(ps).cells():
+        signed = k * (b - a) * (d - c) - Fraction(n, 4) * (b * b - a * a) * (d * d - c * c)
+        t = Fraction(k, n)
+        if t >= b * d:
+            rational += signed
+            continue
+        if t <= a * c:
+            rational += -signed
+            continue
+        rational += signed
+        x_lo = max(a, t / d)
+        x_hi = min(b, t / c) if c > 0 else b
+        if c > 0 and x_hi < b:
+            rational += 2 * (
+                Fraction(n, 4) * (b * b - x_hi * x_hi) * (d * d - c * c)
+                - k * (d - c) * (b - x_hi)
+            )
+        if x_hi > x_lo:
+            rational += 2 * (
+                Fraction(n, 4) * d * d * (x_hi * x_hi - x_lo * x_lo)
+                - n * t * d * (x_hi - x_lo)
+            )
+            logs.append((Fraction(k * k, n), x_hi / x_lo))
+    return rational, logs
+
+
+def l2_oracle(ps):
+    n = len(ps)
+    pair_sum = Fraction(0)
+    for p in ps:
+        for q in ps:
+            pair_sum += (1 - max(p.x, q.x)) * (1 - max(p.y, q.y))
+    single = sum((1 - p.x ** 2) * (1 - p.y ** 2) for p in ps)
+    return pair_sum - Fraction(n, 2) * single + Fraction(n * n, 9)
+
+
+def pointset(*pts):
+    return PointSet(tuple(Point(Fraction(x), Fraction(y)) for x, y in pts))
+
+
+# dyadic, 2^53, odd primes and 3^20, mixed within one set
+DENOMINATORS = [1, 2, 4, 8, 64, 1 << 53, 3, 5, 7, 11, 13, 101, 3 ** 20]
+coordinates = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.sampled_from(DENOMINATORS).flatmap(
+        lambda q: st.integers(0, q).map(lambda k: Fraction(k, q))
+    ),
+)
+distinct_points = st.lists(st.builds(Point, coordinates, coordinates), min_size=1, max_size=10)
+# repeat some of the points to get duplicates
+point_sets = distinct_points.flatmap(
+    lambda pts: st.lists(st.sampled_from(pts), max_size=4).map(
+        lambda dups: PointSet(tuple(pts + dups))
+    )
+)
+
+ADVERSARIAL = [
+    pointset((0, 0)),
+    pointset((1, 1)),
+    pointset((Fraction(1, 3), Fraction(2, 7))),
+    pointset((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 3), Fraction(2, 3)),
+             (Fraction(1, 3), Fraction(2, 3))),
+    pointset((0, Fraction(1, 2)), (1, Fraction(1, 3)), (Fraction(1, 4), 0),
+             (Fraction(2, 5), 1), (0, 1), (1, 0)),
+    pointset((Fraction(1, 2), Fraction(5, 7)), (Fraction(3, 1 << 53), Fraction(1, 11)),
+             (Fraction(2, 3 ** 20), Fraction(7, 8))),
+    pointset(*((Fraction(k, p), Fraction(p - k, q))
+               for k, p, q in ((1, 3, 5), (2, 7, 11), (5, 13, 17), (9, 19, 23), (4, 29, 31))),
+             (Fraction(1, 2), Fraction(1, 2))),
+    van_der_corput(3),
+    random_uniform(9, seed=3),
+]
+
+
+def add_examples(test):
+    for ps in ADVERSARIAL:
+        test = example(ps)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets)
+@add_examples
+def test_linf_matches_corner_counting_oracle(ps):
+    assert linf_norm(ps) == linf_oracle(ps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets)
+@add_examples
+def test_l1_terms_match_per_cell_oracle(ps):
+    rational, logs = _l1_terms(ps)
+    want_rational, want_logs = l1_terms_oracle(ps)
+    assert rational == want_rational
+    assert logs == want_logs
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets)
+@add_examples
+def test_l2_matches_pairwise_oracle(ps):
+    value = l2_norm_sq(ps)
+    assert value == l2_oracle(ps)
+    assert value == l2_norm_sq_direct(ps)
+
+
+def test_grid_fields_agree():
+    ps = pointset((Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 3), 1), (0, Fraction(3, 5)))
+    grid = CellDecomposition.from_pointset(ps)
+    assert grid.x_cuts == (0, Fraction(1, 3), 1)
+    assert grid.y_cuts == (0, Fraction(1, 4), Fraction(3, 5), 1)
+    assert grid.x_den == 3 and grid.y_den == 20
+    assert [Fraction(v, grid.x_den) for v in grid.x_ints] == list(grid.x_cuts)
+    assert [Fraction(v, grid.y_den) for v in grid.y_ints] == list(grid.y_cuts)
+    assert grid.point_ranks == ((1, 1), (1, 3), (0, 2))
+    for i, x in enumerate(grid.x_cuts):
+        for j, y in enumerate(grid.y_cuts):
+            assert grid.table[i][j] == sum(1 for p in ps if p.x <= x and p.y <= y)
+    assert grid.cell_counts == tuple(row[:-1] for row in grid.table[:-1])
+
+
+def test_l1_norm_on_adversarial_corpus_is_certified():
+    for ps in ADVERSARIAL:
+        rational, logs = l1_terms_oracle(ps)
+        norm = l1_norm(ps)
+        assert norm.exact == (not logs)
+        assert norm.sign_change_cells == len(logs)
+        if norm.exact:
+            assert norm.value == rational
+
+
+def oversize_set():
+    """4097 distinct coordinates per axis: 4097^2 cells, just over the budget."""
+    side = 4097
+    assert side * side > MAX_GRID_CELLS >= (side - 1) ** 2
+    return pointset(*((Fraction(k, side), Fraction(side - k, side)) for k in range(side)))
+
+
+@pytest.mark.parametrize("kernel", [l1_norm, l2_norm_sq, linf_norm, l2_norm_sq_direct])
+def test_grid_budget_raises_before_building(kernel, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("prefix table built for an oversize grid")
+
+    monkeypatch.setattr(discrepancy, "_prefix_table", no_table)
+    with pytest.raises(ResourceLimitError):
+        kernel(oversize_set())
