@@ -17,7 +17,6 @@ from .dyadic import (
     Point,
     dyadic,
     haar_point_kernel,
-    haar_value,
     is_dyadic,
     subdivide,
 )
@@ -47,9 +46,7 @@ from .auxiliary import (
     InnerProduct,
     build_tree,
     eval_aux,
-    eval_aux_level0,
     inner_product,
-    inner_product_level0,
     lemma_short_bound,
     lemma_suite,
     n_from_pointcount,
@@ -70,12 +67,10 @@ from .testfn import (
     BoundCertificate,
     FourierAtomFunction,
     SINE,
-    HalaszProduct,
     asymptotic_dn_table,
     certificate,
     constants_table,
     extremal_search,
-    halasz_product_stats,
     lin_limit,
     lin_n,
     lin_series_crosscheck,

@@ -38,7 +38,8 @@ from .errors import ResourceLimitError
 from .pointsets import PointSet
 
 HARD_LEVEL_CAP = 64
-DEFAULT_EXTRA_LEVELS = 2
+# Levels built past stabilization when no max_level is given.
+EXTRA_LEVELS = 2
 DEFAULT_PIECE_CAP = 2_000_000
 # Bound on the probability that `values_unimodular` fails a correct tree.
 TRUNCATION_FALSE_ALARM = Fraction(1, 10**9)
@@ -133,16 +134,11 @@ def _bucket(points: Sequence[Point], members: Sequence[int], kx: int, ky: int):
     return out
 
 
-def build_tree(
-    ps: PointSet,
-    direction: int,
-    max_level: int | None = None,
-    extra_levels: int = DEFAULT_EXTRA_LEVELS,
-) -> AuxFamilyTree:
-    """Construct levels until stabilization (plus `extra_levels`) or `max_level`.
+def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> AuxFamilyTree:
+    """Construct levels until stabilization (plus EXTRA_LEVELS) or `max_level`.
 
     With an explicit max_level exactly levels 0..max_level are built.  In
-    auto mode building stops `extra_levels` past stabilization, with a hard
+    auto mode building stops EXTRA_LEVELS past stabilization, with a hard
     cap of 64 levels; an unstabilized tree keeps its residual mass bound.
     """
     n = n_from_pointcount(len(ps))
@@ -173,7 +169,7 @@ def build_tree(
             if level >= max_level:
                 break
         elif stabilization is not None:
-            if level >= stabilization + extra_levels:
+            if level >= stabilization + EXTRA_LEVELS:
                 break
         if level >= HARD_LEVEL_CAP:
             break
@@ -209,19 +205,6 @@ def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
         if (jx, jy) not in rec.occupied:
             return AuxValue(rec.rectangle(jx, jy).haar(x, y), False)
     return AuxValue(1, True)
-
-
-def eval_aux_level0(tree: AuxFamilyTree, x, y) -> int:
-    """Level-0-only variant: Haar value on empty level-0 rectangles, else 0."""
-    x, y = Fraction(x), Fraction(y)
-    rec = tree.levels[0]
-    jx = floor(x * (1 << rec.scale_x))
-    jy = floor(y * (1 << rec.scale_y))
-    if jx == (1 << rec.scale_x) or jy == (1 << rec.scale_y):
-        return 0
-    if (jx, jy) in rec.occupied:
-        return 0
-    return rec.rectangle(jx, jy).haar(x, y)
 
 
 class InnerProduct(NamedTuple):
@@ -274,12 +257,6 @@ def inner_product(tree: AuxFamilyTree) -> InnerProduct:
     total, tail_bound = sum_empty_area_sq(tree)
     scale = Fraction(tree.point_count, 16)
     return InnerProduct(-scale * total, scale * tail_bound)
-
-
-def inner_product_level0(tree: AuxFamilyTree) -> Fraction:
-    """Same integral against the level-0-only function: -(N/16) * #empty * 4^-n."""
-    rec = tree.levels[0]
-    return -Fraction(tree.point_count, 16) * rec.empty_count * rec.rect_area ** 2
 
 
 def lemma_short_bound(tree: AuxFamilyTree) -> Fraction:
@@ -670,7 +647,6 @@ def lemma_suite(
     ps: PointSet,
     trees: Sequence[AuxFamilyTree] | None = None,
     product_level: int = 2,
-    max_product_indices: int = 3,
     product_max_n: int = 4,
     samples: int = 400,
     seed: int = 20240601,
@@ -678,8 +654,8 @@ def lemma_suite(
 ) -> SuiteReport:
     """Run every structural check for all direction indices.
 
-    Product checks (pairs, and triples when n >= 2) are run on the extreme
-    index tuples, which carry the weakest bounds; they are skipped beyond
+    Product checks run on the extreme index tuples (0, n) and, when
+    n >= 2, (0, 1, n), which carry the weakest bounds; they are skipped beyond
     n = `product_max_n` (intersection piece counts explode) or past
     `piece_cap`, and recorded as skipped, not passed.  Prebuilt
     trees may be passed in (the test suite uses this to verify corrupted
@@ -697,9 +673,7 @@ def lemma_suite(
         checks.append(_check_inner_bound(tree))
     checks.append(_check_side_lengths(trees))
 
-    tuples: list[tuple[int, ...]] = [(0, n)] if n >= 1 else []
-    if n >= 2:
-        tuples.append((0, 1, n) if max_product_indices >= 3 else (0, 1))
+    tuples: list[tuple[int, ...]] = [(0, n), (0, 1, n)] if n >= 2 else [(0, n)]
     if n > product_max_n:
         checks.append(
             CheckResult(

@@ -78,11 +78,22 @@ def _iv_precision(dps: int):
 
 
 def _iv_endpoints(x) -> tuple[mpf, mpf]:
+    """The exact endpoints (lo, hi) of interval x, as mpf."""
     lo, hi = x._mpi_
     return mp.make_mpf(lo), mp.make_mpf(hi)
 
 
+def _mid_rad(lo: mpf, hi: mpf) -> tuple[mpf, mpf]:
+    """(mid, rad) at mp's precision with [lo, hi] inside [mid - rad, mid + rad].
+
+    mid is rounded to nearest; rad is rounded up, so the cover is exact.
+    """
+    mid = (lo + hi) / 2
+    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u"))
+
+
 def _as_mpf(value) -> mpf:
+    """A Fraction as num/den in mpf at mp's precision; other numbers via mpf()."""
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
     return mpf(value)
@@ -335,9 +346,7 @@ def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
             for coeff, ratio in logs:
                 total += _iv_fraction(coeff) * iv.log(_iv_fraction(ratio))
         with mp.workdps(attempt_dps):
-            lo, hi = _iv_endpoints(total)
-            mid = +((lo + hi) / 2)
-            err = +((hi - lo) / 2)
+            mid, err = _mid_rad(*_iv_endpoints(total))
         if err <= 1e-12 * mid:
             return L1Norm(mid, err, False, len(logs))
     raise ArithmeticError("could not certify L1 to 1e-12 relative error")
@@ -394,6 +403,10 @@ def monte_carlo_norm(
     return est, stderr
 
 
+def _normalized(l1: L1Norm, count: int) -> float:
+    return float(l1.value) / math.sqrt(math.log(count))
+
+
 def d_n(ps: PointSet, dps: int = 30) -> float:
     """L1 norm divided by sqrt(ln N) -- the per-set normalized value.
 
@@ -402,8 +415,7 @@ def d_n(ps: PointSet, dps: int = 30) -> float:
     """
     if len(ps) < 2:
         raise ValueError("need N >= 2 so that ln N > 0")
-    norm = l1_norm(ps, dps=dps)
-    return float(norm.value) / math.sqrt(math.log(len(ps)))
+    return _normalized(l1_norm(ps, dps=dps), len(ps))
 
 
 def norms_report(ps: PointSet, dps: int = 30) -> dict:
@@ -420,5 +432,5 @@ def norms_report(ps: PointSet, dps: int = 30) -> dict:
         "linf": str(linf_norm(ps)),
     }
     if len(ps) >= 2:
-        report["d_n"] = f"{d_n(ps, dps=dps):.12g}"
+        report["d_n"] = f"{_normalized(l1, len(ps)):.12g}"
     return report

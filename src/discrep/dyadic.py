@@ -114,14 +114,6 @@ class DyadicInterval:
         return f"[{self.left}, {self.right})"
 
 
-def haar_value(interval: DyadicInterval, x: Fraction) -> int:
-    """One-dimensional Haar evaluation (free-function form of interval.haar)."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"x = {x} outside [0, 1]")
-    return interval.haar(x)
-
-
 def haar_point_kernel(interval: DyadicInterval, p: Fraction) -> Fraction:
     """Exact value of the integral of 1_{x >= p} * h_I(x) over [0, 1].
 

@@ -44,28 +44,10 @@ from typing import Sequence
 
 from mpmath import iv, mp, mpc, mpf
 
-from .auxiliary import (
-    AuxFamilyTree,
-    build_tree,
-    eval_aux_level0,
-    inner_product,
-    n_from_pointcount,
-)
+from .auxiliary import AuxFamilyTree, build_tree, inner_product, n_from_pointcount
 from .combinatorics import elementary_symmetric, sign_sum_moment
-from .discrepancy import _iv_fraction, _iv_precision
+from .discrepancy import _as_mpf, _iv_endpoints, _iv_fraction, _iv_precision
 from .pointsets import PointSet
-
-
-def _iv_lower(x) -> mpf:
-    return mp.make_mpf(x._mpi_[0])
-
-
-def _iv_upper(x) -> mpf:
-    return mp.make_mpf(x._mpi_[1])
-
-
-def _mp_fraction(q: Fraction):
-    return mpf(q.numerator) / mpf(q.denominator)
 
 
 @dataclass(frozen=True)
@@ -111,8 +93,8 @@ class FourierAtomFunction:
         with mp.workdps(dps):
             total = mpc(0)
             for a in self.atoms:
-                c = mpc(_mp_fraction(a.re), _mp_fraction(a.im))
-                total += c * mp.exp(mpc(0, -1) * _mp_fraction(a.freq) * mpf(x))
+                c = mpc(_as_mpf(a.re), _as_mpf(a.im))
+                total += c * mp.exp(mpc(0, -1) * _as_mpf(a.freq) * mpf(x))
             return +total
 
     def is_odd_sampled(self, samples: int = 7, dps: int = 30) -> bool:
@@ -158,9 +140,9 @@ class FourierAtomFunction:
         if not inexact:
             return exact
         with mp.workdps(dps):
-            total = _mp_fraction(exact)
+            total = _as_mpf(exact)
             for sq in inexact:
-                total += mp.sqrt(_mp_fraction(sq))
+                total += mp.sqrt(_as_mpf(sq))
             return +total
 
 
@@ -179,8 +161,8 @@ def lin_n(fn: FourierAtomFunction, n: int, dps: int = 30) -> mpc:
         root = mp.sqrt(n)
         total = mpc(0)
         for a in fn.atoms:
-            arg = _mp_fraction(a.freq) / root
-            c = mpc(_mp_fraction(a.re), _mp_fraction(a.im))
+            arg = _as_mpf(a.freq) / root
+            c = mpc(_as_mpf(a.re), _as_mpf(a.im))
             total += c * mpc(0, -1) * mp.sin(arg) * mp.cos(arg) ** n
         return +total
 
@@ -208,7 +190,7 @@ def lin_series_crosscheck(
         acc_im += d_im * weight
     with mp.workdps(dps):
         root = mp.sqrt(n)
-        return +(mpc(_mp_fraction(acc_re), _mp_fraction(acc_im)) / root)
+        return +(mpc(_as_mpf(acc_re), _as_mpf(acc_im)) / root)
 
 
 def lin_limit(fn: FourierAtomFunction, dps: int = 30) -> mpc:
@@ -216,8 +198,8 @@ def lin_limit(fn: FourierAtomFunction, dps: int = 30) -> mpc:
     with mp.workdps(dps):
         total = mpc(0)
         for a in fn.atoms:
-            w = _mp_fraction(a.freq)
-            c = mpc(_mp_fraction(a.re), _mp_fraction(a.im))
+            w = _as_mpf(a.freq)
+            c = mpc(_as_mpf(a.re), _as_mpf(a.im))
             total += mpc(0, -1) * w * mp.exp(-w * w / 2) * c
         return +total
 
@@ -335,8 +317,9 @@ class BoundCertificate:
     main_term is the rounded-down value of cos^n(a) sin(a) * |sum of the
     n+1 exact inner products| (a = 1/sqrt(n)); error_bound is the
     rounded-up finite error series.  l1_lower_bound = max(0, main - error)
-    and is sound even for unstabilized trees (their inner products only
-    gain magnitude, and the widening is recorded in inner_product_error).
+    with the difference rounded down, and is sound even for unstabilized
+    trees (their inner products only gain magnitude, and the widening is
+    recorded in inner_product_error).
     """
 
     n: int
@@ -369,6 +352,27 @@ class BoundCertificate:
         return out
 
 
+def _odd_terms(n: int, weights: dict[int, Fraction]):
+    """Interval sum over p of cos^(n+1-p)(a) sin^p(a) w_p, with a = 1/sqrt(n).
+
+    Evaluated at the current interval precision.  p = 1 with the mass
+    |sum of inner products| is the certificate's main term; the odd
+    p >= 3 with `_error_weights` are its error series.
+    """
+    a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
+    cos_a, sin_a = iv.cos(a), iv.sin(a)
+    total = iv.mpf(0)
+    for p, weight in weights.items():
+        total += cos_a ** (n + 1 - p) * sin_a ** p * _iv_fraction(weight)
+    return total
+
+
+def _error_weights(n: int, count: int) -> dict[int, Fraction]:
+    """Weight N 2^-n / 16 * S_p(n) of each odd order p = 3..n+1."""
+    scale = Fraction(count, 16 * (1 << n))
+    return {p: scale * error_tuple_sum(n, p) for p in range(3, n + 2, 2)}
+
+
 def certificate(
     ps: PointSet,
     dps: int = 50,
@@ -378,7 +382,8 @@ def certificate(
     """End-to-end lower-bound certificate for one point set (T = sin route).
 
     All rounding is directed: the main term rounds down, the error series
-    rounds up, so l1_lower_bound <= ||D||_1 holds rigorously.
+    rounds up and their difference rounds down, so l1_lower_bound <=
+    main_term - error_bound <= ||D||_1 holds rigorously.
     """
     count = len(ps)
     n = n_from_pointcount(count)
@@ -390,148 +395,53 @@ def certificate(
         ip = inner_product(tree)
         total += ip.value
         total_error += ip.error
-    stabilized = all(t.stabilized for t in trees)
 
     with _iv_precision(dps):
-        a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
-        cos_a, sin_a = iv.cos(a), iv.sin(a)
-        main_iv = cos_a ** n * sin_a * _iv_fraction(abs(total))
-        err_iv = iv.mpf(0)
-        for p in range(3, n + 2, 2):
-            weight = Fraction(count, 16 * (1 << n)) * error_tuple_sum(n, p)
-            err_iv += cos_a ** (n + 1 - p) * sin_a ** p * _iv_fraction(weight)
-        main_low = _iv_lower(main_iv)
-        err_high = _iv_upper(err_iv)
+        main_iv = _odd_terms(n, {1: abs(total)})
+        err_iv = _odd_terms(n, _error_weights(n, count))
+        diff_iv = main_iv - err_iv
+        main_low = _iv_endpoints(main_iv)[0]
+        err_high = _iv_endpoints(err_iv)[1]
+        diff_low = _iv_endpoints(diff_iv)[0]
+        dn_low = None
         if count >= 2:
-            dn_low = _iv_lower((main_iv - err_iv) / iv.sqrt(iv.log(iv.mpf(count))))
-        else:
-            dn_low = None
+            dn_low = _iv_endpoints(diff_iv / iv.sqrt(iv.log(iv.mpf(count))))[0]
 
     with mp.workdps(dps):
-        main_low = +main_low
-        err_high = +err_high
-        l1_low = max(mpf(0), main_low - err_high)
-        dn_bound = None
-        if dn_low is not None:
-            dn_bound = max(mpf(0), +dn_low)
-
-    return BoundCertificate(
-        n=n,
-        point_count=count,
-        inner_product_sum=total,
-        inner_product_error=total_error,
-        trees_stabilized=stabilized,
-        main_term=main_low,
-        error_bound=err_high,
-        l1_lower_bound=l1_low,
-        d_n_bound=dn_bound,
-        dps=dps,
-    )
+        return BoundCertificate(
+            n=n,
+            point_count=count,
+            inner_product_sum=total,
+            inner_product_error=total_error,
+            trees_stabilized=all(t.stabilized for t in trees),
+            main_term=+main_low,
+            error_bound=+err_high,
+            l1_lower_bound=max(mpf(0), +diff_low),
+            d_n_bound=None if dn_low is None else max(mpf(0), +dn_low),
+            dps=dps,
+        )
 
 
 def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
     """The certificate's error series alone, rounded up (depends on n, N only)."""
     with _iv_precision(dps):
-        a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
-        cos_a, sin_a = iv.cos(a), iv.sin(a)
-        err_iv = iv.mpf(0)
-        for p in range(3, n + 2, 2):
-            weight = Fraction(count, 16 * (1 << n)) * error_tuple_sum(n, p)
-            err_iv += cos_a ** (n + 1 - p) * sin_a ** p * _iv_fraction(weight)
-        out = _iv_upper(err_iv)
+        out = _iv_endpoints(_odd_terms(n, _error_weights(n, count)))[1]
     with mp.workdps(dps):
         return +out
 
 
 def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
     """Lower bound cos^n(a) sin(a) (n+1)(2^n - N) N 2^-2n / 16 on the main term."""
+    mass = Fraction((n + 1) * ((1 << n) - count) * count, 16 * (1 << (2 * n)))
     with _iv_precision(dps):
-        a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
-        mass = Fraction((n + 1) * ((1 << n) - count) * count, 16 * (1 << (2 * n)))
-        out = _iv_lower(iv.cos(a) ** n * iv.sin(a) * _iv_fraction(mass))
+        out = _iv_endpoints(_odd_terms(n, {1: mass}))[0]
     with mp.workdps(dps):
         return +out
 
 
 # ---------------------------------------------------------------------------
-# product-form test function and reference constants
+# reference constants
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HalaszProduct:
-    """Product-form test function over the level-0 auxiliary functions:
-
-        G = prod_i (1 + i * gamma / sqrt(ln N) * f_i^0) - 1.
-
-    The index-0 factor is identically 1 (its coefficient vanishes), and
-    each f_i^0 is zero outside the empty level-0 rectangles.  Exploratory
-    surface; gamma is a free small constant.
-    """
-
-    gamma: float
-    n: int
-    trees: tuple
-
-    @classmethod
-    def build(cls, ps: PointSet, gamma: float) -> "HalaszProduct":
-        if gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        if len(ps) < 2:
-            raise ValueError("need N >= 2 so that ln N > 0")
-        n = n_from_pointcount(len(ps))
-        trees = tuple(build_tree(ps, i, max_level=0) for i in range(n + 1))
-        return cls(gamma, n, trees)
-
-    @property
-    def point_count(self) -> int:
-        return self.trees[0].point_count
-
-    def value(self, x, y) -> float:
-        scale = self.gamma / math.sqrt(math.log(self.point_count))
-        g = 1.0
-        for i, tree in enumerate(self.trees):
-            g *= 1.0 + i * scale * eval_aux_level0(tree, x, y)
-        return g - 1.0
-
-
-@dataclass(frozen=True)
-class HalaszReport:
-    gamma: float
-    n: int
-    point_count: int
-    samples: int
-    sup_estimate: float
-    mean_abs: float
-    halasz_constant: float
-
-
-def halasz_product_stats(
-    ps: PointSet, gamma: float = 0.01, samples: int = 512, seed: int = 0
-) -> HalaszReport:
-    """Sampled sup/mean statistics of the product-form test function,
-    reported next to the classical constant it is tied to."""
-    product = HalaszProduct.build(ps, gamma)
-    import random as _random
-
-    rng = _random.Random(seed)
-    sup_est = 0.0
-    acc = 0.0
-    for _ in range(samples):
-        x = Fraction(rng.getrandbits(40), 1 << 40)
-        y = Fraction(rng.getrandbits(40), 1 << 40)
-        g = product.value(x, y)
-        sup_est = max(sup_est, abs(g))
-        acc += abs(g)
-    return HalaszReport(
-        gamma=gamma,
-        n=product.n,
-        point_count=product.point_count,
-        samples=samples,
-        sup_estimate=sup_est,
-        mean_abs=acc / samples,
-        halasz_constant=float(halasz_constant()),
-    )
-
 
 def halasz_constant(dps: int = 30) -> mpf:
     """1 / (1152 (sqrt(e) + 1) sqrt(ln 2)), approximately 0.00039."""

@@ -10,9 +10,7 @@ from hypothesis import given, strategies as st
 from discrep.auxiliary import (
     build_tree,
     eval_aux,
-    eval_aux_level0,
     inner_product,
-    inner_product_level0,
     lemma_short_bound,
     lemma_suite,
     n_from_pointcount,
@@ -77,13 +75,6 @@ def test_eval_aux_examples():
         eval_aux(tree, Fraction(1), Fraction(0))
 
 
-def test_eval_aux_level0():
-    tree = build_tree(ORIGIN, 0)
-    # occupied level-0 rectangle -> 0; empty one -> Haar sign
-    assert eval_aux_level0(tree, Fraction(3, 10), Fraction(2, 10)) == 0
-    assert eval_aux_level0(tree, Fraction(3, 10), Fraction(8, 10)) == -1
-
-
 def test_inner_product_singleton_exact():
     tree = build_tree(ORIGIN, 0)
     ip = inner_product(tree)
@@ -135,19 +126,6 @@ def test_inner_product_unstabilized_brackets_truth():
     ip = inner_product(shallow)
     assert ip.error > 0
     assert ip.value - ip.error <= truth <= ip.value
-
-
-def test_inner_product_level0():
-    tree = build_tree(ORIGIN, 0)
-    assert inner_product_level0(tree) == Fraction(-1, 64)
-    ps = van_der_corput(2)
-    n = n_from_pointcount(len(ps))  # 3
-    for i in range(n + 1):
-        t = build_tree(ps, i)
-        occupied0 = len(t.levels[0].occupied)
-        expected = -Fraction(len(ps), 16) * ((1 << n) - occupied0) * Fraction(1, 1 << (2 * n))
-        assert inner_product_level0(t) == expected
-        assert abs(inner_product_level0(t)) <= Fraction(len(ps), 16 * (1 << n))
 
 
 def test_unimodular_values_and_truncation_fraction():

@@ -1,10 +1,14 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from discrep.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -232,3 +236,30 @@ def test_bad_csv_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "norms", "--in", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+def _golden_runs():
+    # vdc m=3 (n=4), and four points with non-dyadic coordinates, a duplicate
+    # and one point on x = 1 (n=3); comb and lin take each input's n.
+    for stem, n in (("vdc3", 4), ("mixed", 3)):
+        csv = str(GOLDEN / f"{stem}.csv")
+        for command in ("norms", "aux", "certificate", "lemmas"):
+            yield f"{stem}.{command}", [command, "--in", csv, "--json"]
+        yield f"{stem}.comb", ["comb", "--n", str(n), "--k", "3", "--json"]
+        yield f"{stem}.lin", ["lin", "--n", str(n), "--json"]
+    yield "constants", ["constants", "--json"]
+
+
+GOLDEN_RUNS = list(_golden_runs())
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])
+def test_golden_json_output(name, argv, capsys):
+    """`--json` output is byte-identical to tests/golden/<name>.json.
+
+    The expected files are the stdout of `python -m discrep.cli <argv>`;
+    regenerate them only for a change that is meant to alter the output.
+    """
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -5,9 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+from mpmath import mp, mpf
 
+from discrep import discrepancy
 from discrep.discrepancy import (
     CellDecomposition,
+    _mid_rad,
+    norms_report,
     d_n,
     eval_discrepancy,
     haar_inner_product,
@@ -184,3 +189,36 @@ def test_d_n_contract():
     assert d_n(van_der_corput(4)) > 0
     with pytest.raises(ValueError):
         d_n(ORIGIN)
+
+
+def _exact(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@given(
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**40),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**40),
+    st.integers(min_value=5, max_value=120),
+)
+def test_mid_rad_covers_interval_exactly(lo, width, dps):
+    with mp.workdps(dps):
+        lo_f = mpf(lo.numerator) / mpf(lo.denominator)
+        hi_f = lo_f + mpf(width.numerator) / mpf(width.denominator)
+        mid, rad = _mid_rad(lo_f, hi_f)
+    assert _exact(mid) - _exact(rad) <= _exact(lo_f)
+    assert _exact(hi_f) <= _exact(mid) + _exact(rad)
+
+
+def test_norms_report_computes_l1_once(monkeypatch):
+    calls = []
+    terms = discrepancy._l1_terms
+
+    def counting(ps):
+        calls.append(len(ps))
+        return terms(ps)
+
+    monkeypatch.setattr(discrepancy, "_l1_terms", counting)
+    report = norms_report(random_uniform(16, seed=3))
+    assert calls == [16]
+    assert "d_n" in report

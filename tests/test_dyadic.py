@@ -11,7 +11,6 @@ from discrep.dyadic import (
     dyadic,
     dyadic_exponent,
     haar_point_kernel,
-    haar_value,
     is_dyadic,
     subdivide,
 )
@@ -57,10 +56,10 @@ def test_interval_validation():
 
 
 def test_haar_value_examples():
-    assert haar_value(UNIT, Fraction(1, 4)) == 1
-    assert haar_value(UNIT, Fraction(1)) == 0
+    assert UNIT.haar(Fraction(1, 4)) == 1
+    assert UNIT.haar(Fraction(1)) == 0
     # [1/2, 3/4): right half is [5/8, 3/4)
-    assert haar_value(DyadicInterval(2, 2), Fraction(7, 10)) == -1
+    assert DyadicInterval(2, 2).haar(Fraction(7, 10)) == -1
 
 
 def test_haar_value_halves_and_boundary():

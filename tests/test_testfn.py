@@ -21,7 +21,6 @@ from discrep.testfn import (
     error_tuple_sum,
     extremal_search,
     halasz_constant,
-    halasz_product_stats,
     lin_limit,
     lin_n,
     lin_series_crosscheck,
@@ -207,6 +206,17 @@ def test_certificate_main_term_floor():
     assert cert.main_term >= main_term_floor(cert.n, cert.point_count)
 
 
+def test_certificate_lower_bound_rounds_down():
+    # l1_lower_bound is main_term - error_bound rounded down, never up
+    sets = [van_der_corput(m) for m in range(1, 7)]
+    sets += [random_uniform(k, seed=k) for k in range(2, 39, 3)]
+    for ps in sets:
+        cert = certificate(ps)
+        assert cert.l1_lower_bound > 0
+        with mp.workdps(400):
+            assert cert.l1_lower_bound <= cert.main_term - cert.error_bound
+
+
 def test_certificate_single_point():
     cert = certificate(ORIGIN)
     assert cert.n == 1
@@ -242,42 +252,6 @@ def test_certificate_json_schema():
     ):
         assert key in payload
     assert payload["inner_product_sum"].count("/") == 1
-
-
-def test_halasz_product_stats():
-    ps = van_der_corput(2)
-    report = halasz_product_stats(ps, gamma=0.01, samples=256, seed=1)
-    assert report.point_count == 4
-    assert math.isclose(report.halasz_constant, 0.00039, rel_tol=0.02)
-    # gamma -> 0 drives G to 0
-    tiny = halasz_product_stats(ps, gamma=1e-9, samples=256, seed=1)
-    assert tiny.sup_estimate < 1e-7
-    with pytest.raises(ValueError):
-        halasz_product_stats(ps, gamma=0.0)
-    with pytest.raises(ValueError):
-        halasz_product_stats(ORIGIN, gamma=0.01)
-
-
-def test_halasz_zero_factor_at_index_zero():
-    # the first factor never contributes: G vanishes wherever every other
-    # level-0 function is zero, even if f_0 is not
-    from discrep.auxiliary import eval_aux_level0
-    from discrep.testfn import HalaszProduct
-
-    ps = van_der_corput(1)
-    product = HalaszProduct.build(ps, gamma=0.37)
-    seen = False
-    rng = random.Random(8)
-    for _ in range(2000):
-        x = Fraction(rng.getrandbits(20), 1 << 20)
-        y = Fraction(rng.getrandbits(20), 1 << 20)
-        if eval_aux_level0(product.trees[0], x, y) != 0 and all(
-            eval_aux_level0(t, x, y) == 0 for t in product.trees[1:]
-        ):
-            assert product.value(x, y) == 0.0
-            seen = True
-            break
-    assert seen
 
 
 def test_constants_table():
