@@ -22,6 +22,23 @@ rationals: every empty rectangle R contributes -N |R|^2 / 16.
 Only occupied rectangles are materialized (a dict per level keyed by the
 index pair); empty rectangles are implicit, so levels cost O(N) to build
 regardless of n.
+
+Every rectangle is an integer address (kx, ky, jx, jy), the cell
+[jx 2^-kx, (jx+1) 2^-kx) x [jy 2^-ky, (jy+1) 2^-ky), and the hot loops
+stay on integers:
+
+  * bucketing reads each point once as (xn, xd, yn, yd); its cell at
+    scale k is (xn << k) // xd, and coinciding points share one integer
+    identity, which is what stabilization compares;
+  * evaluation takes t = floor(x 2^(k+1)) from the numerator and the
+    denominator: t >> 1 is the cell index and t & 1 the Haar half;
+  * a product piece's sign is a parity of bits of its own index (see
+    `_product_pieces`), and its integrals are kept as signed and plain
+    piece counts per area exponent, so each reported integral is one
+    Fraction built at the end.
+
+The product checks still enumerate every piece, so `lemma_suite` runs
+them only for n <= 4.
 """
 
 from __future__ import annotations
@@ -29,10 +46,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
-from typing import Iterator, NamedTuple, Sequence
+from math import comb
+from typing import NamedTuple, Sequence
 
-from .dyadic import DyadicRectangle, Point
+from .dyadic import Point
 from .discrepancy import linf_norm
 from .errors import ResourceLimitError
 from .pointsets import PointSet
@@ -55,13 +72,6 @@ class LevelRecord:
     occupied: dict[tuple[int, int], tuple[int, ...]]
     empty_count: int
     rect_area: Fraction
-
-    def rectangle(self, jx: int, jy: int) -> DyadicRectangle:
-        return DyadicRectangle.from_indices(self.scale_x, self.scale_y, jx, jy)
-
-    def occupied_rectangles(self) -> Iterator[tuple[DyadicRectangle, tuple[int, ...]]]:
-        for (jx, jy), members in self.occupied.items():
-            yield self.rectangle(jx, jy), members
 
 
 @dataclass
@@ -121,14 +131,26 @@ def n_from_pointcount(count: int) -> int:
     return (2 * count - 1).bit_length()
 
 
-def _bucket(points: Sequence[Point], members: Sequence[int], kx: int, ky: int):
-    """Group point indices by their level cell; points on x=1 or y=1 fall outside."""
+def _point_integers(points: Sequence[Point]) -> tuple[tuple[int, int, int, int], ...]:
+    """Each point as (x numerator, x denominator, y numerator, y denominator)."""
+    return tuple(
+        (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in points
+    )
+
+
+def _bucket(coords, members: Sequence[int], kx: int, ky: int):
+    """Group point indices by their level cell; points on x=1 or y=1 fall outside.
+
+    coords[idx] is the point's `_point_integers` entry; its cell index along
+    x is floor(xn 2^kx / xd) = (xn << kx) // xd, which is 2^kx only at x = 1.
+    """
     out: dict[tuple[int, int], list[int]] = {}
+    wx, wy = 1 << kx, 1 << ky
     for idx in members:
-        p = points[idx]
-        jx = floor(p.x * (1 << kx))
-        jy = floor(p.y * (1 << ky))
-        if jx == (1 << kx) or jy == (1 << ky):
+        xn, xd, yn, yd = coords[idx]
+        jx = (xn << kx) // xd
+        jy = (yn << ky) // yd
+        if jx == wx or jy == wy:
             continue
         out.setdefault((jx, jy), []).append(idx)
     return out
@@ -144,26 +166,27 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     n = n_from_pointcount(len(ps))
     if not 0 <= direction <= n:
         raise ValueError(f"direction index {direction} outside 0..{n}")
-    points = ps.points
+    coords = _point_integers(ps.points)
+    # equal points share the index of their first copy
+    first: dict[tuple[int, int, int, int], int] = {}
+    ident = [first.setdefault(c, idx) for idx, c in enumerate(coords)]
     children = 1 << (2 * (n + 1))
 
     kx, ky = direction, n - direction
     occupied = {
-        key: tuple(v) for key, v in _bucket(points, range(len(points)), kx, ky).items()
+        key: tuple(v) for key, v in _bucket(coords, range(len(coords)), kx, ky).items()
     }
     levels = [
         LevelRecord(0, kx, ky, occupied, (1 << n) - len(occupied), Fraction(1, 1 << n))
     ]
     stabilization: int | None = None
 
-    def is_stable(rec: LevelRecord) -> bool:
-        return all(
-            len({points[t] for t in members}) == 1 for members in rec.occupied.values()
-        )
+    def one_point(members: tuple[int, ...]) -> bool:
+        return len(members) == 1 or len({ident[t] for t in members}) == 1
 
     level = 0
     while True:
-        if stabilization is None and is_stable(levels[-1]):
+        if stabilization is None and all(map(one_point, levels[-1].occupied.values())):
             stabilization = level
         if max_level is not None:
             if level >= max_level:
@@ -179,8 +202,13 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         parent = levels[-1]
         occupied = {}
         for members in parent.occupied.values():
+            if one_point(members):
+                # copies of one interior point stay together in one cell
+                xn, xd, yn, yd = coords[members[0]]
+                occupied[(xn << kx) // xd, (yn << ky) // yd] = members
+                continue
             occupied.update(
-                (key, tuple(v)) for key, v in _bucket(points, members, kx, ky).items()
+                (key, tuple(v)) for key, v in _bucket(coords, members, kx, ky).items()
             )
         empty = children * len(parent.occupied) - len(occupied)
         area = Fraction(1, 1 << (n + 2 * (n + 1) * level))
@@ -199,11 +227,20 @@ def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
     x, y = Fraction(x), Fraction(y)
     if not (0 <= x < 1 and 0 <= y < 1):
         raise ValueError(f"({x}, {y}) outside [0, 1)^2")
+    return _eval_integers(tree, x.numerator, x.denominator, y.numerator, y.denominator)
+
+
+def _eval_integers(tree: AuxFamilyTree, xn: int, xd: int, yn: int, yd: int) -> AuxValue:
+    """`eval_aux` at (xn/xd, yn/yd) in [0, 1)^2, on integers.
+
+    At scale k, t = floor(x 2^(k+1)) holds the cell index t >> 1 and the
+    Haar half t & 1: the right half of either side flips the sign.
+    """
     for rec in tree.levels:
-        jx = floor(x * (1 << rec.scale_x))
-        jy = floor(y * (1 << rec.scale_y))
-        if (jx, jy) not in rec.occupied:
-            return AuxValue(rec.rectangle(jx, jy).haar(x, y), False)
+        tx = (xn << (rec.scale_x + 1)) // xd
+        ty = (yn << (rec.scale_y + 1)) // yd
+        if (tx >> 1, ty >> 1) not in rec.occupied:
+            return AuxValue(-1 if (tx ^ ty) & 1 else 1, False)
     return AuxValue(1, True)
 
 
@@ -320,13 +357,6 @@ def _empties_within(tree: AuxFamilyTree, rect, level_cap: int):
     yield from walk(0, 0, 0)
 
 
-def _haar_sign(rect, qx: Fraction, qy: Fraction) -> int:
-    kx, ky, jx, jy = rect
-    sx = 1 if qx * (1 << (kx + 1)) - 2 * jx < 1 else -1
-    sy = 1 if qy * (1 << (ky + 1)) - 2 * jy < 1 else -1
-    return sx * sy
-
-
 def _product_pieces(trees: Sequence[AuxFamilyTree], level_cap: int, piece_cap: int):
     """Yield (sign, rect) over intersections of one empty rectangle per tree.
 
@@ -334,31 +364,39 @@ def _product_pieces(trees: Sequence[AuxFamilyTree], level_cap: int, piece_cap: i
     the Haar function of the intersection (side lengths across distinct
     direction indices never tie, so the coarser factors are constant
     there).  The pieces partition the common covered region.
+
+    The sign is read from bits: the piece (kx, ky, jx, jy) lies in the right
+    x half of a chain rectangle (rkx, rky, ., .) iff kx > rkx and bit
+    kx - rkx - 1 of jx is set (likewise in y), and each right half flips
+    the sign.
     """
     emitted = 0
+    last = len(trees) - 1
 
     def rec(depth: int, cur, chain):
         nonlocal emitted
-        if depth == len(trees):
-            kx, ky, jx, jy = cur
-            qx = Fraction(4 * jx + 1, 1 << (kx + 2))
-            qy = Fraction(4 * jy + 1, 1 << (ky + 2))
-            sign = 1
-            for r in chain:
-                sign *= _haar_sign(r, qx, qy)
-            emitted += 1
-            if emitted > piece_cap:
-                raise ResourceLimitError(
-                    f"intersection piece count exceeds cap {piece_cap}"
-                )
-            yield sign, cur
-            return
         for r in _empties_within(trees[depth], cur, level_cap):
             nxt = _rect_intersection(cur, r)
-            if nxt is not None:
-                chain.append(r)
+            if nxt is None:
+                continue
+            chain.append(r)
+            if depth < last:
                 yield from rec(depth + 1, nxt, chain)
-                chain.pop()
+            else:
+                kx, ky, jx, jy = nxt
+                flips = 0
+                for rkx, rky, _, _ in chain:
+                    if kx > rkx:
+                        flips ^= jx >> (kx - rkx - 1)
+                    if ky > rky:
+                        flips ^= jy >> (ky - rky - 1)
+                emitted += 1
+                if emitted > piece_cap:
+                    raise ResourceLimitError(
+                        f"intersection piece count exceeds cap {piece_cap}"
+                    )
+                yield -1 if flips & 1 else 1, nxt
+            chain.pop()
 
     yield from rec(0, (0, 0, 0, 0), [])
 
@@ -427,19 +465,29 @@ def product_bound_check(
     n = trees[0].n
     count = len(ps)
 
-    product_integral = Fraction(0)
-    d_product = Fraction(0)
-    covered = Fraction(0)
-    pieces = 0
-    for sign, (kx, ky, jx, jy) in _product_pieces(trees, truncation_level, piece_cap):
-        area = Fraction(1, 1 << (kx + ky))
-        # integral of the Haar function over its own rectangle: the four
-        # signed quadrants cancel; written out so the cancellation is computed
-        quadrant = area / 4
-        product_integral += sign * (quadrant - quadrant - quadrant + quadrant)
-        d_product += sign * -Fraction(count, 16) * area * area
-        covered += area
-        pieces += 1
+    # signed and plain piece counts per area exponent e: |piece| = 2^-e
+    signed: dict[int, int] = {}
+    plain: dict[int, int] = {}
+    for sign, (kx, ky, _, _) in _product_pieces(trees, truncation_level, piece_cap):
+        e = kx + ky
+        signed[e] = signed.get(e, 0) + sign
+        plain[e] = plain.get(e, 0) + 1
+    top = max(plain, default=0)
+    # integral of the Haar function over its own rectangle: the four signed
+    # quadrants (area 2^(top-e) in units of 2^-(top+2)) cancel; written out
+    # so the cancellation is computed
+    product_num = 0
+    for e, net in signed.items():
+        quadrant = 1 << (top - e)
+        product_num += net * (quadrant - quadrant - quadrant + quadrant)
+    product_integral = Fraction(product_num, 1 << (top + 2))
+    # D against the Haar function of a point-free R is -N |R|^2 / 16
+    d_product = Fraction(
+        -count * sum(net << (2 * (top - e)) for e, net in signed.items()),
+        16 << (2 * top),
+    )
+    covered = Fraction(sum(c << (top - e) for e, c in plain.items()), 1 << top)
+    pieces = sum(plain.values())
 
     uncovered = sum(
         (t.uncovered_mass(truncation_level) for t in trees), start=Fraction(0)
@@ -530,15 +578,14 @@ def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
 
 def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
     """Each level splits every parent cluster into disjoint child clusters."""
-    points = tree.pointset.points
-    interior = [
-        idx for idx, p in enumerate(points) if p.x < 1 and p.y < 1
-    ]
+    coords = _point_integers(tree.pointset.points)
+    interior = [idx for idx, (xn, xd, yn, yd) in enumerate(coords) if xn < xd and yn < yd]
     for rec in tree.levels:
         seen: list[int] = []
-        for rect, members in rec.occupied_rectangles():
+        for (jx, jy), members in rec.occupied.items():
             for t in members:
-                if not rect.contains(points[t].x, points[t].y):
+                xn, xd, yn, yd = coords[t]
+                if (xn << rec.scale_x) // xd != jx or (yn << rec.scale_y) // yd != jy:
                     return CheckResult(
                         "cluster_partition", False,
                         f"i={tree.direction} l={rec.level}: point {t} outside its cell",
@@ -575,15 +622,17 @@ def _check_unimodular(tree: AuxFamilyTree, samples: int, seed: int) -> CheckResu
     rectangle equals its area while both sides are at least 2^-40.)
     """
     rng = random.Random(seed)
+    side = 1 << 40
     truncated = 0
     for _ in range(samples):
-        x = Fraction(rng.getrandbits(40), 1 << 40)
-        y = Fraction(rng.getrandbits(40), 1 << 40)
-        val = eval_aux(tree, x, y)
+        xn = rng.getrandbits(40)
+        yn = rng.getrandbits(40)
+        val = _eval_integers(tree, xn, side, yn, side)
         if val.value not in (-1, 1):
             return CheckResult(
                 "values_unimodular", False,
-                f"i={tree.direction}: value {val.value} at ({x}, {y})",
+                f"i={tree.direction}: value {val.value} at "
+                f"({Fraction(xn, side)}, {Fraction(yn, side)})",
             )
         truncated += val.truncated
     mass = tree.uncovered_mass()

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
 from mpmath import iv, mp, mpf
 
 from .dyadic import DyadicRectangle, haar_point_kernel
@@ -97,6 +96,32 @@ def _as_mpf(value) -> mpf:
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
     return mpf(value)
+
+
+def _nstr_directed(value, digits: int, up: bool) -> str:
+    """`mp.nstr` of the `digits`-significant-digit decimal next to `value`
+    toward +inf (`up`) or toward -inf, so the printed number bounds `value`.
+
+    `value` (an mpf or a Fraction) is read exactly.  When rounding to
+    nearest gives the same decimal, the string equals `mp.nstr(value, digits)`.
+    """
+    if isinstance(value, Fraction):
+        q = value
+    else:
+        man, exp = mpf(value).man_exp
+        q = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    if q == 0:
+        return mp.nstr(mpf(0), digits)
+    # 10^e <= |q| < 10^(e + 1)
+    e = len(str(abs(q.numerator))) - len(str(q.denominator))
+    while Fraction(10) ** e > abs(q):
+        e -= 1
+    while Fraction(10) ** (e + 1) <= abs(q):
+        e += 1
+    unit = Fraction(10) ** (e + 1 - digits)
+    steps = math.ceil(q / unit) if up else math.floor(q / unit)
+    with mp.workdps(digits + 10):
+        return mp.nstr(_as_mpf(steps * unit), digits)
 
 
 def _axis_integers(cuts: list[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -158,6 +183,10 @@ class CellDecomposition:
         return cls(tuple(xs), tuple(ys), counts, table,
                    *_axis_integers(xs), *_axis_integers(ys), ranks)
 
+    def __len__(self) -> int:
+        """The number of points, duplicates counted."""
+        return len(self.point_ranks)
+
     def cells(self):
         """Yield (a, b, c, d, count) over all cells [a,b] x [c,d]."""
         for i in range(len(self.x_cuts) - 1):
@@ -203,8 +232,11 @@ def l2_norm_sq(ps: PointSet) -> Fraction:
     points.  Coordinates are integer numerators over each axis's common
     denominator; one Fraction is built at the end.
     """
-    grid = CellDecomposition.from_pointset(ps)
-    n = len(ps)
+    return _l2_norm_sq(CellDecomposition.from_pointset(ps))
+
+
+def _l2_norm_sq(grid: CellDecomposition) -> Fraction:
+    n = len(grid)
     qx, qy = grid.x_den, grid.y_den
     xi, yi = grid.x_ints, grid.y_ints
     size = len(yi)
@@ -263,7 +295,7 @@ class L1Norm:
         return float(self.value)
 
 
-def _l1_terms(ps: PointSet):
+def _l1_terms(grid: CellDecomposition):
     """Split the L1 integral into an exact rational part plus log terms.
 
     Returns (rational, logs) with logs a list of (coefficient, ratio) pairs
@@ -279,8 +311,7 @@ def _l1_terms(ps: PointSet):
     common-denominator integers are multiplied per cell.  A crossed cell
     adds the closed-form correction 2 (Nxy - c)^+ in Fractions.
     """
-    grid = CellDecomposition.from_pointset(ps)
-    n = len(ps)
+    n = len(grid)
     xs, ys = grid.x_cuts, grid.y_cuts
     xi, yi = grid.x_ints, grid.y_ints
     rows = [
@@ -337,7 +368,10 @@ def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     with interval arithmetic, doubling the working precision until the
     enclosure is tighter than 1e-12 of the value.
     """
-    rational, logs = _l1_terms(ps)
+    return _l1_enclosure(*_l1_terms(CellDecomposition.from_pointset(ps)), dps)
+
+
+def _l1_enclosure(rational: Fraction, logs, dps: int) -> L1Norm:
     if not logs:
         return L1Norm(rational, Fraction(0), True, 0)
     for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
@@ -362,8 +396,11 @@ def linf_norm(ps: PointSet) -> Fraction:
     Nxy - strict is kept.  Corners on x = 0 or y = 0 that no point lies on
     have both counts 0 and Nxy = 0, so they never change the max.
     """
-    grid = CellDecomposition.from_pointset(ps)
-    n = len(ps)
+    return _linf_norm(CellDecomposition.from_pointset(ps))
+
+
+def _linf_norm(grid: CellDecomposition) -> Fraction:
+    n = len(grid)
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
     best_num, best_den = 0, 1
     strict_row = (0,) * len(y_parts)
@@ -390,6 +427,8 @@ def monte_carlo_norm(
         raise ValueError(f"which must be 'l1' or 'l2', got {which!r}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
+    import numpy as np  # only this oracle needs numpy; `import discrep` stays without it
+
     rng = np.random.default_rng(seed)
     xs = rng.random(samples)
     ys = rng.random(samples)
@@ -419,17 +458,20 @@ def d_n(ps: PointSet, dps: int = 30) -> float:
 
 
 def norms_report(ps: PointSet, dps: int = 30) -> dict:
-    """All exact norms in the JSON report shape used by the CLI."""
-    l1 = l1_norm(ps, dps=dps)
+    """All exact norms in the JSON report shape used by the CLI.
+
+    One grid serves all three norms; `l1_err` is printed rounded up.
+    """
+    grid = CellDecomposition.from_pointset(ps)
+    l1 = _l1_enclosure(*_l1_terms(grid), dps)
     with mp.workdps(dps):
         l1_str = mp.nstr(_as_mpf(l1.value), 17)
-        err_str = mp.nstr(_as_mpf(l1.error), 3)
     report = {
         "n_points": len(ps),
         "l1": l1_str,
-        "l1_err": err_str,
-        "l2_sq": str(l2_norm_sq(ps)),
-        "linf": str(linf_norm(ps)),
+        "l1_err": _nstr_directed(l1.error, 3, up=True),
+        "l2_sq": str(_l2_norm_sq(grid)),
+        "linf": str(_linf_norm(grid)),
     }
     if len(ps) >= 2:
         report["d_n"] = f"{_normalized(l1, len(ps)):.12g}"

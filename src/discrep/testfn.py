@@ -46,7 +46,13 @@ from mpmath import iv, mp, mpc, mpf
 
 from .auxiliary import AuxFamilyTree, build_tree, inner_product, n_from_pointcount
 from .combinatorics import elementary_symmetric, sign_sum_moment
-from .discrepancy import _as_mpf, _iv_endpoints, _iv_fraction, _iv_precision
+from .discrepancy import (
+    _as_mpf,
+    _iv_endpoints,
+    _iv_fraction,
+    _iv_precision,
+    _nstr_directed,
+)
 from .pointsets import PointSet
 
 
@@ -334,6 +340,7 @@ class BoundCertificate:
     dps: int
 
     def to_json(self) -> dict:
+        """The bounds at 17 digits, each rounded in its safe direction."""
         with mp.workdps(self.dps):
             out = {
                 "n": self.n,
@@ -341,12 +348,12 @@ class BoundCertificate:
                 "inner_product_sum": str(self.inner_product_sum),
                 "inner_product_error": str(self.inner_product_error),
                 "trees_stabilized": self.trees_stabilized,
-                "main_term": mp.nstr(self.main_term, 17),
-                "error_bound": mp.nstr(self.error_bound, 17),
-                "l1_lower_bound": mp.nstr(self.l1_lower_bound, 17),
+                "main_term": _nstr_directed(self.main_term, 17, up=False),
+                "error_bound": _nstr_directed(self.error_bound, 17, up=True),
+                "l1_lower_bound": _nstr_directed(self.l1_lower_bound, 17, up=False),
                 "d_n_bound": None
                 if self.d_n_bound is None
-                else mp.nstr(self.d_n_bound, 17),
+                else _nstr_directed(self.d_n_bound, 17, up=False),
                 "constants": constants_table(),
             }
         return out

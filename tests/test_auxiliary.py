@@ -1,13 +1,19 @@
 """Recursive construction, exact inner products, and the verification suite."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from discrep.auxiliary import (
+    HARD_LEVEL_CAP,
+    _bucket,
+    _empties_within,
+    _point_integers,
+    _rect_intersection,
     build_tree,
     eval_aux,
     inner_product,
@@ -17,7 +23,7 @@ from discrep.auxiliary import (
     product_bound_check,
 )
 from discrep.discrepancy import eval_discrepancy
-from discrep.dyadic import Point
+from discrep.dyadic import DyadicRectangle, Point
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import PointSet, random_uniform, van_der_corput
 
@@ -317,3 +323,160 @@ def test_eval_matches_inner_product_sign_structure():
     mean = acc / samples
     stderr = ((acc_sq / samples - mean * mean) / samples) ** 0.5
     assert abs(mean - float(inner_product(tree).value)) < 4 * stderr
+
+
+# ---------------------------------------------------------------------------
+# the integer routes against the Fraction routes they replaced
+# ---------------------------------------------------------------------------
+
+def bucket_oracle(points, members, kx, ky):
+    """Cells by Fraction floor; points on x=1 or y=1 fall outside."""
+    out = {}
+    for idx in members:
+        p = points[idx]
+        jx = math.floor(p.x * (1 << kx))
+        jy = math.floor(p.y * (1 << ky))
+        if jx == (1 << kx) or jy == (1 << ky):
+            continue
+        out.setdefault((jx, jy), []).append(idx)
+    return out
+
+
+def eval_oracle(tree, x, y):
+    """Haar value of the first empty rectangle holding (x, y), by Fractions."""
+    for rec in tree.levels:
+        jx = math.floor(x * (1 << rec.scale_x))
+        jy = math.floor(y * (1 << rec.scale_y))
+        if (jx, jy) not in rec.occupied:
+            return (DyadicRectangle.from_indices(rec.scale_x, rec.scale_y, jx, jy).haar(x, y),
+                    False)
+    return (1, True)
+
+
+def haar_sign_oracle(rect, qx, qy):
+    kx, ky, jx, jy = rect
+    sx = 1 if qx * (1 << (kx + 1)) - 2 * jx < 1 else -1
+    sy = 1 if qy * (1 << (ky + 1)) - 2 * jy < 1 else -1
+    return sx * sy
+
+
+def product_oracle(ps, trees, level):
+    """(d_product_integral, covered_area, product_integral, pieces) with one
+    Fraction per piece; the sign is the Haar value of every chain rectangle
+    at a point inside the piece's lower-left quadrant."""
+    count = len(ps)
+    d_product = covered = product = Fraction(0)
+    pieces = 0
+
+    def rec(depth, cur, chain):
+        nonlocal d_product, covered, product, pieces
+        if depth == len(trees):
+            kx, ky, jx, jy = cur
+            qx = Fraction(4 * jx + 1, 1 << (kx + 2))
+            qy = Fraction(4 * jy + 1, 1 << (ky + 2))
+            sign = 1
+            for r in chain:
+                sign *= haar_sign_oracle(r, qx, qy)
+            area = Fraction(1, 1 << (kx + ky))
+            quadrant = area / 4
+            product += sign * (quadrant - quadrant - quadrant + quadrant)
+            d_product += sign * -Fraction(count, 16) * area * area
+            covered += area
+            pieces += 1
+            return
+        for r in _empties_within(trees[depth], cur, level):
+            nxt = _rect_intersection(cur, r)
+            if nxt is not None:
+                rec(depth + 1, nxt, chain + [r])
+
+    rec(0, (0, 0, 0, 0), [])
+    return d_product, covered, product, pieces
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 101, 65_537, 2_147_483_647)
+TWIN_GAP = Fraction(1, 1 << 1000)
+
+coordinates = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1))),
+    st.integers(0, 1 << 53).map(lambda a: Fraction(a, 1 << 53)),
+    st.integers(0, 3 ** 20).map(lambda a: Fraction(a, 3 ** 20)),
+    st.builds(lambda p, a: Fraction(a % (p + 1), p), st.sampled_from(ODD_PRIMES),
+              st.integers(0, 1 << 40)),
+    st.integers(0, 8).map(lambda a: Fraction(a, 8)),
+)
+points = st.builds(Point, coordinates, coordinates)
+
+
+@st.composite
+def adversarial_sets(draw, max_distinct=5):
+    """Mixed denominators, 0/1 coordinates, duplicates, N = 1, and optional
+    twins 2^-1000 apart that keep a tree unstable up to HARD_LEVEL_CAP."""
+    pts = draw(st.lists(points, min_size=1, max_size=max_distinct))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    if draw(st.booleans()):
+        x = draw(st.integers(0, (1 << 53) - 1).map(lambda a: Fraction(a, 1 << 53)))
+        y = draw(st.integers(0, (1 << 53) - 1).map(lambda a: Fraction(a, 1 << 53)))
+        pts += [Point(x, y), Point(x + TWIN_GAP, y + TWIN_GAP)]
+    return PointSet(tuple(draw(st.permutations(pts))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_sets(), st.integers(0, 300), st.integers(0, 300))
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 3)),
+                   Point(Fraction(1, 3) + TWIN_GAP, Fraction(1, 3) + TWIN_GAP))), 0, 0)
+def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
+    members = range(len(ps))
+    assert _bucket(_point_integers(ps.points), members, kx, ky) == bucket_oracle(
+        ps.points, members, kx, ky
+    )
+    twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in ps.points for p in ps)
+    n = n_from_pointcount(len(ps))
+    for direction in {0, n // 2, n}:
+        tree = build_tree(ps, direction)
+        parents = [tuple(members)]
+        stable_at = None
+        for rec in tree.levels:
+            want = {}
+            for group in parents:
+                want.update(bucket_oracle(ps.points, group, rec.scale_x, rec.scale_y))
+            assert list(rec.occupied.items()) == [(k, tuple(v)) for k, v in want.items()]
+            if stable_at is None and all(
+                len({ps.points[t] for t in group}) == 1 for group in rec.occupied.values()
+            ):
+                stable_at = rec.level
+            parents = list(rec.occupied.values())
+        assert tree.stabilization_level == stable_at
+        if twins:
+            assert tree.deepest_level == HARD_LEVEL_CAP and not tree.stabilized
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_sets(), st.data())
+def test_eval_aux_matches_haar_oracle(ps, data):
+    n = n_from_pointcount(len(ps))
+    tree = build_tree(ps, data.draw(st.integers(0, n)))
+    queries = [(p.x, p.y) for p in ps]
+    queries += data.draw(st.lists(st.tuples(coordinates, coordinates), max_size=8))
+    queries += [
+        (Fraction(a, 1 << 40), Fraction(b, 1 << 40))
+        for a, b in data.draw(st.lists(st.tuples(st.integers(0, (1 << 40) - 1),
+                                                 st.integers(0, (1 << 40) - 1)), max_size=8))
+    ]
+    for x, y in queries:
+        if x < 1 and y < 1:
+            assert tuple(eval_aux(tree, x, y)) == eval_oracle(tree, x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(adversarial_sets(max_distinct=3), st.data())
+def test_product_check_matches_fraction_pieces(ps, data):
+    n = n_from_pointcount(len(ps))
+    level = data.draw(st.integers(0, 2 if n <= 3 else 1))
+    indices = data.draw(st.sampled_from([(0, n), (0, 1, n)] if n >= 2 else [(0, n)]))
+    trees = [build_tree(ps, i, max_level=level) for i in indices]
+    report = product_bound_check(ps, indices, truncation_level=level, trees=trees)
+    d_product, covered, product, pieces = product_oracle(ps, trees, level)
+    assert report.d_product_integral == d_product
+    assert report.covered_area == covered
+    assert report.product_integral == product
+    assert report.piece_count == pieces

@@ -2,7 +2,10 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,3 +225,28 @@ def test_norms_report_computes_l1_once(monkeypatch):
     report = norms_report(random_uniform(16, seed=3))
     assert calls == [16]
     assert "d_n" in report
+
+
+def test_norms_report_builds_the_grid_once(monkeypatch):
+    calls = []
+    build = CellDecomposition.from_pointset
+
+    def counting(ps):
+        calls.append(len(ps))
+        return build(ps)
+
+    monkeypatch.setattr(CellDecomposition, "from_pointset", staticmethod(counting))
+    report = norms_report(random_uniform(16, seed=3))
+    assert calls == [16]
+    assert report["linf"] == str(linf_norm(random_uniform(16, seed=3)))
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the Monte-Carlo oracle and is imported there
+    src = Path(discrepancy.__file__).resolve().parents[1]
+    code = "import sys, discrep, discrep.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

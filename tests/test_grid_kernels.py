@@ -136,7 +136,7 @@ def test_linf_matches_corner_counting_oracle(ps):
 @given(point_sets)
 @add_examples
 def test_l1_terms_match_per_cell_oracle(ps):
-    rational, logs = _l1_terms(ps)
+    rational, logs = _l1_terms(CellDecomposition.from_pointset(ps))
     want_rational, want_logs = l1_terms_oracle(ps)
     assert rational == want_rational
     assert logs == want_logs

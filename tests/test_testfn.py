@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from discrep.discrepancy import l1_norm
+from discrep.discrepancy import l1_norm, norms_report
 from discrep.dyadic import Point
 from discrep.pointsets import PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
@@ -215,6 +215,29 @@ def test_certificate_lower_bound_rounds_down():
         assert cert.l1_lower_bound > 0
         with mp.workdps(400):
             assert cert.l1_lower_bound <= cert.main_term - cert.error_bound
+
+
+def _exact(x) -> Fraction:
+    """The exact rational value of a Fraction or an mpf."""
+    if isinstance(x, Fraction):
+        return x
+    man, exp = x.man_exp
+    return man * Fraction(2) ** exp
+
+
+def test_printed_bounds_round_in_the_safe_direction():
+    # the printed lower bounds never exceed the certified values and the
+    # printed error terms never fall below them
+    sets = [van_der_corput(m) for m in range(1, 7)]
+    sets += [random_uniform(k, seed=k) for k in range(2, 39, 3)]
+    for ps in sets:
+        cert = certificate(ps)
+        printed = cert.to_json()
+        for key in ("main_term", "l1_lower_bound", "d_n_bound"):
+            assert Fraction(printed[key]) <= _exact(getattr(cert, key)), (ps.label, key)
+        assert Fraction(printed["error_bound"]) >= _exact(cert.error_bound), ps.label
+        l1 = l1_norm(ps)
+        assert Fraction(norms_report(ps)["l1_err"]) >= _exact(l1.error), ps.label
 
 
 def test_certificate_single_point():
