@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dyadic import Point
 from .discrepancy import linf_norm
@@ -138,7 +138,7 @@ def _point_integers(points: Sequence[Point]) -> tuple[tuple[int, int, int, int],
     )
 
 
-def _bucket(coords, members: Sequence[int], kx: int, ky: int):
+def _bucket(coords, members: Iterable[int], kx: int, ky: int):
     """Group point indices by their level cell; points on x=1 or y=1 fall outside.
 
     coords[idx] is the point's `_point_integers` entry; its cell index along
@@ -200,16 +200,10 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         kx = direction + (n + 1) * level
         ky = (n - direction) + (n + 1) * level
         parent = levels[-1]
-        occupied = {}
-        for members in parent.occupied.values():
-            if one_point(members):
-                # copies of one interior point stay together in one cell
-                xn, xd, yn, yd = coords[members[0]]
-                occupied[(xn << kx) // xd, (yn << ky) // yd] = members
-                continue
-            occupied.update(
-                (key, tuple(v)) for key, v in _bucket(coords, members, kx, ky).items()
-            )
+        # child cells of distinct parents are disjoint, so one pass over the
+        # members in parent order buckets every cluster in parent order
+        members = [t for group in parent.occupied.values() for t in group]
+        occupied = {key: tuple(v) for key, v in _bucket(coords, members, kx, ky).items()}
         empty = children * len(parent.occupied) - len(occupied)
         area = Fraction(1, 1 << (n + 2 * (n + 1) * level))
         levels.append(LevelRecord(level, kx, ky, occupied, empty, area))
@@ -473,14 +467,8 @@ def product_bound_check(
         signed[e] = signed.get(e, 0) + sign
         plain[e] = plain.get(e, 0) + 1
     top = max(plain, default=0)
-    # integral of the Haar function over its own rectangle: the four signed
-    # quadrants (area 2^(top-e) in units of 2^-(top+2)) cancel; written out
-    # so the cancellation is computed
-    product_num = 0
-    for e, net in signed.items():
-        quadrant = 1 << (top - e)
-        product_num += net * (quadrant - quadrant - quadrant + quadrant)
-    product_integral = Fraction(product_num, 1 << (top + 2))
+    # a Haar function integrates to 0 over its own rectangle
+    product_integral = Fraction(0)
     # D against the Haar function of a point-free R is -N |R|^2 / 16
     d_product = Fraction(
         -count * sum(net << (2 * (top - e)) for e, net in signed.items()),

@@ -102,14 +102,17 @@ def _nstr_directed(value, digits: int, up: bool) -> str:
     """`mp.nstr` of the `digits`-significant-digit decimal next to `value`
     toward +inf (`up`) or toward -inf, so the printed number bounds `value`.
 
-    `value` (an mpf or a Fraction) is read exactly.  When rounding to
-    nearest gives the same decimal, the string equals `mp.nstr(value, digits)`.
+    `value` (a finite mpf, a Fraction or an int) is read exactly, whatever
+    mp's current precision.  When rounding to nearest gives the same
+    decimal, the string equals `mp.nstr(value, digits)`.
     """
-    if isinstance(value, Fraction):
-        q = value
+    if isinstance(value, mpf):
+        sign, man, exp, _ = value._mpf_
+        if not man and exp:
+            raise ValueError(f"{value} is not finite")
+        q = (-1) ** sign * man * Fraction(2) ** exp
     else:
-        man, exp = mpf(value).man_exp
-        q = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        q = Fraction(value)
     if q == 0:
         return mp.nstr(mpf(0), digits)
     # 10^e <= |q| < 10^(e + 1)

@@ -15,6 +15,7 @@ from discrep import discrepancy
 from discrep.discrepancy import (
     CellDecomposition,
     _mid_rad,
+    _nstr_directed,
     norms_report,
     d_n,
     eval_discrepancy,
@@ -211,6 +212,41 @@ def test_mid_rad_covers_interval_exactly(lo, width, dps):
         mid, rad = _mid_rad(lo_f, hi_f)
     assert _exact(mid) - _exact(rad) <= _exact(lo_f)
     assert _exact(hi_f) <= _exact(mid) + _exact(rad)
+
+
+@given(
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**40),
+    st.integers(min_value=5, max_value=120),
+    st.sampled_from([3, 17]),
+)
+def test_nstr_directed_bounds_the_exact_value(q, dps, digits):
+    # the value is made at its own precision and printed at mp's default
+    with mp.workdps(dps):
+        value = mpf(q.numerator) / mpf(q.denominator)
+    exact = _exact(value)
+    down = Fraction(_nstr_directed(value, digits, up=False))
+    up = Fraction(_nstr_directed(value, digits, up=True))
+    assert down <= exact <= up
+    if exact:
+        # one unit in the last printed digit apart at most
+        assert up - down <= abs(exact) * Fraction(10) ** (1 - digits)
+    assert Fraction(_nstr_directed(q, digits, up=False)) <= q
+
+
+def test_nstr_directed_examples():
+    third = mpf(1) / 3
+    assert _nstr_directed(third, 17, up=True) == "0.33333333333333332"
+    assert _nstr_directed(-third, 17, up=False) == "-0.33333333333333332"
+    assert _nstr_directed(-third, 17, up=True) == "-0.33333333333333331"
+    with mp.workdps(50):
+        # above 1/3 by 1e-50, but its nearest 53-bit mpf lies below 1/3
+        wide_third = mpf(1) / 3 + mpf(10) ** -50
+        wide = mpf(123) / 1000 + mpf(2) ** -100
+    assert _nstr_directed(wide_third, 17, up=True) == "0.33333333333333334"
+    assert _nstr_directed(wide, 3, up=True) == "0.124"
+    assert _nstr_directed(wide, 3, up=False) == "0.123"
+    assert _nstr_directed(Fraction(-123, 1000), 3, up=False) == "-0.123"
+    assert _nstr_directed(mpf(0), 3, up=True) == "0.0"
 
 
 def test_norms_report_computes_l1_once(monkeypatch):

@@ -221,8 +221,8 @@ def _exact(x) -> Fraction:
     """The exact rational value of a Fraction or an mpf."""
     if isinstance(x, Fraction):
         return x
-    man, exp = x.man_exp
-    return man * Fraction(2) ** exp
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
 
 
 def test_printed_bounds_round_in_the_safe_direction():
