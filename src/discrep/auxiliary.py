@@ -32,10 +32,11 @@ stay on integers:
     identity, which is what stabilization compares;
   * evaluation takes t = floor(x 2^(k+1)) from the numerator and the
     denominator: t >> 1 is the cell index and t & 1 the Haar half;
-  * a product piece's sign is a parity of bits of its own index (see
-    `_product_pieces`), and its integrals are kept as signed and plain
-    piece counts per area exponent, so each reported integral is one
-    Fraction built at the end.
+  * the product checks walk each tree only through cells nested with the
+    current intersection, carry each piece's sign as a running parity of
+    index bits, and keep signed and plain piece counts per area exponent
+    (see `_product_counts`), so each reported integral is one Fraction
+    built at the end.
 
 The product checks still enumerate every piece, so `lemma_suite` runs
 them only for n <= 4.
@@ -57,7 +58,13 @@ from .pointsets import PointSet
 HARD_LEVEL_CAP = 64
 # Levels built past stabilization when no max_level is given.
 EXTRA_LEVELS = 2
-DEFAULT_PIECE_CAP = 2_000_000
+# The verification suite's product checks: the truncation level, the
+# largest n they run for, and the piece count past which they are skipped.
+PRODUCT_LEVEL = 2
+PRODUCT_MAX_N = 4
+PIECE_CAP = 2_000_000
+# Sample points per tree in the `values_unimodular` check.
+UNIMODULAR_SAMPLES = 400
 # Bound on the probability that `values_unimodular` fails a correct tree.
 TRUNCATION_FALSE_ALARM = Fraction(1, 10**9)
 
@@ -300,115 +307,91 @@ def lemma_short_bound(tree: AuxFamilyTree) -> Fraction:
 # products of several auxiliary functions
 # ---------------------------------------------------------------------------
 
-def _axis_nested(k1: int, j1: int, k2: int, j2: int) -> bool:
-    """Dyadic intervals intersect iff one contains the other."""
-    if k1 <= k2:
-        return (j2 >> (k2 - k1)) == j1
-    return (j1 >> (k1 - k2)) == j2
+def _product_counts(
+    trees: Sequence[AuxFamilyTree], level_cap: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Signed and plain product-piece counts per area exponent e.
 
+    A piece is the intersection of one empty rectangle of levels
+    0..level_cap per tree; it has area 2^-e with e = kx + ky.  On it the
+    product of the trees' functions is sign times the Haar function of the
+    piece (side lengths across distinct direction indices never tie, so the
+    coarser factors are constant there), and the pieces partition the
+    region that every tree covers.
 
-def _rect_intersection(r1, r2):
-    kx1, ky1, jx1, jy1 = r1
-    kx2, ky2, jx2, jy2 = r2
-    if not _axis_nested(kx1, jx1, kx2, jx2) or not _axis_nested(ky1, jy1, ky2, jy2):
-        return None
-    kx, jx = (kx1, jx1) if kx1 >= kx2 else (kx2, jx2)
-    ky, jy = (ky1, jy1) if ky1 >= ky2 else (ky2, jy2)
-    return (kx, ky, jx, jy)
-
-
-def _empties_within(tree: AuxFamilyTree, rect, level_cap: int):
-    """Yield empty rectangles of levels 0..level_cap intersecting `rect`."""
-    kxr, kyr, jxr, jyr = rect
-
-    def index_range(k: int, kr: int, jr: int, lo: int, hi: int):
-        if k >= kr:
-            a, b = jr << (k - kr), (jr + 1) << (k - kr)
-        else:
-            a, b = jr >> (kr - k), (jr >> (kr - k)) + 1
-        return max(a, lo), min(b, hi)
-
-    step = 1 << (tree.n + 1)
-
-    def walk(level: int, pjx: int, pjy: int):
-        rec = tree.levels[level]
-        if level == 0:
-            lo_x, hi_x = 0, 1 << rec.scale_x
-            lo_y, hi_y = 0, 1 << rec.scale_y
-        else:
-            lo_x, hi_x = pjx * step, (pjx + 1) * step
-            lo_y, hi_y = pjy * step, (pjy + 1) * step
-        xa, xb = index_range(rec.scale_x, kxr, jxr, lo_x, hi_x)
-        ya, yb = index_range(rec.scale_y, kyr, jyr, lo_y, hi_y)
-        for jx in range(xa, xb):
-            for jy in range(ya, yb):
-                if (jx, jy) in rec.occupied:
-                    if level < level_cap:
-                        yield from walk(level + 1, jx, jy)
-                else:
-                    yield (rec.scale_x, rec.scale_y, jx, jy)
-
-    yield from walk(0, 0, 0)
-
-
-def _product_pieces(trees: Sequence[AuxFamilyTree], level_cap: int, piece_cap: int):
-    """Yield (sign, rect) over intersections of one empty rectangle per tree.
-
-    On each intersection the product of the trees' functions is sign times
-    the Haar function of the intersection (side lengths across distinct
-    direction indices never tie, so the coarser factors are constant
-    there).  The pieces partition the common covered region.
-
-    The sign is read from bits: the piece (kx, ky, jx, jy) lies in the right
-    x half of a chain rectangle (rkx, rky, ., .) iff kx > rkx and bit
-    kx - rkx - 1 of jx is set (likewise in y), and each right half flips
-    the sign.
+    Each tree is walked only through cells nested with the current
+    intersection (kx, ky, jx, jy), so every empty cell it meets is a piece
+    of the next one.  The sign is a running parity of right halves, each of
+    which flips it.  A cell coarser in x (rkx < kx) holds the intersection
+    in its right half iff bit kx - rkx - 1 of jx is set; a cell finer in x
+    settles the half of the previous finest-x rectangle from bit
+    rkx - kx - 1 of its own index.  y works the same way, and the unit
+    square the walk starts from owns no half.
     """
-    emitted = 0
+    signed: dict[int, int] = {}
+    plain: dict[int, int] = {}
     last = len(trees) - 1
+    total = 0
 
-    def rec(depth: int, cur, chain):
-        nonlocal emitted
-        for r in _empties_within(trees[depth], cur, level_cap):
-            nxt = _rect_intersection(cur, r)
-            if nxt is None:
-                continue
-            chain.append(r)
-            if depth < last:
-                yield from rec(depth + 1, nxt, chain)
-            else:
-                kx, ky, jx, jy = nxt
-                flips = 0
-                for rkx, rky, _, _ in chain:
-                    if kx > rkx:
-                        flips ^= jx >> (kx - rkx - 1)
-                    if ky > rky:
-                        flips ^= jy >> (ky - rky - 1)
-                emitted += 1
-                if emitted > piece_cap:
-                    raise ResourceLimitError(
-                        f"intersection piece count exceeds cap {piece_cap}"
-                    )
-                yield -1 if flips & 1 else 1, nxt
-            chain.pop()
+    def axis(k: int, bk: int, bj: int, ck: int, cj: int, owned: bool):
+        """Cells at scale k nested with the box cell (bk, bj), each as
+        (index, flip, scale and index of its meet with the intersection
+        cell (ck, cj)).  The box is the intersection cut down to the
+        occupied parent cell; where k < ck the two coincide.  `owned` is
+        false at depth 0, where the unit square owns no half."""
+        if k < ck:
+            return [(cj >> (ck - k), (cj >> (ck - k - 1)) & 1, ck, cj)]
+        shift = k - bk
+        cells = range(bj << shift, (bj + 1) << shift)
+        if owned and k > ck:
+            return [(j, (j >> (k - ck - 1)) & 1, k, j) for j in cells]
+        return [(j, 0, k, j) for j in cells]
 
-    yield from rec(0, (0, 0, 0, 0), [])
+    def walk(depth: int, level: int, box, cur, parity: int) -> None:
+        nonlocal total
+        rec = trees[depth].levels[level]
+        xs = axis(rec.scale_x, box[0], box[2], cur[0], cur[2], depth > 0)
+        ys = axis(rec.scale_y, box[1], box[3], cur[1], cur[3], depth > 0)
+        occupied, deeper = rec.occupied, level < level_cap
+        count = flipped = 0
+        for jx, fx, kx, ix in xs:
+            for jy, fy, ky, iy in ys:
+                if (jx, jy) in occupied:
+                    if deeper:
+                        walk(depth, level + 1, (kx, ky, ix, iy), cur, parity)
+                elif depth < last:
+                    meet = (kx, ky, ix, iy)
+                    walk(depth + 1, 0, meet, meet, parity ^ fx ^ fy)
+                else:
+                    count += 1
+                    flipped += fx ^ fy
+        if count:
+            e = max(rec.scale_x, cur[0]) + max(rec.scale_y, cur[1])
+            signed[e] = signed.get(e, 0) + (count - 2 * flipped) * (1 - 2 * parity)
+            plain[e] = plain.get(e, 0) + count
+            total += count
+            if total > PIECE_CAP:
+                raise ResourceLimitError(f"intersection piece count exceeds cap {PIECE_CAP}")
+
+    unit = (0, 0, 0, 0)
+    walk(0, 0, unit, unit, 0)
+    return signed, plain
 
 
 @dataclass(frozen=True)
 class ProductBoundReport:
-    """Exact covered-region integrals of a product of auxiliary functions.
+    """Exact covered-region integral of D times a product of auxiliary functions.
 
-    product_integral / d_product_integral integrate prod f and D * prod f
-    over the region covered by all trees up to the truncation level; the
-    uncovered remainder is bounded by `mass_bound` (for prod f) and
-    `d_error` = ||D||_inf times the uncovered measure (for D * prod f).
-    `d_product_bound` is the rigorous bound 2^(i_1 - i_p) N 2^-n / 16.
+    d_product_integral integrates D * prod f over the region covered by all
+    trees up to the truncation level, which has measure `covered_area`.
+    The uncovered remainder lies in the trees' level-L occupied cells, of
+    measure at most `mass_bound`, so D * prod f there is bounded by
+    `d_error` = ||D||_inf times that measure.  `d_product_bound` is the
+    rigorous bound 2^(i_1 - i_p) N 2^-n / 16.
     """
 
     indices: tuple[int, ...]
     truncation_level: int
-    product_integral: Fraction
     mass_bound: Fraction
     d_product_integral: Fraction
     d_product_bound: Fraction
@@ -417,8 +400,8 @@ class ProductBoundReport:
     piece_count: int
 
     @property
-    def product_ok(self) -> bool:
-        return abs(self.product_integral) <= self.mass_bound
+    def covered_ok(self) -> bool:
+        return 0 <= 1 - self.covered_area <= self.mass_bound
 
     @property
     def d_product_ok(self) -> bool:
@@ -426,7 +409,7 @@ class ProductBoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.product_ok and self.d_product_ok
+        return self.covered_ok and self.d_product_ok
 
 
 def product_bound_check(
@@ -434,14 +417,12 @@ def product_bound_check(
     indices: Sequence[int],
     truncation_level: int = 2,
     trees: Sequence[AuxFamilyTree] | None = None,
-    piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> ProductBoundReport:
-    """Exact piecewise integration of prod f and D * prod f, with bounds.
+    """Exact piecewise integration of D * prod f and the covered area, with bounds.
 
-    Requires at least two strictly increasing direction indices.  The
-    per-piece integrals are closed forms: a Haar function integrates to 0,
-    and D against the Haar function of a point-free rectangle gives
-    -N |R|^2 / 16.
+    Requires at least two strictly increasing direction indices.  D against
+    the Haar function of a point-free rectangle R gives -N |R|^2 / 16.
+    Raises ResourceLimitError past PIECE_CAP pieces.
     """
     indices = tuple(indices)
     if len(indices) < 2:
@@ -459,16 +440,8 @@ def product_bound_check(
     n = trees[0].n
     count = len(ps)
 
-    # signed and plain piece counts per area exponent e: |piece| = 2^-e
-    signed: dict[int, int] = {}
-    plain: dict[int, int] = {}
-    for sign, (kx, ky, _, _) in _product_pieces(trees, truncation_level, piece_cap):
-        e = kx + ky
-        signed[e] = signed.get(e, 0) + sign
-        plain[e] = plain.get(e, 0) + 1
+    signed, plain = _product_counts(trees, truncation_level)
     top = max(plain, default=0)
-    # a Haar function integrates to 0 over its own rectangle
-    product_integral = Fraction(0)
     # D against the Haar function of a point-free R is -N |R|^2 / 16
     d_product = Fraction(
         -count * sum(net << (2 * (top - e)) for e, net in signed.items()),
@@ -486,7 +459,6 @@ def product_bound_check(
     return ProductBoundReport(
         indices=indices,
         truncation_level=truncation_level,
-        product_integral=product_integral,
         mass_bound=uncovered,
         d_product_integral=d_product,
         d_product_bound=d_bound,
@@ -683,18 +655,14 @@ def _check_side_lengths(trees: Sequence[AuxFamilyTree]) -> CheckResult:
 def lemma_suite(
     ps: PointSet,
     trees: Sequence[AuxFamilyTree] | None = None,
-    product_level: int = 2,
-    product_max_n: int = 4,
-    samples: int = 400,
     seed: int = 20240601,
-    piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> SuiteReport:
     """Run every structural check for all direction indices.
 
-    Product checks run on the extreme index tuples (0, n) and, when
-    n >= 2, (0, 1, n), which carry the weakest bounds; they are skipped beyond
-    n = `product_max_n` (intersection piece counts explode) or past
-    `piece_cap`, and recorded as skipped, not passed.  Prebuilt
+    Product checks run at level PRODUCT_LEVEL on the extreme index tuples
+    (0, n) and, when n >= 2, (0, 1, n), which carry the weakest bounds; they
+    are skipped beyond n = PRODUCT_MAX_N (intersection piece counts explode)
+    or past PIECE_CAP pieces, and recorded as skipped, not passed.  Prebuilt
     trees may be passed in (the test suite uses this to verify corrupted
     trees fail).
     """
@@ -705,25 +673,23 @@ def lemma_suite(
     for tree in trees:
         checks.append(_check_level_counts(tree))
         checks.append(_check_cluster_partition(tree))
-        checks.append(_check_unimodular(tree, samples, seed + tree.direction))
+        checks.append(_check_unimodular(tree, UNIMODULAR_SAMPLES, seed + tree.direction))
         checks.append(_check_residual_mass(tree))
         checks.append(_check_inner_bound(tree))
     checks.append(_check_side_lengths(trees))
 
     tuples: list[tuple[int, ...]] = [(0, n), (0, 1, n)] if n >= 2 else [(0, n)]
-    if n > product_max_n:
+    if n > PRODUCT_MAX_N:
         checks.append(
             CheckResult(
                 "product_bounds", False,
-                f"skipped: n={n} exceeds the n<={product_max_n} guard", skipped=True,
+                f"skipped: n={n} exceeds the n<={PRODUCT_MAX_N} guard", skipped=True,
             )
         )
         tuples = []
     for indices in tuples:
         try:
-            report = product_bound_check(
-                ps, indices, truncation_level=product_level, piece_cap=piece_cap
-            )
+            report = product_bound_check(ps, indices, truncation_level=PRODUCT_LEVEL)
         except ResourceLimitError as exc:
             checks.append(
                 CheckResult(
@@ -733,8 +699,8 @@ def lemma_suite(
             continue
         checks.append(
             CheckResult(
-                "product_orthogonality", report.product_ok,
-                f"{indices}: |{report.product_integral}| <= {report.mass_bound}",
+                "product_covered_area", report.covered_ok,
+                f"{indices}: 0 <= 1 - {report.covered_area} <= {report.mass_bound}",
             )
         )
         checks.append(

@@ -108,7 +108,7 @@ def cmd_aux(args) -> int:
 
 def cmd_lemmas(args) -> int:
     ps = _load(args)
-    report = auxiliary.lemma_suite(ps, seed=args.seed or 20240601)
+    report = auxiliary.lemma_suite(ps, seed=20240601 if args.seed is None else args.seed)
     lines = [
         f"{'SKIP' if c.skipped else 'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}"
         for c in report.checks
@@ -234,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.precision < 1:
+        parser.error(f"--precision must be at least 1, got {args.precision}")
     try:
         return args.func(args)
     except ResourceLimitError as exc:

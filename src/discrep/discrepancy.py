@@ -369,7 +369,8 @@ def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
 
     Cell-by-cell closed-form integration; log-bearing terms are enclosed
     with interval arithmetic, doubling the working precision until the
-    enclosure is tighter than 1e-12 of the value.
+    enclosure is tighter than 1e-12 of the value; ResourceLimitError if
+    8 * dps digits are not enough.
     """
     return _l1_enclosure(*_l1_terms(CellDecomposition.from_pointset(ps)), dps)
 
@@ -386,7 +387,9 @@ def _l1_enclosure(rational: Fraction, logs, dps: int) -> L1Norm:
             mid, err = _mid_rad(*_iv_endpoints(total))
         if err <= 1e-12 * mid:
             return L1Norm(mid, err, False, len(logs))
-    raise ArithmeticError("could not certify L1 to 1e-12 relative error")
+    raise ResourceLimitError(
+        f"could not certify L1 to 1e-12 relative error by {8 * dps} digits"
+    )
 
 
 def linf_norm(ps: PointSet) -> Fraction:
@@ -463,11 +466,13 @@ def d_n(ps: PointSet, dps: int = 30) -> float:
 def norms_report(ps: PointSet, dps: int = 30) -> dict:
     """All exact norms in the JSON report shape used by the CLI.
 
-    One grid serves all three norms; `l1_err` is printed rounded up.
+    One grid serves all three norms; `l1_err` is printed rounded up, and
+    the 17 digits of `l1` are rounded to nearest from at least 27, whatever
+    `dps` is.
     """
     grid = CellDecomposition.from_pointset(ps)
     l1 = _l1_enclosure(*_l1_terms(grid), dps)
-    with mp.workdps(dps):
+    with mp.workdps(max(dps, 27)):
         l1_str = mp.nstr(_as_mpf(l1.value), 17)
     report = {
         "n_points": len(ps),

@@ -179,7 +179,7 @@ def test_criterion_08_product_bounds():
         assert n <= 4
         for indices in tuples:
             report = product_bound_check(ps, indices, truncation_level=2)
-            assert abs(report.product_integral) <= report.mass_bound
+            assert 0 <= 1 - report.covered_area <= report.mass_bound
             assert abs(report.d_product_integral) <= report.d_product_bound + report.d_error
 
 

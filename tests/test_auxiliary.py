@@ -10,10 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from discrep.auxiliary import (
     HARD_LEVEL_CAP,
+    AuxFamilyTree,
     _bucket,
-    _empties_within,
     _point_integers,
-    _rect_intersection,
     build_tree,
     eval_aux,
     inner_product,
@@ -200,7 +199,8 @@ def test_product_check_matches_grid_oracle():
     report = product_bound_check(ORIGIN, (0, 1), truncation_level=2, trees=trees)
     # finest piece scale at level 2 is i + 2(n+1) = 5, plus one for quadrants
     oracle = _covered_integrals_by_grid(ORIGIN, trees, grid_bits=7)
-    assert report.product_integral == oracle[0] == 0
+    assert oracle[0] == 0
+    assert 0 <= 1 - report.covered_area <= report.mass_bound
     assert report.d_product_integral == oracle[1]
     assert report.covered_area == oracle[2]
     assert report.passed
@@ -211,20 +211,21 @@ def test_product_check_bounds_vdc():
     n = n_from_pointcount(len(ps))
     for indices in ((0, 2), (0, 3), (1, 2), (0, 1, 3)):
         report = product_bound_check(ps, indices, truncation_level=2)
-        assert report.product_integral == 0
+        assert 0 <= 1 - report.covered_area <= report.mass_bound
         assert report.d_product_ok
         assert report.d_product_bound == Fraction(
             (1 << indices[0]) * len(ps), (1 << indices[-1]) * 16 * (1 << n)
         )
 
 
-def test_product_check_validation():
+def test_product_check_validation(monkeypatch):
     with pytest.raises(ValueError):
         product_bound_check(ORIGIN, (0,))
     with pytest.raises(ValueError):
         product_bound_check(ORIGIN, (1, 0))
+    monkeypatch.setattr("discrep.auxiliary.PIECE_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        product_bound_check(van_der_corput(2), (0, 3), piece_cap=10)
+        product_bound_check(van_der_corput(2), (0, 3))
 
 
 def test_side_lengths_never_tie():
@@ -246,6 +247,17 @@ def test_lemma_suite_passes_on_corpus():
         assert report.passed, [c for c in report.checks if not c.passed]
 
 
+def test_product_covered_area_fails_understated_mass(monkeypatch):
+    ps = van_der_corput(2)
+    assert all(c.passed for c in lemma_suite(ps).checks if c.name == "product_covered_area")
+    # the level-2 occupied cells are left uncovered; claim they have no measure
+    monkeypatch.setattr(AuxFamilyTree, "uncovered_mass", lambda self, level=None: Fraction(0))
+    checks = [c for c in lemma_suite(ps).checks if c.name.startswith("product_")]
+    covered = [c for c in checks if c.name == "product_covered_area"]
+    assert len(covered) == 2 and not any(c.passed for c in covered)
+    assert len(checks) == 4 and not any(c.skipped for c in checks)
+
+
 def test_lemma_suite_flags_corrupted_tree():
     ps = van_der_corput(2)
     n = n_from_pointcount(len(ps))
@@ -259,10 +271,11 @@ def test_lemma_suite_flags_corrupted_tree():
     assert any("i=1" in c.witness for c in failing)
 
 
-def test_skipped_product_checks_are_not_passed():
+def test_skipped_product_checks_are_not_passed(monkeypatch):
     # n = 5 exceeds the product guard; a piece cap of 10 stops the enumeration
-    for ps, kwargs in ((van_der_corput(4), {}), (van_der_corput(2), {"piece_cap": 10})):
-        report = lemma_suite(ps, **kwargs)
+    monkeypatch.setattr("discrep.auxiliary.PIECE_CAP", 10)
+    for ps in (van_der_corput(4), van_der_corput(2)):
+        report = lemma_suite(ps)
         skipped = [c for c in report.checks if c.skipped]
         assert skipped and all(c.name == "product_bounds" for c in skipped)
         assert not any(c.passed for c in skipped)
@@ -272,8 +285,7 @@ def test_skipped_product_checks_are_not_passed():
 
 
 def _unimodular_checks(ps, trees=None):
-    # product_max_n=0 skips the product checks, which are not under test here
-    report = lemma_suite(ps, trees=trees, product_max_n=0)
+    report = lemma_suite(ps, trees=trees)
     return [c for c in report.checks if c.name == "values_unimodular"]
 
 
@@ -360,16 +372,69 @@ def haar_sign_oracle(rect, qx, qy):
     return sx * sy
 
 
+def _axis_nested(k1: int, j1: int, k2: int, j2: int) -> bool:
+    """Dyadic intervals intersect iff one contains the other."""
+    if k1 <= k2:
+        return (j2 >> (k2 - k1)) == j1
+    return (j1 >> (k1 - k2)) == j2
+
+
+def _rect_intersection(r1, r2):
+    kx1, ky1, jx1, jy1 = r1
+    kx2, ky2, jx2, jy2 = r2
+    if not _axis_nested(kx1, jx1, kx2, jx2) or not _axis_nested(ky1, jy1, ky2, jy2):
+        return None
+    kx, jx = (kx1, jx1) if kx1 >= kx2 else (kx2, jx2)
+    ky, jy = (ky1, jy1) if ky1 >= ky2 else (ky2, jy2)
+    return (kx, ky, jx, jy)
+
+
+def _empties_within(tree: AuxFamilyTree, rect, level_cap: int):
+    """Yield empty rectangles of levels 0..level_cap intersecting `rect`."""
+    kxr, kyr, jxr, jyr = rect
+
+    def index_range(k: int, kr: int, jr: int, lo: int, hi: int):
+        if k >= kr:
+            a, b = jr << (k - kr), (jr + 1) << (k - kr)
+        else:
+            a, b = jr >> (kr - k), (jr >> (kr - k)) + 1
+        return max(a, lo), min(b, hi)
+
+    step = 1 << (tree.n + 1)
+
+    def walk(level: int, pjx: int, pjy: int):
+        rec = tree.levels[level]
+        if level == 0:
+            lo_x, hi_x = 0, 1 << rec.scale_x
+            lo_y, hi_y = 0, 1 << rec.scale_y
+        else:
+            lo_x, hi_x = pjx * step, (pjx + 1) * step
+            lo_y, hi_y = pjy * step, (pjy + 1) * step
+        xa, xb = index_range(rec.scale_x, kxr, jxr, lo_x, hi_x)
+        ya, yb = index_range(rec.scale_y, kyr, jyr, lo_y, hi_y)
+        for jx in range(xa, xb):
+            for jy in range(ya, yb):
+                if (jx, jy) in rec.occupied:
+                    if level < level_cap:
+                        yield from walk(level + 1, jx, jy)
+                else:
+                    yield (rec.scale_x, rec.scale_y, jx, jy)
+
+    yield from walk(0, 0, 0)
+
+
 def product_oracle(ps, trees, level):
-    """(d_product_integral, covered_area, product_integral, pieces) with one
-    Fraction per piece; the sign is the Haar value of every chain rectangle
-    at a point inside the piece's lower-left quadrant."""
+    """(d_product_integral, covered_area, pieces) with one Fraction per
+    piece.  The pieces come from the tree walk above, which re-walks each
+    tree from level 0 and intersects rectangles explicitly; the sign is the
+    Haar value of every chain rectangle at a point inside the piece's
+    lower-left quadrant."""
     count = len(ps)
-    d_product = covered = product = Fraction(0)
+    d_product = covered = Fraction(0)
     pieces = 0
 
     def rec(depth, cur, chain):
-        nonlocal d_product, covered, product, pieces
+        nonlocal d_product, covered, pieces
         if depth == len(trees):
             kx, ky, jx, jy = cur
             qx = Fraction(4 * jx + 1, 1 << (kx + 2))
@@ -378,8 +443,6 @@ def product_oracle(ps, trees, level):
             for r in chain:
                 sign *= haar_sign_oracle(r, qx, qy)
             area = Fraction(1, 1 << (kx + ky))
-            quadrant = area / 4
-            product += sign * (quadrant - quadrant - quadrant + quadrant)
             d_product += sign * -Fraction(count, 16) * area * area
             covered += area
             pieces += 1
@@ -390,7 +453,7 @@ def product_oracle(ps, trees, level):
                 rec(depth + 1, nxt, chain + [r])
 
     rec(0, (0, 0, 0, 0), [])
-    return d_product, covered, product, pieces
+    return d_product, covered, pieces
 
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 101, 65_537, 2_147_483_647)
@@ -475,8 +538,8 @@ def test_product_check_matches_fraction_pieces(ps, data):
     indices = data.draw(st.sampled_from([(0, n), (0, 1, n)] if n >= 2 else [(0, n)]))
     trees = [build_tree(ps, i, max_level=level) for i in indices]
     report = product_bound_check(ps, indices, truncation_level=level, trees=trees)
-    d_product, covered, product, pieces = product_oracle(ps, trees, level)
+    d_product, covered, pieces = product_oracle(ps, trees, level)
     assert report.d_product_integral == d_product
     assert report.covered_area == covered
-    assert report.product_integral == product
+    assert 0 <= 1 - report.covered_area <= report.mass_bound
     assert report.piece_count == pieces

@@ -66,6 +66,32 @@ def test_norms_exact_single_norm(tmp_path, capsys):
     assert json.loads(stdout)["l2_sq"] == "887/1152"
 
 
+def test_norms_l1_keeps_17_digits_at_low_precision(tmp_path, capsys):
+    # one point at (1/3, 1/3): the exact L1 norm is 97/324 = 0.2993827160493827160...
+    one = tmp_path / "one.csv"
+    one.write_text("x,y\n1/3,1/3\n")
+    for precision in ("5", "50"):
+        code, stdout, _ = run(capsys, "norms", "--in", str(one), "--json", "--precision", precision)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert (payload["l1"], payload["l1_err"]) == ("0.29938271604938272", "0.0")
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_precision_below_one_is_usage_error(precision):
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--in", str(GOLDEN / "mixed.csv"), "--precision", precision])
+    assert exc.value.code == 2
+
+
+def test_precision_too_low_to_certify_is_resource_limit(capsys):
+    # mixed.csv has log cells; 1, 2, 4 and 8 digits cannot reach 1e-12
+    code, stdout, err = run(capsys, "norms", "--in", str(GOLDEN / "mixed.csv"), "--precision", "1")
+    assert code == 3
+    assert stdout == ""
+    assert "resource limit" in err and "1e-12" in err
+
+
 def test_norms_mc_deterministic(tmp_path, capsys):
     out = tmp_path / "p.csv"
     run(capsys, "gen", "--kind", "vdc", "--m", "2", "--out", str(out))
@@ -143,6 +169,21 @@ def test_lemmas_skipped_product_check_is_not_passed(tmp_path, capsys):
     assert code == 0
     assert "SKIP product_bounds: skipped: n=5" in text
     assert "overall: PASS (1 skipped)" in text
+
+
+def test_lemmas_seed_zero_is_used(tmp_path, capsys):
+    # random_uniform(3, 12): tree i=1 has 1 of 400 samples truncated at the
+    # default seed and none at seed 0
+    out = tmp_path / "p.csv"
+    run(capsys, "gen", "--kind", "random", "--n", "3", "--seed", "12", "--out", str(out))
+    witnesses = {}
+    for extra in ((), ("--seed", "0")):
+        code, stdout, _ = run(capsys, "lemmas", "--in", str(out), "--json", *extra)
+        assert code == 0
+        payload = json.loads(stdout)
+        unimodular = [c["witness"] for c in payload["checks"] if c["name"] == "values_unimodular"]
+        witnesses[payload["config"]["seed"]] = unimodular[1]
+    assert witnesses == {None: "i=1: truncated 1/400", 0: "i=1: truncated 0/400"}
 
 
 def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
