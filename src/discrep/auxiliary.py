@@ -659,12 +659,13 @@ def lemma_suite(
 ) -> SuiteReport:
     """Run every structural check for all direction indices.
 
-    Product checks run at level PRODUCT_LEVEL on the extreme index tuples
-    (0, n) and, when n >= 2, (0, 1, n), which carry the weakest bounds; they
-    are skipped beyond n = PRODUCT_MAX_N (intersection piece counts explode)
-    or past PIECE_CAP pieces, and recorded as skipped, not passed.  Prebuilt
-    trees may be passed in (the test suite uses this to verify corrupted
-    trees fail).
+    Product checks run at level PRODUCT_LEVEL on the suite's own trees for
+    the extreme index tuples (0, n) and, when n >= 2, (0, 1, n), which carry
+    the weakest bounds; they are skipped beyond n = PRODUCT_MAX_N
+    (intersection piece counts explode), past PIECE_CAP pieces, or when a
+    tree for a tuple is missing or stops before PRODUCT_LEVEL, and recorded
+    as skipped, not passed.  Prebuilt trees may be passed in (the test
+    suite uses this to verify corrupted trees fail).
     """
     n = n_from_pointcount(len(ps))
     if trees is None:
@@ -687,9 +688,26 @@ def lemma_suite(
             )
         )
         tuples = []
+    by_direction = {t.direction: t for t in trees}
     for indices in tuples:
+        product_trees = [by_direction.get(i) for i in indices]
+        unusable = [
+            i for i, t in zip(indices, product_trees)
+            if t is None or t.deepest_level < PRODUCT_LEVEL
+        ]
+        if unusable:
+            checks.append(
+                CheckResult(
+                    "product_bounds", False,
+                    f"{indices}: skipped (no tree to level {PRODUCT_LEVEL} for {unusable})",
+                    skipped=True,
+                )
+            )
+            continue
         try:
-            report = product_bound_check(ps, indices, truncation_level=PRODUCT_LEVEL)
+            report = product_bound_check(
+                ps, indices, truncation_level=PRODUCT_LEVEL, trees=product_trees
+            )
         except ResourceLimitError as exc:
             checks.append(
                 CheckResult(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .errors import ResourceLimitError
@@ -241,11 +241,14 @@ def expansion_table(n: int, k: int) -> OddExpansionTable:
     coefficients = dict(zip(ps, solution))
     for p in range(1, m + 1, 2):
         coefficients.setdefault(p, Fraction(0))  # degree forces zero past min(k, n+1)
-    table = OddExpansionTable(n, k, coefficients)
+    # verify sum_p A_p e_p = s^k in integers, scaled by the common denominator
+    scale = lcm(*(a.denominator for a in coefficients.values()))
+    scaled = [(p, a.numerator * (scale // a.denominator)) for p, a in coefficients.items()]
     for mask in range(1 << m):
         signs = [1 - 2 * ((mask >> t) & 1) for t in range(m)]
-        if table.reconstruct(signs) != sum(signs) ** k:
+        e = [1] + elementary_symmetric(signs)
+        if sum(a * e[p] for p, a in scaled) != scale * sum(signs) ** k:
             raise ArithmeticError(
                 f"reconstruction failed at sign vector {signs} for n={n}, k={k}"
             )
-    return table
+    return OddExpansionTable(n, k, coefficients)

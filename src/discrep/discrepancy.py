@@ -24,10 +24,15 @@ grid costs O(K L) time and memory, and the kernels on top of it cost:
     On a cell that the hyperbola xy = c/N misses, the integral is
     +-[c dx dy - N/4 d(x^2) d(y^2)], a product of an x factor and a y
     factor, so the signed y factors are summed per column as integers and
-    multiplied by the column's x factors once.  Where the hyperbola
-    crosses a cell the antiderivative picks up a logarithm, which is
-    evaluated in interval arithmetic so the result carries a rigorous
-    error bound (exact rational when no cell has a sign change).
+    multiplied by the column's x factors once.  A cell the hyperbola
+    crosses adds a correction whose rational part is a polynomial in the
+    column's two x cuts with coefficients from the row, also summed per
+    column in integers, and whose log part (c^2/N) ln(x_hi/x_lo) splits
+    into integer multiples of ln(x cut), ln(y cut) and ln(c/N).  So the
+    whole integral is one Fraction plus one integer linear form in at most
+    K + L + N atoms, which is enclosed in interval arithmetic with one log
+    per atom, giving a rigorous error bound (exact rational when no cell
+    has a sign change).
   * L2, O(N log N): the pairwise closed form (sums of (1 - max) products),
     summed in x order with a Fenwick tree of integer numerators over the
     y ranks (Heinrich, Math. Comp. 1996); cross-checked against
@@ -46,6 +51,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from mpmath import iv, mp, mpf
 
@@ -286,24 +292,39 @@ class L1Norm:
     `value` is a Fraction when every cell integrates rationally (no sign
     change anywhere); otherwise an mpf midpoint with `error` bounding the
     enclosure half-width.  `sign_change_cells` counts cells whose integral
-    needed the logarithmic antiderivative.
+    needed the logarithmic antiderivative, and `dps` is the interval
+    precision, in digits, at which the enclosure certified (0 when exact).
     """
 
     value: Fraction | mpf
     error: Fraction | mpf
     exact: bool
     sign_change_cells: int
+    dps: int
 
     def __float__(self) -> float:
         return float(self.value)
 
 
-def _l1_terms(grid: CellDecomposition):
-    """Split the L1 integral into an exact rational part plus log terms.
+class L1Form(NamedTuple):
+    """The L1 integral as rational + (sum of coeff * ln(atom)) / n.
 
-    Returns (rational, logs) with logs a list of (coefficient, ratio) pairs
-    meaning coefficient * ln(ratio), in column-major cell order; both
-    components exact Fractions.
+    Each coefficient is a nonzero integer and each atom a distinct
+    positive Fraction other than 1: an x cut, a y cut or k/n for an
+    integer k < n.
+    `crossed` counts the cells the hyperbola crosses.  Each of them adds a
+    positive (k^2/n) ln(x_hi / x_lo), so the log sum is positive when
+    `crossed` is and empty when it is 0.
+    """
+
+    rational: Fraction
+    logs: tuple[tuple[int, Fraction], ...]
+    n: int
+    crossed: int
+
+
+def _l1_form(grid: CellDecomposition) -> L1Form:
+    """The L1 integral split into an exact rational and a linear form in logs.
 
     Every cell contributes s * [k (b-a)(d-c) - N/4 (b^2-a^2)(d^2-c^2)] with
     s = -1 where c - Nxy <= 0 on the whole cell, and s = +1 elsewhere
@@ -311,25 +332,46 @@ def _l1_terms(grid: CellDecomposition):
     tests cannot both hold because a c < b d).  In integers over the axis
     denominators that is s [k dX dY / (Qx Qy) - N dX2 dY2 / (4 Qx^2 Qy^2)],
     so per column only s k dY and s dY2 are summed, and no two
-    common-denominator integers are multiplied per cell.  A crossed cell
-    adds the closed-form correction 2 (Nxy - c)^+ in Fractions.
+    common-denominator integers are multiplied per cell.
+
+    A crossed cell adds 2 (Nxy - k)^+.  The hyperbola xy = t = k/N enters
+    it at x_lo = max(a, t/d) and leaves at x_hi = min(b, t/c), and the
+    correction is U(x_hi) - L(x_lo) + (k^2/N) ln(x_hi / x_lo) with
+
+        U(b) = N/2 b^2 d^2 - 2 k b d,
+        U(t/c) = N/2 b^2 (d^2 - c^2) - 2 k b (d - c) - 3 k^2 / (2N),
+        L(a) = N/2 a^2 d^2 - 2 k a d,
+        L(t/d) = -3 k^2 / (2N),
+
+    where U(t/c) takes in the strip t/c < x < b, in which the whole cell
+    lies above the hyperbola.  With a = A/Qx and b = B/Qx fixed per
+    column, the crossed cells add D^2 or D^2 - C^2, k D or k (D - C), and
+    k^2 to integer column sums, which meet B^2, A^2, B and A once per
+    column.  The log splits as ln x_hi - ln x_lo, with
+    ln(t/c) = ln(k/N) - ln c, so each crossed cell adds +-k^2 to the
+    integer coefficients of three kinds of atom: x cuts, y cuts and k/N.
     """
     n = len(grid)
     xs, ys = grid.x_cuts, grid.y_cuts
     xi, yi = grid.x_ints, grid.y_ints
+    y_sq = [v * v for v in yi]
     rows = [
-        (yi[j + 1] - yi[j], yi[j + 1] * yi[j + 1] - yi[j] * yi[j],
+        (yi[j + 1] - yi[j], y_sq[j + 1] - y_sq[j],
          ys[j].numerator, ys[j].denominator, ys[j + 1].numerator, ys[j + 1].denominator)
         for j in range(len(ys) - 1)
     ]
+    x_logs = [0] * len(xs)
+    y_logs = [0] * len(ys)
+    k_logs = [0] * (n + 1)
     sum_kdxdy = sum_dx2dy2 = 0
-    crossed = Fraction(0)
-    logs: list[tuple[Fraction, Fraction]] = []
+    # crossed cells: sum_sq meets N / (2 Qx^2 Qy^2) and sum_lin -2 / (Qx Qy)
+    sum_sq = sum_lin = crossed = 0
     for i, counts in enumerate(grid.cell_counts):
         a, b = xs[i], xs[i + 1]
         n_an, ad = n * a.numerator, a.denominator
         n_bn, bd = n * b.numerator, b.denominator
         col_kdy = col_dy2 = 0
+        hi_sq = hi_lin = lo_sq = lo_lin = hi_log = lo_log = 0
         for j, k in enumerate(counts):
             dy, dy2, cn, cd, dn, dd = rows[j]
             if k * ad * cd <= n_an * cn:        # k/N <= a c: c - Nxy <= 0 on the cell
@@ -340,53 +382,73 @@ def _l1_terms(grid: CellDecomposition):
             col_dy2 += dy2
             if k * bd * dd >= n_bn * dn:        # k/N >= b d: c - Nxy >= 0 on the cell
                 continue
-            # hyperbola xy = t crosses the cell: |.| = (c - Nxy) + 2 (Nxy - c)^+
-            c, d, t = ys[j], ys[j + 1], Fraction(k, n)
-            x_lo = max(a, t / d)            # d > 0 here since t < b*d
-            x_hi = min(b, t / c) if c > 0 else b
-            if c > 0 and x_hi < b:
-                # x in [x_hi, b]: the full strip c..d lies above the hyperbola
-                crossed += 2 * (
-                    Fraction(n, 4) * (b * b - x_hi * x_hi) * (d * d - c * c)
-                    - k * (d - c) * (b - x_hi)
-                )
-            if x_hi > x_lo:
-                # x in [x_lo, x_hi]: y from t/x to d; antiderivative has a log
-                crossed += 2 * (
-                    Fraction(n, 4) * d * d * (x_hi * x_hi - x_lo * x_lo)
-                    - n * t * d * (x_hi - x_lo)
-                )
-                logs.append((Fraction(k * k, n), x_hi / x_lo))
+            crossed += 1
+            kk = k * k
+            if k * bd * cd < n_bn * cn:         # t < b c: x_hi = t/c
+                hi_sq += dy2
+                hi_lin += k * dy
+                k_logs[k] += kk
+                y_logs[j] -= kk
+            else:                               # x_hi = b
+                hi_sq += y_sq[j + 1]
+                hi_lin += k * yi[j + 1]
+                hi_log += kk
+            if k * ad * dd <= n_an * dn:        # t <= a d: x_lo = a
+                lo_sq += y_sq[j + 1]
+                lo_lin += k * yi[j + 1]
+                lo_log += kk
+            else:                               # x_lo = t/d
+                k_logs[k] -= kk
+                y_logs[j + 1] += kk
         sum_kdxdy += (xi[i + 1] - xi[i]) * col_kdy
         sum_dx2dy2 += (xi[i + 1] * xi[i + 1] - xi[i] * xi[i]) * col_dy2
+        sum_sq += xi[i + 1] * xi[i + 1] * hi_sq - xi[i] * xi[i] * lo_sq
+        sum_lin += xi[i + 1] * hi_lin - xi[i] * lo_lin
+        x_logs[i + 1] += hi_log
+        x_logs[i] -= lo_log
     q = grid.x_den * grid.y_den
-    rational = Fraction(4 * q * sum_kdxdy - n * sum_dx2dy2, 4 * q * q) + crossed
-    return rational, logs
+    # the -+3 k^2 / (2N) of each hyperbola end, whose ln(k/N) gets +-k^2
+    sum_k2 = -sum(k_logs)
+    rational = Fraction(
+        n * (4 * q * sum_kdxdy - n * sum_dx2dy2 + 2 * n * sum_sq - 8 * q * sum_lin)
+        + 6 * q * q * sum_k2,
+        4 * q * q * n,
+    )
+    k_atoms = (Fraction(k, n) for k in range(n + 1))
+    atoms: dict[Fraction, int] = {}
+    for values, coeffs in ((xs, x_logs), (ys, y_logs), (k_atoms, k_logs)):
+        for value, coeff in zip(values, coeffs):
+            if coeff and value != 1:            # ln 1 = 0
+                atom = Fraction(value)
+                atoms[atom] = atoms.get(atom, 0) + coeff
+    logs = tuple((coeff, atom) for atom, coeff in atoms.items() if coeff)
+    return L1Form(rational, logs, n, crossed)
 
 
 def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     """L1 norm of D; exact rational, or certified to a relative 1e-12.
 
-    Cell-by-cell closed-form integration; log-bearing terms are enclosed
-    with interval arithmetic, doubling the working precision until the
-    enclosure is tighter than 1e-12 of the value; ResourceLimitError if
-    8 * dps digits are not enough.
+    Closed-form integration summed in integers; the linear form in logs is
+    enclosed with interval arithmetic, one interval log per atom, doubling
+    the working precision until the enclosure is tighter than 1e-12 of the
+    value; ResourceLimitError if 8 * dps digits are not enough.
     """
-    return _l1_enclosure(*_l1_terms(CellDecomposition.from_pointset(ps)), dps)
+    return _l1_enclosure(_l1_form(CellDecomposition.from_pointset(ps)), dps)
 
 
-def _l1_enclosure(rational: Fraction, logs, dps: int) -> L1Norm:
-    if not logs:
-        return L1Norm(rational, Fraction(0), True, 0)
+def _l1_enclosure(form: L1Form, dps: int) -> L1Norm:
+    if not form.crossed:
+        return L1Norm(form.rational, Fraction(0), True, 0, 0)
     for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
         with _iv_precision(attempt_dps):
-            total = _iv_fraction(rational)
-            for coeff, ratio in logs:
-                total += _iv_fraction(coeff) * iv.log(_iv_fraction(ratio))
+            log_sum = iv.mpf(0)
+            for coeff, atom in form.logs:
+                log_sum += iv.mpf(coeff) * iv.log(_iv_fraction(atom))
+            total = _iv_fraction(form.rational) + log_sum / form.n
         with mp.workdps(attempt_dps):
             mid, err = _mid_rad(*_iv_endpoints(total))
         if err <= 1e-12 * mid:
-            return L1Norm(mid, err, False, len(logs))
+            return L1Norm(mid, err, False, form.crossed, attempt_dps)
     raise ResourceLimitError(
         f"could not certify L1 to 1e-12 relative error by {8 * dps} digits"
     )
@@ -471,7 +533,7 @@ def norms_report(ps: PointSet, dps: int = 30) -> dict:
     `dps` is.
     """
     grid = CellDecomposition.from_pointset(ps)
-    l1 = _l1_enclosure(*_l1_terms(grid), dps)
+    l1 = _l1_enclosure(_l1_form(grid), dps)
     with mp.workdps(max(dps, 27)):
         l1_str = mp.nstr(_as_mpf(l1.value), 17)
     report = {

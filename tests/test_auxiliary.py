@@ -258,6 +258,41 @@ def test_product_covered_area_fails_understated_mass(monkeypatch):
     assert len(checks) == 4 and not any(c.skipped for c in checks)
 
 
+def test_lemma_suite_product_checks_its_own_trees(monkeypatch):
+    ps = van_der_corput(2)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr("discrep.auxiliary.build_tree", counting)
+    assert lemma_suite(ps).passed
+    assert sorted(built) == [0, 1, 2, 3]
+    # trees passed in claim no uncovered measure: the product checks see it
+    trees = [build_tree(ps, i) for i in range(4)]
+    for tree in trees:
+        tree.uncovered_mass = lambda level=None: Fraction(0)
+    covered = [c for c in lemma_suite(ps, trees=trees).checks
+               if c.name == "product_covered_area"]
+    assert len(covered) == 2 and not any(c.passed or c.skipped for c in covered)
+
+
+def test_lemma_suite_skips_products_without_level_2_trees():
+    ps = van_der_corput(2)
+    shallow = [build_tree(ps, i, max_level=1) for i in range(4)]
+    deep = [build_tree(ps, i) for i in range(4)]
+    # shallow trees, and a missing tree for index 3, which both tuples use
+    for trees in (shallow, deep[:3]):
+        products = [c for c in lemma_suite(ps, trees=trees).checks
+                    if c.name.startswith("product")]
+        assert len(products) == 2
+        assert all(c.skipped and not c.passed and "level 2" in c.witness for c in products)
+    products = [c for c in lemma_suite(ps, trees=deep[::-1]).checks
+                if c.name.startswith("product")]
+    assert len(products) == 4 and all(c.passed for c in products)
+
+
 def test_lemma_suite_flags_corrupted_tree():
     ps = van_der_corput(2)
     n = n_from_pointcount(len(ps))

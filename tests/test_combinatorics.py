@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from discrep import combinatorics
 from discrep.combinatorics import (
     elementary_symmetric,
     expansion_table,
@@ -98,6 +99,22 @@ def test_expansion_reconstruction_exhaustive():
         for mask in range(1 << m):
             signs = [1 - 2 * ((mask >> t) & 1) for t in range(m)]
             assert table.reconstruct(signs) == sum(signs) ** k
+
+
+@pytest.mark.parametrize("slot, delta", [(0, Fraction(1, 3)), (-1, Fraction(1)),
+                                         (-1, Fraction(1, 2 ** 40))])
+def test_expansion_table_rejects_a_corrupted_coefficient(monkeypatch, slot, delta):
+    solve = combinatorics._solve_exact
+
+    def corrupted(matrix, rhs):
+        solution = solve(matrix, rhs)
+        if solution is not None:
+            solution[slot] += delta
+        return solution
+
+    monkeypatch.setattr(combinatorics, "_solve_exact", corrupted)
+    with pytest.raises(ArithmeticError, match="reconstruction failed"):
+        expansion_table(4, 7)
 
 
 def test_expansion_table_caps():

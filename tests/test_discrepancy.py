@@ -140,6 +140,19 @@ def test_l1_error_contract():
         assert res.sign_change_cells > 0
 
 
+def test_l1_records_the_precision_it_certified_at():
+    assert l1_norm(ORIGIN).dps == 0
+    ps = random_uniform(6, seed=2)
+    res = l1_norm(ps)
+    assert not res.exact and res.dps == 30
+    # 5 and 10 digits cannot reach a relative 1e-12; 20 can
+    low = l1_norm(ps, dps=5)
+    assert low.sign_change_cells == res.sign_change_cells > 0
+    assert low.dps == 20
+    assert low.error <= 1e-12 * low.value
+    assert abs(low.value - res.value) <= low.error + res.error
+
+
 def test_l1_matches_monte_carlo():
     # fixed-seed regression: exact values sit within 3 standard errors
     for ps, seed in ((van_der_corput(2), 1), (van_der_corput(3), 2)):
@@ -251,13 +264,13 @@ def test_nstr_directed_examples():
 
 def test_norms_report_computes_l1_once(monkeypatch):
     calls = []
-    terms = discrepancy._l1_terms
+    form = discrepancy._l1_form
 
-    def counting(ps):
-        calls.append(len(ps))
-        return terms(ps)
+    def counting(grid):
+        calls.append(len(grid))
+        return form(grid)
 
-    monkeypatch.setattr(discrepancy, "_l1_terms", counting)
+    monkeypatch.setattr(discrepancy, "_l1_form", counting)
     report = norms_report(random_uniform(16, seed=3))
     assert calls == [16]
     assert "d_n" in report

@@ -3,20 +3,26 @@
 The oracles below are the original Fraction routes: O(N^3) corner
 counting for L-infinity, per-cell integration for the L1 terms and the
 O(N^2) pairwise sum for L2.  The fast kernels must agree with them
-exactly, including the order of the L1 log terms, so the L1 interval
-enclosure, which depends only on those terms, is identical too.
+exactly.  For L1 that means the same rational part, the same crossed-cell
+count, and a linear form in log atoms that is the same number as the
+oracle's per-cell logs: the products of the atoms and of the ratios,
+raised to their integer coefficients, are equal.
 """
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import iv
 
 from discrep import discrepancy
 from discrep.discrepancy import (
     MAX_GRID_CELLS,
     CellDecomposition,
-    _l1_terms,
+    _iv_endpoints,
+    _iv_fraction,
+    _iv_precision,
+    _l1_form,
     l1_norm,
     l2_norm_sq,
     l2_norm_sq_direct,
@@ -136,10 +142,52 @@ def test_linf_matches_corner_counting_oracle(ps):
 @given(point_sets)
 @add_examples
 def test_l1_terms_match_per_cell_oracle(ps):
-    rational, logs = _l1_terms(CellDecomposition.from_pointset(ps))
+    form = _l1_form(CellDecomposition.from_pointset(ps))
     want_rational, want_logs = l1_terms_oracle(ps)
-    assert rational == want_rational
-    assert logs == want_logs
+    assert form.rational == want_rational
+    assert form.crossed == len(want_logs)
+    assert form.n == len(ps)
+    assert all(atom > 0 and atom != 1 and coeff for coeff, atom in form.logs)
+    if len(ps) <= 8:
+        # sum (k^2/N) ln(ratio) == sum coeff ln(atom) / N, exponentiated
+        oracle = power_product((coeff * len(ps), ratio) for coeff, ratio in want_logs)
+        fast = power_product(form.logs)
+        assert oracle[0] * fast[1] == oracle[1] * fast[0]
+    norm = l1_norm(ps)
+    if want_logs:
+        lo, hi = oracle_enclosure(want_rational, want_logs)
+        mid, rad = exact(norm.value), exact(norm.error)
+        assert mid - rad <= hi and lo <= mid + rad
+    else:
+        assert norm.exact and norm.value == want_rational
+
+
+def power_product(pairs):
+    """(num, den) of the product of q^e over (e, q) pairs, e an integer."""
+    num = den = 1
+    for e, q in pairs:
+        assert Fraction(e).denominator == 1
+        e = int(e)
+        if e < 0:
+            e, q = -e, 1 / q
+        num *= q.numerator ** e
+        den *= q.denominator ** e
+    return num, den
+
+
+def oracle_enclosure(rational, logs, dps=30):
+    """Exact endpoints of rational + sum coeff ln(ratio), one log per cell."""
+    with _iv_precision(dps):
+        total = _iv_fraction(rational)
+        for coeff, ratio in logs:
+            total += _iv_fraction(coeff) * iv.log(_iv_fraction(ratio))
+    return tuple(exact(v) for v in _iv_endpoints(total))
+
+
+def exact(value):
+    """A finite mpf as the Fraction it stands for."""
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
 
 
 @settings(max_examples=150, deadline=None)
