@@ -27,9 +27,15 @@ Every rectangle is an integer address (kx, ky, jx, jy), the cell
 [jx 2^-kx, (jx+1) 2^-kx) x [jy 2^-ky, (jy+1) 2^-ky), and the hot loops
 stay on integers:
 
-  * bucketing reads each point once as (xn, xd, yn, yd); its cell at
-    scale k is (xn << k) // xd, and coinciding points share one integer
-    identity, which is what stabilization compares;
+  * each point set reads its points once as (xn, xd, yn, yd), the cell
+    at scale k is (xn << k) // xd, and coinciding points share one
+    integer identity, which is what stabilization compares
+    (`PointSet.integers` and `PointSet.identities`, cached on the set and
+    shared by its n + 1 trees);
+  * level 0 buckets every point; each later level walks its parent's
+    clusters in order, moves a one-point cluster (and, once the tree has
+    stabilized, every cluster) whole to the child cell of its first
+    member, and buckets only the members of the others;
   * evaluation takes t = floor(x 2^(k+1)) from the numerator and the
     denominator: t >> 1 is the cell index and t & 1 the Haar half;
   * the product checks walk each tree only through cells nested with the
@@ -50,7 +56,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .dyadic import Point
 from .discrepancy import linf_norm
 from .errors import ResourceLimitError
 from .pointsets import PointSet
@@ -138,18 +143,12 @@ def n_from_pointcount(count: int) -> int:
     return (2 * count - 1).bit_length()
 
 
-def _point_integers(points: Sequence[Point]) -> tuple[tuple[int, int, int, int], ...]:
-    """Each point as (x numerator, x denominator, y numerator, y denominator)."""
-    return tuple(
-        (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in points
-    )
-
-
 def _bucket(coords, members: Iterable[int], kx: int, ky: int):
     """Group point indices by their level cell; points on x=1 or y=1 fall outside.
 
-    coords[idx] is the point's `_point_integers` entry; its cell index along
-    x is floor(xn 2^kx / xd) = (xn << kx) // xd, which is 2^kx only at x = 1.
+    coords[idx] is the point's `PointSet.integers` entry; its cell index
+    along x is floor(xn 2^kx / xd) = (xn << kx) // xd, which is 2^kx only
+    at x = 1.
     """
     out: dict[tuple[int, int], list[int]] = {}
     wx, wy = 1 << kx, 1 << ky
@@ -166,20 +165,28 @@ def _bucket(coords, members: Iterable[int], kx: int, ky: int):
 def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> AuxFamilyTree:
     """Construct levels until stabilization (plus EXTRA_LEVELS) or `max_level`.
 
-    With an explicit max_level exactly levels 0..max_level are built.  In
-    auto mode building stops EXTRA_LEVELS past stabilization, with a hard
-    cap of 64 levels; an unstabilized tree keeps its residual mass bound.
+    With an explicit max_level in 0..HARD_LEVEL_CAP exactly levels
+    0..max_level are built; a negative one raises ValueError and one past
+    HARD_LEVEL_CAP raises ResourceLimitError.  In auto mode building stops
+    EXTRA_LEVELS past stabilization, with a hard cap of HARD_LEVEL_CAP
+    levels; an unstabilized tree keeps its residual mass bound.
     """
     n = n_from_pointcount(len(ps))
     if not 0 <= direction <= n:
         raise ValueError(f"direction index {direction} outside 0..{n}")
-    coords = _point_integers(ps.points)
-    # equal points share the index of their first copy
-    first: dict[tuple[int, int, int, int], int] = {}
-    ident = [first.setdefault(c, idx) for idx, c in enumerate(coords)]
+    if max_level is not None:
+        if max_level < 0:
+            raise ValueError(f"max_level must be at least 0, got {max_level}")
+        if max_level > HARD_LEVEL_CAP:
+            raise ResourceLimitError(
+                f"max_level {max_level} exceeds the cap of {HARD_LEVEL_CAP} levels"
+            )
+    coords, ident = ps.integers, ps.identities
     children = 1 << (2 * (n + 1))
 
     kx, ky = direction, n - direction
+    # level 0 always buckets: points on x = 1 or y = 1 drop out here, so no
+    # later cluster holds one
     occupied = {
         key: tuple(v) for key, v in _bucket(coords, range(len(coords)), kx, ky).items()
     }
@@ -207,10 +214,29 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         kx = direction + (n + 1) * level
         ky = (n - direction) + (n + 1) * level
         parent = levels[-1]
-        # child cells of distinct parents are disjoint, so one pass over the
-        # members in parent order buckets every cluster in parent order
-        members = [t for group in parent.occupied.values() for t in group]
-        occupied = {key: tuple(v) for key, v in _bucket(coords, members, kx, ky).items()}
+        # A cluster of one point, or any cluster once the tree has
+        # stabilized, moves whole to the child cell of its first member.
+        # Child cells of distinct parents are disjoint, so walking the
+        # parents in order yields every cluster in parent order.
+        whole = stabilization is not None
+        occupied = {}
+        fresh: list[tuple[int, int]] = []
+        for group in parent.occupied.values():
+            if whole or len(group) == 1:
+                xn, xd, yn, yd = coords[group[0]]
+                occupied[(xn << kx) // xd, (yn << ky) // yd] = group
+                continue
+            for idx in group:
+                xn, xd, yn, yd = coords[idx]
+                key = ((xn << kx) // xd, (yn << ky) // yd)
+                bucket = occupied.get(key)
+                if bucket is None:
+                    occupied[key] = [idx]
+                    fresh.append(key)
+                else:
+                    bucket.append(idx)
+        for key in fresh:
+            occupied[key] = tuple(occupied[key])
         empty = children * len(parent.occupied) - len(occupied)
         area = Fraction(1, 1 << (n + 2 * (n + 1) * level))
         levels.append(LevelRecord(level, kx, ky, occupied, empty, area))
@@ -263,27 +289,27 @@ class InnerProduct(NamedTuple):
 def sum_empty_area_sq(tree: AuxFamilyTree) -> tuple[Fraction, Fraction]:
     """Sum of |R|^2 over all empty rectangles, all levels.
 
-    Built levels are summed from their recorded counts.  For a stabilized
-    tree the remaining levels form a geometric series with ratio
-    2^(-4(n+1)) and are added in closed form (zero error); otherwise an
-    upper bound on the omitted mass is returned alongside.
+    A level-l rectangle has area 2^-e_l with e_l = n + 2(n+1)l, so with D
+    the deepest built level the built levels sum to
+    sum_l empty_l 4^(e_D - e_l) / 4^e_D, one integer numerator.  For a
+    stabilized tree with c occupied rectangles at D the remaining levels
+    form a geometric series with ratio 2^(-4(n+1)) that sums to
+    c / (4^e_D (2^(2(n+1)) + 1)) (zero error); otherwise future empties
+    lie inside the c occupied cells of area 2^-e_D, each of area at most
+    2^-(e_D + 2(n+1)), which bounds the omitted sum by c / 4^(e_D + n + 1).
     """
     n = tree.n
-    total = Fraction(0)
+    step = 4 * (n + 1)  # 4^(e_l - e_(l-1)) = 2^step
+    numerator = 0
     for rec in tree.levels:
-        total += rec.empty_count * rec.rect_area ** 2
-    deepest = tree.levels[-1]
-    c = len(deepest.occupied)
-    next_area = deepest.rect_area / (1 << (2 * (n + 1)))
+        numerator = (numerator << step) + rec.empty_count
+    e_deep = n + 2 * (n + 1) * tree.deepest_level
+    c = len(tree.levels[-1].occupied)
     if tree.stabilized:
-        ratio = Fraction(1, 1 << (4 * (n + 1)))
         children = 1 << (2 * (n + 1))
-        tail = (children - 1) * c * next_area ** 2 / (1 - ratio)
-        return total + tail, Fraction(0)
-    # not stabilized: future empties live inside the occupied region of the
-    # deepest level (measure <= c * area), each with |R| <= next_area
-    bound = next_area * c * deepest.rect_area
-    return total, bound
+        total = Fraction(numerator * (children + 1) + c, (children + 1) << (2 * e_deep))
+        return total, Fraction(0)
+    return Fraction(numerator, 1 << (2 * e_deep)), Fraction(c, 1 << (2 * (e_deep + n + 1)))
 
 
 def inner_product(tree: AuxFamilyTree) -> InnerProduct:
@@ -435,6 +461,8 @@ def product_bound_check(
         trees = list(trees)
         if [t.direction for t in trees] != list(indices):
             raise ValueError("trees do not match the requested indices")
+        if any(t.pointset != ps for t in trees):
+            raise ValueError("trees were built for another point set")
         if any(t.deepest_level < truncation_level for t in trees):
             raise ValueError(f"all trees must be built to level {truncation_level}")
     n = trees[0].n
@@ -538,7 +566,7 @@ def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
 
 def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
     """Each level splits every parent cluster into disjoint child clusters."""
-    coords = _point_integers(tree.pointset.points)
+    coords = tree.pointset.integers
     interior = [idx for idx, (xn, xd, yn, yd) in enumerate(coords) if xn < xd and yn < yd]
     for rec in tree.levels:
         seen: list[int] = []

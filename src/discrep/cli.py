@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=10**6, help="Monte-Carlo samples")
     common.add_argument("--precision", type=int, default=50, help="working decimal digits")
     common.add_argument("--max-level", dest="max_level", type=int, default=None,
-                        help="subdivision truncation level")
+                        help=f"subdivision truncation level, 0..{auxiliary.HARD_LEVEL_CAP}")
 
     parser = argparse.ArgumentParser(prog="discrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -43,6 +44,20 @@ class PointSet:
 
     def __getitem__(self, k) -> Point:
         return self.points[k]
+
+    @cached_property
+    def integers(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Each point as (x numerator, x denominator, y numerator, y denominator)."""
+        return tuple(
+            (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+            for p in self.points
+        )
+
+    @cached_property
+    def identities(self) -> tuple[int, ...]:
+        """Each point's identity: equal points share the index of their first copy."""
+        first: dict[tuple[int, int, int, int], int] = {}
+        return tuple(first.setdefault(c, idx) for idx, c in enumerate(self.integers))
 
 
 def _bit_reverse(k: int, bits: int) -> int:

@@ -390,12 +390,18 @@ def certificate(
 
     All rounding is directed: the main term rounds down, the error series
     rounds up and their difference rounds down, so l1_lower_bound <=
-    main_term - error_bound <= ||D||_1 holds rigorously.
+    main_term - error_bound <= ||D||_1 holds rigorously.  Prebuilt `trees`
+    must be one tree of `ps` per direction index 0..n, in any order;
+    anything else raises ValueError.
     """
     count = len(ps)
     n = n_from_pointcount(count)
     if trees is None:
         trees = [build_tree(ps, i, max_level=max_level) for i in range(n + 1)]
+    elif sorted(t.direction for t in trees) != list(range(n + 1)):
+        raise ValueError(f"need one tree per direction index 0..{n}")
+    elif any(t.pointset != ps for t in trees):
+        raise ValueError("trees were built for another point set")
     total = Fraction(0)
     total_error = Fraction(0)
     for tree in trees:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from discrep.auxiliary import (
+    EXTRA_LEVELS,
     HARD_LEVEL_CAP,
     AuxFamilyTree,
     _bucket,
-    _point_integers,
     build_tree,
     eval_aux,
     inner_product,
@@ -20,6 +20,7 @@ from discrep.auxiliary import (
     lemma_suite,
     n_from_pointcount,
     product_bound_check,
+    sum_empty_area_sq,
 )
 from discrep.discrepancy import eval_discrepancy
 from discrep.dyadic import DyadicRectangle, Point
@@ -223,6 +224,9 @@ def test_product_check_validation(monkeypatch):
         product_bound_check(ORIGIN, (0,))
     with pytest.raises(ValueError):
         product_bound_check(ORIGIN, (1, 0))
+    other = [build_tree(random_uniform(4, seed=1), i, max_level=2) for i in (0, 3)]
+    with pytest.raises(ValueError, match="another point set"):
+        product_bound_check(van_der_corput(2), (0, 3), trees=other)
     monkeypatch.setattr("discrep.auxiliary.PIECE_CAP", 10)
     with pytest.raises(ResourceLimitError):
         product_bound_check(van_der_corput(2), (0, 3))
@@ -341,6 +345,15 @@ def test_unimodular_check_fails_understated_mass():
     trees[1].uncovered_mass = lambda level=None: Fraction(1, 4)
     failing = [c for c in _unimodular_checks(ps, trees) if not c.passed]
     assert len(failing) == 1 and failing[0].witness.startswith("i=1:")
+
+
+def test_max_level_outside_range_is_refused():
+    with pytest.raises(ValueError, match="at least 0"):
+        build_tree(ORIGIN, 0, max_level=-1)
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        build_tree(ORIGIN, 0, max_level=HARD_LEVEL_CAP + 1)
+    assert build_tree(ORIGIN, 0, max_level=0).deepest_level == 0
+    assert build_tree(ORIGIN, 0, max_level=HARD_LEVEL_CAP).deepest_level == HARD_LEVEL_CAP
 
 
 def test_tree_summary_schema():
@@ -505,47 +518,108 @@ coordinates = st.one_of(
 points = st.builds(Point, coordinates, coordinates)
 
 
+def _apart(c: Fraction, gap: Fraction) -> Fraction:
+    """A coordinate `gap` away from c inside [0, 1)."""
+    return c + gap if c + gap < 1 else c - gap
+
+
 @st.composite
 def adversarial_sets(draw, max_distinct=5):
-    """Mixed denominators, 0/1 coordinates, duplicates, N = 1, and optional
-    twins 2^-1000 apart that keep a tree unstable up to HARD_LEVEL_CAP."""
+    """Mixed denominators, 0/1 coordinates, duplicates, N = 1, optional
+    near-twins 2^-g apart (g in 5..200), which share a cluster until a
+    middle level and then split next to one-point clusters and exact
+    copies, and optional twins 2^-1000 apart that keep a tree unstable up
+    to HARD_LEVEL_CAP."""
     pts = draw(st.lists(points, min_size=1, max_size=max_distinct))
     pts += draw(st.lists(st.sampled_from(pts), max_size=2))
-    if draw(st.booleans()):
-        x = draw(st.integers(0, (1 << 53) - 1).map(lambda a: Fraction(a, 1 << 53)))
-        y = draw(st.integers(0, (1 << 53) - 1).map(lambda a: Fraction(a, 1 << 53)))
-        pts += [Point(x, y), Point(x + TWIN_GAP, y + TWIN_GAP)]
+    inside = st.integers(0, (1 << 53) - 1).map(lambda a: Fraction(a, 1 << 53))
+    for gap in (Fraction(1, 1 << draw(st.integers(5, 200))), TWIN_GAP):
+        if draw(st.booleans()):
+            x, y = draw(inside), draw(inside)
+            pts += [Point(x, y), Point(_apart(x, gap), _apart(y, gap))]
     return PointSet(tuple(draw(st.permutations(pts))))
+
+
+def assert_tree_matches_oracle(ps, tree):
+    """Every level's clusters, in order, are those of Fraction bucketing
+    per parent cluster, and l* is the first level of one-point clusters."""
+    parents = [tuple(range(len(ps)))]
+    stable_at = None
+    for rec in tree.levels:
+        want = {}
+        for group in parents:
+            want.update(bucket_oracle(ps.points, group, rec.scale_x, rec.scale_y))
+        assert list(rec.occupied.items()) == [(k, tuple(v)) for k, v in want.items()]
+        if stable_at is None and all(
+            len({ps.points[t] for t in group}) == 1 for group in rec.occupied.values()
+        ):
+            stable_at = rec.level
+        parents = list(rec.occupied.values())
+    assert tree.stabilization_level == stable_at
 
 
 @settings(max_examples=60, deadline=None)
 @given(adversarial_sets(), st.integers(0, 300), st.integers(0, 300))
 @example(PointSet((Point(Fraction(1, 3), Fraction(1, 3)),
                    Point(Fraction(1, 3) + TWIN_GAP, Fraction(1, 3) + TWIN_GAP))), 0, 0)
+@example(PointSet((Point(Fraction(1), Fraction(1, 2)),)), 0, 0)
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 5)),
+                   Point(Fraction(1, 3) + Fraction(1, 1 << 40), Fraction(1, 5)),
+                   Point(Fraction(3, 4), Fraction(3, 4)), Point(Fraction(3, 4), Fraction(3, 4)),
+                   Point(Fraction(1, 8), Fraction(7, 8)))), 0, 0)
 def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
     members = range(len(ps))
-    assert _bucket(_point_integers(ps.points), members, kx, ky) == bucket_oracle(
+    assert _bucket(ps.integers, members, kx, ky) == bucket_oracle(
         ps.points, members, kx, ky
     )
     twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in ps.points for p in ps)
     n = n_from_pointcount(len(ps))
     for direction in {0, n // 2, n}:
         tree = build_tree(ps, direction)
-        parents = [tuple(members)]
-        stable_at = None
-        for rec in tree.levels:
-            want = {}
-            for group in parents:
-                want.update(bucket_oracle(ps.points, group, rec.scale_x, rec.scale_y))
-            assert list(rec.occupied.items()) == [(k, tuple(v)) for k, v in want.items()]
-            if stable_at is None and all(
-                len({ps.points[t] for t in group}) == 1 for group in rec.occupied.values()
-            ):
-                stable_at = rec.level
-            parents = list(rec.occupied.values())
-        assert tree.stabilization_level == stable_at
+        assert_tree_matches_oracle(ps, tree)
         if twins:
             assert tree.deepest_level == HARD_LEVEL_CAP and not tree.stabilized
+        # explicit depths: one level short of l* (or half the cap when the
+        # tree never stabilizes) and one level past the auto depth
+        l_star = tree.stabilization_level
+        if l_star is None:
+            depths = {HARD_LEVEL_CAP // 2}
+        else:
+            depths = {max(l_star - 1, 0), min(l_star + EXTRA_LEVELS + 1, HARD_LEVEL_CAP)}
+        for max_level in depths:
+            capped = build_tree(ps, direction, max_level=max_level)
+            assert capped.deepest_level == max_level
+            assert_tree_matches_oracle(ps, capped)
+
+
+def sum_empty_area_sq_oracle(tree):
+    """Fraction sums over the recorded areas, level by level, plus the
+    geometric tail or the truncation bound."""
+    n = tree.n
+    total = Fraction(0)
+    for rec in tree.levels:
+        total += rec.empty_count * rec.rect_area ** 2
+    deepest = tree.levels[-1]
+    c = len(deepest.occupied)
+    next_area = deepest.rect_area / (1 << (2 * (n + 1)))
+    if tree.stabilized:
+        ratio = Fraction(1, 1 << (4 * (n + 1)))
+        children = 1 << (2 * (n + 1))
+        tail = (children - 1) * c * next_area ** 2 / (1 - ratio)
+        return total + tail, Fraction(0)
+    return total, next_area * c * deepest.rect_area
+
+
+@settings(max_examples=40, deadline=None)
+@given(adversarial_sets(), st.integers(0, 5),
+       st.none() | st.integers(0, 6) | st.just(HARD_LEVEL_CAP))
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 3)),
+                   Point(Fraction(1, 3) + TWIN_GAP, Fraction(1, 3) + TWIN_GAP))), 1, None)
+@example(van_der_corput(2), 2, HARD_LEVEL_CAP)
+def test_sum_empty_area_sq_matches_fraction_loop(ps, direction, depth):
+    n = n_from_pointcount(len(ps))
+    tree = build_tree(ps, direction % (n + 1), max_level=depth)
+    assert sum_empty_area_sq(tree) == sum_empty_area_sq_oracle(tree)
 
 
 @settings(max_examples=60, deadline=None)

@@ -118,6 +118,17 @@ def test_aux_summaries(tmp_path, capsys):
     assert set(tree) == {"i", "n", "levels", "stabilized", "l_star", "sum_area_sq", "inner_product"}
 
 
+@pytest.mark.parametrize("command", ["aux", "certificate"])
+@pytest.mark.parametrize("max_level, exit_code, message", [("-2", 2, "error"), ("70", 3, "resource limit")])
+def test_max_level_outside_range_exit_codes(capsys, command, max_level, exit_code, message):
+    code, stdout, err = run(
+        capsys, command, "--in", str(GOLDEN / "vdc3.csv"), "--max-level", max_level, "--json"
+    )
+    assert code == exit_code
+    assert stdout == ""
+    assert err.startswith(message) and "max_level" in err
+
+
 def test_lemmas_pass_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "p.csv"
     run(capsys, "gen", "--kind", "vdc", "--m", "2", "--out", str(out))

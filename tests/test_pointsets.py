@@ -17,6 +17,16 @@ from discrep.pointsets import (
 )
 
 
+def test_point_integers_and_identities_are_cached():
+    third = Fraction(1, 3)
+    ps = PointSet(((third, Fraction(1, 2)), (0, 1), (third, Fraction(2, 4))), label="dups")
+    assert ps.integers == ((1, 3, 1, 2), (0, 1, 1, 1), (1, 3, 1, 2))
+    assert ps.identities == (0, 1, 0)
+    assert ps.integers is ps.integers and ps.identities is ps.identities
+    fresh = PointSet(ps.points, label="dups")
+    assert ps == fresh and hash(ps) == hash(fresh)
+
+
 def test_van_der_corput_small():
     assert van_der_corput(0).points == (Point(Fraction(0), Fraction(0)),)
     ps = van_der_corput(2)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from discrep.auxiliary import build_tree
 from discrep.discrepancy import l1_norm, norms_report
 from discrep.dyadic import Point
 from discrep.pointsets import PointSet, random_uniform, van_der_corput
@@ -265,6 +266,23 @@ def test_certificate_unstabilized_still_sound():
     assert not cert.trees_stabilized
     assert cert.inner_product_error > 0
     assert float(cert.l1_lower_bound) <= float(l1_norm(ps).value)
+
+
+def test_certificate_refuses_trees_that_are_not_one_per_direction():
+    ps = van_der_corput(4)  # N = 16, n = 5
+    trees = [build_tree(ps, i) for i in range(6)]
+    want = certificate(ps).to_json()
+    assert certificate(ps, trees=trees).to_json() == want
+    assert certificate(ps, trees=trees[::-1]).to_json() == want
+    other = [build_tree(random_uniform(16, seed=1), i) for i in range(6)]
+    # a hundred copies once certified 2.41 > ||D||_1 = 65/64, and no trees 0
+    for wrong, message in ((trees * 2, "one tree per direction"),
+                           (trees * 100, "one tree per direction"),
+                           (trees[:-1], "one tree per direction"),
+                           ([], "one tree per direction"),
+                           (other, "another point set")):
+        with pytest.raises(ValueError, match=message):
+            certificate(ps, trees=wrong)
 
 
 def test_certificate_json_schema():
