@@ -27,15 +27,16 @@ Every rectangle is an integer address (kx, ky, jx, jy), the cell
 [jx 2^-kx, (jx+1) 2^-kx) x [jy 2^-ky, (jy+1) 2^-ky), and the hot loops
 stay on integers:
 
-  * each point set reads its points once as (xn, xd, yn, yd), the cell
-    at scale k is (xn << k) // xd, and coinciding points share one
-    integer identity, which is what stabilization compares
-    (`PointSet.integers` and `PointSet.identities`, cached on the set and
-    shared by its n + 1 trees);
-  * level 0 buckets every point; each later level walks its parent's
-    clusters in order, moves a one-point cluster (and, once the tree has
-    stabilized, every cluster) whole to the child cell of its first
-    member, and buckets only the members of the others;
+  * each point set reads every coordinate once as a fixed-point integer
+    X = floor(x 2^S), with S = (n+1)(HARD_LEVEL_CAP+1) past the finest
+    scale any tree reaches, so the cell at scale k is X >> (S - k) =
+    floor(x 2^k) (`PointSet.fixed_point`, cached on the set and shared by
+    its n + 1 trees); coinciding points share one integer identity, which
+    is what stabilization compares (`PointSet.identities`);
+  * level 0 buckets every point; a cluster moves whole to the child cell
+    of its first member until a level's scale passes its split scale,
+    fixed when it is formed from the highest bit in which its members'
+    integers differ, and only then are its members bucketed;
   * evaluation takes t = floor(x 2^(k+1)) from the numerator and the
     denominator: t >> 1 is the cell index and t & 1 the Haar half;
   * the product checks walk each tree only through cells nested with the
@@ -54,7 +55,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .discrepancy import linf_norm
 from .errors import ResourceLimitError
@@ -143,25 +144,6 @@ def n_from_pointcount(count: int) -> int:
     return (2 * count - 1).bit_length()
 
 
-def _bucket(coords, members: Iterable[int], kx: int, ky: int):
-    """Group point indices by their level cell; points on x=1 or y=1 fall outside.
-
-    coords[idx] is the point's `PointSet.integers` entry; its cell index
-    along x is floor(xn 2^kx / xd) = (xn << kx) // xd, which is 2^kx only
-    at x = 1.
-    """
-    out: dict[tuple[int, int], list[int]] = {}
-    wx, wy = 1 << kx, 1 << ky
-    for idx in members:
-        xn, xd, yn, yd = coords[idx]
-        jx = (xn << kx) // xd
-        jy = (yn << ky) // yd
-        if jx == wx or jy == wy:
-            continue
-        out.setdefault((jx, jy), []).append(idx)
-    return out
-
-
 def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> AuxFamilyTree:
     """Construct levels until stabilization (plus EXTRA_LEVELS) or `max_level`.
 
@@ -170,6 +152,18 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     HARD_LEVEL_CAP raises ResourceLimitError.  In auto mode building stops
     EXTRA_LEVELS past stabilization, with a hard cap of HARD_LEVEL_CAP
     levels; an unstabilized tree keeps its residual mass bound.
+
+    Cells are read from the set's fixed-point coordinates at
+    S = (n+1)(HARD_LEVEL_CAP+1) bits, past the finest scale any level
+    reaches.  Level 0 buckets every point, and points on x = 1 or y = 1
+    drop out there.  Each cluster records, when it is formed, the last
+    level at which all its members still share a cell: its split scale
+    along x is S minus the bit length of the OR of X ^ X0 over its members
+    (X0 its first member's), and likewise along y.  Until that level the
+    cluster moves whole to the child cell of its first member; at the next
+    one its members are bucketed.  Equal points never split, so a tree
+    stabilizes at the first level whose every cluster holds one distinct
+    point, compared by exact identity.
     """
     n = n_from_pointcount(len(ps))
     if not 0 <= direction <= n:
@@ -181,26 +175,81 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
             raise ResourceLimitError(
                 f"max_level {max_level} exceeds the cap of {HARD_LEVEL_CAP} levels"
             )
-    coords, ident = ps.integers, ps.identities
-    children = 1 << (2 * (n + 1))
+    step = n + 1
+    scale, xs, ys = ps.fixed_point(step * (HARD_LEVEL_CAP + 1))
+    ident = ps.identities
+    children = 1 << (2 * step)
+    # the last whole level of a cluster whose members share X and Y
+    never = min(scale - direction, scale - (n - direction)) // step
 
+    # A cluster is (members, X0, Y0, last whole level).  Level 0 splits the
+    # root, the unit square's cluster of every point off x = 1 and y = 1
+    # (X = 2^S exactly at x = 1).
+    full = 1 << scale
+    root = tuple(t for t in range(len(xs)) if xs[t] < full and ys[t] < full)
+    clusters: list = [(root, 0, 0, -1)]
+    # clusters holding more than one distinct point, and the root until
+    # level 0 splits it
+    unsettled = 1
+    next_split = 0
     kx, ky = direction, n - direction
-    # level 0 always buckets: points on x = 1 or y = 1 drop out here, so no
-    # later cluster holds one
-    occupied = {
-        key: tuple(v) for key, v in _bucket(coords, range(len(coords)), kx, ky).items()
-    }
-    levels = [
-        LevelRecord(0, kx, ky, occupied, (1 << n) - len(occupied), Fraction(1, 1 << n))
-    ]
+    levels: list[LevelRecord] = []
     stabilization: int | None = None
-
-    def one_point(members: tuple[int, ...]) -> bool:
-        return len(members) == 1 or len({ident[t] for t in members}) == 1
 
     level = 0
     while True:
-        if stabilization is None and all(map(one_point, levels[-1].occupied.values())):
+        dx, dy = scale - kx, scale - ky
+        parents = len(clusters)
+        if level < next_split:
+            occupied = {(x0 >> dx, y0 >> dy): m for m, x0, y0, _ in clusters}
+        else:
+            # Child cells of distinct parents are disjoint, so walking the
+            # parents in order yields every cluster in parent order.  A
+            # cluster that splits is the root or held points that differ;
+            # its parts go into `occupied` as lists, and their keys hold
+            # their places in `clusters` until they are formed below.
+            carried, clusters = clusters, []
+            occupied = {}
+            fresh: list[int] = []
+            for c in carried:
+                if level <= c[3]:
+                    occupied[c[1] >> dx, c[2] >> dy] = c[0]
+                    clusters.append(c)
+                    continue
+                unsettled -= 1
+                for t in c[0]:
+                    key = (xs[t] >> dx, ys[t] >> dy)
+                    part = occupied.get(key)
+                    if part is None:
+                        occupied[key] = [t]
+                        fresh.append(len(clusters))
+                        clusters.append(key)
+                    else:
+                        part.append(t)
+            for pos in fresh:
+                key = clusters[pos]
+                part = occupied[key] = tuple(occupied[key])
+                first = part[0]
+                x0, y0 = xs[first], ys[first]
+                last = never
+                if len(part) > 1:
+                    ax = ay = 0
+                    for t in part:
+                        ax |= xs[t] ^ x0
+                        ay |= ys[t] ^ y0
+                    if ax or ay or any(ident[t] != ident[first] for t in part):
+                        unsettled += 1
+                    last = min(
+                        (scale - ax.bit_length() - direction) // step,
+                        (scale - ay.bit_length() - (n - direction)) // step,
+                    )
+                clusters[pos] = (part, x0, y0, last)
+            next_split = min((c[3] for c in clusters), default=never) + 1
+        cells = (1 << n) if level == 0 else children * parents
+        area = Fraction(1, 1 << (n + 2 * step * level))
+        levels.append(LevelRecord(level, kx, ky, occupied, cells - len(occupied), area))
+
+        if stabilization is None and not unsettled:
             stabilization = level
         if max_level is not None:
             if level >= max_level:
@@ -211,35 +260,8 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         if level >= HARD_LEVEL_CAP:
             break
         level += 1
-        kx = direction + (n + 1) * level
-        ky = (n - direction) + (n + 1) * level
-        parent = levels[-1]
-        # A cluster of one point, or any cluster once the tree has
-        # stabilized, moves whole to the child cell of its first member.
-        # Child cells of distinct parents are disjoint, so walking the
-        # parents in order yields every cluster in parent order.
-        whole = stabilization is not None
-        occupied = {}
-        fresh: list[tuple[int, int]] = []
-        for group in parent.occupied.values():
-            if whole or len(group) == 1:
-                xn, xd, yn, yd = coords[group[0]]
-                occupied[(xn << kx) // xd, (yn << ky) // yd] = group
-                continue
-            for idx in group:
-                xn, xd, yn, yd = coords[idx]
-                key = ((xn << kx) // xd, (yn << ky) // yd)
-                bucket = occupied.get(key)
-                if bucket is None:
-                    occupied[key] = [idx]
-                    fresh.append(key)
-                else:
-                    bucket.append(idx)
-        for key in fresh:
-            occupied[key] = tuple(occupied[key])
-        empty = children * len(parent.occupied) - len(occupied)
-        area = Fraction(1, 1 << (n + 2 * (n + 1) * level))
-        levels.append(LevelRecord(level, kx, ky, occupied, empty, area))
+        kx += step
+        ky += step
 
     return AuxFamilyTree(ps, direction, n, levels, stabilization)
 
@@ -441,7 +463,7 @@ class ProductBoundReport:
 def product_bound_check(
     ps: PointSet,
     indices: Sequence[int],
-    truncation_level: int = 2,
+    truncation_level: int = PRODUCT_LEVEL,
     trees: Sequence[AuxFamilyTree] | None = None,
 ) -> ProductBoundReport:
     """Exact piecewise integration of D * prod f and the covered area, with bounds.

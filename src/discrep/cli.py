@@ -108,7 +108,13 @@ def cmd_aux(args) -> int:
 
 def cmd_lemmas(args) -> int:
     ps = _load(args)
-    report = auxiliary.lemma_suite(ps, seed=20240601 if args.seed is None else args.seed)
+    trees = None
+    if args.max_level is not None:
+        n = auxiliary.n_from_pointcount(len(ps))
+        trees = [auxiliary.build_tree(ps, i, max_level=args.max_level) for i in range(n + 1)]
+    report = auxiliary.lemma_suite(
+        ps, trees=trees, seed=20240601 if args.seed is None else args.seed
+    )
     lines = [
         f"{'SKIP' if c.skipped else 'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}"
         for c in report.checks

@@ -53,6 +53,24 @@ class PointSet:
             for p in self.points
         )
 
+    def fixed_point(self, bits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(S, X, Y) with S >= bits, X[t] = floor(x_t 2^S) and Y[t] = floor(y_t 2^S).
+
+        floor(X 2^-(S-k)) = floor(x 2^k) for every k <= S, so the cell index
+        of any scale up to S is a shift.  Cached on the set; computed again
+        only when a call asks for more bits than the cache holds.
+        """
+        cached = self.__dict__.get("_fixed_point")
+        if cached is None or cached[0] < bits:
+            coords = self.integers
+            cached = (
+                bits,
+                tuple((xn << bits) // xd for xn, xd, _, _ in coords),
+                tuple((yn << bits) // yd for _, _, yn, yd in coords),
+            )
+            self.__dict__["_fixed_point"] = cached
+        return cached
+
     @cached_property
     def identities(self) -> tuple[int, ...]:
         """Each point's identity: equal points share the index of their first copy."""

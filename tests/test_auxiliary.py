@@ -12,7 +12,8 @@ from discrep.auxiliary import (
     EXTRA_LEVELS,
     HARD_LEVEL_CAP,
     AuxFamilyTree,
-    _bucket,
+    _check_cluster_partition,
+    _check_level_counts,
     build_tree,
     eval_aux,
     inner_product,
@@ -568,28 +569,125 @@ def assert_tree_matches_oracle(ps, tree):
                    Point(Fraction(3, 4), Fraction(3, 4)), Point(Fraction(3, 4), Fraction(3, 4)),
                    Point(Fraction(1, 8), Fraction(7, 8)))), 0, 0)
 def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
-    members = range(len(ps))
-    assert _bucket(ps.integers, members, kx, ky) == bucket_oracle(
-        ps.points, members, kx, ky
-    )
+    # one shift of the fixed-point integers gives the cell at any scale up
+    # to S, and 2^k exactly on x = 1 or y = 1
+    scale, xs, ys = ps.fixed_point(300)
+    assert scale >= 300
+    for p, fx, fy in zip(ps.points, xs, ys):
+        assert fx >> (scale - kx) == math.floor(p.x * (1 << kx))
+        assert fy >> (scale - ky) == math.floor(p.y * (1 << ky))
     twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in ps.points for p in ps)
     n = n_from_pointcount(len(ps))
     for direction in {0, n // 2, n}:
-        tree = build_tree(ps, direction)
-        assert_tree_matches_oracle(ps, tree)
+        tree = assert_depths_match_oracle(ps, direction)
         if twins:
             assert tree.deepest_level == HARD_LEVEL_CAP and not tree.stabilized
-        # explicit depths: one level short of l* (or half the cap when the
-        # tree never stabilizes) and one level past the auto depth
-        l_star = tree.stabilization_level
-        if l_star is None:
-            depths = {HARD_LEVEL_CAP // 2}
-        else:
-            depths = {max(l_star - 1, 0), min(l_star + EXTRA_LEVELS + 1, HARD_LEVEL_CAP)}
-        for max_level in depths:
-            capped = build_tree(ps, direction, max_level=max_level)
-            assert capped.deepest_level == max_level
-            assert_tree_matches_oracle(ps, capped)
+
+
+def assert_depths_match_oracle(ps, direction):
+    """The auto tree matches the oracle, and so do trees built at explicit
+    depths one level short of l* (or half the cap when the tree never
+    stabilizes) and one level past the auto depth.  Returns the auto tree."""
+    tree = build_tree(ps, direction)
+    assert_tree_matches_oracle(ps, tree)
+    l_star = tree.stabilization_level
+    if l_star is None:
+        depths = {HARD_LEVEL_CAP // 2}
+    else:
+        depths = {max(l_star - 1, 0), min(l_star + EXTRA_LEVELS + 1, HARD_LEVEL_CAP)}
+    for max_level in depths:
+        capped = build_tree(ps, direction, max_level=max_level)
+        assert capped.deepest_level == max_level
+        assert_tree_matches_oracle(ps, capped)
+    return tree
+
+
+THIRD = Fraction(1, 3)
+
+
+def _pair(axis, gap, base=Fraction(1, 4), other=THIRD):
+    """Two points equal along one axis and 2^-gap apart along the other;
+    on that axis they share every cell of scale < gap and no cell of
+    scale >= gap (base is a multiple of 2^-2)."""
+    far = base + Fraction(1, 1 << gap)
+    if axis == "x":
+        return [Point(base, other), Point(far, other)]
+    return [Point(other, base), Point(other, far)]
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("gap", [18, 19, 20])
+def test_pair_splits_at_the_first_level_whose_scale_reaches_its_gap(axis, gap):
+    # n = 2, so each level adds 3 to both scales: across the three
+    # directions and three gaps the gap falls exactly on a level's scale
+    # and one or two bits short of it
+    ps = PointSet(tuple(_pair(axis, gap)))
+    for direction in range(3):
+        tree = assert_depths_match_oracle(ps, direction)
+        first = direction if axis == "x" else 2 - direction
+        split = -(-(gap - first) // 3)  # first level whose scale is >= gap
+        assert [len(rec.occupied) for rec in tree.levels] == (
+            [1] * split + [2] * (EXTRA_LEVELS + 1)
+        )
+        assert tree.stabilization_level == split
+
+
+SPLIT_SETS = {
+    # a three-point cluster: one point leaves at about scale 12, the other
+    # two part at about scale 40
+    "two_stages": (Point(THIRD, THIRD),
+                   Point(THIRD + Fraction(1, 1 << 12), THIRD + Fraction(1, 1 << 12)),
+                   Point(THIRD + Fraction(1, 1 << 40), THIRD)),
+    # pair A equal in x and 2^-21 apart in y, pair B the reverse: along
+    # direction i pair A splits at the first level with n - i + (n+1)l >= 21
+    # and pair B at the first with i + (n+1)l >= 21, so the order of the
+    # two splits flips between directions 0 and n; along direction 3 both
+    # pairs share one level-0 cell
+    "x_and_y_gaps": (*_pair("y", 21, base=Fraction(1, 2)), *_pair("x", 21)),
+    # the same with a copy of a pair-B point (n = 4) and a point on x = 1
+    "with_copy_and_edge": (*_pair("y", 21, base=Fraction(1, 2)), *_pair("x", 21),
+                           Point(Fraction(1, 4), THIRD), Point(Fraction(1), THIRD)),
+}
+
+
+def _first_level_apart(tree, a, b):
+    return next(rec.level for rec in tree.levels
+                if not any({a, b} <= set(m) for m in rec.occupied.values()))
+
+
+@pytest.mark.parametrize("name", SPLIT_SETS)
+def test_clusters_split_where_the_oracle_splits_them(name):
+    ps = PointSet(SPLIT_SETS[name])
+    n = n_from_pointcount(len(ps))
+    trees = [assert_depths_match_oracle(ps, i) for i in range(n + 1)]
+    if name == "two_stages":
+        sizes = [sorted(map(len, rec.occupied.values())) for rec in trees[0].levels]
+        assert sizes[0] == [3] and [1, 2] in sizes and sizes[-1] == [1, 1, 1]
+        return
+    step = n + 1
+    for tree in trees:
+        i = tree.direction
+        want = (-(-(21 - (n - i)) // step), -(-(21 - i) // step))
+        assert (_first_level_apart(tree, 0, 1), _first_level_apart(tree, 2, 3)) == want
+    assert _first_level_apart(trees[0], 0, 1) < _first_level_apart(trees[0], 2, 3)
+    assert _first_level_apart(trees[n], 0, 1) > _first_level_apart(trees[n], 2, 3)
+
+
+def test_cluster_partition_fails_a_cluster_carried_past_its_split():
+    # the pair splits at level 2 along direction 0; carry it whole one level
+    # further, keeping the counting identities intact
+    ps = PointSet(tuple(_pair("x", 6)))
+    tree = build_tree(ps, 0)
+    assert [len(rec.occupied) for rec in tree.levels] == [1, 1, 2, 2, 2]
+    assert _check_cluster_partition(tree).passed
+    rec = tree.levels[2]
+    first_cell = next(iter(rec.occupied))
+    tree.levels[2] = replace(rec, occupied={first_cell: (0, 1)}, empty_count=rec.empty_count + 1)
+    tree.levels[3] = replace(tree.levels[3], empty_count=tree.levels[3].empty_count - (1 << 6))
+    assert _check_level_counts(tree).passed
+    check = _check_cluster_partition(tree)
+    assert not check.passed and "point 1 outside its cell" in check.witness
+    assert not lemma_suite(ps, trees=[tree, *(build_tree(ps, i) for i in (1, 2))]).passed
 
 
 def sum_empty_area_sq_oracle(tree):

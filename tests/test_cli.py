@@ -118,7 +118,7 @@ def test_aux_summaries(tmp_path, capsys):
     assert set(tree) == {"i", "n", "levels", "stabilized", "l_star", "sum_area_sq", "inner_product"}
 
 
-@pytest.mark.parametrize("command", ["aux", "certificate"])
+@pytest.mark.parametrize("command", ["aux", "certificate", "lemmas"])
 @pytest.mark.parametrize("max_level, exit_code, message", [("-2", 2, "error"), ("70", 3, "resource limit")])
 def test_max_level_outside_range_exit_codes(capsys, command, max_level, exit_code, message):
     code, stdout, err = run(
@@ -127,6 +127,28 @@ def test_max_level_outside_range_exit_codes(capsys, command, max_level, exit_cod
     assert code == exit_code
     assert stdout == ""
     assert err.startswith(message) and "max_level" in err
+
+
+def test_lemmas_max_level_sets_the_suite_depth(capsys):
+    mixed = str(GOLDEN / "mixed.csv")
+    for max_level, levels in (("0", 1), ("1", 2), ("3", 4)):
+        code, stdout, _ = run(capsys, "lemmas", "--in", mixed, "--max-level", max_level, "--json")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["config"]["max_level"] == int(max_level)
+        counts = [c["witness"] for c in payload["checks"] if c["name"] == "level_counts"]
+        assert counts == [f"i={i}: {levels} levels" for i in range(4)]
+        products = [c for c in payload["checks"] if c["name"].startswith("product")]
+        if levels < 3:
+            # trees that stop before level 2 leave the product checks skipped
+            assert len(products) == 2 and payload["skipped"] == 2
+            assert all(c["skipped"] and not c["passed"] for c in products)
+        else:
+            assert len(products) == 4 and payload["skipped"] == 0
+            assert all(c["passed"] for c in products)
+    code, stdout, _ = run(capsys, "lemmas", "--in", mixed, "--max-level", "0")
+    assert "PASS level_counts: i=0: 1 levels" in stdout
+    assert stdout.count("SKIP product_bounds") == 2
 
 
 def test_lemmas_pass_and_exit_codes(tmp_path, capsys):

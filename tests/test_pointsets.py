@@ -27,6 +27,19 @@ def test_point_integers_and_identities_are_cached():
     assert ps == fresh and hash(ps) == hash(fresh)
 
 
+def test_fixed_point_is_cached_and_grows_on_demand():
+    third = Fraction(1, 3)
+    ps = PointSet(((third, Fraction(1, 2)), (1, 0)))
+    first = ps.fixed_point(8)
+    assert first == (8, (85, 256), (128, 0))  # floor(256 / 3) = 85; x = 1 gives 2^8
+    # a smaller request reuses the cache, a larger one replaces it
+    assert ps.fixed_point(4) is first and ps.fixed_point(8) is first
+    scale, xs, ys = ps.fixed_point(100)
+    assert scale == 100 and xs == ((1 << 100) // 3, 1 << 100) and ys == (1 << 99, 0)
+    assert ps.fixed_point(8)[0] == 100
+    assert ps == PointSet(ps.points)
+
+
 def test_van_der_corput_small():
     assert van_der_corput(0).points == (Point(Fraction(0), Fraction(0)),)
     ps = van_der_corput(2)
