@@ -2,27 +2,20 @@
 
 Library layout:
 
-  dyadic        exact dyadic intervals/rectangles and Haar evaluations
-  pointsets     generators, transforms, exact CSV persistence
-  discrepancy   D(x, y), exact L1/L2/Linf norms, Monte-Carlo oracles
+  pointsets     exact points, generators, transforms, CSV persistence
+  discrepancy   exact L1/L2/Linf norms of D, a Monte-Carlo oracle
   auxiliary     recursive empty-rectangle families and +-1 auxiliary functions
-  combinatorics sign-vector moments, odd symmetric expansions, Newton identities
-  testfn        Fourier-atom test functions, extremal problem, certificates
+  combinatorics sign-vector moments, odd symmetric expansions
+  testfn        Fourier-atom test functions, linear coefficients, certificates
   cli           the `discrep` command
 """
 
-from .dyadic import (
-    DyadicInterval,
-    DyadicRectangle,
-    Point,
-    dyadic,
-    haar_point_kernel,
-    is_dyadic,
-    subdivide,
-)
 from .errors import CsvFormatError, ResourceLimitError
 from .pointsets import (
+    Point,
     PointSet,
+    dyadic,
+    is_dyadic,
     random_uniform,
     read_csv,
     symmetrize,
@@ -32,12 +25,8 @@ from .pointsets import (
 from .discrepancy import (
     CellDecomposition,
     L1Norm,
-    d_n,
-    eval_discrepancy,
-    haar_inner_product,
     l1_norm,
     l2_norm_sq,
-    l2_norm_sq_direct,
     linf_norm,
     monte_carlo_norm,
 )
@@ -57,7 +46,6 @@ from .combinatorics import (
     OddMomentSeries,
     elementary_symmetric,
     expansion_table,
-    newton_check,
     odd_moment_series,
     sign_sum_moment,
     sign_sum_moment_bruteforce,
@@ -70,12 +58,9 @@ from .testfn import (
     asymptotic_dn_table,
     certificate,
     constants_table,
-    extremal_search,
     lin_limit,
     lin_n,
     lin_series_crosscheck,
-    sin_expansion_check,
-    sup_norm_via_coefficients,
 )
 
 __version__ = "0.1.0"

@@ -64,7 +64,6 @@ def cmd_gen(args) -> int:
 
 def cmd_norms(args) -> int:
     ps = _load(args)
-    dps = args.precision
     if args.method == "mc":
         which = args.which if args.which in ("l1", "l2") else "l1"
         est, stderr = discrepancy.monte_carlo_norm(
@@ -78,12 +77,7 @@ def cmd_norms(args) -> int:
         }
         _emit(args, payload, [f"{which} (mc): {est:.12g} +- {stderr:.6g}"])
         return EXIT_OK
-    report = discrepancy.norms_report(ps, dps=dps)
-    if args.which != "all":
-        wanted = {"l1": ("l1", "l1_err"), "l2": ("l2_sq",), "linf": ("linf",), "dn": ("d_n",)}[
-            args.which
-        ]
-        report = {"n_points": report["n_points"], **{k: report[k] for k in wanted if k in report}}
+    report = discrepancy.norms_report(ps, dps=args.precision, which=args.which)
     lines = [f"{k}: {v}" for k, v in report.items()]
     _emit(args, report, lines)
     return EXIT_OK

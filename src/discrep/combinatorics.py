@@ -1,4 +1,4 @@
-"""Sign-vector moments, odd symmetric expansions, and Newton identities.
+"""Sign-vector moments and odd symmetric expansions.
 
 Central object: for x_0 = 1 and x_1..x_n independent +-1 signs, the odd
 moment E[(x_0 + ... + x_n)^k].  Three independent routes compute it:
@@ -115,60 +115,16 @@ def elementary_symmetric(values: Sequence) -> list:
     return coeffs[1:]
 
 
-def power_sums(values: Sequence, upto: int) -> list:
-    return [sum(v ** k for v in values) for k in range(1, upto + 1)]
-
-
-def check_sign_vector(values: Sequence[int]) -> tuple[int, ...]:
-    values = tuple(values)
-    if not values or any(v not in (-1, 1) for v in values):
-        raise ValueError("sign vector entries must be +-1")
-    return values
-
-
-def newton_check(values: Sequence[int], k: int) -> bool:
-    """Exact Newton identity k e_k = sum (-1)^(i-1) e_{k-i} p_i at a sign vector.
-
-    Also verifies the +-1 collapse p_k = p_1 (odd k) and p_k = m (even k).
-    """
-    values = check_sign_vector(values)
-    m = len(values)
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in 1..{m}, got {k}")
-    e = [1] + elementary_symmetric(values)
-    p = power_sums(values, k)
-    identity = k * e[k] == sum(
-        (-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)
-    )
-    collapse = p[k - 1] == (p[0] if k % 2 == 1 else m)
-    return identity and collapse
-
-
 @dataclass(frozen=True)
 class OddExpansionTable:
     """Coefficients A_p with (z_0+...+z_n)^k = sum_p A_p e_p under z_i^2 = 1.
 
-    Only odd p up to min(k, n+1) can occur.  `all_integer` records the
-    empirical observation that the coefficients are integers.
+    Only odd p up to min(k, n+1) can occur.
     """
 
     n: int
     k: int
     coefficients: dict[int, Fraction]
-
-    @property
-    def all_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients.values())
-
-    def linear_coefficient(self) -> Fraction:
-        return self.coefficients[1]
-
-    def reconstruct(self, signs: Sequence[int]) -> Fraction:
-        """Evaluate sum_p A_p e_p(signs); must equal (sum signs)^k."""
-        e = [1] + elementary_symmetric(check_sign_vector(signs))
-        return sum(
-            (a * e[p] for p, a in self.coefficients.items()), start=Fraction(0)
-        )
 
     def to_json(self) -> dict:
         return {

@@ -35,12 +35,11 @@ grid costs O(K L) time and memory, and the kernels on top of it cost:
     has a sign change).
   * L2, O(N log N): the pairwise closed form (sums of (1 - max) products),
     summed in x order with a Fenwick tree of integer numerators over the
-    y ranks (Heinrich, Math. Comp. 1996); cross-checked against
-    integrating (c - N*x*y)^2 cell by cell.
+    y ranks (Heinrich, Math. Comp. 1996).
 
 A grid of more than MAX_GRID_CELLS cells raises ResourceLimitError before
-the table is built.  Monte-Carlo estimators of the L1/L2 norms serve as
-independent oracles.
+the table is built.  A Monte-Carlo estimator of the L1/L2 norms serves as
+an independent float oracle.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from typing import NamedTuple
 
 from mpmath import iv, mp, mpf
 
-from .dyadic import DyadicRectangle, haar_point_kernel
 from .errors import ResourceLimitError
 from .pointsets import PointSet
 
@@ -154,20 +152,19 @@ def _prefix_table(ranks, nx: int, ny: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """Grid cut by the point coordinates, with the counting value per open cell.
+    """Grid cut by the point coordinates, with the closed-box count per corner.
 
-    cell_counts[i][j] is the (constant) value of the counting part of D on
-    the open cell (x_cuts[i], x_cuts[i+1]) x (y_cuts[j], y_cuts[j+1]); it
-    equals the closed-box count at the lower-left corner.  table[i][j] is
-    the closed-box count at every corner (x_cuts[i], y_cuts[j]), including
-    the x = 1 row and the y = 1 column.  x_cuts[i] == x_ints[i] / x_den with
-    x_den the lcm of the x cuts' denominators (likewise for y), and
-    point_ranks[k] holds the cut indices of point k.
+    table[i][j] is the closed-box count at every corner (x_cuts[i],
+    y_cuts[j]), including the x = 1 row and the y = 1 column.  For i, j
+    below the last cut it is also the (constant) value of the counting
+    part of D on the open cell (x_cuts[i], x_cuts[i+1]) x (y_cuts[j],
+    y_cuts[j+1]), whose lower-left corner it counts.  x_cuts[i] ==
+    x_ints[i] / x_den with x_den the lcm of the x cuts' denominators
+    (likewise for y), and point_ranks[k] holds the cut indices of point k.
     """
 
     x_cuts: tuple[Fraction, ...]
     y_cuts: tuple[Fraction, ...]
-    cell_counts: tuple[tuple[int, ...], ...]
     table: tuple[tuple[int, ...], ...]
     x_den: int
     x_ints: tuple[int, ...]
@@ -188,45 +185,12 @@ class CellDecomposition:
             )
         ranks = tuple((bisect_left(xs, p.x), bisect_left(ys, p.y)) for p in ps)
         table = _prefix_table(ranks, len(xs), len(ys))
-        counts = tuple(row[:-1] for row in table[:-1])
-        return cls(tuple(xs), tuple(ys), counts, table,
+        return cls(tuple(xs), tuple(ys), table,
                    *_axis_integers(xs), *_axis_integers(ys), ranks)
 
     def __len__(self) -> int:
         """The number of points, duplicates counted."""
         return len(self.point_ranks)
-
-    def cells(self):
-        """Yield (a, b, c, d, count) over all cells [a,b] x [c,d]."""
-        for i in range(len(self.x_cuts) - 1):
-            row = self.cell_counts[i]
-            a, b = self.x_cuts[i], self.x_cuts[i + 1]
-            for j in range(len(self.y_cuts) - 1):
-                yield a, b, self.y_cuts[j], self.y_cuts[j + 1], row[j]
-
-
-def eval_discrepancy(ps: PointSet, x, y) -> Fraction:
-    """Exact D(x, y) with closed-box counting."""
-    x, y = Fraction(x), Fraction(y)
-    if not (0 <= x <= 1 and 0 <= y <= 1):
-        raise ValueError(f"({x}, {y}) outside the unit square")
-    count = sum(1 for p in ps if p.x <= x and p.y <= y)
-    return count - len(ps) * x * y
-
-
-def haar_inner_product(ps: PointSet, rect: DyadicRectangle) -> Fraction:
-    """Exact integral of D * h_R over the unit square.
-
-    Per-point kernels vanish for points outside the half-open rectangle
-    (and on its left/bottom edges), so for a rectangle containing no point
-    the value collapses to -N |R|^2 / 16.
-    """
-    acc = Fraction(0)
-    for p in ps:
-        kx = haar_point_kernel(rect.x, p.x)
-        if kx:
-            acc += kx * haar_point_kernel(rect.y, p.y)
-    return acc - len(ps) * rect.area ** 2 / 16
 
 
 def l2_norm_sq(ps: PointSet) -> Fraction:
@@ -271,18 +235,6 @@ def _l2_norm_sq(grid: CellDecomposition) -> Fraction:
         single += (qx * qx - xi[i] * xi[i]) * (qy * qy - yi[j] * yi[j])
     q2 = (qx * qy) ** 2
     return Fraction(18 * pair * qx * qy - 9 * n * single + 2 * n * n * q2, 18 * q2)
-
-
-def l2_norm_sq_direct(ps: PointSet) -> Fraction:
-    """Independent route: integrate (c - N x y)^2 cell by cell, exactly."""
-    n = len(ps)
-    total = Fraction(0)
-    for a, b, c, d, k in CellDecomposition.from_pointset(ps).cells():
-        area = (b - a) * (d - c)
-        ixy = Fraction(1, 4) * (b * b - a * a) * (d * d - c * c)
-        ix2y2 = Fraction(1, 9) * (b ** 3 - a ** 3) * (d ** 3 - c ** 3)
-        total += k * k * area - 2 * k * n * ixy + n * n * ix2y2
-    return total
 
 
 @dataclass(frozen=True)
@@ -356,7 +308,7 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     xi, yi = grid.x_ints, grid.y_ints
     y_sq = [v * v for v in yi]
     rows = [
-        (yi[j + 1] - yi[j], y_sq[j + 1] - y_sq[j],
+        (j, yi[j + 1] - yi[j], y_sq[j + 1] - y_sq[j],
          ys[j].numerator, ys[j].denominator, ys[j + 1].numerator, ys[j + 1].denominator)
         for j in range(len(ys) - 1)
     ]
@@ -366,14 +318,14 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     sum_kdxdy = sum_dx2dy2 = 0
     # crossed cells: sum_sq meets N / (2 Qx^2 Qy^2) and sum_lin -2 / (Qx Qy)
     sum_sq = sum_lin = crossed = 0
-    for i, counts in enumerate(grid.cell_counts):
+    for i, counts in enumerate(grid.table[:-1]):
         a, b = xs[i], xs[i + 1]
         n_an, ad = n * a.numerator, a.denominator
         n_bn, bd = n * b.numerator, b.denominator
         col_kdy = col_dy2 = 0
         hi_sq = hi_lin = lo_sq = lo_lin = hi_log = lo_log = 0
-        for j, k in enumerate(counts):
-            dy, dy2, cn, cd, dn, dd = rows[j]
+        # zip stops before the y = 1 column, which holds no cell
+        for (j, dy, dy2, cn, cd, dn, dd), k in zip(rows, counts):
             if k * ad * cd <= n_an * cn:        # k/N <= a c: c - Nxy <= 0 on the cell
                 col_kdy -= k * dy
                 col_dy2 -= dy2
@@ -510,39 +462,29 @@ def monte_carlo_norm(
     return est, stderr
 
 
-def _normalized(l1: L1Norm, count: int) -> float:
-    return float(l1.value) / math.sqrt(math.log(count))
+def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
+    """The exact norms in the JSON report shape used by the CLI.
 
-
-def d_n(ps: PointSet, dps: int = 30) -> float:
-    """L1 norm divided by sqrt(ln N) -- the per-set normalized value.
-
-    This is an upper bound on the size-N infimum quantity of the same
-    shape (one concrete set only, no optimization over sets).
+    `which` is "all" or one of "l1", "l2", "linf" and "dn", and only the
+    norms it names are computed ("dn" needs L1).  One grid serves them
+    all; `l1_err` is printed rounded up, and the 17 digits of `l1` are
+    rounded to nearest from at least 27, whatever `dps` is.  `d_n`, the
+    L1 norm over sqrt(ln N), needs N >= 2.
     """
-    if len(ps) < 2:
-        raise ValueError("need N >= 2 so that ln N > 0")
-    return _normalized(l1_norm(ps, dps=dps), len(ps))
-
-
-def norms_report(ps: PointSet, dps: int = 30) -> dict:
-    """All exact norms in the JSON report shape used by the CLI.
-
-    One grid serves all three norms; `l1_err` is printed rounded up, and
-    the 17 digits of `l1` are rounded to nearest from at least 27, whatever
-    `dps` is.
-    """
+    if which not in ("all", "l1", "l2", "linf", "dn"):
+        raise ValueError(f"unknown norm {which!r}")
     grid = CellDecomposition.from_pointset(ps)
-    l1 = _l1_enclosure(_l1_form(grid), dps)
-    with mp.workdps(max(dps, 27)):
-        l1_str = mp.nstr(_as_mpf(l1.value), 17)
-    report = {
-        "n_points": len(ps),
-        "l1": l1_str,
-        "l1_err": _nstr_directed(l1.error, 3, up=True),
-        "l2_sq": str(_l2_norm_sq(grid)),
-        "linf": str(_linf_norm(grid)),
-    }
-    if len(ps) >= 2:
-        report["d_n"] = f"{_normalized(l1, len(ps)):.12g}"
+    report = {"n_points": len(ps)}
+    if which in ("all", "l1", "dn"):
+        l1 = _l1_enclosure(_l1_form(grid), dps)
+    if which in ("all", "l1"):
+        with mp.workdps(max(dps, 27)):
+            report["l1"] = mp.nstr(_as_mpf(l1.value), 17)
+        report["l1_err"] = _nstr_directed(l1.error, 3, up=True)
+    if which in ("all", "l2"):
+        report["l2_sq"] = str(_l2_norm_sq(grid))
+    if which in ("all", "linf"):
+        report["linf"] = str(_linf_norm(grid))
+    if which in ("all", "dn") and len(ps) >= 2:
+        report["d_n"] = f"{float(l1.value) / math.sqrt(math.log(len(ps))):.12g}"
     return report

@@ -1,10 +1,12 @@
 """Point-set generation, transformation, and exact CSV persistence.
 
 Point sets are finite multisets in the closed unit square with exact
-rational coordinates.  The CSV form is designed so that write followed by
-read is the identity on coordinates: dyadic values are written as
-"a/2^k", other rationals as "p/q", integers bare.  The reader also accepts
-plain decimal literals (parsed exactly from the digit string).
+rational coordinates (``fractions.Fraction``; a dyadic rational is one
+whose denominator in lowest terms is a power of two).  The CSV form is
+designed so that write followed by read is the identity on coordinates:
+dyadic values are written as "a/2^k", other rationals as "p/q", integers
+bare.  The reader also accepts plain decimal literals (parsed exactly
+from the digit string).
 """
 
 from __future__ import annotations
@@ -15,14 +17,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .dyadic import Point, as_coordinate, dyadic, dyadic_exponent, is_dyadic
 from .errors import CsvFormatError, ResourceLimitError
 
+# Both generators refuse more than 2^VDC_MAX_BITS points.
 VDC_MAX_BITS = 24
 
 _DYADIC_LITERAL = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
+
+
+def dyadic(numerator: int, exponent: int) -> Fraction:
+    """The exact rational numerator / 2**exponent."""
+    if exponent < 0:
+        raise ValueError(f"exponent must be >= 0, got {exponent}")
+    return Fraction(numerator, 1 << exponent)
+
+
+def is_dyadic(q: Fraction) -> bool:
+    """True when q has a power-of-two denominator (in lowest terms)."""
+    d = q.denominator
+    return d & (d - 1) == 0
+
+
+def dyadic_exponent(q: Fraction) -> int:
+    """Smallest k with q * 2**k integral.  Raises for non-dyadic rationals."""
+    if not is_dyadic(q):
+        raise ValueError(f"{q} is not a dyadic rational")
+    return q.denominator.bit_length() - 1
+
+
+class Point(NamedTuple):
+    x: Fraction
+    y: Fraction
+
+
+def as_coordinate(value) -> Fraction:
+    """Coerce to an exact Fraction in [0, 1]."""
+    q = Fraction(value)
+    if not 0 <= q <= 1:
+        raise ValueError(f"coordinate {q} outside [0, 1]")
+    return q
 
 
 @dataclass(frozen=True)
@@ -99,9 +134,14 @@ def van_der_corput(m: int) -> PointSet:
 
 
 def random_uniform(n: int, seed: int) -> PointSet:
-    """n i.i.d.-uniform points quantized to denominator 2^53, fixed by seed."""
+    """n i.i.d.-uniform points quantized to denominator 2^53, fixed by seed.
+
+    More than 2^VDC_MAX_BITS points raise ResourceLimitError before any is drawn.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > 1 << VDC_MAX_BITS:
+        raise ResourceLimitError(f"{n} random points exceed the 2^{VDC_MAX_BITS} cap")
     rng = random.Random(seed)
     den = 1 << 53
     pts = tuple(

@@ -26,8 +26,8 @@ s_j = +-1, a = 1/sqrt(n))
                              cos^(n+1-p)(a) sin^p(a) e_p(s),
 
 i.e. the imaginary part of prod_j (cos a + i s_j sin a); the coefficient
-of e_p is the plain binomial one.  `sin_expansion_check` verifies the
-identity pointwise and the test suite runs it exhaustively at small n.
+of e_p is the plain binomial one.  The test suite checks the identity
+exhaustively at small n.
 
 Certified evaluations temporarily retune the global interval-arithmetic
 precision and restore it afterwards; do not interleave certificate calls
@@ -45,7 +45,7 @@ from typing import Sequence
 from mpmath import iv, mp, mpc, mpf
 
 from .auxiliary import AuxFamilyTree, build_tree, inner_product, n_from_pointcount
-from .combinatorics import elementary_symmetric, sign_sum_moment
+from .combinatorics import sign_sum_moment
 from .discrepancy import (
     _as_mpf,
     _iv_endpoints,
@@ -53,7 +53,11 @@ from .discrepancy import (
     _iv_precision,
     _nstr_directed,
 )
+from .errors import ResourceLimitError
 from .pointsets import PointSet
+
+# The exact moments of `lin_series_crosscheck` take time growing about as n^2.7.
+LIN_MAX_N = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -95,24 +99,6 @@ class FourierAtomFunction:
             tuple(Atom(a.re * factor, a.im * factor, a.freq) for a in self.atoms)
         )
 
-    def value(self, x, dps: int = 30) -> mpc:
-        with mp.workdps(dps):
-            total = mpc(0)
-            for a in self.atoms:
-                c = mpc(_as_mpf(a.re), _as_mpf(a.im))
-                total += c * mp.exp(mpc(0, -1) * _as_mpf(a.freq) * mpf(x))
-            return +total
-
-    def is_odd_sampled(self, samples: int = 7, dps: int = 30) -> bool:
-        """Spot check T(-x) + T(x) = 0 on a small deterministic grid."""
-        with mp.workdps(dps):
-            tol = mpf(10) ** (-dps + 5)
-            for t in range(1, samples + 1):
-                x = mpf(t) / samples * 3
-                if abs(self.value(x, dps) + self.value(-x, dps)) > tol:
-                    return False
-        return True
-
     def derivative_at_zero(self, k: int) -> tuple[Fraction, Fraction]:
         """Exact k-th derivative at 0: sum_j c_j (-i w_j)^k, as (re, im)."""
         total_re, total_im = Fraction(0), Fraction(0)
@@ -131,25 +117,6 @@ class FourierAtomFunction:
             total_re += a.re * f_re - a.im * f_im
             total_im += a.re * f_im + a.im * f_re
         return total_re, total_im
-
-    def coefficient_abs_sum(self, dps: int = 30):
-        """sum_j |c_j|; exact Fraction when every |c_j| is rational."""
-        exact = Fraction(0)
-        inexact = []
-        for a in self.atoms:
-            if a.re == 0:
-                exact += abs(a.im)
-            elif a.im == 0:
-                exact += abs(a.re)
-            else:
-                inexact.append(a.re * a.re + a.im * a.im)
-        if not inexact:
-            return exact
-        with mp.workdps(dps):
-            total = _as_mpf(exact)
-            for sq in inexact:
-                total += mp.sqrt(_as_mpf(sq))
-            return +total
 
 
 SINE = FourierAtomFunction.sine()
@@ -181,6 +148,7 @@ def lin_series_crosscheck(
         T^(k)(0) * E[(x_0+...+x_n)^k] / (k! n^(k/2)).
 
     Everything except a single final factor 1/sqrt(n) is exact rational.
+    n above LIN_MAX_N raises ResourceLimitError before any moment is taken.
     """
     if order < 1 or order % 2 == 0:
         raise ValueError(f"order must be odd and >= 1, got {order}")
@@ -188,6 +156,8 @@ def lin_series_crosscheck(
         raise ValueError(f"order capped at 41, got {order}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > LIN_MAX_N:
+        raise ResourceLimitError(f"series route at n = {n} exceeds the n <= {LIN_MAX_N} cap")
     acc_re, acc_im = Fraction(0), Fraction(0)
     for k in range(1, order + 1, 2):
         d_re, d_im = fn.derivative_at_zero(k)
@@ -210,71 +180,6 @@ def lin_limit(fn: FourierAtomFunction, dps: int = 30) -> mpc:
         return +total
 
 
-def extremal_search(
-    tolerance: float = 1e-9,
-    domain: tuple[float, float] | None = None,
-    mode: str = "max",
-) -> tuple[float, float]:
-    """Golden-section optimizer of w * exp(-w^2/2).
-
-    mode="max" searches [0, 10] (peak at w=1, value 1/sqrt(e)); mode="min"
-    searches [-10, 0] (valley at w=-1).  Returns (argmin/argmax, value).
-    """
-    if tolerance < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not supported")
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    if domain is None:
-        domain = (0.0, 10.0) if mode == "max" else (-10.0, 0.0)
-    lo, hi = map(float, domain)
-    if not lo < hi:
-        raise ValueError(f"empty search domain {domain}")
-
-    sign = 1.0 if mode == "max" else -1.0
-
-    def objective(w: float) -> float:
-        return sign * w * math.exp(-w * w / 2)
-
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tolerance:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    w = (a + b) / 2
-    return w, sign * objective(w)
-
-
-@dataclass(frozen=True)
-class SupNormBound:
-    """sum |c_j| -- an upper bound for sup |T|, an identity under the
-    frequency-independence hypothesis (recorded by the flag)."""
-
-    value: Fraction | mpf
-    independence_verified: bool
-
-
-def sup_norm_via_coefficients(fn: FourierAtomFunction, dps: int = 30) -> SupNormBound:
-    """Coefficient-mass bound on sup |T| with the independence flag.
-
-    Rational frequencies admit an integer relation whenever two distinct
-    nonzero ones are present (or any zero frequency), so the hypothesis is
-    verified only for a single nonzero-frequency atom.
-    """
-    value = fn.coefficient_abs_sum(dps=dps)
-    freqs = [a.freq for a in fn.atoms]
-    verified = len(freqs) == 1 and freqs[0] != 0
-    return SupNormBound(value, verified)
-
-
 # ---------------------------------------------------------------------------
 # certificate
 # ---------------------------------------------------------------------------
@@ -291,29 +196,6 @@ def error_tuple_sum(n: int, p: int) -> Fraction:
         (Fraction(comb(g - 1, p - 2) * (n + 1 - g), 1 << g) for g in range(p - 1, n + 1)),
         start=Fraction(0),
     )
-
-
-def sin_expansion_check(n: int, signs: Sequence[int], dps: int = 40) -> bool:
-    """Pointwise identity behind the certificate's error series.
-
-    Checks sin(sum s / sqrt(n)) against the odd elementary-symmetric
-    expansion with plain binomial coefficients, at precision dps.
-    """
-    if len(signs) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} signs, got {len(signs)}")
-    e = [1] + elementary_symmetric(list(signs))
-    with mp.workdps(dps):
-        a = 1 / mp.sqrt(n)
-        lhs = mp.sin(sum(signs) * a)
-        rhs = mpf(0)
-        for p in range(1, n + 2, 2):
-            rhs += (
-                (-1) ** ((p - 1) // 2)
-                * mp.cos(a) ** (n + 1 - p)
-                * mp.sin(a) ** p
-                * e[p]
-            )
-        return abs(lhs - rhs) < mpf(10) ** (-dps + 8)
 
 
 @dataclass(frozen=True)

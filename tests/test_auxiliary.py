@@ -23,10 +23,9 @@ from discrep.auxiliary import (
     product_bound_check,
     sum_empty_area_sq,
 )
-from discrep.discrepancy import eval_discrepancy
-from discrep.dyadic import DyadicRectangle, Point
 from discrep.errors import ResourceLimitError
-from discrep.pointsets import PointSet, random_uniform, van_der_corput
+from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
+from oracles import DyadicRectangle, eval_discrepancy
 
 ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
 

@@ -42,10 +42,19 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
-def test_gen_resource_limit(tmp_path, capsys):
-    code, _, err = run(capsys, "gen", "--kind", "vdc", "--m", "99", "--out", str(tmp_path / "x.csv"))
-    assert code == 3
-    assert "resource limit" in err
+def test_gen_resource_limit(tmp_path, capsys, monkeypatch):
+    def no_point(*args):
+        raise AssertionError("point built past the cap")
+
+    # both generators stop at 2^24 points, before the first one is built
+    monkeypatch.setattr("discrep.pointsets.Point", no_point)
+    out = tmp_path / "x.csv"
+    for argv in (["--kind", "vdc", "--m", "99"], ["--kind", "random", "--n", str((1 << 24) + 1)],
+                 ["--kind", "random", "--n", str(10**9)]):
+        code, _, err = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 3
+        assert "resource limit" in err and "2^24" in err
+        assert not out.exists()
 
 
 def test_gen_unknown_kind_usage_error(tmp_path, capsys):
@@ -90,6 +99,30 @@ def test_precision_too_low_to_certify_is_resource_limit(capsys):
     assert code == 3
     assert stdout == ""
     assert "resource limit" in err and "1e-12" in err
+
+
+def test_norms_which_computes_only_that_norm(capsys, monkeypatch):
+    from discrep import discrepancy
+
+    csv = str(GOLDEN / "mixed.csv")
+    code, stdout, _ = run(capsys, "norms", "--in", csv, "--json")
+    full = json.loads(stdout)
+    calls = []
+    for name in ("_l1_form", "_linf_norm", "_l2_norm_sq"):
+        def counting(grid, kernel=getattr(discrepancy, name), name=name):
+            calls.append(name)
+            return kernel(grid)
+        monkeypatch.setattr(discrepancy, name, counting)
+    wanted = {"l1": (["_l1_form"], ("l1", "l1_err")), "l2": (["_l2_norm_sq"], ("l2_sq",)),
+              "linf": (["_linf_norm"], ("linf",)), "dn": (["_l1_form"], ("d_n",))}
+    for which, (kernels, keys) in wanted.items():
+        calls.clear()
+        code, stdout, _ = run(capsys, "norms", "--in", csv, "--which", which, "--json")
+        assert code == 0
+        assert calls == kernels
+        # the same bytes as the keys of the full report
+        assert json.loads(stdout) == {
+            "config": full["config"], "n_points": full["n_points"], **{k: full[k] for k in keys}}
 
 
 def test_norms_mc_deterministic(tmp_path, capsys):
@@ -253,6 +286,20 @@ def test_lin_report(capsys):
     payload = json.loads(stdout)
     assert float(payload["two_route_gap"]) < 1e-10
     assert abs(float(payload["limit_sin"]) - 0.6065306597126334) < 1e-14
+
+
+def test_lin_resource_limit(capsys, monkeypatch):
+    from discrep.testfn import LIN_MAX_N
+
+    def no_moment(*args):
+        raise AssertionError("moment computed past the cap")
+
+    monkeypatch.setattr("discrep.testfn.sign_sum_moment", no_moment)
+    for n in (LIN_MAX_N + 1, 8000):
+        code, stdout, err = run(capsys, "lin", "--n", str(n), "--json")
+        assert code == 3
+        assert stdout == ""
+        assert "resource limit" in err and str(LIN_MAX_N) in err
 
 
 def test_lin_even_order_usage_error(capsys):

@@ -10,13 +10,12 @@ from discrep import combinatorics
 from discrep.combinatorics import (
     elementary_symmetric,
     expansion_table,
-    newton_check,
     odd_moment_series,
-    power_sums,
     sign_sum_moment,
     sign_sum_moment_bruteforce,
 )
 from discrep.errors import ResourceLimitError
+from oracles import all_integer, linear_coefficient, newton_check, power_sums, reconstruct
 
 
 def test_moment_values():
@@ -77,11 +76,11 @@ def test_elementary_symmetric_examples():
 def test_expansion_table_small_cases():
     table = expansion_table(1, 3)
     assert table.coefficients == {1: Fraction(4)}
-    assert table.linear_coefficient() == 4
-    assert table.all_integer
+    assert linear_coefficient(table) == 4
+    assert all_integer(table)
     # reconstruction at a concrete vector: (f0 + f1)^3 = 4 f0 + 4 f1
-    assert table.reconstruct([1, 1]) == 8
-    assert table.reconstruct([1, -1]) == 0
+    assert reconstruct(table, [1, 1]) == 8
+    assert reconstruct(table, [1, -1]) == 0
     table = expansion_table(2, 1)
     assert table.coefficients == {1: Fraction(1), 3: Fraction(0)}
 
@@ -89,7 +88,7 @@ def test_expansion_table_small_cases():
 def test_expansion_linear_term_is_moment():
     for n in range(0, 7):
         for k in (1, 3, 5, 7):
-            assert expansion_table(n, k).linear_coefficient() == sign_sum_moment(n, k)
+            assert linear_coefficient(expansion_table(n, k)) == sign_sum_moment(n, k)
 
 
 def test_expansion_reconstruction_exhaustive():
@@ -98,7 +97,7 @@ def test_expansion_reconstruction_exhaustive():
         m = n + 1
         for mask in range(1 << m):
             signs = [1 - 2 * ((mask >> t) & 1) for t in range(m)]
-            assert table.reconstruct(signs) == sum(signs) ** k
+            assert reconstruct(table, signs) == sum(signs) ** k
 
 
 @pytest.mark.parametrize("slot, delta", [(0, Fraction(1, 3)), (-1, Fraction(1)),

@@ -17,17 +17,20 @@ from discrep.discrepancy import (
     _mid_rad,
     _nstr_directed,
     norms_report,
-    d_n,
-    eval_discrepancy,
-    haar_inner_product,
     l1_norm,
     l2_norm_sq,
-    l2_norm_sq_direct,
     linf_norm,
     monte_carlo_norm,
 )
-from discrep.dyadic import DyadicInterval, DyadicRectangle, Point
-from discrep.pointsets import PointSet, random_uniform, symmetrize, van_der_corput
+from discrep.pointsets import Point, PointSet, random_uniform, symmetrize, van_der_corput
+from oracles import (
+    DyadicInterval,
+    DyadicRectangle,
+    cells,
+    eval_discrepancy,
+    haar_inner_product,
+    l2_norm_sq_direct,
+)
 
 ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
 CORNER = PointSet((Point(Fraction(1), Fraction(1)),), label="corner")
@@ -47,14 +50,14 @@ def test_eval_discrepancy_examples():
 def test_cell_decomposition_counts_monotone():
     for ps in (van_der_corput(2), random_uniform(9, seed=3)):
         cd = CellDecomposition.from_pointset(ps)
-        counts = cd.cell_counts
+        counts = cd.table
         for i in range(len(counts)):
             for j in range(len(counts[0])):
                 if i:
                     assert counts[i][j] >= counts[i - 1][j]
                 if j:
                     assert counts[i][j] >= counts[i][j - 1]
-        total = sum((b - a) * (d - c) for a, b, c, d, _ in cd.cells())
+        total = sum((b - a) * (d - c) for a, b, c, d, _ in cells(cd))
         assert total == 1
 
 
@@ -202,10 +205,11 @@ def test_monte_carlo_determinism_and_validation():
 def test_d_n_contract():
     two = PointSet((Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(1))))
     v = float(l1_norm(two).value)
-    assert math.isclose(d_n(two), v / math.sqrt(math.log(2)), rel_tol=1e-12)
-    assert d_n(van_der_corput(4)) > 0
-    with pytest.raises(ValueError):
-        d_n(ORIGIN)
+    assert norms_report(two)["d_n"] == f"{v / math.sqrt(math.log(2)):.12g}"
+    assert float(norms_report(van_der_corput(4), which="dn")["d_n"]) > 0
+    # ln 1 = 0: a single point has no d_n
+    assert "d_n" not in norms_report(ORIGIN)
+    assert norms_report(ORIGIN, which="dn") == {"n_points": 1}
 
 
 def _exact(x: mpf) -> Fraction:

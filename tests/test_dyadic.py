@@ -5,15 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from discrep.dyadic import (
-    DyadicInterval,
-    DyadicRectangle,
-    dyadic,
-    dyadic_exponent,
-    haar_point_kernel,
-    is_dyadic,
-    subdivide,
-)
+from discrep.pointsets import dyadic, dyadic_exponent, is_dyadic
+from oracles import DyadicInterval, DyadicRectangle, haar_point_kernel, subdivide
 
 UNIT = DyadicInterval.unit()
 

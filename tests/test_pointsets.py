@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from discrep.dyadic import Point
 from discrep.errors import CsvFormatError, ResourceLimitError
 from discrep.pointsets import (
+    Point,
     PointSet,
     parse_coordinate,
     random_uniform,

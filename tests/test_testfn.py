@@ -9,8 +9,7 @@ from mpmath import mp, mpf
 
 from discrep.auxiliary import build_tree
 from discrep.discrepancy import l1_norm, norms_report
-from discrep.dyadic import Point
-from discrep.pointsets import PointSet, random_uniform, van_der_corput
+from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
     SINE,
     FourierAtomFunction,
@@ -20,12 +19,17 @@ from discrep.testfn import (
     certificate_error_bound,
     constants_table,
     error_tuple_sum,
-    extremal_search,
     halasz_constant,
     lin_limit,
     lin_n,
     lin_series_crosscheck,
     main_term_floor,
+)
+from oracles import (
+    coefficient_abs_sum,
+    evaluate,
+    extremal_search,
+    is_odd_sampled,
     sin_expansion_check,
     sup_norm_via_coefficients,
 )
@@ -45,13 +49,13 @@ def random_odd_function(rng: random.Random, max_freq: int = 2) -> FourierAtomFun
 
 def test_sine_atoms_represent_sin():
     for x in (0.3, 1.1, -2.0):
-        assert abs(complex(SINE.value(x)) - complex(math.sin(x))) < 1e-25
+        assert abs(complex(evaluate(SINE, x)) - complex(math.sin(x))) < 1e-25
 
 
 def test_random_functions_are_odd():
     rng = random.Random(5)
     for _ in range(5):
-        assert random_odd_function(rng).is_odd_sampled()
+        assert is_odd_sampled(random_odd_function(rng))
 
 
 def test_lin_n_examples():
@@ -151,7 +155,7 @@ def test_limit_dominated_by_extremal_value():
     cap = 1 / math.sqrt(math.e) + 1e-12
     for _ in range(20):
         fn = random_odd_function(rng, max_freq=3)
-        mass = fn.coefficient_abs_sum()
+        mass = coefficient_abs_sum(fn)
         if mass == 0:
             continue
         unit = fn.scaled(1 / Fraction(mass))
