@@ -19,9 +19,13 @@ of levels > l* is then a geometric series summed in closed form, which
 turns inner products against the discrepancy function into exact
 rationals: every empty rectangle R contributes -N |R|^2 / 16.
 
-Only occupied rectangles are materialized (a dict per level keyed by the
-index pair); empty rectangles are implicit, so levels cost O(N) to build
-regardless of n.
+Only occupied rectangles are materialized, as each level's clusters (the
+points of one occupied rectangle each, in parent order); empty rectangles
+are implicit, so levels cost O(N) to build regardless of n, and a level on
+which no cluster splits shares its parent's clusters and costs O(1).  The
+counts that inner products and certificates need are the cluster counts;
+the dict from index pair to members (`LevelRecord.occupied`) is derived
+only for code that looks cells up.
 
 Every rectangle is an integer address (kx, ky, jx, jy), the cell
 [jx 2^-kx, (jx+1) 2^-kx) x [jy 2^-ky, (jy+1) 2^-ky), and the hot loops
@@ -36,7 +40,9 @@ stay on integers:
   * level 0 buckets every point; a cluster moves whole to the child cell
     of its first member until a level's scale passes its split scale,
     fixed when it is formed from the highest bit in which its members'
-    integers differ, and only then are its members bucketed;
+    integers differ, and only then are its members bucketed; a level
+    before the next split scale of any cluster records its parent's
+    clusters as they are;
   * evaluation takes t = floor(x 2^(k+1)) from the numerator and the
     denominator: t >> 1 is the cell index and t & 1 the Haar half;
   * the product checks walk each tree only through cells nested with the
@@ -54,6 +60,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -75,16 +82,38 @@ UNIMODULAR_SAMPLES = 400
 TRUNCATION_FALSE_ALARM = Fraction(1, 10**9)
 
 
+# A cluster is (members, X0, Y0, last whole level): the indices of the
+# points in one occupied rectangle, the fixed-point integers of its first
+# member, and the last level at which all its members share a cell.
+Cluster = tuple[tuple[int, ...], int, int, int]
+
+
 @dataclass(frozen=True)
 class LevelRecord:
-    """One subdivision level: occupied rectangles and the empty count."""
+    """One subdivision level: its clusters, one per occupied rectangle, and
+    the empty count.
+
+    At this level a cluster's cell is (X0 >> (fixed_bits - scale_x),
+    Y0 >> (fixed_bits - scale_y)), with fixed_bits the set's fixed-point
+    scale S.  A level on which no cluster splits holds its parent's
+    `clusters` tuple itself.
+    """
 
     level: int
     scale_x: int
     scale_y: int
-    occupied: dict[tuple[int, int], tuple[int, ...]]
+    clusters: tuple[Cluster, ...]
+    fixed_bits: int
     empty_count: int
     rect_area: Fraction
+
+    @cached_property
+    def occupied(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Members per occupied cell (jx, jy), in cluster order; built on
+        first read.  Hot loops read it once per tree (`_level_cells`): an
+        attribute cached after __init__ loads off the fast path."""
+        dx, dy = self.fixed_bits - self.scale_x, self.fixed_bits - self.scale_y
+        return {(x0 >> dx, y0 >> dy): members for members, x0, y0, _ in self.clusters}
 
 
 @dataclass
@@ -116,13 +145,13 @@ class AuxFamilyTree:
         return self.point_count * Fraction(1, 1 << (self.n + 2 * (self.n + 1) * level))
 
     def summary(self) -> dict:
-        total, _ = sum_empty_area_sq(self)
-        inner = inner_product(self)
+        total, tail_bound = sum_empty_area_sq(self)
+        inner = _inner_from_area_sq(self.point_count, total, tail_bound)
         return {
             "i": self.direction,
             "n": self.n,
             "levels": [
-                {"l": rec.level, "nonempty": len(rec.occupied), "empty": rec.empty_count}
+                {"l": rec.level, "nonempty": len(rec.clusters), "empty": rec.empty_count}
                 for rec in self.levels
             ],
             "stabilized": self.stabilized,
@@ -164,6 +193,13 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     one its members are bucketed.  Equal points never split, so a tree
     stabilizes at the first level whose every cluster holds one distinct
     point, compared by exact identity.
+
+    A level before the first split level of any cluster records its
+    parent's cluster tuple itself, with no key computed: the levels past
+    stabilization cost O(1) each.  On a level where some clusters split,
+    the others pass through untouched, and only the members of those that
+    split are bucketed.  No cell dict is built here (see
+    `LevelRecord.occupied`).
     """
     n = n_from_pointcount(len(ps))
     if not 0 <= direction <= n:
@@ -182,12 +218,11 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     # the last whole level of a cluster whose members share X and Y
     never = min(scale - direction, scale - (n - direction)) // step
 
-    # A cluster is (members, X0, Y0, last whole level).  Level 0 splits the
-    # root, the unit square's cluster of every point off x = 1 and y = 1
-    # (X = 2^S exactly at x = 1).
+    # Level 0 splits the root, the unit square's cluster of every point off
+    # x = 1 and y = 1 (X = 2^S exactly at x = 1).
     full = 1 << scale
     root = tuple(t for t in range(len(xs)) if xs[t] < full and ys[t] < full)
-    clusters: list = [(root, 0, 0, -1)]
+    clusters: tuple[Cluster, ...] = ((root, 0, 0, -1),)
     # clusters holding more than one distinct point, and the root until
     # level 0 splits it
     unsettled = 1
@@ -198,37 +233,33 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
 
     level = 0
     while True:
-        dx, dy = scale - kx, scale - ky
         parents = len(clusters)
-        if level < next_split:
-            occupied = {(x0 >> dx, y0 >> dy): m for m, x0, y0, _ in clusters}
-        else:
+        if level >= next_split:
             # Child cells of distinct parents are disjoint, so walking the
             # parents in order yields every cluster in parent order.  A
             # cluster that splits is the root or held points that differ;
-            # its parts go into `occupied` as lists, and their keys hold
-            # their places in `clusters` until they are formed below.
-            carried, clusters = clusters, []
-            occupied = {}
+            # its members are bucketed into `parts`, and each new part
+            # holds its place in `formed` as a list until it is formed below.
+            dx, dy = scale - kx, scale - ky
+            formed: list = []
+            parts: dict[tuple[int, int], list[int]] = {}
             fresh: list[int] = []
-            for c in carried:
+            for c in clusters:
                 if level <= c[3]:
-                    occupied[c[1] >> dx, c[2] >> dy] = c[0]
-                    clusters.append(c)
+                    formed.append(c)
                     continue
                 unsettled -= 1
                 for t in c[0]:
                     key = (xs[t] >> dx, ys[t] >> dy)
-                    part = occupied.get(key)
+                    part = parts.get(key)
                     if part is None:
-                        occupied[key] = [t]
-                        fresh.append(len(clusters))
-                        clusters.append(key)
+                        parts[key] = part = [t]
+                        fresh.append(len(formed))
+                        formed.append(part)
                     else:
                         part.append(t)
             for pos in fresh:
-                key = clusters[pos]
-                part = occupied[key] = tuple(occupied[key])
+                part = tuple(formed[pos])
                 first = part[0]
                 x0, y0 = xs[first], ys[first]
                 last = never
@@ -243,11 +274,14 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
                         (scale - ax.bit_length() - direction) // step,
                         (scale - ay.bit_length() - (n - direction)) // step,
                     )
-                clusters[pos] = (part, x0, y0, last)
+                formed[pos] = (part, x0, y0, last)
+            clusters = tuple(formed)
             next_split = min((c[3] for c in clusters), default=never) + 1
         cells = (1 << n) if level == 0 else children * parents
         area = Fraction(1, 1 << (n + 2 * step * level))
-        levels.append(LevelRecord(level, kx, ky, occupied, cells - len(occupied), area))
+        levels.append(
+            LevelRecord(level, kx, ky, clusters, scale, cells - len(clusters), area)
+        )
 
         if stabilization is None and not unsettled:
             stabilization = level
@@ -276,19 +310,30 @@ def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
     x, y = Fraction(x), Fraction(y)
     if not (0 <= x < 1 and 0 <= y < 1):
         raise ValueError(f"({x}, {y}) outside [0, 1)^2")
-    return _eval_integers(tree, x.numerator, x.denominator, y.numerator, y.denominator)
+    return _eval_integers(
+        _level_cells(tree, tree.deepest_level),
+        x.numerator, x.denominator, y.numerator, y.denominator,
+    )
 
 
-def _eval_integers(tree: AuxFamilyTree, xn: int, xd: int, yn: int, yd: int) -> AuxValue:
-    """`eval_aux` at (xn/xd, yn/yd) in [0, 1)^2, on integers.
+def _level_cells(
+    tree: AuxFamilyTree, last: int
+) -> list[tuple[int, int, dict[tuple[int, int], tuple[int, ...]]]]:
+    """(scale_x, scale_y, occupied) of levels 0..last, read once per tree
+    for the loops that look cells up."""
+    return [(rec.scale_x, rec.scale_y, rec.occupied) for rec in tree.levels[: last + 1]]
+
+
+def _eval_integers(levels, xn: int, xd: int, yn: int, yd: int) -> AuxValue:
+    """`eval_aux` at (xn/xd, yn/yd) in [0, 1)^2 on a tree's `_level_cells`.
 
     At scale k, t = floor(x 2^(k+1)) holds the cell index t >> 1 and the
     Haar half t & 1: the right half of either side flips the sign.
     """
-    for rec in tree.levels:
-        tx = (xn << (rec.scale_x + 1)) // xd
-        ty = (yn << (rec.scale_y + 1)) // yd
-        if (tx >> 1, ty >> 1) not in rec.occupied:
+    for scale_x, scale_y, occupied in levels:
+        tx = (xn << (scale_x + 1)) // xd
+        ty = (yn << (scale_y + 1)) // yd
+        if (tx >> 1, ty >> 1) not in occupied:
             return AuxValue(-1 if (tx ^ ty) & 1 else 1, False)
     return AuxValue(1, True)
 
@@ -326,7 +371,7 @@ def sum_empty_area_sq(tree: AuxFamilyTree) -> tuple[Fraction, Fraction]:
     for rec in tree.levels:
         numerator = (numerator << step) + rec.empty_count
     e_deep = n + 2 * (n + 1) * tree.deepest_level
-    c = len(tree.levels[-1].occupied)
+    c = len(tree.levels[-1].clusters)
     if tree.stabilized:
         children = 1 << (2 * (n + 1))
         total = Fraction(numerator * (children + 1) + c, (children + 1) << (2 * e_deep))
@@ -340,8 +385,11 @@ def inner_product(tree: AuxFamilyTree) -> InnerProduct:
     Every empty rectangle contains no point, so each contributes
     -N |R|^2 / 16 and the whole integral is -(N/16) * sum |R|^2.
     """
-    total, tail_bound = sum_empty_area_sq(tree)
-    scale = Fraction(tree.point_count, 16)
+    return _inner_from_area_sq(tree.point_count, *sum_empty_area_sq(tree))
+
+
+def _inner_from_area_sq(count: int, total: Fraction, tail_bound: Fraction) -> InnerProduct:
+    scale = Fraction(count, 16)
     return InnerProduct(-scale * total, scale * tail_bound)
 
 
@@ -380,6 +428,7 @@ def _product_counts(
     plain: dict[int, int] = {}
     last = len(trees) - 1
     total = 0
+    cells = [_level_cells(tree, level_cap) for tree in trees]
 
     def axis(k: int, bk: int, bj: int, ck: int, cj: int, owned: bool):
         """Cells at scale k nested with the box cell (bk, bj), each as
@@ -397,10 +446,10 @@ def _product_counts(
 
     def walk(depth: int, level: int, box, cur, parity: int) -> None:
         nonlocal total
-        rec = trees[depth].levels[level]
-        xs = axis(rec.scale_x, box[0], box[2], cur[0], cur[2], depth > 0)
-        ys = axis(rec.scale_y, box[1], box[3], cur[1], cur[3], depth > 0)
-        occupied, deeper = rec.occupied, level < level_cap
+        scale_x, scale_y, occupied = cells[depth][level]
+        xs = axis(scale_x, box[0], box[2], cur[0], cur[2], depth > 0)
+        ys = axis(scale_y, box[1], box[3], cur[1], cur[3], depth > 0)
+        deeper = level < level_cap
         count = flipped = 0
         for jx, fx, kx, ix in xs:
             for jy, fy, ky, iy in ys:
@@ -414,7 +463,7 @@ def _product_counts(
                     count += 1
                     flipped += fx ^ fy
         if count:
-            e = max(rec.scale_x, cur[0]) + max(rec.scale_y, cur[1])
+            e = max(scale_x, cur[0]) + max(scale_y, cur[1])
             signed[e] = signed.get(e, 0) + (count - 2 * flipped) * (1 - 2 * parity)
             plain[e] = plain.get(e, 0) + count
             total += count
@@ -567,17 +616,18 @@ def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
     children = 1 << (2 * (n + 1))
     for rec in tree.levels:
         expected = (1 << n) if rec.level == 0 else children * len(
-            tree.levels[rec.level - 1].occupied
+            tree.levels[rec.level - 1].clusters
         )
-        if rec.empty_count + len(rec.occupied) != expected:
+        occupied = len(rec.clusters)
+        if rec.empty_count + occupied != expected:
             return CheckResult(
                 "level_counts", False,
-                f"i={tree.direction} l={rec.level}: {rec.empty_count}+{len(rec.occupied)} != {expected}",
+                f"i={tree.direction} l={rec.level}: {rec.empty_count}+{occupied} != {expected}",
             )
-        if len(rec.occupied) > count:
+        if occupied > count:
             return CheckResult(
                 "level_counts", False,
-                f"i={tree.direction} l={rec.level}: occupied {len(rec.occupied)} > N={count}",
+                f"i={tree.direction} l={rec.level}: occupied {occupied} > N={count}",
             )
         if rec.rect_area != Fraction(1, 1 << (n + 2 * (n + 1) * rec.level)):
             return CheckResult(
@@ -634,10 +684,11 @@ def _check_unimodular(tree: AuxFamilyTree, samples: int, seed: int) -> CheckResu
     rng = random.Random(seed)
     side = 1 << 40
     truncated = 0
+    levels = _level_cells(tree, tree.deepest_level)
     for _ in range(samples):
         xn = rng.getrandbits(40)
         yn = rng.getrandbits(40)
-        val = _eval_integers(tree, xn, side, yn, side)
+        val = _eval_integers(levels, xn, side, yn, side)
         if val.value not in (-1, 1):
             return CheckResult(
                 "values_unimodular", False,

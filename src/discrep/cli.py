@@ -65,7 +65,9 @@ def cmd_gen(args) -> int:
 def cmd_norms(args) -> int:
     ps = _load(args)
     if args.method == "mc":
-        which = args.which if args.which in ("l1", "l2") else "l1"
+        if args.which in ("linf", "dn"):
+            raise ValueError(f"norms --method mc estimates l1 or l2, not {args.which}")
+        which = "l2" if args.which == "l2" else "l1"
         est, stderr = discrepancy.monte_carlo_norm(
             ps, which=which, samples=args.samples, seed=args.seed or 0
         )

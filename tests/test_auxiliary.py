@@ -25,6 +25,7 @@ from discrep.auxiliary import (
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
+from discrep.testfn import certificate
 from oracles import DyadicRectangle, eval_discrepancy
 
 ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
@@ -550,6 +551,7 @@ def assert_tree_matches_oracle(ps, tree):
         for group in parents:
             want.update(bucket_oracle(ps.points, group, rec.scale_x, rec.scale_y))
         assert list(rec.occupied.items()) == [(k, tuple(v)) for k, v in want.items()]
+        assert len(rec.clusters) == len(want)
         if stable_at is None and all(
             len({ps.points[t] for t in group}) == 1 for group in rec.occupied.values()
         ):
@@ -672,6 +674,46 @@ def test_clusters_split_where_the_oracle_splits_them(name):
     assert _first_level_apart(trees[n], 0, 1) > _first_level_apart(trees[n], 2, 3)
 
 
+def _cells_built(tree):
+    return [rec.level for rec in tree.levels if "occupied" in rec.__dict__]
+
+
+def test_levels_without_a_split_share_their_parents_clusters():
+    # every point has its own level-0 cell, so no later level splits
+    ps = van_der_corput(10)
+    tree = build_tree(ps, 0, max_level=HARD_LEVEL_CAP)
+    assert tree.stabilization_level == 0 and tree.deepest_level == HARD_LEVEL_CAP
+    assert all(rec.clusters is tree.levels[0].clusters for rec in tree.levels[1:])
+    assert _cells_built(tree) == []
+    assert [rec.empty_count for rec in tree.levels[1:]] == (
+        [((1 << 24) - 1) * len(ps)] * HARD_LEVEL_CAP)
+    # a dict is built on first read, for that level only, and kept
+    deep = tree.levels[40]
+    cells = deep.occupied
+    assert _cells_built(tree) == [40] and deep.occupied is cells
+    assert list(cells.items()) == [
+        (k, tuple(v)) for k, v in bucket_oracle(ps.points, range(len(ps)),
+                                                deep.scale_x, deep.scale_y).items()]
+
+
+def test_counting_routes_build_no_cell_dict():
+    # n = 3: the pair splits at level 5 along direction 0, so the tree holds
+    # levels with clusters carried whole before and after its split
+    ps = PointSet((*_pair("x", 20), Point(Fraction(3, 4), Fraction(1, 5))))
+    n = n_from_pointcount(len(ps))
+    trees = [build_tree(ps, i) for i in range(n + 1)]
+    assert trees[0].stabilization_level == 5
+    cert = certificate(ps, trees=trees)
+    summaries = [tree.summary() for tree in trees]
+    assert all(_check_level_counts(tree).passed for tree in trees)
+    assert [_cells_built(tree) for tree in trees] == [[]] * (n + 1)
+    assert cert.inner_product_sum == sum(inner_product(t).value for t in trees)
+    assert [s["inner_product"] for s in summaries] == [
+        str(inner_product(t).value) for t in trees]
+    assert [[lv["nonempty"] for lv in s["levels"]] for s in summaries] == [
+        [len(rec.occupied) for rec in t.levels] for t in trees]
+
+
 def test_cluster_partition_fails_a_cluster_carried_past_its_split():
     # the pair splits at level 2 along direction 0; carry it whole one level
     # further, keeping the counting identities intact
@@ -681,7 +723,10 @@ def test_cluster_partition_fails_a_cluster_carried_past_its_split():
     assert _check_cluster_partition(tree).passed
     rec = tree.levels[2]
     first_cell = next(iter(rec.occupied))
-    tree.levels[2] = replace(rec, occupied={first_cell: (0, 1)}, empty_count=rec.empty_count + 1)
+    # level 2 keeps level 1's cluster sequence: the pair, keyed by point 0
+    carried = tree.levels[1].clusters
+    tree.levels[2] = replace(rec, clusters=carried, empty_count=rec.empty_count + 1)
+    assert tree.levels[2].occupied == {first_cell: (0, 1)}
     tree.levels[3] = replace(tree.levels[3], empty_count=tree.levels[3].empty_count - (1 << 6))
     assert _check_level_counts(tree).passed
     check = _check_cluster_partition(tree)

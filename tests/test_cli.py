@@ -140,6 +140,22 @@ def test_norms_mc_deterministic(tmp_path, capsys):
     assert float(payload["stderr"]) > 0
 
 
+@pytest.mark.parametrize("which", ["linf", "dn"])
+def test_norms_mc_refuses_norms_it_cannot_estimate(which, capsys):
+    csv = str(GOLDEN / "vdc3.csv")
+    base = ("norms", "--in", csv, "--method", "mc", "--samples", "1000", "--json")
+    code, stdout, stderr = run(capsys, *base, "--which", which)
+    assert code == 2 and stdout == ""
+    assert "mc" in stderr and which in stderr
+    # the default and the two estimable norms still print their estimate
+    outputs = {}
+    for kept in ("all", "l1", "l2"):
+        code, outputs[kept], _ = run(capsys, *base, "--which", kept)
+        assert code == 0
+    assert outputs["all"] == outputs["l1"]
+    assert json.loads(outputs["l1"])["which"] == "l1"
+    assert json.loads(outputs["l2"])["which"] == "l2"
+
 def test_aux_summaries(tmp_path, capsys):
     out = tmp_path / "p.csv"
     run(capsys, "gen", "--kind", "vdc", "--m", "2", "--out", str(out))
