@@ -43,8 +43,9 @@ stay on integers:
     integers differ, and only then are its members bucketed; a level
     before the next split scale of any cluster records its parent's
     clusters as they are;
-  * evaluation takes t = floor(x 2^(k+1)) from the numerator and the
-    denominator: t >> 1 is the cell index and t & 1 the Haar half;
+  * evaluation reads a query the same way, once, as X = floor(x 2^S),
+    and takes t = X >> (S - k - 1) = floor(x 2^(k+1)) at scale k: t >> 1
+    is the cell index and t & 1 the Haar half;
   * the product checks walk each tree only through cells nested with the
     current intersection, carry each piece's sign as a running parity of
     index bits, and keep signed and plain piece counts per area exponent
@@ -184,8 +185,8 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
 
     Cells are read from the set's fixed-point coordinates at
     S = (n+1)(HARD_LEVEL_CAP+1) bits, past the finest scale any level
-    reaches.  Level 0 buckets every point, and points on x = 1 or y = 1
-    drop out there.  Each cluster records, when it is formed, the last
+    reaches.  Level 0 buckets the points off x = 1 and y = 1
+    (`PointSet.interior`).  Each cluster records, when it is formed, the last
     level at which all its members still share a cell: its split scale
     along x is S minus the bit length of the OR of X ^ X0 over its members
     (X0 its first member's), and likewise along y.  Until that level the
@@ -218,11 +219,8 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     # the last whole level of a cluster whose members share X and Y
     never = min(scale - direction, scale - (n - direction)) // step
 
-    # Level 0 splits the root, the unit square's cluster of every point off
-    # x = 1 and y = 1 (X = 2^S exactly at x = 1).
-    full = 1 << scale
-    root = tuple(t for t in range(len(xs)) if xs[t] < full and ys[t] < full)
-    clusters: tuple[Cluster, ...] = ((root, 0, 0, -1),)
+    # Level 0 splits the root, the unit square's cluster of the interior points.
+    clusters: tuple[Cluster, ...] = ((ps.interior, 0, 0, -1),)
     # clusters holding more than one distinct point, and the root until
     # level 0 splits it
     unsettled = 1
@@ -310,9 +308,10 @@ def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
     x, y = Fraction(x), Fraction(y)
     if not (0 <= x < 1 and 0 <= y < 1):
         raise ValueError(f"({x}, {y}) outside [0, 1)^2")
-    return _eval_integers(
-        _level_cells(tree, tree.deepest_level),
-        x.numerator, x.denominator, y.numerator, y.denominator,
+    scale = tree.levels[0].fixed_bits
+    return _eval_fixed_point(
+        _level_cells(tree, tree.deepest_level), scale,
+        (x.numerator << scale) // x.denominator, (y.numerator << scale) // y.denominator,
     )
 
 
@@ -324,15 +323,17 @@ def _level_cells(
     return [(rec.scale_x, rec.scale_y, rec.occupied) for rec in tree.levels[: last + 1]]
 
 
-def _eval_integers(levels, xn: int, xd: int, yn: int, yd: int) -> AuxValue:
-    """`eval_aux` at (xn/xd, yn/yd) in [0, 1)^2 on a tree's `_level_cells`.
+def _eval_fixed_point(levels, scale: int, qx: int, qy: int) -> AuxValue:
+    """`eval_aux` on a tree's `_level_cells` at qx = floor(x 2^S), qy = floor(y 2^S).
 
-    At scale k, t = floor(x 2^(k+1)) holds the cell index t >> 1 and the
-    Haar half t & 1: the right half of either side flips the sign.
+    S = `scale` is the tree's `fixed_bits`, and every built scale k has
+    k + 1 <= S.  At scale k, t = qx >> (S - k - 1) = floor(x 2^(k+1)) holds
+    the cell index t >> 1 and the Haar half t & 1: the right half of
+    either side flips the sign.
     """
     for scale_x, scale_y, occupied in levels:
-        tx = (xn << (scale_x + 1)) // xd
-        ty = (yn << (scale_y + 1)) // yd
+        tx = qx >> (scale - scale_x - 1)
+        ty = qy >> (scale - scale_y - 1)
         if (tx >> 1, ty >> 1) not in occupied:
             return AuxValue(-1 if (tx ^ ty) & 1 else 1, False)
     return AuxValue(1, True)
@@ -637,21 +638,24 @@ def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
 
 
 def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
-    """Each level splits every parent cluster into disjoint child clusters."""
-    coords = tree.pointset.integers
-    interior = [idx for idx, (xn, xd, yn, yd) in enumerate(coords) if xn < xd and yn < yd]
+    """Each level's clusters partition `PointSet.interior`, each member in
+    its cell: X[t] >> (S - scale_x) == jx and Y[t] >> (S - scale_y) == jy,
+    with S the set's `fixed_point` scale (the cache may exceed `fixed_bits`).
+    """
+    ps = tree.pointset
+    scale, xs, ys = ps.fixed_point(max(max(r.scale_x, r.scale_y) for r in tree.levels))
     for rec in tree.levels:
         seen: list[int] = []
+        dx, dy = scale - rec.scale_x, scale - rec.scale_y
         for (jx, jy), members in rec.occupied.items():
             for t in members:
-                xn, xd, yn, yd = coords[t]
-                if (xn << rec.scale_x) // xd != jx or (yn << rec.scale_y) // yd != jy:
+                if xs[t] >> dx != jx or ys[t] >> dy != jy:
                     return CheckResult(
                         "cluster_partition", False,
                         f"i={tree.direction} l={rec.level}: point {t} outside its cell",
                     )
             seen.extend(members)
-        if sorted(seen) != interior:
+        if tuple(sorted(seen)) != ps.interior:
             return CheckResult(
                 "cluster_partition", False,
                 f"i={tree.direction} l={rec.level}: clusters do not partition the points",
@@ -685,10 +689,11 @@ def _check_unimodular(tree: AuxFamilyTree, samples: int, seed: int) -> CheckResu
     side = 1 << 40
     truncated = 0
     levels = _level_cells(tree, tree.deepest_level)
+    scale = tree.levels[0].fixed_bits
     for _ in range(samples):
         xn = rng.getrandbits(40)
         yn = rng.getrandbits(40)
-        val = _eval_integers(levels, xn, side, yn, side)
+        val = _eval_fixed_point(levels, scale, xn << (scale - 40), yn << (scale - 40))
         if val.value not in (-1, 1):
             return CheckResult(
                 "values_unimodular", False,

@@ -9,9 +9,10 @@ moment E[(x_0 + ... + x_n)^k].  Three independent routes compute it:
 
 The same moment is the coefficient of the linear term when (z_0+...+z_n)^k
 is expanded, under z_i^2 = 1, in the odd elementary symmetric polynomials
-e_1, e_3, e_5, ...; `expansion_table` recovers the whole coefficient list
-by exact linear algebra on sign-vector evaluations and re-verifies it
-pointwise at every sign vector.
+e_1, e_3, e_5, ...; `expansion_table` gives the whole coefficient list
+in closed form, by the orthogonality of the Krawtchouk polynomials
+(MacWilliams & Sloane, The Theory of Error-Correcting Codes, 1977, ch. 5),
+and re-verifies it pointwise at every sign vector.
 """
 
 from __future__ import annotations
@@ -134,26 +135,30 @@ class OddExpansionTable:
         }
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over Fractions; None on a singular system."""
-    m = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+def _krawtchouk_coefficients(n: int, k: int) -> dict[int, Fraction]:
+    """A_p for odd p = 1..n+1, in order; 0 for p > k.
+
+    With m = n + 1, a sign vector with x of its m signs negative has sum
+    m - 2x and e_p = K_p(x) = sum_j (-1)^j C(x, j) C(m - x, p - j).  These
+    are orthogonal, sum_x C(m, x) K_p(x) K_q(x) = 2^m C(m, p) [p = q], so
+    A_p = sum_x C(m, x) (m - 2x)^k K_p(x) / (2^m C(m, p)).
+    """
+    m = n + 1
+
+    def krawtchouk(p: int, x: int) -> int:
+        return sum((-1) ** j * comb(x, j) * comb(m - x, p - j) for j in range(p + 1))
+
+    return {
+        p: Fraction(
+            sum(comb(m, x) * (m - 2 * x) ** k * krawtchouk(p, x) for x in range(m + 1)),
+            comb(m, p) << m,
+        )
+        for p in range(1, m + 1, 2)
+    }
 
 
 def expansion_table(n: int, k: int) -> OddExpansionTable:
-    """Solve for the expansion coefficients and verify at every sign vector."""
+    """The closed-form expansion coefficients, verified at every sign vector."""
     _require_odd(k)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -162,41 +167,7 @@ def expansion_table(n: int, k: int) -> OddExpansionTable:
             f"expansion table capped at n <= {TABLE_MAX_N}, k <= {TABLE_MAX_K}"
         )
     m = n + 1
-    ps = [p for p in range(1, min(k, m) + 1, 2)]
-
-    # block sign vectors: a plus-ones followed by m - a minus-ones; their
-    # e_p values are coefficients of (1+t)^a (1-t)^(m-a)
-    def block_row(a: int) -> tuple[list[Fraction], Fraction]:
-        coeffs = [Fraction(0)] * (m + 1)
-        for u in range(a + 1):
-            cu = comb(a, u)
-            for v in range(m - a + 1):
-                if u + v <= m:
-                    coeffs[u + v] += cu * comb(m - a, v) * (-1) ** v
-        s = 2 * a - m
-        return [coeffs[p] for p in ps], Fraction(s ** k)
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    solution = None
-    for a in range(m, -1, -1):
-        row, value = block_row(a)
-        rows.append(row)
-        rhs.append(value)
-        if len(rows) >= len(ps):
-            solution = _solve_exact(
-                [r[:] for r in rows[: len(ps)]], rhs[: len(ps)]
-            )
-            if solution is not None:
-                break
-            rows.pop(0)
-            rhs.pop(0)
-    if solution is None:
-        raise ArithmeticError(f"no invertible sign-vector system for n={n}, k={k}")
-
-    coefficients = dict(zip(ps, solution))
-    for p in range(1, m + 1, 2):
-        coefficients.setdefault(p, Fraction(0))  # degree forces zero past min(k, n+1)
+    coefficients = _krawtchouk_coefficients(n, k)
     # verify sum_p A_p e_p = s^k in integers, scaled by the common denominator
     scale = lcm(*(a.denominator for a in coefficients.values()))
     scaled = [(p, a.numerator * (scale // a.denominator)) for p, a in coefficients.items()]

@@ -112,6 +112,11 @@ class PointSet:
         first: dict[tuple[int, int, int, int], int] = {}
         return tuple(first.setdefault(c, idx) for idx, c in enumerate(self.integers))
 
+    @cached_property
+    def interior(self) -> tuple[int, ...]:
+        """Indices, in order, of the points off x = 1 and y = 1."""
+        return tuple(t for t, (xn, xd, yn, yd) in enumerate(self.integers) if xn < xd and yn < yd)
+
 
 def _bit_reverse(k: int, bits: int) -> int:
     r = 0

@@ -207,7 +207,7 @@ class BoundCertificate:
     rounded-up finite error series.  l1_lower_bound = max(0, main - error)
     with the difference rounded down, and is sound even for unstabilized
     trees (their inner products only gain magnitude, and the widening is
-    recorded in inner_product_error).
+    recorded in inner_product_error).  Each bound is an interval endpoint.
     """
 
     n: int
@@ -219,26 +219,23 @@ class BoundCertificate:
     error_bound: mpf
     l1_lower_bound: mpf
     d_n_bound: mpf | None
-    dps: int
 
     def to_json(self) -> dict:
         """The bounds at 17 digits, each rounded in its safe direction."""
-        with mp.workdps(self.dps):
-            out = {
-                "n": self.n,
-                "N": self.point_count,
-                "inner_product_sum": str(self.inner_product_sum),
-                "inner_product_error": str(self.inner_product_error),
-                "trees_stabilized": self.trees_stabilized,
-                "main_term": _nstr_directed(self.main_term, 17, up=False),
-                "error_bound": _nstr_directed(self.error_bound, 17, up=True),
-                "l1_lower_bound": _nstr_directed(self.l1_lower_bound, 17, up=False),
-                "d_n_bound": None
-                if self.d_n_bound is None
-                else _nstr_directed(self.d_n_bound, 17, up=False),
-                "constants": constants_table(),
-            }
-        return out
+        return {
+            "n": self.n,
+            "N": self.point_count,
+            "inner_product_sum": str(self.inner_product_sum),
+            "inner_product_error": str(self.inner_product_error),
+            "trees_stabilized": self.trees_stabilized,
+            "main_term": _nstr_directed(self.main_term, 17, up=False),
+            "error_bound": _nstr_directed(self.error_bound, 17, up=True),
+            "l1_lower_bound": _nstr_directed(self.l1_lower_bound, 17, up=False),
+            "d_n_bound": None
+            if self.d_n_bound is None
+            else _nstr_directed(self.d_n_bound, 17, up=False),
+            "constants": constants_table(),
+        }
 
 
 def _odd_terms(n: int, weights: dict[int, Fraction]):
@@ -284,54 +281,40 @@ def certificate(
         raise ValueError(f"need one tree per direction index 0..{n}")
     elif any(t.pointset != ps for t in trees):
         raise ValueError("trees were built for another point set")
-    total = Fraction(0)
-    total_error = Fraction(0)
-    for tree in trees:
-        ip = inner_product(tree)
-        total += ip.value
-        total_error += ip.error
+    ips = [inner_product(tree) for tree in trees]
+    total = sum(ip.value for ip in ips)
+    total_error = sum(ip.error for ip in ips)
 
     with _iv_precision(dps):
         main_iv = _odd_terms(n, {1: abs(total)})
         err_iv = _odd_terms(n, _error_weights(n, count))
         diff_iv = main_iv - err_iv
-        main_low = _iv_endpoints(main_iv)[0]
-        err_high = _iv_endpoints(err_iv)[1]
-        diff_low = _iv_endpoints(diff_iv)[0]
-        dn_low = None
-        if count >= 2:
-            dn_low = _iv_endpoints(diff_iv / iv.sqrt(iv.log(iv.mpf(count))))[0]
+        dn_iv = diff_iv / iv.sqrt(iv.log(iv.mpf(count))) if count >= 2 else None
 
-    with mp.workdps(dps):
-        return BoundCertificate(
-            n=n,
-            point_count=count,
-            inner_product_sum=total,
-            inner_product_error=total_error,
-            trees_stabilized=all(t.stabilized for t in trees),
-            main_term=+main_low,
-            error_bound=+err_high,
-            l1_lower_bound=max(mpf(0), +diff_low),
-            d_n_bound=None if dn_low is None else max(mpf(0), +dn_low),
-            dps=dps,
-        )
+    return BoundCertificate(
+        n=n,
+        point_count=count,
+        inner_product_sum=total,
+        inner_product_error=total_error,
+        trees_stabilized=all(t.stabilized for t in trees),
+        main_term=_iv_endpoints(main_iv)[0],
+        error_bound=_iv_endpoints(err_iv)[1],
+        l1_lower_bound=max(mpf(0), _iv_endpoints(diff_iv)[0]),
+        d_n_bound=None if dn_iv is None else max(mpf(0), _iv_endpoints(dn_iv)[0]),
+    )
 
 
 def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
     """The certificate's error series alone, rounded up (depends on n, N only)."""
     with _iv_precision(dps):
-        out = _iv_endpoints(_odd_terms(n, _error_weights(n, count)))[1]
-    with mp.workdps(dps):
-        return +out
+        return _iv_endpoints(_odd_terms(n, _error_weights(n, count)))[1]
 
 
 def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
     """Lower bound cos^n(a) sin(a) (n+1)(2^n - N) N 2^-2n / 16 on the main term."""
     mass = Fraction((n + 1) * ((1 << n) - count) * count, 16 * (1 << (2 * n)))
     with _iv_precision(dps):
-        out = _iv_endpoints(_odd_terms(n, {1: mass}))[0]
-    with mp.workdps(dps):
-        return +out
+        return _iv_endpoints(_odd_terms(n, {1: mass}))[0]
 
 
 # ---------------------------------------------------------------------------

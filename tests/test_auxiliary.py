@@ -714,6 +714,45 @@ def test_counting_routes_build_no_cell_dict():
         [len(rec.occupied) for rec in t.levels] for t in trees]
 
 
+def test_tree_layer_reads_only_the_cached_integers():
+    # a duplicate, a pair that splits at a middle level, a non-dyadic point
+    # and points on x = 1 and y = 1 (n = 4)
+    copy = Point(Fraction(3, 4), Fraction(1, 5))
+    pts = (*_pair("x", 20), copy, copy,
+           Point(Fraction(1), THIRD), Point(Fraction(2, 7), Fraction(1)))
+    ps, twin = PointSet(pts), PointSet(pts)
+    n = n_from_pointcount(len(ps))
+    # fill the caches that build_tree reads, then take the rationals away
+    ps.fixed_point((n + 1) * (HARD_LEVEL_CAP + 1))
+    ps.identities, ps.interior
+    ps.__dict__["integers"] = None
+    trees = [build_tree(ps, i) for i in range(n + 1)]
+    want = [build_tree(twin, i) for i in range(n + 1)]
+    assert [[rec.clusters for rec in t.levels] for t in trees] == [
+        [rec.clusters for rec in t.levels] for t in want]
+    assert [t.summary() for t in trees] == [t.summary() for t in want]
+    suite = lemma_suite(ps)
+    assert suite.passed and suite.to_json() == lemma_suite(twin).to_json()
+    cert, cert_twin = certificate(ps), certificate(twin)
+    assert cert == cert_twin and cert.to_json() == cert_twin.to_json()
+    queries = [(p.x, p.y) for p in pts if p.x < 1 and p.y < 1]
+    queries += [(THIRD, Fraction(1, 5)), (Fraction(1, 4) + Fraction(1, 1 << 21), THIRD)]
+    for tree, other in zip(trees, want):
+        for x, y in queries:
+            assert eval_aux(tree, x, y) == eval_aux(other, x, y)
+    assert ps.__dict__["integers"] is None
+
+
+def test_checks_read_the_scale_the_cache_holds():
+    # the fixed-point cache grows past the bits the trees were built from
+    ps = PointSet((*_pair("x", 6), Point(Fraction(1, 5), Fraction(5, 7))))
+    trees = [build_tree(ps, i) for i in range(n_from_pointcount(len(ps)) + 1)]
+    scale = trees[0].levels[0].fixed_bits
+    assert ps.fixed_point(scale + 7)[0] == scale + 7
+    assert all(_check_cluster_partition(tree).passed for tree in trees)
+    assert lemma_suite(ps, trees=trees).passed
+
+
 def test_cluster_partition_fails_a_cluster_carried_past_its_split():
     # the pair splits at level 2 along direction 0; carry it whole one level
     # further, keeping the counting identities intact
@@ -764,21 +803,63 @@ def test_sum_empty_area_sq_matches_fraction_loop(ps, direction, depth):
     assert sum_empty_area_sq(tree) == sum_empty_area_sq_oracle(tree)
 
 
+non_dyadic = st.one_of(
+    st.integers(0, 3 ** 20 - 1).map(lambda a: Fraction(a, 3 ** 20)),
+    st.builds(lambda p, a: Fraction(a % p, p), st.sampled_from(ODD_PRIMES),
+              st.integers(0, 1 << 40)),
+    st.just(THIRD),
+)
+
+
+def _just_below_edges(tree, p):
+    """Queries one unit of 2^-S below the lower and the upper edges of p's
+    cell at the tree's deepest scales, with S the tree's `fixed_bits`: the
+    right half of the cell before p's, and of p's own."""
+    deepest = tree.levels[-1]
+    unit = Fraction(1, 1 << deepest.fixed_bits)
+
+    def below(c, k):
+        j = math.floor(c * (1 << k))
+        return [Fraction(j, 1 << k) - unit, Fraction(j + 1, 1 << k) - unit]
+
+    xs, ys = below(p.x, deepest.scale_x), below(p.y, deepest.scale_y)
+    return [(x, p.y) for x in xs] + [(p.x, y) for y in ys] + [(x, y) for x in xs for y in ys]
+
+
 @settings(max_examples=60, deadline=None)
 @given(adversarial_sets(), st.data())
 def test_eval_aux_matches_haar_oracle(ps, data):
     n = n_from_pointcount(len(ps))
     tree = build_tree(ps, data.draw(st.integers(0, n)))
     queries = [(p.x, p.y) for p in ps]
+    queries += [q for p in ps for q in _just_below_edges(tree, p)]
     queries += data.draw(st.lists(st.tuples(coordinates, coordinates), max_size=8))
+    queries += data.draw(st.lists(st.tuples(non_dyadic, non_dyadic), max_size=8))
+    queries += [(THIRD, THIRD), (THIRD, Fraction(1, 1 << 40)), (Fraction(2, 3), THIRD)]
     queries += [
         (Fraction(a, 1 << 40), Fraction(b, 1 << 40))
         for a, b in data.draw(st.lists(st.tuples(st.integers(0, (1 << 40) - 1),
                                                  st.integers(0, (1 << 40) - 1)), max_size=8))
     ]
     for x, y in queries:
-        if x < 1 and y < 1:
+        if 0 <= x < 1 and 0 <= y < 1:
             assert tuple(eval_aux(tree, x, y)) == eval_oracle(tree, x, y)
+
+
+def test_eval_aux_reads_the_last_bit_of_the_query():
+    # twins 2^-1000 apart keep a tree going to HARD_LEVEL_CAP, where the
+    # finest scale along x (direction n) or y (direction 0) is S - 1: the
+    # Haar half there is bit 0 of floor(x 2^S)
+    ps = PointSet((Point(THIRD, THIRD), Point(THIRD + TWIN_GAP, THIRD + TWIN_GAP)))
+    n = n_from_pointcount(len(ps))
+    for direction in (0, n):
+        tree = build_tree(ps, direction)
+        deepest = tree.levels[-1]
+        assert tree.deepest_level == HARD_LEVEL_CAP
+        assert max(deepest.scale_x, deepest.scale_y) == deepest.fixed_bits - 1
+        values = [eval_aux(tree, x, y) for x, y in _just_below_edges(tree, ps[0])]
+        assert values == [eval_oracle(tree, x, y) for x, y in _just_below_edges(tree, ps[0])]
+        assert any(not v.truncated for v in values) and any(v.truncated for v in values)
 
 
 @settings(max_examples=25, deadline=None)

@@ -377,17 +377,28 @@ def test_bad_csv_is_usage_error(tmp_path, capsys):
 
 def _golden_runs():
     # vdc m=3 (n=4), and four points with non-dyadic coordinates, a duplicate
-    # and one point on x = 1 (n=3); comb and lin take each input's n.
+    # and one point on x = 1 (n=3); comb and lin take each input's n.  The
+    # certificate also runs below the default precision of 50 digits, and
+    # comb at the largest table the caps allow.
     for stem, n in (("vdc3", 4), ("mixed", 3)):
         csv = str(GOLDEN / f"{stem}.csv")
         for command in ("norms", "aux", "certificate", "lemmas"):
             yield f"{stem}.{command}", [command, "--in", csv, "--json"]
+        yield f"{stem}.certificate.p20", ["certificate", "--in", csv, "--precision", "20",
+                                          "--json"]
         yield f"{stem}.comb", ["comb", "--n", str(n), "--k", "3", "--json"]
         yield f"{stem}.lin", ["lin", "--n", str(n), "--json"]
+    yield "comb.n12k11", ["comb", "--n", "12", "--k", "11", "--json"]
     yield "constants", ["constants", "--json"]
 
 
 GOLDEN_RUNS = list(_golden_runs())
+
+
+def test_every_golden_file_has_a_run():
+    names = {name for name, _ in GOLDEN_RUNS}
+    files = {path.name[: -len(".json")] for path in GOLDEN.glob("*.json")}
+    assert files == names
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])

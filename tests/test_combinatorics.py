@@ -103,15 +103,14 @@ def test_expansion_reconstruction_exhaustive():
 @pytest.mark.parametrize("slot, delta", [(0, Fraction(1, 3)), (-1, Fraction(1)),
                                          (-1, Fraction(1, 2 ** 40))])
 def test_expansion_table_rejects_a_corrupted_coefficient(monkeypatch, slot, delta):
-    solve = combinatorics._solve_exact
+    closed_form = combinatorics._krawtchouk_coefficients
 
-    def corrupted(matrix, rhs):
-        solution = solve(matrix, rhs)
-        if solution is not None:
-            solution[slot] += delta
-        return solution
+    def corrupted(n, k):
+        coefficients = closed_form(n, k)
+        coefficients[list(coefficients)[slot]] += delta
+        return coefficients
 
-    monkeypatch.setattr(combinatorics, "_solve_exact", corrupted)
+    monkeypatch.setattr(combinatorics, "_krawtchouk_coefficients", corrupted)
     with pytest.raises(ArithmeticError, match="reconstruction failed"):
         expansion_table(4, 7)
 

@@ -40,6 +40,19 @@ def test_fixed_point_is_cached_and_grows_on_demand():
     assert ps == PointSet(ps.points)
 
 
+def test_interior_drops_points_on_x_1_or_y_1_and_is_cached():
+    third, below = Fraction(1, 3), 1 - Fraction(1, 1 << 1000)
+    ps = PointSet((
+        (third, third), (1, third), (third, 1), (1, 1), (third, third),
+        (below, below), (below, 1), (0, 0), (1, 0), (0, below),
+    ))
+    # duplicates both stay, 1 - 2^-1000 is inside, every point on x = 1 or
+    # y = 1 is out, whichever its other coordinate
+    assert ps.interior == (0, 4, 5, 7, 9)
+    assert ps.interior is ps.interior
+    assert PointSet(((1, 1),)).interior == ()
+
+
 def test_van_der_corput_small():
     assert van_der_corput(0).points == (Point(Fraction(0), Fraction(0)),)
     ps = van_der_corput(2)
