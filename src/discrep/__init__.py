@@ -12,6 +12,7 @@ Library layout:
 
 from .errors import CsvFormatError, ResourceLimitError
 from .pointsets import (
+    CellDecomposition,
     Point,
     PointSet,
     dyadic,
@@ -23,7 +24,6 @@ from .pointsets import (
     write_csv,
 )
 from .discrepancy import (
-    CellDecomposition,
     L1Norm,
     l1_norm,
     l2_norm_sq,

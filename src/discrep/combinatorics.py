@@ -12,7 +12,8 @@ is expanded, under z_i^2 = 1, in the odd elementary symmetric polynomials
 e_1, e_3, e_5, ...; `expansion_table` gives the whole coefficient list
 in closed form, by the orthogonality of the Krawtchouk polynomials
 (MacWilliams & Sloane, The Theory of Error-Correcting Codes, 1977, ch. 5),
-and re-verifies it pointwise at every sign vector.
+and re-verifies it pointwise, at one sign vector per number of negative
+signs.
 """
 
 from __future__ import annotations
@@ -168,11 +169,12 @@ def expansion_table(n: int, k: int) -> OddExpansionTable:
         )
     m = n + 1
     coefficients = _krawtchouk_coefficients(n, k)
-    # verify sum_p A_p e_p = s^k in integers, scaled by the common denominator
+    # verify sum_p A_p e_p = s^k in integers, scaled by the common denominator;
+    # e_p and s depend only on the number x of negative signs
     scale = lcm(*(a.denominator for a in coefficients.values()))
     scaled = [(p, a.numerator * (scale // a.denominator)) for p, a in coefficients.items()]
-    for mask in range(1 << m):
-        signs = [1 - 2 * ((mask >> t) & 1) for t in range(m)]
+    for x in range(m + 1):
+        signs = [-1] * x + [1] * (m - x)
         e = [1] + elementary_symmetric(signs)
         if sum(a * e[p] for p, a in scaled) != scale * sum(signs) ** k:
             raise ArithmeticError(

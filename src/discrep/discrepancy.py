@@ -8,18 +8,18 @@ For a point multiset P of size N the discrepancy function is
 grid cut by the point coordinates, so on each cell D = c - N*x*y with an
 integer c, and every norm reduces to closed-form cell integrals.
 
-The three exact norms read one grid, `CellDecomposition`: the sorted
-distinct cuts of each axis (0 and 1 included), the closed prefix-count
-table over every pair of cuts, and each axis's cuts as integers over that
-axis's common denominator.  With K x-cuts and L y-cuts (K, L <= N + 2) the
-grid costs O(K L) time and memory, and the kernels on top of it cost:
+The three exact norms read the set's one O(N) grid, `PointSet.grid`: the
+sorted distinct cuts of each axis (0 and 1 included), each axis's cuts as
+integers over its common denominator, and each point's cut ranks.  With K
+x-cuts and L y-cuts (K, L <= N + 2), L1 and L-infinity stream the closed
+prefix counts one column at a time (`_columns`), in O(N) memory:
 
   * L-infinity, O(K L): the sup is attained at (or as a one-sided limit
-    toward) a grid corner.  At corner (i, j) the closed count is
-    table[i][j] and the strict count is table[i-1][j-1]; the deviations
-    are compared by cross-multiplying each coordinate's own numerator and
-    denominator.  (Dobkin, Eppstein & Mitchell, ACM TOG 1996, reach
-    O(N log^2 N).)
+    toward) a grid corner.  At corner (i, j) the closed count is entry j
+    of column i and the strict count is entry j - 1 of column i - 1; the
+    deviations are compared by cross-multiplying each coordinate's own
+    numerator and denominator.  (Dobkin, Eppstein & Mitchell, ACM TOG
+    1996, reach O(N log^2 N).)
   * L1, O(K L) integer additions: |c - N*x*y| integrates in closed form.
     On a cell that the hyperbola xy = c/N misses, the integral is
     +-[c dx dy - N/4 d(x^2) d(y^2)], a product of an x factor and a y
@@ -33,29 +33,32 @@ grid costs O(K L) time and memory, and the kernels on top of it cost:
     K + L + N atoms, which is enclosed in interval arithmetic with one log
     per atom, giving a rigorous error bound (exact rational when no cell
     has a sign change).
-  * L2, O(N log N): the pairwise closed form (sums of (1 - max) products),
-    summed in x order with a Fenwick tree of integer numerators over the
-    y ranks (Heinrich, Math. Comp. 1996).
+  * L2, O(N log N) operations on integers of the axis integers' size: the
+    pairwise closed form (sums of (1 - max) products), summed in x order
+    with a Fenwick tree of integer numerators over the y ranks (Heinrich,
+    Math. Comp. 1996).  It reads no column.
 
-A grid of more than MAX_GRID_CELLS cells raises ResourceLimitError before
-the table is built.  A Monte-Carlo estimator of the L1/L2 norms serves as
-an independent float oracle.
+L1 and L-infinity raise ResourceLimitError on a grid of more than
+MAX_GRID_CELLS cells, before any column or axis integer is built; L2 has
+no cell budget.  Every norm refuses axis integers of more than
+`pointsets.MAX_AXIS_BITS` bits per axis before building them.  A
+Monte-Carlo estimator of the L1/L2 norms serves as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
+from operator import add
+from typing import Iterator, NamedTuple
 
 from mpmath import iv, mp, mpf
 
 from .errors import ResourceLimitError
-from .pointsets import PointSet
+from .pointsets import CellDecomposition, PointSet
 
 # About N = 4096 points with distinct coordinates.
 MAX_GRID_CELLS = 1 << 24
@@ -131,66 +134,32 @@ def _nstr_directed(value, digits: int, up: bool) -> str:
         return mp.nstr(_as_mpf(steps * unit), digits)
 
 
-def _axis_integers(cuts: list[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """(Q, cuts * Q) with Q the lcm of the cuts' denominators."""
-    den = math.lcm(*(q.denominator for q in cuts))
-    return den, tuple(q.numerator * (den // q.denominator) for q in cuts)
+def _columns(grid: CellDecomposition) -> Iterator[tuple[int, ...]]:
+    """The closed prefix counts, one column per x cut, in order.
 
-
-def _prefix_table(ranks, nx: int, ny: int) -> tuple[tuple[int, ...], ...]:
-    """table[i][j] = #{p : rank_x(p) <= i, rank_y(p) <= j}."""
-    grid = [[0] * ny for _ in range(nx)]
-    for i, j in ranks:
-        grid[i][j] += 1
-    table = []
-    prev = (0,) * ny
-    for row in grid:
-        prev = tuple(a + b for a, b in zip(prev, accumulate(row)))
-        table.append(prev)
-    return tuple(table)
-
-
-@dataclass(frozen=True)
-class CellDecomposition:
-    """Grid cut by the point coordinates, with the closed-box count per corner.
-
-    table[i][j] is the closed-box count at every corner (x_cuts[i],
-    y_cuts[j]), including the x = 1 row and the y = 1 column.  For i, j
-    below the last cut it is also the (constant) value of the counting
-    part of D on the open cell (x_cuts[i], x_cuts[i+1]) x (y_cuts[j],
-    y_cuts[j+1]), whose lower-left corner it counts.  x_cuts[i] ==
-    x_ints[i] / x_den with x_den the lcm of the x cuts' denominators
-    (likewise for y), and point_ranks[k] holds the cut indices of point k.
+    Column i holds #{p : rank_x(p) <= i, rank_y(p) <= j} at every y cut j,
+    which below the last cuts is also the count on the open cell with
+    lower-left corner (x_cuts[i], y_cuts[j]).  A grid of more than
+    MAX_GRID_CELLS cells raises ResourceLimitError in the call itself,
+    before any column is built.
     """
+    nx, ny = len(grid.x_cuts), len(grid.y_cuts)
+    if (cells := (nx - 1) * (ny - 1)) > MAX_GRID_CELLS:
+        raise ResourceLimitError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS}-cell budget")
+    y_ranks: list[list[int]] = [[] for _ in range(nx)]
+    for i, j in grid.point_ranks:
+        y_ranks[i].append(j)
 
-    x_cuts: tuple[Fraction, ...]
-    y_cuts: tuple[Fraction, ...]
-    table: tuple[tuple[int, ...], ...]
-    x_den: int
-    x_ints: tuple[int, ...]
-    y_den: int
-    y_ints: tuple[int, ...]
-    point_ranks: tuple[tuple[int, int], ...]
+    def stream() -> Iterator[tuple[int, ...]]:
+        column = (0,) * ny
+        for js in y_ranks:
+            row = [0] * ny
+            for j in js:
+                row[j] += 1
+            column = tuple(map(add, column, accumulate(row)))
+            yield column
 
-    @classmethod
-    def from_pointset(cls, ps: PointSet) -> "CellDecomposition":
-        if len(ps) < 1:
-            raise ValueError("point set must be nonempty")
-        xs = sorted({Fraction(0), Fraction(1), *(p.x for p in ps)})
-        ys = sorted({Fraction(0), Fraction(1), *(p.y for p in ps)})
-        cells = (len(xs) - 1) * (len(ys) - 1)
-        if cells > MAX_GRID_CELLS:
-            raise ResourceLimitError(
-                f"grid of {cells} cells exceeds the {MAX_GRID_CELLS}-cell budget"
-            )
-        ranks = tuple((bisect_left(xs, p.x), bisect_left(ys, p.y)) for p in ps)
-        table = _prefix_table(ranks, len(xs), len(ys))
-        return cls(tuple(xs), tuple(ys), table,
-                   *_axis_integers(xs), *_axis_integers(ys), ranks)
-
-    def __len__(self) -> int:
-        """The number of points, duplicates counted."""
-        return len(self.point_ranks)
+    return stream()
 
 
 def l2_norm_sq(ps: PointSet) -> Fraction:
@@ -205,13 +174,9 @@ def l2_norm_sq(ps: PointSet) -> Fraction:
     points.  Coordinates are integer numerators over each axis's common
     denominator; one Fraction is built at the end.
     """
-    return _l2_norm_sq(CellDecomposition.from_pointset(ps))
-
-
-def _l2_norm_sq(grid: CellDecomposition) -> Fraction:
+    grid = ps.grid
     n = len(grid)
-    qx, qy = grid.x_den, grid.y_den
-    xi, yi = grid.x_ints, grid.y_ints
+    (qx, xi), (qy, yi) = grid.axes
     size = len(yi)
     tree_count = [0] * (size + 1)
     tree_sum = [0] * (size + 1)
@@ -303,9 +268,10 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     ln(t/c) = ln(k/N) - ln c, so each crossed cell adds +-k^2 to the
     integer coefficients of three kinds of atom: x cuts, y cuts and k/N.
     """
+    columns = _columns(grid)    # refuses an oversize grid before any integer
     n = len(grid)
     xs, ys = grid.x_cuts, grid.y_cuts
-    xi, yi = grid.x_ints, grid.y_ints
+    (qx, xi), (qy, yi) = grid.axes
     y_sq = [v * v for v in yi]
     rows = [
         (j, yi[j + 1] - yi[j], y_sq[j + 1] - y_sq[j],
@@ -318,7 +284,8 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     sum_kdxdy = sum_dx2dy2 = 0
     # crossed cells: sum_sq meets N / (2 Qx^2 Qy^2) and sum_lin -2 / (Qx Qy)
     sum_sq = sum_lin = crossed = 0
-    for i, counts in enumerate(grid.table[:-1]):
+    # zip stops before the x = 1 column, which holds no cell
+    for i, counts in zip(range(len(xs) - 1), columns):
         a, b = xs[i], xs[i + 1]
         n_an, ad = n * a.numerator, a.denominator
         n_bn, bd = n * b.numerator, b.denominator
@@ -358,7 +325,7 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
         sum_lin += xi[i + 1] * hi_lin - xi[i] * lo_lin
         x_logs[i + 1] += hi_log
         x_logs[i] -= lo_log
-    q = grid.x_den * grid.y_den
+    q = qx * qy
     # the -+3 k^2 / (2N) of each hyperbola end, whose ln(k/N) gets +-k^2
     sum_k2 = -sum(k_logs)
     rational = Fraction(
@@ -385,10 +352,7 @@ def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     the working precision until the enclosure is tighter than 1e-12 of the
     value; ResourceLimitError if 8 * dps digits are not enough.
     """
-    return _l1_enclosure(_l1_form(CellDecomposition.from_pointset(ps)), dps)
-
-
-def _l1_enclosure(form: L1Form, dps: int) -> L1Norm:
+    form = _l1_form(ps.grid)
     if not form.crossed:
         return L1Norm(form.rational, Fraction(0), True, 0, 0)
     for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
@@ -412,19 +376,16 @@ def linf_norm(ps: PointSet) -> Fraction:
     The sup of D over a region of constant count sits at the lower-left
     corner (closed count); the sup of -D is the one-sided limit into the
     upper-right corner (strict count).  Both counts are read from the
-    prefix table at every grid corner, and the larger of closed - Nxy and
-    Nxy - strict is kept.  Corners on x = 0 or y = 0 that no point lies on
-    have both counts 0 and Nxy = 0, so they never change the max.
+    streamed columns at every grid corner, and the larger of closed - Nxy
+    and Nxy - strict is kept.  Corners on x = 0 or y = 0 that no point lies
+    on have both counts 0 and Nxy = 0, so they never change the max.
     """
-    return _linf_norm(CellDecomposition.from_pointset(ps))
-
-
-def _linf_norm(grid: CellDecomposition) -> Fraction:
+    grid = ps.grid
     n = len(grid)
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
     best_num, best_den = 0, 1
     strict_row = (0,) * len(y_parts)
-    for x, closed_row in zip(grid.x_cuts, grid.table):
+    for x, closed_row in zip(grid.x_cuts, _columns(grid)):
         n_xn, xd = n * x.numerator, x.denominator
         for (yn, yd), closed, strict in zip(y_parts, closed_row, strict_row):
             den = xd * yd
@@ -466,25 +427,24 @@ def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
     """The exact norms in the JSON report shape used by the CLI.
 
     `which` is "all" or one of "l1", "l2", "linf" and "dn", and only the
-    norms it names are computed ("dn" needs L1).  One grid serves them
-    all; `l1_err` is printed rounded up, and the 17 digits of `l1` are
+    norms it names are computed ("dn" needs L1), all from the set's one
+    grid; `l1_err` is printed rounded up, and the 17 digits of `l1` are
     rounded to nearest from at least 27, whatever `dps` is.  `d_n`, the
     L1 norm over sqrt(ln N), needs N >= 2.
     """
     if which not in ("all", "l1", "l2", "linf", "dn"):
         raise ValueError(f"unknown norm {which!r}")
-    grid = CellDecomposition.from_pointset(ps)
     report = {"n_points": len(ps)}
     if which in ("all", "l1", "dn"):
-        l1 = _l1_enclosure(_l1_form(grid), dps)
+        l1 = l1_norm(ps, dps)
     if which in ("all", "l1"):
         with mp.workdps(max(dps, 27)):
             report["l1"] = mp.nstr(_as_mpf(l1.value), 17)
         report["l1_err"] = _nstr_directed(l1.error, 3, up=True)
     if which in ("all", "l2"):
-        report["l2_sq"] = str(_l2_norm_sq(grid))
+        report["l2_sq"] = str(l2_norm_sq(ps))
     if which in ("all", "linf"):
-        report["linf"] = str(_linf_norm(grid))
+        report["linf"] = str(linf_norm(ps))
     if which in ("all", "dn") and len(ps) >= 2:
         report["d_n"] = f"{float(l1.value) / math.sqrt(math.log(len(ps))):.12g}"
     return report

@@ -7,12 +7,17 @@ designed so that write followed by read is the identity on coordinates:
 dyadic values are written as "a/2^k", other rationals as "p/q", integers
 bare.  The reader also accepts plain decimal literals (parsed exactly
 from the digit string).
+
+A set caches what the layers above read of it: the trees' fixed-point
+integers and identities, and the norms' O(N) grid, `CellDecomposition`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +28,8 @@ from .errors import CsvFormatError, ResourceLimitError
 
 # Both generators refuse more than 2^VDC_MAX_BITS points.
 VDC_MAX_BITS = 24
+# The integers of one grid axis hold at most this many bits in all (16 MiB).
+MAX_AXIS_BITS = 1 << 27
 
 _DYADIC_LITERAL = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
 
@@ -80,14 +87,6 @@ class PointSet:
     def __getitem__(self, k) -> Point:
         return self.points[k]
 
-    @cached_property
-    def integers(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Each point as (x numerator, x denominator, y numerator, y denominator)."""
-        return tuple(
-            (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
-            for p in self.points
-        )
-
     def fixed_point(self, bits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(S, X, Y) with S >= bits, X[t] = floor(x_t 2^S) and Y[t] = floor(y_t 2^S).
 
@@ -97,11 +96,10 @@ class PointSet:
         """
         cached = self.__dict__.get("_fixed_point")
         if cached is None or cached[0] < bits:
-            coords = self.integers
             cached = (
                 bits,
-                tuple((xn << bits) // xd for xn, xd, _, _ in coords),
-                tuple((yn << bits) // yd for _, _, yn, yd in coords),
+                tuple((p.x.numerator << bits) // p.x.denominator for p in self.points),
+                tuple((p.y.numerator << bits) // p.y.denominator for p in self.points),
             )
             self.__dict__["_fixed_point"] = cached
         return cached
@@ -110,20 +108,64 @@ class PointSet:
     def identities(self) -> tuple[int, ...]:
         """Each point's identity: equal points share the index of their first copy."""
         first: dict[tuple[int, int, int, int], int] = {}
-        return tuple(first.setdefault(c, idx) for idx, c in enumerate(self.integers))
+        keys = ((x.numerator, x.denominator, y.numerator, y.denominator) for x, y in self.points)
+        return tuple(first.setdefault(c, idx) for idx, c in enumerate(keys))
 
     @cached_property
     def interior(self) -> tuple[int, ...]:
         """Indices, in order, of the points off x = 1 and y = 1."""
-        return tuple(t for t, (xn, xd, yn, yd) in enumerate(self.integers) if xn < xd and yn < yd)
+        return tuple(t for t, (x, y) in enumerate(self.points)
+                     if x.numerator < x.denominator and y.numerator < y.denominator)
+
+    @cached_property
+    def grid(self) -> "CellDecomposition":
+        """The set's `CellDecomposition`, built once."""
+        return CellDecomposition.from_pointset(self)
 
 
-def _bit_reverse(k: int, bits: int) -> int:
-    r = 0
-    for _ in range(bits):
-        r = (r << 1) | (k & 1)
-        k >>= 1
-    return r
+def _axis_integers(cuts: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(Q, cuts * Q) with Q the lcm of the cuts' denominators; ResourceLimitError
+    before any integer is built if they would hold over MAX_AXIS_BITS bits."""
+    den = 1
+    for q in cuts:
+        den = math.lcm(den, q.denominator)
+        if len(cuts) * den.bit_length() > MAX_AXIS_BITS:
+            raise ResourceLimitError(f"axis integers exceed the {MAX_AXIS_BITS}-bit budget")
+    return den, tuple(q.numerator * (den // q.denominator) for q in cuts)
+
+
+@dataclass(frozen=True)
+class CellDecomposition:
+    """The grid cut by the point coordinates: O(N) entries, no count.
+
+    x_cuts and y_cuts are the sorted distinct coordinates of each axis, 0
+    and 1 included, and point_ranks[k] holds the cut indices of point k.
+    axes, built on first read, is ((x_den, x_ints), (y_den, y_ints)) with
+    x_cuts[i] == x_ints[i] / x_den, x_den the lcm of the x cuts'
+    denominators (likewise y).  No count is stored: `discrepancy._columns`
+    streams the closed-box counts one x cut at a time.
+    """
+
+    x_cuts: tuple[Fraction, ...]
+    y_cuts: tuple[Fraction, ...]
+    point_ranks: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def from_pointset(cls, ps: PointSet) -> "CellDecomposition":
+        if len(ps) < 1:
+            raise ValueError("point set must be nonempty")
+        xs = sorted({Fraction(0), Fraction(1), *(p.x for p in ps)})
+        ys = sorted({Fraction(0), Fraction(1), *(p.y for p in ps)})
+        ranks = tuple((bisect_left(xs, p.x), bisect_left(ys, p.y)) for p in ps)
+        return cls(tuple(xs), tuple(ys), ranks)
+
+    @cached_property
+    def axes(self) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
+        return _axis_integers(self.x_cuts), _axis_integers(self.y_cuts)
+
+    def __len__(self) -> int:
+        """The number of points, duplicates counted."""
+        return len(self.point_ranks)
 
 
 def van_der_corput(m: int) -> PointSet:
@@ -133,7 +175,7 @@ def van_der_corput(m: int) -> PointSet:
     if m > VDC_MAX_BITS:
         raise ResourceLimitError(f"van der Corput size 2^{m} exceeds 2^{VDC_MAX_BITS} cap")
     pts = tuple(
-        Point(dyadic(k, m), dyadic(_bit_reverse(k, m), m)) for k in range(1 << m)
+        Point(dyadic(k, m), dyadic(int(f"{k:0{m}b}"[::-1], 2), m)) for k in range(1 << m)
     )
     return PointSet(pts, label=f"vdc_m{m}")
 

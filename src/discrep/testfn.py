@@ -102,18 +102,11 @@ class FourierAtomFunction:
     def derivative_at_zero(self, k: int) -> tuple[Fraction, Fraction]:
         """Exact k-th derivative at 0: sum_j c_j (-i w_j)^k, as (re, im)."""
         total_re, total_im = Fraction(0), Fraction(0)
+        # (-i w)^k = w^k * (-i)^k with the period-4 pattern of (-i)^k
+        rot_re, rot_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[k % 4]
         for a in self.atoms:
-            # (-i w)^k = w^k * (-i)^k with the period-4 pattern of (-i)^k
             wk = a.freq ** k
-            rot = k % 4
-            if rot == 0:
-                f_re, f_im = wk, Fraction(0)
-            elif rot == 1:
-                f_re, f_im = Fraction(0), -wk
-            elif rot == 2:
-                f_re, f_im = -wk, Fraction(0)
-            else:
-                f_re, f_im = Fraction(0), wk
+            f_re, f_im = rot_re * wk, rot_im * wk
             total_re += a.re * f_re - a.im * f_im
             total_im += a.re * f_im + a.im * f_re
         return total_re, total_im

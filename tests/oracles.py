@@ -2,7 +2,8 @@
 
 None of these is part of the pipeline: the dyadic interval and rectangle
 geometry with its Haar point kernels, pointwise D and its Haar inner
-products, the cell-by-cell L2 integrator, the float extremal search, the
+products, the cell-by-cell L2 integrator (and a point set of distinct prime
+denominators for its budgets), the float extremal search, the
 coefficient-mass bound on sup |T|, the sin expansion identity, Newton's
 identities and the evaluation of an expansion table at a sign vector.
 Coordinates are exact Fractions throughout; only the float extremal
@@ -19,8 +20,8 @@ from typing import Sequence
 from mpmath import mp, mpc, mpf
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
-from discrep.discrepancy import CellDecomposition, _as_mpf
-from discrep.pointsets import PointSet
+from discrep.discrepancy import _as_mpf, _columns
+from discrep.pointsets import CellDecomposition, PointSet
 from discrep.testfn import FourierAtomFunction
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,9 @@ def haar_inner_product(ps: PointSet, rect: DyadicRectangle) -> Fraction:
 def cells(grid: CellDecomposition):
     """Yield (a, b, c, d, count) over all cells [a,b] x [c,d] of the grid."""
     xs, ys = grid.x_cuts, grid.y_cuts
+    table = tuple(_columns(grid))
     for i in range(len(xs) - 1):
-        row = grid.table[i]
+        row = table[i]
         for j in range(len(ys) - 1):
             yield xs[i], xs[i + 1], ys[j], ys[j + 1], row[j]
 
@@ -195,6 +197,23 @@ def l2_norm_sq_direct(ps: PointSet) -> Fraction:
         ix2y2 = Fraction(1, 9) * (b ** 3 - a ** 3) * (d ** 3 - c ** 3)
         total += k * k * area - 2 * k * n * ixy + n * n * ix2y2
     return total
+
+
+def prime_reciprocals(count: int) -> PointSet:
+    """(1/p, 1 - 1/p) over the first `count` primes.
+
+    Every coordinate is distinct, and each axis's common denominator is the
+    product of the primes: about 56,000 bits for 4097 of them.
+    """
+    limit = max(16, count * (count.bit_length() + 2))
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for k in range(2, math.isqrt(limit) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, limit, k)))
+    primes = [k for k in range(limit) if sieve[k]][:count]
+    assert len(primes) == count
+    return PointSet(tuple((Fraction(1, p), 1 - Fraction(1, p)) for p in primes))
 
 
 # ---------------------------------------------------------------------------

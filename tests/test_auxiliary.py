@@ -714,6 +714,16 @@ def test_counting_routes_build_no_cell_dict():
         [len(rec.occupied) for rec in t.levels] for t in trees]
 
 
+class _Unreadable:
+    """Stands in for a point whose caches are filled: reading it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a point's .{name} was read after caching")
+
+    def __getitem__(self, index):
+        raise AssertionError(f"a point's [{index}] was read after caching")
+
+
 def test_tree_layer_reads_only_the_cached_integers():
     # a duplicate, a pair that splits at a middle level, a non-dyadic point
     # and points on x = 1 and y = 1 (n = 4)
@@ -722,10 +732,11 @@ def test_tree_layer_reads_only_the_cached_integers():
            Point(Fraction(1), THIRD), Point(Fraction(2, 7), Fraction(1)))
     ps, twin = PointSet(pts), PointSet(pts)
     n = n_from_pointcount(len(ps))
-    # fill the caches that build_tree reads, then take the rationals away
+    # fill the caches that build_tree and the product checks' linf_norm
+    # read, then make every coordinate unreadable
     ps.fixed_point((n + 1) * (HARD_LEVEL_CAP + 1))
-    ps.identities, ps.interior
-    ps.__dict__["integers"] = None
+    ps.identities, ps.interior, ps.grid
+    object.__setattr__(ps, "points", tuple(_Unreadable() for _ in pts))
     trees = [build_tree(ps, i) for i in range(n + 1)]
     want = [build_tree(twin, i) for i in range(n + 1)]
     assert [[rec.clusters for rec in t.levels] for t in trees] == [
@@ -733,6 +744,7 @@ def test_tree_layer_reads_only_the_cached_integers():
     assert [t.summary() for t in trees] == [t.summary() for t in want]
     suite = lemma_suite(ps)
     assert suite.passed and suite.to_json() == lemma_suite(twin).to_json()
+    assert sum(c.name == "product_discrepancy_bound" for c in suite.checks) == 2
     cert, cert_twin = certificate(ps), certificate(twin)
     assert cert == cert_twin and cert.to_json() == cert_twin.to_json()
     queries = [(p.x, p.y) for p in pts if p.x < 1 and p.y < 1]
@@ -740,7 +752,6 @@ def test_tree_layer_reads_only_the_cached_integers():
     for tree, other in zip(trees, want):
         for x, y in queries:
             assert eval_aux(tree, x, y) == eval_aux(other, x, y)
-    assert ps.__dict__["integers"] is None
 
 
 def test_checks_read_the_scale_the_cache_holds():

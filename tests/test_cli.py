@@ -108,13 +108,13 @@ def test_norms_which_computes_only_that_norm(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "norms", "--in", csv, "--json")
     full = json.loads(stdout)
     calls = []
-    for name in ("_l1_form", "_linf_norm", "_l2_norm_sq"):
-        def counting(grid, kernel=getattr(discrepancy, name), name=name):
+    for name in ("l1_norm", "linf_norm", "l2_norm_sq"):
+        def counting(*args, norm=getattr(discrepancy, name), name=name, **kwargs):
             calls.append(name)
-            return kernel(grid)
+            return norm(*args, **kwargs)
         monkeypatch.setattr(discrepancy, name, counting)
-    wanted = {"l1": (["_l1_form"], ("l1", "l1_err")), "l2": (["_l2_norm_sq"], ("l2_sq",)),
-              "linf": (["_linf_norm"], ("linf",)), "dn": (["_l1_form"], ("d_n",))}
+    wanted = {"l1": (["l1_norm"], ("l1", "l1_err")), "l2": (["l2_norm_sq"], ("l2_sq",)),
+              "linf": (["linf_norm"], ("linf",)), "dn": (["l1_norm"], ("d_n",))}
     for which, (kernels, keys) in wanted.items():
         calls.clear()
         code, stdout, _ = run(capsys, "norms", "--in", csv, "--which", which, "--json")
@@ -269,17 +269,49 @@ def test_lemmas_seed_zero_is_used(tmp_path, capsys):
 
 
 def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
-    def no_table(*args):
-        raise AssertionError("prefix table built for an oversize grid")
+    from discrep import discrepancy, pointsets
+    from discrep.errors import ResourceLimitError
+    from oracles import prime_reciprocals
 
-    monkeypatch.setattr("discrep.discrepancy._prefix_table", no_table)
-    # 4097 distinct coordinates per axis: 4097^2 cells, over the 2^24-cell budget
+    refused = []
+    columns = discrepancy._columns
+
+    def watched(grid):
+        try:
+            columns(grid)
+        except ResourceLimitError:
+            refused.append(len(grid))
+            raise
+        raise AssertionError("columns streamed for an oversize grid")
+
+    def no_integers(cuts):
+        raise AssertionError("axis integers built for an oversize grid")
+
+    # 4097 distinct prime denominators per axis: 4098^2 cells, over the
+    # 2^24-cell budget, and a common denominator of about 56,000 bits
+    primes = tmp_path / "primes.csv"
+    pointsets.write_csv(prime_reciprocals(4097), primes)
+    monkeypatch.setattr(discrepancy, "_columns", watched)
+    monkeypatch.setattr(pointsets, "_axis_integers", no_integers)
+    for which in ("all", "l1", "linf", "dn"):
+        code, stdout, err = run(capsys, "norms", "--in", str(primes), "--which", which, "--json")
+        assert code == 3 and stdout == ""
+        assert "cell budget" in err
+    assert refused == [4097] * 4
+    monkeypatch.undo()
+    # L2 reads no column: the bit budget of its axis integers refuses it
+    code, stdout, err = run(capsys, "norms", "--in", str(primes), "--which", "l2", "--json")
+    assert code == 3 and stdout == ""
+    assert "bit budget" in err
+    # and a set over the cell budget whose integers are small gets its value
     side = 4097
     big = tmp_path / "big.csv"
     big.write_text("x,y\n" + "".join(f"{k}/{side},{side - k}/{side}\n" for k in range(side)))
-    code, _, err = run(capsys, "norms", "--in", str(big), "--json")
-    assert code == 3
-    assert "resource limit" in err
+    code, stdout, _ = run(capsys, "norms", "--in", str(big), "--which", "l2", "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["n_points"] == side
+    assert payload["l2_sq"] == str(discrepancy.l2_norm_sq(pointsets.read_csv(big)))
 
 
 def test_comb_json(capsys):

@@ -115,6 +115,23 @@ def test_expansion_table_rejects_a_corrupted_coefficient(monkeypatch, slot, delt
         expansion_table(4, 7)
 
 
+def test_expansion_table_checks_one_sign_vector_per_class(monkeypatch):
+    # e_p and the sum depend only on the number of negative signs
+    negatives = []
+    evaluate = combinatorics.elementary_symmetric
+
+    def counting(signs):
+        negatives.append(list(signs).count(-1))
+        return evaluate(signs)
+
+    monkeypatch.setattr(combinatorics, "elementary_symmetric", counting)
+    for n, k in ((0, 1), (4, 7), (12, 11)):
+        negatives.clear()
+        assert expansion_table(n, k).coefficients == combinatorics._krawtchouk_coefficients(n, k)
+        # m + 1 evaluations, one for each number of negative signs
+        assert sorted(negatives) == list(range(n + 2))
+
+
 def test_expansion_table_caps():
     with pytest.raises(ResourceLimitError):
         expansion_table(13, 3)

@@ -22,6 +22,7 @@ from discrep.discrepancy import (
     linf_norm,
     monte_carlo_norm,
 )
+from discrep.auxiliary import lemma_suite
 from discrep.pointsets import Point, PointSet, random_uniform, symmetrize, van_der_corput
 from oracles import (
     DyadicInterval,
@@ -50,7 +51,7 @@ def test_eval_discrepancy_examples():
 def test_cell_decomposition_counts_monotone():
     for ps in (van_der_corput(2), random_uniform(9, seed=3)):
         cd = CellDecomposition.from_pointset(ps)
-        counts = cd.table
+        counts = tuple(discrepancy._columns(cd))
         for i in range(len(counts)):
             for j in range(len(counts[0])):
                 if i:
@@ -292,6 +293,15 @@ def test_norms_report_builds_the_grid_once(monkeypatch):
     report = norms_report(random_uniform(16, seed=3))
     assert calls == [16]
     assert report["linf"] == str(linf_norm(random_uniform(16, seed=3)))
+    # every norm and both of lemma_suite's product checks share one set's grid
+    calls.clear()
+    ps = van_der_corput(2)
+    l1_norm(ps), l2_norm_sq(ps), linf_norm(ps), norms_report(ps)
+    # n = 3: both product checks, (0, 3) and (0, 1, 3), read linf_norm
+    suite = lemma_suite(ps)
+    products = [c for c in suite.checks if c.name == "product_discrepancy_bound"]
+    assert len(products) == 2 and not any(c.skipped for c in products)
+    assert calls == [4]
 
 
 def test_import_does_not_load_numpy():

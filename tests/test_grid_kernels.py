@@ -15,12 +15,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv
 
-from discrep import discrepancy
+import oracles
+from discrep import discrepancy, pointsets
 from discrep.discrepancy import (
     MAX_GRID_CELLS,
     CellDecomposition,
     _iv_endpoints,
     _iv_fraction,
+    _columns,
     _iv_precision,
     _l1_form,
     l1_norm,
@@ -29,7 +31,7 @@ from discrep.discrepancy import (
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
-from oracles import cells, l2_norm_sq_direct
+from oracles import cells, l2_norm_sq_direct, prime_reciprocals
 
 
 def linf_oracle(ps):
@@ -203,13 +205,15 @@ def test_grid_fields_agree():
     grid = CellDecomposition.from_pointset(ps)
     assert grid.x_cuts == (0, Fraction(1, 3), 1)
     assert grid.y_cuts == (0, Fraction(1, 4), Fraction(3, 5), 1)
-    assert grid.x_den == 3 and grid.y_den == 20
-    assert [Fraction(v, grid.x_den) for v in grid.x_ints] == list(grid.x_cuts)
-    assert [Fraction(v, grid.y_den) for v in grid.y_ints] == list(grid.y_cuts)
+    (x_den, x_ints), (y_den, y_ints) = grid.axes
+    assert x_den == 3 and y_den == 20
+    assert [Fraction(v, x_den) for v in x_ints] == list(grid.x_cuts)
+    assert [Fraction(v, y_den) for v in y_ints] == list(grid.y_cuts)
     assert grid.point_ranks == ((1, 1), (1, 3), (0, 2))
+    table = tuple(_columns(grid))
     for i, x in enumerate(grid.x_cuts):
         for j, y in enumerate(grid.y_cuts):
-            assert grid.table[i][j] == sum(1 for p in ps if p.x <= x and p.y <= y)
+            assert table[i][j] == sum(1 for p in ps if p.x <= x and p.y <= y)
 
 
 def test_l1_norm_on_adversarial_corpus_is_certified():
@@ -229,11 +233,58 @@ def oversize_set():
     return pointset(*((Fraction(k, side), Fraction(side - k, side)) for k in range(side)))
 
 
-@pytest.mark.parametrize("kernel", [l1_norm, l2_norm_sq, linf_norm, l2_norm_sq_direct])
+@pytest.mark.parametrize("kernel", [l1_norm, linf_norm, l2_norm_sq_direct])
 def test_grid_budget_raises_before_building(kernel, monkeypatch):
-    def no_table(*args):
-        raise AssertionError("prefix table built for an oversize grid")
+    refused = []
+    columns = discrepancy._columns
 
-    monkeypatch.setattr(discrepancy, "_prefix_table", no_table)
-    with pytest.raises(ResourceLimitError):
-        kernel(oversize_set())
+    def watched(grid):
+        try:
+            columns(grid)
+        except ResourceLimitError:
+            refused.append(len(grid))
+            raise
+        raise AssertionError("columns streamed for an oversize grid")
+
+    def no_integers(cuts):
+        raise AssertionError("axis integers built for an oversize grid")
+
+    monkeypatch.setattr(discrepancy, "_columns", watched)
+    monkeypatch.setattr(oracles, "_columns", watched)
+    monkeypatch.setattr(pointsets, "_axis_integers", no_integers)
+    # 4098^2 cells, whose axis integers would be far over their bit budget too
+    with pytest.raises(ResourceLimitError, match="cell budget"):
+        kernel(prime_reciprocals(4097))
+    assert refused == [4097]
+
+
+def test_l2_refuses_axis_integers_over_budget():
+    # 4099 x cuts over a common denominator of about 56,000 bits
+    with pytest.raises(ResourceLimitError, match="bit budget"):
+        l2_norm_sq(prime_reciprocals(4097))
+
+
+def test_axis_bit_budget_counts_every_integer(monkeypatch):
+    # Q = 15 has 4 bits, so the four cuts take 16 bits
+    cuts = (Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(1))
+    monkeypatch.setattr(pointsets, "MAX_AXIS_BITS", 16)
+    assert pointsets._axis_integers(cuts) == (15, (0, 5, 6, 15))
+    monkeypatch.setattr(pointsets, "MAX_AXIS_BITS", 15)
+    with pytest.raises(ResourceLimitError, match="15-bit budget"):
+        pointsets._axis_integers(cuts)
+
+
+def test_l2_reads_no_column_and_has_no_budget(monkeypatch):
+    def no_columns(grid):
+        raise AssertionError("L2 streamed a column")
+
+    monkeypatch.setattr(discrepancy, "_columns", no_columns)
+    ps = oversize_set()
+    side = n = len(ps)
+    # the antidiagonal x_i = i/s, y_i = 1 - i/s: for x_j <= x_i the pair
+    # term (1 - max x)(1 - max y) is (s - i) j / s^2, so the ordered pair
+    # sum is sum_i (s - i) (i + 2 (0 + ... + (i - 1))) / s^2
+    pair = Fraction(sum((side - i) * i * i for i in range(n)), side ** 2)
+    single = Fraction(sum((side ** 2 - i * i) * (side ** 2 - (side - i) ** 2) for i in range(n)),
+                      side ** 4)
+    assert l2_norm_sq(ps) == pair - Fraction(n, 2) * single + Fraction(n * n, 9)
