@@ -19,6 +19,10 @@ of levels > l* is then a geometric series summed in closed form, which
 turns inner products against the discrepancy function into exact
 rationals: every empty rectangle R contributes -N |R|^2 / 16.
 
+The two lemma bounds the certificate rests on, `lemma_short_bound` and
+`product_bound`, are written here once: the suite checks both, and
+`testfn` builds its main term and error series from them.
+
 Only occupied rectangles are materialized, as each level's clusters (the
 points of one occupied rectangle each, in parent order); empty rectangles
 are implicit, so levels cost O(N) to build regardless of n, and a level on
@@ -35,8 +39,10 @@ stay on integers:
     X = floor(x 2^S), with S = (n+1)(HARD_LEVEL_CAP+1) past the finest
     scale any tree reaches, so the cell at scale k is X >> (S - k) =
     floor(x 2^k) (`PointSet.fixed_point`, cached on the set and shared by
-    its n + 1 trees); coinciding points share one integer identity, which
-    is what stabilization compares (`PointSet.identities`);
+    its n + 1 trees);
+  * equal points always share a cell, so a level's cluster count never
+    exceeds the number of distinct interior points, and stabilization is
+    the first level where the two are equal (`PointSet.distinct_interior`);
   * level 0 buckets every point; a cluster moves whole to the child cell
     of its first member until a level's scale passes its split scale,
     fixed when it is formed from the highest bit in which its members'
@@ -140,10 +146,9 @@ class AuxFamilyTree:
         return len(self.levels) - 1
 
     def uncovered_mass(self, level: int | None = None) -> Fraction:
-        """Upper bound N * 2^(-n - 2(n+1)L) on the measure still occupied at L."""
-        if level is None:
-            level = self.deepest_level
-        return self.point_count * Fraction(1, 1 << (self.n + 2 * (self.n + 1) * level))
+        """Upper bound N |R_L| on the measure still occupied at level L."""
+        rec = self.levels[self.deepest_level if level is None else level]
+        return self.point_count * rec.rect_area
 
     def summary(self) -> dict:
         total, tail_bound = sum_empty_area_sq(self)
@@ -191,9 +196,10 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     along x is S minus the bit length of the OR of X ^ X0 over its members
     (X0 its first member's), and likewise along y.  Until that level the
     cluster moves whole to the child cell of its first member; at the next
-    one its members are bucketed.  Equal points never split, so a tree
-    stabilizes at the first level whose every cluster holds one distinct
-    point, compared by exact identity.
+    one its members are bucketed.  Equal points never split, so a level
+    has at most as many clusters as there are distinct interior points
+    (`PointSet.distinct_interior`), and exactly as many when every cluster
+    holds one distinct point: the tree stabilizes at the first such level.
 
     A level before the first split level of any cluster records its
     parent's cluster tuple itself, with no key computed: the levels past
@@ -214,16 +220,13 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
             )
     step = n + 1
     scale, xs, ys = ps.fixed_point(step * (HARD_LEVEL_CAP + 1))
-    ident = ps.identities
+    distinct = ps.distinct_interior
     children = 1 << (2 * step)
     # the last whole level of a cluster whose members share X and Y
     never = min(scale - direction, scale - (n - direction)) // step
 
     # Level 0 splits the root, the unit square's cluster of the interior points.
     clusters: tuple[Cluster, ...] = ((ps.interior, 0, 0, -1),)
-    # clusters holding more than one distinct point, and the root until
-    # level 0 splits it
-    unsettled = 1
     next_split = 0
     kx, ky = direction, n - direction
     levels: list[LevelRecord] = []
@@ -233,46 +236,36 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     while True:
         parents = len(clusters)
         if level >= next_split:
-            # Child cells of distinct parents are disjoint, so walking the
-            # parents in order yields every cluster in parent order.  A
-            # cluster that splits is the root or held points that differ;
-            # its members are bucketed into `parts`, and each new part
-            # holds its place in `formed` as a list until it is formed below.
+            # Child cells of distinct parents are disjoint, so each cluster
+            # that splits is bucketed on its own and its parts follow each
+            # other in `formed`: the clusters come out in parent order.
             dx, dy = scale - kx, scale - ky
-            formed: list = []
-            parts: dict[tuple[int, int], list[int]] = {}
-            fresh: list[int] = []
+            formed: list[Cluster] = []
             for c in clusters:
                 if level <= c[3]:
                     formed.append(c)
                     continue
-                unsettled -= 1
+                parts: dict[tuple[int, int], list[int]] = {}
                 for t in c[0]:
                     key = (xs[t] >> dx, ys[t] >> dy)
                     part = parts.get(key)
                     if part is None:
-                        parts[key] = part = [t]
-                        fresh.append(len(formed))
-                        formed.append(part)
+                        parts[key] = [t]
                     else:
                         part.append(t)
-            for pos in fresh:
-                part = tuple(formed[pos])
-                first = part[0]
-                x0, y0 = xs[first], ys[first]
-                last = never
-                if len(part) > 1:
-                    ax = ay = 0
-                    for t in part:
-                        ax |= xs[t] ^ x0
-                        ay |= ys[t] ^ y0
-                    if ax or ay or any(ident[t] != ident[first] for t in part):
-                        unsettled += 1
-                    last = min(
-                        (scale - ax.bit_length() - direction) // step,
-                        (scale - ay.bit_length() - (n - direction)) // step,
-                    )
-                formed[pos] = (part, x0, y0, last)
+                for part in parts.values():
+                    x0, y0 = xs[part[0]], ys[part[0]]
+                    last = never
+                    if len(part) > 1:
+                        ax = ay = 0
+                        for t in part:
+                            ax |= xs[t] ^ x0
+                            ay |= ys[t] ^ y0
+                        last = min(
+                            (scale - ax.bit_length() - direction) // step,
+                            (scale - ay.bit_length() - (n - direction)) // step,
+                        )
+                    formed.append((tuple(part), x0, y0, last))
             clusters = tuple(formed)
             next_split = min((c[3] for c in clusters), default=never) + 1
         cells = (1 << n) if level == 0 else children * parents
@@ -281,7 +274,7 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
             LevelRecord(level, kx, ky, clusters, scale, cells - len(clusters), area)
         )
 
-        if stabilization is None and not unsettled:
+        if stabilization is None and len(clusters) == distinct:
             stabilization = level
         if max_level is not None:
             if level >= max_level:
@@ -394,10 +387,14 @@ def _inner_from_area_sq(count: int, total: Fraction, tail_bound: Fraction) -> In
     return InnerProduct(-scale * total, scale * tail_bound)
 
 
-def lemma_short_bound(tree: AuxFamilyTree) -> Fraction:
-    """Upper bound -(2^n - N) N 2^(-2n) / 16 that inner_product must respect."""
-    n, count = tree.n, tree.point_count
-    return -Fraction(((1 << n) - count) * count, 16 * (1 << (2 * n)))
+def lemma_short_bound(n: int, count: int) -> Fraction:
+    """Upper bound -(2^n - N) N 2^(-2n) / 16 that every inner product respects."""
+    return -Fraction(((1 << n) - count) * count, 16 << (2 * n))
+
+
+def product_bound(n: int, count: int, gap: int) -> Fraction:
+    """Bound N 2^-(n + gap) / 16 on |<D, f_(i_1) ... f_(i_p)>| for i_p - i_1 = gap."""
+    return Fraction(count, 16 << (n + gap))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +482,7 @@ class ProductBoundReport:
     The uncovered remainder lies in the trees' level-L occupied cells, of
     measure at most `mass_bound`, so D * prod f there is bounded by
     `d_error` = ||D||_inf times that measure.  `d_product_bound` is the
-    rigorous bound 2^(i_1 - i_p) N 2^-n / 16.
+    lemma's bound, `product_bound` at the gap i_p - i_1.
     """
 
     indices: tuple[int, ...]
@@ -553,9 +550,7 @@ def product_bound_check(
     uncovered = sum(
         (t.uncovered_mass(truncation_level) for t in trees), start=Fraction(0)
     )
-    d_bound = Fraction(1 << indices[0], 1 << indices[-1]) * Fraction(
-        count, 16 * (1 << n)
-    )
+    d_bound = product_bound(n, count, indices[-1] - indices[0])
     return ProductBoundReport(
         indices=indices,
         truncation_level=truncation_level,
@@ -730,7 +725,7 @@ def _check_residual_mass(tree: AuxFamilyTree) -> CheckResult:
 
 def _check_inner_bound(tree: AuxFamilyTree) -> CheckResult:
     ip = inner_product(tree)
-    bound = lemma_short_bound(tree)
+    bound = lemma_short_bound(tree.n, tree.point_count)
     if not ip.value <= bound:
         return CheckResult(
             "inner_product_upper_bound", False,
@@ -770,12 +765,15 @@ def lemma_suite(
     the weakest bounds; they are skipped beyond n = PRODUCT_MAX_N
     (intersection piece counts explode), past PIECE_CAP pieces, or when a
     tree for a tuple is missing or stops before PRODUCT_LEVEL, and recorded
-    as skipped, not passed.  Prebuilt trees may be passed in (the test
-    suite uses this to verify corrupted trees fail).
+    as skipped, not passed.  Prebuilt trees of `ps` may be passed in (the
+    test suite uses this to verify corrupted trees fail); a tree of another
+    point set raises ValueError.
     """
     n = n_from_pointcount(len(ps))
     if trees is None:
         trees = [build_tree(ps, i) for i in range(n + 1)]
+    elif any(t.pointset != ps for t in trees):
+        raise ValueError("trees were built for another point set")
     checks: list[CheckResult] = []
     for tree in trees:
         checks.append(_check_level_counts(tree))

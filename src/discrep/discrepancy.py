@@ -122,12 +122,10 @@ def _nstr_directed(value, digits: int, up: bool) -> str:
         q = Fraction(value)
     if q == 0:
         return mp.nstr(mpf(0), digits)
-    # 10^e <= |q| < 10^(e + 1)
+    # 10^e <= |q| < 10^(e + 1): with a digits over b, |q| < 10^(a - b + 1)
     e = len(str(abs(q.numerator))) - len(str(q.denominator))
     while Fraction(10) ** e > abs(q):
         e -= 1
-    while Fraction(10) ** (e + 1) <= abs(q):
-        e += 1
     unit = Fraction(10) ** (e + 1 - digits)
     steps = math.ceil(q / unit) if up else math.floor(q / unit)
     with mp.workdps(digits + 10):

@@ -9,7 +9,8 @@ bare.  The reader also accepts plain decimal literals (parsed exactly
 from the digit string).
 
 A set caches what the layers above read of it: the trees' fixed-point
-integers and identities, and the norms' O(N) grid, `CellDecomposition`.
+integers, interior points and count of distinct interior points, and the
+norms' O(N) grid, `CellDecomposition`.
 """
 
 from __future__ import annotations
@@ -105,17 +106,16 @@ class PointSet:
         return cached
 
     @cached_property
-    def identities(self) -> tuple[int, ...]:
-        """Each point's identity: equal points share the index of their first copy."""
-        first: dict[tuple[int, int, int, int], int] = {}
-        keys = ((x.numerator, x.denominator, y.numerator, y.denominator) for x, y in self.points)
-        return tuple(first.setdefault(c, idx) for idx, c in enumerate(keys))
-
-    @cached_property
     def interior(self) -> tuple[int, ...]:
         """Indices, in order, of the points off x = 1 and y = 1."""
         return tuple(t for t, (x, y) in enumerate(self.points)
                      if x.numerator < x.denominator and y.numerator < y.denominator)
+
+    @cached_property
+    def distinct_interior(self) -> int:
+        """The number of distinct points off x = 1 and y = 1."""
+        points = (self.points[t] for t in self.interior)
+        return len({(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points})
 
     @cached_property
     def grid(self) -> "CellDecomposition":

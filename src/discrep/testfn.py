@@ -15,7 +15,7 @@ The certificate combines, for a concrete point set, the exact rational
 inner products of the discrepancy function with each auxiliary function
 (main term, weighted by cos^n sin) against a fully explicit finite error
 series (odd orders p = 3..n+1, each bounded through the product bound
-2^(i_1-i_p) N 2^-n / 16 summed over index tuples).  All transcendental
+`auxiliary.product_bound` summed over index tuples).  All transcendental
 factors are evaluated in interval arithmetic with directed rounding, so
 the reported lower bound on the L1 norm is rigorous.
 
@@ -44,7 +44,14 @@ from typing import Sequence
 
 from mpmath import iv, mp, mpc, mpf
 
-from .auxiliary import AuxFamilyTree, build_tree, inner_product, n_from_pointcount
+from .auxiliary import (
+    AuxFamilyTree,
+    build_tree,
+    inner_product,
+    lemma_short_bound,
+    n_from_pointcount,
+    product_bound,
+)
 from .combinatorics import sign_sum_moment
 from .discrepancy import (
     _as_mpf,
@@ -177,20 +184,6 @@ def lin_limit(fn: FourierAtomFunction, dps: int = 30) -> mpc:
 # certificate
 # ---------------------------------------------------------------------------
 
-def error_tuple_sum(n: int, p: int) -> Fraction:
-    """Exact S_p(n) = sum_{g=p-1}^{n} 2^-g C(g-1, p-2) (n+1-g).
-
-    Grouping index tuples i_1 < ... < i_p by the gap g = i_p - i_1, this
-    dominates sum over tuples of 2^(i_1 - i_p).
-    """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    return sum(
-        (Fraction(comb(g - 1, p - 2) * (n + 1 - g), 1 << g) for g in range(p - 1, n + 1)),
-        start=Fraction(0),
-    )
-
-
 @dataclass(frozen=True)
 class BoundCertificate:
     """Rigorous lower bound on the L1 norm of the discrepancy function.
@@ -247,9 +240,18 @@ def _odd_terms(n: int, weights: dict[int, Fraction]):
 
 
 def _error_weights(n: int, count: int) -> dict[int, Fraction]:
-    """Weight N 2^-n / 16 * S_p(n) of each odd order p = 3..n+1."""
-    scale = Fraction(count, 16 * (1 << n))
-    return {p: scale * error_tuple_sum(n, p) for p in range(3, n + 2, 2)}
+    """Weight of each odd order p = 3..n+1: the product bounds of all index
+    tuples i_1 < ... < i_p in 0..n.
+
+    At gap g = i_p - i_1 there are (n+1-g) C(g-1, p-2) tuples, and the bound
+    at gap g is 2^(n-g) times the one at gap n, so each weight is one
+    integer sum times `product_bound(n, N, n)`.
+    """
+    unit = product_bound(n, count, n)
+    return {
+        p: unit * sum(comb(g - 1, p - 2) * (n + 1 - g) << (n - g) for g in range(p - 1, n + 1))
+        for p in range(3, n + 2, 2)
+    }
 
 
 def certificate(
@@ -304,10 +306,9 @@ def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
 
 
 def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
-    """Lower bound cos^n(a) sin(a) (n+1)(2^n - N) N 2^-2n / 16 on the main term."""
-    mass = Fraction((n + 1) * ((1 << n) - count) * count, 16 * (1 << (2 * n)))
+    """Lower bound cos^n(a) sin(a) (n+1) |`lemma_short_bound`(n, N)| on the main term."""
     with _iv_precision(dps):
-        return _iv_endpoints(_odd_terms(n, {1: mass}))[0]
+        return _iv_endpoints(_odd_terms(n, {1: -(n + 1) * lemma_short_bound(n, count)}))[0]
 
 
 # ---------------------------------------------------------------------------

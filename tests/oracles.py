@@ -4,8 +4,9 @@ None of these is part of the pipeline: the dyadic interval and rectangle
 geometry with its Haar point kernels, pointwise D and its Haar inner
 products, the cell-by-cell L2 integrator (and a point set of distinct prime
 denominators for its budgets), the float extremal search, the
-coefficient-mass bound on sup |T|, the sin expansion identity, Newton's
-identities and the evaluation of an expansion table at a sign vector.
+coefficient-mass bound on sup |T|, the sin expansion identity, the
+certificate's error tuple sums grouped by gap, Newton's identities and the
+evaluation of an expansion table at a sign vector.
 Coordinates are exact Fractions throughout; only the float extremal
 search and the mpmath evaluations of T are approximate.
 """
@@ -347,6 +348,20 @@ def sin_expansion_check(n: int, signs: Sequence[int], dps: int = 40) -> bool:
                 * e[p]
             )
         return abs(lhs - rhs) < mpf(10) ** (-dps + 8)
+
+
+def error_tuple_sum(n: int, p: int) -> Fraction:
+    """Exact S_p(n) = sum_{g=p-1}^{n} 2^-g C(g-1, p-2) (n+1-g).
+
+    Grouping index tuples i_1 < ... < i_p by the gap g = i_p - i_1, this
+    dominates sum over tuples of 2^(i_1 - i_p).
+    """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    return sum(
+        (Fraction(math.comb(g - 1, p - 2) * (n + 1 - g), 1 << g) for g in range(p - 1, n + 1)),
+        start=Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------

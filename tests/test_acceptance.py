@@ -148,7 +148,7 @@ def _short_corpus():
 def test_criterion_07_inner_products():
     singleton_tree = build_tree(ORIGIN, 0)
     assert inner_product(singleton_tree).value == Fraction(-9, 544)
-    assert lemma_short_bound(singleton_tree) == Fraction(-1, 64)
+    assert lemma_short_bound(singleton_tree.n, singleton_tree.point_count) == Fraction(-1, 64)
     for ps in _short_corpus():
         n = n_from_pointcount(len(ps))
         for i in range(n + 1):
@@ -156,7 +156,7 @@ def test_criterion_07_inner_products():
             assert tree.stabilized
             ip = inner_product(tree)
             assert ip.exact
-            assert ip.value <= lemma_short_bound(tree)
+            assert ip.value <= lemma_short_bound(tree.n, tree.point_count)
 
 
 @criterion(8, "product integrals, bounded verification", 120)

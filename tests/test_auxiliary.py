@@ -87,7 +87,7 @@ def test_inner_product_singleton_exact():
     ip = inner_product(tree)
     assert ip.value == Fraction(-9, 544)
     assert ip.exact
-    assert ip.value <= lemma_short_bound(tree) == Fraction(-1, 64)
+    assert ip.value <= lemma_short_bound(tree.n, tree.point_count) == Fraction(-1, 64)
 
 
 def test_inner_product_deep_truncation_matches_tail():
@@ -117,7 +117,7 @@ def test_inner_product_upper_bound_across_corpus():
             tree = build_tree(ps, i)
             ip = inner_product(tree)
             assert ip.value < 0
-            assert ip.value <= lemma_short_bound(tree)
+            assert ip.value <= lemma_short_bound(tree.n, tree.point_count)
 
 
 def test_inner_product_unstabilized_brackets_truth():
@@ -309,6 +309,65 @@ def test_lemma_suite_flags_corrupted_tree():
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert any("i=1" in c.witness for c in failing)
+
+
+def test_lemma_suite_refuses_trees_of_another_set():
+    ps, other = van_der_corput(4), random_uniform(16, 3)
+    own = [build_tree(ps, i) for i in range(6)]
+    for trees in ([build_tree(other, i) for i in range(6)], [*own[:5], build_tree(other, 5)]):
+        with pytest.raises(ValueError, match="another point set"):
+            lemma_suite(ps, trees=trees)
+    assert lemma_suite(ps, trees=own).passed
+
+
+def _failed_check(ps, trees, name):
+    """The one failing check called `name` of the suite on `trees`, which
+    must fail."""
+    report = lemma_suite(ps, trees=trees)
+    assert not report.passed
+    failing = [c for c in report.checks if c.name == name and not c.passed]
+    assert len(failing) == 1 and not failing[0].skipped
+    return failing[0].witness
+
+
+def test_level_counts_fails_more_clusters_than_points():
+    # two copies of the one cluster, with the empty count cut to match
+    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    rec = trees[0].levels[0]
+    trees[0].levels[0] = replace(rec, clusters=rec.clusters * 2, empty_count=0)
+    witness = _failed_check(ORIGIN, trees, "level_counts")
+    assert witness == "i=0 l=0: occupied 2 > N=1"
+
+
+def test_level_counts_fails_a_wrong_area():
+    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    rec = trees[1].levels[1]
+    trees[1].levels[1] = replace(rec, rect_area=rec.rect_area * 2)
+    assert _failed_check(ORIGIN, trees, "level_counts") == "i=1 l=1: wrong area"
+
+
+def test_cluster_partition_fails_a_dropped_cluster():
+    ps = van_der_corput(1)
+    trees = [build_tree(ps, i) for i in range(3)]
+    rec = trees[0].levels[0]
+    assert len(rec.clusters) == 2
+    trees[0].levels[0] = replace(rec, clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
+    witness = _failed_check(ps, trees, "cluster_partition")
+    assert witness == "i=0 l=0: clusters do not partition the points"
+
+
+def test_inner_product_bound_fails_missing_empty_rectangles():
+    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    trees[1].levels = [replace(rec, empty_count=0) for rec in trees[1].levels]
+    witness = _failed_check(ORIGIN, trees, "inner_product_upper_bound")
+    assert witness.startswith("i=1: ") and witness.endswith(" > -1/64")
+
+
+def test_side_lengths_fails_a_tie():
+    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    assert (trees[0].levels[0].scale_x, trees[1].levels[0].scale_x) == (0, 1)
+    trees[1].levels[0] = replace(trees[1].levels[0], scale_x=0)
+    assert _failed_check(ORIGIN, trees, "side_lengths_distinct") == "i=0 l=0 vs i=1 l=0"
 
 
 def test_skipped_product_checks_are_not_passed(monkeypatch):
@@ -735,7 +794,7 @@ def test_tree_layer_reads_only_the_cached_integers():
     # fill the caches that build_tree and the product checks' linf_norm
     # read, then make every coordinate unreadable
     ps.fixed_point((n + 1) * (HARD_LEVEL_CAP + 1))
-    ps.identities, ps.interior, ps.grid
+    ps.distinct_interior, ps.interior, ps.grid
     object.__setattr__(ps, "points", tuple(_Unreadable() for _ in pts))
     trees = [build_tree(ps, i) for i in range(n + 1)]
     want = [build_tree(twin, i) for i in range(n + 1)]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from discrep.cli import main
+from discrep.pointsets import read_csv
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +41,26 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert run(capsys, "gen", "--kind", "random", "--n", "16", "--seed", "7", "--out", str(a))[0] == 0
     assert run(capsys, "gen", "--kind", "random", "--n", "16", "--seed", "7", "--out", str(b))[0] == 0
     assert a.read_text() == b.read_text()
+
+
+def test_gen_mirror_appends_the_mirrored_copy(tmp_path, capsys):
+    plain, mirrored = tmp_path / "p.csv", tmp_path / "m.csv"
+    assert run(capsys, "gen", "--kind", "vdc", "--m", "2", "--out", str(plain))[0] == 0
+    code, stdout, _ = run(capsys, "gen", "--kind", "vdc", "--m", "2", "--mirror",
+                          "--out", str(mirrored))
+    assert code == 0 and "wrote 8 points" in stdout
+    base, both = read_csv(plain), read_csv(mirrored)
+    assert both.label == "vdc_m2+xmirror"
+    assert both.points == base.points + tuple((1 - p.x, p.y) for p in base)
+
+
+@pytest.mark.parametrize("kind, missing", [("vdc", "--m"), ("random", "--n")])
+def test_gen_without_its_size_is_usage_error(tmp_path, capsys, kind, missing):
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "gen", "--kind", kind, "--out", str(out))
+    assert code == 2
+    assert f"requires {missing}" in err
+    assert not out.exists()
 
 
 def test_gen_resource_limit(tmp_path, capsys, monkeypatch):
@@ -397,6 +418,16 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert code == 0
         outputs.append(stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_blank_csv_lines_are_skipped(tmp_path, capsys):
+    clean, blank = tmp_path / "clean.csv", tmp_path / "blank.csv"
+    clean.write_text("x,y\n1/3,1/2\n0,1/2^3\n")
+    blank.write_text("\nx,y\n\n1/3,1/2\n   \n0,1/2^3\n\n")
+    code, stdout, _ = run(capsys, "norms", "--in", str(blank), "--json")
+    assert code == 0
+    assert json.loads(stdout)["n_points"] == 2
+    assert stdout == run(capsys, "norms", "--in", str(clean), "--json")[1]
 
 
 def test_bad_csv_is_usage_error(tmp_path, capsys):

@@ -31,6 +31,7 @@ from discrep.discrepancy import (
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
+from discrep.testfn import certificate
 from oracles import cells, l2_norm_sq_direct, prime_reciprocals
 
 
@@ -224,6 +225,20 @@ def test_l1_norm_on_adversarial_corpus_is_certified():
         assert norm.sign_change_cells == len(logs)
         if norm.exact:
             assert norm.value == rational
+
+
+def test_norm_chain_on_adversarial_corpus():
+    # certificate <= L1 <= L2 <= L-infinity: each link is a theorem.  The
+    # twins 2^-1000 apart never split, so their trees reach HARD_LEVEL_CAP.
+    gap = Fraction(1, 1 << 1000)
+    twins = pointset((Fraction(1, 3), Fraction(1, 5)),
+                     (Fraction(1, 3) + gap, Fraction(1, 5) + gap), (Fraction(1, 2), Fraction(1, 7)))
+    assert not certificate(twins).trees_stabilized
+    for ps in (*ADVERSARIAL, twins):
+        norm = l1_norm(ps)
+        l1_low = norm.value if norm.exact else exact(norm.value) - exact(norm.error)
+        assert exact(certificate(ps).l1_lower_bound) <= l1_low
+        assert max(l1_low, 0) ** 2 <= l2_norm_sq(ps) <= linf_norm(ps) ** 2
 
 
 def oversize_set():

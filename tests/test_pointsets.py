@@ -17,11 +17,14 @@ from discrep.pointsets import (
 )
 
 
-def test_point_integers_and_identities_are_cached():
+def test_distinct_interior_is_cached():
     third = Fraction(1, 3)
-    ps = PointSet(((third, Fraction(1, 2)), (0, 1), (third, Fraction(2, 4))), label="dups")
-    assert ps.identities == (0, 1, 0)
-    assert ps.identities is ps.identities
+    ps = PointSet(((third, Fraction(1, 2)), (0, 1), (third, Fraction(2, 4)), (0, 0)),
+                  label="dups")
+    # (0, 1) lies on y = 1; the two copies of (1/3, 1/2) count once
+    assert ps.interior == (0, 2, 3)
+    assert ps.distinct_interior == 2
+    assert ps.__dict__["distinct_interior"] == 2
     fresh = PointSet(ps.points, label="dups")
     assert ps == fresh and hash(ps) == hash(fresh)
 

@@ -7,18 +7,18 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from discrep.auxiliary import build_tree
+from discrep.auxiliary import build_tree, product_bound
 from discrep.discrepancy import l1_norm, norms_report
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
     SINE,
     FourierAtomFunction,
+    _error_weights,
     asymptotic_dn_limit,
     asymptotic_dn_table,
     certificate,
     certificate_error_bound,
     constants_table,
-    error_tuple_sum,
     halasz_constant,
     lin_limit,
     lin_n,
@@ -27,6 +27,7 @@ from discrep.testfn import (
 )
 from oracles import (
     coefficient_abs_sum,
+    error_tuple_sum,
     evaluate,
     extremal_search,
     is_odd_sampled,
@@ -184,6 +185,15 @@ def test_error_tuple_sum_values():
                 if len(idx) == p:
                     direct += Fraction(1, 1 << (idx[-1] - idx[0]))
             assert error_tuple_sum(n, p) >= direct
+
+
+def test_error_weights_are_gap_sums_of_product_bounds():
+    for n in (1, 2, 3, 4, 5, 13, 40, 120):
+        for count in (1, 3, 1 << (n - 1)):
+            weights = _error_weights(n, count)
+            assert list(weights) == list(range(3, n + 2, 2))
+            for p, weight in weights.items():
+                assert weight == product_bound(n, count, 0) * error_tuple_sum(n, p)
 
 
 def test_certificate_vdc8():
