@@ -34,6 +34,7 @@ from .auxiliary import (
     AuxFamilyTree,
     InnerProduct,
     build_tree,
+    build_trees,
     eval_aux,
     inner_product,
     lemma_short_bound,

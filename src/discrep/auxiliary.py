@@ -9,7 +9,10 @@ by 2^(n+1)).  Rectangles holding no point are "empty", the rest
 
 The auxiliary function of index i is the sum of Haar functions over all
 empty rectangles of all levels: +-1 almost everywhere, +1 by convention on
-the measure-zero residue that never leaves occupied rectangles.
+the measure-zero residue that never leaves occupied rectangles.  The
+n + 1 trees of a set, one per direction index in order, are its family
+(`build_trees`): `lemma_suite` and `testfn.certificate` build it, or check
+that a family passed in has no missing, repeated or foreign tree.
 
 The construction is infinite, but once every occupied rectangle's points
 coincide ("stabilization", level l*) the occupied count c is constant
@@ -68,6 +71,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -87,6 +91,8 @@ PIECE_CAP = 2_000_000
 UNIMODULAR_SAMPLES = 400
 # Bound on the probability that `values_unimodular` fails a correct tree.
 TRUNCATION_FALSE_ALARM = Fraction(1, 10**9)
+# The suite's default seed; tree i samples with seed SUITE_SEED + i.
+SUITE_SEED = 20240601
 
 
 # A cluster is (members, X0, Y0, last whole level): the indices of the
@@ -151,8 +157,6 @@ class AuxFamilyTree:
         return self.point_count * rec.rect_area
 
     def summary(self) -> dict:
-        total, tail_bound = sum_empty_area_sq(self)
-        inner = _inner_from_area_sq(self.point_count, total, tail_bound)
         return {
             "i": self.direction,
             "n": self.n,
@@ -162,8 +166,8 @@ class AuxFamilyTree:
             ],
             "stabilized": self.stabilized,
             "l_star": self.stabilization_level,
-            "sum_area_sq": str(total),
-            "inner_product": str(inner.value),
+            "sum_area_sq": str(sum_empty_area_sq(self)[0]),
+            "inner_product": str(inner_product(self).value),
         }
 
 
@@ -291,6 +295,28 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     return AuxFamilyTree(ps, direction, n, levels, stabilization)
 
 
+def build_trees(ps: PointSet, max_level: int | None = None) -> list[AuxFamilyTree]:
+    """The family of `ps`: its tree for each direction index 0..n, in order."""
+    return [build_tree(ps, i, max_level) for i in range(n_from_pointcount(len(ps)) + 1)]
+
+
+def _family(ps: PointSet, trees: Sequence[AuxFamilyTree] | None) -> list[AuxFamilyTree]:
+    """`build_trees(ps)` when `trees` is None, else `trees` in direction order.
+
+    A family passed in must be one tree of `ps` per direction index 0..n;
+    a missing, repeated or foreign tree raises ValueError.
+    """
+    if trees is None:
+        return build_trees(ps)
+    n = n_from_pointcount(len(ps))
+    trees = sorted(trees, key=lambda t: t.direction)
+    if [t.direction for t in trees] != list(range(n + 1)):
+        raise ValueError(f"need one tree per direction index 0..{n}")
+    if any(t.pointset != ps for t in trees):
+        raise ValueError("trees were built for another point set")
+    return trees
+
+
 def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
     """Value of the auxiliary function at (x, y) in [0, 1)^2.
 
@@ -379,11 +405,8 @@ def inner_product(tree: AuxFamilyTree) -> InnerProduct:
     Every empty rectangle contains no point, so each contributes
     -N |R|^2 / 16 and the whole integral is -(N/16) * sum |R|^2.
     """
-    return _inner_from_area_sq(tree.point_count, *sum_empty_area_sq(tree))
-
-
-def _inner_from_area_sq(count: int, total: Fraction, tail_bound: Fraction) -> InnerProduct:
-    scale = Fraction(count, 16)
+    total, tail_bound = sum_empty_area_sq(tree)
+    scale = Fraction(tree.point_count, 16)
     return InnerProduct(-scale * total, scale * tail_bound)
 
 
@@ -739,41 +762,36 @@ def _check_inner_bound(tree: AuxFamilyTree) -> CheckResult:
 
 def _check_side_lengths(trees: Sequence[AuxFamilyTree]) -> CheckResult:
     """Across distinct direction indices, x side lengths never tie (nor y)."""
-    for a in trees:
-        for b in trees:
-            if a.direction >= b.direction:
-                continue
-            for ra in a.levels:
-                for rb in b.levels:
-                    if ra.scale_x == rb.scale_x or ra.scale_y == rb.scale_y:
-                        return CheckResult(
-                            "side_lengths_distinct", False,
-                            f"i={a.direction} l={ra.level} vs i={b.direction} l={rb.level}",
-                        )
+    for a, b in combinations(trees, 2):
+        for ra in a.levels:
+            for rb in b.levels:
+                if ra.scale_x == rb.scale_x or ra.scale_y == rb.scale_y:
+                    return CheckResult(
+                        "side_lengths_distinct", False,
+                        f"i={a.direction} l={ra.level} vs i={b.direction} l={rb.level}",
+                    )
     return CheckResult("side_lengths_distinct", True, f"{len(trees)} trees compared")
 
 
 def lemma_suite(
     ps: PointSet,
     trees: Sequence[AuxFamilyTree] | None = None,
-    seed: int = 20240601,
+    seed: int = SUITE_SEED,
 ) -> SuiteReport:
-    """Run every structural check for all direction indices.
+    """Run every structural check on the family of `ps`.
 
-    Product checks run at level PRODUCT_LEVEL on the suite's own trees for
+    Product checks run at level PRODUCT_LEVEL on the family's trees for
     the extreme index tuples (0, n) and, when n >= 2, (0, 1, n), which carry
     the weakest bounds; they are skipped beyond n = PRODUCT_MAX_N
     (intersection piece counts explode), past PIECE_CAP pieces, or when a
-    tree for a tuple is missing or stops before PRODUCT_LEVEL, and recorded
-    as skipped, not passed.  Prebuilt trees of `ps` may be passed in (the
-    test suite uses this to verify corrupted trees fail); a tree of another
-    point set raises ValueError.
+    tree of a tuple stops before PRODUCT_LEVEL, and recorded as skipped,
+    not passed.  A prebuilt family may be passed in (the test suite uses
+    this to verify corrupted trees fail): one tree of `ps` per direction
+    index 0..n, in any order; anything else raises ValueError, as in
+    `testfn.certificate`.
     """
-    n = n_from_pointcount(len(ps))
-    if trees is None:
-        trees = [build_tree(ps, i) for i in range(n + 1)]
-    elif any(t.pointset != ps for t in trees):
-        raise ValueError("trees were built for another point set")
+    trees = _family(ps, trees)
+    n = trees[0].n
     checks: list[CheckResult] = []
     for tree in trees:
         checks.append(_check_level_counts(tree))
@@ -783,41 +801,24 @@ def lemma_suite(
         checks.append(_check_inner_bound(tree))
     checks.append(_check_side_lengths(trees))
 
+    def skip(witness: str) -> None:
+        checks.append(CheckResult("product_bounds", False, witness, skipped=True))
+
     tuples: list[tuple[int, ...]] = [(0, n), (0, 1, n)] if n >= 2 else [(0, n)]
     if n > PRODUCT_MAX_N:
-        checks.append(
-            CheckResult(
-                "product_bounds", False,
-                f"skipped: n={n} exceeds the n<={PRODUCT_MAX_N} guard", skipped=True,
-            )
-        )
+        skip(f"skipped: n={n} exceeds the n<={PRODUCT_MAX_N} guard")
         tuples = []
-    by_direction = {t.direction: t for t in trees}
     for indices in tuples:
-        product_trees = [by_direction.get(i) for i in indices]
-        unusable = [
-            i for i, t in zip(indices, product_trees)
-            if t is None or t.deepest_level < PRODUCT_LEVEL
-        ]
+        unusable = [i for i in indices if trees[i].deepest_level < PRODUCT_LEVEL]
         if unusable:
-            checks.append(
-                CheckResult(
-                    "product_bounds", False,
-                    f"{indices}: skipped (no tree to level {PRODUCT_LEVEL} for {unusable})",
-                    skipped=True,
-                )
-            )
+            skip(f"{indices}: skipped (no tree to level {PRODUCT_LEVEL} for {unusable})")
             continue
         try:
             report = product_bound_check(
-                ps, indices, truncation_level=PRODUCT_LEVEL, trees=product_trees
+                ps, indices, PRODUCT_LEVEL, trees=[trees[i] for i in indices]
             )
         except ResourceLimitError as exc:
-            checks.append(
-                CheckResult(
-                    "product_bounds", False, f"{indices}: skipped ({exc})", skipped=True
-                )
-            )
+            skip(f"{indices}: skipped ({exc})")
             continue
         checks.append(
             CheckResult(

@@ -87,11 +87,11 @@ def cmd_norms(args) -> int:
 
 def cmd_aux(args) -> int:
     ps = _load(args)
-    n = auxiliary.n_from_pointcount(len(ps))
-    indices = range(n + 1) if args.index is None else [args.index]
-    summaries = [
-        auxiliary.build_tree(ps, i, max_level=args.max_level).summary() for i in indices
-    ]
+    if args.index is None:
+        trees = auxiliary.build_trees(ps, args.max_level)
+    else:
+        trees = [auxiliary.build_tree(ps, args.index, args.max_level)]
+    summaries = [tree.summary() for tree in trees]
     lines = []
     for s in summaries:
         lines.append(
@@ -104,13 +104,9 @@ def cmd_aux(args) -> int:
 
 def cmd_lemmas(args) -> int:
     ps = _load(args)
-    trees = None
-    if args.max_level is not None:
-        n = auxiliary.n_from_pointcount(len(ps))
-        trees = [auxiliary.build_tree(ps, i, max_level=args.max_level) for i in range(n + 1)]
-    report = auxiliary.lemma_suite(
-        ps, trees=trees, seed=20240601 if args.seed is None else args.seed
-    )
+    trees = auxiliary.build_trees(ps, args.max_level)
+    seed = auxiliary.SUITE_SEED if args.seed is None else args.seed
+    report = auxiliary.lemma_suite(ps, trees=trees, seed=seed)
     lines = [
         f"{'SKIP' if c.skipped else 'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}"
         for c in report.checks
@@ -149,7 +145,8 @@ def cmd_lin(args) -> int:
 
 def cmd_certificate(args) -> int:
     ps = _load(args)
-    cert = testfn.certificate(ps, dps=args.precision, max_level=args.max_level)
+    trees = auxiliary.build_trees(ps, args.max_level)
+    cert = testfn.certificate(ps, dps=args.precision, trees=trees)
     payload = cert.to_json()
     lines = [
         f"N={payload['N']} n={payload['n']}",

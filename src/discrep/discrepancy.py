@@ -62,6 +62,8 @@ from .pointsets import CellDecomposition, PointSet
 
 # About N = 4096 points with distinct coordinates.
 MAX_GRID_CELLS = 1 << 24
+# Monte-Carlo samples; numpy holds a few 8-byte arrays of this length.
+MAX_MC_SAMPLES = 1 << 24
 
 
 def _iv_fraction(q: Fraction):
@@ -401,11 +403,15 @@ def monte_carlo_norm(
     """(estimate, standard error) for the L1 norm or the squared L2 norm.
 
     Plain sample mean over uniform points; deterministic for a fixed seed.
+    More than MAX_MC_SAMPLES samples raise ResourceLimitError before numpy
+    is imported.
     """
     if which not in ("l1", "l2"):
         raise ValueError(f"which must be 'l1' or 'l2', got {which!r}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
+    if samples > MAX_MC_SAMPLES:
+        raise ResourceLimitError(f"{samples} samples exceed the cap of 2^24")
     import numpy as np  # only this oracle needs numpy; `import discrep` stays without it
 
     rng = np.random.default_rng(seed)

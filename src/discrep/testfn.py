@@ -12,9 +12,10 @@ over unit coefficient mass singles out T = sin, whose limit value is
 1/sqrt(e).
 
 The certificate combines, for a concrete point set, the exact rational
-inner products of the discrepancy function with each auxiliary function
-(main term, weighted by cos^n sin) against a fully explicit finite error
-series (odd orders p = 3..n+1, each bounded through the product bound
+inner products of the discrepancy function with the n+1 auxiliary
+functions of its tree family, `auxiliary.build_trees` (main term,
+weighted by cos^n sin), against a fully explicit finite error series
+(odd orders p = 3..n+1, each bounded through the product bound
 `auxiliary.product_bound` summed over index tuples).  All transcendental
 factors are evaluated in interval arithmetic with directed rounding, so
 the reported lower bound on the L1 norm is rigorous.
@@ -44,14 +45,7 @@ from typing import Sequence
 
 from mpmath import iv, mp, mpc, mpf
 
-from .auxiliary import (
-    AuxFamilyTree,
-    build_tree,
-    inner_product,
-    lemma_short_bound,
-    n_from_pointcount,
-    product_bound,
-)
+from .auxiliary import AuxFamilyTree, _family, inner_product, lemma_short_bound, product_bound
 from .combinatorics import sign_sum_moment
 from .discrepancy import (
     _as_mpf,
@@ -255,27 +249,19 @@ def _error_weights(n: int, count: int) -> dict[int, Fraction]:
 
 
 def certificate(
-    ps: PointSet,
-    dps: int = 50,
-    max_level: int | None = None,
-    trees: Sequence[AuxFamilyTree] | None = None,
+    ps: PointSet, dps: int = 50, trees: Sequence[AuxFamilyTree] | None = None
 ) -> BoundCertificate:
     """End-to-end lower-bound certificate for one point set (T = sin route).
 
     All rounding is directed: the main term rounds down, the error series
     rounds up and their difference rounds down, so l1_lower_bound <=
-    main_term - error_bound <= ||D||_1 holds rigorously.  Prebuilt `trees`
-    must be one tree of `ps` per direction index 0..n, in any order;
-    anything else raises ValueError.
+    main_term - error_bound <= ||D||_1 holds rigorously.  The inner
+    products are those of the family of `ps` (`auxiliary.build_trees`), or
+    of a prebuilt family: one tree of `ps` per direction index 0..n, in any
+    order (truncated trees are sound); anything else raises ValueError.
     """
-    count = len(ps)
-    n = n_from_pointcount(count)
-    if trees is None:
-        trees = [build_tree(ps, i, max_level=max_level) for i in range(n + 1)]
-    elif sorted(t.direction for t in trees) != list(range(n + 1)):
-        raise ValueError(f"need one tree per direction index 0..{n}")
-    elif any(t.pointset != ps for t in trees):
-        raise ValueError("trees were built for another point set")
+    trees = _family(ps, trees)
+    count, n = len(ps), trees[0].n
     ips = [inner_product(tree) for tree in trees]
     total = sum(ip.value for ip in ips)
     total_error = sum(ip.error for ip in ips)

@@ -15,6 +15,7 @@ from discrep.auxiliary import (
     _check_cluster_partition,
     _check_level_counts,
     build_tree,
+    build_trees,
     eval_aux,
     inner_product,
     lemma_short_bound,
@@ -235,7 +236,7 @@ def test_product_check_validation(monkeypatch):
 
 def test_side_lengths_never_tie():
     ps = van_der_corput(2)
-    trees = [build_tree(ps, i, max_level=3) for i in range(4)]
+    trees = build_trees(ps, max_level=3)
     for a in trees:
         for b in trees:
             if a.direction >= b.direction:
@@ -285,23 +286,27 @@ def test_lemma_suite_product_checks_its_own_trees(monkeypatch):
 
 def test_lemma_suite_skips_products_without_level_2_trees():
     ps = van_der_corput(2)
-    shallow = [build_tree(ps, i, max_level=1) for i in range(4)]
-    deep = [build_tree(ps, i) for i in range(4)]
-    # shallow trees, and a missing tree for index 3, which both tuples use
-    for trees in (shallow, deep[:3]):
-        products = [c for c in lemma_suite(ps, trees=trees).checks
-                    if c.name.startswith("product")]
-        assert len(products) == 2
-        assert all(c.skipped and not c.passed and "level 2" in c.witness for c in products)
-    products = [c for c in lemma_suite(ps, trees=deep[::-1]).checks
+    products = [c for c in lemma_suite(ps, trees=build_trees(ps, max_level=1)).checks
+                if c.name.startswith("product")]
+    assert len(products) == 2
+    assert all(c.skipped and not c.passed and "level 2" in c.witness for c in products)
+    products = [c for c in lemma_suite(ps, trees=build_trees(ps)[::-1]).checks
                 if c.name.startswith("product")]
     assert len(products) == 4 and all(c.passed for c in products)
 
 
+def test_build_trees_is_one_tree_per_direction_in_order():
+    ps = van_der_corput(3)  # n = 4
+    for max_level in (None, 0, 3):
+        trees = build_trees(ps, max_level)
+        assert [t.direction for t in trees] == list(range(5))
+        assert [[r.clusters for r in t.levels] for t in trees] == [
+            [r.clusters for r in build_tree(ps, i, max_level).levels] for i in range(5)]
+
+
 def test_lemma_suite_flags_corrupted_tree():
     ps = van_der_corput(2)
-    n = n_from_pointcount(len(ps))
-    trees = [build_tree(ps, i) for i in range(n + 1)]
+    trees = build_trees(ps)
     bad = trees[1]
     # tamper with the level-0 empty count
     bad.levels[0] = replace(bad.levels[0], empty_count=bad.levels[0].empty_count + 1)
@@ -313,8 +318,8 @@ def test_lemma_suite_flags_corrupted_tree():
 
 def test_lemma_suite_refuses_trees_of_another_set():
     ps, other = van_der_corput(4), random_uniform(16, 3)
-    own = [build_tree(ps, i) for i in range(6)]
-    for trees in ([build_tree(other, i) for i in range(6)], [*own[:5], build_tree(other, 5)]):
+    own = build_trees(ps)
+    for trees in (build_trees(other), [*own[:5], build_tree(other, 5)]):
         with pytest.raises(ValueError, match="another point set"):
             lemma_suite(ps, trees=trees)
     assert lemma_suite(ps, trees=own).passed
@@ -332,7 +337,7 @@ def _failed_check(ps, trees, name):
 
 def test_level_counts_fails_more_clusters_than_points():
     # two copies of the one cluster, with the empty count cut to match
-    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    trees = build_trees(ORIGIN)
     rec = trees[0].levels[0]
     trees[0].levels[0] = replace(rec, clusters=rec.clusters * 2, empty_count=0)
     witness = _failed_check(ORIGIN, trees, "level_counts")
@@ -340,7 +345,7 @@ def test_level_counts_fails_more_clusters_than_points():
 
 
 def test_level_counts_fails_a_wrong_area():
-    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    trees = build_trees(ORIGIN)
     rec = trees[1].levels[1]
     trees[1].levels[1] = replace(rec, rect_area=rec.rect_area * 2)
     assert _failed_check(ORIGIN, trees, "level_counts") == "i=1 l=1: wrong area"
@@ -348,7 +353,7 @@ def test_level_counts_fails_a_wrong_area():
 
 def test_cluster_partition_fails_a_dropped_cluster():
     ps = van_der_corput(1)
-    trees = [build_tree(ps, i) for i in range(3)]
+    trees = build_trees(ps)
     rec = trees[0].levels[0]
     assert len(rec.clusters) == 2
     trees[0].levels[0] = replace(rec, clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
@@ -357,14 +362,14 @@ def test_cluster_partition_fails_a_dropped_cluster():
 
 
 def test_inner_product_bound_fails_missing_empty_rectangles():
-    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    trees = build_trees(ORIGIN)
     trees[1].levels = [replace(rec, empty_count=0) for rec in trees[1].levels]
     witness = _failed_check(ORIGIN, trees, "inner_product_upper_bound")
     assert witness.startswith("i=1: ") and witness.endswith(" > -1/64")
 
 
 def test_side_lengths_fails_a_tie():
-    trees = [build_tree(ORIGIN, i) for i in range(2)]
+    trees = build_trees(ORIGIN)
     assert (trees[0].levels[0].scale_x, trees[1].levels[0].scale_x) == (0, 1)
     trees[1].levels[0] = replace(trees[1].levels[0], scale_x=0)
     assert _failed_check(ORIGIN, trees, "side_lengths_distinct") == "i=0 l=0 vs i=1 l=0"
@@ -399,7 +404,7 @@ def test_unimodular_check_passes_sets_with_one_truncated_sample():
 
 def test_unimodular_check_fails_understated_mass():
     ps = van_der_corput(2)
-    trees = [build_tree(ps, i, max_level=0) for i in range(4)]
+    trees = build_trees(ps, max_level=0)
     assert all(c.passed for c in _unimodular_checks(ps, trees))
     # level 0 leaves half the square occupied; claim a quarter
     trees[1].uncovered_mass = lambda level=None: Fraction(1, 4)
@@ -760,7 +765,7 @@ def test_counting_routes_build_no_cell_dict():
     # levels with clusters carried whole before and after its split
     ps = PointSet((*_pair("x", 20), Point(Fraction(3, 4), Fraction(1, 5))))
     n = n_from_pointcount(len(ps))
-    trees = [build_tree(ps, i) for i in range(n + 1)]
+    trees = build_trees(ps)
     assert trees[0].stabilization_level == 5
     cert = certificate(ps, trees=trees)
     summaries = [tree.summary() for tree in trees]
@@ -796,8 +801,8 @@ def test_tree_layer_reads_only_the_cached_integers():
     ps.fixed_point((n + 1) * (HARD_LEVEL_CAP + 1))
     ps.distinct_interior, ps.interior, ps.grid
     object.__setattr__(ps, "points", tuple(_Unreadable() for _ in pts))
-    trees = [build_tree(ps, i) for i in range(n + 1)]
-    want = [build_tree(twin, i) for i in range(n + 1)]
+    trees = build_trees(ps)
+    want = build_trees(twin)
     assert [[rec.clusters for rec in t.levels] for t in trees] == [
         [rec.clusters for rec in t.levels] for t in want]
     assert [t.summary() for t in trees] == [t.summary() for t in want]
@@ -816,7 +821,7 @@ def test_tree_layer_reads_only_the_cached_integers():
 def test_checks_read_the_scale_the_cache_holds():
     # the fixed-point cache grows past the bits the trees were built from
     ps = PointSet((*_pair("x", 6), Point(Fraction(1, 5), Fraction(5, 7))))
-    trees = [build_tree(ps, i) for i in range(n_from_pointcount(len(ps)) + 1)]
+    trees = build_trees(ps)
     scale = trees[0].levels[0].fixed_bits
     assert ps.fixed_point(scale + 7)[0] == scale + 7
     assert all(_check_cluster_partition(tree).passed for tree in trees)

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,15 @@ def test_norms_mc_deterministic(tmp_path, capsys):
     assert payload["config"]["seed"] == 5
     assert payload["config"]["samples"] == 20000
     assert float(payload["stderr"]) > 0
+
+
+def test_norms_mc_sample_cap_is_resource_limit(capsys, monkeypatch):
+    # numpy made unimportable: the cap is hit before any array is allocated
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, stdout, err = run(capsys, "norms", "--in", str(GOLDEN / "vdc3.csv"), "--which", "l1",
+                            "--method", "mc", "--samples", str(10**12))
+    assert code == 3 and stdout == ""
+    assert "resource limit" in err and "2^24" in err
 
 
 @pytest.mark.parametrize("which", ["linf", "dn"])
@@ -442,13 +452,19 @@ def _golden_runs():
     # vdc m=3 (n=4), and four points with non-dyadic coordinates, a duplicate
     # and one point on x = 1 (n=3); comb and lin take each input's n.  The
     # certificate also runs below the default precision of 50 digits, and
-    # comb at the largest table the caps allow.
+    # comb at the largest table the caps allow.  aux, certificate and lemmas
+    # also run with trees cut at --max-level 0, where lemmas skips its product
+    # checks, and at 2, the product checks' level.
     for stem, n in (("vdc3", 4), ("mixed", 3)):
         csv = str(GOLDEN / f"{stem}.csv")
         for command in ("norms", "aux", "certificate", "lemmas"):
             yield f"{stem}.{command}", [command, "--in", csv, "--json"]
         yield f"{stem}.certificate.p20", ["certificate", "--in", csv, "--precision", "20",
                                           "--json"]
+        for command in ("aux", "certificate", "lemmas"):
+            for level in (0, 2):
+                yield f"{stem}.{command}.maxlevel{level}", [
+                    command, "--in", csv, "--max-level", str(level), "--json"]
         yield f"{stem}.comb", ["comb", "--n", str(n), "--k", "3", "--json"]
         yield f"{stem}.lin", ["lin", "--n", str(n), "--json"]
     yield "comb.n12k11", ["comb", "--n", "12", "--k", "11", "--json"]

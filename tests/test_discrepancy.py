@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 
 from discrep import discrepancy
 from discrep.discrepancy import (
+    MAX_MC_SAMPLES,
     CellDecomposition,
     _mid_rad,
     _nstr_directed,
@@ -23,6 +24,7 @@ from discrep.discrepancy import (
     monte_carlo_norm,
 )
 from discrep.auxiliary import lemma_suite
+from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, symmetrize, van_der_corput
 from oracles import (
     DyadicInterval,
@@ -201,6 +203,15 @@ def test_monte_carlo_determinism_and_validation():
         monte_carlo_norm(ORIGIN, "l1", samples=10)
     with pytest.raises(ValueError):
         monte_carlo_norm(ORIGIN, "sup")
+
+
+def test_monte_carlo_refuses_samples_past_the_cap_before_numpy(monkeypatch):
+    # with numpy unimportable, nothing can be allocated: the cap comes first
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ResourceLimitError, match="2\\^24"):
+        monte_carlo_norm(ORIGIN, "l1", samples=MAX_MC_SAMPLES + 1)
+    with pytest.raises(ImportError):
+        monte_carlo_norm(ORIGIN, "l1", samples=MAX_MC_SAMPLES)
 
 
 def test_d_n_contract():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from discrep.auxiliary import build_tree, product_bound
+from discrep.auxiliary import build_trees, lemma_suite, product_bound
 from discrep.discrepancy import l1_norm, norms_report
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
@@ -276,27 +276,30 @@ def test_certificate_unstabilized_still_sound():
     ps = PointSet(
         (Point(Fraction(0), Fraction(0)), Point(Fraction(1, 2**30), Fraction(0)))
     )
-    cert = certificate(ps, max_level=0)
+    cert = certificate(ps, trees=build_trees(ps, max_level=0))
     assert not cert.trees_stabilized
     assert cert.inner_product_error > 0
     assert float(cert.l1_lower_bound) <= float(l1_norm(ps).value)
 
 
-def test_certificate_refuses_trees_that_are_not_one_per_direction():
+@pytest.mark.parametrize("consumer", [certificate, lemma_suite], ids=lambda f: f.__name__)
+def test_certificate_refuses_trees_that_are_not_one_per_direction(consumer):
     ps = van_der_corput(4)  # N = 16, n = 5
-    trees = [build_tree(ps, i) for i in range(6)]
-    want = certificate(ps).to_json()
-    assert certificate(ps, trees=trees).to_json() == want
-    assert certificate(ps, trees=trees[::-1]).to_json() == want
-    other = [build_tree(random_uniform(16, seed=1), i) for i in range(6)]
-    # a hundred copies once certified 2.41 > ||D||_1 = 65/64, and no trees 0
-    for wrong, message in ((trees * 2, "one tree per direction"),
+    trees = build_trees(ps)
+    want = consumer(ps).to_json()
+    assert consumer(ps, trees=trees).to_json() == want
+    assert consumer(ps, trees=trees[::-1]).to_json() == want
+    other = build_trees(random_uniform(16, seed=1))
+    # a hundred copies once certified 2.41 > ||D||_1 = 65/64, and no trees 0;
+    # the suite once passed on no trees, on one tree twice and on a partial family
+    for wrong, message in (([], "one tree per direction"),
+                           ([trees[1]] * 2, "one tree per direction"),
+                           (trees * 2, "one tree per direction"),
                            (trees * 100, "one tree per direction"),
                            (trees[:-1], "one tree per direction"),
-                           ([], "one tree per direction"),
                            (other, "another point set")):
         with pytest.raises(ValueError, match=message):
-            certificate(ps, trees=wrong)
+            consumer(ps, trees=wrong)
 
 
 def test_certificate_json_schema():
