@@ -16,10 +16,13 @@ prefix counts one column at a time (`_columns`), in O(N) memory:
 
   * L-infinity, O(K L): the sup is attained at (or as a one-sided limit
     toward) a grid corner.  At corner (i, j) the closed count is entry j
-    of column i and the strict count is entry j - 1 of column i - 1; the
-    deviations are compared by cross-multiplying each coordinate's own
-    numerator and denominator.  (Dobkin, Eppstein & Mitchell, ACM TOG
-    1996, reach O(N log^2 N).)
+    of column i and the strict count is entry j - 1 of column i - 1.  Each
+    corner's deviation is computed in floats with a derived error bound,
+    and only a corner within that bound of the running maximum is compared
+    exactly, by cross-multiplying each coordinate's own numerator and
+    denominator (a filtered predicate: Shewchuk, DCG 1997; Bronnimann,
+    Burnikel & Pion, 1998).  (Dobkin, Eppstein & Mitchell, ACM TOG 1996,
+    reach O(N log^2 N).)
   * L1, O(K L) integer additions: |c - N*x*y| integrates in closed form.
     On a cell that the hyperbola xy = c/N misses, the integral is
     +-[c dx dy - N/4 d(x^2) d(y^2)], a product of an x factor and a y
@@ -32,7 +35,8 @@ prefix counts one column at a time (`_columns`), in O(N) memory:
     whole integral is one Fraction plus one integer linear form in at most
     K + L + N atoms, which is enclosed in interval arithmetic with one log
     per atom, giving a rigorous error bound (exact rational when no cell
-    has a sign change).
+    has a sign change).  The enclosure runs on raw mpmath.libmp endpoint
+    pairs, the operations of mpmath's `iv` context without its objects.
   * L2, O(N log N) operations on integers of the axis integers' size: the
     pairwise closed form (sums of (1 - max) products), summed in x order
     with a Fenwick tree of integer numerators over the y ranks (Heinrich,
@@ -52,10 +56,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
 from mpmath import iv, mp, mpf
+from mpmath.libmp import (
+    dps_to_prec, from_int, fzero, mpi_add, mpi_div, mpi_log, mpi_mul, round_ceiling, round_floor,
+)
 
 from .errors import ResourceLimitError
 from .pointsets import CellDecomposition, PointSet
@@ -66,8 +73,15 @@ MAX_GRID_CELLS = 1 << 24
 MAX_MC_SAMPLES = 1 << 24
 
 
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _mpi_int(k: int, prec: int) -> tuple:
+    """The integer k as a raw libmp interval at `prec` bits, as `iv.mpf(k)`."""
+    return from_int(k, prec, round_floor), from_int(k, prec, round_ceiling)
+
+
+def _mpi_fraction(q: Fraction, prec: int) -> tuple:
+    """q as a raw libmp interval at `prec` bits, as `iv.mpf(p) / iv.mpf(d)`
+    gives it: numerator and denominator rounded outward, then divided."""
+    return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
 
 
 @contextmanager
@@ -338,10 +352,27 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     for values, coeffs in ((xs, x_logs), (ys, y_logs), (k_atoms, k_logs)):
         for value, coeff in zip(values, coeffs):
             if coeff and value != 1:            # ln 1 = 0
-                atom = Fraction(value)
-                atoms[atom] = atoms.get(atom, 0) + coeff
+                atoms[value] = atoms.get(value, 0) + coeff
     logs = tuple((coeff, atom) for atom, coeff in atoms.items() if coeff)
     return L1Form(rational, logs, n, crossed)
+
+
+def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
+    """Exact endpoints of an interval holding rational + (sum coeff ln atom) / n.
+
+    Interval arithmetic at `dps` digits on raw libmp endpoint pairs, one
+    outward-rounded log per atom: the same operations, in the same order,
+    as `iv` objects at `iv.dps = dps` would do, without an `iv` object per
+    operation or a change to mpmath's global precision.
+    """
+    prec = dps_to_prec(dps)
+    log_sum = (fzero, fzero)
+    for coeff, atom in form.logs:
+        term = mpi_mul(_mpi_int(coeff, prec), mpi_log(_mpi_fraction(atom, prec), prec), prec)
+        log_sum = mpi_add(log_sum, term, prec)
+    total = mpi_add(_mpi_fraction(form.rational, prec),
+                    mpi_div(log_sum, _mpi_int(form.n, prec), prec), prec)
+    return _iv_endpoints(iv.make_mpf(total))
 
 
 def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
@@ -356,13 +387,9 @@ def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     if not form.crossed:
         return L1Norm(form.rational, Fraction(0), True, 0, 0)
     for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
-        with _iv_precision(attempt_dps):
-            log_sum = iv.mpf(0)
-            for coeff, atom in form.logs:
-                log_sum += iv.mpf(coeff) * iv.log(_iv_fraction(atom))
-            total = _iv_fraction(form.rational) + log_sum / form.n
+        lo, hi = _l1_enclosure(form, attempt_dps)
         with mp.workdps(attempt_dps):
-            mid, err = _mid_rad(*_iv_endpoints(total))
+            mid, err = _mid_rad(lo, hi)
         if err <= 1e-12 * mid:
             return L1Norm(mid, err, False, form.crossed, attempt_dps)
     raise ResourceLimitError(
@@ -377,22 +404,61 @@ def linf_norm(ps: PointSet) -> Fraction:
     corner (closed count); the sup of -D is the one-sided limit into the
     upper-right corner (strict count).  Both counts are read from the
     streamed columns at every grid corner, and the larger of closed - Nxy
-    and Nxy - strict is kept.  Corners on x = 0 or y = 0 that no point lies
-    on have both counts 0 and Nxy = 0, so they never change the max.
+    and Nxy - strict is the corner's candidate.  Corners on x = 0 or y = 0
+    that no point lies on have both counts 0 and Nxy = 0, so they never
+    change the max.
+
+    Each candidate is first computed in floats, c' = max(closed - v,
+    v - strict) with v = (N * float(x)) * float(y), and the exact
+    cross-multiplied comparison runs only for a corner that the float
+    filter cannot rule out.  The filter is rigorous, with E = 6 u N and
+    u = 2^-53 (N < 2^50, so N, the counts and E are exact floats):
+
+      * float() of a Fraction, and each float product and difference, is
+        correctly rounded: fl(t) = t (1 + d) + e with |d| <= u and
+        |e| <= 2^-1075, where e != 0 only when t underflows.  As 0 <= x,
+        y <= 1 and N is exact, 0 <= float(x), float(y) <= 1 and
+        0 <= N float(x) <= N, so
+        |v - Nxy| <= |fl(P fy) - P fy| + |fl(N fx) - N fx| fy
+                     + N |fx - x| fy + N x |fy - y|
+                  <= 4 u N + (N + 1) 2^-1074   (P = fl(N fx), fx = float(x)).
+      * closed, strict and v lie in [0, N], so each difference adds at
+        most u N, and the max of two numbers moves by at most the larger
+        of their errors: |c' - c| <= 5 u N + (N + 1) 2^-1074 <= E.  The
+        absolute term, from a float that underflows (x = 2^-1000 and
+        y = 2^-60 make v subnormal), is at most u N for every N >= 1.
+
+    A corner is skipped only when c' + E < b' - E in floats, b' being the
+    float candidate of the best corner so far (0 before any).  Rounding
+    is monotone, so the real inequality holds too, and then
+    c <= c' + E < b' - E <= best: a skipped corner is strictly below the
+    running maximum, which is therefore exactly the one an exact scan of
+    every corner finds.  A column whose largest c' passes this test is
+    skipped whole, as each of its corners would be.
     """
     grid = ps.grid
     n = len(grid)
+    bound = math.ldexp(6 * n, -53)         # E, exact in floats
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
+    y_floats = [float(q) for q in grid.y_cuts]
     best_num, best_den = 0, 1
+    cutoff = -bound                         # b' - E, with b' = 0
     strict_row = (0,) * len(y_parts)
     for x, closed_row in zip(grid.x_cuts, _columns(grid)):
-        n_xn, xd = n * x.numerator, x.denominator
-        for (yn, yd), closed, strict in zip(y_parts, closed_row, strict_row):
-            den = xd * yd
-            nxy = n_xn * yn                 # N x y = nxy / den
-            num = max(closed * den - nxy, nxy - strict * den)
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
+        nx = n * float(x)
+        nxy = [nx * fy for fy in y_floats]
+        if max(max(map(sub, closed_row, nxy)), max(map(sub, nxy, strict_row))) + bound >= cutoff:
+            n_xn, xd = n * x.numerator, x.denominator
+            for (yn, yd), v, closed, strict in zip(y_parts, nxy, closed_row, strict_row):
+                c = max(closed - v, v - strict)
+                if c + bound < cutoff:
+                    continue
+                den = xd * yd
+                nxy_num = n_xn * yn                 # N x y = nxy_num / den
+                num = max(closed * den - nxy_num, nxy_num - strict * den)
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+                    cutoff = c - bound
         strict_row = (0, *closed_row[:-1])
     return Fraction(best_num, best_den)
 

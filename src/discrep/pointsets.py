@@ -61,9 +61,9 @@ class Point(NamedTuple):
 
 
 def as_coordinate(value) -> Fraction:
-    """Coerce to an exact Fraction in [0, 1]."""
-    q = Fraction(value)
-    if not 0 <= q <= 1:
+    """Coerce to an exact Fraction in [0, 1]; a Fraction is kept as it is."""
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    if not 0 <= q.numerator <= q.denominator:     # the denominator is positive
         raise ValueError(f"coordinate {q} outside [0, 1]")
     return q
 
@@ -245,7 +245,7 @@ def read_csv(path) -> PointSet:
                 y = parse_coordinate(parts[1])
             except (ValueError, ZeroDivisionError) as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc
-            if not (0 <= x <= 1 and 0 <= y <= 1):
+            if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
                 raise CsvFormatError(f"line {lineno}: coordinate outside [0, 1]")
             pts.append(Point(x, y))
     return PointSet(tuple(pts), label=label)

@@ -50,8 +50,8 @@ from .combinatorics import sign_sum_moment
 from .discrepancy import (
     _as_mpf,
     _iv_endpoints,
-    _iv_fraction,
     _iv_precision,
+    _mpi_fraction,
     _nstr_directed,
 )
 from .errors import ResourceLimitError
@@ -229,7 +229,7 @@ def _odd_terms(n: int, weights: dict[int, Fraction]):
     cos_a, sin_a = iv.cos(a), iv.sin(a)
     total = iv.mpf(0)
     for p, weight in weights.items():
-        total += cos_a ** (n + 1 - p) * sin_a ** p * _iv_fraction(weight)
+        total += cos_a ** (n + 1 - p) * sin_a ** p * iv.make_mpf(_mpi_fraction(weight, iv.prec))
     return total
 
 

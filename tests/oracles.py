@@ -3,7 +3,9 @@
 None of these is part of the pipeline: the dyadic interval and rectangle
 geometry with its Haar point kernels, pointwise D and its Haar inner
 products, the cell-by-cell L2 integrator (and a point set of distinct prime
-denominators for its budgets), the float extremal search, the
+denominators for its budgets), the exact L-infinity corner scan and the L1
+log enclosure in mpmath `iv` objects that the filtered and raw-interval
+kernels replaced, the float extremal search, the
 coefficient-mass bound on sup |T|, the sin expansion identity, the
 certificate's error tuple sums grouped by gap, Newton's identities and the
 evaluation of an expansion table at a sign vector.
@@ -18,10 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpc, mpf
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
-from discrep.discrepancy import _as_mpf, _columns
+from discrep.discrepancy import (
+    L1Norm, _as_mpf, _columns, _iv_endpoints, _iv_precision, _l1_form, _mid_rad,
+)
+from discrep.errors import ResourceLimitError
 from discrep.pointsets import CellDecomposition, PointSet
 from discrep.testfn import FourierAtomFunction
 
@@ -215,6 +220,62 @@ def prime_reciprocals(count: int) -> PointSet:
     primes = [k for k in range(limit) if sieve[k]][:count]
     assert len(primes) == count
     return PointSet(tuple((Fraction(1, p), 1 - Fraction(1, p)) for p in primes))
+
+
+def linf_exact_scan(ps: PointSet) -> Fraction:
+    """Exact sup |D| with every grid corner compared in integers.
+
+    Both one-sided counts are read from the streamed columns, and each
+    corner's max(closed - Nxy, Nxy - strict) is compared with the best so
+    far by cross-multiplying each coordinate's own numerator and
+    denominator; `linf_norm` reaches the same corners through a float
+    filter.
+    """
+    grid = ps.grid
+    n = len(grid)
+    y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
+    best_num, best_den = 0, 1
+    strict_row = (0,) * len(y_parts)
+    for x, closed_row in zip(grid.x_cuts, _columns(grid)):
+        n_xn, xd = n * x.numerator, x.denominator
+        for (yn, yd), closed, strict in zip(y_parts, closed_row, strict_row):
+            den = xd * yd
+            nxy = n_xn * yn                 # N x y = nxy / den
+            num = max(closed * den - nxy, nxy - strict * den)
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+        strict_row = (0, *closed_row[:-1])
+    return Fraction(best_num, best_den)
+
+
+def iv_fraction(q: Fraction):
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def l1_enclosure_iv(form, dps: int) -> tuple[mpf, mpf]:
+    """Endpoints of rational + (sum coeff ln atom) / n in `iv` objects at dps digits."""
+    with _iv_precision(dps):
+        log_sum = iv.mpf(0)
+        for coeff, atom in form.logs:
+            log_sum += iv.mpf(coeff) * iv.log(iv_fraction(atom))
+        total = iv_fraction(form.rational) + log_sum / form.n
+    return _iv_endpoints(total)
+
+
+def l1_norm_iv(ps: PointSet, dps: int = 30) -> L1Norm:
+    """`l1_norm` with its enclosure taken by `l1_enclosure_iv`."""
+    form = _l1_form(ps.grid)
+    if not form.crossed:
+        return L1Norm(form.rational, Fraction(0), True, 0, 0)
+    for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
+        lo, hi = l1_enclosure_iv(form, attempt_dps)
+        with mp.workdps(attempt_dps):
+            mid, err = _mid_rad(lo, hi)
+        if err <= 1e-12 * mid:
+            return L1Norm(mid, err, False, form.crossed, attempt_dps)
+    raise ResourceLimitError(
+        f"could not certify L1 to 1e-12 relative error by {8 * dps} digits"
+    )
 
 
 # ---------------------------------------------------------------------------

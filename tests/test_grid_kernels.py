@@ -20,10 +20,10 @@ from discrep import discrepancy, pointsets
 from discrep.discrepancy import (
     MAX_GRID_CELLS,
     CellDecomposition,
-    _iv_endpoints,
-    _iv_fraction,
     _columns,
+    _iv_endpoints,
     _iv_precision,
+    _l1_enclosure,
     _l1_form,
     l1_norm,
     l2_norm_sq,
@@ -32,7 +32,15 @@ from discrep.discrepancy import (
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import certificate
-from oracles import cells, l2_norm_sq_direct, prime_reciprocals
+from oracles import (
+    cells,
+    iv_fraction,
+    l1_enclosure_iv,
+    l1_norm_iv,
+    l2_norm_sq_direct,
+    linf_exact_scan,
+    prime_reciprocals,
+)
 
 
 def linf_oracle(ps):
@@ -140,6 +148,88 @@ def test_linf_matches_corner_counting_oracle(ps):
     assert linf_norm(ps) == linf_oracle(ps)
 
 
+def clamp(q):
+    return min(max(q, Fraction(0)), Fraction(1))
+
+
+TINY = Fraction(1, 1 << 60)
+# moved by one of these, a coordinate of at least 1/64 keeps its float, so
+# corner values that differ by about N 2^-60 get equal or swapped floats
+OFFSETS = [Fraction(0), TINY, -TINY, Fraction(1, 1 << 1000)]
+SPECIAL = [Fraction(0), Fraction(1), Fraction(1, 1 << 1000), 1 - TINY]
+# odd denominators, whose floats are inexact: N x y and N y x round apart
+odd_coordinates = st.sampled_from([3, 5, 7, 9, 11, 13, 3 ** 20]).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda k: Fraction(k, q))
+)
+
+
+@st.composite
+def filter_traps(draw):
+    """N <= 8 points whose corner values tie, or differ by less than a float
+    can resolve, so that the L-infinity filter is left to its error bound.
+
+    Half the sets are mirrored across the diagonal: N // 2 points with odd
+    denominators, their mirror images with each coordinate moved by
+    +-2^-60, and one point on the diagonal when N is odd.  Mirror corners
+    then differ by about N 2^-60, and their float candidates round either
+    way.  The others take coordinates with the mixed denominators above,
+    k/N, 2^-1000 or 1 - 2^-60, each moved by one of OFFSETS; a point may
+    take y with N x y within 2^-60 of an integer count, or repeat an
+    earlier one.
+    """
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        tiny = st.sampled_from([TINY, -TINY])
+        points = [Point(draw(odd_coordinates), draw(odd_coordinates)) for _ in range(n // 2)]
+        points += [Point(y + draw(tiny), x + draw(tiny)) for x, y in points]
+        if n % 2:
+            t = draw(odd_coordinates)
+            points.append(Point(t, t))
+        return PointSet(tuple(points))
+
+    def offset():
+        return draw(st.sampled_from(OFFSETS))
+
+    def coordinate():
+        base = draw(st.one_of(coordinates, st.integers(0, n).map(lambda k: Fraction(k, n)),
+                              st.sampled_from(SPECIAL)))
+        return clamp(base + offset())
+
+    points = []
+    while len(points) < n:
+        kind = draw(st.sampled_from(["free", "integer", "repeat"])) if points else "free"
+        if kind == "free":
+            x, y = coordinate(), coordinate()
+        elif kind == "integer":
+            x = coordinate()
+            y = clamp(Fraction(draw(st.integers(0, n)), n) / x + offset()) if x else coordinate()
+        else:
+            x, y = draw(st.sampled_from(points))
+        points.append(Point(x, y))
+    return PointSet(tuple(points))
+
+
+# Mirrored sets on which a filter with E = 0 returns a smaller maximum: one
+# of the two corners that tie up to 2^-60 is rounded below the other.
+MIRROR_TIES = [
+    pointset((Fraction(3, 5), Fraction(1, 9)), (Fraction(4, 5), Fraction(2, 3)),
+             (Fraction(1, 9), Fraction(3, 5) - TINY), (Fraction(2, 3), Fraction(4, 5))),
+    pointset((Fraction(3, 5), Fraction(1, 3)), (Fraction(1, 3), Fraction(4, 5)),
+             (Fraction(1, 3) + TINY, Fraction(3, 5) - TINY), (Fraction(4, 5), Fraction(1, 3))),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(filter_traps())
+@example(MIRROR_TIES[0])
+@example(MIRROR_TIES[1])
+@add_examples
+def test_linf_filter_matches_exact_scans(ps):
+    value = linf_norm(ps)
+    assert value == linf_exact_scan(ps)
+    assert value == linf_oracle(ps)
+
+
 @settings(max_examples=150, deadline=None)
 @given(point_sets)
 @add_examples
@@ -164,6 +254,21 @@ def test_l1_terms_match_per_cell_oracle(ps):
         assert norm.exact and norm.value == want_rational
 
 
+@pytest.mark.parametrize("dps", [5, 30, 60])
+def test_l1_enclosure_matches_iv_objects(dps):
+    # the raw libmp intervals take the same endpoints as `iv` objects did,
+    # at the first precision and at every one the escalation reaches
+    inexact = 0
+    for ps in (*ADVERSARIAL, random_uniform(32, seed=1), van_der_corput(5), prime_reciprocals(12)):
+        form = _l1_form(ps.grid)
+        norm = l1_norm(ps, dps)
+        assert norm == l1_norm_iv(ps, dps)
+        for attempt_dps in {dps, norm.dps} - {0}:
+            assert _l1_enclosure(form, attempt_dps) == l1_enclosure_iv(form, attempt_dps)
+        inexact += not norm.exact
+    assert inexact >= 6
+
+
 def power_product(pairs):
     """(num, den) of the product of q^e over (e, q) pairs, e an integer."""
     num = den = 1
@@ -180,9 +285,9 @@ def power_product(pairs):
 def oracle_enclosure(rational, logs, dps=30):
     """Exact endpoints of rational + sum coeff ln(ratio), one log per cell."""
     with _iv_precision(dps):
-        total = _iv_fraction(rational)
+        total = iv_fraction(rational)
         for coeff, ratio in logs:
-            total += _iv_fraction(coeff) * iv.log(_iv_fraction(ratio))
+            total += iv_fraction(coeff) * iv.log(iv_fraction(ratio))
     return tuple(exact(v) for v in _iv_endpoints(total))
 
 

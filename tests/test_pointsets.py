@@ -163,3 +163,21 @@ def test_csv_reader_errors_carry_line_numbers(tmp_path):
     path.write_text("0.1,0.2,0.3\n")
     with pytest.raises(CsvFormatError, match="line 1"):
         read_csv(path)
+
+
+def test_coordinates_keep_their_fraction_and_range_check():
+    third = Fraction(1, 3)
+    ps = PointSet(((third, 1), ("1/2", 0.25), (0, Fraction(1))))
+    assert ps[0].x is third
+    assert ps.points == ((third, 1), (Fraction(1, 2), Fraction(1, 4)), (0, 1))
+    assert all(type(c) is Fraction for p in ps for c in p)
+    for bad, shown in ((Fraction(3, 2), "3/2"), (Fraction(-1, 3), "-1/3"), (-1, "-1"), ("4/3", "4/3")):
+        with pytest.raises(ValueError, match=rf"^coordinate {shown} outside \[0, 1\]$"):
+            PointSet(((Fraction(1, 2), bad),))
+
+
+def test_csv_reader_refuses_negative_coordinates_by_line(tmp_path):
+    path = tmp_path / "neg.csv"
+    path.write_text("x,y\n1/2,1/3\n-1/2^2,1/2\n")
+    with pytest.raises(CsvFormatError, match=r"^line 3: coordinate outside \[0, 1\]$"):
+        read_csv(path)
