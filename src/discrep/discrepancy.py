@@ -9,20 +9,22 @@ grid cut by the point coordinates, so on each cell D = c - N*x*y with an
 integer c, and every norm reduces to closed-form cell integrals.
 
 The three exact norms read the set's one O(N) grid, `PointSet.grid`: the
-sorted distinct cuts of each axis (0 and 1 included), each axis's cuts as
-integers over its common denominator, and each point's cut ranks.  With K
-x-cuts and L y-cuts (K, L <= N + 2), L1 and L-infinity stream the closed
-prefix counts one column at a time (`_columns`), in O(N) memory:
+sorted distinct cuts of each axis (0 and 1 included, sorted and ranked by
+integer keys), each axis's cuts as integers over its common denominator,
+and each point's cut ranks.  With K x-cuts and L y-cuts (K, L <= N + 2),
+L1 and L-infinity stream the closed prefix counts one column at a time
+(`_columns`), in O(N) memory:
 
   * L-infinity, O(K L): the sup is attained at (or as a one-sided limit
     toward) a grid corner.  At corner (i, j) the closed count is entry j
-    of column i and the strict count is entry j - 1 of column i - 1.  Each
-    corner's deviation is computed in floats with a derived error bound,
-    and only a corner within that bound of the running maximum is compared
-    exactly, by cross-multiplying each coordinate's own numerator and
-    denominator (a filtered predicate: Shewchuk, DCG 1997; Bronnimann,
-    Burnikel & Pion, 1998).  (Dobkin, Eppstein & Mitchell, ACM TOG 1996,
-    reach O(N log^2 N).)
+    of column i and the strict count is entry j - 1 of column i - 1.  The
+    x = 0 column's counts are its exact deviations and seed the maximum.
+    Every other corner's deviation is computed in floats with a derived
+    error bound E, and only a corner within 2E of the largest float
+    deviation so far is compared exactly, by cross-multiplying each
+    coordinate's own numerator and denominator (a filtered predicate:
+    Shewchuk, DCG 1997; Bronnimann, Burnikel & Pion, 1998).  (Dobkin,
+    Eppstein & Mitchell, ACM TOG 1996, reach O(N log^2 N).)
   * L1, O(K L) integer additions: |c - N*x*y| integrates in closed form.
     On a cell that the hyperbola xy = c/N misses, the integral is
     +-[c dx dy - N/4 d(x^2) d(y^2)], a product of an x factor and a y
@@ -55,8 +57,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, chain, compress
+from operator import add, or_, sub
 from typing import Iterator, NamedTuple
 
 from mpmath import iv, mp, mpf
@@ -347,13 +349,17 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
         + 6 * q * q * sum_k2,
         4 * q * q * n,
     )
-    k_atoms = (Fraction(k, n) for k in range(n + 1))
-    atoms: dict[Fraction, int] = {}
-    for values, coeffs in ((xs, x_logs), (ys, y_logs), (k_atoms, k_logs)):
-        for value, coeff in zip(values, coeffs):
-            if coeff and value != 1:            # ln 1 = 0
-                atoms[value] = atoms.get(value, 0) + coeff
-    logs = tuple((coeff, atom) for atom, coeff in atoms.items() if coeff)
+    terms = chain(compress(zip(xs, x_logs), x_logs), compress(zip(ys, y_logs), y_logs),
+                  ((Fraction(k, n), coeff) for k, coeff in enumerate(k_logs) if coeff))
+    # keyed by (numerator, denominator), in order of first appearance
+    atoms: dict[tuple[int, int], list] = {}
+    for atom, coeff in terms:
+        key = atom.numerator, atom.denominator
+        if key in atoms:
+            atoms[key][1] += coeff
+        elif key != (1, 1):                     # ln 1 = 0
+            atoms[key] = [atom, coeff]
+    logs = tuple((coeff, atom) for atom, coeff in atoms.values() if coeff)
     return L1Form(rational, logs, n, crossed)
 
 
@@ -404,15 +410,17 @@ def linf_norm(ps: PointSet) -> Fraction:
     corner (closed count); the sup of -D is the one-sided limit into the
     upper-right corner (strict count).  Both counts are read from the
     streamed columns at every grid corner, and the larger of closed - Nxy
-    and Nxy - strict is the corner's candidate.  Corners on x = 0 or y = 0
-    that no point lies on have both counts 0 and Nxy = 0, so they never
-    change the max.
+    and Nxy - strict is the corner's candidate.
 
-    Each candidate is first computed in floats, c' = max(closed - v,
-    v - strict) with v = (N * float(x)) * float(y), and the exact
-    cross-multiplied comparison runs only for a corner that the float
-    filter cannot rule out.  The filter is rigorous, with E = 6 u N and
-    u = 2^-53 (N < 2^50, so N, the counts and E are exact floats):
+    The x = 0 column is read exactly: there Nxy = 0 and every strict
+    count is 0, so each candidate is its closed count, and the column's
+    largest is its last entry, the number of points on x = 0 (y = 1
+    included).  It seeds the maximum.  Elsewhere each candidate is first
+    computed in floats, c' = max(closed - v, v - strict) with
+    v = (N * float(x)) * float(y), and the exact cross-multiplied
+    comparison runs only for a corner that the float filter cannot rule
+    out.  The filter is rigorous, with E = 6 u N and u = 2^-53 (N < 2^50,
+    so N, the counts, E and 2E are exact floats):
 
       * float() of a Fraction, and each float product and difference, is
         correctly rounded: fl(t) = t (1 + d) + e with |d| <= u and
@@ -427,38 +435,50 @@ def linf_norm(ps: PointSet) -> Fraction:
         of their errors: |c' - c| <= 5 u N + (N + 1) 2^-1074 <= E.  The
         absolute term, from a float that underflows (x = 2^-1000 and
         y = 2^-60 make v subnormal), is at most u N for every N >= 1.
+        Rounding to nearest is symmetric, so v - closed is exactly
+        -(closed - v), and c' is read from the two difference lists.
 
-    A corner is skipped only when c' + E < b' - E in floats, b' being the
-    float candidate of the best corner so far (0 before any).  Rounding
-    is monotone, so the real inequality holds too, and then
-    c <= c' + E < b' - E <= best: a skipped corner is strictly below the
-    running maximum, which is therefore exactly the one an exact scan of
-    every corner finds.  A column whose largest c' passes this test is
-    skipped whole, as each of its corners would be.
+    The 2E step.  Let h be the largest of the seed and of every c' seen
+    so far, this column's included.  Some corner K has candidate h, and
+    its exact candidate is c_K >= h - E (c_K = h for the seed).  A corner
+    is compared exactly only when c' >= fl(h - 2E).  Rounding is monotone
+    and c' is a float, so a skipped corner has c' < h - 2E in the reals,
+    and c <= c' + E < h - E <= c_K: it lies strictly below another
+    corner and is not the maximum.  A corner M of maximal c is never
+    skipped, since c'_M >= c_M - E >= c_K - E >= h - 2E.  The exact
+    comparisons thus see a maximal corner, and the result is the exact
+    scan's.  A column whose largest c' is below fl(h - 2E) is skipped
+    whole; in the others `itertools.compress` picks the corners that
+    clear it, so the Python loop visits only those.
     """
     grid = ps.grid
     n = len(grid)
     bound = math.ldexp(6 * n, -53)         # E, exact in floats
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
     y_floats = [float(q) for q in grid.y_cuts]
-    best_num, best_den = 0, 1
-    cutoff = -bound                         # b' - E, with b' = 0
-    strict_row = (0,) * len(y_parts)
-    for x, closed_row in zip(grid.x_cuts, _columns(grid)):
+    columns = _columns(grid)
+    first = next(columns)                   # x = 0: each candidate is its closed count
+    best_num, best_den = first[-1], 1
+    high = float(first[-1])
+    strict_row = (0, *first[:-1])
+    for x, closed_row in zip(grid.x_cuts[1:], columns):
         nx = n * float(x)
         nxy = [nx * fy for fy in y_floats]
-        if max(max(map(sub, closed_row, nxy)), max(map(sub, nxy, strict_row))) + bound >= cutoff:
+        # c' = max(closed - v, v - strict); v - closed is -(closed - v) exactly
+        below = list(map(sub, nxy, closed_row))
+        above = list(map(sub, nxy, strict_row))
+        top = max(-min(below), max(above))
+        if top >= high - 2 * bound:
+            high = max(high, top)
+            threshold = high - 2 * bound
+            clears = map(or_, map((-threshold).__ge__, below), map(threshold.__le__, above))
             n_xn, xd = n * x.numerator, x.denominator
-            for (yn, yd), v, closed, strict in zip(y_parts, nxy, closed_row, strict_row):
-                c = max(closed - v, v - strict)
-                if c + bound < cutoff:
-                    continue
+            for (yn, yd), closed, strict in compress(zip(y_parts, closed_row, strict_row), clears):
                 den = xd * yd
                 nxy_num = n_xn * yn                 # N x y = nxy_num / den
                 num = max(closed * den - nxy_num, nxy_num - strict * den)
                 if num * best_den > best_num * den:
                     best_num, best_den = num, den
-                    cutoff = c - bound
         strict_row = (0, *closed_row[:-1])
     return Fraction(best_num, best_den)
 

@@ -8,9 +8,15 @@ dyadic values are written as "a/2^k", other rationals as "p/q", integers
 bare.  The reader also accepts plain decimal literals (parsed exactly
 from the digit string).
 
+A literal whose power of two or of ten would take more than
+MAX_AXIS_BITS bits is refused with ResourceLimitError before that power
+is built.
+
 A set caches what the layers above read of it: the trees' fixed-point
 integers, interior points and count of distinct interior points, and the
-norms' O(N) grid, `CellDecomposition`.
+norms' O(N) grid, `CellDecomposition`, which sorts and ranks coordinates
+by integer keys and compares two of them as Fractions only when they lie
+within 2^-64 of each other.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +38,11 @@ VDC_MAX_BITS = 24
 MAX_AXIS_BITS = 1 << 27
 
 _DYADIC_LITERAL = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
+# A literal that `Fraction(str)` reads as mantissa * 10^exponent; group 1
+# is the exponent.
+_DECIMAL_EXPONENT = re.compile(
+    r"[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?e([-+]?\d+(?:_\d+)*)", re.IGNORECASE
+)
 
 
 def dyadic(numerator: int, exponent: int) -> Fraction:
@@ -134,16 +144,35 @@ def _axis_integers(cuts: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(q.numerator * (den // q.denominator) for q in cuts)
 
 
+def _axis_cuts(values: list[Fraction]) -> tuple[tuple[Fraction, ...], list[int]]:
+    """The sorted distinct values with 0 and 1 added, and each value's index there.
+
+    A Fraction is in lowest terms, so (numerator, denominator) keys the
+    distinct values exactly.  They sort by (floor(q 2^64), q): two cuts
+    are compared as Fractions only when they lie within 2^-64 of each
+    other, as floor is monotone.
+    """
+    keys = [(q.numerator, q.denominator) for q in values]
+    cuts = {(0, 1): Fraction(0), (1, 1): Fraction(1)}
+    cuts.update(zip(keys, values))
+    order = sorted(cuts.items(), key=lambda item: ((item[0][0] << 64) // item[0][1], item[1]))
+    rank = {key: i for i, (key, _) in enumerate(order)}
+    return tuple(q for _, q in order), [rank[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class CellDecomposition:
     """The grid cut by the point coordinates: O(N) entries, no count.
 
     x_cuts and y_cuts are the sorted distinct coordinates of each axis, 0
-    and 1 included, and point_ranks[k] holds the cut indices of point k.
+    and 1 included, and point_ranks[k] holds the cut indices of point k;
+    `from_pointset` sorts and ranks them by integer keys (`_axis_cuts`).
     axes, built on first read, is ((x_den, x_ints), (y_den, y_ints)) with
     x_cuts[i] == x_ints[i] / x_den, x_den the lcm of the x cuts'
-    denominators (likewise y).  No count is stored: `discrepancy._columns`
-    streams the closed-box counts one x cut at a time.
+    denominators (likewise y).  It stays lazy so that a kernel can refuse
+    an oversize grid before any axis integer is built.  No count is
+    stored: `discrepancy._columns` streams the closed-box counts one x cut
+    at a time.
     """
 
     x_cuts: tuple[Fraction, ...]
@@ -154,10 +183,9 @@ class CellDecomposition:
     def from_pointset(cls, ps: PointSet) -> "CellDecomposition":
         if len(ps) < 1:
             raise ValueError("point set must be nonempty")
-        xs = sorted({Fraction(0), Fraction(1), *(p.x for p in ps)})
-        ys = sorted({Fraction(0), Fraction(1), *(p.y for p in ps)})
-        ranks = tuple((bisect_left(xs, p.x), bisect_left(ys, p.y)) for p in ps)
-        return cls(tuple(xs), tuple(ys), ranks)
+        x_cuts, x_ranks = _axis_cuts([p.x for p in ps])
+        y_cuts, y_ranks = _axis_cuts([p.y for p in ps])
+        return cls(x_cuts, y_cuts, tuple(zip(x_ranks, y_ranks)))
 
     @cached_property
     def axes(self) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
@@ -205,11 +233,25 @@ def symmetrize(ps: PointSet) -> PointSet:
 
 
 def parse_coordinate(text: str) -> Fraction:
-    """Parse "a/2^k", "p/q", decimal, or integer literals exactly."""
+    """Parse "a/2^k", "p/q", decimal, or integer literals exactly.
+
+    ResourceLimitError, before the power is built, when the 2^k of a dyadic
+    literal or the 10^e of a decimal exponent would take more than
+    MAX_AXIS_BITS bits.
+    """
     text = text.strip()
+    num, slash, den = text.partition("/")
+    if slash and num.isdecimal() and den.isdecimal():
+        return Fraction(int(num), int(den))
     m = _DYADIC_LITERAL.match(text)
     if m:
-        return dyadic(int(m.group(1)), int(m.group(2)))
+        exponent = int(m.group(2))
+        if exponent >= MAX_AXIS_BITS:               # 2^k takes k + 1 bits
+            raise ResourceLimitError(f"2^{exponent} exceeds the {MAX_AXIS_BITS}-bit budget")
+        return dyadic(int(m.group(1)), exponent)
+    m = _DECIMAL_EXPONENT.fullmatch(text)
+    if m and abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_AXIS_BITS:
+        raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_AXIS_BITS}-bit budget")
     return Fraction(text)
 
 
@@ -245,6 +287,8 @@ def read_csv(path) -> PointSet:
                 y = parse_coordinate(parts[1])
             except (ValueError, ZeroDivisionError) as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc
+            except ResourceLimitError as exc:
+                raise ResourceLimitError(f"line {lineno}: {exc}") from exc
             if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
                 raise CsvFormatError(f"line {lineno}: coordinate outside [0, 1]")
             pts.append(Point(x, y))

@@ -1,11 +1,13 @@
 """Slow, independent routes that the tests check the library against.
 
-None of these is part of the pipeline: the dyadic interval and rectangle
-geometry with its Haar point kernels, pointwise D and its Haar inner
-products, the cell-by-cell L2 integrator (and a point set of distinct prime
-denominators for its budgets), the exact L-infinity corner scan and the L1
-log enclosure in mpmath `iv` objects that the filtered and raw-interval
-kernels replaced, the float extremal search, the
+None of these is part of the pipeline: the CSV literal parser without the
+digit-string fast path or the literal budget, the grid built by sorting
+Fractions and placing points by bisection, the dyadic interval and
+rectangle geometry with its Haar point kernels, pointwise D and its Haar
+inner products, the cell-by-cell L2 integrator (and a point set of
+distinct prime denominators for its budgets), the exact L-infinity corner
+scan and the L1 log enclosure in mpmath `iv` objects that the filtered and
+raw-interval kernels replaced, the float extremal search, the
 coefficient-mass bound on sup |T|, the sin expansion identity, the
 certificate's error tuple sums grouped by gap, Newton's identities and the
 evaluation of an expansion table at a sign vector.
@@ -16,6 +18,7 @@ search and the mpmath evaluations of T are approximate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,8 +30,31 @@ from discrep.discrepancy import (
     L1Norm, _as_mpf, _columns, _iv_endpoints, _iv_precision, _l1_form, _mid_rad,
 )
 from discrep.errors import ResourceLimitError
-from discrep.pointsets import CellDecomposition, PointSet
+from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
 from discrep.testfn import FourierAtomFunction
+
+# ---------------------------------------------------------------------------
+# coordinates and the grid
+# ---------------------------------------------------------------------------
+
+
+def parse_coordinate_oracle(text: str) -> Fraction:
+    """A coordinate literal read by the dyadic pattern or by `Fraction(str)`."""
+    text = text.strip()
+    m = _DYADIC_LITERAL.match(text)
+    if m:
+        return dyadic(int(m.group(1)), int(m.group(2)))
+    return Fraction(text)
+
+
+def grid_oracle(ps: PointSet) -> CellDecomposition:
+    """The grid with the cuts sorted as Fractions and each point placed by
+    `bisect_left`, every comparison a cross-multiplication."""
+    xs = sorted({Fraction(0), Fraction(1), *(p.x for p in ps)})
+    ys = sorted({Fraction(0), Fraction(1), *(p.y for p in ps)})
+    ranks = tuple((bisect_left(xs, p.x), bisect_left(ys, p.y)) for p in ps)
+    return CellDecomposition(tuple(xs), tuple(ys), ranks)
+
 
 # ---------------------------------------------------------------------------
 # dyadic geometry: half-open intervals [j/2^k, (j+1)/2^k), their products,

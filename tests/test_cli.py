@@ -299,6 +299,22 @@ def test_lemmas_seed_zero_is_used(tmp_path, capsys):
     assert witnesses == {None: "i=1: truncated 1/400", 0: "i=1: truncated 0/400"}
 
 
+@pytest.mark.parametrize("command", ["norms", "aux", "lemmas", "certificate"])
+def test_literal_budget_exit_code(tmp_path, capsys, monkeypatch, command):
+    from discrep import pointsets
+
+    def no_power(*args):
+        raise AssertionError("power built for a literal over the bit budget")
+
+    # 15 bytes that would ask for a denominator of 10^10 bits
+    path = tmp_path / "huge.csv"
+    path.write_text("x,y\n1/2,1/3\n1/2^10000000000,1/2\n")
+    monkeypatch.setattr(pointsets, "dyadic", no_power)
+    code, stdout, err = run(capsys, command, "--in", str(path))
+    assert code == 3 and stdout == ""
+    assert "line 3" in err and "bit budget" in err
+
+
 def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
     from discrep import discrepancy, pointsets
     from discrep.errors import ResourceLimitError

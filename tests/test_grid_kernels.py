@@ -34,6 +34,7 @@ from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import certificate
 from oracles import (
     cells,
+    grid_oracle,
     iv_fraction,
     l1_enclosure_iv,
     l1_norm_iv,
@@ -219,15 +220,67 @@ MIRROR_TIES = [
 ]
 
 
+# Sets whose supremum lies on the x = 0 column, where the filter takes its
+# seed: all points on x = 0; a duplicate stack at x = 0 under a cloud
+# (every other corner is below 4); and a point at (0, 1), whose corner is
+# the only one at 4 and the last of that column.
+CLOUD = [(Fraction(1, 2) + p.x / 2, Fraction(1, 2) + p.y / 2) for p in random_uniform(4, seed=5)]
+X0_SUPREMA = [
+    pointset((0, Fraction(1, 3)), (0, Fraction(2, 3)), (0, 1), (0, 0)),
+    pointset(*[(0, Fraction(1, 10))] * 4, *CLOUD),
+    pointset(*[(0, Fraction(1, 10))] * 3, (0, 1), (Fraction(3, 4), Fraction(3, 4)),
+             (Fraction(7, 8), Fraction(1, 2))),
+]
+
+
 @settings(max_examples=500, deadline=None)
 @given(filter_traps())
 @example(MIRROR_TIES[0])
 @example(MIRROR_TIES[1])
+@example(X0_SUPREMA[0])
+@example(X0_SUPREMA[1])
+@example(X0_SUPREMA[2])
 @add_examples
 def test_linf_filter_matches_exact_scans(ps):
     value = linf_norm(ps)
     assert value == linf_exact_scan(ps)
     assert value == linf_oracle(ps)
+
+
+NEAR = Fraction(1, 1 << 70)
+# Coordinates that share floor(q 2^64) with a neighbour, so that only the
+# exact tie-break orders them: steps of 2^-70 about 1/3, 1/2, 5/7 and
+# 1 - 2^-80, and 2^-1000 twins, which share the key 0 with 0 itself.
+NEAR_TIE_BASES = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), 1 - Fraction(1, 1 << 80),
+                  Fraction(1, 1 << 1000), Fraction(3, 1 << 1001)]
+grid_coordinates = st.one_of(
+    coordinates,
+    st.sampled_from(NEAR_TIE_BASES).flatmap(
+        lambda q: st.integers(-2, 2).map(lambda k: clamp(q + k * NEAR))
+    ),
+)
+grid_traps = st.lists(st.builds(Point, grid_coordinates, grid_coordinates), min_size=1,
+                      max_size=10).flatmap(
+    lambda pts: st.lists(st.sampled_from(pts), max_size=4).map(lambda dups: PointSet(tuple(pts + dups)))
+)
+# the larger of each near pair comes first, so an order by key alone fails
+GRID_TIES = [
+    pointset((Fraction(1, 3) + NEAR, Fraction(1, 1 << 1000)), (Fraction(1, 3), 0),
+             (1 - Fraction(1, 1 << 80), Fraction(3, 1 << 1001))),
+    pointset((Fraction(1, 2) + NEAR, 1 - Fraction(1, 1 << 80)), (Fraction(1, 2), Fraction(1, 2) + NEAR),
+             (Fraction(1, 2) - NEAR, Fraction(1, 2)), (Fraction(1, 2) + NEAR, Fraction(1, 2) + NEAR)),
+    pointset((Fraction(3, 1 << 1001), Fraction(7, 3 ** 20)), (Fraction(1, 1 << 1000), Fraction(1, 101))),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_traps)
+@example(GRID_TIES[0])
+@example(GRID_TIES[1])
+@example(GRID_TIES[2])
+@add_examples
+def test_grid_matches_sort_and_bisect_oracle(ps):
+    assert CellDecomposition.from_pointset(ps) == grid_oracle(ps)
 
 
 @settings(max_examples=150, deadline=None)

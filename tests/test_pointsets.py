@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from discrep import pointsets
 from discrep.errors import CsvFormatError, ResourceLimitError
 from discrep.pointsets import (
+    MAX_AXIS_BITS,
     Point,
     PointSet,
     parse_coordinate,
@@ -15,6 +18,7 @@ from discrep.pointsets import (
     van_der_corput,
     write_csv,
 )
+from oracles import parse_coordinate_oracle
 
 
 def test_distinct_interior_is_cached():
@@ -124,6 +128,82 @@ def test_parse_coordinate_forms():
     assert parse_coordinate("1/2^1") == Fraction(1, 2)
     assert parse_coordinate("1/3") == Fraction(1, 3)
     assert parse_coordinate("1") == 1
+
+
+def outcome(parse, text):
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+# ASCII, Arabic-Indic and fullwidth digits
+DIGITS = "0123456789" + "\u0660\u0663\u0669" + "\uff10\uff15\uff19"
+digits = st.text(DIGITS, min_size=1, max_size=5)
+integer = st.builds(lambda sign, d: sign + d, st.sampled_from(["", "+", "-"]), digits)
+# underscores between digit groups, and misplaced ones
+grouped = st.builds("_".join, st.lists(digits, min_size=1, max_size=3))
+numeral = st.one_of(digits, integer, grouped, st.sampled_from(["", "_1", "1_", "1__2", " "]))
+literals = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", numeral, numeral),
+    st.builds(lambda p, q, pad: f"{pad}{p}{pad}/{pad}{q}{pad}", numeral, numeral,
+              st.sampled_from([" ", "\t", "\u3000"])),
+    st.builds(lambda a, k: f"{a}/2^{k}", numeral, st.integers(0, 200)),
+    st.builds(lambda i, f, e: f"{i}.{f}{e}", st.one_of(integer, st.just("")),
+              st.one_of(grouped, st.just("")),
+              st.sampled_from(["", "e-3", "E+2", "e0", "e-1_0", "e", "e-"])),
+    st.builds(lambda i, e: f"{i}e{e}", integer, st.integers(-300, 300)),
+    st.text("0123456789/_.eE+-^ \u0663\uff15", max_size=7),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(literals)
+@example("3/4")
+@example("+3/4")
+@example("3/-4")
+@example("-3/-4")
+@example("3 / 4")
+@example("1/0")
+@example("0/0")
+@example("007/010")
+@example("1_000/3")
+@example("\u0663/\u0664")
+@example("\uff13/\uff14")
+@example("5/2^3")
+@example("0.25")
+@example("1.")
+@example(".5e-2")
+@example("1e-3/4")
+@example("1/" + "9" * 5000)
+def test_parse_coordinate_matches_the_general_reader(text):
+    # the same value, or the same exception type and message
+    assert outcome(parse_coordinate, text) == outcome(parse_coordinate_oracle, text)
+
+
+def test_literal_budget_refuses_before_building(tmp_path, monkeypatch):
+    built = []
+
+    def record(*args):
+        built.append(args)
+        return Fraction(0)
+
+    monkeypatch.setattr(pointsets, "dyadic", record)
+    monkeypatch.setattr(pointsets, "Fraction", record)
+    # 2^k takes k + 1 bits and 10^e about 3.32 e: 2^27 / log2(10) = 40403562.5
+    for text in (f"1/2^{MAX_AXIS_BITS}", "1/2^10000000000", "1e-40403563", "2.5E+40403563",
+                 "1e-1_000_000_000"):
+        with pytest.raises(ResourceLimitError, match="bit budget"):
+            parse_coordinate(text)
+    assert built == []
+    parse_coordinate(f"1/2^{MAX_AXIS_BITS - 1}")
+    parse_coordinate("1e-40403562")
+    assert built == [(1, MAX_AXIS_BITS - 1), ("1e-40403562",)]
+    path = tmp_path / "big.csv"
+    path.write_text("x,y\n1/2,1/3\n1/2,1/2^10000000000\n")
+    with pytest.raises(ResourceLimitError, match=r"^line 3: 2\^10000000000 exceeds"):
+        read_csv(path)
 
 
 def test_csv_round_trip_exact(tmp_path):
