@@ -9,8 +9,10 @@ by 2^(n+1)).  Rectangles holding no point are "empty", the rest
 
 The auxiliary function of index i is the sum of Haar functions over all
 empty rectangles of all levels: +-1 almost everywhere, +1 by convention on
-the measure-zero residue that never leaves occupied rectangles.  The
-n + 1 trees of a set, one per direction index in order, are its family
+the measure-zero residue that never leaves occupied rectangles.  Built to
+a finite depth, it is +-1 off the deepest level's occupied cells, whose
+exact measure the suite checks against the tree's bound.  The n + 1
+trees of a set, one per direction index in order, are its family
 (`build_trees`): `lemma_suite` and `testfn.certificate` build it, or check
 that a family passed in has no missing, repeated or foreign tree.
 
@@ -67,12 +69,10 @@ them only for n <= 4.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
 from typing import NamedTuple, Sequence
 
 from .discrepancy import linf_norm
@@ -87,12 +87,6 @@ EXTRA_LEVELS = 2
 PRODUCT_LEVEL = 2
 PRODUCT_MAX_N = 4
 PIECE_CAP = 2_000_000
-# Sample points per tree in the `values_unimodular` check.
-UNIMODULAR_SAMPLES = 400
-# Bound on the probability that `values_unimodular` fails a correct tree.
-TRUNCATION_FALSE_ALARM = Fraction(1, 10**9)
-# The suite's default seed; tree i samples with seed SUITE_SEED + i.
-SUITE_SEED = 20240601
 
 
 # A cluster is (members, X0, Y0, last whole level): the indices of the
@@ -123,8 +117,8 @@ class LevelRecord:
     @cached_property
     def occupied(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Members per occupied cell (jx, jy), in cluster order; built on
-        first read.  Hot loops read it once per tree (`_level_cells`): an
-        attribute cached after __init__ loads off the fast path."""
+        first read.  Hot loops read it once per tree (`_product_counts`):
+        an attribute cached after __init__ loads off the fast path."""
         dx, dy = self.fixed_bits - self.scale_x, self.fixed_bits - self.scale_y
         return {(x0 >> dx, y0 >> dy): members for members, x0, y0, _ in self.clusters}
 
@@ -323,37 +317,23 @@ def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
     Descends built levels until the query lands in an empty rectangle and
     returns its Haar value; a query still inside an occupied rectangle at
     the deepest built level gets the +1 convention with a truncated flag.
+
+    The query is read once as qx = floor(x 2^S), qy = floor(y 2^S), with S
+    the tree's `fixed_bits`, and every built scale k has k + 1 <= S.  At
+    scale k, t = qx >> (S - k - 1) = floor(x 2^(k+1)) holds the cell index
+    t >> 1 and the Haar half t & 1: the right half of either side flips
+    the sign.
     """
     x, y = Fraction(x), Fraction(y)
     if not (0 <= x < 1 and 0 <= y < 1):
         raise ValueError(f"({x}, {y}) outside [0, 1)^2")
     scale = tree.levels[0].fixed_bits
-    return _eval_fixed_point(
-        _level_cells(tree, tree.deepest_level), scale,
-        (x.numerator << scale) // x.denominator, (y.numerator << scale) // y.denominator,
-    )
-
-
-def _level_cells(
-    tree: AuxFamilyTree, last: int
-) -> list[tuple[int, int, dict[tuple[int, int], tuple[int, ...]]]]:
-    """(scale_x, scale_y, occupied) of levels 0..last, read once per tree
-    for the loops that look cells up."""
-    return [(rec.scale_x, rec.scale_y, rec.occupied) for rec in tree.levels[: last + 1]]
-
-
-def _eval_fixed_point(levels, scale: int, qx: int, qy: int) -> AuxValue:
-    """`eval_aux` on a tree's `_level_cells` at qx = floor(x 2^S), qy = floor(y 2^S).
-
-    S = `scale` is the tree's `fixed_bits`, and every built scale k has
-    k + 1 <= S.  At scale k, t = qx >> (S - k - 1) = floor(x 2^(k+1)) holds
-    the cell index t >> 1 and the Haar half t & 1: the right half of
-    either side flips the sign.
-    """
-    for scale_x, scale_y, occupied in levels:
-        tx = qx >> (scale - scale_x - 1)
-        ty = qy >> (scale - scale_y - 1)
-        if (tx >> 1, ty >> 1) not in occupied:
+    qx = (x.numerator << scale) // x.denominator
+    qy = (y.numerator << scale) // y.denominator
+    for rec in tree.levels:
+        tx = qx >> (scale - rec.scale_x - 1)
+        ty = qy >> (scale - rec.scale_y - 1)
+        if (tx >> 1, ty >> 1) not in rec.occupied:
             return AuxValue(-1 if (tx ^ ty) & 1 else 1, False)
     return AuxValue(1, True)
 
@@ -449,7 +429,10 @@ def _product_counts(
     plain: dict[int, int] = {}
     last = len(trees) - 1
     total = 0
-    cells = [_level_cells(tree, level_cap) for tree in trees]
+    cells = [
+        [(rec.scale_x, rec.scale_y, rec.occupied) for rec in tree.levels[: level_cap + 1]]
+        for tree in trees
+    ]
 
     def axis(k: int, bk: int, bj: int, ck: int, cj: int, owned: bool):
         """Cells at scale k nested with the box cell (bk, bj), each as
@@ -681,68 +664,33 @@ def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
     return CheckResult("cluster_partition", True, f"i={tree.direction}")
 
 
-def _binomial_upper_tail(trials: int, successes: int, p: Fraction) -> Fraction:
-    """Exact P[X >= successes] for X ~ Binomial(trials, p)."""
-    q = 1 - p
-    below = sum(
-        (comb(trials, k) * p ** k * q ** (trials - k) for k in range(successes)),
-        start=Fraction(0),
-    )
-    return 1 - below
-
-
-def _check_unimodular(tree: AuxFamilyTree, samples: int, seed: int) -> CheckResult:
-    """Sampled |f| = 1 and truncation frequency within its measure bound.
-
-    A sample is truncated when it is still inside an occupied rectangle of
-    the deepest built level, whose total area is at most m =
-    `uncovered_mass()`.  The truncated count is then at most
-    Binomial(samples, m) in distribution, and the check fails only when
-    the exact upper tail at the observed count is at most
-    TRUNCATION_FALSE_ALARM (1e-9): a correct tree fails with probability
-    at most 1e-9.  (Samples lie on the 2^-40 grid, whose share of a dyadic
-    rectangle equals its area while both sides are at least 2^-40.)
-    """
-    rng = random.Random(seed)
-    side = 1 << 40
-    truncated = 0
-    levels = _level_cells(tree, tree.deepest_level)
-    scale = tree.levels[0].fixed_bits
-    for _ in range(samples):
-        xn = rng.getrandbits(40)
-        yn = rng.getrandbits(40)
-        val = _eval_fixed_point(levels, scale, xn << (scale - 40), yn << (scale - 40))
-        if val.value not in (-1, 1):
-            return CheckResult(
-                "values_unimodular", False,
-                f"i={tree.direction}: value {val.value} at "
-                f"({Fraction(xn, side)}, {Fraction(yn, side)})",
-            )
-        truncated += val.truncated
-    mass = tree.uncovered_mass()
-    tail = _binomial_upper_tail(samples, truncated, mass)
-    if tail <= TRUNCATION_FALSE_ALARM:
-        return CheckResult(
-            "values_unimodular", False,
-            f"i={tree.direction}: truncated {truncated}/{samples} at mass bound "
-            f"{float(mass):.3g}; P[X >= {truncated}] = {float(tail):.3g}",
-        )
-    return CheckResult(
-        "values_unimodular", True, f"i={tree.direction}: truncated {truncated}/{samples}"
-    )
-
-
 def _check_residual_mass(tree: AuxFamilyTree) -> CheckResult:
-    """The occupied-measure bound strictly decreases level by level."""
-    masses = [tree.uncovered_mass(level) for level in range(len(tree.levels))]
-    decreasing = all(b < a for a, b in zip(masses, masses[1:]))
-    if not decreasing:
+    """The occupied measure at each level is at most its bound, and the
+    bounds strictly decrease level by level.
+
+    `eval_aux` flags a query as truncated when it lies in an occupied cell
+    at every built level.  `_check_cluster_partition` shows that each
+    occupied cell nests in an occupied parent (its members lie in both)
+    and that no two clusters share a cell (their members would drop out of
+    `occupied`), so the truncated set is exactly the union of the deepest
+    level's occupied cells, of measure len(clusters) * rect_area.
+    """
+    masses = []
+    for rec in tree.levels:
+        occupied, mass = len(rec.clusters) * rec.rect_area, tree.uncovered_mass(rec.level)
+        if occupied > mass:
+            return CheckResult(
+                "residual_mass_decreasing", False,
+                f"i={tree.direction} l={rec.level}: occupied {occupied} > mass {mass}",
+            )
+        masses.append(mass)
+    if not all(b < a for a, b in zip(masses, masses[1:])):
         return CheckResult(
             "residual_mass_decreasing", False, f"i={tree.direction}: {masses}"
         )
     return CheckResult(
         "residual_mass_decreasing", True,
-        f"i={tree.direction}: mass(L={len(masses)-1}) = {masses[-1]}",
+        f"i={tree.direction}: occupied(L={len(masses)-1}) = {occupied} <= mass = {mass}",
     )
 
 
@@ -774,11 +722,12 @@ def _check_side_lengths(trees: Sequence[AuxFamilyTree]) -> CheckResult:
 
 
 def lemma_suite(
-    ps: PointSet,
-    trees: Sequence[AuxFamilyTree] | None = None,
-    seed: int = SUITE_SEED,
+    ps: PointSet, trees: Sequence[AuxFamilyTree] | None = None
 ) -> SuiteReport:
     """Run every structural check on the family of `ps`.
+
+    Every check is exact and samples nothing, so one family always gives
+    the same report.
 
     Product checks run at level PRODUCT_LEVEL on the family's trees for
     the extreme index tuples (0, n) and, when n >= 2, (0, 1, n), which carry
@@ -796,7 +745,6 @@ def lemma_suite(
     for tree in trees:
         checks.append(_check_level_counts(tree))
         checks.append(_check_cluster_partition(tree))
-        checks.append(_check_unimodular(tree, UNIMODULAR_SAMPLES, seed + tree.direction))
         checks.append(_check_residual_mass(tree))
         checks.append(_check_inner_bound(tree))
     checks.append(_check_side_lengths(trees))

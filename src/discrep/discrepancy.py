@@ -38,7 +38,7 @@ L1 and L-infinity stream the closed prefix counts one column at a time
     K + L + N atoms, which is enclosed in interval arithmetic with one log
     per atom, giving a rigorous error bound (exact rational when no cell
     has a sign change).  The enclosure runs on raw mpmath.libmp endpoint
-    pairs, the operations of mpmath's `iv` context without its objects.
+    pairs at an explicit precision, with no global precision state.
   * L2, O(N log N) operations on integers of the axis integers' size: the
     pairwise closed form (sums of (1 - max) products), summed in x order
     with a Fenwick tree of integer numerators over the y ranks (Heinrich,
@@ -54,14 +54,13 @@ Monte-Carlo estimator of the L1/L2 norms serves as an independent oracle.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import add, or_, sub
 from typing import Iterator, NamedTuple
 
-from mpmath import iv, mp, mpf
+from mpmath import mp, mpf
 from mpmath.libmp import (
     dps_to_prec, from_int, fzero, mpi_add, mpi_div, mpi_log, mpi_mul, round_ceiling, round_floor,
 )
@@ -76,34 +75,19 @@ MAX_MC_SAMPLES = 1 << 24
 
 
 def _mpi_int(k: int, prec: int) -> tuple:
-    """The integer k as a raw libmp interval at `prec` bits, as `iv.mpf(k)`."""
+    """The integer k as a raw libmp interval at `prec` bits, rounded outward."""
     return from_int(k, prec, round_floor), from_int(k, prec, round_ceiling)
 
 
 def _mpi_fraction(q: Fraction, prec: int) -> tuple:
-    """q as a raw libmp interval at `prec` bits, as `iv.mpf(p) / iv.mpf(d)`
-    gives it: numerator and denominator rounded outward, then divided."""
+    """q as a raw libmp interval at `prec` bits: numerator and denominator
+    rounded outward, then divided."""
     return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
 
 
-@contextmanager
-def _iv_precision(dps: int):
-    """Set mpmath's global interval precision to `dps` digits for the block.
-
-    mpmath 1.3 has no `iv.workdps`; the previous precision is restored on
-    exit, so calls must not interleave across threads.
-    """
-    old = iv.dps
-    try:
-        iv.dps = dps
-        yield
-    finally:
-        iv.dps = old
-
-
-def _iv_endpoints(x) -> tuple[mpf, mpf]:
-    """The exact endpoints (lo, hi) of interval x, as mpf."""
-    lo, hi = x._mpi_
+def _iv_endpoints(x: tuple) -> tuple[mpf, mpf]:
+    """The exact endpoints (lo, hi) of the raw libmp interval x, as mpf."""
+    lo, hi = x
     return mp.make_mpf(lo), mp.make_mpf(hi)
 
 
@@ -366,10 +350,9 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
 def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
     """Exact endpoints of an interval holding rational + (sum coeff ln atom) / n.
 
-    Interval arithmetic at `dps` digits on raw libmp endpoint pairs, one
-    outward-rounded log per atom: the same operations, in the same order,
-    as `iv` objects at `iv.dps = dps` would do, without an `iv` object per
-    operation or a change to mpmath's global precision.
+    Interval arithmetic on raw libmp endpoint pairs at `dps_to_prec(dps)`
+    bits, one outward-rounded log per atom; the precision is an argument of
+    every operation, so no global state changes.
     """
     prec = dps_to_prec(dps)
     log_sum = (fzero, fzero)
@@ -378,7 +361,7 @@ def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
         log_sum = mpi_add(log_sum, term, prec)
     total = mpi_add(_mpi_fraction(form.rational, prec),
                     mpi_div(log_sum, _mpi_int(form.n, prec), prec), prec)
-    return _iv_endpoints(iv.make_mpf(total))
+    return _iv_endpoints(total)
 
 
 def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:

@@ -17,8 +17,9 @@ functions of its tree family, `auxiliary.build_trees` (main term,
 weighted by cos^n sin), against a fully explicit finite error series
 (odd orders p = 3..n+1, each bounded through the product bound
 `auxiliary.product_bound` summed over index tuples).  All transcendental
-factors are evaluated in interval arithmetic with directed rounding, so
-the reported lower bound on the L1 norm is rigorous.
+factors are evaluated in interval arithmetic with directed rounding, on
+raw mpmath.libmp endpoint pairs at `dps_to_prec(dps)` bits, so the
+reported lower bound on the L1 norm is rigorous.
 
 The expansion behind the error series is the pointwise identity (for
 s_j = +-1, a = 1/sqrt(n))
@@ -29,10 +30,6 @@ s_j = +-1, a = 1/sqrt(n))
 i.e. the imaginary part of prod_j (cos a + i s_j sin a); the coefficient
 of e_p is the plain binomial one.  The test suite checks the identity
 exhaustively at small n.
-
-Certified evaluations temporarily retune the global interval-arithmetic
-precision and restore it afterwards; do not interleave certificate calls
-across threads.
 """
 
 from __future__ import annotations
@@ -43,17 +40,15 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from mpmath import iv, mp, mpc, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    dps_to_prec, fzero, mpi_add, mpi_cos_sin, mpi_div, mpi_log, mpi_mul, mpi_pow_int, mpi_sqrt,
+    mpi_sub,
+)
 
 from .auxiliary import AuxFamilyTree, _family, inner_product, lemma_short_bound, product_bound
 from .combinatorics import sign_sum_moment
-from .discrepancy import (
-    _as_mpf,
-    _iv_endpoints,
-    _iv_precision,
-    _mpi_fraction,
-    _nstr_directed,
-)
+from .discrepancy import _as_mpf, _iv_endpoints, _mpi_fraction, _mpi_int, _nstr_directed
 from .errors import ResourceLimitError
 from .pointsets import PointSet
 
@@ -218,18 +213,19 @@ class BoundCertificate:
         }
 
 
-def _odd_terms(n: int, weights: dict[int, Fraction]):
-    """Interval sum over p of cos^(n+1-p)(a) sin^p(a) w_p, with a = 1/sqrt(n).
+def _odd_terms(n: int, weights: dict[int, Fraction], prec: int) -> tuple:
+    """Interval sum over p of cos^(n+1-p)(a) sin^p(a) w_p, with a = 1/sqrt(n),
+    as a raw libmp interval at `prec` bits.
 
-    Evaluated at the current interval precision.  p = 1 with the mass
-    |sum of inner products| is the certificate's main term; the odd
-    p >= 3 with `_error_weights` are its error series.
+    p = 1 with the mass |sum of inner products| is the certificate's main
+    term; the odd p >= 3 with `_error_weights` are its error series.
     """
-    a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
-    cos_a, sin_a = iv.cos(a), iv.sin(a)
-    total = iv.mpf(0)
+    a = mpi_div(_mpi_int(1, prec), mpi_sqrt(_mpi_int(n, prec), prec), prec)
+    cos_a, sin_a = mpi_cos_sin(a, prec)
+    total = (fzero, fzero)
     for p, weight in weights.items():
-        total += cos_a ** (n + 1 - p) * sin_a ** p * iv.make_mpf(_mpi_fraction(weight, iv.prec))
+        term = mpi_mul(mpi_pow_int(cos_a, n + 1 - p, prec), mpi_pow_int(sin_a, p, prec), prec)
+        total = mpi_add(total, mpi_mul(term, _mpi_fraction(weight, prec), prec), prec)
     return total
 
 
@@ -266,11 +262,13 @@ def certificate(
     total = sum(ip.value for ip in ips)
     total_error = sum(ip.error for ip in ips)
 
-    with _iv_precision(dps):
-        main_iv = _odd_terms(n, {1: abs(total)})
-        err_iv = _odd_terms(n, _error_weights(n, count))
-        diff_iv = main_iv - err_iv
-        dn_iv = diff_iv / iv.sqrt(iv.log(iv.mpf(count))) if count >= 2 else None
+    prec = dps_to_prec(dps)
+    main = _odd_terms(n, {1: abs(total)}, prec)
+    err = _odd_terms(n, _error_weights(n, count), prec)
+    diff = mpi_sub(main, err, prec)
+    dn = None
+    if count >= 2:
+        dn = mpi_div(diff, mpi_sqrt(mpi_log(_mpi_int(count, prec), prec), prec), prec)
 
     return BoundCertificate(
         n=n,
@@ -278,23 +276,22 @@ def certificate(
         inner_product_sum=total,
         inner_product_error=total_error,
         trees_stabilized=all(t.stabilized for t in trees),
-        main_term=_iv_endpoints(main_iv)[0],
-        error_bound=_iv_endpoints(err_iv)[1],
-        l1_lower_bound=max(mpf(0), _iv_endpoints(diff_iv)[0]),
-        d_n_bound=None if dn_iv is None else max(mpf(0), _iv_endpoints(dn_iv)[0]),
+        main_term=_iv_endpoints(main)[0],
+        error_bound=_iv_endpoints(err)[1],
+        l1_lower_bound=max(mpf(0), _iv_endpoints(diff)[0]),
+        d_n_bound=None if dn is None else max(mpf(0), _iv_endpoints(dn)[0]),
     )
 
 
 def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
     """The certificate's error series alone, rounded up (depends on n, N only)."""
-    with _iv_precision(dps):
-        return _iv_endpoints(_odd_terms(n, _error_weights(n, count)))[1]
+    return _iv_endpoints(_odd_terms(n, _error_weights(n, count), dps_to_prec(dps)))[1]
 
 
 def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
     """Lower bound cos^n(a) sin(a) (n+1) |`lemma_short_bound`(n, N)| on the main term."""
-    with _iv_precision(dps):
-        return _iv_endpoints(_odd_terms(n, {1: -(n + 1) * lemma_short_bound(n, count)}))[0]
+    weights = {1: -(n + 1) * lemma_short_bound(n, count)}
+    return _iv_endpoints(_odd_terms(n, weights, dps_to_prec(dps)))[0]
 
 
 # ---------------------------------------------------------------------------

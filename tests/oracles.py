@@ -6,7 +6,8 @@ Fractions and placing points by bisection, the dyadic interval and
 rectangle geometry with its Haar point kernels, pointwise D and its Haar
 inner products, the cell-by-cell L2 integrator (and a point set of
 distinct prime denominators for its budgets), the exact L-infinity corner
-scan and the L1 log enclosure in mpmath `iv` objects that the filtered and
+scan, the L1 log enclosure and the certificate's odd-order series in mpmath
+`iv` objects at a global interval precision, which the filtered and
 raw-interval kernels replaced, the float extremal search, the
 coefficient-mass bound on sup |T|, the sin expansion identity, the
 certificate's error tuple sums grouped by gap, Newton's identities and the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,7 +29,7 @@ from mpmath import iv, mp, mpc, mpf
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
 from discrep.discrepancy import (
-    L1Norm, _as_mpf, _columns, _iv_endpoints, _iv_precision, _l1_form, _mid_rad,
+    L1Norm, _as_mpf, _columns, _iv_endpoints, _l1_form, _mid_rad,
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
@@ -274,6 +276,21 @@ def linf_exact_scan(ps: PointSet) -> Fraction:
     return Fraction(best_num, best_den)
 
 
+@contextmanager
+def _iv_precision(dps: int):
+    """Set mpmath's global interval precision to `dps` digits for the block.
+
+    mpmath 1.3 has no `iv.workdps`; the previous precision is restored on
+    exit, so calls must not interleave across threads.
+    """
+    old = iv.dps
+    try:
+        iv.dps = dps
+        yield
+    finally:
+        iv.dps = old
+
+
 def iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
@@ -285,7 +302,7 @@ def l1_enclosure_iv(form, dps: int) -> tuple[mpf, mpf]:
         for coeff, atom in form.logs:
             log_sum += iv.mpf(coeff) * iv.log(iv_fraction(atom))
         total = iv_fraction(form.rational) + log_sum / form.n
-    return _iv_endpoints(total)
+    return _iv_endpoints(total._mpi_)
 
 
 def l1_norm_iv(ps: PointSet, dps: int = 30) -> L1Norm:
@@ -435,6 +452,17 @@ def sin_expansion_check(n: int, signs: Sequence[int], dps: int = 40) -> bool:
                 * e[p]
             )
         return abs(lhs - rhs) < mpf(10) ** (-dps + 8)
+
+
+def odd_terms_iv(n: int, weights: dict[int, Fraction]):
+    """`testfn._odd_terms` in `iv` objects at the current interval precision:
+    sum over p of cos^(n+1-p)(a) sin^p(a) w_p, with a = 1/sqrt(n)."""
+    a = iv.mpf(1) / iv.sqrt(iv.mpf(n))
+    cos_a, sin_a = iv.cos(a), iv.sin(a)
+    total = iv.mpf(0)
+    for p, weight in weights.items():
+        total += cos_a ** (n + 1 - p) * sin_a ** p * iv_fraction(weight)
+    return total
 
 
 def error_tuple_sum(n: int, p: int) -> Fraction:

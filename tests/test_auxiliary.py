@@ -136,22 +136,48 @@ def test_inner_product_unstabilized_brackets_truth():
     assert ip.value - ip.error <= truth <= ip.value
 
 
-def test_unimodular_values_and_truncation_fraction():
-    rng = random.Random(99)
-    for ps in (van_der_corput(2), random_uniform(5, seed=5)):
-        n = n_from_pointcount(len(ps))
-        tree = build_tree(ps, n // 2)
-        truncated = 0
-        samples = 500
-        for _ in range(samples):
-            x = Fraction(rng.getrandbits(30), 1 << 30)
-            y = Fraction(rng.getrandbits(30), 1 << 30)
-            value = eval_aux(tree, x, y)
-            assert value.value in (-1, 1)
-            truncated += value.truncated
-        mass = float(tree.uncovered_mass())
-        sigma = (mass * (1 - mass) / samples) ** 0.5
-        assert truncated / samples <= mass + 3 * sigma + 1e-9
+F = Fraction
+EVAL_SETS = (
+    van_der_corput(2),
+    random_uniform(5, seed=5),
+    PointSet((Point(F(1, 3), F(1, 5)), Point(F(1, 3), F(1, 5)),
+              Point(F(3, 4), F(1, 2)), Point(F(3, 4), F(1, 2))), label="duplicates"),
+    PointSet((Point(F(0), F(1, 3)), Point(F(1), F(1, 2)),
+              Point(F(1, 5), F(0)), Point(F(2, 7), F(1))), label="boundary"),
+)
+EVAL_TREES = [tree for ps in EVAL_SETS for tree in build_trees(ps)]
+
+
+@st.composite
+def tree_queries(draw):
+    """A tree of EVAL_TREES and a Fraction query in [0, 1)^2: anywhere, or
+    at one of its interior points moved by 0 or 2^-g along each axis, so
+    that queries land inside, on the edge of and next to occupied cells."""
+    tree = draw(st.sampled_from(EVAL_TREES))
+    ps = tree.pointset
+    if ps.interior and draw(st.booleans()):
+        p = ps.points[draw(st.sampled_from(ps.interior))]
+        gap = st.one_of(st.just(F(0)), st.integers(1, 200).map(lambda g: F(1, 1 << g)))
+        return tree, _apart(p.x, draw(gap)), _apart(p.y, draw(gap))
+    coordinate = st.fractions(min_value=0, max_value=1).filter(lambda q: q < 1)
+    return tree, draw(coordinate), draw(coordinate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_queries())
+@example((EVAL_TREES[0], Fraction(0), Fraction(0)))
+@example((EVAL_TREES[0], Fraction(1, 8), Fraction(7, 8)))
+@example((EVAL_TREES[-1], Fraction(1, 5), Fraction(0)))
+def test_eval_aux_truncates_exactly_on_deepest_occupied_cells(query):
+    # the value is +-1, and the query is truncated iff its cell at the
+    # deepest level's scales is occupied there
+    tree, x, y = query
+    value = eval_aux(tree, x, y)
+    assert value.value in (-1, 1)
+    deep = tree.levels[-1]
+    cell = (math.floor(x * (1 << deep.scale_x)), math.floor(y * (1 << deep.scale_y)))
+    assert value.truncated == (cell in deep.occupied)
+    assert not value.truncated or value.value == 1
 
 
 def test_uncovered_mass_decreases_to_zero():
@@ -388,28 +414,28 @@ def test_skipped_product_checks_are_not_passed(monkeypatch):
         assert report.passed
 
 
-def _unimodular_checks(ps, trees=None):
+def _residual_checks(ps, trees=None):
     report = lemma_suite(ps, trees=trees)
-    return [c for c in report.checks if c.name == "values_unimodular"]
+    return [c for c in report.checks if c.name == "residual_mass_decreasing"]
 
 
-def test_unimodular_check_passes_sets_with_one_truncated_sample():
-    # each set has one tree with uncovered mass 5.7e-6 and 1 of 400 samples
-    # truncated, which a 3-sigma normal approximation wrongly rejected
+def test_suite_passes_former_false_alarm_sets():
+    # each set has one tree with uncovered mass 5.7e-6, where a sampled
+    # check once saw 1 of 400 samples truncated and wrongly failed
     for seed in (12, 27, 56, 87, 88):
-        checks = _unimodular_checks(random_uniform(3, seed))
-        assert all(c.passed for c in checks), [c.witness for c in checks]
-        assert any("truncated 1/400" in c.witness for c in checks)
+        report = lemma_suite(random_uniform(3, seed))
+        assert report.passed and not report.skipped, report.to_json()
+        assert sum(c.name == "residual_mass_decreasing" for c in report.checks) == 4
 
 
 def test_unimodular_check_fails_understated_mass():
     ps = van_der_corput(2)
     trees = build_trees(ps, max_level=0)
-    assert all(c.passed for c in _unimodular_checks(ps, trees))
+    assert all(c.passed for c in _residual_checks(ps, trees))
     # level 0 leaves half the square occupied; claim a quarter
     trees[1].uncovered_mass = lambda level=None: Fraction(1, 4)
-    failing = [c for c in _unimodular_checks(ps, trees) if not c.passed]
-    assert len(failing) == 1 and failing[0].witness.startswith("i=1:")
+    failing = [c for c in _residual_checks(ps, trees) if not c.passed]
+    assert [c.witness for c in failing] == ["i=1 l=0: occupied 1/2 > mass 1/4"]
 
 
 def test_max_level_outside_range_is_refused():

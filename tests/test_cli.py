@@ -284,19 +284,17 @@ def test_lemmas_skipped_product_check_is_not_passed(tmp_path, capsys):
     assert "overall: PASS (1 skipped)" in text
 
 
-def test_lemmas_seed_zero_is_used(tmp_path, capsys):
-    # random_uniform(3, 12): tree i=1 has 1 of 400 samples truncated at the
-    # default seed and none at seed 0
+def test_lemmas_checks_do_not_depend_on_seed(tmp_path, capsys):
+    # the suite samples nothing: --seed reaches only the config echo
     out = tmp_path / "p.csv"
     run(capsys, "gen", "--kind", "random", "--n", "3", "--seed", "12", "--out", str(out))
-    witnesses = {}
+    payloads = []
     for extra in ((), ("--seed", "0")):
         code, stdout, _ = run(capsys, "lemmas", "--in", str(out), "--json", *extra)
         assert code == 0
-        payload = json.loads(stdout)
-        unimodular = [c["witness"] for c in payload["checks"] if c["name"] == "values_unimodular"]
-        witnesses[payload["config"]["seed"]] = unimodular[1]
-    assert witnesses == {None: "i=1: truncated 1/400", 0: "i=1: truncated 0/400"}
+        payloads.append(json.loads(stdout))
+    assert payloads[0]["checks"] == payloads[1]["checks"]
+    assert [p["config"]["seed"] for p in payloads] == [None, 0]
 
 
 @pytest.mark.parametrize("command", ["norms", "aux", "lemmas", "certificate"])

@@ -22,7 +22,6 @@ from discrep.discrepancy import (
     CellDecomposition,
     _columns,
     _iv_endpoints,
-    _iv_precision,
     _l1_enclosure,
     _l1_form,
     l1_norm,
@@ -33,6 +32,7 @@ from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import certificate
 from oracles import (
+    _iv_precision,
     cells,
     grid_oracle,
     iv_fraction,
@@ -341,7 +341,7 @@ def oracle_enclosure(rational, logs, dps=30):
         total = iv_fraction(rational)
         for coeff, ratio in logs:
             total += iv_fraction(coeff) * iv.log(iv_fraction(ratio))
-    return tuple(exact(v) for v in _iv_endpoints(total))
+    return tuple(exact(v) for v in _iv_endpoints(total._mpi_))
 
 
 def exact(value):

@@ -5,15 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from hypothesis import example, given, settings, strategies as st
+from mpmath import iv, mp, mpf
+from mpmath.libmp import dps_to_prec
 
-from discrep.auxiliary import build_trees, lemma_suite, product_bound
+from discrep.auxiliary import (
+    build_trees, lemma_short_bound, lemma_suite, n_from_pointcount, product_bound,
+)
 from discrep.discrepancy import l1_norm, norms_report
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
     SINE,
     FourierAtomFunction,
     _error_weights,
+    _odd_terms,
     asymptotic_dn_limit,
     asymptotic_dn_table,
     certificate,
@@ -26,11 +31,13 @@ from discrep.testfn import (
     main_term_floor,
 )
 from oracles import (
+    _iv_precision,
     coefficient_abs_sum,
     error_tuple_sum,
     evaluate,
     extremal_search,
     is_odd_sampled,
+    odd_terms_iv,
     sin_expansion_check,
     sup_norm_via_coefficients,
 )
@@ -194,6 +201,54 @@ def test_error_weights_are_gap_sums_of_product_bounds():
             assert list(weights) == list(range(3, n + 2, 2))
             for p, weight in weights.items():
                 assert weight == product_bound(n, count, 0) * error_tuple_sum(n, p)
+
+
+def _count_for(n: int, k: int) -> int:
+    """A point count N with n_from_pointcount(N) == n, picked by k."""
+    lo, hi = (1 << (n - 1) >> 1) + 1, 1 << (n - 1)
+    return lo + k % (hi - lo + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 300), st.sampled_from((15, 20, 50)), st.integers(0, 1 << 300),
+       st.fractions(min_value=0, max_value=1))
+@example(1, 15, 0, Fraction(0))
+@example(100, 50, 7, Fraction(1, 3))
+@example(250, 20, 1, Fraction(513, 6560))
+@example(300, 50, 1 << 298, Fraction(1))
+def test_odd_terms_match_iv_objects(n, dps, k, mass):
+    # the raw libmp series takes bit for bit the endpoints of `iv` objects
+    # at iv.dps = dps, for the main term, the error series and the floor
+    count = _count_for(n, k)
+    assert n_from_pointcount(count) == n
+    for weights in ({1: mass}, _error_weights(n, count),
+                    {1: -(n + 1) * lemma_short_bound(n, count)}):
+        with _iv_precision(dps):
+            want = odd_terms_iv(n, weights)._mpi_
+        assert _odd_terms(n, weights, dps_to_prec(dps)) == want
+
+
+def test_certificate_matches_iv_objects():
+    # every bound is the endpoint the `iv`-object route takes, on stabilized
+    # and truncated families, at the default and a low precision
+    sets = [ORIGIN, *(van_der_corput(m) for m in range(5)), random_uniform(12, seed=1)]
+    for ps in sets:
+        for max_level in (None, 0, 2):
+            trees = build_trees(ps, max_level)
+            for dps in (20, 50):
+                cert = certificate(ps, dps, trees)
+                n, count = cert.n, len(ps)
+                with _iv_precision(dps):
+                    main = odd_terms_iv(n, {1: abs(cert.inner_product_sum)})
+                    err = odd_terms_iv(n, _error_weights(n, count))
+                    diff = main - err
+                    dn = diff / iv.sqrt(iv.log(iv.mpf(count))) if count >= 2 else None
+                assert cert.main_term._mpf_ == main._mpi_[0]
+                assert cert.error_bound._mpf_ == err._mpi_[1]
+                assert cert.l1_lower_bound._mpf_ == max(mpf(0), mp.make_mpf(diff._mpi_[0]))._mpf_
+                assert (cert.d_n_bound is None) == (dn is None)
+                if dn is not None:
+                    assert cert.d_n_bound._mpf_ == max(mpf(0), mp.make_mpf(dn._mpi_[0]))._mpf_
 
 
 def test_certificate_vdc8():
