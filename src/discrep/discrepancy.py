@@ -35,10 +35,10 @@ L1 and L-infinity stream the closed prefix counts one column at a time
     column in integers, and whose log part (c^2/N) ln(x_hi/x_lo) splits
     into integer multiples of ln(x cut), ln(y cut) and ln(c/N).  So the
     whole integral is one Fraction plus one integer linear form in at most
-    K + L + N atoms, which is enclosed in interval arithmetic with one log
-    per atom, giving a rigorous error bound (exact rational when no cell
-    has a sign change).  The enclosure runs on raw mpmath.libmp endpoint
-    pairs at an explicit precision, with no global precision state.
+    K + L + N atoms (exact rational when no cell has a sign change).  Its
+    enclosure takes one raw mpmath.libmp interval log per integer atom (ln 2
+    and odd integers) at a precision set by the coefficient, sums the ends
+    exactly and rounds outward once: at most 2 ulps wide, no global state.
   * L2, O(N log N) operations on integers of the axis integers' size: the
     pairwise closed form (sums of (1 - max) products), summed in x order
     with a Fenwick tree of integer numerators over the y ranks (Heinrich,
@@ -62,7 +62,7 @@ from typing import Iterator, NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    dps_to_prec, from_int, fzero, mpi_add, mpi_div, mpi_log, mpi_mul, round_ceiling, round_floor,
+    dps_to_prec, from_int, from_rational, mpi_div, mpi_log, round_ceiling, round_floor,
 )
 
 from .errors import ResourceLimitError
@@ -209,8 +209,9 @@ class L1Norm:
     `value` is a Fraction when every cell integrates rationally (no sign
     change anywhere); otherwise an mpf midpoint with `error` bounding the
     enclosure half-width.  `sign_change_cells` counts cells whose integral
-    needed the logarithmic antiderivative, and `dps` is the interval
-    precision, in digits, at which the enclosure certified (0 when exact).
+    needed the logarithmic antiderivative, and `dps` is the precision, in
+    digits, to which the enclosure's ends were rounded when it certified
+    (0 when exact); its logs ran at a few more bits (`_l1_enclosure`).
     """
 
     value: Fraction | mpf
@@ -350,27 +351,53 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
 def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
     """Exact endpoints of an interval holding rational + (sum coeff ln atom) / n.
 
-    Interval arithmetic on raw libmp endpoint pairs at `dps_to_prec(dps)`
-    bits, one outward-rounded log per atom; the precision is an argument of
-    every operation, so no global state changes.
+    With ln(p/q) = ln p - ln q and each integer a power of two times an odd
+    part, the form is sum c_m ln m over m = 2 and odd m >= 3 (every even k
+    and 2^53 denominator folds into the one ln 2).  Each ln m is one
+    `mpi_log` of `_mpi_int(m, w)` at w = prec + bitlen(|c_m|) + g bits, with
+    prec = dps_to_prec(dps), L_m = bitlen(m) and g = bitlen(sum L_m) + 8;
+    the ends times c_m and the rational are summed exactly, n is divided
+    out exactly, and each end is rounded outward once, at prec bits.
+
+    Width: each log end is within one ulp, 2^(1-w) L ln 2, of the log of
+    its end of m's interval, whose logs differ by at most 2^(1-w), so ln m
+    is enclosed in 2^(2-w) (L ln 2 + 1/2) <= 2^(2-w) L (L >= 2), c_m ln m
+    in 2^(2-prec-g) L and the total in 2^(-6-prec) / n.  Since
+    |D| >= n x y on [0, s]^2 with n s^2 = 1/4,
+    ||D||_1 >= 1/(64 n): the log error is below one ulp of ||D||_1 at prec
+    bits, and the result is at most 2 ulps of its upper end wide.
     """
     prec = dps_to_prec(dps)
-    log_sum = (fzero, fzero)
+    coeffs: dict[int, int] = {}
     for coeff, atom in form.logs:
-        term = mpi_mul(_mpi_int(coeff, prec), mpi_log(_mpi_fraction(atom, prec), prec), prec)
-        log_sum = mpi_add(log_sum, term, prec)
-    total = mpi_add(_mpi_fraction(form.rational, prec),
-                    mpi_div(log_sum, _mpi_int(form.n, prec), prec), prec)
-    return _iv_endpoints(total)
+        for m, c in ((atom.numerator, coeff), (atom.denominator, -coeff)):
+            if twos := (m & -m).bit_length() - 1:
+                coeffs[2] = coeffs.get(2, 0) + c * twos
+            coeffs[m >> twos] = coeffs.get(m >> twos, 0) + c
+    terms = [(m, c) for m, c in coeffs.items() if c and m > 1]     # ln 1 = 0
+    guard = sum(m.bit_length() for m, _ in terms).bit_length() + 8
+    # an end is a w-bit mpf (0, man, exp, bc) >= ln 2 > 1/2, so exp >= -w >= -shift
+    shift = prec + guard + max((abs(c) for _, c in terms), default=0).bit_length()
+    lo_sum = hi_sum = 0
+    for m, c in terms:
+        wp = prec + abs(c).bit_length() + guard
+        lo, hi = mpi_log(_mpi_int(m, wp), wp)
+        if c < 0:                               # c [lo, hi] = [c hi, c lo]
+            lo, hi = hi, lo
+        lo_sum += c * lo[1] << (lo[2] + shift)
+        hi_sum += c * hi[1] << (hi[2] + shift)
+    q, num = form.rational.denominator, form.rational.numerator * form.n << shift
+    return _iv_endpoints((from_rational(num + q * lo_sum, q * form.n << shift, prec, round_floor),
+                          from_rational(num + q * hi_sum, q * form.n << shift, prec, round_ceiling)))
 
 
 def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     """L1 norm of D; exact rational, or certified to a relative 1e-12.
 
     Closed-form integration summed in integers; the linear form in logs is
-    enclosed with interval arithmetic, one interval log per atom, doubling
-    the working precision until the enclosure is tighter than 1e-12 of the
-    value; ResourceLimitError if 8 * dps digits are not enough.
+    enclosed by `_l1_enclosure`, one interval log per integer atom, doubling
+    the precision until the enclosure is tighter than 1e-12 of the value;
+    ResourceLimitError if 8 * dps digits are not enough.
     """
     form = _l1_form(ps.grid)
     if not form.crossed:

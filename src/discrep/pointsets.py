@@ -292,7 +292,11 @@ def read_csv(path) -> PointSet:
             if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
                 raise CsvFormatError(f"line {lineno}: coordinate outside [0, 1]")
             pts.append(Point(x, y))
-    return PointSet(tuple(pts), label=label)
+    # each coordinate is checked above; `__post_init__` would check it again
+    ps = object.__new__(PointSet)
+    object.__setattr__(ps, "points", tuple(pts))
+    object.__setattr__(ps, "label", label)
+    return ps
 
 
 def write_csv(ps: PointSet, path, comments: Iterable[str] = ()) -> None:

@@ -206,7 +206,7 @@ def test_literal_budget_refuses_before_building(tmp_path, monkeypatch):
         read_csv(path)
 
 
-def test_csv_round_trip_exact(tmp_path):
+def test_csv_round_trip_exact(tmp_path, monkeypatch):
     pts = (
         Point(Fraction(0), Fraction(1)),
         Point(Fraction(1, 3), Fraction(5, 7)),         # non-dyadic rationals
@@ -217,9 +217,15 @@ def test_csv_round_trip_exact(tmp_path):
     ps = PointSet(pts, label="round trip")
     path = tmp_path / "pts.csv"
     write_csv(ps, path)
+    # the reader checks each coordinate once, itself, with its line number
+    coerced = []
+    monkeypatch.setattr(pointsets, "as_coordinate", lambda q: coerced.append(q) or q)
     back = read_csv(path)
-    assert back.points == ps.points
+    assert coerced == []
+    assert back.points == ps.points and all(type(c) is Fraction for p in back for c in p)
     assert back.label == "round trip"
+    assert back == ps and hash(back) == hash(ps)
+    assert back.distinct_interior == 3 and back.grid == ps.grid
 
 
 def test_csv_reader_accepts_decimals_and_comments(tmp_path):
