@@ -53,7 +53,9 @@ def cmd_gen(args) -> int:
     else:
         if args.n is None:
             raise ValueError("gen --kind random requires --n")
-        ps = pointsets.random_uniform(args.n, args.seed or 0)
+        if args.seed is None:
+            args.seed = 0       # the config line echoes the seed the set was drawn with
+        ps = pointsets.random_uniform(args.n, args.seed)
     if args.mirror:
         ps = pointsets.symmetrize(ps)
     config = ", ".join(f"{k}={v}" for k, v in sorted(_config_echo(args).items()))

@@ -33,12 +33,14 @@ L1 and L-infinity stream the closed prefix counts one column at a time
     crosses adds a correction whose rational part is a polynomial in the
     column's two x cuts with coefficients from the row, also summed per
     column in integers, and whose log part (c^2/N) ln(x_hi/x_lo) splits
-    into integer multiples of ln(x cut), ln(y cut) and ln(c/N).  So the
-    whole integral is one Fraction plus one integer linear form in at most
-    K + L + N atoms (exact rational when no cell has a sign change).  Its
-    enclosure takes one raw mpmath.libmp interval log per integer atom (ln 2
-    and odd integers) at a precision set by the coefficient, sums the ends
-    exactly and rounds outward once: at most 2 ulps wide, no global state.
+    into integer multiples of the logs of the cuts' numerators and
+    denominators, of c and of N.  Split into powers of two and odd parts,
+    the whole integral is one Fraction plus one integer linear form in the
+    logs of 2 and of odd integers (exact rational when no cell has a sign
+    change).  It is enclosed once, at max(dps, L1_MIN_DPS) digits: one raw
+    mpmath.libmp interval log per integer at a precision set by its
+    coefficient, the ends summed exactly and rounded outward once, at most
+    2 ulps wide, no global state.
   * L2, O(N log N) operations on integers of the axis integers' size: the
     pairwise closed form (sums of (1 - max) products), summed in x order
     with a Fenwick tree of integer numerators over the y ranks (Heinrich,
@@ -72,6 +74,10 @@ from .pointsets import CellDecomposition, PointSet
 MAX_GRID_CELLS = 1 << 24
 # Monte-Carlo samples; numpy holds a few 8-byte arrays of this length.
 MAX_MC_SAMPLES = 1 << 24
+# The L1 enclosure is at most 2 ulps, 2^(2 - prec) of its value, wide
+# (`_l1_enclosure`), and 2^(2 - prec) <= 1e-12 needs prec >= 42 bits:
+# dps_to_prec(12) is 43 and dps_to_prec(11) only 40.
+L1_MIN_DPS = 12
 
 
 def _mpi_int(k: int, prec: int) -> tuple:
@@ -210,8 +216,9 @@ class L1Norm:
     change anywhere); otherwise an mpf midpoint with `error` bounding the
     enclosure half-width.  `sign_change_cells` counts cells whose integral
     needed the logarithmic antiderivative, and `dps` is the precision, in
-    digits, to which the enclosure's ends were rounded when it certified
-    (0 when exact); its logs ran at a few more bits (`_l1_enclosure`).
+    digits, to which the enclosure's ends were rounded: the requested
+    digits, at least L1_MIN_DPS (0 when exact); its logs ran at a few more
+    bits (`_l1_enclosure`).
     """
 
     value: Fraction | mpf
@@ -225,18 +232,17 @@ class L1Norm:
 
 
 class L1Form(NamedTuple):
-    """The L1 integral as rational + (sum of coeff * ln(atom)) / n.
+    """The L1 integral as rational + (sum of coeff * ln(m)) / n.
 
-    Each coefficient is a nonzero integer and each atom a distinct
-    positive Fraction other than 1: an x cut, a y cut or k/n for an
-    integer k < n.
+    `logs` holds (coeff, m) pairs: each coefficient is a nonzero integer
+    and each m a distinct integer, 2 or odd and at least 3.
     `crossed` counts the cells the hyperbola crosses.  Each of them adds a
     positive (k^2/n) ln(x_hi / x_lo), so the log sum is positive when
     `crossed` is and empty when it is 0.
     """
 
     rational: Fraction
-    logs: tuple[tuple[int, Fraction], ...]
+    logs: tuple[tuple[int, int], ...]
     n: int
     crossed: int
 
@@ -267,7 +273,9 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     k^2 to integer column sums, which meet B^2, A^2, B and A once per
     column.  The log splits as ln x_hi - ln x_lo, with
     ln(t/c) = ln(k/N) - ln c, so each crossed cell adds +-k^2 to the
-    integer coefficients of three kinds of atom: x cuts, y cuts and k/N.
+    integer coefficients of three kinds of log: x cuts, y cuts and k/N.
+    Each of those goes to the integers of ln p - ln q or ln k - ln N, each
+    split once into a power of two and an odd part.
     """
     columns = _columns(grid)    # refuses an oversize grid before any integer
     n = len(grid)
@@ -334,26 +342,24 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
         + 6 * q * q * sum_k2,
         4 * q * q * n,
     )
-    terms = chain(compress(zip(xs, x_logs), x_logs), compress(zip(ys, y_logs), y_logs),
-                  ((Fraction(k, n), coeff) for k, coeff in enumerate(k_logs) if coeff))
-    # keyed by (numerator, denominator), in order of first appearance
-    atoms: dict[tuple[int, int], list] = {}
-    for atom, coeff in terms:
-        key = atom.numerator, atom.denominator
-        if key in atoms:
-            atoms[key][1] += coeff
-        elif key != (1, 1):                     # ln 1 = 0
-            atoms[key] = [atom, coeff]
-    logs = tuple((coeff, atom) for atom, coeff in atoms.values() if coeff)
+    cuts = chain(zip(xs, x_logs), zip(ys, y_logs))
+    # ln(p/q) = ln p - ln q and ln(k/N) = ln k - ln N, so ln N takes -sum(k_logs) = sum_k2
+    terms = chain(chain.from_iterable(((q.numerator, c), (q.denominator, -c)) for q, c in cuts if c),
+                  compress(enumerate(k_logs), k_logs), [(n, sum_k2)])
+    coeffs: dict[int, int] = {}
+    for m, c in terms:
+        if twos := (m & -m).bit_length() - 1:
+            coeffs[2] = coeffs.get(2, 0) + c * twos
+        coeffs[m >> twos] = coeffs.get(m >> twos, 0) + c
+    logs = tuple((c, m) for m, c in coeffs.items() if c and m > 1)     # ln 1 = 0
     return L1Form(rational, logs, n, crossed)
 
 
 def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
-    """Exact endpoints of an interval holding rational + (sum coeff ln atom) / n.
+    """Exact endpoints of an interval holding rational + (sum c_m ln m) / n.
 
-    With ln(p/q) = ln p - ln q and each integer a power of two times an odd
-    part, the form is sum c_m ln m over m = 2 and odd m >= 3 (every even k
-    and 2^53 denominator folds into the one ln 2).  Each ln m is one
+    The form's m are 2 and odd integers >= 3 (every even k and 2^53
+    denominator folds into the one ln 2).  Each ln m is one
     `mpi_log` of `_mpi_int(m, w)` at w = prec + bitlen(|c_m|) + g bits, with
     prec = dps_to_prec(dps), L_m = bitlen(m) and g = bitlen(sum L_m) + 8;
     the ends times c_m and the rational are summed exactly, n is divided
@@ -368,18 +374,11 @@ def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
     bits, and the result is at most 2 ulps of its upper end wide.
     """
     prec = dps_to_prec(dps)
-    coeffs: dict[int, int] = {}
-    for coeff, atom in form.logs:
-        for m, c in ((atom.numerator, coeff), (atom.denominator, -coeff)):
-            if twos := (m & -m).bit_length() - 1:
-                coeffs[2] = coeffs.get(2, 0) + c * twos
-            coeffs[m >> twos] = coeffs.get(m >> twos, 0) + c
-    terms = [(m, c) for m, c in coeffs.items() if c and m > 1]     # ln 1 = 0
-    guard = sum(m.bit_length() for m, _ in terms).bit_length() + 8
+    guard = sum(m.bit_length() for _, m in form.logs).bit_length() + 8
     # an end is a w-bit mpf (0, man, exp, bc) >= ln 2 > 1/2, so exp >= -w >= -shift
-    shift = prec + guard + max((abs(c) for _, c in terms), default=0).bit_length()
+    shift = prec + guard + max((abs(c) for c, _ in form.logs), default=0).bit_length()
     lo_sum = hi_sum = 0
-    for m, c in terms:
+    for c, m in form.logs:
         wp = prec + abs(c).bit_length() + guard
         lo, hi = mpi_log(_mpi_int(m, wp), wp)
         if c < 0:                               # c [lo, hi] = [c hi, c lo]
@@ -395,22 +394,18 @@ def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     """L1 norm of D; exact rational, or certified to a relative 1e-12.
 
     Closed-form integration summed in integers; the linear form in logs is
-    enclosed by `_l1_enclosure`, one interval log per integer atom, doubling
-    the precision until the enclosure is tighter than 1e-12 of the value;
-    ResourceLimitError if 8 * dps digits are not enough.
+    enclosed once by `_l1_enclosure`, at max(dps, L1_MIN_DPS) digits.
     """
     form = _l1_form(ps.grid)
     if not form.crossed:
         return L1Norm(form.rational, Fraction(0), True, 0, 0)
-    for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
-        lo, hi = _l1_enclosure(form, attempt_dps)
-        with mp.workdps(attempt_dps):
-            mid, err = _mid_rad(lo, hi)
-        if err <= 1e-12 * mid:
-            return L1Norm(mid, err, False, form.crossed, attempt_dps)
-    raise ResourceLimitError(
-        f"could not certify L1 to 1e-12 relative error by {8 * dps} digits"
-    )
+    dps = max(dps, L1_MIN_DPS)
+    lo, hi = _l1_enclosure(form, dps)
+    with mp.workdps(dps):
+        mid, err = _mid_rad(lo, hi)
+    if err > 1e-12 * mid:
+        raise ArithmeticError(f"the L1 enclosure at {dps} digits is wider than 1e-12 of its value")
+    return L1Norm(mid, err, False, form.crossed, dps)
 
 
 def linf_norm(ps: PointSet) -> Fraction:

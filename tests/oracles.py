@@ -296,11 +296,11 @@ def iv_fraction(q: Fraction):
 
 
 def l1_enclosure_iv(form, dps: int) -> tuple[mpf, mpf]:
-    """Endpoints of rational + (sum coeff ln atom) / n in `iv` objects at dps digits."""
+    """Endpoints of rational + (sum coeff ln m) / n in `iv` objects at dps digits."""
     with _iv_precision(dps):
         log_sum = iv.mpf(0)
-        for coeff, atom in form.logs:
-            log_sum += iv.mpf(coeff) * iv.log(iv_fraction(atom))
+        for coeff, m in form.logs:
+            log_sum += iv.mpf(coeff) * iv.log(iv.mpf(m))
         total = iv_fraction(form.rational) + log_sum / form.n
     return _iv_endpoints(total._mpi_)
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,15 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert run(capsys, "gen", "--kind", "random", "--n", "16", "--seed", "7", "--out", str(a))[0] == 0
     assert run(capsys, "gen", "--kind", "random", "--n", "16", "--seed", "7", "--out", str(b))[0] == 0
     assert a.read_text() == b.read_text()
+
+
+def test_gen_random_without_seed_is_seed_zero(tmp_path, capsys):
+    # the config line echoes the seed the set was drawn with
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(capsys, "gen", "--kind", "random", "--n", "3", "--out", str(a))[0] == 0
+    assert run(capsys, "gen", "--kind", "random", "--n", "3", "--seed", "0", "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "seed=0" in a.read_text() and read_csv(a).label == "uniform_n3_seed0"
 
 
 def test_gen_mirror_appends_the_mirrored_copy(tmp_path, capsys):
@@ -115,12 +125,22 @@ def test_precision_below_one_is_usage_error(precision):
     assert exc.value.code == 2
 
 
-def test_precision_too_low_to_certify_is_resource_limit(capsys):
-    # mixed.csv has log cells; 1, 2, 4 and 8 digits cannot reach 1e-12
-    code, stdout, err = run(capsys, "norms", "--in", str(GOLDEN / "mixed.csv"), "--precision", "1")
-    assert code == 3
-    assert stdout == ""
-    assert "resource limit" in err and "1e-12" in err
+def test_low_precision_certifies_l1_at_twelve_digits(capsys):
+    # mixed.csv has log cells; below 12 digits L1 is still enclosed at 12
+    payloads = {}
+    for precision in ("1", "12", "50"):
+        code, stdout, _ = run(capsys, "norms", "--in", str(GOLDEN / "mixed.csv"), "--json",
+                              "--precision", precision)
+        assert code == 0
+        payloads[precision] = json.loads(stdout)
+    (low, low_err), (high, high_err) = (
+        (Fraction(p["l1"]), Fraction(p["l1_err"])) for p in (payloads["1"], payloads["50"]))
+    assert low_err <= Fraction(1, 10 ** 12) * low
+    # both midpoints are within their errors of the norm, and each printed
+    # 17-digit decimal within 5e-17 of its midpoint
+    assert abs(low - high) <= low_err + high_err + Fraction(1, 10 ** 16) * high
+    del payloads["1"]["config"], payloads["12"]["config"]
+    assert payloads["1"] == payloads["12"]
 
 
 def test_norms_which_computes_only_that_norm(capsys, monkeypatch):

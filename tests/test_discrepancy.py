@@ -146,17 +146,34 @@ def test_l1_error_contract():
         assert res.sign_change_cells > 0
 
 
-def test_l1_records_the_precision_it_certified_at():
+def test_l1_records_the_precision_it_certified_at(monkeypatch):
+    calls = []
+    enclosure = discrepancy._l1_enclosure
+
+    def counting(form, dps):
+        calls.append(dps)
+        return enclosure(form, dps)
+
+    monkeypatch.setattr(discrepancy, "_l1_enclosure", counting)
     assert l1_norm(ORIGIN).dps == 0
     ps = random_uniform(6, seed=2)
     res = l1_norm(ps)
     assert not res.exact and res.dps == 30
-    # 5 and 10 digits cannot reach a relative 1e-12; 20 can
+    # below 12 digits the enclosure is taken at 12, which reaches 1e-12
     low = l1_norm(ps, dps=5)
     assert low.sign_change_cells == res.sign_change_cells > 0
-    assert low.dps == 20
+    assert low.dps == 12
     assert low.error <= 1e-12 * low.value
     assert abs(low.value - res.value) <= low.error + res.error
+    # one enclosure per set with a crossed cell, at the recorded precision
+    assert calls == [30, 12]
+    for dps in (1, 11, 12, 31):
+        for ps in (CORNER, van_der_corput(3), random_uniform(16, seed=7)):
+            calls.clear()
+            norm = l1_norm(ps, dps)
+            assert calls == ([] if norm.exact else [max(dps, 12)])
+            assert norm.dps == (0 if norm.exact else max(dps, 12))
+            assert norm.error <= 1e-12 * norm.value
 
 
 def test_l1_matches_monte_carlo():

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, mpi_log
 
 import oracles
 from discrep import discrepancy, pointsets
@@ -120,6 +120,12 @@ point_sets = distinct_points.flatmap(
     )
 )
 
+# odd parts of 127 and 201 bits, past the logs' working precision at 30
+# digits, so `from_int` rounds them outward
+DENOMINATOR_3_80 = pointset(
+    (Fraction(3 ** 80 // 3 + 1, 3 ** 80), Fraction(3 ** 80 // 2, 3 ** 80)),
+    (Fraction(3 ** 80 // 5, 3 ** 80), Fraction(3 ** 80 // 7 + 1, 3 ** 80)),
+    (Fraction(1, 3 ** 80), Fraction(3 ** 80 - 1, 3 ** 80)))
 ADVERSARIAL = [
     pointset((0, 0)),
     pointset((1, 1)),
@@ -135,11 +141,7 @@ ADVERSARIAL = [
              (Fraction(1, 2), Fraction(1, 2))),
     van_der_corput(3),
     random_uniform(9, seed=3),
-    # odd parts of 127 and 201 bits, past the logs' working precision at 30
-    # digits, so `from_int` rounds them outward
-    pointset((Fraction(3 ** 80 // 3 + 1, 3 ** 80), Fraction(3 ** 80 // 2, 3 ** 80)),
-             (Fraction(3 ** 80 // 5, 3 ** 80), Fraction(3 ** 80 // 7 + 1, 3 ** 80)),
-             (Fraction(1, 3 ** 80), Fraction(3 ** 80 - 1, 3 ** 80))),
+    DENOMINATOR_3_80,
     pointset(*((x + Fraction(1, 1 << 200), y + Fraction(1, 1 << 200))
                for x, y in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(5, 7), Fraction(1, 11)),
                             (Fraction(1, 2), Fraction(3, 4)), (0, Fraction(1, 9))))),
@@ -302,7 +304,9 @@ def test_l1_terms_match_per_cell_oracle(ps):
     assert form.rational == want_rational
     assert form.crossed == len(want_logs)
     assert form.n == len(ps)
-    assert all(atom > 0 and atom != 1 and coeff for coeff, atom in form.logs)
+    atoms = [m for _, m in form.logs]
+    assert all(m == 2 or m >= 3 and m % 2 for m in atoms) and len(set(atoms)) == len(atoms)
+    assert all(coeff for coeff, _ in form.logs)
     if len(ps) <= 8:
         # sum (k^2/N) ln(ratio) == sum coeff ln(atom) / N, exponentiated
         oracle = power_product((coeff * len(ps), ratio) for coeff, ratio in want_logs)
@@ -344,18 +348,41 @@ def test_l1_enclosure_holds_finer_iv_within_three_ulps(ps, dps):
     assert width((lo, hi)) <= 3 * ulp(hi, dps_to_prec(dps))
 
 
-@pytest.mark.parametrize("coeff, atom", [(1, Fraction(3)), (-1, Fraction(3)),
-                                         (-2, Fraction(1, 3 ** 80)), (5, Fraction(2 ** 60, 7))])
+# each atom is a log sum over integers: 3, 1/3^80 and 2^60/7
+@pytest.mark.parametrize("coeff, atom", [(1, ((1, 3),)), (-1, ((1, 3),)),
+                                         (-2, ((-80, 3),)), (5, ((60, 2), (-1, 7)))])
 def test_l1_enclosure_holds_a_log_sum_cancelled_to_2_pow_minus_300(coeff, atom):
     # a rational within 2^-300 of -coeff ln(atom) leaves a total far below
     # the logs' working precision, so a coefficient's end taken from the
     # wrong log end shows, though on an L1 form it moves less than an ulp
+    logs = tuple((coeff * e, m) for e, m in atom)
     with mp.workprec(400):
-        approx = coeff * mp.log(mpf(atom.numerator) / atom.denominator)
+        approx = mp.fsum(c * mp.log(m) for c, m in logs)
     rational = -Fraction(round(exact(approx) * 2 ** 300), 2 ** 300)
-    form = L1Form(rational, ((coeff, atom),), 1, 1)
+    form = L1Form(rational, logs, 1, 1)
     for dps in (5, 30):
         assert contains(_l1_enclosure(form, dps), l1_enclosure_iv(form, 4 * dps))
+
+
+@pytest.mark.parametrize("dps", [5, 30])
+def test_l1_enclosure_logs_an_interval_holding_each_integer(monkeypatch, dps):
+    # an m wider than the logs' working precision must be rounded outward
+    # before its log; rounding it to nearest moves ln m by less than the
+    # log's own ulp, so only the interval handed to mpi_log shows it
+    seen = []
+
+    def recording(x, prec):
+        seen.append(x)
+        return mpi_log(x, prec)
+
+    monkeypatch.setattr(discrepancy, "mpi_log", recording)
+    for form in (L1Form(Fraction(0), ((1, 3 ** 200),), 1, 1), _l1_form(DENOMINATOR_3_80.grid)):
+        seen.clear()
+        _l1_enclosure(form, dps)
+        assert len(seen) == len(form.logs)
+        ends = [tuple(map(exact, _iv_endpoints(x))) for x in seen]
+        assert all(lo <= m <= hi for (lo, hi), (_, m) in zip(ends, form.logs))
+        assert any(lo < hi for lo, hi in ends)
 
 
 def contains(outer, inner):
@@ -373,15 +400,14 @@ def ulp(value, prec):
 
 
 def power_product(pairs):
-    """(num, den) of the product of q^e over (e, q) pairs, e an integer."""
+    """(num, den) of the product of q^e over (e, q) pairs, e an integer and q
+    a positive integer or Fraction."""
     num = den = 1
     for e, q in pairs:
         assert Fraction(e).denominator == 1
-        e = int(e)
-        if e < 0:
-            e, q = -e, 1 / q
-        num *= q.numerator ** e
-        den *= q.denominator ** e
+        power = Fraction(q) ** int(e)
+        num *= power.numerator
+        den *= power.denominator
     return num, den
 
 
