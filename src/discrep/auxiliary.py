@@ -54,6 +54,12 @@ stay on integers:
     integers differ, and only then are its members bucketed; a level
     before the next split scale of any cluster records its parent's
     clusters as they are;
+  * no container is made per point: each point's one-point cluster is
+    built once per set and shared by every tree and level, a bucket holds
+    a lone member as its bare index, and a two-point cluster parts into
+    its two points' clusters without bucketing.  Per-point lists and
+    tuples made CPython's cyclic collector run often, and its full passes
+    walk every live object;
   * evaluation reads a query the same way, once, as X = floor(x 2^S),
     and takes t = X >> (S - k - 1) = floor(x 2^(k+1)) at scale k: t >> 1
     is the cell index and t & 1 the Haar half;
@@ -91,7 +97,8 @@ PIECE_CAP = 2_000_000
 
 # A cluster is (members, X0, Y0, last whole level): the indices of the
 # points in one occupied rectangle, the fixed-point integers of its first
-# member, and the last level at which all its members share a cell.
+# member, and the last level at which all its members share a cell
+# (HARD_LEVEL_CAP for a lone point, which never splits).
 Cluster = tuple[tuple[int, ...], int, int, int]
 
 
@@ -177,6 +184,22 @@ def n_from_pointcount(count: int) -> int:
     return (2 * count - 1).bit_length()
 
 
+def _fixed_point(
+    ps: PointSet, bits: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[Cluster, ...]]:
+    """`ps.fixed_point(bits)` and each point's one-point cluster
+    ((t,), X[t], Y[t], HARD_LEVEL_CAP), cached on the set with the integers
+    it comes from: every tree and level of the set shares these clusters.
+    A lone point never splits, so its last whole level is the cap.
+    """
+    scale, xs, ys = ps.fixed_point(bits)
+    cached = ps.__dict__.get("_lone_clusters")
+    if cached is None or cached[0] is not xs:
+        lone = tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys)))
+        cached = ps.__dict__["_lone_clusters"] = (xs, lone)
+    return scale, xs, ys, cached[1]
+
+
 def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> AuxFamilyTree:
     """Construct levels until stabilization (plus EXTRA_LEVELS) or `max_level`.
 
@@ -205,6 +228,16 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     the others pass through untouched, and only the members of those that
     split are bucketed.  No cell dict is built here (see
     `LevelRecord.occupied`).
+
+    Nothing is allocated per point, since per-point containers drive the
+    cyclic garbage collector.  A one-point cluster is the set's shared
+    one (`_fixed_point`), so every tree and level reuses it.  While
+    bucketing, a cell holds a lone member as its bare index, and a list
+    is made only when a second point lands there.  A formed two-point
+    cluster (last >= 0) always parts into two one-point cells at the
+    level after its last whole one, so its members' shared clusters are
+    emitted in member order with no bucketing; the root (last = -1) is
+    always bucketed.
     """
     n = n_from_pointcount(len(ps))
     if not 0 <= direction <= n:
@@ -217,11 +250,9 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
                 f"max_level {max_level} exceeds the cap of {HARD_LEVEL_CAP} levels"
             )
     step = n + 1
-    scale, xs, ys = ps.fixed_point(step * (HARD_LEVEL_CAP + 1))
+    scale, xs, ys, lone = _fixed_point(ps, step * (HARD_LEVEL_CAP + 1))
     distinct = ps.distinct_interior
     children = 1 << (2 * step)
-    # the last whole level of a cluster whose members share X and Y
-    never = min(scale - direction, scale - (n - direction)) // step
 
     # Level 0 splits the root, the unit square's cluster of the interior points.
     clusters: tuple[Cluster, ...] = ((ps.interior, 0, 0, -1),)
@@ -243,29 +274,40 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
                 if level <= c[3]:
                     formed.append(c)
                     continue
-                parts: dict[tuple[int, int], list[int]] = {}
-                for t in c[0]:
+                members = c[0]
+                if len(members) == 2 and c[3] >= 0:
+                    # a formed pair's members part at the level after its
+                    # last whole one; bucketing keeps member order
+                    formed.append(lone[members[0]])
+                    formed.append(lone[members[1]])
+                    continue
+                # a lone part is its bare index until a second point lands
+                parts: dict[tuple[int, int], int | list[int]] = {}
+                for t in members:
                     key = (xs[t] >> dx, ys[t] >> dy)
                     part = parts.get(key)
                     if part is None:
-                        parts[key] = [t]
+                        parts[key] = t
+                    elif type(part) is int:
+                        parts[key] = [part, t]
                     else:
                         part.append(t)
                 for part in parts.values():
+                    if type(part) is int:
+                        formed.append(lone[part])
+                        continue
                     x0, y0 = xs[part[0]], ys[part[0]]
-                    last = never
-                    if len(part) > 1:
-                        ax = ay = 0
-                        for t in part:
-                            ax |= xs[t] ^ x0
-                            ay |= ys[t] ^ y0
-                        last = min(
-                            (scale - ax.bit_length() - direction) // step,
-                            (scale - ay.bit_length() - (n - direction)) // step,
-                        )
+                    ax = ay = 0
+                    for t in part:
+                        ax |= xs[t] ^ x0
+                        ay |= ys[t] ^ y0
+                    last = min(
+                        (scale - ax.bit_length() - direction) // step,
+                        (scale - ay.bit_length() - (n - direction)) // step,
+                    )
                     formed.append((tuple(part), x0, y0, last))
             clusters = tuple(formed)
-            next_split = min((c[3] for c in clusters), default=never) + 1
+            next_split = min((c[3] for c in clusters), default=HARD_LEVEL_CAP) + 1
         cells = (1 << n) if level == 0 else children * parents
         area = Fraction(1, 1 << (n + 2 * step * level))
         levels.append(

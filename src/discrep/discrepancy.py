@@ -64,7 +64,7 @@ from typing import Iterator, NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    dps_to_prec, from_int, from_rational, mpi_div, mpi_log, round_ceiling, round_floor,
+    dps_to_prec, from_int, from_rational, mpf_log, mpi_div, mpi_log, round_ceiling, round_floor,
 )
 
 from .errors import ResourceLimitError
@@ -75,9 +75,10 @@ MAX_GRID_CELLS = 1 << 24
 # Monte-Carlo samples; numpy holds a few 8-byte arrays of this length.
 MAX_MC_SAMPLES = 1 << 24
 # The L1 enclosure is at most 2 ulps, 2^(2 - prec) of its value, wide
-# (`_l1_enclosure`), and 2^(2 - prec) <= 1e-12 needs prec >= 42 bits:
-# dps_to_prec(12) is 43 and dps_to_prec(11) only 40.
-L1_MIN_DPS = 12
+# (`_l1_enclosure`).  `norms_report` prints 17 digits of its midpoint, and
+# 3 digits more keep all 17 backed by the enclosure (dps_to_prec(20) is
+# 70 bits); 1e-12 alone would need only 42 bits, 12 digits.
+L1_MIN_DPS = 20
 
 
 def _mpi_int(k: int, prec: int) -> tuple:
@@ -359,11 +360,15 @@ def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
     """Exact endpoints of an interval holding rational + (sum c_m ln m) / n.
 
     The form's m are 2 and odd integers >= 3 (every even k and 2^53
-    denominator folds into the one ln 2).  Each ln m is one
-    `mpi_log` of `_mpi_int(m, w)` at w = prec + bitlen(|c_m|) + g bits, with
-    prec = dps_to_prec(dps), L_m = bitlen(m) and g = bitlen(sum L_m) + 8;
-    the ends times c_m and the rational are summed exactly, n is divided
-    out exactly, and each end is rounded outward once, at prec bits.
+    denominator folds into the one ln 2).  Each ln m is enclosed at
+    w = prec + bitlen(|c_m|) + g bits, with prec = dps_to_prec(dps),
+    L_m = bitlen(m) and g = bitlen(sum L_m) + 8.  An m of at most w bits
+    is exact there and ln m is irrational, so one log rounded down at w
+    bits and the next w-bit float above it enclose ln m.  A wider m is
+    rounded outward to w bits first (`_mpi_int`) and takes the `mpi_log`
+    of that interval.  The ends times c_m and the rational are summed
+    exactly, n is divided out exactly, and each end is rounded outward
+    once, at prec bits.
 
     Width: each log end is within one ulp, 2^(1-w) L ln 2, of the log of
     its end of m's interval, whose logs differ by at most 2^(1-w), so ln m
@@ -375,16 +380,24 @@ def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
     """
     prec = dps_to_prec(dps)
     guard = sum(m.bit_length() for _, m in form.logs).bit_length() + 8
-    # an end is a w-bit mpf (0, man, exp, bc) >= ln 2 > 1/2, so exp >= -w >= -shift
+    # an end is a w-bit mpf (0, man, exp, bc) >= ln 2 > 1/2, so exp >= -w >= -shift,
+    # and exp + bc >= 0 puts its ulp 2^(exp + bc - w) at 2^-shift or above
     shift = prec + guard + max((abs(c) for c, _ in form.logs), default=0).bit_length()
     lo_sum = hi_sum = 0
     for c, m in form.logs:
         wp = prec + abs(c).bit_length() + guard
-        lo, hi = mpi_log(_mpi_int(m, wp), wp)
-        if c < 0:                               # c [lo, hi] = [c hi, c lo]
-            lo, hi = hi, lo
-        lo_sum += c * lo[1] << (lo[2] + shift)
-        hi_sum += c * hi[1] << (hi[2] + shift)
+        # ln m lies in [a, b] 2^-shift
+        if m.bit_length() <= wp:
+            _, man, exp, bc = mpf_log(from_int(m), wp, round_floor)
+            a = man << (exp + shift)
+            b = a + (1 << (exp + bc - wp + shift))      # one ulp at wp bits
+        else:
+            lo, hi = mpi_log(_mpi_int(m, wp), wp)
+            a, b = lo[1] << (lo[2] + shift), hi[1] << (hi[2] + shift)
+        if c < 0:                               # c [a, b] = [c b, c a]
+            a, b = b, a
+        lo_sum += c * a
+        hi_sum += c * b
     q, num = form.rational.denominator, form.rational.numerator * form.n << shift
     return _iv_endpoints((from_rational(num + q * lo_sum, q * form.n << shift, prec, round_floor),
                           from_rational(num + q * hi_sum, q * form.n << shift, prec, round_ceiling)))
@@ -524,8 +537,9 @@ def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
     `which` is "all" or one of "l1", "l2", "linf" and "dn", and only the
     norms it names are computed ("dn" needs L1), all from the set's one
     grid; `l1_err` is printed rounded up, and the 17 digits of `l1` are
-    rounded to nearest from at least 27, whatever `dps` is.  `d_n`, the
-    L1 norm over sqrt(ln N), needs N >= 2.
+    its midpoint rounded to nearest.  That midpoint comes from an
+    enclosure of at least L1_MIN_DPS = 20 digits, 3 more than are printed,
+    whatever `dps` is.  `d_n`, the L1 norm over sqrt(ln N), needs N >= 2.
     """
     if which not in ("all", "l1", "l2", "linf", "dn"):
         raise ValueError(f"unknown norm {which!r}")

@@ -8,10 +8,11 @@ inner products, the cell-by-cell L2 integrator (and a point set of
 distinct prime denominators for its budgets), the exact L-infinity corner
 scan, the L1 log enclosure and the certificate's odd-order series in mpmath
 `iv` objects at a global interval precision, which the filtered and
-raw-interval kernels replaced, the float extremal search, the
-coefficient-mass bound on sup |T|, the sin expansion identity, the
-certificate's error tuple sums grouped by gap, Newton's identities and the
-evaluation of an expansion table at a sign vector.
+raw-interval kernels replaced, the L1 enclosure with two logs per
+integer, the float extremal search, the coefficient-mass bound on sup |T|,
+the sin expansion identity, the certificate's error tuple sums grouped by
+gap, Newton's identities and the evaluation of an expansion table at a
+sign vector.
 Coordinates are exact Fractions throughout; only the float extremal
 search and the mpmath evaluations of T are approximate.
 """
@@ -26,10 +27,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from mpmath import iv, mp, mpc, mpf
+from mpmath.libmp import dps_to_prec, from_rational, mpi_log, round_ceiling, round_floor
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
 from discrep.discrepancy import (
-    L1Norm, _as_mpf, _columns, _iv_endpoints, _l1_form, _mid_rad,
+    L1Norm, _as_mpf, _columns, _iv_endpoints, _l1_form, _mid_rad, _mpi_int,
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
@@ -319,6 +321,25 @@ def l1_norm_iv(ps: PointSet, dps: int = 30) -> L1Norm:
     raise ResourceLimitError(
         f"could not certify L1 to 1e-12 relative error by {8 * dps} digits"
     )
+
+
+def l1_enclosure_two_logs(form, dps: int) -> tuple[mpf, mpf]:
+    """`_l1_enclosure` with both ends of every ln m taken by `mpi_log`, one
+    log rounded down and one rounded up, each at the same w bits."""
+    prec = dps_to_prec(dps)
+    guard = sum(m.bit_length() for _, m in form.logs).bit_length() + 8
+    shift = prec + guard + max((abs(c) for c, _ in form.logs), default=0).bit_length()
+    lo_sum = hi_sum = 0
+    for c, m in form.logs:
+        wp = prec + abs(c).bit_length() + guard
+        lo, hi = mpi_log(_mpi_int(m, wp), wp)
+        if c < 0:
+            lo, hi = hi, lo
+        lo_sum += c * lo[1] << (lo[2] + shift)
+        hi_sum += c * hi[1] << (hi[2] + shift)
+    q, num = form.rational.denominator, form.rational.numerator * form.n << shift
+    return _iv_endpoints((from_rational(num + q * lo_sum, q * form.n << shift, prec, round_floor),
+                          from_rational(num + q * hi_sum, q * form.n << shift, prec, round_ceiling)))
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,19 @@ def assert_tree_matches_oracle(ps, tree):
                    Point(Fraction(1, 3) + Fraction(1, 1 << 40), Fraction(1, 5)),
                    Point(Fraction(3, 4), Fraction(3, 4)), Point(Fraction(3, 4), Fraction(3, 4)),
                    Point(Fraction(1, 8), Fraction(7, 8)))), 0, 0)
+# the root pair shares its level-0 cell, so it must be bucketed, not split
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 5)),
+                   Point(Fraction(1, 3) + Fraction(1, 1 << 9), Fraction(1, 5)))), 0, 0)
+# a duplicate pair never splits
+@example(PointSet((Point(Fraction(2, 7), Fraction(3, 5)),) * 2), 0, 0)
+# the far point leaves first, and the pair it leaves splits later
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 3)),
+                   Point(Fraction(1, 3) + Fraction(1, 1 << 30), Fraction(1, 3)),
+                   Point(Fraction(1, 3) + Fraction(1, 1 << 8), Fraction(1, 3)))), 0, 0)
+# a pair 2^-64 apart, which splits at a deep level
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 5)),
+                   Point(Fraction(1, 3) + Fraction(1, 1 << 64),
+                         Fraction(1, 5) + Fraction(1, 1 << 64)))), 0, 0)
 def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
     # one shift of the fixed-point integers gives the cell at any scale up
     # to S, and 2^k exactly on x = 1 or y = 1
@@ -842,6 +855,20 @@ def test_tree_layer_reads_only_the_cached_integers():
     for tree, other in zip(trees, want):
         for x, y in queries:
             assert eval_aux(tree, x, y) == eval_aux(other, x, y)
+
+
+def test_lone_clusters_are_shared_across_trees_and_builds():
+    # a pair that splits at a middle level, a duplicate and a lone point
+    copy = Point(Fraction(3, 4), Fraction(1, 5))
+    ps = PointSet((*_pair("x", 20), copy, copy, Point(Fraction(1, 7), Fraction(5, 6))))
+    lone = {}
+    for tree in build_trees(ps) + build_trees(ps):
+        for rec in tree.levels:
+            for cluster in rec.clusters:
+                if len(cluster[0]) == 1:
+                    assert lone.setdefault(cluster[0], cluster) is cluster
+                    assert cluster[3] == HARD_LEVEL_CAP
+    assert set(lone) == {(0,), (1,), (4,)}
 
 
 def test_checks_read_the_scale_the_cache_holds():

@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 
 from discrep import discrepancy
 from discrep.discrepancy import (
+    L1_MIN_DPS,
     MAX_MC_SAMPLES,
     CellDecomposition,
     _mid_rad,
@@ -159,20 +160,21 @@ def test_l1_records_the_precision_it_certified_at(monkeypatch):
     ps = random_uniform(6, seed=2)
     res = l1_norm(ps)
     assert not res.exact and res.dps == 30
-    # below 12 digits the enclosure is taken at 12, which reaches 1e-12
+    # below L1_MIN_DPS digits the enclosure is taken at L1_MIN_DPS, which
+    # reaches 1e-12
     low = l1_norm(ps, dps=5)
     assert low.sign_change_cells == res.sign_change_cells > 0
-    assert low.dps == 12
+    assert low.dps == L1_MIN_DPS
     assert low.error <= 1e-12 * low.value
     assert abs(low.value - res.value) <= low.error + res.error
     # one enclosure per set with a crossed cell, at the recorded precision
-    assert calls == [30, 12]
-    for dps in (1, 11, 12, 31):
+    assert calls == [30, L1_MIN_DPS]
+    for dps in (1, 11, 12, L1_MIN_DPS - 1, L1_MIN_DPS, 31):
         for ps in (CORNER, van_der_corput(3), random_uniform(16, seed=7)):
             calls.clear()
             norm = l1_norm(ps, dps)
-            assert calls == ([] if norm.exact else [max(dps, 12)])
-            assert norm.dps == (0 if norm.exact else max(dps, 12))
+            assert calls == ([] if norm.exact else [max(dps, L1_MIN_DPS)])
+            assert norm.dps == (0 if norm.exact else max(dps, L1_MIN_DPS))
             assert norm.error <= 1e-12 * norm.value
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp, mpf
-from mpmath.libmp import dps_to_prec, mpi_log
+from mpmath.libmp import dps_to_prec, mpf_log, mpi_log
 
 import oracles
 from discrep import discrepancy, pointsets
@@ -368,14 +368,20 @@ def test_l1_enclosure_holds_a_log_sum_cancelled_to_2_pow_minus_300(coeff, atom):
 def test_l1_enclosure_logs_an_interval_holding_each_integer(monkeypatch, dps):
     # an m wider than the logs' working precision must be rounded outward
     # before its log; rounding it to nearest moves ln m by less than the
-    # log's own ulp, so only the interval handed to mpi_log shows it
+    # log's own ulp, so only the argument handed to the log shows it.  An
+    # m that fits takes one mpf_log of m itself, a wider one an mpi_log.
     seen = []
 
-    def recording(x, prec):
+    def recording_mpf(x, prec, rnd):
+        seen.append((x, x))
+        return mpf_log(x, prec, rnd)
+
+    def recording_mpi(x, prec):
         seen.append(x)
         return mpi_log(x, prec)
 
-    monkeypatch.setattr(discrepancy, "mpi_log", recording)
+    monkeypatch.setattr(discrepancy, "mpf_log", recording_mpf)
+    monkeypatch.setattr(discrepancy, "mpi_log", recording_mpi)
     for form in (L1Form(Fraction(0), ((1, 3 ** 200),), 1, 1), _l1_form(DENOMINATOR_3_80.grid)):
         seen.clear()
         _l1_enclosure(form, dps)
@@ -383,6 +389,37 @@ def test_l1_enclosure_logs_an_interval_holding_each_integer(monkeypatch, dps):
         ends = [tuple(map(exact, _iv_endpoints(x))) for x in seen]
         assert all(lo <= m <= hi for (lo, hi), (_, m) in zip(ends, form.logs))
         assert any(lo < hi for lo, hi in ends)
+        # 2 and 3 fit and are logged exactly; 3^200 never fits
+        assert any(lo == hi for lo, hi in ends) == (form.logs != ((1, 3 ** 200),))
+
+
+# logs over 2 and odd m up to 300 bits, some past the working precision
+log_forms = st.builds(
+    lambda logs, num, den, n: L1Form(Fraction(num, den), tuple(logs), n, 1),
+    st.lists(st.tuples(st.integers(-(1 << 40), 1 << 40).filter(bool),
+                       st.one_of(st.just(2), st.integers(1, 1 << 299).map(lambda k: 2 * k + 1))),
+             min_size=1, max_size=6, unique_by=lambda cm: cm[1]),
+    st.integers(0, 1 << 80), st.integers(1, 1 << 80), st.integers(1, 1 << 12))
+
+
+def cancelled(form):
+    """`form` with a rational within 2^-300 of minus its log part, so that
+    each log's last bit shows in the rounded ends."""
+    with mp.workprec(800):
+        approx = mp.fsum(c * mp.log(m) for c, m in form.logs) / form.n
+    return form._replace(rational=-Fraction(round(exact(approx) * 2 ** 300), 2 ** 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(point_sets.map(lambda ps: _l1_form(ps.grid)), log_forms,
+                 log_forms.map(cancelled)),
+       st.sampled_from([1, 5, 12, 20, 30, 50]))
+@example(L1Form(Fraction(0), ((1, 3 ** 200),), 1, 1), 5)
+@example(_l1_form(DENOMINATOR_3_80.grid), 30)
+def test_l1_enclosure_is_bit_equal_to_two_logs_per_integer(form, dps):
+    # the next w-bit float above ln m rounded down is ln m rounded up
+    got, want = _l1_enclosure(form, dps), oracles.l1_enclosure_two_logs(form, dps)
+    assert [end._mpf_ for end in got] == [end._mpf_ for end in want]
 
 
 def contains(outer, inner):
