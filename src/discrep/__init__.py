@@ -8,6 +8,10 @@ Library layout:
   combinatorics sign-vector moments, odd symmetric expansions
   testfn        Fourier-atom test functions, linear coefficients, certificates
   cli           the `discrep` command
+
+`_interval` holds the raw-libmp interval helpers and is the one module that
+imports mpmath; the functions that compute an interval load it when they
+run, so `import discrep` loads neither mpmath nor numpy.
 """
 
 from .errors import CsvFormatError, ResourceLimitError

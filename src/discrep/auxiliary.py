@@ -75,7 +75,6 @@ them only for n <= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -83,7 +82,7 @@ from typing import NamedTuple, Sequence
 
 from .discrepancy import linf_norm
 from .errors import ResourceLimitError
-from .pointsets import PointSet
+from .pointsets import PointSet, _Record
 
 HARD_LEVEL_CAP = 64
 # Levels built past stabilization when no max_level is given.
@@ -102,8 +101,7 @@ PIECE_CAP = 2_000_000
 Cluster = tuple[tuple[int, ...], int, int, int]
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(_Record):
     """One subdivision level: its clusters, one per occupied rectangle, and
     the empty count.
 
@@ -113,13 +111,13 @@ class LevelRecord:
     `clusters` tuple itself.
     """
 
-    level: int
-    scale_x: int
-    scale_y: int
-    clusters: tuple[Cluster, ...]
-    fixed_bits: int
-    empty_count: int
-    rect_area: Fraction
+    _fields = ("level", "scale_x", "scale_y", "clusters", "fixed_bits", "empty_count",
+               "rect_area")
+
+    def __init__(self, level: int, scale_x: int, scale_y: int, clusters: tuple[Cluster, ...],
+                 fixed_bits: int, empty_count: int, rect_area: Fraction):
+        self.__dict__.update(level=level, scale_x=scale_x, scale_y=scale_y, clusters=clusters,
+                             fixed_bits=fixed_bits, empty_count=empty_count, rect_area=rect_area)
 
     @cached_property
     def occupied(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -130,15 +128,27 @@ class LevelRecord:
         return {(x0 >> dx, y0 >> dy): members for members, x0, y0, _ in self.clusters}
 
 
-@dataclass
 class AuxFamilyTree:
-    """Leveled record of the recursive construction for one direction index."""
+    """Leveled record of the recursive construction for one direction index.
 
-    pointset: PointSet
-    direction: int
-    n: int
-    levels: list[LevelRecord]
-    stabilization_level: int | None
+    Mutable, so unhashable; two trees are equal when their fields are.
+    """
+
+    def __init__(self, pointset: PointSet, direction: int, n: int, levels: list[LevelRecord],
+                 stabilization_level: int | None):
+        self.pointset = pointset
+        self.direction = direction
+        self.n = n
+        self.levels = levels
+        self.stabilization_level = stabilization_level
+
+    def _values(self) -> tuple:
+        return self.pointset, self.direction, self.n, self.levels, self.stabilization_level
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
     @property
     def point_count(self) -> int:
@@ -187,17 +197,26 @@ def n_from_pointcount(count: int) -> int:
 def _fixed_point(
     ps: PointSet, bits: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[Cluster, ...]]:
-    """`ps.fixed_point(bits)` and each point's one-point cluster
-    ((t,), X[t], Y[t], HARD_LEVEL_CAP), cached on the set with the integers
-    it comes from: every tree and level of the set shares these clusters.
-    A lone point never splits, so its last whole level is the cap.
+    """(bits, X, Y, lone): the set's fixed-point integers at exactly `bits`
+    bits and each point's one-point cluster ((t,), X[t], Y[t],
+    HARD_LEVEL_CAP), cached on the set: every tree and level of the set
+    shares these clusters.  A lone point never splits, so its last whole
+    level is the cap.
+
+    `ps.fixed_point` may hold more bits than asked for, when a caller grew
+    its cache first.  Its integers are then shifted down, as
+    floor(X 2^(bits - S')) = floor(x 2^bits), so a tree is the same
+    whatever that cache held.
     """
-    scale, xs, ys = ps.fixed_point(bits)
-    cached = ps.__dict__.get("_lone_clusters")
-    if cached is None or cached[0] is not xs:
+    cached = ps.__dict__.get("_tree_integers")
+    if cached is None or cached[0] != bits:
+        scale, xs, ys = ps.fixed_point(bits)
+        if scale > bits:
+            xs = tuple(x >> (scale - bits) for x in xs)
+            ys = tuple(y >> (scale - bits) for y in ys)
         lone = tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys)))
-        cached = ps.__dict__["_lone_clusters"] = (xs, lone)
-    return scale, xs, ys, cached[1]
+        cached = ps.__dict__["_tree_integers"] = (bits, xs, ys, lone)
+    return cached
 
 
 def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> AuxFamilyTree:
@@ -209,13 +228,14 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     EXTRA_LEVELS past stabilization, with a hard cap of HARD_LEVEL_CAP
     levels; an unstabilized tree keeps its residual mass bound.
 
-    Cells are read from the set's fixed-point coordinates at
+    Cells are read from the set's fixed-point coordinates at exactly
     S = (n+1)(HARD_LEVEL_CAP+1) bits, past the finest scale any level
-    reaches.  Level 0 buckets the points off x = 1 and y = 1
-    (`PointSet.interior`).  Each cluster records, when it is formed, the last
-    level at which all its members still share a cell: its split scale
-    along x is S minus the bit length of the OR of X ^ X0 over its members
-    (X0 its first member's), and likewise along y.  Until that level the
+    reaches, whatever the set's cache holds (`_fixed_point`).  Level 0
+    buckets the points off x = 1 and y = 1 (`PointSet.interior`).  Each
+    cluster records, when it is formed, the last level at which all its
+    members still share a cell: its split scale along x is S minus the bit
+    length of the OR of X ^ X0 over its members (X0 its first member's),
+    and likewise along y.  Until that level the
     cluster moves whole to the child cell of its first member; at the next
     one its members are bucketed.  Equal points never split, so a level
     has at most as many clusters as there are distinct interior points
@@ -521,8 +541,7 @@ def _product_counts(
     return signed, plain
 
 
-@dataclass(frozen=True)
-class ProductBoundReport:
+class ProductBoundReport(NamedTuple):
     """Exact covered-region integral of D times a product of auxiliary functions.
 
     d_product_integral integrates D * prod f over the region covered by all
@@ -615,8 +634,7 @@ def product_bound_check(
 # verification suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verdict.  A skipped check did not run: it is not passed, and it
     does not fail the suite."""
 
@@ -626,8 +644,7 @@ class CheckResult:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     label: str
     n: int
     checks: tuple[CheckResult, ...]

@@ -18,10 +18,9 @@ signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 
@@ -56,8 +55,7 @@ def sign_sum_moment_bruteforce(n: int, k: int) -> Fraction:
     return Fraction(total, 1 << n)
 
 
-@dataclass(frozen=True)
-class OddMomentSeries:
+class OddMomentSeries(NamedTuple):
     """Coefficients of t^k/k! (odd k) of sinh(t) cosh(t)^n up to degree K."""
 
     n: int
@@ -117,8 +115,7 @@ def elementary_symmetric(values: Sequence) -> list:
     return coeffs[1:]
 
 
-@dataclass(frozen=True)
-class OddExpansionTable:
+class OddExpansionTable(NamedTuple):
     """Coefficients A_p with (z_0+...+z_n)^k = sum_p A_p e_p under z_i^2 = 1.
 
     Only odd p up to min(k, n+1) can occur.

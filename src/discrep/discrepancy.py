@@ -40,7 +40,8 @@ L1 and L-infinity stream the closed prefix counts one column at a time
     change).  It is enclosed once, at max(dps, L1_MIN_DPS) digits: one raw
     mpmath.libmp interval log per integer at a precision set by its
     coefficient, the ends summed exactly and rounded outward once, at most
-    2 ulps wide, no global state.
+    2 ulps wide, no global state (`_interval`, the one module that
+    imports mpmath, which `l1_norm` loads only when a cell is crossed).
   * L2, O(N log N) operations on integers of the axis integers' size: the
     pairwise closed form (sums of (1 - max) products), summed in x order
     with a Fenwick tree of integer numerators over the y ranks (Heinrich,
@@ -56,89 +57,27 @@ Monte-Carlo estimator of the L1/L2 norms serves as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import add, or_, sub
-from typing import Iterator, NamedTuple
-
-from mpmath import mp, mpf
-from mpmath.libmp import (
-    dps_to_prec, from_int, from_rational, mpf_log, mpi_div, mpi_log, round_ceiling, round_floor,
-)
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
 from .pointsets import CellDecomposition, PointSet
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 # About N = 4096 points with distinct coordinates.
 MAX_GRID_CELLS = 1 << 24
 # Monte-Carlo samples; numpy holds a few 8-byte arrays of this length.
 MAX_MC_SAMPLES = 1 << 24
 # The L1 enclosure is at most 2 ulps, 2^(2 - prec) of its value, wide
-# (`_l1_enclosure`).  `norms_report` prints 17 digits of its midpoint, and
-# 3 digits more keep all 17 backed by the enclosure (dps_to_prec(20) is
-# 70 bits); 1e-12 alone would need only 42 bits, 12 digits.
+# (`_interval._l1_enclosure`).  `norms_report` prints 17 digits of its
+# midpoint, and 3 digits more keep all 17 backed by the enclosure
+# (dps_to_prec(20) is 70 bits); 1e-12 alone would need only 42 bits, 12
+# digits.
 L1_MIN_DPS = 20
-
-
-def _mpi_int(k: int, prec: int) -> tuple:
-    """The integer k as a raw libmp interval at `prec` bits, rounded outward."""
-    return from_int(k, prec, round_floor), from_int(k, prec, round_ceiling)
-
-
-def _mpi_fraction(q: Fraction, prec: int) -> tuple:
-    """q as a raw libmp interval at `prec` bits: numerator and denominator
-    rounded outward, then divided."""
-    return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
-
-
-def _iv_endpoints(x: tuple) -> tuple[mpf, mpf]:
-    """The exact endpoints (lo, hi) of the raw libmp interval x, as mpf."""
-    lo, hi = x
-    return mp.make_mpf(lo), mp.make_mpf(hi)
-
-
-def _mid_rad(lo: mpf, hi: mpf) -> tuple[mpf, mpf]:
-    """(mid, rad) at mp's precision with [lo, hi] inside [mid - rad, mid + rad].
-
-    mid is rounded to nearest; rad is rounded up, so the cover is exact.
-    """
-    mid = (lo + hi) / 2
-    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u"))
-
-
-def _as_mpf(value) -> mpf:
-    """A Fraction as num/den in mpf at mp's precision; other numbers via mpf()."""
-    if isinstance(value, Fraction):
-        return mpf(value.numerator) / mpf(value.denominator)
-    return mpf(value)
-
-
-def _nstr_directed(value, digits: int, up: bool) -> str:
-    """`mp.nstr` of the `digits`-significant-digit decimal next to `value`
-    toward +inf (`up`) or toward -inf, so the printed number bounds `value`.
-
-    `value` (a finite mpf, a Fraction or an int) is read exactly, whatever
-    mp's current precision.  When rounding to nearest gives the same
-    decimal, the string equals `mp.nstr(value, digits)`.
-    """
-    if isinstance(value, mpf):
-        sign, man, exp, _ = value._mpf_
-        if not man and exp:
-            raise ValueError(f"{value} is not finite")
-        q = (-1) ** sign * man * Fraction(2) ** exp
-    else:
-        q = Fraction(value)
-    if q == 0:
-        return mp.nstr(mpf(0), digits)
-    # 10^e <= |q| < 10^(e + 1): with a digits over b, |q| < 10^(a - b + 1)
-    e = len(str(abs(q.numerator))) - len(str(q.denominator))
-    while Fraction(10) ** e > abs(q):
-        e -= 1
-    unit = Fraction(10) ** (e + 1 - digits)
-    steps = math.ceil(q / unit) if up else math.floor(q / unit)
-    with mp.workdps(digits + 10):
-        return mp.nstr(_as_mpf(steps * unit), digits)
 
 
 def _columns(grid: CellDecomposition) -> Iterator[tuple[int, ...]]:
@@ -209,8 +148,7 @@ def l2_norm_sq(ps: PointSet) -> Fraction:
     return Fraction(18 * pair * qx * qy - 9 * n * single + 2 * n * n * q2, 18 * q2)
 
 
-@dataclass(frozen=True)
-class L1Norm:
+class L1Norm(NamedTuple):
     """L1 norm of D with a rigorous error bound.
 
     `value` is a Fraction when every cell integrates rationally (no sign
@@ -219,7 +157,7 @@ class L1Norm:
     needed the logarithmic antiderivative, and `dps` is the precision, in
     digits, to which the enclosure's ends were rounded: the requested
     digits, at least L1_MIN_DPS (0 when exact); its logs ran at a few more
-    bits (`_l1_enclosure`).
+    bits (`_interval._l1_enclosure`).
     """
 
     value: Fraction | mpf
@@ -356,62 +294,18 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     return L1Form(rational, logs, n, crossed)
 
 
-def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:
-    """Exact endpoints of an interval holding rational + (sum c_m ln m) / n.
-
-    The form's m are 2 and odd integers >= 3 (every even k and 2^53
-    denominator folds into the one ln 2).  Each ln m is enclosed at
-    w = prec + bitlen(|c_m|) + g bits, with prec = dps_to_prec(dps),
-    L_m = bitlen(m) and g = bitlen(sum L_m) + 8.  An m of at most w bits
-    is exact there and ln m is irrational, so one log rounded down at w
-    bits and the next w-bit float above it enclose ln m.  A wider m is
-    rounded outward to w bits first (`_mpi_int`) and takes the `mpi_log`
-    of that interval.  The ends times c_m and the rational are summed
-    exactly, n is divided out exactly, and each end is rounded outward
-    once, at prec bits.
-
-    Width: each log end is within one ulp, 2^(1-w) L ln 2, of the log of
-    its end of m's interval, whose logs differ by at most 2^(1-w), so ln m
-    is enclosed in 2^(2-w) (L ln 2 + 1/2) <= 2^(2-w) L (L >= 2), c_m ln m
-    in 2^(2-prec-g) L and the total in 2^(-6-prec) / n.  Since
-    |D| >= n x y on [0, s]^2 with n s^2 = 1/4,
-    ||D||_1 >= 1/(64 n): the log error is below one ulp of ||D||_1 at prec
-    bits, and the result is at most 2 ulps of its upper end wide.
-    """
-    prec = dps_to_prec(dps)
-    guard = sum(m.bit_length() for _, m in form.logs).bit_length() + 8
-    # an end is a w-bit mpf (0, man, exp, bc) >= ln 2 > 1/2, so exp >= -w >= -shift,
-    # and exp + bc >= 0 puts its ulp 2^(exp + bc - w) at 2^-shift or above
-    shift = prec + guard + max((abs(c) for c, _ in form.logs), default=0).bit_length()
-    lo_sum = hi_sum = 0
-    for c, m in form.logs:
-        wp = prec + abs(c).bit_length() + guard
-        # ln m lies in [a, b] 2^-shift
-        if m.bit_length() <= wp:
-            _, man, exp, bc = mpf_log(from_int(m), wp, round_floor)
-            a = man << (exp + shift)
-            b = a + (1 << (exp + bc - wp + shift))      # one ulp at wp bits
-        else:
-            lo, hi = mpi_log(_mpi_int(m, wp), wp)
-            a, b = lo[1] << (lo[2] + shift), hi[1] << (hi[2] + shift)
-        if c < 0:                               # c [a, b] = [c b, c a]
-            a, b = b, a
-        lo_sum += c * a
-        hi_sum += c * b
-    q, num = form.rational.denominator, form.rational.numerator * form.n << shift
-    return _iv_endpoints((from_rational(num + q * lo_sum, q * form.n << shift, prec, round_floor),
-                          from_rational(num + q * hi_sum, q * form.n << shift, prec, round_ceiling)))
-
-
 def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
     """L1 norm of D; exact rational, or certified to a relative 1e-12.
 
     Closed-form integration summed in integers; the linear form in logs is
-    enclosed once by `_l1_enclosure`, at max(dps, L1_MIN_DPS) digits.
+    enclosed once by `_interval._l1_enclosure`, at max(dps, L1_MIN_DPS)
+    digits; an exact result loads no mpmath.
     """
     form = _l1_form(ps.grid)
     if not form.crossed:
         return L1Norm(form.rational, Fraction(0), True, 0, 0)
+    from ._interval import _l1_enclosure, _mid_rad, mp
+
     dps = max(dps, L1_MIN_DPS)
     lo, hi = _l1_enclosure(form, dps)
     with mp.workdps(dps):
@@ -547,6 +441,8 @@ def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
     if which in ("all", "l1", "dn"):
         l1 = l1_norm(ps, dps)
     if which in ("all", "l1"):
+        from ._interval import _as_mpf, _nstr_directed, mp
+
         with mp.workdps(max(dps, 27)):
             report["l1"] = mp.nstr(_as_mpf(l1.value), 17)
         report["l1_err"] = _nstr_directed(l1.error, 3, up=True)

@@ -16,7 +16,8 @@ A set caches what the layers above read of it: the trees' fixed-point
 integers, interior points and count of distinct interior points, and the
 norms' O(N) grid, `CellDecomposition`, which sorts and ranks coordinates
 by integer keys and compares two of them as Fractions only when they lie
-within 2^-64 of each other.
+within 2^-64 of each other.  Both are `_Record`s: immutable values that
+keep those caches in their `__dict__`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -78,16 +78,54 @@ def as_coordinate(value) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class PointSet:
+class _Record:
+    """Equality, hash and repr by the fields named in `_fields`, for a class
+    that caches what it computes in its `__dict__`, which a NamedTuple has
+    none of.
+
+    `__init__` sets the fields once, by writing `__dict__`, and assignment
+    is refused afterwards: the caches assume the fields never change.
+    `_replace` is a copy with some fields changed, as a NamedTuple's is,
+    and starts with no cache.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class PointSet(_Record):
     """Ordered multiset of points; duplicates allowed and counted."""
 
-    points: tuple[Point, ...]
-    label: str = ""
+    _fields = ("points", "label")
 
-    def __post_init__(self):
-        coerced = tuple(Point(as_coordinate(p[0]), as_coordinate(p[1])) for p in self.points)
-        object.__setattr__(self, "points", coerced)
+    def __init__(self, points: Iterable, label: str = ""):
+        self.__dict__.update(
+            points=tuple(Point(as_coordinate(p[0]), as_coordinate(p[1])) for p in points),
+            label=label,
+        )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -160,8 +198,7 @@ def _axis_cuts(values: list[Fraction]) -> tuple[tuple[Fraction, ...], list[int]]
     return tuple(q for _, q in order), [rank[key] for key in keys]
 
 
-@dataclass(frozen=True)
-class CellDecomposition:
+class CellDecomposition(_Record):
     """The grid cut by the point coordinates: O(N) entries, no count.
 
     x_cuts and y_cuts are the sorted distinct coordinates of each axis, 0
@@ -175,9 +212,11 @@ class CellDecomposition:
     at a time.
     """
 
-    x_cuts: tuple[Fraction, ...]
-    y_cuts: tuple[Fraction, ...]
-    point_ranks: tuple[tuple[int, int], ...]
+    _fields = ("x_cuts", "y_cuts", "point_ranks")
+
+    def __init__(self, x_cuts: tuple[Fraction, ...], y_cuts: tuple[Fraction, ...],
+                 point_ranks: tuple[tuple[int, int], ...]):
+        self.__dict__.update(x_cuts=x_cuts, y_cuts=y_cuts, point_ranks=point_ranks)
 
     @classmethod
     def from_pointset(cls, ps: PointSet) -> "CellDecomposition":
@@ -292,10 +331,9 @@ def read_csv(path) -> PointSet:
             if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
                 raise CsvFormatError(f"line {lineno}: coordinate outside [0, 1]")
             pts.append(Point(x, y))
-    # each coordinate is checked above; `__post_init__` would check it again
+    # each coordinate is checked above; `PointSet.__init__` would check it again
     ps = object.__new__(PointSet)
-    object.__setattr__(ps, "points", tuple(pts))
-    object.__setattr__(ps, "label", label)
+    ps.__dict__.update(points=tuple(pts), label=label)
     return ps
 
 

@@ -19,7 +19,8 @@ weighted by cos^n sin), against a fully explicit finite error series
 `auxiliary.product_bound` summed over index tuples).  All transcendental
 factors are evaluated in interval arithmetic with directed rounding, on
 raw mpmath.libmp endpoint pairs at `dps_to_prec(dps)` bits, so the
-reported lower bound on the L1 norm is rigorous.
+reported lower bound on the L1 norm is rigorous.  mpmath is imported by
+the functions that compute with it, not by this module (`_interval`).
 
 The expansion behind the error series is the pointwise identity (for
 s_j = +-1, a = 1/sqrt(n))
@@ -35,43 +36,39 @@ exhaustively at small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
-
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    dps_to_prec, fzero, mpi_add, mpi_cos_sin, mpi_div, mpi_log, mpi_mul, mpi_pow_int, mpi_sqrt,
-    mpi_sub,
-)
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .auxiliary import AuxFamilyTree, _family, inner_product, lemma_short_bound, product_bound
 from .combinatorics import sign_sum_moment
-from .discrepancy import _as_mpf, _iv_endpoints, _mpi_fraction, _mpi_int, _nstr_directed
 from .errors import ResourceLimitError
 from .pointsets import PointSet
+
+if TYPE_CHECKING:
+    from mpmath import mpc, mpf
 
 # The exact moments of `lin_series_crosscheck` take time growing about as n^2.7.
 LIN_MAX_N = 1 << 11
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One term c * exp(-i * freq * x) with exact rational c = re + i im."""
-
+class _AtomFields(NamedTuple):
     re: Fraction
     im: Fraction
     freq: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-        object.__setattr__(self, "freq", Fraction(self.freq))
+
+class Atom(_AtomFields):
+    """One term c * exp(-i * freq * x) with exact rational c = re + i im;
+    each field is made a Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, re, im, freq):
+        return super().__new__(cls, Fraction(re), Fraction(im), Fraction(freq))
 
 
-@dataclass(frozen=True)
-class FourierAtomFunction:
+class FourierAtomFunction(NamedTuple):
     atoms: tuple[Atom, ...]
 
     @classmethod
@@ -119,6 +116,10 @@ def lin_n(fn: FourierAtomFunction, n: int, dps: int = 30) -> mpc:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    from mpmath import mp, mpc
+
+    from ._interval import _as_mpf
+
     with mp.workdps(dps):
         root = mp.sqrt(n)
         total = mpc(0)
@@ -153,6 +154,10 @@ def lin_series_crosscheck(
         weight = sign_sum_moment(n, k) / (factorial(k) * n ** ((k - 1) // 2))
         acc_re += d_re * weight
         acc_im += d_im * weight
+    from mpmath import mp, mpc
+
+    from ._interval import _as_mpf
+
     with mp.workdps(dps):
         root = mp.sqrt(n)
         return +(mpc(_as_mpf(acc_re), _as_mpf(acc_im)) / root)
@@ -160,6 +165,10 @@ def lin_series_crosscheck(
 
 def lin_limit(fn: FourierAtomFunction, dps: int = 30) -> mpc:
     """Limit value -i sum_j w_j exp(-w_j^2 / 2) c_j; for sin: 1/sqrt(e)."""
+    from mpmath import mp, mpc
+
+    from ._interval import _as_mpf
+
     with mp.workdps(dps):
         total = mpc(0)
         for a in fn.atoms:
@@ -173,8 +182,7 @@ def lin_limit(fn: FourierAtomFunction, dps: int = 30) -> mpc:
 # certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Rigorous lower bound on the L1 norm of the discrepancy function.
 
     main_term is the rounded-down value of cos^n(a) sin(a) * |sum of the
@@ -197,6 +205,8 @@ class BoundCertificate:
 
     def to_json(self) -> dict:
         """The bounds at 17 digits, each rounded in its safe direction."""
+        from ._interval import _nstr_directed
+
         return {
             "n": self.n,
             "N": self.point_count,
@@ -220,6 +230,10 @@ def _odd_terms(n: int, weights: dict[int, Fraction], prec: int) -> tuple:
     p = 1 with the mass |sum of inner products| is the certificate's main
     term; the odd p >= 3 with `_error_weights` are its error series.
     """
+    from mpmath.libmp import fzero, mpi_add, mpi_cos_sin, mpi_div, mpi_mul, mpi_pow_int, mpi_sqrt
+
+    from ._interval import _mpi_fraction, _mpi_int
+
     a = mpi_div(_mpi_int(1, prec), mpi_sqrt(_mpi_int(n, prec), prec), prec)
     cos_a, sin_a = mpi_cos_sin(a, prec)
     total = (fzero, fzero)
@@ -262,6 +276,11 @@ def certificate(
     total = sum(ip.value for ip in ips)
     total_error = sum(ip.error for ip in ips)
 
+    from mpmath import mpf
+    from mpmath.libmp import dps_to_prec, mpi_div, mpi_log, mpi_sqrt, mpi_sub
+
+    from ._interval import _iv_endpoints, _mpi_int
+
     prec = dps_to_prec(dps)
     main = _odd_terms(n, {1: abs(total)}, prec)
     err = _odd_terms(n, _error_weights(n, count), prec)
@@ -285,12 +304,20 @@ def certificate(
 
 def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
     """The certificate's error series alone, rounded up (depends on n, N only)."""
+    from mpmath.libmp import dps_to_prec
+
+    from ._interval import _iv_endpoints
+
     return _iv_endpoints(_odd_terms(n, _error_weights(n, count), dps_to_prec(dps)))[1]
 
 
 def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
     """Lower bound cos^n(a) sin(a) (n+1) |`lemma_short_bound`(n, N)| on the main term."""
     weights = {1: -(n + 1) * lemma_short_bound(n, count)}
+    from mpmath.libmp import dps_to_prec
+
+    from ._interval import _iv_endpoints
+
     return _iv_endpoints(_odd_terms(n, weights, dps_to_prec(dps)))[0]
 
 
@@ -300,6 +327,8 @@ def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
 
 def halasz_constant(dps: int = 30) -> mpf:
     """1 / (1152 (sqrt(e) + 1) sqrt(ln 2)), approximately 0.00039."""
+    from mpmath import mp
+
     with mp.workdps(dps):
         return +(1 / (1152 * (mp.sqrt(mp.e) + 1) * mp.sqrt(mp.log(2))))
 
@@ -310,6 +339,8 @@ def constants_table(digits: int = 10) -> dict:
     The two L2 comparison entries are reproduced from elsewhere and only
     displayed, marked external.
     """
+    from mpmath import mp
+
     with mp.workdps(digits + 15):
         root = mp.sqrt(mp.e * mp.log(2))
         entries = {

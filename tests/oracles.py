@@ -30,9 +30,8 @@ from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import dps_to_prec, from_rational, mpi_log, round_ceiling, round_floor
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
-from discrep.discrepancy import (
-    L1Norm, _as_mpf, _columns, _iv_endpoints, _l1_form, _mid_rad, _mpi_int,
-)
+from discrep._interval import _as_mpf, _iv_endpoints, _mid_rad, _mpi_int
+from discrep.discrepancy import L1Norm, _columns, _l1_form
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
 from discrep.testfn import FourierAtomFunction

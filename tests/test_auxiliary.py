@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -335,7 +334,7 @@ def test_lemma_suite_flags_corrupted_tree():
     trees = build_trees(ps)
     bad = trees[1]
     # tamper with the level-0 empty count
-    bad.levels[0] = replace(bad.levels[0], empty_count=bad.levels[0].empty_count + 1)
+    bad.levels[0] = bad.levels[0]._replace(empty_count=bad.levels[0].empty_count + 1)
     report = lemma_suite(ps, trees=trees)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
@@ -365,7 +364,7 @@ def test_level_counts_fails_more_clusters_than_points():
     # two copies of the one cluster, with the empty count cut to match
     trees = build_trees(ORIGIN)
     rec = trees[0].levels[0]
-    trees[0].levels[0] = replace(rec, clusters=rec.clusters * 2, empty_count=0)
+    trees[0].levels[0] = rec._replace(clusters=rec.clusters * 2, empty_count=0)
     witness = _failed_check(ORIGIN, trees, "level_counts")
     assert witness == "i=0 l=0: occupied 2 > N=1"
 
@@ -373,7 +372,7 @@ def test_level_counts_fails_more_clusters_than_points():
 def test_level_counts_fails_a_wrong_area():
     trees = build_trees(ORIGIN)
     rec = trees[1].levels[1]
-    trees[1].levels[1] = replace(rec, rect_area=rec.rect_area * 2)
+    trees[1].levels[1] = rec._replace(rect_area=rec.rect_area * 2)
     assert _failed_check(ORIGIN, trees, "level_counts") == "i=1 l=1: wrong area"
 
 
@@ -382,14 +381,14 @@ def test_cluster_partition_fails_a_dropped_cluster():
     trees = build_trees(ps)
     rec = trees[0].levels[0]
     assert len(rec.clusters) == 2
-    trees[0].levels[0] = replace(rec, clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
+    trees[0].levels[0] = rec._replace(clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
     witness = _failed_check(ps, trees, "cluster_partition")
     assert witness == "i=0 l=0: clusters do not partition the points"
 
 
 def test_inner_product_bound_fails_missing_empty_rectangles():
     trees = build_trees(ORIGIN)
-    trees[1].levels = [replace(rec, empty_count=0) for rec in trees[1].levels]
+    trees[1].levels = [rec._replace(empty_count=0) for rec in trees[1].levels]
     witness = _failed_check(ORIGIN, trees, "inner_product_upper_bound")
     assert witness.startswith("i=1: ") and witness.endswith(" > -1/64")
 
@@ -397,7 +396,7 @@ def test_inner_product_bound_fails_missing_empty_rectangles():
 def test_side_lengths_fails_a_tie():
     trees = build_trees(ORIGIN)
     assert (trees[0].levels[0].scale_x, trees[1].levels[0].scale_x) == (0, 1)
-    trees[1].levels[0] = replace(trees[1].levels[0], scale_x=0)
+    trees[1].levels[0] = trees[1].levels[0]._replace(scale_x=0)
     assert _failed_check(ORIGIN, trees, "side_lengths_distinct") == "i=0 l=0 vs i=1 l=0"
 
 
@@ -857,6 +856,20 @@ def test_tree_layer_reads_only_the_cached_integers():
             assert eval_aux(tree, x, y) == eval_aux(other, x, y)
 
 
+def test_build_tree_reads_exactly_its_bits_whatever_the_cache_holds():
+    # the set's fixed-point cache grows past S = (n+1)(HARD_LEVEL_CAP+1) bits
+    # after one build, or before the first: every build is the same tree
+    ps = van_der_corput(3)
+    bits = (n_from_pointcount(len(ps)) + 1) * (HARD_LEVEL_CAP + 1)
+    first = build_tree(ps, 1)
+    ps.fixed_point(bits + 100)
+    grown = PointSet(ps.points, ps.label)
+    grown.fixed_point(bits + 100)
+    for tree in (build_tree(ps, 1), build_tree(grown, 1)):
+        assert tree == first and tree.levels[0].fixed_bits == bits
+        assert tree.summary() == first.summary()
+
+
 def test_lone_clusters_are_shared_across_trees_and_builds():
     # a pair that splits at a middle level, a duplicate and a lone point
     copy = Point(Fraction(3, 4), Fraction(1, 5))
@@ -892,9 +905,9 @@ def test_cluster_partition_fails_a_cluster_carried_past_its_split():
     first_cell = next(iter(rec.occupied))
     # level 2 keeps level 1's cluster sequence: the pair, keyed by point 0
     carried = tree.levels[1].clusters
-    tree.levels[2] = replace(rec, clusters=carried, empty_count=rec.empty_count + 1)
+    tree.levels[2] = rec._replace(clusters=carried, empty_count=rec.empty_count + 1)
     assert tree.levels[2].occupied == {first_cell: (0, 1)}
-    tree.levels[3] = replace(tree.levels[3], empty_count=tree.levels[3].empty_count - (1 << 6))
+    tree.levels[3] = tree.levels[3]._replace(empty_count=tree.levels[3].empty_count - (1 << 6))
     assert _check_level_counts(tree).passed
     check = _check_cluster_partition(tree)
     assert not check.passed and "point 1 outside its cell" in check.witness

@@ -1,5 +1,6 @@
 """Norms of the discrepancy function: exact values against independent oracles."""
 
+import json
 import math
 import random
 import subprocess
@@ -11,13 +12,12 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from discrep import discrepancy
+from discrep import _interval, discrepancy
+from discrep._interval import _mid_rad, _nstr_directed
 from discrep.discrepancy import (
     L1_MIN_DPS,
     MAX_MC_SAMPLES,
     CellDecomposition,
-    _mid_rad,
-    _nstr_directed,
     norms_report,
     l1_norm,
     l2_norm_sq,
@@ -149,13 +149,13 @@ def test_l1_error_contract():
 
 def test_l1_records_the_precision_it_certified_at(monkeypatch):
     calls = []
-    enclosure = discrepancy._l1_enclosure
+    enclosure = _interval._l1_enclosure
 
     def counting(form, dps):
         calls.append(dps)
         return enclosure(form, dps)
 
-    monkeypatch.setattr(discrepancy, "_l1_enclosure", counting)
+    monkeypatch.setattr(_interval, "_l1_enclosure", counting)
     assert l1_norm(ORIGIN).dps == 0
     ps = random_uniform(6, seed=2)
     res = l1_norm(ps)
@@ -334,12 +334,79 @@ def test_norms_report_builds_the_grid_once(monkeypatch):
     assert calls == [4]
 
 
-def test_import_does_not_load_numpy():
-    # numpy serves only the Monte-Carlo oracle and is imported there
-    src = Path(discrepancy.__file__).resolve().parents[1]
-    code = "import sys, discrep, discrep.cli; print('numpy' in sys.modules)"
+SRC = Path(discrepancy.__file__).resolve().parents[1]
+LIBRARY = ("pointsets", "discrepancy", "auxiliary", "combinatorics", "testfn")
+
+
+def _fresh_interpreter(code: str):
+    """The JSON line that `code` prints last, run by a new interpreter on
+    this source tree."""
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_what_the_command_runs(tmp_path):
+    # `import discrep` loads every library module but no numpy, which only
+    # the Monte-Carlo route imports, no dataclasses or inspect, and no
+    # mpmath: that loads with the first interval, and gen, aux, lemmas and
+    # comb never compute one
+    golden = Path(__file__).parent / "golden"
+    mpmath_free = [
+        ["gen", "--kind", "vdc", "--m", "3", "--out", str(tmp_path / "vdc.csv")],
+        ["gen", "--kind", "random", "--n", "5", "--seed", "1", "--out", str(tmp_path / "rnd.csv")],
+        *([command, "--in", str(golden / name), "--json"]
+          for command in ("aux", "lemmas") for name in ("vdc3.csv", "mixed.csv")),
+        ["comb", "--n", "12", "--k", "11", "--json"],
+    ]
+    certificate = ["certificate", "--in", str(golden / "vdc3.csv"), "--json"]
+    code = f"""
+import json, sys
+import discrep, discrep.cli
+
+def loaded():
+    return [m for m in ("numpy", "mpmath", "dataclasses", "inspect") if m in sys.modules]
+
+seen = {{"import": loaded(),
+        "missing": [m for m in {LIBRARY!r} if "discrep." + m not in sys.modules]}}
+for argv in {mpmath_free!r}:
+    assert discrep.cli.main(argv) == 0, argv
+seen["mpmath_free"] = loaded()
+assert discrep.cli.main({certificate!r}) == 0
+seen["certificate"] = "mpmath" in sys.modules
+print(json.dumps(seen))
+"""
+    assert _fresh_interpreter(code) == {
+        "import": [], "missing": [], "mpmath_free": [], "certificate": True}
+
+
+def test_tracer_patches_and_restores_a_fresh_import():
+    # perfbench's tracer, read here and not edited, relies on `import
+    # discrep` alone: the modules it patches are loaded, the traced
+    # functions are module attributes it rebinds, and
+    # `CellDecomposition.from_pointset` is a classmethod
+    perfbench = SRC.parent / "perfbench"
+    code = f"""
+import json, sys
+sys.path.insert(0, {str(perfbench)!r})
+import discrep
+from spans import Tracer
+from discrep import discrepancy, pointsets
+
+original = discrepancy.l1_norm
+cells = pointsets.CellDecomposition.__dict__["from_pointset"]
+tracer = Tracer()
+with tracer.patched():
+    patched = discrepancy.l1_norm is not original
+    norm = discrepancy.l1_norm(pointsets.random_uniform(6, 2))
+restored = (discrepancy.l1_norm is original
+            and pointsets.CellDecomposition.__dict__["from_pointset"] is cells)
+print(json.dumps({{"patched": patched, "restored": restored, "exact": norm.exact,
+                  "spans": [span[0] for span in tracer.spans],
+                  "inexact": tracer.counts["discrepancy.l1_inexact"]}}))
+"""
+    assert _fresh_interpreter(code) == {
+        "patched": True, "restored": True, "exact": False,
+        "spans": ["discrepancy.l1", "discrepancy.cells"], "inexact": 1}

@@ -9,6 +9,7 @@ oracle's per-cell logs: the products of the atoms and of the ratios,
 raised to their integer coefficients, are equal.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,14 +18,13 @@ from mpmath import iv, mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_log, mpi_log
 
 import oracles
-from discrep import discrepancy, pointsets
+from discrep import _interval, discrepancy, pointsets
+from discrep._interval import _iv_endpoints, _l1_enclosure
 from discrep.discrepancy import (
     MAX_GRID_CELLS,
     CellDecomposition,
     L1Form,
     _columns,
-    _iv_endpoints,
-    _l1_enclosure,
     _l1_form,
     l1_norm,
     l2_norm_sq,
@@ -259,6 +259,38 @@ def test_linf_filter_matches_exact_scans(ps):
     assert value == linf_oracle(ps)
 
 
+def test_linf_filter_keeps_corners_within_2e_of_the_running_max(monkeypatch):
+    # The filter may skip a corner only when its float candidate is 2E
+    # below the running maximum h.  IEEE rounding alone errs by at most
+    # about 3 u N = E/2 per corner (each float of a cut by half an ulp
+    # below 1, each product by u N, and the difference only when v is
+    # below N/2), so a filter at h - E would never skip the maximum and no
+    # point set tells 2E from E.  Here the floats of the cuts are skewed
+    # by a few ulps instead, so that each candidate errs by at most E, as
+    # the proof allows.  One point (a, b): K = (a, b), in
+    # the first column, has 1 - a b; M = (1, b), in the last, has b, just
+    # above it.  K's candidate errs up and M's down, so that M's column
+    # top lies between h - 2E and h - E.
+    a, b = Fraction(1, 2), Fraction(2, 3) + Fraction(1, 3 << 55)
+    skewed = {a: 0.5 - 6 * 2.0 ** -54, b: float(b) - 4 * 2.0 ** -53}
+
+    def fl(q):
+        return skewed.get(q, float(q))
+
+    bound = math.ldexp(6, -53)              # E at N = 1
+    candidates = {}
+    for x in (a, Fraction(1)):
+        for y in (Fraction(0), b, Fraction(1)):
+            closed, strict, v = int(a <= x and b <= y), int(a < x and b < y), fl(x) * fl(y)
+            exact = max(closed - x * y, x * y - strict)
+            candidates[x, y] = max(closed - v, v - strict)
+            assert abs(Fraction(candidates[x, y]) - exact) <= bound
+    top = candidates[a, b]
+    assert candidates[1, b] < top - bound and top - 2 * bound <= candidates[1, b]
+    monkeypatch.setattr(discrepancy, "float", fl, raising=False)
+    assert linf_norm(pointset((a, b))) == b > 1 - a * b
+
+
 NEAR = Fraction(1, 1 << 70)
 # Coordinates that share floor(q 2^64) with a neighbour, so that only the
 # exact tie-break orders them: steps of 2^-70 about 1/3, 1/2, 5/7 and
@@ -380,8 +412,8 @@ def test_l1_enclosure_logs_an_interval_holding_each_integer(monkeypatch, dps):
         seen.append(x)
         return mpi_log(x, prec)
 
-    monkeypatch.setattr(discrepancy, "mpf_log", recording_mpf)
-    monkeypatch.setattr(discrepancy, "mpi_log", recording_mpi)
+    monkeypatch.setattr(_interval, "mpf_log", recording_mpf)
+    monkeypatch.setattr(_interval, "mpi_log", recording_mpi)
     for form in (L1Form(Fraction(0), ((1, 3 ** 200),), 1, 1), _l1_form(DENOMINATOR_3_80.grid)):
         seen.clear()
         _l1_enclosure(form, dps)
