@@ -43,23 +43,15 @@ stay on integers:
   * each point set reads every coordinate once as a fixed-point integer
     X = floor(x 2^S), with S = (n+1)(HARD_LEVEL_CAP+1) past the finest
     scale any tree reaches, so the cell at scale k is X >> (S - k) =
-    floor(x 2^k) (`PointSet.fixed_point`, cached on the set and shared by
-    its n + 1 trees);
+    floor(x 2^k) (`_tree_integers`, one record per set, which its n + 1
+    trees share);
   * equal points always share a cell, so a level's cluster count never
     exceeds the number of distinct interior points, and stabilization is
-    the first level where the two are equal (`PointSet.distinct_interior`);
-  * level 0 buckets every point; a cluster moves whole to the child cell
-    of its first member until a level's scale passes its split scale,
-    fixed when it is formed from the highest bit in which its members'
-    integers differ, and only then are its members bucketed; a level
-    before the next split scale of any cluster records its parent's
-    clusters as they are;
-  * no container is made per point: each point's one-point cluster is
-    built once per set and shared by every tree and level, a bucket holds
-    a lone member as its bare index, and a two-point cluster parts into
-    its two points' clusters without bucketing.  Per-point lists and
-    tuples made CPython's cyclic collector run often, and its full passes
-    walk every live object;
+    the first level where the two are equal;
+  * level 0 buckets every point, a cluster moves whole until a level's
+    scale passes its split scale, and no container is made per point
+    (`build_tree`): per-point lists and tuples made CPython's cyclic
+    collector run often, and its full passes walk every live object;
   * evaluation reads a query the same way, once, as X = floor(x 2^S),
     and takes t = X >> (S - k - 1) = floor(x 2^(k+1)) at scale k: t >> 1
     is the cell index and t & 1 the Haar half;
@@ -194,29 +186,41 @@ def n_from_pointcount(count: int) -> int:
     return (2 * count - 1).bit_length()
 
 
-def _fixed_point(
-    ps: PointSet, bits: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[Cluster, ...]]:
-    """(bits, X, Y, lone): the set's fixed-point integers at exactly `bits`
-    bits and each point's one-point cluster ((t,), X[t], Y[t],
-    HARD_LEVEL_CAP), cached on the set: every tree and level of the set
-    shares these clusters.  A lone point never splits, so its last whole
-    level is the cap.
+def _scaled_floors(coordinates, scale: int) -> tuple[int, ...]:
+    """floor(q 2^scale) for each Fraction q, in order."""
+    return tuple((q.numerator << scale) // q.denominator for q in coordinates)
 
-    `ps.fixed_point` may hold more bits than asked for, when a caller grew
-    its cache first.  Its integers are then shifted down, as
-    floor(X 2^(bits - S')) = floor(x 2^bits), so a tree is the same
-    whatever that cache held.
-    """
-    cached = ps.__dict__.get("_tree_integers")
-    if cached is None or cached[0] != bits:
-        scale, xs, ys = ps.fixed_point(bits)
-        if scale > bits:
-            xs = tuple(x >> (scale - bits) for x in xs)
-            ys = tuple(y >> (scale - bits) for y in ys)
+
+class _TreeIntegers(NamedTuple):
+    """All that the trees read of one set (`_tree_integers`)."""
+
+    scale: int                  # S = (n+1)(HARD_LEVEL_CAP+1)
+    xs: tuple[int, ...]         # floor(x 2^S) per point
+    ys: tuple[int, ...]         # floor(y 2^S) per point
+    interior: tuple[int, ...]   # the indices of the points off x = 1 and y = 1
+    distinct: int               # how many of those are distinct
+    lone: tuple[Cluster, ...]   # each point's one-point cluster
+
+
+def _tree_integers(ps: PointSet) -> _TreeIntegers:
+    """The set's `_TreeIntegers`, cached on the set: its trees and levels
+    read one scale and share the one-point clusters ((t,), X[t], Y[t],
+    HARD_LEVEL_CAP), as a lone point never splits.  Points closer than
+    2^-S share their integers, so distinct points are told apart on their
+    exact coordinates: a tree of such twins never stabilizes."""
+    record = ps.__dict__.get("_tree_integers")
+    if record is None:
+        points = ps.points
+        scale = (n_from_pointcount(len(points)) + 1) * (HARD_LEVEL_CAP + 1)
+        xs, ys = (_scaled_floors(axis, scale) for axis in zip(*points))
+        interior = tuple(t for t, (x, y) in enumerate(points)
+                         if x.numerator < x.denominator and y.numerator < y.denominator)
+        distinct = len({(x.numerator, x.denominator, y.numerator, y.denominator)
+                        for x, y in (points[t] for t in interior)})
         lone = tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys)))
-        cached = ps.__dict__["_tree_integers"] = (bits, xs, ys, lone)
-    return cached
+        record = ps.__dict__["_tree_integers"] = _TreeIntegers(
+            scale, xs, ys, interior, distinct, lone)
+    return record
 
 
 def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> AuxFamilyTree:
@@ -228,19 +232,18 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     EXTRA_LEVELS past stabilization, with a hard cap of HARD_LEVEL_CAP
     levels; an unstabilized tree keeps its residual mass bound.
 
-    Cells are read from the set's fixed-point coordinates at exactly
-    S = (n+1)(HARD_LEVEL_CAP+1) bits, past the finest scale any level
-    reaches, whatever the set's cache holds (`_fixed_point`).  Level 0
-    buckets the points off x = 1 and y = 1 (`PointSet.interior`).  Each
-    cluster records, when it is formed, the last level at which all its
-    members still share a cell: its split scale along x is S minus the bit
-    length of the OR of X ^ X0 over its members (X0 its first member's),
-    and likewise along y.  Until that level the
-    cluster moves whole to the child cell of its first member; at the next
-    one its members are bucketed.  Equal points never split, so a level
-    has at most as many clusters as there are distinct interior points
-    (`PointSet.distinct_interior`), and exactly as many when every cluster
-    holds one distinct point: the tree stabilizes at the first such level.
+    The tree reads the set only through its `_TreeIntegers`: cells come
+    from the integers at S = (n+1)(HARD_LEVEL_CAP+1) bits, past the finest
+    scale any level reaches, and level 0 buckets the points off x = 1 and
+    y = 1.  Each cluster records, when it is formed, the last level at
+    which all its members still share a cell: its split scale along x is
+    S minus the bit length of the OR of X ^ X0 over its members (X0 its
+    first member's), and likewise along y.  Until that level the cluster
+    moves whole to the child cell of its first member; at the next one its
+    members are bucketed.  Equal points never split, so a level has at
+    most as many clusters as there are distinct interior points, and
+    exactly as many when every cluster holds one distinct point: the tree
+    stabilizes at the first such level.
 
     A level before the first split level of any cluster records its
     parent's cluster tuple itself, with no key computed: the levels past
@@ -251,7 +254,7 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
 
     Nothing is allocated per point, since per-point containers drive the
     cyclic garbage collector.  A one-point cluster is the set's shared
-    one (`_fixed_point`), so every tree and level reuses it.  While
+    one (the record's `lone`), so every tree and level reuses it.  While
     bucketing, a cell holds a lone member as its bare index, and a list
     is made only when a second point lands there.  A formed two-point
     cluster (last >= 0) always parts into two one-point cells at the
@@ -270,12 +273,11 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
                 f"max_level {max_level} exceeds the cap of {HARD_LEVEL_CAP} levels"
             )
     step = n + 1
-    scale, xs, ys, lone = _fixed_point(ps, step * (HARD_LEVEL_CAP + 1))
-    distinct = ps.distinct_interior
+    scale, xs, ys, interior, distinct, lone = _tree_integers(ps)
     children = 1 << (2 * step)
 
     # Level 0 splits the root, the unit square's cluster of the interior points.
-    clusters: tuple[Cluster, ...] = ((ps.interior, 0, 0, -1),)
+    clusters: tuple[Cluster, ...] = ((interior, 0, 0, -1),)
     next_split = 0
     kx, ky = direction, n - direction
     levels: list[LevelRecord] = []
@@ -365,9 +367,16 @@ def _family(ps: PointSet, trees: Sequence[AuxFamilyTree] | None) -> list[AuxFami
     if trees is None:
         return build_trees(ps)
     n = n_from_pointcount(len(ps))
-    trees = sorted(trees, key=lambda t: t.direction)
-    if [t.direction for t in trees] != list(range(n + 1)):
-        raise ValueError(f"need one tree per direction index 0..{n}")
+    return _trees_of(ps, sorted(trees, key=lambda t: t.direction), range(n + 1),
+                     f"need one tree per direction index 0..{n}")
+
+
+def _trees_of(ps: PointSet, trees: Sequence[AuxFamilyTree], directions: Sequence[int],
+              mismatch: str) -> list[AuxFamilyTree]:
+    """`trees` as a list; ValueError unless they are trees of `ps` for `directions`, in order."""
+    trees = list(trees)
+    if [t.direction for t in trees] != list(directions):
+        raise ValueError(mismatch)
     if any(t.pointset != ps for t in trees):
         raise ValueError("trees were built for another point set")
     return trees
@@ -390,8 +399,7 @@ def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
     if not (0 <= x < 1 and 0 <= y < 1):
         raise ValueError(f"({x}, {y}) outside [0, 1)^2")
     scale = tree.levels[0].fixed_bits
-    qx = (x.numerator << scale) // x.denominator
-    qy = (y.numerator << scale) // y.denominator
+    qx, qy = _scaled_floors((x, y), scale)
     for rec in tree.levels:
         tx = qx >> (scale - rec.scale_x - 1)
         ty = qy >> (scale - rec.scale_y - 1)
@@ -594,11 +602,7 @@ def product_bound_check(
     if trees is None:
         trees = [build_tree(ps, i, max_level=truncation_level) for i in indices]
     else:
-        trees = list(trees)
-        if [t.direction for t in trees] != list(indices):
-            raise ValueError("trees do not match the requested indices")
-        if any(t.pointset != ps for t in trees):
-            raise ValueError("trees were built for another point set")
+        trees = _trees_of(ps, trees, indices, "trees do not match the requested indices")
         if any(t.deepest_level < truncation_level for t in trees):
             raise ValueError(f"all trees must be built to level {truncation_level}")
     n = trees[0].n
@@ -698,12 +702,11 @@ def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
 
 
 def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
-    """Each level's clusters partition `PointSet.interior`, each member in
-    its cell: X[t] >> (S - scale_x) == jx and Y[t] >> (S - scale_y) == jy,
-    with S the set's `fixed_point` scale (the cache may exceed `fixed_bits`).
+    """Each level's clusters partition the set's interior points, each
+    member in its cell: X[t] >> (S - scale_x) == jx and
+    Y[t] >> (S - scale_y) == jy, on the set's `_TreeIntegers`.
     """
-    ps = tree.pointset
-    scale, xs, ys = ps.fixed_point(max(max(r.scale_x, r.scale_y) for r in tree.levels))
+    scale, xs, ys, interior, _, _ = _tree_integers(tree.pointset)
     for rec in tree.levels:
         seen: list[int] = []
         dx, dy = scale - rec.scale_x, scale - rec.scale_y
@@ -715,7 +718,7 @@ def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
                         f"i={tree.direction} l={rec.level}: point {t} outside its cell",
                     )
             seen.extend(members)
-        if tuple(sorted(seen)) != ps.interior:
+        if tuple(sorted(seen)) != interior:
             return CheckResult(
                 "cluster_partition", False,
                 f"i={tree.direction} l={rec.level}: clusters do not partition the points",

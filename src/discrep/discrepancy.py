@@ -430,8 +430,9 @@ def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
 
     `which` is "all" or one of "l1", "l2", "linf" and "dn", and only the
     norms it names are computed ("dn" needs L1), all from the set's one
-    grid; `l1_err` is printed rounded up, and the 17 digits of `l1` are
-    its midpoint rounded to nearest.  That midpoint comes from an
+    grid.  An exact L1 is "p/q" with `l1_err` "0", and loads no mpmath;
+    otherwise `l1_err` is printed rounded up, and the 17 digits of `l1`
+    are its midpoint rounded to nearest.  That midpoint comes from an
     enclosure of at least L1_MIN_DPS = 20 digits, 3 more than are printed,
     whatever `dps` is.  `d_n`, the L1 norm over sqrt(ln N), needs N >= 2.
     """
@@ -441,11 +442,14 @@ def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
     if which in ("all", "l1", "dn"):
         l1 = l1_norm(ps, dps)
     if which in ("all", "l1"):
-        from ._interval import _as_mpf, _nstr_directed, mp
+        if l1.exact:
+            report["l1"], report["l1_err"] = str(l1.value), "0"
+        else:
+            from ._interval import _as_mpf, _nstr_directed, mp
 
-        with mp.workdps(max(dps, 27)):
-            report["l1"] = mp.nstr(_as_mpf(l1.value), 17)
-        report["l1_err"] = _nstr_directed(l1.error, 3, up=True)
+            with mp.workdps(max(dps, 27)):
+                report["l1"] = mp.nstr(_as_mpf(l1.value), 17)
+            report["l1_err"] = _nstr_directed(l1.error, 3, up=True)
     if which in ("all", "l2"):
         report["l2_sq"] = str(l2_norm_sq(ps))
     if which in ("all", "linf"):

@@ -12,12 +12,11 @@ A literal whose power of two or of ten would take more than
 MAX_AXIS_BITS bits is refused with ResourceLimitError before that power
 is built.
 
-A set caches what the layers above read of it: the trees' fixed-point
-integers, interior points and count of distinct interior points, and the
-norms' O(N) grid, `CellDecomposition`, which sorts and ranks coordinates
-by integer keys and compares two of them as Fractions only when they lie
-within 2^-64 of each other.  Both are `_Record`s: immutable values that
-keep those caches in their `__dict__`.
+A set caches what the layers above read of it, such as the norms' O(N)
+grid, `CellDecomposition`, which sorts and ranks coordinates by integer
+keys and compares two of them as Fractions only when they lie within
+2^-64 of each other.  Both are `_Record`s: immutable values that keep
+such caches in their `__dict__`.
 """
 
 from __future__ import annotations
@@ -135,35 +134,6 @@ class PointSet(_Record):
 
     def __getitem__(self, k) -> Point:
         return self.points[k]
-
-    def fixed_point(self, bits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(S, X, Y) with S >= bits, X[t] = floor(x_t 2^S) and Y[t] = floor(y_t 2^S).
-
-        floor(X 2^-(S-k)) = floor(x 2^k) for every k <= S, so the cell index
-        of any scale up to S is a shift.  Cached on the set; computed again
-        only when a call asks for more bits than the cache holds.
-        """
-        cached = self.__dict__.get("_fixed_point")
-        if cached is None or cached[0] < bits:
-            cached = (
-                bits,
-                tuple((p.x.numerator << bits) // p.x.denominator for p in self.points),
-                tuple((p.y.numerator << bits) // p.y.denominator for p in self.points),
-            )
-            self.__dict__["_fixed_point"] = cached
-        return cached
-
-    @cached_property
-    def interior(self) -> tuple[int, ...]:
-        """Indices, in order, of the points off x = 1 and y = 1."""
-        return tuple(t for t, (x, y) in enumerate(self.points)
-                     if x.numerator < x.denominator and y.numerator < y.denominator)
-
-    @cached_property
-    def distinct_interior(self) -> int:
-        """The number of distinct points off x = 1 and y = 1."""
-        points = (self.points[t] for t in self.interior)
-        return len({(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points})
 
     @cached_property
     def grid(self) -> "CellDecomposition":

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from discrep import auxiliary
 from discrep.auxiliary import (
     EXTRA_LEVELS,
     HARD_LEVEL_CAP,
     AuxFamilyTree,
     _check_cluster_partition,
     _check_level_counts,
+    _tree_integers,
     build_tree,
     build_trees,
     eval_aux,
@@ -154,8 +156,9 @@ def tree_queries(draw):
     that queries land inside, on the edge of and next to occupied cells."""
     tree = draw(st.sampled_from(EVAL_TREES))
     ps = tree.pointset
-    if ps.interior and draw(st.booleans()):
-        p = ps.points[draw(st.sampled_from(ps.interior))]
+    interior = _tree_integers(ps).interior
+    if interior and draw(st.booleans()):
+        p = ps.points[draw(st.sampled_from(interior))]
         gap = st.one_of(st.just(F(0)), st.integers(1, 200).map(lambda g: F(1, 1 << g)))
         return tree, _apart(p.x, draw(gap)), _apart(p.y, draw(gap))
     coordinate = st.fractions(min_value=0, max_value=1).filter(lambda q: q < 1)
@@ -674,13 +677,14 @@ def assert_tree_matches_oracle(ps, tree):
 def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
     # one shift of the fixed-point integers gives the cell at any scale up
     # to S, and 2^k exactly on x = 1 or y = 1
-    scale, xs, ys = ps.fixed_point(300)
-    assert scale >= 300
+    scale, xs, ys = _tree_integers(ps)[:3]
+    n = n_from_pointcount(len(ps))
+    assert scale == (n + 1) * (HARD_LEVEL_CAP + 1)
+    kx, ky = kx % (scale + 1), ky % (scale + 1)
     for p, fx, fy in zip(ps.points, xs, ys):
         assert fx >> (scale - kx) == math.floor(p.x * (1 << kx))
         assert fy >> (scale - ky) == math.floor(p.y * (1 << ky))
     twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in ps.points for p in ps)
-    n = n_from_pointcount(len(ps))
     for direction in {0, n // 2, n}:
         tree = assert_depths_match_oracle(ps, direction)
         if twins:
@@ -833,11 +837,9 @@ def test_tree_layer_reads_only_the_cached_integers():
     pts = (*_pair("x", 20), copy, copy,
            Point(Fraction(1), THIRD), Point(Fraction(2, 7), Fraction(1)))
     ps, twin = PointSet(pts), PointSet(pts)
-    n = n_from_pointcount(len(ps))
     # fill the caches that build_tree and the product checks' linf_norm
     # read, then make every coordinate unreadable
-    ps.fixed_point((n + 1) * (HARD_LEVEL_CAP + 1))
-    ps.distinct_interior, ps.interior, ps.grid
+    _tree_integers(ps), ps.grid
     object.__setattr__(ps, "points", tuple(_Unreadable() for _ in pts))
     trees = build_trees(ps)
     want = build_trees(twin)
@@ -856,20 +858,6 @@ def test_tree_layer_reads_only_the_cached_integers():
             assert eval_aux(tree, x, y) == eval_aux(other, x, y)
 
 
-def test_build_tree_reads_exactly_its_bits_whatever_the_cache_holds():
-    # the set's fixed-point cache grows past S = (n+1)(HARD_LEVEL_CAP+1) bits
-    # after one build, or before the first: every build is the same tree
-    ps = van_der_corput(3)
-    bits = (n_from_pointcount(len(ps)) + 1) * (HARD_LEVEL_CAP + 1)
-    first = build_tree(ps, 1)
-    ps.fixed_point(bits + 100)
-    grown = PointSet(ps.points, ps.label)
-    grown.fixed_point(bits + 100)
-    for tree in (build_tree(ps, 1), build_tree(grown, 1)):
-        assert tree == first and tree.levels[0].fixed_bits == bits
-        assert tree.summary() == first.summary()
-
-
 def test_lone_clusters_are_shared_across_trees_and_builds():
     # a pair that splits at a middle level, a duplicate and a lone point
     copy = Point(Fraction(3, 4), Fraction(1, 5))
@@ -884,14 +872,64 @@ def test_lone_clusters_are_shared_across_trees_and_builds():
     assert set(lone) == {(0,), (1,), (4,)}
 
 
-def test_checks_read_the_scale_the_cache_holds():
-    # the fixed-point cache grows past the bits the trees were built from
-    ps = PointSet((*_pair("x", 6), Point(Fraction(1, 5), Fraction(5, 7))))
+RECORD_SETS = (
+    # two copies of (1/3, 1/2), and (0, 1) on y = 1
+    PointSet(((THIRD, Fraction(1, 2)), (0, 1), (THIRD, Fraction(2, 4)), (0, 0))),
+    # x = 1 reads as 2^S
+    PointSet(((THIRD, Fraction(1, 2)), (1, 0))),
+    # duplicates, 1 - 2^-1000 inside, and every point on x = 1 or y = 1 out
+    PointSet(((THIRD, THIRD), (1, THIRD), (THIRD, 1), (1, 1), (THIRD, THIRD),
+              (1 - TWIN_GAP, 1 - TWIN_GAP), (1 - TWIN_GAP, 1), (0, 0), (1, 0),
+              (0, 1 - TWIN_GAP))),
+    # twins 2^-1000 apart share their integers but are two points
+    PointSet(((THIRD, Fraction(1, 5)), (THIRD + TWIN_GAP, Fraction(1, 5) + TWIN_GAP))),
+    PointSet(((1, 1),)),
+)
+
+
+@pytest.mark.parametrize("ps", RECORD_SETS)
+def test_tree_integers_match_fraction_oracle(ps):
+    # S is (n+1)(HARD_LEVEL_CAP+1) with 2^(n-1) < 2N <= 2^n, X = floor(x 2^S),
+    # the interior is the points with x < 1 and y < 1, and the distinct
+    # count is taken on exact points
+    n = next(n for n in range(64) if 2 * len(ps) <= 1 << n)
+    scale = (n + 1) * (HARD_LEVEL_CAP + 1)
+    interior = tuple(t for t, p in enumerate(ps) if p.x < 1 and p.y < 1)
+    record = _tree_integers(ps)
+    assert record.scale == scale
+    assert record.xs == tuple(math.floor(p.x * (1 << scale)) for p in ps)
+    assert record.ys == tuple(math.floor(p.y * (1 << scale)) for p in ps)
+    assert record.interior == interior
+    assert record.distinct == len({ps[t] for t in interior})
+    assert record.lone == tuple(((t,), x, y, HARD_LEVEL_CAP)
+                                for t, (x, y) in enumerate(zip(record.xs, record.ys)))
+    assert _tree_integers(ps) is record
+
+
+def test_tree_integers_are_built_once_per_set(monkeypatch):
+    made = []
+    record_type = auxiliary._TreeIntegers
+    monkeypatch.setattr(auxiliary, "_TreeIntegers",
+                        lambda *fields: made.append(fields) or record_type(*fields))
+    ps = PointSet((*_pair("y", 9), Point(Fraction(1), THIRD),
+                   Point(Fraction(2, 7), Fraction(3, 7))))
     trees = build_trees(ps)
-    scale = trees[0].levels[0].fixed_bits
-    assert ps.fixed_point(scale + 7)[0] == scale + 7
-    assert all(_check_cluster_partition(tree).passed for tree in trees)
-    assert lemma_suite(ps, trees=trees).passed
+    lemma_suite(ps)
+    lemma_suite(ps, trees=trees)
+    certificate(ps)
+    certificate(ps, trees=trees)
+    assert len(made) == 1
+    record = _tree_integers(ps)
+    assert all(rec.fixed_bits == record.scale for tree in trees for rec in tree.levels)
+    # two builds of one set and direction are equal, and equal to a build
+    # on a fresh copy of the set
+    fresh = PointSet(ps.points, ps.label)
+    assert fresh == ps and hash(fresh) == hash(ps)
+    for tree in trees:
+        again = build_tree(ps, tree.direction)
+        assert again == tree and again.summary() == tree.summary()
+        assert build_tree(fresh, tree.direction) == tree
+    assert len(made) == 2 and _tree_integers(ps) is record
 
 
 def test_cluster_partition_fails_a_cluster_carried_past_its_split():

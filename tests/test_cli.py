@@ -102,20 +102,20 @@ def test_norms_exact_single_norm(tmp_path, capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert set(payload) == {"config", "n_points", "l1", "l1_err"}
-    assert float(payload["l1"]) == 13 / 16
+    assert Fraction(payload["l1"]) == Fraction(13, 16) and payload["l1_err"] == "0"
     code, stdout, _ = run(capsys, "norms", "--in", str(out), "--which", "l2", "--json")
     assert json.loads(stdout)["l2_sq"] == "887/1152"
 
 
 def test_norms_l1_keeps_17_digits_at_low_precision(tmp_path, capsys):
-    # one point at (1/3, 1/3): the exact L1 norm is 97/324 = 0.2993827160493827160...
+    # one point at (1/3, 1/3): the exact L1 norm 97/324 is printed exactly
     one = tmp_path / "one.csv"
     one.write_text("x,y\n1/3,1/3\n")
     for precision in ("5", "50"):
         code, stdout, _ = run(capsys, "norms", "--in", str(one), "--json", "--precision", precision)
         assert code == 0
         payload = json.loads(stdout)
-        assert (payload["l1"], payload["l1_err"]) == ("0.29938271604938272", "0.0")
+        assert (payload["l1"], payload["l1_err"]) == ("97/324", "0")
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])

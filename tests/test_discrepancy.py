@@ -297,6 +297,14 @@ def test_nstr_directed_examples():
     assert _nstr_directed(mpf(0), 3, up=True) == "0.0"
 
 
+def test_norms_report_prints_an_exact_l1_exactly():
+    # one point at (0, 1/3): L1 = 17/36, whose 17 digits would be off by 2.2e-18
+    report = norms_report(PointSet(((0, Fraction(1, 3)),)))
+    assert (report["l1"], report["l1_err"]) == ("17/36", "0")
+    assert norms_report(van_der_corput(3), which="l1") == {
+        "n_points": 8, "l1": "29/32", "l1_err": "0"}
+
+
 def test_norms_report_computes_l1_once(monkeypatch):
     calls = []
     form = discrepancy._l1_form
@@ -351,8 +359,8 @@ def _fresh_interpreter(code: str):
 def test_import_loads_only_what_the_command_runs(tmp_path):
     # `import discrep` loads every library module but no numpy, which only
     # the Monte-Carlo route imports, no dataclasses or inspect, and no
-    # mpmath: that loads with the first interval, and gen, aux, lemmas and
-    # comb never compute one
+    # mpmath: that loads with the first interval, and gen, aux, lemmas,
+    # comb and norms on a set whose L1 is exact never compute one
     golden = Path(__file__).parent / "golden"
     mpmath_free = [
         ["gen", "--kind", "vdc", "--m", "3", "--out", str(tmp_path / "vdc.csv")],
@@ -360,6 +368,8 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
         *([command, "--in", str(golden / name), "--json"]
           for command in ("aux", "lemmas") for name in ("vdc3.csv", "mixed.csv")),
         ["comb", "--n", "12", "--k", "11", "--json"],
+        # vdc3's L1 is exact, so it is printed with no interval
+        ["norms", "--in", str(golden / "vdc3.csv"), "--json"],
     ]
     certificate = ["certificate", "--in", str(golden / "vdc3.csv"), "--json"]
     code = f"""
@@ -410,3 +420,60 @@ print(json.dumps({{"patched": patched, "restored": restored, "exact": norm.exact
     assert _fresh_interpreter(code) == {
         "patched": True, "restored": True, "exact": False,
         "spans": ["discrepancy.l1", "discrepancy.cells"], "inexact": 1}
+
+
+def test_tracer_counts_the_tree_layer_of_a_fresh_import():
+    # perfbench's tracer, read here and not edited, wraps build_tree,
+    # lemma_suite and certificate and reads each tree's levels, occupied
+    # cells and l*, and each check's witness and verdict
+    perfbench = SRC.parent / "perfbench"
+    code = f"""
+import json, sys
+from collections import Counter
+from fractions import Fraction as F
+sys.path.insert(0, {str(perfbench)!r})
+import discrep
+from spans import Tracer
+from discrep import auxiliary, pointsets, testfn
+
+# a pair that splits at a middle level, a duplicate and a point on x = 1 (n = 4)
+ps = pointsets.PointSet(((F(1, 3), F(1, 5)), (F(1, 3) + F(1, 512), F(1, 5)),
+                         (F(3, 4), F(3, 4)), (F(3, 4), F(3, 4)), (F(1), F(1, 2))))
+original = auxiliary.build_tree
+tracer = Tracer()
+with tracer.patched():
+    tree = auxiliary.build_tree(ps, 1)
+    suite = auxiliary.lemma_suite(ps)
+    cert = testfn.certificate(ps)
+restored = auxiliary.build_tree is original
+spans = tracer.spans
+nested = {{spans[i][0]: dict(Counter(s[0] for s in spans if s[3] == i))
+          for i, span in enumerate(spans) if span[3] is None}}
+family = auxiliary.build_trees(ps)
+built = [tree, *family, *family]
+print(json.dumps({{
+    "restored": restored,
+    "top": [span[0] for span in spans if span[3] is None],
+    "nested": nested,
+    "counts": [tracer.counts[k] for k in
+               ("auxiliary.levels", "auxiliary.occupied", "auxiliary.checks_run")],
+    "want": [sum(len(t.levels) for t in built),
+             sum(len(rec.clusters) for t in built for rec in t.levels),
+             sum(not c.skipped for c in suite.checks)],
+    "passed": suite.passed,
+    "same": (suite.to_json() == auxiliary.lemma_suite(ps).to_json()
+             and cert.to_json() == testfn.certificate(ps).to_json()),
+}}))
+"""
+    out = _fresh_interpreter(code)
+    assert out.pop("counts") == out.pop("want")
+    assert out == {
+        "restored": True, "passed": True, "same": True,
+        "top": ["auxiliary.build_tree", "auxiliary.lemma_suite", "testfn.certificate"],
+        "nested": {
+            "auxiliary.build_tree": {},
+            "auxiliary.lemma_suite": {"auxiliary.build_tree": 5, "auxiliary.inner_product": 5,
+                                      "auxiliary.product_check": 2},
+            "testfn.certificate": {"auxiliary.build_tree": 5, "auxiliary.inner_product": 5},
+        },
+    }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from discrep import pointsets
+from discrep.auxiliary import _tree_integers
 from discrep.errors import CsvFormatError, ResourceLimitError
 from discrep.pointsets import (
     MAX_AXIS_BITS,
@@ -19,44 +20,6 @@ from discrep.pointsets import (
     write_csv,
 )
 from oracles import parse_coordinate_oracle
-
-
-def test_distinct_interior_is_cached():
-    third = Fraction(1, 3)
-    ps = PointSet(((third, Fraction(1, 2)), (0, 1), (third, Fraction(2, 4)), (0, 0)),
-                  label="dups")
-    # (0, 1) lies on y = 1; the two copies of (1/3, 1/2) count once
-    assert ps.interior == (0, 2, 3)
-    assert ps.distinct_interior == 2
-    assert ps.__dict__["distinct_interior"] == 2
-    fresh = PointSet(ps.points, label="dups")
-    assert ps == fresh and hash(ps) == hash(fresh)
-
-
-def test_fixed_point_is_cached_and_grows_on_demand():
-    third = Fraction(1, 3)
-    ps = PointSet(((third, Fraction(1, 2)), (1, 0)))
-    first = ps.fixed_point(8)
-    assert first == (8, (85, 256), (128, 0))  # floor(256 / 3) = 85; x = 1 gives 2^8
-    # a smaller request reuses the cache, a larger one replaces it
-    assert ps.fixed_point(4) is first and ps.fixed_point(8) is first
-    scale, xs, ys = ps.fixed_point(100)
-    assert scale == 100 and xs == ((1 << 100) // 3, 1 << 100) and ys == (1 << 99, 0)
-    assert ps.fixed_point(8)[0] == 100
-    assert ps == PointSet(ps.points)
-
-
-def test_interior_drops_points_on_x_1_or_y_1_and_is_cached():
-    third, below = Fraction(1, 3), 1 - Fraction(1, 1 << 1000)
-    ps = PointSet((
-        (third, third), (1, third), (third, 1), (1, 1), (third, third),
-        (below, below), (below, 1), (0, 0), (1, 0), (0, below),
-    ))
-    # duplicates both stay, 1 - 2^-1000 is inside, every point on x = 1 or
-    # y = 1 is out, whichever its other coordinate
-    assert ps.interior == (0, 4, 5, 7, 9)
-    assert ps.interior is ps.interior
-    assert PointSet(((1, 1),)).interior == ()
 
 
 def test_van_der_corput_small():
@@ -225,7 +188,7 @@ def test_csv_round_trip_exact(tmp_path, monkeypatch):
     assert back.points == ps.points and all(type(c) is Fraction for p in back for c in p)
     assert back.label == "round trip"
     assert back == ps and hash(back) == hash(ps)
-    assert back.distinct_interior == 3 and back.grid == ps.grid
+    assert _tree_integers(back).distinct == 3 and back.grid == ps.grid
 
 
 def test_csv_reader_accepts_decimals_and_comments(tmp_path):
