@@ -39,7 +39,6 @@ from .auxiliary import (
     InnerProduct,
     build_tree,
     build_trees,
-    eval_aux,
     inner_product,
     lemma_short_bound,
     lemma_suite,

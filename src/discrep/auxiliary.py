@@ -52,9 +52,6 @@ stay on integers:
     scale passes its split scale, and no container is made per point
     (`build_tree`): per-point lists and tuples made CPython's cyclic
     collector run often, and its full passes walk every live object;
-  * evaluation reads a query the same way, once, as X = floor(x 2^S),
-    and takes t = X >> (S - k - 1) = floor(x 2^(k+1)) at scale k: t >> 1
-    is the cell index and t & 1 the Haar half;
   * the product checks walk each tree only through cells nested with the
     current intersection, carry each piece's sign as a running parity of
     index bits, and keep signed and plain piece counts per area exponent
@@ -120,27 +117,15 @@ class LevelRecord(_Record):
         return {(x0 >> dx, y0 >> dy): members for members, x0, y0, _ in self.clusters}
 
 
-class AuxFamilyTree:
-    """Leveled record of the recursive construction for one direction index.
+class AuxFamilyTree(_Record):
+    """Leveled record of the recursive construction for one direction index."""
 
-    Mutable, so unhashable; two trees are equal when their fields are.
-    """
+    _fields = ("pointset", "direction", "n", "levels", "stabilization_level")
 
-    def __init__(self, pointset: PointSet, direction: int, n: int, levels: list[LevelRecord],
-                 stabilization_level: int | None):
-        self.pointset = pointset
-        self.direction = direction
-        self.n = n
-        self.levels = levels
-        self.stabilization_level = stabilization_level
-
-    def _values(self) -> tuple:
-        return self.pointset, self.direction, self.n, self.levels, self.stabilization_level
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+    def __init__(self, pointset: PointSet, direction: int, n: int,
+                 levels: tuple[LevelRecord, ...], stabilization_level: int | None):
+        self.__dict__.update(pointset=pointset, direction=direction, n=n, levels=levels,
+                             stabilization_level=stabilization_level)
 
     @property
     def point_count(self) -> int:
@@ -154,10 +139,9 @@ class AuxFamilyTree:
     def deepest_level(self) -> int:
         return len(self.levels) - 1
 
-    def uncovered_mass(self, level: int | None = None) -> Fraction:
+    def uncovered_mass(self, level: int) -> Fraction:
         """Upper bound N |R_L| on the measure still occupied at level L."""
-        rec = self.levels[self.deepest_level if level is None else level]
-        return self.point_count * rec.rect_area
+        return self.point_count * self.levels[level].rect_area
 
     def summary(self) -> dict:
         return {
@@ -174,21 +158,11 @@ class AuxFamilyTree:
         }
 
 
-class AuxValue(NamedTuple):
-    value: int
-    truncated: bool
-
-
 def n_from_pointcount(count: int) -> int:
     """The unique n with 2^(n-1) < 2 * count <= 2^n."""
     if count < 1:
         raise ValueError(f"need at least one point, got {count}")
     return (2 * count - 1).bit_length()
-
-
-def _scaled_floors(coordinates, scale: int) -> tuple[int, ...]:
-    """floor(q 2^scale) for each Fraction q, in order."""
-    return tuple((q.numerator << scale) // q.denominator for q in coordinates)
 
 
 class _TreeIntegers(NamedTuple):
@@ -212,7 +186,8 @@ def _tree_integers(ps: PointSet) -> _TreeIntegers:
     if record is None:
         points = ps.points
         scale = (n_from_pointcount(len(points)) + 1) * (HARD_LEVEL_CAP + 1)
-        xs, ys = (_scaled_floors(axis, scale) for axis in zip(*points))
+        xs, ys = (tuple((q.numerator << scale) // q.denominator for q in axis)
+                  for axis in zip(*points))
         interior = tuple(t for t, (x, y) in enumerate(points)
                          if x.numerator < x.denominator and y.numerator < y.denominator)
         distinct = len({(x.numerator, x.denominator, y.numerator, y.denominator)
@@ -350,7 +325,7 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         kx += step
         ky += step
 
-    return AuxFamilyTree(ps, direction, n, levels, stabilization)
+    return AuxFamilyTree(ps, direction, n, tuple(levels), stabilization)
 
 
 def build_trees(ps: PointSet, max_level: int | None = None) -> list[AuxFamilyTree]:
@@ -382,32 +357,6 @@ def _trees_of(ps: PointSet, trees: Sequence[AuxFamilyTree], directions: Sequence
     return trees
 
 
-def eval_aux(tree: AuxFamilyTree, x, y) -> AuxValue:
-    """Value of the auxiliary function at (x, y) in [0, 1)^2.
-
-    Descends built levels until the query lands in an empty rectangle and
-    returns its Haar value; a query still inside an occupied rectangle at
-    the deepest built level gets the +1 convention with a truncated flag.
-
-    The query is read once as qx = floor(x 2^S), qy = floor(y 2^S), with S
-    the tree's `fixed_bits`, and every built scale k has k + 1 <= S.  At
-    scale k, t = qx >> (S - k - 1) = floor(x 2^(k+1)) holds the cell index
-    t >> 1 and the Haar half t & 1: the right half of either side flips
-    the sign.
-    """
-    x, y = Fraction(x), Fraction(y)
-    if not (0 <= x < 1 and 0 <= y < 1):
-        raise ValueError(f"({x}, {y}) outside [0, 1)^2")
-    scale = tree.levels[0].fixed_bits
-    qx, qy = _scaled_floors((x, y), scale)
-    for rec in tree.levels:
-        tx = qx >> (scale - rec.scale_x - 1)
-        ty = qy >> (scale - rec.scale_y - 1)
-        if (tx >> 1, ty >> 1) not in rec.occupied:
-            return AuxValue(-1 if (tx ^ ty) & 1 else 1, False)
-    return AuxValue(1, True)
-
-
 class InnerProduct(NamedTuple):
     """Exact value with a rigorous one-sided error bound.
 
@@ -417,10 +366,6 @@ class InnerProduct(NamedTuple):
 
     value: Fraction
     error: Fraction
-
-    @property
-    def exact(self) -> bool:
-        return self.error == 0
 
 
 def sum_empty_area_sq(tree: AuxFamilyTree) -> tuple[Fraction, Fraction]:
@@ -577,34 +522,28 @@ class ProductBoundReport(NamedTuple):
     def d_product_ok(self) -> bool:
         return abs(self.d_product_integral) <= self.d_product_bound + self.d_error
 
-    @property
-    def passed(self) -> bool:
-        return self.covered_ok and self.d_product_ok
-
 
 def product_bound_check(
     ps: PointSet,
     indices: Sequence[int],
+    trees: Sequence[AuxFamilyTree],
     truncation_level: int = PRODUCT_LEVEL,
-    trees: Sequence[AuxFamilyTree] | None = None,
 ) -> ProductBoundReport:
     """Exact piecewise integration of D * prod f and the covered area, with bounds.
 
-    Requires at least two strictly increasing direction indices.  D against
-    the Haar function of a point-free rectangle R gives -N |R|^2 / 16.
-    Raises ResourceLimitError past PIECE_CAP pieces.
+    Requires at least two strictly increasing direction indices and the
+    trees of `ps` for them, in order, each built to `truncation_level`.  D
+    against the Haar function of a point-free rectangle R gives
+    -N |R|^2 / 16.  Raises ResourceLimitError past PIECE_CAP pieces.
     """
     indices = tuple(indices)
     if len(indices) < 2:
         raise ValueError("need at least two direction indices")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError(f"indices must be strictly increasing, got {indices}")
-    if trees is None:
-        trees = [build_tree(ps, i, max_level=truncation_level) for i in indices]
-    else:
-        trees = _trees_of(ps, trees, indices, "trees do not match the requested indices")
-        if any(t.deepest_level < truncation_level for t in trees):
-            raise ValueError(f"all trees must be built to level {truncation_level}")
+    trees = _trees_of(ps, trees, indices, "trees do not match the requested indices")
+    if any(t.deepest_level < truncation_level for t in trees):
+        raise ValueError(f"all trees must be built to level {truncation_level}")
     n = trees[0].n
     count = len(ps)
 
@@ -730,12 +669,12 @@ def _check_residual_mass(tree: AuxFamilyTree) -> CheckResult:
     """The occupied measure at each level is at most its bound, and the
     bounds strictly decrease level by level.
 
-    `eval_aux` flags a query as truncated when it lies in an occupied cell
-    at every built level.  `_check_cluster_partition` shows that each
-    occupied cell nests in an occupied parent (its members lie in both)
-    and that no two clusters share a cell (their members would drop out of
-    `occupied`), so the truncated set is exactly the union of the deepest
-    level's occupied cells, of measure len(clusters) * rect_area.
+    A point lying in an occupied cell at every built level takes the +1
+    convention, not a Haar value.  `_check_cluster_partition` shows that
+    each occupied cell nests in an occupied parent (its members lie in
+    both) and that no two clusters share a cell (their members would drop
+    out of `occupied`), so those points are exactly the union of the
+    deepest level's occupied cells, of measure len(clusters) * rect_area.
     """
     masses = []
     for rec in tree.levels:
@@ -824,9 +763,7 @@ def lemma_suite(
             skip(f"{indices}: skipped (no tree to level {PRODUCT_LEVEL} for {unusable})")
             continue
         try:
-            report = product_bound_check(
-                ps, indices, PRODUCT_LEVEL, trees=[trees[i] for i in indices]
-            )
+            report = product_bound_check(ps, indices, [trees[i] for i in indices])
         except ResourceLimitError as exc:
             skip(f"{indices}: skipped ({exc})")
             continue

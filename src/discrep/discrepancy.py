@@ -49,9 +49,10 @@ L1 and L-infinity stream the closed prefix counts one column at a time
 
 L1 and L-infinity raise ResourceLimitError on a grid of more than
 MAX_GRID_CELLS cells, before any column or axis integer is built; L2 has
-no cell budget.  Every norm refuses axis integers of more than
-`pointsets.MAX_AXIS_BITS` bits per axis before building them.  A
-Monte-Carlo estimator of the L1/L2 norms serves as an independent oracle.
+no cell budget.  L1 and L2 refuse axis integers of more than
+`pointsets.MAX_AXIS_BITS` bits per axis before building them; L-infinity
+reads no axis integer.  A Monte-Carlo estimator of the L1/L2 norms serves
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -165,9 +166,6 @@ class L1Norm(NamedTuple):
     exact: bool
     sign_change_cells: int
     dps: int
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 class L1Form(NamedTuple):
@@ -432,9 +430,10 @@ def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
     norms it names are computed ("dn" needs L1), all from the set's one
     grid.  An exact L1 is "p/q" with `l1_err` "0", and loads no mpmath;
     otherwise `l1_err` is printed rounded up, and the 17 digits of `l1`
-    are its midpoint rounded to nearest.  That midpoint comes from an
-    enclosure of at least L1_MIN_DPS = 20 digits, 3 more than are printed,
-    whatever `dps` is.  `d_n`, the L1 norm over sqrt(ln N), needs N >= 2.
+    are its midpoint rounded to nearest, read from the midpoint's own bits
+    whatever mp's precision is.  That midpoint comes from an enclosure of
+    at least L1_MIN_DPS = 20 digits, 3 more than are printed, whatever
+    `dps` is.  `d_n`, the L1 norm over sqrt(ln N), needs N >= 2.
     """
     if which not in ("all", "l1", "l2", "linf", "dn"):
         raise ValueError(f"unknown norm {which!r}")
@@ -445,10 +444,9 @@ def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
         if l1.exact:
             report["l1"], report["l1_err"] = str(l1.value), "0"
         else:
-            from ._interval import _as_mpf, _nstr_directed, mp
+            from ._interval import _nstr_directed, mp
 
-            with mp.workdps(max(dps, 27)):
-                report["l1"] = mp.nstr(_as_mpf(l1.value), 17)
+            report["l1"] = mp.nstr(l1.value, 17)
             report["l1_err"] = _nstr_directed(l1.error, 3, up=True)
     if which in ("all", "l2"):
         report["l2_sq"] = str(l2_norm_sq(ps))

@@ -9,8 +9,8 @@ bare.  The reader also accepts plain decimal literals (parsed exactly
 from the digit string).
 
 A literal whose power of two or of ten would take more than
-MAX_AXIS_BITS bits is refused with ResourceLimitError before that power
-is built.
+MAX_LITERAL_BITS bits is refused with ResourceLimitError before that
+power is built.
 
 A set caches what the layers above read of it, such as the norms' O(N)
 grid, `CellDecomposition`, which sorts and ranks coordinates by integer
@@ -35,6 +35,10 @@ from .errors import CsvFormatError, ResourceLimitError
 VDC_MAX_BITS = 24
 # The integers of one grid axis hold at most this many bits in all (16 MiB).
 MAX_AXIS_BITS = 1 << 27
+# A literal's 2^k or 10^e takes at most this many bits.  An axis holds at
+# least 0, x and 1, so the axis budget refuses x when a wider power is its
+# denominator; a power that cancels down (2/2^k) is refused all the same.
+MAX_LITERAL_BITS = MAX_AXIS_BITS // 3
 
 _DYADIC_LITERAL = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
 # A literal that `Fraction(str)` reads as mantissa * 10^exponent; group 1
@@ -78,9 +82,9 @@ def as_coordinate(value) -> Fraction:
 
 
 class _Record:
-    """Equality, hash and repr by the fields named in `_fields`, for a class
-    that caches what it computes in its `__dict__`, which a NamedTuple has
-    none of.
+    """Equality, hash and repr by the fields named in `_fields`, for an
+    immutable value that is no tuple, or that caches what it computes in
+    its `__dict__`, which a NamedTuple has none of.
 
     `__init__` sets the fields once, by writing `__dict__`, and assignment
     is refused afterwards: the caches assume the fields never change.
@@ -246,7 +250,7 @@ def parse_coordinate(text: str) -> Fraction:
 
     ResourceLimitError, before the power is built, when the 2^k of a dyadic
     literal or the 10^e of a decimal exponent would take more than
-    MAX_AXIS_BITS bits.
+    MAX_LITERAL_BITS bits.
     """
     text = text.strip()
     num, slash, den = text.partition("/")
@@ -255,12 +259,12 @@ def parse_coordinate(text: str) -> Fraction:
     m = _DYADIC_LITERAL.match(text)
     if m:
         exponent = int(m.group(2))
-        if exponent >= MAX_AXIS_BITS:               # 2^k takes k + 1 bits
-            raise ResourceLimitError(f"2^{exponent} exceeds the {MAX_AXIS_BITS}-bit budget")
+        if exponent >= MAX_LITERAL_BITS:            # 2^k takes k + 1 bits
+            raise ResourceLimitError(f"2^{exponent} exceeds the {MAX_LITERAL_BITS}-bit budget")
         return dyadic(int(m.group(1)), exponent)
     m = _DECIMAL_EXPONENT.fullmatch(text)
-    if m and abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_AXIS_BITS:
-        raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_AXIS_BITS}-bit budget")
+    if m and abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_LITERAL_BITS:
+        raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_LITERAL_BITS}-bit budget")
     return Fraction(text)
 
 

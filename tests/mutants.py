@@ -105,6 +105,46 @@ MUTANTS = (
         ("test_auxiliary.py::test_tree_integers_match_fraction_oracle",),
         "a point on x = 1 lies in no half-open dyadic rectangle",
     ),
+    Mutant(
+        "cuts_sorted_by_the_64_bit_key_alone", "pointsets.py",
+        "key=lambda item: ((item[0][0] << 64) // item[0][1], item[1]))",
+        "key=lambda item: (item[0][0] << 64) // item[0][1])",
+        ("test_grid_kernels.py::test_grid_matches_sort_and_bisect_oracle",),
+        "two cuts within 2^-64 of each other share their key and are ordered as Fractions",
+    ),
+    Mutant(
+        "linf_seeded_below_the_top_of_x_0", "discrepancy.py",
+        "best_num, best_den = first[-1], 1\n    high = float(first[-1])",
+        "best_num, best_den = max(first[:-1]), 1\n    high = float(max(first[:-1]))",
+        ("test_grid_kernels.py::test_linf_filter_matches_exact_scans",),
+        "the x = 0 column's largest deviation is its count at y = 1, which points on (0, 1) reach",
+    ),
+    Mutant(
+        "fraction_fast_path_checks_only_p", "pointsets.py",
+        "if slash and num.isdecimal() and den.isdecimal():", "if slash and num.isdecimal():",
+        ("test_pointsets.py::test_parse_coordinate_matches_the_general_reader",),
+        "only a literal with decimal digits on both sides of its slash is read as p/q",
+    ),
+    Mutant(
+        "one_power_a_bit_finer", "testfn.py",
+        "mpi_pow_int(sin_a, p, prec)", "mpi_pow_int(sin_a, p, prec + 1)",
+        ("test_testfn.py::test_certificate_matches_iv_objects",
+         "test_testfn.py::test_odd_terms_match_iv_objects"),
+        "every interval operation of the certificate runs at the one precision prec",
+    ),
+    Mutant(
+        "d_n_without_its_square_root", "testfn.py",
+        "mpi_sqrt(mpi_log(_mpi_int(count, prec), prec), prec)",
+        "mpi_log(_mpi_int(count, prec), prec)",
+        ("test_testfn.py::test_certificate_matches_iv_objects",),
+        "d_n is the lower bound over sqrt(ln N)",
+    ),
+    Mutant(
+        "upper_log_end_with_two_ulps", "_interval.py",
+        "b = a + (1 << (exp + bc - wp + shift))", "b = a + (2 << (exp + bc - wp + shift))",
+        ("test_grid_kernels.py::test_l1_enclosure_is_bit_equal_to_two_logs_per_integer",),
+        "the upper end of a log rounded down is one ulp above it, not two",
+    ),
 )
 
 
@@ -114,12 +154,10 @@ def _pytest(src: Path, tests, cwd: Path) -> int:
     The ini file's `pythonpath` is overridden, so the tests import the copy
     and not the source tree; `PYTHONPATH` carries it into the interpreters
     that tests start.  No bytecode is written, so an edit never meets a
-    stale cache, and Hypothesis keeps its examples in `cwd`.  Deprecation
-    warnings are ignored: one raised while Hypothesis reports a failing
-    example would make pytest end with an internal error, not a failure.
+    stale cache, and Hypothesis keeps its examples in `cwd`.
     """
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "-W", "ignore::DeprecationWarning", "-o", f"pythonpath={src}",
+               "-o", f"pythonpath={src}",
                *(str(ROOT / "tests" / t) for t in tests)]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(command, cwd=cwd, env=env, capture_output=True).returncode

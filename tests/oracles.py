@@ -165,10 +165,6 @@ class DyadicRectangle:
     def unit(cls) -> "DyadicRectangle":
         return cls(DyadicInterval.unit(), DyadicInterval.unit())
 
-    @classmethod
-    def from_indices(cls, scale_x: int, scale_y: int, jx: int, jy: int) -> "DyadicRectangle":
-        return cls(DyadicInterval(scale_x, jx), DyadicInterval(scale_y, jy))
-
     @property
     def area(self) -> Fraction:
         return self.x.length * self.y.length

@@ -17,7 +17,6 @@ from discrep.auxiliary import (
     _tree_integers,
     build_tree,
     build_trees,
-    eval_aux,
     inner_product,
     lemma_short_bound,
     lemma_suite,
@@ -28,7 +27,7 @@ from discrep.auxiliary import (
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import certificate
-from oracles import DyadicRectangle, eval_discrepancy
+from oracles import eval_discrepancy
 
 ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
 
@@ -77,18 +76,16 @@ def test_boundary_points_fall_outside_all_rectangles():
 
 def test_eval_aux_examples():
     tree = build_tree(ORIGIN, 0)
-    assert eval_aux(tree, Fraction(3, 10), Fraction(8, 10)) == (-1, False)
-    assert eval_aux(tree, Fraction(3, 10), Fraction(2, 10)) == (-1, False)
-    assert eval_aux(tree, Fraction(0), Fraction(0)) == (1, True)
-    with pytest.raises(ValueError):
-        eval_aux(tree, Fraction(1), Fraction(0))
+    assert eval_oracle(tree, Fraction(3, 10), Fraction(8, 10)) == (-1, False)
+    assert eval_oracle(tree, Fraction(3, 10), Fraction(2, 10)) == (-1, False)
+    assert eval_oracle(tree, Fraction(0), Fraction(0)) == (1, True)
 
 
 def test_inner_product_singleton_exact():
     tree = build_tree(ORIGIN, 0)
     ip = inner_product(tree)
     assert ip.value == Fraction(-9, 544)
-    assert ip.exact
+    assert ip.error == 0
     assert ip.value <= lemma_short_bound(tree.n, tree.point_count) == Fraction(-1, 64)
 
 
@@ -174,12 +171,12 @@ def test_eval_aux_truncates_exactly_on_deepest_occupied_cells(query):
     # the value is +-1, and the query is truncated iff its cell at the
     # deepest level's scales is occupied there
     tree, x, y = query
-    value = eval_aux(tree, x, y)
-    assert value.value in (-1, 1)
+    value, truncated = eval_oracle(tree, x, y)
+    assert value in (-1, 1)
     deep = tree.levels[-1]
     cell = (math.floor(x * (1 << deep.scale_x)), math.floor(y * (1 << deep.scale_y)))
-    assert value.truncated == (cell in deep.occupied)
-    assert not value.truncated or value.value == 1
+    assert truncated == (cell in deep.occupied)
+    assert not truncated or value == 1
 
 
 def test_uncovered_mass_decreases_to_zero():
@@ -205,11 +202,11 @@ def _covered_integrals_by_grid(ps, trees, grid_bits):
             sign = 1
             ok = True
             for tree in trees:
-                value = eval_aux(tree, x, y)
-                if value.truncated:
+                value, truncated = eval_oracle(tree, x, y)
+                if truncated:
                     ok = False
                     break
-                sign *= value.value
+                sign *= value
             if not ok:
                 continue
             covered += cell_area
@@ -234,14 +231,15 @@ def test_product_check_matches_grid_oracle():
     assert 0 <= 1 - report.covered_area <= report.mass_bound
     assert report.d_product_integral == oracle[1]
     assert report.covered_area == oracle[2]
-    assert report.passed
+    assert report.covered_ok and report.d_product_ok
 
 
 def test_product_check_bounds_vdc():
     ps = van_der_corput(2)
     n = n_from_pointcount(len(ps))
+    trees = build_trees(ps, max_level=2)
     for indices in ((0, 2), (0, 3), (1, 2), (0, 1, 3)):
-        report = product_bound_check(ps, indices, truncation_level=2)
+        report = product_bound_check(ps, indices, [trees[i] for i in indices], 2)
         assert 0 <= 1 - report.covered_area <= report.mass_bound
         assert report.d_product_ok
         assert report.d_product_bound == Fraction(
@@ -250,16 +248,22 @@ def test_product_check_bounds_vdc():
 
 
 def test_product_check_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        product_bound_check(ORIGIN, (0,))
-    with pytest.raises(ValueError):
-        product_bound_check(ORIGIN, (1, 0))
+    ps = van_der_corput(2)
+    trees = build_trees(ps, max_level=2)
+    with pytest.raises(ValueError, match="at least two"):
+        product_bound_check(ps, (0,), trees[:1])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        product_bound_check(ps, (3, 0), [trees[3], trees[0]])
+    with pytest.raises(ValueError, match="requested indices"):
+        product_bound_check(ps, (0, 3), [trees[0], trees[2]])
+    with pytest.raises(ValueError, match="built to level 2"):
+        product_bound_check(ps, (0, 3), build_trees(ps, max_level=1)[::3])
     other = [build_tree(random_uniform(4, seed=1), i, max_level=2) for i in (0, 3)]
     with pytest.raises(ValueError, match="another point set"):
-        product_bound_check(van_der_corput(2), (0, 3), trees=other)
+        product_bound_check(ps, (0, 3), other)
     monkeypatch.setattr("discrep.auxiliary.PIECE_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        product_bound_check(van_der_corput(2), (0, 3))
+        product_bound_check(ps, (0, 3), [trees[0], trees[3]])
 
 
 def test_side_lengths_never_tie():
@@ -285,7 +289,7 @@ def test_product_covered_area_fails_understated_mass(monkeypatch):
     ps = van_der_corput(2)
     assert all(c.passed for c in lemma_suite(ps).checks if c.name == "product_covered_area")
     # the level-2 occupied cells are left uncovered; claim they have no measure
-    monkeypatch.setattr(AuxFamilyTree, "uncovered_mass", lambda self, level=None: Fraction(0))
+    monkeypatch.setattr(AuxFamilyTree, "uncovered_mass", lambda self, level: Fraction(0))
     checks = [c for c in lemma_suite(ps).checks if c.name.startswith("product_")]
     covered = [c for c in checks if c.name == "product_covered_area"]
     assert len(covered) == 2 and not any(c.passed for c in covered)
@@ -303,13 +307,15 @@ def test_lemma_suite_product_checks_its_own_trees(monkeypatch):
     monkeypatch.setattr("discrep.auxiliary.build_tree", counting)
     assert lemma_suite(ps).passed
     assert sorted(built) == [0, 1, 2, 3]
-    # trees passed in claim no uncovered measure: the product checks see it
+    # trees passed in claim no uncovered measure: the product checks see
+    # it, on those trees, as no other tree is built
     trees = [build_tree(ps, i) for i in range(4)]
-    for tree in trees:
-        tree.uncovered_mass = lambda level=None: Fraction(0)
+    built.clear()
+    monkeypatch.setattr(AuxFamilyTree, "uncovered_mass", lambda self, level: Fraction(0))
     covered = [c for c in lemma_suite(ps, trees=trees).checks
                if c.name == "product_covered_area"]
     assert len(covered) == 2 and not any(c.passed or c.skipped for c in covered)
+    assert built == []
 
 
 def test_lemma_suite_skips_products_without_level_2_trees():
@@ -332,12 +338,27 @@ def test_build_trees_is_one_tree_per_direction_in_order():
             [r.clusters for r in build_tree(ps, i, max_level).levels] for i in range(5)]
 
 
+def _with_level(tree, level, **changes):
+    """A copy of `tree` whose record of `level` has `changes`."""
+    levels = list(tree.levels)
+    levels[level] = levels[level]._replace(**changes)
+    return tree._replace(levels=tuple(levels))
+
+
+def test_trees_are_immutable():
+    tree = build_tree(ORIGIN, 0)
+    for name in ("levels", "uncovered_mass", "stabilization_level"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(tree, name, None)
+    assert _with_level(tree, 0) == tree and hash(_with_level(tree, 0)) == hash(tree)
+    assert tree._replace(stabilization_level=None) != tree
+
+
 def test_lemma_suite_flags_corrupted_tree():
     ps = van_der_corput(2)
     trees = build_trees(ps)
-    bad = trees[1]
     # tamper with the level-0 empty count
-    bad.levels[0] = bad.levels[0]._replace(empty_count=bad.levels[0].empty_count + 1)
+    trees[1] = _with_level(trees[1], 0, empty_count=trees[1].levels[0].empty_count + 1)
     report = lemma_suite(ps, trees=trees)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
@@ -367,15 +388,14 @@ def test_level_counts_fails_more_clusters_than_points():
     # two copies of the one cluster, with the empty count cut to match
     trees = build_trees(ORIGIN)
     rec = trees[0].levels[0]
-    trees[0].levels[0] = rec._replace(clusters=rec.clusters * 2, empty_count=0)
+    trees[0] = _with_level(trees[0], 0, clusters=rec.clusters * 2, empty_count=0)
     witness = _failed_check(ORIGIN, trees, "level_counts")
     assert witness == "i=0 l=0: occupied 2 > N=1"
 
 
 def test_level_counts_fails_a_wrong_area():
     trees = build_trees(ORIGIN)
-    rec = trees[1].levels[1]
-    trees[1].levels[1] = rec._replace(rect_area=rec.rect_area * 2)
+    trees[1] = _with_level(trees[1], 1, rect_area=trees[1].levels[1].rect_area * 2)
     assert _failed_check(ORIGIN, trees, "level_counts") == "i=1 l=1: wrong area"
 
 
@@ -384,14 +404,15 @@ def test_cluster_partition_fails_a_dropped_cluster():
     trees = build_trees(ps)
     rec = trees[0].levels[0]
     assert len(rec.clusters) == 2
-    trees[0].levels[0] = rec._replace(clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
+    trees[0] = _with_level(trees[0], 0, clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
     witness = _failed_check(ps, trees, "cluster_partition")
     assert witness == "i=0 l=0: clusters do not partition the points"
 
 
 def test_inner_product_bound_fails_missing_empty_rectangles():
     trees = build_trees(ORIGIN)
-    trees[1].levels = [rec._replace(empty_count=0) for rec in trees[1].levels]
+    trees[1] = trees[1]._replace(levels=tuple(rec._replace(empty_count=0)
+                                              for rec in trees[1].levels))
     witness = _failed_check(ORIGIN, trees, "inner_product_upper_bound")
     assert witness.startswith("i=1: ") and witness.endswith(" > -1/64")
 
@@ -399,7 +420,7 @@ def test_inner_product_bound_fails_missing_empty_rectangles():
 def test_side_lengths_fails_a_tie():
     trees = build_trees(ORIGIN)
     assert (trees[0].levels[0].scale_x, trees[1].levels[0].scale_x) == (0, 1)
-    trees[1].levels[0] = trees[1].levels[0]._replace(scale_x=0)
+    trees[1] = _with_level(trees[1], 0, scale_x=0)
     assert _failed_check(ORIGIN, trees, "side_lengths_distinct") == "i=0 l=0 vs i=1 l=0"
 
 
@@ -430,12 +451,14 @@ def test_suite_passes_former_false_alarm_sets():
         assert sum(c.name == "residual_mass_decreasing" for c in report.checks) == 4
 
 
-def test_unimodular_check_fails_understated_mass():
+def test_unimodular_check_fails_understated_mass(monkeypatch):
     ps = van_der_corput(2)
     trees = build_trees(ps, max_level=0)
     assert all(c.passed for c in _residual_checks(ps, trees))
-    # level 0 leaves half the square occupied; claim a quarter
-    trees[1].uncovered_mass = lambda level=None: Fraction(1, 4)
+    # level 0 leaves half the square occupied; claim a quarter for tree 1
+    mass = AuxFamilyTree.uncovered_mass
+    monkeypatch.setattr(AuxFamilyTree, "uncovered_mass", lambda self, level: (
+        Fraction(1, 4) if self.direction == 1 else mass(self, level)))
     failing = [c for c in _residual_checks(ps, trees) if not c.passed]
     assert [c.witness for c in failing] == ["i=1 l=0: occupied 1/2 > mass 1/4"]
 
@@ -470,7 +493,7 @@ def test_eval_matches_inner_product_sign_structure():
     for _ in range(samples):
         x = Fraction(rng.getrandbits(30), 1 << 30)
         y = Fraction(rng.getrandbits(30), 1 << 30)
-        v = float(eval_discrepancy(ps, x, y)) * eval_aux(tree, x, y).value
+        v = float(eval_discrepancy(ps, x, y)) * eval_oracle(tree, x, y)[0]
         acc += v
         acc_sq += v * v
     mean = acc / samples
@@ -495,22 +518,24 @@ def bucket_oracle(points, members, kx, ky):
     return out
 
 
-def eval_oracle(tree, x, y):
-    """Haar value of the first empty rectangle holding (x, y), by Fractions."""
-    for rec in tree.levels:
-        jx = math.floor(x * (1 << rec.scale_x))
-        jy = math.floor(y * (1 << rec.scale_y))
-        if (jx, jy) not in rec.occupied:
-            return (DyadicRectangle.from_indices(rec.scale_x, rec.scale_y, jx, jy).haar(x, y),
-                    False)
-    return (1, True)
-
-
 def haar_sign_oracle(rect, qx, qy):
     kx, ky, jx, jy = rect
     sx = 1 if qx * (1 << (kx + 1)) - 2 * jx < 1 else -1
     sy = 1 if qy * (1 << (ky + 1)) - 2 * jy < 1 else -1
     return sx * sy
+
+
+def eval_oracle(tree, x, y):
+    """(value, truncated) of the tree's auxiliary function at (x, y) in
+    [0, 1)^2, by Fractions: the Haar value of the first empty rectangle
+    holding the point, or the +1 convention, truncated, when it lies in an
+    occupied rectangle at every built level."""
+    for rec in tree.levels:
+        jx = math.floor(x * (1 << rec.scale_x))
+        jy = math.floor(y * (1 << rec.scale_y))
+        if (jx, jy) not in rec.occupied:
+            return haar_sign_oracle((rec.scale_x, rec.scale_y, jx, jy), x, y), False
+    return 1, True
 
 
 def _axis_nested(k1: int, j1: int, k2: int, j2: int) -> bool:
@@ -689,6 +714,11 @@ def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
         tree = assert_depths_match_oracle(ps, direction)
         if twins:
             assert tree.deepest_level == HARD_LEVEL_CAP and not tree.stabilized
+            if direction in (0, n):
+                # the finest scale along x (direction n) or y (direction 0)
+                # is S - 1, so its Haar halves are still told apart by S bits
+                deepest = tree.levels[-1]
+                assert max(deepest.scale_x, deepest.scale_y) == deepest.fixed_bits - 1
 
 
 def assert_depths_match_oracle(ps, direction):
@@ -855,7 +885,7 @@ def test_tree_layer_reads_only_the_cached_integers():
     queries += [(THIRD, Fraction(1, 5)), (Fraction(1, 4) + Fraction(1, 1 << 21), THIRD)]
     for tree, other in zip(trees, want):
         for x, y in queries:
-            assert eval_aux(tree, x, y) == eval_aux(other, x, y)
+            assert eval_oracle(tree, x, y) == eval_oracle(other, x, y)
 
 
 def test_lone_clusters_are_shared_across_trees_and_builds():
@@ -943,9 +973,9 @@ def test_cluster_partition_fails_a_cluster_carried_past_its_split():
     first_cell = next(iter(rec.occupied))
     # level 2 keeps level 1's cluster sequence: the pair, keyed by point 0
     carried = tree.levels[1].clusters
-    tree.levels[2] = rec._replace(clusters=carried, empty_count=rec.empty_count + 1)
+    tree = _with_level(tree, 2, clusters=carried, empty_count=rec.empty_count + 1)
     assert tree.levels[2].occupied == {first_cell: (0, 1)}
-    tree.levels[3] = tree.levels[3]._replace(empty_count=tree.levels[3].empty_count - (1 << 6))
+    tree = _with_level(tree, 3, empty_count=tree.levels[3].empty_count - (1 << 6))
     assert _check_level_counts(tree).passed
     check = _check_cluster_partition(tree)
     assert not check.passed and "point 1 outside its cell" in check.witness
@@ -982,65 +1012,6 @@ def test_sum_empty_area_sq_matches_fraction_loop(ps, direction, depth):
     assert sum_empty_area_sq(tree) == sum_empty_area_sq_oracle(tree)
 
 
-non_dyadic = st.one_of(
-    st.integers(0, 3 ** 20 - 1).map(lambda a: Fraction(a, 3 ** 20)),
-    st.builds(lambda p, a: Fraction(a % p, p), st.sampled_from(ODD_PRIMES),
-              st.integers(0, 1 << 40)),
-    st.just(THIRD),
-)
-
-
-def _just_below_edges(tree, p):
-    """Queries one unit of 2^-S below the lower and the upper edges of p's
-    cell at the tree's deepest scales, with S the tree's `fixed_bits`: the
-    right half of the cell before p's, and of p's own."""
-    deepest = tree.levels[-1]
-    unit = Fraction(1, 1 << deepest.fixed_bits)
-
-    def below(c, k):
-        j = math.floor(c * (1 << k))
-        return [Fraction(j, 1 << k) - unit, Fraction(j + 1, 1 << k) - unit]
-
-    xs, ys = below(p.x, deepest.scale_x), below(p.y, deepest.scale_y)
-    return [(x, p.y) for x in xs] + [(p.x, y) for y in ys] + [(x, y) for x in xs for y in ys]
-
-
-@settings(max_examples=60, deadline=None)
-@given(adversarial_sets(), st.data())
-def test_eval_aux_matches_haar_oracle(ps, data):
-    n = n_from_pointcount(len(ps))
-    tree = build_tree(ps, data.draw(st.integers(0, n)))
-    queries = [(p.x, p.y) for p in ps]
-    queries += [q for p in ps for q in _just_below_edges(tree, p)]
-    queries += data.draw(st.lists(st.tuples(coordinates, coordinates), max_size=8))
-    queries += data.draw(st.lists(st.tuples(non_dyadic, non_dyadic), max_size=8))
-    queries += [(THIRD, THIRD), (THIRD, Fraction(1, 1 << 40)), (Fraction(2, 3), THIRD)]
-    queries += [
-        (Fraction(a, 1 << 40), Fraction(b, 1 << 40))
-        for a, b in data.draw(st.lists(st.tuples(st.integers(0, (1 << 40) - 1),
-                                                 st.integers(0, (1 << 40) - 1)), max_size=8))
-    ]
-    for x, y in queries:
-        if 0 <= x < 1 and 0 <= y < 1:
-            assert tuple(eval_aux(tree, x, y)) == eval_oracle(tree, x, y)
-
-
-def test_eval_aux_reads_the_last_bit_of_the_query():
-    # twins 2^-1000 apart keep a tree going to HARD_LEVEL_CAP, where the
-    # finest scale along x (direction n) or y (direction 0) is S - 1: the
-    # Haar half there is bit 0 of floor(x 2^S)
-    ps = PointSet((Point(THIRD, THIRD), Point(THIRD + TWIN_GAP, THIRD + TWIN_GAP)))
-    n = n_from_pointcount(len(ps))
-    for direction in (0, n):
-        tree = build_tree(ps, direction)
-        deepest = tree.levels[-1]
-        assert tree.deepest_level == HARD_LEVEL_CAP
-        assert max(deepest.scale_x, deepest.scale_y) == deepest.fixed_bits - 1
-        values = [eval_aux(tree, x, y) for x, y in _just_below_edges(tree, ps[0])]
-        assert values == [eval_oracle(tree, x, y) for x, y in _just_below_edges(tree, ps[0])]
-        assert any(not v.truncated for v in values) and any(v.truncated for v in values)
-
-
 @settings(max_examples=25, deadline=None)
 @given(adversarial_sets(max_distinct=3), st.data())
 def test_product_check_matches_fraction_pieces(ps, data):
@@ -1048,7 +1019,7 @@ def test_product_check_matches_fraction_pieces(ps, data):
     level = data.draw(st.integers(0, 2 if n <= 3 else 1))
     indices = data.draw(st.sampled_from([(0, n), (0, 1, n)] if n >= 2 else [(0, n)]))
     trees = [build_tree(ps, i, max_level=level) for i in indices]
-    report = product_bound_check(ps, indices, truncation_level=level, trees=trees)
+    report = product_bound_check(ps, indices, trees, level)
     d_product, covered, pieces = product_oracle(ps, trees, level)
     assert report.d_product_integral == d_product
     assert report.covered_area == covered

@@ -10,6 +10,7 @@ from discrep.auxiliary import _tree_integers
 from discrep.errors import CsvFormatError, ResourceLimitError
 from discrep.pointsets import (
     MAX_AXIS_BITS,
+    MAX_LITERAL_BITS,
     Point,
     PointSet,
     parse_coordinate,
@@ -154,15 +155,16 @@ def test_literal_budget_refuses_before_building(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pointsets, "dyadic", record)
     monkeypatch.setattr(pointsets, "Fraction", record)
-    # 2^k takes k + 1 bits and 10^e about 3.32 e: 2^27 / log2(10) = 40403562.5
-    for text in (f"1/2^{MAX_AXIS_BITS}", "1/2^10000000000", "1e-40403563", "2.5E+40403563",
+    # 2^k takes k + 1 bits and 10^e about 3.32 e: (2^27 // 3) / log2(10) = 13467853.8
+    assert MAX_LITERAL_BITS == MAX_AXIS_BITS // 3
+    for text in (f"1/2^{MAX_LITERAL_BITS}", "1/2^10000000000", "1e-13467854", "2.5E+13467854",
                  "1e-1_000_000_000"):
         with pytest.raises(ResourceLimitError, match="bit budget"):
             parse_coordinate(text)
     assert built == []
-    parse_coordinate(f"1/2^{MAX_AXIS_BITS - 1}")
-    parse_coordinate("1e-40403562")
-    assert built == [(1, MAX_AXIS_BITS - 1), ("1e-40403562",)]
+    parse_coordinate(f"1/2^{MAX_LITERAL_BITS - 1}")
+    parse_coordinate("1e-13467853")
+    assert built == [(1, MAX_LITERAL_BITS - 1), ("1e-13467853",)]
     path = tmp_path / "big.csv"
     path.write_text("x,y\n1/2,1/3\n1/2,1/2^10000000000\n")
     with pytest.raises(ResourceLimitError, match=r"^line 3: 2\^10000000000 exceeds"):
