@@ -43,20 +43,21 @@ def _iv_endpoints(x: tuple) -> tuple[mpf, mpf]:
     return mp.make_mpf(lo), mp.make_mpf(hi)
 
 
-def _mid_rad(lo: mpf, hi: mpf) -> tuple[mpf, mpf]:
-    """(mid, rad) at mp's precision with [lo, hi] inside [mid - rad, mid + rad].
-
-    mid is rounded to nearest; rad is rounded up, so the cover is exact.
-    """
-    mid = (lo + hi) / 2
-    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u"))
-
-
 def _as_mpf(value) -> mpf:
     """A Fraction as num/den in mpf at mp's precision; other numbers via mpf()."""
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
     return mpf(value)
+
+
+def _fraction(value) -> Fraction:
+    """The exact value of a finite mpf, a Fraction or an int."""
+    if not isinstance(value, mpf):
+        return Fraction(value)
+    sign, man, exp, _ = value._mpf_
+    if not man and exp:
+        raise ValueError(f"{value} is not finite")
+    return (-1) ** sign * man * Fraction(2) ** exp
 
 
 def _nstr_directed(value, digits: int, up: bool) -> str:
@@ -67,13 +68,7 @@ def _nstr_directed(value, digits: int, up: bool) -> str:
     mp's current precision.  When rounding to nearest gives the same
     decimal, the string equals `mp.nstr(value, digits)`.
     """
-    if isinstance(value, mpf):
-        sign, man, exp, _ = value._mpf_
-        if not man and exp:
-            raise ValueError(f"{value} is not finite")
-        q = (-1) ** sign * man * Fraction(2) ** exp
-    else:
-        q = Fraction(value)
+    q = _fraction(value)
     if q == 0:
         return mp.nstr(mpf(0), digits)
     # 10^e <= |q| < 10^(e + 1): with a digits over b, |q| < 10^(a - b + 1)

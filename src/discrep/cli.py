@@ -81,7 +81,7 @@ def cmd_norms(args) -> int:
         }
         _emit(args, payload, [f"{which} (mc): {est:.12g} +- {stderr:.6g}"])
         return EXIT_OK
-    report = discrepancy.norms_report(ps, dps=args.precision, which=args.which)
+    report = discrepancy.norms_report(ps, which=args.which)
     lines = [f"{k}: {v}" for k, v in report.items()]
     _emit(args, report, lines)
     return EXIT_OK
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed of gen --kind random and norms --method mc")
     common.add_argument("--samples", type=int, default=10**6, help="Monte-Carlo samples")
-    common.add_argument("--precision", type=int, default=50, help="working decimal digits")
+    common.add_argument("--precision", type=int, default=50,
+                        help="working decimal digits of certificate and lin")
     common.add_argument("--max-level", dest="max_level", type=int, default=None,
                         help=f"subdivision truncation level, 0..{auxiliary.HARD_LEVEL_CAP}")
 

@@ -37,11 +37,12 @@ L1 and L-infinity stream the closed prefix counts one column at a time
     denominators, of c and of N.  Split into powers of two and odd parts,
     the whole integral is one Fraction plus one integer linear form in the
     logs of 2 and of odd integers (exact rational when no cell has a sign
-    change).  It is enclosed once, at max(dps, L1_MIN_DPS) digits: one raw
-    mpmath.libmp interval log per integer at a precision set by its
-    coefficient, the ends summed exactly and rounded outward once, at most
-    2 ulps wide, no global state (`_interval`, the one module that
-    imports mpmath, which `l1_norm` loads only when a cell is crossed).
+    change).  It is enclosed once, at L1_DPS digits: one raw mpmath.libmp
+    interval log per integer at a precision set by its coefficient, the
+    ends summed exactly and rounded outward once, at most 2 ulps wide, no
+    global state (`_interval`, the one module that imports mpmath, which
+    `l1_norm` loads only when a cell is crossed).  The enclosure's exact
+    midpoint and half-width are the norm's value and error.
   * L2, O(N log N) operations on integers of the axis integers' size: the
     pairwise closed form (sums of (1 - max) products), summed in x order
     with a Fenwick tree of integer numerators over the y ranks (Heinrich,
@@ -73,12 +74,12 @@ if TYPE_CHECKING:
 MAX_GRID_CELLS = 1 << 24
 # Monte-Carlo samples; numpy holds a few 8-byte arrays of this length.
 MAX_MC_SAMPLES = 1 << 24
-# The L1 enclosure is at most 2 ulps, 2^(2 - prec) of its value, wide
-# (`_interval._l1_enclosure`).  `norms_report` prints 17 digits of its
-# midpoint, and 3 digits more keep all 17 backed by the enclosure
-# (dps_to_prec(20) is 70 bits); 1e-12 alone would need only 42 bits, 12
-# digits.
-L1_MIN_DPS = 20
+# The one precision of the L1 enclosure, at most 2 ulps, 2^(2 - prec) of
+# its value, wide (`_interval._l1_enclosure`).  `norms_report` prints 17
+# digits of its midpoint, and 3 digits more keep all 17 backed by the
+# enclosure (dps_to_prec(20) is 70 bits); 1e-12 alone would need only 42
+# bits, 12 digits.
+L1_DPS = 20
 
 
 def _columns(grid: CellDecomposition) -> Iterator[tuple[int, ...]]:
@@ -153,19 +154,17 @@ class L1Norm(NamedTuple):
     """L1 norm of D with a rigorous error bound.
 
     `value` is a Fraction when every cell integrates rationally (no sign
-    change anywhere); otherwise an mpf midpoint with `error` bounding the
-    enclosure half-width.  `sign_change_cells` counts cells whose integral
-    needed the logarithmic antiderivative, and `dps` is the precision, in
-    digits, to which the enclosure's ends were rounded: the requested
-    digits, at least L1_MIN_DPS (0 when exact); its logs ran at a few more
-    bits (`_interval._l1_enclosure`).
+    change anywhere), with `error` 0; otherwise the mpf midpoint of an
+    enclosure at L1_DPS digits, and `error` its half-width, both exact, so
+    [value - error, value + error] is the enclosure itself.
+    `sign_change_cells` counts cells whose integral needed the logarithmic
+    antiderivative.
     """
 
     value: Fraction | mpf
     error: Fraction | mpf
     exact: bool
     sign_change_cells: int
-    dps: int
 
 
 class L1Form(NamedTuple):
@@ -292,25 +291,25 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     return L1Form(rational, logs, n, crossed)
 
 
-def l1_norm(ps: PointSet, dps: int = 30) -> L1Norm:
+def l1_norm(ps: PointSet) -> L1Norm:
     """L1 norm of D; exact rational, or certified to a relative 1e-12.
 
     Closed-form integration summed in integers; the linear form in logs is
-    enclosed once by `_interval._l1_enclosure`, at max(dps, L1_MIN_DPS)
-    digits; an exact result loads no mpmath.
+    enclosed once by `_interval._l1_enclosure`, at L1_DPS digits, and its
+    ends' sum and difference are taken exactly and halved by a shift; an
+    exact result loads no mpmath.
     """
     form = _l1_form(ps.grid)
     if not form.crossed:
-        return L1Norm(form.rational, Fraction(0), True, 0, 0)
-    from ._interval import _l1_enclosure, _mid_rad, mp
+        return L1Norm(form.rational, Fraction(0), True, 0)
+    from ._interval import _l1_enclosure, mp
 
-    dps = max(dps, L1_MIN_DPS)
-    lo, hi = _l1_enclosure(form, dps)
-    with mp.workdps(dps):
-        mid, err = _mid_rad(lo, hi)
+    lo, hi = _l1_enclosure(form, L1_DPS)
+    mid = mp.ldexp(mp.fadd(lo, hi, exact=True), -1)
+    err = mp.ldexp(mp.fsub(hi, lo, exact=True), -1)
     if err > 1e-12 * mid:
-        raise ArithmeticError(f"the L1 enclosure at {dps} digits is wider than 1e-12 of its value")
-    return L1Norm(mid, err, False, form.crossed, dps)
+        raise ArithmeticError(f"the L1 enclosure at {L1_DPS} digits is wider than 1e-12 of its value")
+    return L1Norm(mid, err, False, form.crossed)
 
 
 def linf_norm(ps: PointSet) -> Fraction:
@@ -423,31 +422,33 @@ def monte_carlo_norm(
     return est, stderr
 
 
-def norms_report(ps: PointSet, dps: int = 30, which: str = "all") -> dict:
+def norms_report(ps: PointSet, which: str = "all") -> dict:
     """The exact norms in the JSON report shape used by the CLI.
 
     `which` is "all" or one of "l1", "l2", "linf" and "dn", and only the
     norms it names are computed ("dn" needs L1), all from the set's one
-    grid.  An exact L1 is "p/q" with `l1_err` "0", and loads no mpmath;
-    otherwise `l1_err` is printed rounded up, and the 17 digits of `l1`
-    are its midpoint rounded to nearest, read from the midpoint's own bits
-    whatever mp's precision is.  That midpoint comes from an enclosure of
-    at least L1_MIN_DPS = 20 digits, 3 more than are printed, whatever
-    `dps` is.  `d_n`, the L1 norm over sqrt(ln N), needs N >= 2.
+    grid.  An exact L1 is "p/q" with `l1_err` "0", and loads no mpmath.
+    Otherwise the 17 digits of `l1` are the midpoint of the enclosure at
+    L1_DPS = 20 digits, rounded to nearest from its own bits whatever mp's
+    precision is, and `l1_err`, rounded up to 3 digits, bounds the
+    distance from the printed `l1` to the norm: the printed digits' offset
+    from the midpoint plus the half-width.  `d_n`, the L1 norm over
+    sqrt(ln N), needs N >= 2.
     """
     if which not in ("all", "l1", "l2", "linf", "dn"):
         raise ValueError(f"unknown norm {which!r}")
     report = {"n_points": len(ps)}
     if which in ("all", "l1", "dn"):
-        l1 = l1_norm(ps, dps)
+        l1 = l1_norm(ps)
     if which in ("all", "l1"):
         if l1.exact:
             report["l1"], report["l1_err"] = str(l1.value), "0"
         else:
-            from ._interval import _nstr_directed, mp
+            from ._interval import _fraction, _nstr_directed, mp
 
             report["l1"] = mp.nstr(l1.value, 17)
-            report["l1_err"] = _nstr_directed(l1.error, 3, up=True)
+            offset = abs(Fraction(report["l1"]) - _fraction(l1.value))
+            report["l1_err"] = _nstr_directed(offset + _fraction(l1.error), 3, up=True)
     if which in ("all", "l2"):
         report["l2_sq"] = str(l2_norm_sq(ps))
     if which in ("all", "linf"):

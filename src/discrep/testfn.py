@@ -219,7 +219,6 @@ class BoundCertificate(NamedTuple):
             "d_n_bound": None
             if self.d_n_bound is None
             else _nstr_directed(self.d_n_bound, 17, up=False),
-            "constants": constants_table(),
         }
 
 

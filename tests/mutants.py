@@ -145,6 +145,13 @@ MUTANTS = (
         ("test_grid_kernels.py::test_l1_enclosure_is_bit_equal_to_two_logs_per_integer",),
         "the upper end of a log rounded down is one ulp above it, not two",
     ),
+    Mutant(
+        "l1_err_without_the_printed_offset", "discrepancy.py",
+        "_nstr_directed(offset + _fraction(l1.error), 3, up=True)",
+        "_nstr_directed(_fraction(l1.error), 3, up=True)",
+        ("test_grid_kernels.py::test_printed_l1_and_error_hold_the_norm",),
+        "l1_err bounds the printed l1's distance to the norm, not the enclosure's half-width",
+    ),
 )
 
 

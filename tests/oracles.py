@@ -30,9 +30,8 @@ from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import dps_to_prec, from_rational, mpi_log, round_ceiling, round_floor
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
-from discrep._interval import _as_mpf, _iv_endpoints, _mid_rad, _mpi_int
-from discrep.discrepancy import L1Norm, _columns, _l1_form
-from discrep.errors import ResourceLimitError
+from discrep._interval import _as_mpf, _iv_endpoints, _mpi_int
+from discrep.discrepancy import _columns
 from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
 from discrep.testfn import FourierAtomFunction
 
@@ -300,22 +299,6 @@ def l1_enclosure_iv(form, dps: int) -> tuple[mpf, mpf]:
             log_sum += iv.mpf(coeff) * iv.log(iv.mpf(m))
         total = iv_fraction(form.rational) + log_sum / form.n
     return _iv_endpoints(total._mpi_)
-
-
-def l1_norm_iv(ps: PointSet, dps: int = 30) -> L1Norm:
-    """`l1_norm` with its enclosure taken by `l1_enclosure_iv`."""
-    form = _l1_form(ps.grid)
-    if not form.crossed:
-        return L1Norm(form.rational, Fraction(0), True, 0, 0)
-    for attempt_dps in (dps, 2 * dps, 4 * dps, 8 * dps):
-        lo, hi = l1_enclosure_iv(form, attempt_dps)
-        with mp.workdps(attempt_dps):
-            mid, err = _mid_rad(lo, hi)
-        if err <= 1e-12 * mid:
-            return L1Norm(mid, err, False, form.crossed, attempt_dps)
-    raise ResourceLimitError(
-        f"could not certify L1 to 1e-12 relative error by {8 * dps} digits"
-    )
 
 
 def l1_enclosure_two_logs(form, dps: int) -> tuple[mpf, mpf]:

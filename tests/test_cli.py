@@ -126,9 +126,8 @@ def test_precision_below_one_is_usage_error(precision):
 
 
 def test_low_precision_certifies_l1_at_twelve_digits(capsys):
-    # mixed.csv has log cells; below L1_MIN_DPS = 20 digits L1 is still
-    # enclosed at 20, so every one of the 17 printed digits is the same as
-    # at 50
+    # mixed.csv has log cells; L1 is enclosed at L1_DPS = 20 digits whatever
+    # --precision is, so the norms are the same at every precision
     payloads = {}
     for precision in ("1", "12", "50"):
         code, stdout, _ = run(capsys, "norms", "--in", str(GOLDEN / "mixed.csv"), "--json",
@@ -137,9 +136,9 @@ def test_low_precision_certifies_l1_at_twelve_digits(capsys):
         payloads[precision] = json.loads(stdout)
     low, low_err = Fraction(payloads["1"]["l1"]), Fraction(payloads["1"]["l1_err"])
     assert low_err <= Fraction(1, 10 ** 12) * low
-    assert payloads["1"]["l1"] == payloads["12"]["l1"] == payloads["50"]["l1"]
-    del payloads["1"]["config"], payloads["12"]["config"]
-    assert payloads["1"] == payloads["12"]
+    for payload in payloads.values():
+        del payload["config"]
+    assert payloads["1"] == payloads["12"] == payloads["50"]
 
 
 def test_norms_which_computes_only_that_norm(capsys, monkeypatch):
@@ -427,7 +426,6 @@ def test_certificate_json_and_edge_case(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["N"] == 8 and payload["n"] == 4
     assert float(payload["l1_lower_bound"]) > 0
-    assert "constants" in payload
 
     single = tmp_path / "one.csv"
     single.write_text("x,y\n0,0\n")

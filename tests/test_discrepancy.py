@@ -13,9 +13,9 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from discrep import _interval, discrepancy
-from discrep._interval import _mid_rad, _nstr_directed
+from discrep._interval import _nstr_directed
 from discrep.discrepancy import (
-    L1_MIN_DPS,
+    L1_DPS,
     MAX_MC_SAMPLES,
     CellDecomposition,
     norms_report,
@@ -156,26 +156,18 @@ def test_l1_records_the_precision_it_certified_at(monkeypatch):
         return enclosure(form, dps)
 
     monkeypatch.setattr(_interval, "_l1_enclosure", counting)
-    assert l1_norm(ORIGIN).dps == 0
-    ps = random_uniform(6, seed=2)
-    res = l1_norm(ps)
-    assert not res.exact and res.dps == 30
-    # below L1_MIN_DPS digits the enclosure is taken at L1_MIN_DPS, which
-    # reaches 1e-12
-    low = l1_norm(ps, dps=5)
-    assert low.sign_change_cells == res.sign_change_cells > 0
-    assert low.dps == L1_MIN_DPS
-    assert low.error <= 1e-12 * low.value
-    assert abs(low.value - res.value) <= low.error + res.error
-    # one enclosure per set with a crossed cell, at the recorded precision
-    assert calls == [30, L1_MIN_DPS]
-    for dps in (1, 11, 12, L1_MIN_DPS - 1, L1_MIN_DPS, 31):
-        for ps in (CORNER, van_der_corput(3), random_uniform(16, seed=7)):
-            calls.clear()
-            norm = l1_norm(ps, dps)
-            assert calls == ([] if norm.exact else [max(dps, L1_MIN_DPS)])
-            assert norm.dps == (0 if norm.exact else max(dps, L1_MIN_DPS))
-            assert norm.error <= 1e-12 * norm.value
+    # one enclosure per set with a crossed cell, at the one precision L1_DPS,
+    # which reaches 1e-12, and none for an exact set
+    inexact = 0
+    for ps in (ORIGIN, CORNER, van_der_corput(3), random_uniform(6, seed=2),
+               random_uniform(16, seed=7)):
+        calls.clear()
+        norm = l1_norm(ps)
+        assert calls == ([] if norm.exact else [L1_DPS])
+        assert norm.exact == (norm.sign_change_cells == 0)
+        assert norm.error <= 1e-12 * norm.value
+        inexact += not norm.exact
+    assert inexact == 2
 
 
 def test_l1_matches_monte_carlo():
@@ -248,18 +240,18 @@ def _exact(x: mpf) -> Fraction:
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
-@given(
-    st.fractions(min_value=-10, max_value=10, max_denominator=10**40),
-    st.fractions(min_value=0, max_value=1, max_denominator=10**40),
-    st.integers(min_value=5, max_value=120),
-)
-def test_mid_rad_covers_interval_exactly(lo, width, dps):
-    with mp.workdps(dps):
-        lo_f = mpf(lo.numerator) / mpf(lo.denominator)
-        hi_f = lo_f + mpf(width.numerator) / mpf(width.denominator)
-        mid, rad = _mid_rad(lo_f, hi_f)
-    assert _exact(mid) - _exact(rad) <= _exact(lo_f)
-    assert _exact(hi_f) <= _exact(mid) + _exact(rad)
+@given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=10**6))
+def test_l1_value_and_error_are_the_enclosure(n, seed):
+    # value - error and value + error are the ends of the enclosure, exactly
+    ps = random_uniform(n, seed)
+    norm = l1_norm(ps)
+    form = discrepancy._l1_form(ps.grid)
+    if form.crossed:
+        lo, hi = _interval._l1_enclosure(form, L1_DPS)
+        assert _exact(norm.value) - _exact(norm.error) == _exact(lo)
+        assert _exact(norm.value) + _exact(norm.error) == _exact(hi)
+    else:
+        assert (norm.value, norm.error) == (form.rational, 0)
 
 
 @given(

@@ -11,6 +11,7 @@ raised to their integer coefficients, are equal.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +30,7 @@ from discrep.discrepancy import (
     l1_norm,
     l2_norm_sq,
     linf_norm,
+    norms_report,
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
@@ -39,7 +41,6 @@ from oracles import (
     grid_oracle,
     iv_fraction,
     l1_enclosure_iv,
-    l1_norm_iv,
     l2_norm_sq_direct,
     linf_exact_scan,
     prime_reciprocals,
@@ -355,20 +356,33 @@ def test_l1_terms_match_per_cell_oracle(ps):
 
 @pytest.mark.parametrize("dps", [5, 30, 60])
 def test_l1_enclosure_matches_iv_objects(dps):
-    # the one exact sum holds the `iv` objects' enclosure at 4 dps, is no
-    # wider than theirs at dps, and certifies at no more digits
+    # the one exact sum holds the `iv` objects' enclosure at 4 dps and is no
+    # wider than theirs at dps
     inexact = 0
     for ps in (*ADVERSARIAL, random_uniform(32, seed=1), van_der_corput(5), prime_reciprocals(12)):
         form = _l1_form(ps.grid)
-        norm = l1_norm(ps, dps)
-        assert norm.dps <= l1_norm_iv(ps, dps).dps
-        for attempt_dps in {dps, norm.dps} - {0}:
-            lo, hi = _l1_enclosure(form, attempt_dps)
-            assert contains((lo, hi), l1_enclosure_iv(form, 4 * attempt_dps))
-            assert width((lo, hi)) <= width(l1_enclosure_iv(form, attempt_dps))
-            assert width((lo, hi)) <= 3 * ulp(hi, dps_to_prec(attempt_dps))
-        inexact += not norm.exact
+        lo, hi = _l1_enclosure(form, dps)
+        assert contains((lo, hi), l1_enclosure_iv(form, 4 * dps))
+        assert width((lo, hi)) <= width(l1_enclosure_iv(form, dps))
+        assert width((lo, hi)) <= 3 * ulp(hi, dps_to_prec(dps))
+        inexact += form.crossed > 0
     assert inexact >= 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets)
+@add_examples
+@example(pointsets.read_csv(Path(__file__).parent / "golden" / "mixed.csv"))
+def test_printed_l1_and_error_hold_the_norm(ps):
+    # the printed l1 +- l1_err holds the `iv` objects' enclosure at 60 digits
+    report = norms_report(ps, which="l1")
+    l1, err = Fraction(report["l1"]), Fraction(report["l1_err"])
+    form = _l1_form(ps.grid)
+    if form.crossed:
+        lo, hi = l1_enclosure_iv(form, 60)
+        assert l1 - err <= exact(lo) and exact(hi) <= l1 + err
+    else:
+        assert (l1, err) == (form.rational, 0)
 
 
 @settings(max_examples=100, deadline=None)

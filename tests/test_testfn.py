@@ -361,7 +361,7 @@ def test_certificate_json_schema():
     payload = certificate(van_der_corput(2)).to_json()
     for key in (
         "n", "N", "main_term", "error_bound", "l1_lower_bound", "d_n_bound",
-        "inner_product_sum", "constants",
+        "inner_product_sum",
     ):
         assert key in payload
     assert payload["inner_product_sum"].count("/") == 1
