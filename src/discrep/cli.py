@@ -7,7 +7,9 @@ Exit codes: 0 ok, 1 a verification check failed, 2 usage or input error,
 Every run echoes its configuration (seed, samples, precision, max level)
 into the output, and identical configurations produce byte-identical
 output; exact values print as rational strings, decimals appear only
-where logarithms force approximation.
+where logarithms force approximation.  `--precision` is only echoed: every
+computation runs at its own fixed precision, so no output but the echo
+depends on it.
 """
 
 from __future__ import annotations
@@ -127,10 +129,9 @@ def cmd_comb(args) -> int:
 
 def cmd_lin(args) -> int:
     fn = testfn.SINE
-    dps = args.precision
-    value = testfn.lin_n(fn, args.n, dps=dps)
-    series = testfn.lin_series_crosscheck(fn, args.n, order=args.order, dps=dps)
-    limit = testfn.lin_limit(fn, dps=dps)
+    value = testfn.lin_n(fn, args.n)
+    series = testfn.lin_series_crosscheck(fn, args.n, order=args.order)
+    limit = testfn.lin_limit(fn)
     payload = {
         "n": args.n,
         "order": args.order,
@@ -147,7 +148,7 @@ def cmd_lin(args) -> int:
 def cmd_certificate(args) -> int:
     ps = _load(args)
     trees = auxiliary.build_trees(ps, args.max_level)
-    cert = testfn.certificate(ps, dps=args.precision, trees=trees)
+    cert = testfn.certificate(ps, trees=trees)
     payload = cert.to_json()
     lines = [
         f"N={payload['N']} n={payload['n']}",
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed of gen --kind random and norms --method mc")
     common.add_argument("--samples", type=int, default=10**6, help="Monte-Carlo samples")
     common.add_argument("--precision", type=int, default=50,
-                        help="working decimal digits of certificate and lin")
+                        help="echoed in the config only; no command reads it")
     common.add_argument("--max-level", dest="max_level", type=int, default=None,
                         help=f"subdivision truncation level, 0..{auxiliary.HARD_LEVEL_CAP}")
 
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CsvFormatError, FileNotFoundError, ValueError) as exc:
+    except (CsvFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,7 @@ weighted by cos^n sin), against a fully explicit finite error series
 (odd orders p = 3..n+1, each bounded through the product bound
 `auxiliary.product_bound` summed over index tuples).  All transcendental
 factors are evaluated in interval arithmetic with directed rounding, on
-raw mpmath.libmp endpoint pairs at `dps_to_prec(dps)` bits, so the
+raw mpmath.libmp endpoint pairs at `dps_to_prec(DPS)` bits, so the
 reported lower bound on the L1 norm is rigorous.  mpmath is imported by
 the functions that compute with it, not by this module (`_interval`).
 
@@ -50,6 +50,11 @@ if TYPE_CHECKING:
 
 # The exact moments of `lin_series_crosscheck` take time growing about as n^2.7.
 LIN_MAX_N = 1 << 11
+# The one working precision, in decimal digits, of every mpmath computation
+# here.  The certificate's mpf `main_term` and `error_bound` must agree with
+# a 60-digit reference to 1e-30 relative (perfbench's certify check), which
+# needs more than about 32 digits; 50 leaves a wide margin.
+DPS = 50
 
 
 class _AtomFields(NamedTuple):
@@ -108,7 +113,7 @@ class FourierAtomFunction(NamedTuple):
 SINE = FourierAtomFunction.sine()
 
 
-def lin_n(fn: FourierAtomFunction, n: int, dps: int = 30) -> mpc:
+def lin_n(fn: FourierAtomFunction, n: int) -> mpc:
     """Linear-part coefficient at size parameter n.
 
     Per atom: c * (-i) sin(w/sqrt(n)) cos(w/sqrt(n))^n; for sin this is
@@ -120,7 +125,7 @@ def lin_n(fn: FourierAtomFunction, n: int, dps: int = 30) -> mpc:
 
     from ._interval import _as_mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         root = mp.sqrt(n)
         total = mpc(0)
         for a in fn.atoms:
@@ -130,9 +135,7 @@ def lin_n(fn: FourierAtomFunction, n: int, dps: int = 30) -> mpc:
         return +total
 
 
-def lin_series_crosscheck(
-    fn: FourierAtomFunction, n: int, order: int = 41, dps: int = 30
-) -> mpc:
+def lin_series_crosscheck(fn: FourierAtomFunction, n: int, order: int = 41) -> mpc:
     """Independent route via odd moments: sum over odd k <= order of
 
         T^(k)(0) * E[(x_0+...+x_n)^k] / (k! n^(k/2)).
@@ -158,18 +161,18 @@ def lin_series_crosscheck(
 
     from ._interval import _as_mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         root = mp.sqrt(n)
         return +(mpc(_as_mpf(acc_re), _as_mpf(acc_im)) / root)
 
 
-def lin_limit(fn: FourierAtomFunction, dps: int = 30) -> mpc:
+def lin_limit(fn: FourierAtomFunction) -> mpc:
     """Limit value -i sum_j w_j exp(-w_j^2 / 2) c_j; for sin: 1/sqrt(e)."""
     from mpmath import mp, mpc
 
     from ._interval import _as_mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         total = mpc(0)
         for a in fn.atoms:
             w = _as_mpf(a.freq)
@@ -257,9 +260,7 @@ def _error_weights(n: int, count: int) -> dict[int, Fraction]:
     }
 
 
-def certificate(
-    ps: PointSet, dps: int = 50, trees: Sequence[AuxFamilyTree] | None = None
-) -> BoundCertificate:
+def certificate(ps: PointSet, trees: Sequence[AuxFamilyTree] | None = None) -> BoundCertificate:
     """End-to-end lower-bound certificate for one point set (T = sin route).
 
     All rounding is directed: the main term rounds down, the error series
@@ -280,7 +281,7 @@ def certificate(
 
     from ._interval import _iv_endpoints, _mpi_int
 
-    prec = dps_to_prec(dps)
+    prec = dps_to_prec(DPS)
     main = _odd_terms(n, {1: abs(total)}, prec)
     err = _odd_terms(n, _error_weights(n, count), prec)
     diff = mpi_sub(main, err, prec)
@@ -301,53 +302,54 @@ def certificate(
     )
 
 
-def certificate_error_bound(n: int, count: int, dps: int = 50) -> mpf:
+def certificate_error_bound(n: int, count: int) -> mpf:
     """The certificate's error series alone, rounded up (depends on n, N only)."""
     from mpmath.libmp import dps_to_prec
 
     from ._interval import _iv_endpoints
 
-    return _iv_endpoints(_odd_terms(n, _error_weights(n, count), dps_to_prec(dps)))[1]
+    return _iv_endpoints(_odd_terms(n, _error_weights(n, count), dps_to_prec(DPS)))[1]
 
 
-def main_term_floor(n: int, count: int, dps: int = 50) -> mpf:
+def main_term_floor(n: int, count: int) -> mpf:
     """Lower bound cos^n(a) sin(a) (n+1) |`lemma_short_bound`(n, N)| on the main term."""
     weights = {1: -(n + 1) * lemma_short_bound(n, count)}
     from mpmath.libmp import dps_to_prec
 
     from ._interval import _iv_endpoints
 
-    return _iv_endpoints(_odd_terms(n, weights, dps_to_prec(dps)))[0]
+    return _iv_endpoints(_odd_terms(n, weights, dps_to_prec(DPS)))[0]
 
 
 # ---------------------------------------------------------------------------
 # reference constants
 # ---------------------------------------------------------------------------
 
-def halasz_constant(dps: int = 30) -> mpf:
+def halasz_constant() -> mpf:
     """1 / (1152 (sqrt(e) + 1) sqrt(ln 2)), approximately 0.00039."""
     from mpmath import mp
 
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         return +(1 / (1152 * (mp.sqrt(mp.e) + 1) * mp.sqrt(mp.log(2))))
 
 
-def constants_table(digits: int = 10) -> dict:
-    """The certified asymptotic constants, as decimal strings.
+def constants_table() -> dict:
+    """The certified asymptotic constants, as 10-digit decimal strings.
 
     The two L2 comparison entries are reproduced from elsewhere and only
     displayed, marked external.
     """
     from mpmath import mp
 
-    with mp.workdps(digits + 15):
+    with mp.workdps(DPS):
         root = mp.sqrt(mp.e * mp.log(2))
-        entries = {
-            "liminf_dn_lower": mp.nstr(3 / (256 * root), digits),
-            "limsup_dn_lower": mp.nstr(1 / (64 * root), digits),
-            "halasz_constant": mp.nstr(halasz_constant(digits + 15), digits),
-            "lin_limit_sin": mp.nstr(1 / mp.sqrt(mp.e), digits),
+        values = {
+            "liminf_dn_lower": 3 / (256 * root),
+            "limsup_dn_lower": 1 / (64 * root),
+            "halasz_constant": halasz_constant(),
+            "lin_limit_sin": 1 / mp.sqrt(mp.e),
         }
+        entries = {name: mp.nstr(value, 10) for name, value in values.items()}
     return {
         **entries,
         "l2_liminf_bound_external": "0.17905",

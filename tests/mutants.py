@@ -133,6 +133,12 @@ MUTANTS = (
         "every interval operation of the certificate runs at the one precision prec",
     ),
     Mutant(
+        "working_precision_of_20_digits", "testfn.py",
+        "DPS = 50", "DPS = 20",
+        ("test_grid_kernels.py::test_certificate_bounds_within_1e_30_of_a_60_digit_reference",),
+        "the certificate's bounds agree with a 60-digit reference to 1e-30 relative",
+    ),
+    Mutant(
         "d_n_without_its_square_root", "testfn.py",
         "mpi_sqrt(mpi_log(_mpi_int(count, prec), prec), prec)",
         "mpi_log(_mpi_int(count, prec), prec)",

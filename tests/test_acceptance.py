@@ -105,7 +105,7 @@ def test_criterion_04_lin_limit():
         assert gap <= 1.0 / n
     assert str(lin_limit(SINE).real)[:12] == "0.6065306597"
     with mp.workdps(25):
-        assert abs(lin_limit(SINE, dps=25).real - 1 / mp.sqrt(mp.e)) < 1e-20
+        assert abs(lin_limit(SINE).real - 1 / mp.sqrt(mp.e)) < 1e-20
 
 
 @criterion(5, "extremal problem", 1)

@@ -315,6 +315,17 @@ def test_lemmas_checks_do_not_depend_on_seed(tmp_path, capsys):
     assert [p["config"]["seed"] for p in payloads] == [None, 0]
 
 
+def test_literal_budget_boundary_exit_code(tmp_path, capsys):
+    # the largest decimal exponent admitted is read; the next one exits 3
+    path = tmp_path / "p.csv"
+    path.write_text("x,y\n1e-315652,1/2\n")
+    assert run(capsys, "aux", "--in", str(path))[0] == 0
+    path.write_text("x,y\n1e-315653,1/2\n")
+    code, stdout, err = run(capsys, "aux", "--in", str(path))
+    assert code == 3 and stdout == ""
+    assert err == "resource limit: line 2: 10^315653 exceeds the 1048576-bit budget\n"
+
+
 @pytest.mark.parametrize("command", ["norms", "aux", "lemmas", "certificate"])
 def test_literal_budget_exit_code(tmp_path, capsys, monkeypatch, command):
     from discrep import pointsets
@@ -479,13 +490,40 @@ def test_bad_csv_is_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv", [["norms", "--in", "{dir}"],
+                                  ["gen", "--kind", "vdc", "--m", "2", "--out", "{dir}"]])
+def test_directory_path_is_usage_error(tmp_path, capsys, argv):
+    code, stdout, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certificate", "--in", str(GOLDEN / "vdc3.csv")],
+    ["certificate", "--in", str(GOLDEN / "mixed.csv")],
+    ["lin", "--n", "4"],
+], ids=["certificate-vdc3", "certificate-mixed", "lin"])
+def test_precision_changes_nothing_but_the_echo(capsys, argv):
+    # every computation runs at its own fixed precision: --precision is
+    # checked and echoed, and read by no command
+    payloads = []
+    for precision in ("1", "20", "50", "100"):
+        code, stdout, _ = run(capsys, *argv, "--json", "--precision", precision)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload.pop("config")["precision"] == int(precision)
+        payloads.append(payload)
+    assert all(payload == payloads[0] for payload in payloads)
+
+
 def _golden_runs():
     # vdc m=3 (n=4), and four points with non-dyadic coordinates, a duplicate
     # and one point on x = 1 (n=3); comb and lin take each input's n.  The
-    # certificate also runs below the default precision of 50 digits, and
-    # comb at the largest table the caps allow.  aux, certificate and lemmas
-    # also run with trees cut at --max-level 0, where lemmas skips its product
-    # checks, and at 2, the product checks' level.
+    # certificate also runs at --precision 20, whose payload equals the
+    # default run's apart from the echoed config, as no command reads
+    # --precision; comb also runs at the largest table the caps allow.  aux,
+    # certificate and lemmas also run with trees cut at --max-level 0, where
+    # lemmas skips its product checks, and at 2, the product checks' level.
     for stem, n in (("vdc3", 4), ("mixed", 3)):
         csv = str(GOLDEN / f"{stem}.csv")
         for command in ("norms", "aux", "certificate", "lemmas"):

@@ -33,8 +33,8 @@ from discrep.discrepancy import (
     norms_report,
 )
 from discrep.errors import ResourceLimitError
-from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
-from discrep.testfn import certificate
+from discrep.pointsets import Point, PointSet, random_uniform, read_csv, van_der_corput
+from discrep.testfn import _error_weights, certificate
 from oracles import (
     _iv_precision,
     cells,
@@ -43,6 +43,7 @@ from oracles import (
     l1_enclosure_iv,
     l2_norm_sq_direct,
     linf_exact_scan,
+    odd_terms_iv,
     prime_reciprocals,
 )
 
@@ -556,6 +557,23 @@ def test_norm_chain_on_adversarial_corpus():
         l1_low = norm.value if norm.exact else exact(norm.value) - exact(norm.error)
         assert exact(certificate(ps).l1_lower_bound) <= l1_low
         assert max(l1_low, 0) ** 2 <= l2_norm_sq(ps) <= linf_norm(ps) ** 2
+
+
+def test_certificate_bounds_within_1e_30_of_a_60_digit_reference():
+    # at the working precision DPS, main_term and error_bound lie within
+    # 1e-30 relative of `iv` objects at 60 digits, each on its safe side
+    goldens = (read_csv(Path(__file__).parent / "golden" / f"{s}.csv") for s in ("vdc3", "mixed"))
+    for ps in (*ADVERSARIAL, *goldens):
+        cert = certificate(ps)
+        with _iv_precision(60):
+            main = odd_terms_iv(cert.n, {1: abs(cert.inner_product_sum)})
+            err = odd_terms_iv(cert.n, _error_weights(cert.n, len(ps)))
+        main_lo, main_hi = map(exact, _iv_endpoints(main._mpi_))
+        err_lo, err_hi = map(exact, _iv_endpoints(err._mpi_))
+        assert exact(cert.main_term) <= main_hi and exact(cert.error_bound) >= err_lo
+        for got, ends in ((cert.main_term, (main_lo, main_hi)), (cert.error_bound, (err_lo, err_hi))):
+            for end in ends:
+                assert abs(exact(got) - end) <= Fraction(1, 10 ** 30) * abs(end)
 
 
 def oversize_set():

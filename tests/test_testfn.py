@@ -15,6 +15,7 @@ from discrep.auxiliary import (
 from discrep.discrepancy import l1_norm, norms_report
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
+    DPS,
     SINE,
     FourierAtomFunction,
     _error_weights,
@@ -114,7 +115,7 @@ def test_series_validation():
 
 
 def test_lin_limit_values():
-    v = lin_limit(SINE, dps=30)
+    v = lin_limit(SINE)
     assert abs(complex(v).imag) < 1e-25
     with mp.workdps(30):
         assert abs(v.real - 1 / mp.sqrt(mp.e)) < mpf(10) ** -25
@@ -229,26 +230,24 @@ def test_odd_terms_match_iv_objects(n, dps, k, mass):
 
 
 def test_certificate_matches_iv_objects():
-    # every bound is the endpoint the `iv`-object route takes, on stabilized
-    # and truncated families, at the default and a low precision
+    # every bound is the endpoint the `iv`-object route takes at the one
+    # working precision DPS, on stabilized and truncated families
     sets = [ORIGIN, *(van_der_corput(m) for m in range(5)), random_uniform(12, seed=1)]
     for ps in sets:
         for max_level in (None, 0, 2):
-            trees = build_trees(ps, max_level)
-            for dps in (20, 50):
-                cert = certificate(ps, dps, trees)
-                n, count = cert.n, len(ps)
-                with _iv_precision(dps):
-                    main = odd_terms_iv(n, {1: abs(cert.inner_product_sum)})
-                    err = odd_terms_iv(n, _error_weights(n, count))
-                    diff = main - err
-                    dn = diff / iv.sqrt(iv.log(iv.mpf(count))) if count >= 2 else None
-                assert cert.main_term._mpf_ == main._mpi_[0]
-                assert cert.error_bound._mpf_ == err._mpi_[1]
-                assert cert.l1_lower_bound._mpf_ == max(mpf(0), mp.make_mpf(diff._mpi_[0]))._mpf_
-                assert (cert.d_n_bound is None) == (dn is None)
-                if dn is not None:
-                    assert cert.d_n_bound._mpf_ == max(mpf(0), mp.make_mpf(dn._mpi_[0]))._mpf_
+            cert = certificate(ps, build_trees(ps, max_level))
+            n, count = cert.n, len(ps)
+            with _iv_precision(DPS):
+                main = odd_terms_iv(n, {1: abs(cert.inner_product_sum)})
+                err = odd_terms_iv(n, _error_weights(n, count))
+                diff = main - err
+                dn = diff / iv.sqrt(iv.log(iv.mpf(count))) if count >= 2 else None
+            assert cert.main_term._mpf_ == main._mpi_[0]
+            assert cert.error_bound._mpf_ == err._mpi_[1]
+            assert cert.l1_lower_bound._mpf_ == max(mpf(0), mp.make_mpf(diff._mpi_[0]))._mpf_
+            assert (cert.d_n_bound is None) == (dn is None)
+            if dn is not None:
+                assert cert.d_n_bound._mpf_ == max(mpf(0), mp.make_mpf(dn._mpi_[0]))._mpf_
 
 
 def test_certificate_vdc8():
