@@ -3,7 +3,7 @@
 Library layout:
 
   pointsets     exact points, generators, transforms, CSV persistence
-  discrepancy   exact L1/L2/Linf norms of D, a Monte-Carlo oracle
+  discrepancy   exact L1/L2/Linf norms of D
   auxiliary     recursive empty-rectangle families and +-1 auxiliary functions
   combinatorics sign-vector moments, odd symmetric expansions
   testfn        Fourier-atom test functions, linear coefficients, certificates
@@ -11,7 +11,7 @@ Library layout:
 
 `_interval` holds the raw-libmp interval helpers and is the one module that
 imports mpmath; the functions that compute an interval load it when they
-run, so `import discrep` loads neither mpmath nor numpy.
+run, so `import discrep` loads no mpmath.
 """
 
 from .errors import CsvFormatError, ResourceLimitError
@@ -32,7 +32,6 @@ from .discrepancy import (
     l1_norm,
     l2_norm_sq,
     linf_norm,
-    monte_carlo_norm,
 )
 from .auxiliary import (
     AuxFamilyTree,

@@ -73,7 +73,7 @@ from typing import NamedTuple, Sequence
 
 from .discrepancy import linf_norm
 from .errors import ResourceLimitError
-from .pointsets import PointSet, _Record
+from .pointsets import PointSet, _Record, exact_str
 
 HARD_LEVEL_CAP = 64
 # Levels built past stabilization when no max_level is given.
@@ -710,7 +710,8 @@ def lemma_suite(
     not passed.  A prebuilt family may be passed in (the test suite uses
     this to verify corrupted trees fail): one tree of `ps` per direction
     index 0..n, in any order; anything else raises ValueError, as in
-    `testfn.certificate`.
+    `testfn.certificate`.  A witness's `d_error` wider than
+    `pointsets.MAX_DIGITS` digits raises ResourceLimitError (`exact_str`).
     """
     trees = _family(ps, trees)
     n = trees[0].n
@@ -747,7 +748,8 @@ def lemma_suite(
         checks.append(
             CheckResult(
                 "product_discrepancy_bound", report.d_product_ok,
-                f"{indices}: |{report.d_product_integral}| <= {report.d_product_bound} + {report.d_error}",
+                f"{indices}: |{report.d_product_integral}| <= {report.d_product_bound}"
+                f" + {exact_str(report.d_error)}",
             )
         )
     return SuiteReport(ps.label, n, tuple(checks))

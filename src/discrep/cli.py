@@ -7,9 +7,10 @@ Exit codes: 0 ok, 1 a verification check failed, 2 usage or input error,
 Every run echoes its configuration (seed, samples, precision, max level)
 into the output, and identical configurations produce byte-identical
 output; exact values print as rational strings, decimals appear only
-where logarithms force approximation.  `--precision` is only echoed: every
-computation runs at its own fixed precision, so no output but the echo
-depends on it.
+where logarithms force approximation, with at most `pointsets.MAX_DIGITS`
+digits per integer.  `--samples` and `--precision` are only echoed: no
+command samples or reads a precision, so no output but the echo depends on
+them.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _load(args) -> pointsets.PointSet:
-    return pointsets.read_csv(getattr(args, "input"))
-
-
 def cmd_gen(args) -> int:
     if args.kind == "vdc":
         if args.m is None:
@@ -67,30 +64,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    ps = _load(args)
-    if args.method == "mc":
-        if args.which in ("linf", "dn"):
-            raise ValueError(f"norms --method mc estimates l1 or l2, not {args.which}")
-        which = "l2" if args.which == "l2" else "l1"
-        est, stderr = discrepancy.monte_carlo_norm(
-            ps, which=which, samples=args.samples, seed=args.seed or 0
-        )
-        payload = {
-            "n_points": len(ps),
-            "which": which,
-            "estimate": f"{est:.12g}",
-            "stderr": f"{stderr:.6g}",
-        }
-        _emit(args, payload, [f"{which} (mc): {est:.12g} +- {stderr:.6g}"])
-        return EXIT_OK
-    report = discrepancy.norms_report(ps, which=args.which)
-    lines = [f"{k}: {v}" for k, v in report.items()]
-    _emit(args, report, lines)
+    report = discrepancy.norms_report(pointsets.read_csv(args.input), which=args.which)
+    _emit(args, report, [f"{k}: {v}" for k, v in report.items()])
     return EXIT_OK
 
 
 def cmd_aux(args) -> int:
-    ps = _load(args)
+    ps = pointsets.read_csv(args.input)
     if args.index is None:
         trees = auxiliary.build_trees(ps, args.max_level)
     else:
@@ -107,7 +87,7 @@ def cmd_aux(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    ps = _load(args)
+    ps = pointsets.read_csv(args.input)
     trees = auxiliary.build_trees(ps, args.max_level)
     report = auxiliary.lemma_suite(ps, trees=trees)
     lines = [
@@ -146,7 +126,7 @@ def cmd_lin(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    ps = _load(args)
+    ps = pointsets.read_csv(args.input)
     trees = auxiliary.build_trees(ps, args.max_level)
     cert = testfn.certificate(ps, trees=trees)
     payload = cert.to_json()
@@ -180,9 +160,9 @@ def cmd_constants(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed of gen --kind random and norms --method mc")
-    common.add_argument("--samples", type=int, default=10**6, help="Monte-Carlo samples")
+    common.add_argument("--seed", type=int, default=None, help="RNG seed of gen --kind random")
+    common.add_argument("--samples", type=int, default=10**6,
+                        help="echoed in the config only; no command reads it")
     common.add_argument("--precision", type=int, default=50,
                         help="echoed in the config only; no command reads it")
     common.add_argument("--max-level", dest="max_level", type=int, default=None,
@@ -202,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norms", parents=[common], help="discrepancy norms of a point set")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--which", choices=["l1", "l2", "linf", "dn", "all"], default="all")
-    p.add_argument("--method", choices=["exact", "mc"], default="exact")
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("aux", parents=[common], help="auxiliary construction summaries")
@@ -239,6 +218,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision < 1:
         parser.error(f"--precision must be at least 1, got {args.precision}")
+    if hasattr(sys, "set_int_max_str_digits"):     # the limit came with 3.10.7
+        sys.set_int_max_str_digits(pointsets.MAX_DIGITS)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

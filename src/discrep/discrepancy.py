@@ -52,8 +52,7 @@ L1 and L-infinity raise ResourceLimitError on a grid of more than
 MAX_GRID_CELLS cells, before any column or axis integer is built; L2 has
 no cell budget.  L1 and L2 refuse axis integers of more than
 `pointsets.MAX_AXIS_BITS` bits per axis before building them; L-infinity
-reads no axis integer.  A Monte-Carlo estimator of the L1/L2 norms serves
-as an independent oracle.
+reads no axis integer.
 """
 
 from __future__ import annotations
@@ -65,15 +64,13 @@ from operator import add, or_, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
-from .pointsets import CellDecomposition, PointSet
+from .pointsets import CellDecomposition, PointSet, exact_str
 
 if TYPE_CHECKING:
     from mpmath import mpf
 
 # About N = 4096 points with distinct coordinates.
 MAX_GRID_CELLS = 1 << 24
-# Monte-Carlo samples; numpy holds a few 8-byte arrays of this length.
-MAX_MC_SAMPLES = 1 << 24
 # The one precision of the L1 enclosure, at most 2 ulps, 2^(2 - prec) of
 # its value, wide (`_interval._l1_enclosure`).  `norms_report` prints 17
 # digits of its midpoint, and 3 digits more keep all 17 backed by the
@@ -392,36 +389,6 @@ def linf_norm(ps: PointSet) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-def monte_carlo_norm(
-    ps: PointSet, which: str = "l1", samples: int = 10**6, seed: int = 0
-) -> tuple[float, float]:
-    """(estimate, standard error) for the L1 norm or the squared L2 norm.
-
-    Plain sample mean over uniform points; deterministic for a fixed seed.
-    More than MAX_MC_SAMPLES samples raise ResourceLimitError before numpy
-    is imported.
-    """
-    if which not in ("l1", "l2"):
-        raise ValueError(f"which must be 'l1' or 'l2', got {which!r}")
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
-    if samples > MAX_MC_SAMPLES:
-        raise ResourceLimitError(f"{samples} samples exceed the cap of 2^24")
-    import numpy as np  # only this oracle needs numpy; `import discrep` stays without it
-
-    rng = np.random.default_rng(seed)
-    xs = rng.random(samples)
-    ys = rng.random(samples)
-    counts = np.zeros(samples, dtype=np.int64)
-    for p in ps:
-        counts += (float(p.x) <= xs) & (float(p.y) <= ys)
-    d = counts - len(ps) * xs * ys
-    vals = np.abs(d) if which == "l1" else d * d
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-    return est, stderr
-
-
 def norms_report(ps: PointSet, which: str = "all") -> dict:
     """The exact norms in the JSON report shape used by the CLI.
 
@@ -433,7 +400,7 @@ def norms_report(ps: PointSet, which: str = "all") -> dict:
     precision is, and `l1_err`, rounded up to 3 digits, bounds the
     distance from the printed `l1` to the norm: the printed digits' offset
     from the midpoint plus the half-width.  `d_n`, the L1 norm over
-    sqrt(ln N), needs N >= 2.
+    sqrt(ln N), needs N >= 2.  Exact values are printed by `exact_str`.
     """
     if which not in ("all", "l1", "l2", "linf", "dn"):
         raise ValueError(f"unknown norm {which!r}")
@@ -442,7 +409,7 @@ def norms_report(ps: PointSet, which: str = "all") -> dict:
         l1 = l1_norm(ps)
     if which in ("all", "l1"):
         if l1.exact:
-            report["l1"], report["l1_err"] = str(l1.value), "0"
+            report["l1"], report["l1_err"] = exact_str(l1.value), "0"
         else:
             from ._interval import _fraction, _nstr_directed, mp
 
@@ -450,9 +417,9 @@ def norms_report(ps: PointSet, which: str = "all") -> dict:
             offset = abs(Fraction(report["l1"]) - _fraction(l1.value))
             report["l1_err"] = _nstr_directed(offset + _fraction(l1.error), 3, up=True)
     if which in ("all", "l2"):
-        report["l2_sq"] = str(l2_norm_sq(ps))
+        report["l2_sq"] = exact_str(l2_norm_sq(ps))
     if which in ("all", "linf"):
-        report["linf"] = str(linf_norm(ps))
+        report["linf"] = exact_str(linf_norm(ps))
     if which in ("all", "dn") and len(ps) >= 2:
         report["d_n"] = f"{float(l1.value) / math.sqrt(math.log(len(ps))):.12g}"
     return report

@@ -8,9 +8,9 @@ dyadic values are written as "a/2^k", other rationals as "p/q", integers
 bare.  The reader also accepts plain decimal literals (parsed exactly
 from the digit string).
 
-A literal whose power of two or of ten would take more than
-MAX_LITERAL_BITS bits is refused with ResourceLimitError before that
-power is built.
+A literal longer than MAX_DIGITS characters, or whose power of two or of
+ten would take more than MAX_LITERAL_BITS bits, is refused with
+ResourceLimitError before it is read.
 
 A set caches what the layers above read of it, such as the norms' O(N)
 grid, `CellDecomposition`, which sorts and ranks coordinates by integer
@@ -41,6 +41,10 @@ MAX_AXIS_BITS = 1 << 27
 # 0.23 s and 1e-13467853 19 s).  A power that cancels down (2/2^k) is
 # refused all the same.
 MAX_LITERAL_BITS = 1 << 20
+# Decimal digits of an integer read or printed, set by str() time, which
+# grows as the square: 0.19 s at 10^5 digits, 1.6 s at 3 x 10^5 (same host).
+# `cli.main` raises Python's 4,300-digit int-to-str limit to it.
+MAX_DIGITS = 100_000
 
 _DYADIC_LITERAL = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
 # A literal that `Fraction(str)` reads as mantissa * 10^exponent; group 1
@@ -252,9 +256,11 @@ def parse_coordinate(text: str) -> Fraction:
 
     ResourceLimitError, before the power is built, when the 2^k of a dyadic
     literal or the 10^e of a decimal exponent would take more than
-    MAX_LITERAL_BITS bits.
+    MAX_LITERAL_BITS bits, or the literal has over MAX_DIGITS characters.
     """
     text = text.strip()
+    if len(text) > MAX_DIGITS:
+        raise ResourceLimitError(f"{len(text)} characters exceed the {MAX_DIGITS}-digit budget")
     num, slash, den = text.partition("/")
     if slash and num.isdecimal() and den.isdecimal():
         return Fraction(int(num), int(den))
@@ -268,6 +274,16 @@ def parse_coordinate(text: str) -> Fraction:
     if m and abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_LITERAL_BITS:
         raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_LITERAL_BITS}-bit budget")
     return Fraction(text)
+
+
+def exact_str(q: Fraction) -> str:
+    """str(q), or ResourceLimitError, before it is built, when its numerator
+    or denominator has more than MAX_DIGITS log2(10) bits: an integer of b
+    bits is below 2^b, so at most that many bits print in MAX_DIGITS digits."""
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+    if bits > MAX_DIGITS * math.log2(10):
+        raise ResourceLimitError(f"a {bits}-bit integer exceeds the {MAX_DIGITS}-digit budget")
+    return str(q)
 
 
 def format_coordinate(q: Fraction) -> str:

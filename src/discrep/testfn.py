@@ -76,27 +76,6 @@ class Atom(_AtomFields):
 class FourierAtomFunction(NamedTuple):
     atoms: tuple[Atom, ...]
 
-    @classmethod
-    def sine(cls) -> "FourierAtomFunction":
-        """sin(x) = (i/2) e^{-ix} - (i/2) e^{ix}."""
-        return cls((Atom(0, Fraction(1, 2), 1), Atom(0, Fraction(-1, 2), -1)))
-
-    @classmethod
-    def from_sine_modes(cls, modes: Sequence[tuple]) -> "FourierAtomFunction":
-        """sum_j b_j sin(w_j x) as an atom list (odd by construction)."""
-        atoms = []
-        for b, w in modes:
-            b, w = Fraction(b), Fraction(w)
-            atoms.append(Atom(0, b / 2, w))
-            atoms.append(Atom(0, -b / 2, -w))
-        return cls(tuple(atoms))
-
-    def scaled(self, factor) -> "FourierAtomFunction":
-        factor = Fraction(factor)
-        return FourierAtomFunction(
-            tuple(Atom(a.re * factor, a.im * factor, a.freq) for a in self.atoms)
-        )
-
     def derivative_at_zero(self, k: int) -> tuple[Fraction, Fraction]:
         """Exact k-th derivative at 0: sum_j c_j (-i w_j)^k, as (re, im)."""
         total_re, total_im = Fraction(0), Fraction(0)
@@ -110,7 +89,8 @@ class FourierAtomFunction(NamedTuple):
         return total_re, total_im
 
 
-SINE = FourierAtomFunction.sine()
+# sin(x) = (i/2) e^{-ix} - (i/2) e^{ix}
+SINE = FourierAtomFunction((Atom(0, Fraction(1, 2), 1), Atom(0, Fraction(-1, 2), -1)))
 
 
 def lin_n(fn: FourierAtomFunction, n: int) -> mpc:

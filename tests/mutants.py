@@ -158,6 +158,13 @@ MUTANTS = (
         ("test_grid_kernels.py::test_printed_l1_and_error_hold_the_norm",),
         "l1_err bounds the printed l1's distance to the norm, not the enclosure's half-width",
     ),
+    Mutant(
+        "digit_budget_at_ten_thirds_bits_a_digit", "pointsets.py",
+        "if bits > MAX_DIGITS * math.log2(10):", "if bits > MAX_DIGITS * 10 / 3:",
+        ("test_cli.py::test_digit_budget_boundary_exit_code",),
+        "the bound is MAX_DIGITS log2(10) bits; at 10/3 bits a digit 333,333 bits pass the "
+        "check, and str() then refuses their 100,344 digits",
+    ),
 )
 
 

@@ -4,17 +4,19 @@ None of these is part of the pipeline: the CSV literal parser without the
 digit-string fast path or the literal budget, the grid built by sorting
 Fractions and placing points by bisection, the dyadic interval and
 rectangle geometry with its Haar point kernels, pointwise D and its Haar
-inner products, the cell-by-cell L2 integrator (and a point set of
+inner products, the Monte-Carlo estimate of the L1 and L2 norms (the one
+user of numpy), the cell-by-cell L2 integrator (and a point set of
 distinct prime denominators for its budgets), the exact L-infinity corner
 scan, the L1 log enclosure and the certificate's odd-order series in mpmath
 `iv` objects at a global interval precision, which the filtered and
 raw-interval kernels replaced, the L1 enclosure with two logs per
-integer, the float extremal search, the coefficient-mass bound on sup |T|,
-the sin expansion identity, the certificate's error tuple sums grouped by
-gap, Newton's identities and the evaluation of an expansion table at a
-sign vector.
-Coordinates are exact Fractions throughout; only the float extremal
-search and the mpmath evaluations of T are approximate.
+integer, the sine-mode and scaled test-function constructors, the float
+extremal search, the coefficient-mass bound on sup |T|, the sin expansion
+identity, the certificate's error tuple sums grouped by gap, Newton's
+identities and the evaluation of an expansion table at a sign vector.
+Coordinates are exact Fractions throughout; only the Monte-Carlo
+estimate, the float extremal search and the mpmath evaluations of T are
+approximate.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from discrep.combinatorics import OddExpansionTable, elementary_symmetric
 from discrep._interval import _as_mpf, _iv_endpoints, _mpi_int
 from discrep.discrepancy import _columns
 from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
-from discrep.testfn import FourierAtomFunction
+from discrep.testfn import Atom, FourierAtomFunction
 
 # ---------------------------------------------------------------------------
 # coordinates and the grid
@@ -217,6 +219,31 @@ def cells(grid: CellDecomposition):
             yield xs[i], xs[i + 1], ys[j], ys[j + 1], row[j]
 
 
+def monte_carlo_norm(
+    ps: PointSet, which: str = "l1", samples: int = 10**6, seed: int = 0
+) -> tuple[float, float]:
+    """(estimate, standard error) of the L1 norm or the squared L2 norm.
+
+    Plain sample mean of |D| or D^2 over uniform float points, in numpy;
+    deterministic for a fixed seed.
+    """
+    if which not in ("l1", "l2"):
+        raise ValueError(f"which must be 'l1' or 'l2', got {which!r}")
+    if samples < 1000:
+        raise ValueError(f"need at least 1000 samples, got {samples}")
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    xs = rng.random(samples)
+    ys = rng.random(samples)
+    counts = np.zeros(samples, dtype=np.int64)
+    for p in ps:
+        counts += (float(p.x) <= xs) & (float(p.y) <= ys)
+    d = counts - len(ps) * xs * ys
+    vals = np.abs(d) if which == "l1" else d * d
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
 def l2_norm_sq_direct(ps: PointSet) -> Fraction:
     """Integrate (c - N x y)^2 cell by cell, exactly."""
     n = len(ps)
@@ -323,6 +350,21 @@ def l1_enclosure_two_logs(form, dps: int) -> tuple[mpf, mpf]:
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
+
+
+def sine_modes(modes: Sequence[tuple]) -> FourierAtomFunction:
+    """sum_j b_j sin(w_j x) as an atom list (odd by construction)."""
+    atoms = []
+    for b, w in modes:
+        b, w = Fraction(b), Fraction(w)
+        atoms += [Atom(0, b / 2, w), Atom(0, -b / 2, -w)]
+    return FourierAtomFunction(tuple(atoms))
+
+
+def scaled(fn: FourierAtomFunction, factor) -> FourierAtomFunction:
+    """factor * T, every coefficient multiplied exactly."""
+    factor = Fraction(factor)
+    return FourierAtomFunction(tuple(Atom(a.re * factor, a.im * factor, a.freq) for a in fn.atoms))
 
 
 def evaluate(fn: FourierAtomFunction, x, dps: int = 30) -> mpc:

@@ -1,11 +1,11 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from discrep.cli import main
 from discrep.pointsets import read_csv
@@ -165,45 +165,59 @@ def test_norms_which_computes_only_that_norm(capsys, monkeypatch):
             "config": full["config"], "n_points": full["n_points"], **{k: full[k] for k in keys}}
 
 
-def test_norms_mc_deterministic(tmp_path, capsys):
-    out = tmp_path / "p.csv"
-    run(capsys, "gen", "--kind", "vdc", "--m", "2", "--out", str(out))
-    args = ("norms", "--in", str(out), "--which", "l1", "--method", "mc",
-            "--samples", "20000", "--seed", "5", "--json")
-    code, first, _ = run(capsys, *args)
+def test_norms_method_flag_is_gone(capsys):
+    # norms computes the exact norms only; a Monte-Carlo estimate is a test oracle
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--in", str(GOLDEN / "vdc3.csv"), "--method", "mc"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
+def test_exact_norms_past_4300_digits(tmp_path, capsys):
+    # Python refuses str() of an int of over 4,300 digits unless the limit
+    # is raised, which main does: the L2 norm of this point has about 8,800
+    # digits
+    from discrep.discrepancy import l2_norm_sq
+
+    path = tmp_path / "p.csv"
+    path.write_text("x,y\n1e-2200,1/2\n")
+    code, stdout, _ = run(capsys, "norms", "--in", str(path), "--json")
     assert code == 0
-    code, second, _ = run(capsys, *args)
-    assert first == second
-    payload = json.loads(first)
-    assert payload["config"]["seed"] == 5
-    assert payload["config"]["samples"] == 20000
-    assert float(payload["stderr"]) > 0
-
-
-def test_norms_mc_sample_cap_is_resource_limit(capsys, monkeypatch):
-    # numpy made unimportable: the cap is hit before any array is allocated
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    code, stdout, err = run(capsys, "norms", "--in", str(GOLDEN / "vdc3.csv"), "--which", "l1",
-                            "--method", "mc", "--samples", str(10**12))
+    payload = json.loads(stdout)
+    assert Fraction(payload["l2_sq"]) == l2_norm_sq(read_csv(path))
+    assert len(payload["l2_sq"]) > 4300 and payload["l1_err"] == "0"
+    # the widest literal admitted has an L2 norm of about 630,000 digits
+    path.write_text("x,y\n1e-315652,1/2\n")
+    code, stdout, err = run(capsys, "norms", "--in", str(path), "--which", "l2")
     assert code == 3 and stdout == ""
-    assert "resource limit" in err and "2^24" in err
+    assert err.startswith("resource limit: ") and "100000-digit budget" in err
 
 
-@pytest.mark.parametrize("which", ["linf", "dn"])
-def test_norms_mc_refuses_norms_it_cannot_estimate(which, capsys):
-    csv = str(GOLDEN / "vdc3.csv")
-    base = ("norms", "--in", csv, "--method", "mc", "--samples", "1000", "--json")
-    code, stdout, stderr = run(capsys, *base, "--which", which)
-    assert code == 2 and stdout == ""
-    assert "mc" in stderr and which in stderr
-    # the default and the two estimable norms still print their estimate
-    outputs = {}
-    for kept in ("all", "l1", "l2"):
-        code, outputs[kept], _ = run(capsys, *base, "--which", kept)
-        assert code == 0
-    assert outputs["all"] == outputs["l1"]
-    assert json.loads(outputs["l1"])["which"] == "l1"
-    assert json.loads(outputs["l2"])["which"] == "l2"
+def test_digit_budget_boundary_exit_code(tmp_path, capsys):
+    # L-infinity of one point (2^-k, 1/2) is 1 - 2^-(k+1), whose denominator
+    # has k + 2 bits; 332,192 bits print in at most 100,000 digits
+    path = tmp_path / "p.csv"
+    path.write_text("x,y\n1/2^332190,1/2\n")
+    code, stdout, _ = run(capsys, "norms", "--in", str(path), "--which", "linf", "--json")
+    assert code == 0
+    assert Fraction(json.loads(stdout)["linf"]) == 1 - Fraction(1, 2 ** 332191)
+    path.write_text("x,y\n1/2^332191,1/2\n")
+    code, stdout, err = run(capsys, "norms", "--in", str(path), "--which", "linf", "--json")
+    assert code == 3 and stdout == ""
+    assert err == "resource limit: a 332193-bit integer exceeds the 100000-digit budget\n"
+
+
+def test_digit_literal_budget_exit_code(tmp_path, capsys):
+    # a literal of 100,000 characters is read; one more exits 3 before any
+    # digit is read, and names its line
+    path = tmp_path / "p.csv"
+    for digits, exit_code in ((99998, 0), (99999, 3)):
+        path.write_text(f"x,y\n1/2,1/2\n0.{'0' * (digits - 1)}1,1/2\n")
+        code, stdout, err = run(capsys, "aux", "--in", str(path))
+        assert code == exit_code
+    assert stdout == ""
+    assert err == "resource limit: line 3: 100001 characters exceed the 100000-digit budget\n"
+
 
 def test_aux_summaries(tmp_path, capsys):
     out = tmp_path / "p.csv"
@@ -498,21 +512,97 @@ def test_directory_path_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# Flag values at and past the caps that are cheap to reach (comb's n <= 12
+# and k <= 11, lin's odd order <= 41, the 64 tree levels), just past the
+# others (gen's --m <= 24, lin's --n <= 2^11), and past Python's integers.
+EDGE_INTS = ("-9223372036854775808", "-1", "0", "1", "2", "3", "4", "11", "12", "13", "25",
+             "41", "43", "64", "65", "2049", str(2 ** 31), str(10 ** 30), "x")
+LITERALS = ("0", "1", "1/2", "1/3", "2/3", "1/2^3", "0.25", "1e-3", "3E-2", " 1/7 ", "5/2^70")
+BAD_LITERALS = ("-1", "2", "1/0", "nan", "inf", "", "x", "1/2^10000000000", "1e-999999999",
+                "0x1")
+COMMON_FLAGS = ("--json", "--seed", "--samples", "--precision", "--max-level")
+COMMANDS = {
+    "gen": ("--kind", "--m", "--n", "--mirror", "--out"),
+    "norms": ("--in", "--which"),
+    "aux": ("--in", "--index"),
+    "lemmas": ("--in",),
+    "comb": ("--n", "--k"),
+    "lin": ("--n", "--order"),
+    "certificate": ("--in",),
+    "constants": (),
+}
+CHOICES = {"--kind": ("vdc", "random", "sobol"), "--which": ("l1", "l2", "linf", "dn", "all", "l3")}
+
+
+@st.composite
+def _cli_runs(draw):
+    """A drawn argv over the subcommands' own and common flags, with the
+    paths as "{in}" and "{out}", and the bytes of the CSV file "{in}"."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    flags = COMMANDS[command]
+    for flag in draw(st.lists(st.sampled_from(flags + COMMON_FLAGS), max_size=5)) + list(flags):
+        if flag in ("--json", "--mirror"):
+            argv.append(flag)
+        elif flag in ("--in", "--out"):
+            argv += [flag, "{" + flag[2:] + "}"]
+        else:
+            argv += [flag, draw(st.sampled_from(CHOICES.get(flag, EDGE_INTS)))]
+    literal = st.sampled_from(LITERALS)
+    rows = st.lists(st.tuples(literal, literal), min_size=1, max_size=6)
+    bad = st.lists(st.tuples(literal, st.sampled_from(BAD_LITERALS)), max_size=1)
+    body = draw(st.one_of(
+        st.builds(lambda good, worse: "x,y\n" + "".join(f"{x},{y}\n" for x, y in good + worse),
+                  rows, bad),
+        st.text(max_size=30),
+    ).map(str.encode) | st.binary(max_size=30))
+    return argv, body
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:           # argparse refuses the command line
+        return exc.code
+
+
+@given(run=_cli_runs())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_exit_code_contract_under_fuzzing(tmp_path, capsys, run):
+    # every run exits 0, 2 or 3, or 1 from lemmas with a failed check, and
+    # raises nothing else; a successful run prints the same bytes again
+    argv, body = run
+    paths = {"in": tmp_path / "in.csv", "out": tmp_path / "out.csv"}
+    paths["in"].write_bytes(body)
+    argv = [a.format_map(paths) for a in argv]
+    code = _exit_code(argv)
+    stdout = capsys.readouterr().out
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3) or (code == 1 and argv[0] == "lemmas"
+                                 and ("FAIL" in stdout or '"passed": false' in stdout))
+    if code == 0:
+        assert _exit_code(argv) == 0
+        assert capsys.readouterr().out == stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["certificate", "--in", str(GOLDEN / "vdc3.csv")],
     ["certificate", "--in", str(GOLDEN / "mixed.csv")],
     ["lin", "--n", "4"],
 ], ids=["certificate-vdc3", "certificate-mixed", "lin"])
 def test_precision_changes_nothing_but_the_echo(capsys, argv):
-    # every computation runs at its own fixed precision: --precision is
-    # checked and echoed, and read by no command
+    # every computation runs at its own fixed precision and none samples:
+    # --precision (checked) and --samples are echoed, and read by no command
     payloads = []
-    for precision in ("1", "20", "50", "100"):
-        code, stdout, _ = run(capsys, *argv, "--json", "--precision", precision)
-        assert code == 0
-        payload = json.loads(stdout)
-        assert payload.pop("config")["precision"] == int(precision)
-        payloads.append(payload)
+    for flag, values in (("--precision", ("1", "20", "50", "100")),
+                         ("--samples", ("-1", "0", "1000", str(10 ** 12)))):
+        for value in values:
+            code, stdout, _ = run(capsys, *argv, "--json", flag, value)
+            assert code == 0
+            payload = json.loads(stdout)
+            assert payload.pop("config")[flag[2:]] == int(value)
+            payloads.append(payload)
     assert all(payload == payloads[0] for payload in payloads)
 
 

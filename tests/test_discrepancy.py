@@ -16,16 +16,13 @@ from discrep import _interval, discrepancy
 from discrep._interval import _nstr_directed
 from discrep.discrepancy import (
     L1_DPS,
-    MAX_MC_SAMPLES,
     CellDecomposition,
     norms_report,
     l1_norm,
     l2_norm_sq,
     linf_norm,
-    monte_carlo_norm,
 )
 from discrep.auxiliary import lemma_suite
-from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, symmetrize, van_der_corput
 from oracles import (
     DyadicInterval,
@@ -34,6 +31,7 @@ from oracles import (
     eval_discrepancy,
     haar_inner_product,
     l2_norm_sq_direct,
+    monte_carlo_norm,
 )
 
 ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
@@ -216,15 +214,6 @@ def test_monte_carlo_determinism_and_validation():
         monte_carlo_norm(ORIGIN, "sup")
 
 
-def test_monte_carlo_refuses_samples_past_the_cap_before_numpy(monkeypatch):
-    # with numpy unimportable, nothing can be allocated: the cap comes first
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ResourceLimitError, match="2\\^24"):
-        monte_carlo_norm(ORIGIN, "l1", samples=MAX_MC_SAMPLES + 1)
-    with pytest.raises(ImportError):
-        monte_carlo_norm(ORIGIN, "l1", samples=MAX_MC_SAMPLES)
-
-
 def test_d_n_contract():
     two = PointSet((Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(1))))
     v = float(l1_norm(two).value)
@@ -349,10 +338,10 @@ def _fresh_interpreter(code: str):
 
 
 def test_import_loads_only_what_the_command_runs(tmp_path):
-    # `import discrep` loads every library module but no numpy, which only
-    # the Monte-Carlo route imports, no dataclasses or inspect, and no
-    # mpmath: that loads with the first interval, and gen, aux, lemmas,
-    # comb and norms on a set whose L1 is exact never compute one
+    # with numpy unimportable, `import discrep` loads every library module,
+    # no dataclasses or inspect, and no mpmath: that loads with the first
+    # interval, and gen, aux, lemmas, comb and norms on a set whose L1 is
+    # exact never compute one; every command runs without numpy
     golden = Path(__file__).parent / "golden"
     mpmath_free = [
         ["gen", "--kind", "vdc", "--m", "3", "--out", str(tmp_path / "vdc.csv")],
@@ -363,25 +352,32 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
         # vdc3's L1 is exact, so it is printed with no interval
         ["norms", "--in", str(golden / "vdc3.csv"), "--json"],
     ]
-    certificate = ["certificate", "--in", str(golden / "vdc3.csv"), "--json"]
+    with_mpmath = [
+        ["certificate", "--in", str(golden / "vdc3.csv"), "--json"],
+        ["norms", "--in", str(golden / "mixed.csv"), "--json"],
+        ["lin", "--n", "4", "--json"],
+        ["constants", "--json"],
+    ]
     code = f"""
 import json, sys
+sys.modules["numpy"] = None
 import discrep, discrep.cli
 
 def loaded():
-    return [m for m in ("numpy", "mpmath", "dataclasses", "inspect") if m in sys.modules]
+    return [m for m in ("mpmath", "dataclasses", "inspect") if m in sys.modules]
 
 seen = {{"import": loaded(),
         "missing": [m for m in {LIBRARY!r} if "discrep." + m not in sys.modules]}}
 for argv in {mpmath_free!r}:
     assert discrep.cli.main(argv) == 0, argv
 seen["mpmath_free"] = loaded()
-assert discrep.cli.main({certificate!r}) == 0
-seen["certificate"] = "mpmath" in sys.modules
+for argv in {with_mpmath!r}:
+    assert discrep.cli.main(argv) == 0, argv
+seen["with_mpmath"] = "mpmath" in sys.modules
 print(json.dumps(seen))
 """
     assert _fresh_interpreter(code) == {
-        "import": [], "missing": [], "mpmath_free": [], "certificate": True}
+        "import": [], "missing": [], "mpmath_free": [], "with_mpmath": True}
 
 
 def test_tracer_patches_and_restores_a_fresh_import():

@@ -39,7 +39,9 @@ from oracles import (
     extremal_search,
     is_odd_sampled,
     odd_terms_iv,
+    scaled,
     sin_expansion_check,
+    sine_modes,
     sup_norm_via_coefficients,
 )
 
@@ -53,7 +55,7 @@ def random_odd_function(rng: random.Random, max_freq: int = 2) -> FourierAtomFun
         b = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
         w = Fraction(rng.randint(1, 16 * max_freq), 16)
         modes.append((b, w))
-    return FourierAtomFunction.from_sine_modes(modes)
+    return sine_modes(modes)
 
 
 def test_sine_atoms_represent_sin():
@@ -85,7 +87,7 @@ def test_sqrt_n_lin_approaches_limit():
 
 def test_lin_series_first_term():
     # order 1 keeps only T'(0)/sqrt(n)
-    fn = FourierAtomFunction.from_sine_modes([(Fraction(3, 2), Fraction(2))])
+    fn = sine_modes([(Fraction(3, 2), Fraction(2))])
     for n in (1, 4, 9):
         v = lin_series_crosscheck(fn, n, order=1)
         assert abs(float(v.real) - 3.0 / math.sqrt(n)) < 1e-25
@@ -99,7 +101,7 @@ def test_two_route_consistency_sin():
 def test_two_route_consistency_wide_frequencies():
     # at |w| = 3 and n = 64 the first omitted order-41 term is ~4e-8, so the
     # achievable agreement there is weaker than for |w| <= 2
-    fn = FourierAtomFunction.from_sine_modes([(1, 3)])
+    fn = sine_modes([(1, 3)])
     gap = abs(complex(lin_n(fn, 64) - lin_series_crosscheck(fn, 64, order=41)))
     assert gap < 1e-6
     assert gap > 1e-10  # documents why the 1e-10 suite draws |w| <= 2
@@ -122,14 +124,14 @@ def test_lin_limit_values():
     assert str(lin_limit(SINE).real)[:12] == "0.6065306597"
     constant = FourierAtomFunction((SINE.atoms[0].__class__(1, 0, 0),))
     assert abs(complex(lin_limit(constant))) == 0
-    assert abs(complex(lin_limit(SINE.scaled(Fraction(1, 2)))) - math.exp(-0.5) / 2) < 1e-20
+    assert abs(complex(lin_limit(scaled(SINE, Fraction(1, 2)))) - math.exp(-0.5) / 2) < 1e-20
 
 
 def test_lin_limit_linearity():
     rng = random.Random(7)
     f = random_odd_function(rng)
     g = random_odd_function(rng)
-    combined = FourierAtomFunction(f.scaled(3).atoms + g.scaled(Fraction(-5, 2)).atoms)
+    combined = FourierAtomFunction(scaled(f, 3).atoms + scaled(g, Fraction(-5, 2)).atoms)
     with mp.workdps(30):
         lhs = lin_limit(combined)
         rhs = 3 * lin_limit(f) - Fraction(5, 2) * lin_limit(g)
@@ -153,7 +155,7 @@ def test_sup_norm_via_coefficients():
     bound = sup_norm_via_coefficients(SINE)
     assert bound.value == 1
     assert not bound.independence_verified  # frequencies 1 and -1 are related
-    assert sup_norm_via_coefficients(SINE.scaled(Fraction(1, 2))).value == Fraction(1, 2)
+    assert sup_norm_via_coefficients(scaled(SINE, Fraction(1, 2))).value == Fraction(1, 2)
     single = FourierAtomFunction((SINE.atoms[0].__class__(1, 0, 1),))
     assert sup_norm_via_coefficients(single).independence_verified
 
@@ -167,7 +169,7 @@ def test_limit_dominated_by_extremal_value():
         mass = coefficient_abs_sum(fn)
         if mass == 0:
             continue
-        unit = fn.scaled(1 / Fraction(mass))
+        unit = scaled(fn, 1 / Fraction(mass))
         assert abs(complex(lin_limit(unit))) <= cap
 
 
