@@ -7,7 +7,7 @@ Library layout:
   auxiliary     recursive empty-rectangle families and +-1 auxiliary functions
   combinatorics sign-vector moments, odd symmetric expansions
   testfn        Fourier-atom test functions, linear coefficients, certificates
-  cli           the `discrep` command
+  cli           the `discrep` command, the one module that formats results
 
 `_interval` holds the raw-libmp interval helpers and is the one module that
 imports mpmath; the functions that compute an interval load it when they

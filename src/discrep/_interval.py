@@ -2,10 +2,10 @@
 
 This is the one module of the package that imports mpmath at module level,
 and `import discrep` does not load it.  The entry points that compute or
-print an interval import it when they run: `discrepancy.l1_norm` and
-`norms_report` (once a cell is crossed), and the `testfn` functions.  So
-the `gen`, `aux`, `lemmas` and `comb` commands never load mpmath, nor does
-`norms` on a set whose L1 is exact.
+print an interval import it when they run: `discrepancy.l1_norm` and the
+`norms` printer in `cli` (once a cell is crossed), the `testfn` functions
+and the `certificate` printer.  So the `gen`, `aux`, `lemmas` and `comb`
+commands never load mpmath, nor does `norms` on a set whose L1 is exact.
 
 An interval is a raw libmp pair (lo, hi) at an explicit precision in bits;
 no helper reads or sets a global interval precision.

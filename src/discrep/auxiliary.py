@@ -145,20 +145,6 @@ class AuxFamilyTree(_Record):
         """Upper bound N |R_L| on the measure still occupied at level L."""
         return self.point_count * self.levels[level].rect_area
 
-    def summary(self) -> dict:
-        return {
-            "i": self.direction,
-            "n": self.n,
-            "levels": [
-                {"l": rec.level, "nonempty": len(rec.clusters), "empty": rec.empty_count}
-                for rec in self.levels
-            ],
-            "stabilized": self.stabilized,
-            "l_star": self.stabilization_level,
-            "sum_area_sq": str(sum_empty_area_sq(self)[0]),
-            "inner_product": str(inner_product(self).value),
-        }
-
 
 def n_from_pointcount(count: int) -> int:
     """The unique n with 2^(n-1) < 2 * count <= 2^n."""
@@ -601,19 +587,6 @@ class SuiteReport(NamedTuple):
     @property
     def skipped(self) -> int:
         return sum(c.skipped for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "skipped": c.skipped,
-                 "witness": c.witness}
-                for c in self.checks
-            ],
-        }
 
 
 def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:

@@ -1,26 +1,31 @@
-"""Command-line interface.
+"""Command-line interface, and the one module that formats results.
 
 Subcommands: gen | norms | aux | lemmas | comb | lin | certificate | constants.
 Exit codes: 0 ok, 1 a verification check failed, 2 usage or input error,
 3 a desk-scale resource cap was hit.
 
-Every run echoes its configuration (seed, samples, precision, max level)
-into the output, and identical configurations produce byte-identical
-output; exact values print as rational strings, decimals appear only
-where logarithms force approximation, with at most `pointsets.MAX_DIGITS`
-digits per integer.  `--samples` and `--precision` are only echoed: no
-command samples or reads a precision, so no output but the echo depends on
-them.
+The library returns records and numbers, and each command turns them into
+one payload: sorted JSON with `--json`, else text lines.  Every run echoes
+its configuration (seed, samples, precision, max level), and identical
+configurations produce byte-identical output.  Exact values print as
+rational strings of at most `pointsets.MAX_DIGITS` digits per integer, and
+decimals only where logarithms force them, each bound rounded in its safe
+direction.  `_interval` is imported only to print an inexact L1 or a
+certificate.  `--samples` and `--precision` are only echoed: no command
+samples or reads a precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 
 from . import auxiliary, combinatorics, discrepancy, pointsets, testfn
 from .errors import CsvFormatError, ResourceLimitError
+from .pointsets import exact_str
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,6 +49,62 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
+def _norms_payload(ps: pointsets.PointSet, which: str) -> dict:
+    """The norms that `which` ("all", "l1", "l2", "linf" or "dn") names,
+    each computed once from the set's one grid ("dn" needs L1).
+
+    An exact L1 is "p/q" with `l1_err` "0", and loads no mpmath.  Otherwise
+    the 17 digits of `l1` are the midpoint of the enclosure at
+    `discrepancy.L1_DPS` digits, rounded to nearest from its own bits, and
+    `l1_err`, rounded up to 3 digits, bounds the distance from the printed
+    `l1` to the norm: the printed digits' offset from the midpoint plus the
+    half-width.  `d_n`, the L1 norm over sqrt(ln N), needs N >= 2.
+    """
+    payload = {"n_points": len(ps)}
+    if which in ("all", "l1", "dn"):
+        l1 = discrepancy.l1_norm(ps)
+    if which in ("all", "l1"):
+        if l1.exact:
+            payload["l1"], payload["l1_err"] = exact_str(l1.value), "0"
+        else:
+            from ._interval import _fraction, _nstr_directed, mp
+
+            payload["l1"] = mp.nstr(l1.value, 17)
+            offset = abs(Fraction(payload["l1"]) - _fraction(l1.value))
+            payload["l1_err"] = _nstr_directed(offset + _fraction(l1.error), 3, up=True)
+    if which in ("all", "l2"):
+        payload["l2_sq"] = exact_str(discrepancy.l2_norm_sq(ps))
+    if which in ("all", "linf"):
+        payload["linf"] = exact_str(discrepancy.linf_norm(ps))
+    if which in ("all", "dn") and len(ps) >= 2:
+        payload["d_n"] = f"{float(l1.value) / math.sqrt(math.log(len(ps))):.12g}"
+    return payload
+
+
+def _tree_payload(tree: auxiliary.AuxFamilyTree) -> dict:
+    levels = [{"l": rec.level, "nonempty": len(rec.clusters), "empty": rec.empty_count}
+              for rec in tree.levels]
+    return {"i": tree.direction, "n": tree.n, "levels": levels, "stabilized": tree.stabilized,
+            "l_star": tree.stabilization_level,
+            "sum_area_sq": str(auxiliary.sum_empty_area_sq(tree)[0]),
+            "inner_product": str(auxiliary.inner_product(tree).value)}
+
+
+def _certificate_payload(cert: testfn.BoundCertificate) -> dict:
+    """The bounds at 17 digits, each rounded in its safe direction."""
+    from ._interval import _nstr_directed
+
+    return {"n": cert.n, "N": cert.point_count,
+            "inner_product_sum": str(cert.inner_product_sum),
+            "inner_product_error": str(cert.inner_product_error),
+            "trees_stabilized": cert.trees_stabilized,
+            "main_term": _nstr_directed(cert.main_term, 17, up=False),
+            "error_bound": _nstr_directed(cert.error_bound, 17, up=True),
+            "l1_lower_bound": _nstr_directed(cert.l1_lower_bound, 17, up=False),
+            "d_n_bound": None if cert.d_n_bound is None
+            else _nstr_directed(cert.d_n_bound, 17, up=False)}
+
+
 def cmd_gen(args) -> int:
     if args.kind == "vdc":
         if args.m is None:
@@ -64,8 +125,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    report = discrepancy.norms_report(pointsets.read_csv(args.input), which=args.which)
-    _emit(args, report, [f"{k}: {v}" for k, v in report.items()])
+    payload = _norms_payload(pointsets.read_csv(args.input), args.which)
+    _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
     return EXIT_OK
 
 
@@ -75,13 +136,9 @@ def cmd_aux(args) -> int:
         trees = auxiliary.build_trees(ps, args.max_level)
     else:
         trees = [auxiliary.build_tree(ps, args.index, args.max_level)]
-    summaries = [tree.summary() for tree in trees]
-    lines = []
-    for s in summaries:
-        lines.append(
-            f"i={s['i']} n={s['n']} l*={s['l_star']} stabilized={s['stabilized']} "
-            f"inner_product={s['inner_product']}"
-        )
+    summaries = [_tree_payload(tree) for tree in trees]
+    lines = [f"i={s['i']} n={s['n']} l*={s['l_star']} stabilized={s['stabilized']} "
+             f"inner_product={s['inner_product']}" for s in summaries]
     _emit(args, {"n_points": len(ps), "trees": summaries}, lines)
     return EXIT_OK
 
@@ -90,19 +147,21 @@ def cmd_lemmas(args) -> int:
     ps = pointsets.read_csv(args.input)
     trees = auxiliary.build_trees(ps, args.max_level)
     report = auxiliary.lemma_suite(ps, trees=trees)
-    lines = [
-        f"{'SKIP' if c.skipped else 'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}"
-        for c in report.checks
-    ]
+    lines = [f"{'SKIP' if c.skipped else 'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}"
+             for c in report.checks]
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} ({report.skipped} skipped)")
-    _emit(args, report.to_json(), lines)
+    checks = [{"name": c.name, "passed": c.passed, "skipped": c.skipped, "witness": c.witness}
+              for c in report.checks]
+    _emit(args, {"label": report.label, "n": report.n, "passed": report.passed,
+                 "skipped": report.skipped, "checks": checks}, lines)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_comb(args) -> int:
     table = combinatorics.expansion_table(args.n, args.k)
-    payload = table.to_json()
-    lines = [f"A_{p}^{args.n}({args.k}) = {a}" for p, a in sorted(payload["A"].items())]
+    coefficients = {str(p): str(a) for p, a in table.coefficients.items()}
+    payload = {"n": table.n, "k": table.k, "A": coefficients}
+    lines = [f"A_{p}^{args.n}({args.k}) = {a}" for p, a in sorted(coefficients.items())]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -129,31 +188,27 @@ def cmd_certificate(args) -> int:
     ps = pointsets.read_csv(args.input)
     trees = auxiliary.build_trees(ps, args.max_level)
     cert = testfn.certificate(ps, trees=trees)
-    payload = cert.to_json()
-    lines = [
-        f"N={payload['N']} n={payload['n']}",
-        f"inner_product_sum: {payload['inner_product_sum']}",
-        f"main_term >= {payload['main_term']}",
-        f"error_bound <= {payload['error_bound']}",
-        f"l1_lower_bound: {payload['l1_lower_bound']}",
-        f"d_n_bound: {payload['d_n_bound']}",
-    ]
-    _emit(args, payload, lines)
+    p = _certificate_payload(cert)
+    lines = [f"N={p['N']} n={p['n']}", f"inner_product_sum: {p['inner_product_sum']}",
+             f"main_term >= {p['main_term']}", f"error_bound <= {p['error_bound']}",
+             f"l1_lower_bound: {p['l1_lower_bound']}", f"d_n_bound: {p['d_n_bound']}"]
+    _emit(args, p, lines)
     return EXIT_OK
 
 
 def cmd_constants(args) -> int:
-    table = testfn.constants_table()
+    from mpmath import mp
+
+    # the two L2 comparison entries are reproduced from elsewhere and only displayed
+    table = {name: mp.nstr(value, 10) for name, value in testfn.constants_table().items()}
+    table.update(l2_liminf_bound_external="0.17905", l2_liminf_conjectured_external="0.17601")
     rows = testfn.asymptotic_dn_table(2, 16)
-    payload = {
-        "constants": table,
-        "dn_lower_bound_table": [[n, f"{v:.10g}"] for n, v in rows],
-        "dn_lower_bound_limit": f"{testfn.asymptotic_dn_limit():.10g}",
-    }
+    limit = table["limsup_dn_lower"]
     lines = [f"{k}: {v}" for k, v in table.items()]
     lines += [f"dn lower bound, n={n}: {v:.10g}" for n, v in rows[:4]]
-    lines.append(f"limit: {testfn.asymptotic_dn_limit():.10g}")
-    _emit(args, payload, lines)
+    lines.append(f"limit: {limit}")
+    _emit(args, {"constants": table, "dn_lower_bound_table": [[n, f"{v:.10g}"] for n, v in rows],
+                 "dn_lower_bound_limit": limit}, lines)
     return EXIT_OK
 
 

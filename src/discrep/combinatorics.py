@@ -125,13 +125,6 @@ class OddExpansionTable(NamedTuple):
     k: int
     coefficients: dict[int, Fraction]
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "A": {str(p): str(a) for p, a in sorted(self.coefficients.items())},
-        }
-
 
 def _krawtchouk_coefficients(n: int, k: int) -> dict[int, Fraction]:
     """A_p for odd p = 1..n+1, in order; 0 for p > k.

@@ -48,6 +48,9 @@ L1 and L-infinity stream the closed prefix counts one column at a time
     with a Fenwick tree of integer numerators over the y ranks (Heinrich,
     Math. Comp. 1996).  It reads no column.
 
+The norms are returned as Fractions, or for an inexact L1 as an mpf
+midpoint and half-width (`L1Norm`); `cli` prints them.
+
 L1 and L-infinity raise ResourceLimitError on a grid of more than
 MAX_GRID_CELLS cells, before any column or axis integer is built; L2 has
 no cell budget.  L1 and L2 refuse axis integers of more than
@@ -64,7 +67,7 @@ from operator import add, or_, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
-from .pointsets import CellDecomposition, PointSet, exact_str
+from .pointsets import CellDecomposition, PointSet
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -72,10 +75,10 @@ if TYPE_CHECKING:
 # About N = 4096 points with distinct coordinates.
 MAX_GRID_CELLS = 1 << 24
 # The one precision of the L1 enclosure, at most 2 ulps, 2^(2 - prec) of
-# its value, wide (`_interval._l1_enclosure`).  `norms_report` prints 17
-# digits of its midpoint, and 3 digits more keep all 17 backed by the
-# enclosure (dps_to_prec(20) is 70 bits); 1e-12 alone would need only 42
-# bits, 12 digits.
+# its value, wide (`_interval._l1_enclosure`).  `cli` prints 17 digits of
+# its midpoint, and 3 digits more keep all 17 backed by the enclosure
+# (dps_to_prec(20) is 70 bits); 1e-12 alone would need only 42 bits, 12
+# digits.
 L1_DPS = 20
 
 
@@ -388,38 +391,3 @@ def linf_norm(ps: PointSet) -> Fraction:
         strict_row = (0, *closed_row[:-1])
     return Fraction(best_num, best_den)
 
-
-def norms_report(ps: PointSet, which: str = "all") -> dict:
-    """The exact norms in the JSON report shape used by the CLI.
-
-    `which` is "all" or one of "l1", "l2", "linf" and "dn", and only the
-    norms it names are computed ("dn" needs L1), all from the set's one
-    grid.  An exact L1 is "p/q" with `l1_err` "0", and loads no mpmath.
-    Otherwise the 17 digits of `l1` are the midpoint of the enclosure at
-    L1_DPS = 20 digits, rounded to nearest from its own bits whatever mp's
-    precision is, and `l1_err`, rounded up to 3 digits, bounds the
-    distance from the printed `l1` to the norm: the printed digits' offset
-    from the midpoint plus the half-width.  `d_n`, the L1 norm over
-    sqrt(ln N), needs N >= 2.  Exact values are printed by `exact_str`.
-    """
-    if which not in ("all", "l1", "l2", "linf", "dn"):
-        raise ValueError(f"unknown norm {which!r}")
-    report = {"n_points": len(ps)}
-    if which in ("all", "l1", "dn"):
-        l1 = l1_norm(ps)
-    if which in ("all", "l1"):
-        if l1.exact:
-            report["l1"], report["l1_err"] = exact_str(l1.value), "0"
-        else:
-            from ._interval import _fraction, _nstr_directed, mp
-
-            report["l1"] = mp.nstr(l1.value, 17)
-            offset = abs(Fraction(report["l1"]) - _fraction(l1.value))
-            report["l1_err"] = _nstr_directed(offset + _fraction(l1.error), 3, up=True)
-    if which in ("all", "l2"):
-        report["l2_sq"] = exact_str(l2_norm_sq(ps))
-    if which in ("all", "linf"):
-        report["linf"] = exact_str(linf_norm(ps))
-    if which in ("all", "dn") and len(ps) >= 2:
-        report["d_n"] = f"{float(l1.value) / math.sqrt(math.log(len(ps))):.12g}"
-    return report

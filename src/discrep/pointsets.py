@@ -25,7 +25,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -271,9 +271,19 @@ def parse_coordinate(text: str) -> Fraction:
             raise ResourceLimitError(f"2^{exponent} exceeds the {MAX_LITERAL_BITS}-bit budget")
         return dyadic(int(m.group(1)), exponent)
     m = _DECIMAL_EXPONENT.fullmatch(text)
-    if m and abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_LITERAL_BITS:
+    if not m:
+        return Fraction(text)
+    if abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_LITERAL_BITS:
         raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_LITERAL_BITS}-bit budget")
-    return Fraction(text)
+    mantissa, power = Fraction(text[:m.start(1) - 1]), _power_of_ten(abs(exponent))
+    return mantissa * power if exponent >= 0 else mantissa / power
+
+
+@lru_cache(maxsize=16)
+def _power_of_ten(exponent: int) -> int:
+    """10^exponent, built once for a CSV that repeats one exponent on
+    every line, where `Fraction(str)` would build it for each literal."""
+    return 10 ** exponent
 
 
 def exact_str(q: Fraction) -> str:

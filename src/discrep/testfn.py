@@ -186,24 +186,6 @@ class BoundCertificate(NamedTuple):
     l1_lower_bound: mpf
     d_n_bound: mpf | None
 
-    def to_json(self) -> dict:
-        """The bounds at 17 digits, each rounded in its safe direction."""
-        from ._interval import _nstr_directed
-
-        return {
-            "n": self.n,
-            "N": self.point_count,
-            "inner_product_sum": str(self.inner_product_sum),
-            "inner_product_error": str(self.inner_product_error),
-            "trees_stabilized": self.trees_stabilized,
-            "main_term": _nstr_directed(self.main_term, 17, up=False),
-            "error_bound": _nstr_directed(self.error_bound, 17, up=True),
-            "l1_lower_bound": _nstr_directed(self.l1_lower_bound, 17, up=False),
-            "d_n_bound": None
-            if self.d_n_bound is None
-            else _nstr_directed(self.d_n_bound, 17, up=False),
-        }
-
 
 def _odd_terms(n: int, weights: dict[int, Fraction], prec: int) -> tuple:
     """Interval sum over p of cos^(n+1-p)(a) sin^p(a) w_p, with a = 1/sqrt(n),
@@ -313,28 +295,18 @@ def halasz_constant() -> mpf:
         return +(1 / (1152 * (mp.sqrt(mp.e) + 1) * mp.sqrt(mp.log(2))))
 
 
-def constants_table() -> dict:
-    """The certified asymptotic constants, as 10-digit decimal strings.
-
-    The two L2 comparison entries are reproduced from elsewhere and only
-    displayed, marked external.
-    """
+def constants_table() -> dict[str, mpf]:
+    """The asymptotic constants at DPS digits, by name."""
     from mpmath import mp
 
     with mp.workdps(DPS):
         root = mp.sqrt(mp.e * mp.log(2))
-        values = {
+        return {
             "liminf_dn_lower": 3 / (256 * root),
             "limsup_dn_lower": 1 / (64 * root),
             "halasz_constant": halasz_constant(),
-            "lin_limit_sin": 1 / mp.sqrt(mp.e),
+            "lin_limit_sin": lin_limit(SINE).real,
         }
-        entries = {name: mp.nstr(value, 10) for name, value in values.items()}
-    return {
-        **entries,
-        "l2_liminf_bound_external": "0.17905",
-        "l2_liminf_conjectured_external": "0.17601",
-    }
 
 
 def asymptotic_dn_table(n_lo: int = 2, n_hi: int = 64) -> list[tuple[int, float]]:
@@ -349,7 +321,3 @@ def asymptotic_dn_table(n_lo: int = 2, n_hi: int = 64) -> list[tuple[int, float]
         value = math.sqrt(n) / (64 * math.sqrt(math.e) * math.sqrt(math.log(2 ** (n - 1))))
         rows.append((n, value))
     return rows
-
-
-def asymptotic_dn_limit() -> float:
-    return float(1 / (64 * math.sqrt(math.e * math.log(2))))

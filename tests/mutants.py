@@ -152,11 +152,25 @@ MUTANTS = (
         "the upper end of a log rounded down is one ulp above it, not two",
     ),
     Mutant(
-        "l1_err_without_the_printed_offset", "discrepancy.py",
+        "l1_err_without_the_printed_offset", "cli.py",
         "_nstr_directed(offset + _fraction(l1.error), 3, up=True)",
         "_nstr_directed(_fraction(l1.error), 3, up=True)",
         ("test_grid_kernels.py::test_printed_l1_and_error_hold_the_norm",),
         "l1_err bounds the printed l1's distance to the norm, not the enclosure's half-width",
+    ),
+    Mutant(
+        "printed_error_bound_rounded_down", "cli.py",
+        "_nstr_directed(cert.error_bound, 17, up=True)",
+        "_nstr_directed(cert.error_bound, 17, up=False)",
+        ("test_testfn.py::test_printed_bounds_round_in_the_safe_direction",),
+        "the printed error series is an upper bound, so its digits round up",
+    ),
+    Mutant(
+        "decimal_exponent_without_its_sign", "pointsets.py",
+        "return mantissa * power if exponent >= 0 else mantissa / power",
+        "return mantissa * power",
+        ("test_pointsets.py::test_decimal_exponent_literal_is_read_exactly",),
+        "a negative exponent divides the mantissa by the cached power of ten",
     ),
     Mutant(
         "digit_budget_at_ten_thirds_bits_a_digit", "pointsets.py",

@@ -5,7 +5,10 @@ lines alongside the pytest verdicts.  Frozen expected values were computed
 from the independent oracles exercised in the per-module test files.
 """
 
+import contextlib
 import functools
+import io
+import json
 import math
 import random
 import time
@@ -21,6 +24,7 @@ from discrep.auxiliary import (
     n_from_pointcount,
     product_bound_check,
 )
+from discrep.cli import main
 from discrep.combinatorics import (
     expansion_table,
     odd_moment_series,
@@ -31,7 +35,6 @@ from discrep.discrepancy import l1_norm, l2_norm_sq, linf_norm
 from discrep.pointsets import Point, PointSet, random_uniform, symmetrize, van_der_corput
 from discrep.testfn import (
     SINE,
-    asymptotic_dn_limit,
     asymptotic_dn_table,
     certificate,
     constants_table,
@@ -228,14 +231,17 @@ def test_criterion_10_certificates():
 
 @criterion(11, "constants table", 1)
 def test_criterion_11_constants():
-    table = constants_table()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["constants", "--json"]) == 0
+    table = json.loads(out.getvalue())["constants"]
     assert round(float(table["liminf_dn_lower"]), 5) == 0.00854
     assert round(float(table["limsup_dn_lower"]), 5) == 0.01138
     assert round(float(table["halasz_constant"]), 5) == 0.00039
     assert table["liminf_dn_lower"].startswith("0.008537315238")
     assert table["limsup_dn_lower"].startswith("0.01138308698")
     rows = asymptotic_dn_table(2, 64)
-    limit = asymptotic_dn_limit()
+    limit = float(constants_table()["limsup_dn_lower"])
     assert math.isclose(limit, 0.011383086984326, rel_tol=1e-10)
     gaps = [abs(a[1] - b[1]) for a, b in zip(rows, rows[1:])]
     assert all(g2 < g1 for g1, g2 in zip(gaps[3:], gaps[4:]))

@@ -1,12 +1,16 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from discrep import cli
 from discrep.cli import main
 from discrep.pointsets import read_csv
 
@@ -512,6 +516,22 @@ def test_directory_path_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["norms", "--in", "{dir}"], 2),
+    (["aux", "--in", str(GOLDEN / "vdc3.csv"), "--max-level", "65"], 3),
+    (["lemmas", "--in", str(GOLDEN / "vdc3.csv")], 0),
+], ids=["directory", "max-level-65", "lemmas"])
+def test_module_entry_point_exit_codes(tmp_path, argv, exit_code):
+    # `python -m discrep.cli`, one interpreter per case, on the package the
+    # tests import: each outcome leaves by its exit code, with no traceback
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "discrep.cli", *(a.format(dir=tmp_path) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == exit_code, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # Flag values at and past the caps that are cheap to reach (comb's n <= 12
 # and k <= 11, lin's odd order <= 41, the 64 tree levels), just past the
 # others (gen's --m <= 24, lin's --n <= 2^11), and past Python's integers.
@@ -631,12 +651,15 @@ def _golden_runs():
 
 
 GOLDEN_RUNS = list(_golden_runs())
+# text mode, for each command's default run on each input
+TEXT_RUNS = [(name, [arg for arg in argv if arg != "--json"])
+             for name, argv in GOLDEN_RUNS if name.count(".") <= 1]
 
 
 def test_every_golden_file_has_a_run():
-    names = {name for name, _ in GOLDEN_RUNS}
-    files = {path.name[: -len(".json")] for path in GOLDEN.glob("*.json")}
-    assert files == names
+    for runs, suffix in ((GOLDEN_RUNS, ".json"), (TEXT_RUNS, ".txt")):
+        files = {path.name[: -len(suffix)] for path in GOLDEN.glob(f"*{suffix}")}
+        assert files == {name for name, _ in runs}
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])
@@ -649,3 +672,12 @@ def test_golden_json_output(name, argv, capsys):
     code, stdout, _ = run(capsys, *argv)
     assert code == 0
     assert stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv", TEXT_RUNS, ids=[name for name, _ in TEXT_RUNS])
+def test_golden_text_output(name, argv, capsys):
+    """Text-mode output is byte-identical to tests/golden/<name>.txt, made
+    the same way as the `--json` goldens."""
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

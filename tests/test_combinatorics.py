@@ -1,5 +1,6 @@
 """Moments, generating series, expansion tables, and Newton identities."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discrep import combinatorics
+from discrep.cli import main
 from discrep.combinatorics import (
     elementary_symmetric,
     expansion_table,
@@ -139,10 +141,11 @@ def test_expansion_table_caps():
         expansion_table(4, 13)
 
 
-def test_expansion_table_json():
-    payload = expansion_table(2, 3).to_json()
+def test_expansion_table_json(capsys):
+    assert main(["comb", "--n", "2", "--k", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 2 and payload["k"] == 3
-    assert payload["A"]["1"] == "7"
+    assert payload["A"] == {"1": "7", "3": "6"}
 
 
 def test_newton_identity_hand_case():

@@ -14,10 +14,10 @@ from mpmath import mp, mpf
 
 from discrep import _interval, discrepancy
 from discrep._interval import _nstr_directed
+from discrep.cli import _norms_payload
 from discrep.discrepancy import (
     L1_DPS,
     CellDecomposition,
-    norms_report,
     l1_norm,
     l2_norm_sq,
     linf_norm,
@@ -217,11 +217,11 @@ def test_monte_carlo_determinism_and_validation():
 def test_d_n_contract():
     two = PointSet((Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(1))))
     v = float(l1_norm(two).value)
-    assert norms_report(two)["d_n"] == f"{v / math.sqrt(math.log(2)):.12g}"
-    assert float(norms_report(van_der_corput(4), which="dn")["d_n"]) > 0
+    assert _norms_payload(two, "all")["d_n"] == f"{v / math.sqrt(math.log(2)):.12g}"
+    assert float(_norms_payload(van_der_corput(4), "dn")["d_n"]) > 0
     # ln 1 = 0: a single point has no d_n
-    assert "d_n" not in norms_report(ORIGIN)
-    assert norms_report(ORIGIN, which="dn") == {"n_points": 1}
+    assert "d_n" not in _norms_payload(ORIGIN, "all")
+    assert _norms_payload(ORIGIN, "dn") == {"n_points": 1}
 
 
 def _exact(x: mpf) -> Fraction:
@@ -280,9 +280,9 @@ def test_nstr_directed_examples():
 
 def test_norms_report_prints_an_exact_l1_exactly():
     # one point at (0, 1/3): L1 = 17/36, whose 17 digits would be off by 2.2e-18
-    report = norms_report(PointSet(((0, Fraction(1, 3)),)))
+    report = _norms_payload(PointSet(((0, Fraction(1, 3)),)), "all")
     assert (report["l1"], report["l1_err"]) == ("17/36", "0")
-    assert norms_report(van_der_corput(3), which="l1") == {
+    assert _norms_payload(van_der_corput(3), "l1") == {
         "n_points": 8, "l1": "29/32", "l1_err": "0"}
 
 
@@ -295,7 +295,7 @@ def test_norms_report_computes_l1_once(monkeypatch):
         return form(grid)
 
     monkeypatch.setattr(discrepancy, "_l1_form", counting)
-    report = norms_report(random_uniform(16, seed=3))
+    report = _norms_payload(random_uniform(16, seed=3), "all")
     assert calls == [16]
     assert "d_n" in report
 
@@ -309,13 +309,13 @@ def test_norms_report_builds_the_grid_once(monkeypatch):
         return build(ps)
 
     monkeypatch.setattr(CellDecomposition, "from_pointset", staticmethod(counting))
-    report = norms_report(random_uniform(16, seed=3))
+    report = _norms_payload(random_uniform(16, seed=3), "all")
     assert calls == [16]
     assert report["linf"] == str(linf_norm(random_uniform(16, seed=3)))
     # every norm and both of lemma_suite's product checks share one set's grid
     calls.clear()
     ps = van_der_corput(2)
-    l1_norm(ps), l2_norm_sq(ps), linf_norm(ps), norms_report(ps)
+    l1_norm(ps), l2_norm_sq(ps), linf_norm(ps), _norms_payload(ps, "all")
     # n = 3: both product checks, (0, 3) and (0, 1, 3), read linf_norm
     suite = lemma_suite(ps)
     products = [c for c in suite.checks if c.name == "product_discrepancy_bound"]
@@ -449,8 +449,7 @@ print(json.dumps({{
              sum(len(rec.clusters) for t in built for rec in t.levels),
              sum(not c.skipped for c in suite.checks)],
     "passed": suite.passed,
-    "same": (suite.to_json() == auxiliary.lemma_suite(ps).to_json()
-             and cert.to_json() == testfn.certificate(ps).to_json()),
+    "same": suite == auxiliary.lemma_suite(ps) and cert == testfn.certificate(ps),
 }}))
 """
     out = _fresh_interpreter(code)

@@ -20,6 +20,7 @@ from mpmath.libmp import dps_to_prec, mpf_log, mpi_log
 
 import oracles
 from discrep import _interval, discrepancy, pointsets
+from discrep.cli import _norms_payload
 from discrep._interval import _iv_endpoints, _l1_enclosure
 from discrep.discrepancy import (
     MAX_GRID_CELLS,
@@ -30,7 +31,6 @@ from discrep.discrepancy import (
     l1_norm,
     l2_norm_sq,
     linf_norm,
-    norms_report,
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, read_csv, van_der_corput
@@ -376,7 +376,7 @@ def test_l1_enclosure_matches_iv_objects(dps):
 @example(pointsets.read_csv(Path(__file__).parent / "golden" / "mixed.csv"))
 def test_printed_l1_and_error_hold_the_norm(ps):
     # the printed l1 +- l1_err holds the `iv` objects' enclosure at 60 digits
-    report = norms_report(ps, which="l1")
+    report = _norms_payload(ps, "l1")
     l1, err = Fraction(report["l1"]), Fraction(report["l1_err"])
     form = _l1_form(ps.grid)
     if form.crossed:

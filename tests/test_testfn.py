@@ -1,5 +1,6 @@
 """Linear coefficients, the extremal problem, and bound certificates."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from mpmath.libmp import dps_to_prec
 from discrep.auxiliary import (
     build_trees, lemma_short_bound, lemma_suite, n_from_pointcount, product_bound,
 )
-from discrep.discrepancy import l1_norm, norms_report
+from discrep.cli import _certificate_payload, _norms_payload, main
+from discrep.discrepancy import l1_norm
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
     DPS,
@@ -20,7 +22,6 @@ from discrep.testfn import (
     FourierAtomFunction,
     _error_weights,
     _odd_terms,
-    asymptotic_dn_limit,
     asymptotic_dn_table,
     certificate,
     certificate_error_bound,
@@ -303,12 +304,12 @@ def test_printed_bounds_round_in_the_safe_direction():
     sets += [random_uniform(k, seed=k) for k in range(2, 39, 3)]
     for ps in sets:
         cert = certificate(ps)
-        printed = cert.to_json()
+        printed = _certificate_payload(cert)
         for key in ("main_term", "l1_lower_bound", "d_n_bound"):
             assert Fraction(printed[key]) <= _exact(getattr(cert, key)), (ps.label, key)
         assert Fraction(printed["error_bound"]) >= _exact(cert.error_bound), ps.label
         l1 = l1_norm(ps)
-        assert Fraction(norms_report(ps)["l1_err"]) >= _exact(l1.error), ps.label
+        assert Fraction(_norms_payload(ps, "all")["l1_err"]) >= _exact(l1.error), ps.label
 
 
 def test_certificate_single_point():
@@ -342,9 +343,9 @@ def test_certificate_unstabilized_still_sound():
 def test_certificate_refuses_trees_that_are_not_one_per_direction(consumer):
     ps = van_der_corput(4)  # N = 16, n = 5
     trees = build_trees(ps)
-    want = consumer(ps).to_json()
-    assert consumer(ps, trees=trees).to_json() == want
-    assert consumer(ps, trees=trees[::-1]).to_json() == want
+    want = consumer(ps)
+    assert consumer(ps, trees=trees) == want
+    assert consumer(ps, trees=trees[::-1]) == want
     other = build_trees(random_uniform(16, seed=1))
     # a hundred copies once certified 2.41 > ||D||_1 = 65/64, and no trees 0;
     # the suite once passed on no trees, on one tree twice and on a partial family
@@ -359,7 +360,7 @@ def test_certificate_refuses_trees_that_are_not_one_per_direction(consumer):
 
 
 def test_certificate_json_schema():
-    payload = certificate(van_der_corput(2)).to_json()
+    payload = _certificate_payload(certificate(van_der_corput(2)))
     for key in (
         "n", "N", "main_term", "error_bound", "l1_lower_bound", "d_n_bound",
         "inner_product_sum",
@@ -368,8 +369,19 @@ def test_certificate_json_schema():
     assert payload["inner_product_sum"].count("/") == 1
 
 
-def test_constants_table():
-    table = constants_table()
+def test_constants_table(capsys):
+    # the library's four values, at DPS digits, print with 10 digits and
+    # the two external L2 entries
+    values = constants_table()
+    assert list(values) == ["liminf_dn_lower", "limsup_dn_lower", "halasz_constant",
+                            "lin_limit_sin"]
+    assert all(isinstance(v, mpf) for v in values.values())
+    assert values["lin_limit_sin"] == lin_limit(SINE).real
+    assert main(["constants", "--json"]) == 0
+    table = json.loads(capsys.readouterr().out)["constants"]
+    assert table == {**{k: mp.nstr(v, 10) for k, v in values.items()},
+                     "l2_liminf_bound_external": "0.17905",
+                     "l2_liminf_conjectured_external": "0.17601"}
     assert table["liminf_dn_lower"].startswith("0.008537315")
     assert table["limsup_dn_lower"].startswith("0.0113830")
     assert table["halasz_constant"].startswith("0.000393639")
@@ -385,10 +397,15 @@ def test_constants_table():
     assert math.isclose(ratio, 4 / 3, rel_tol=1e-8)
 
 
-def test_asymptotic_dn_table_converges():
+def test_asymptotic_dn_table_converges(capsys):
     rows = asymptotic_dn_table(2, 64)
-    limit = asymptotic_dn_limit()
+    limit = float(constants_table()["limsup_dn_lower"])
     assert math.isclose(limit, 0.01138308698432614, rel_tol=1e-12)
+    # the printed table is rows 2..16 and its limit the printed limsup_dn_lower
+    assert main(["constants", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dn_lower_bound_table"] == [[n, f"{v:.10g}"] for n, v in rows[:15]]
+    assert payload["dn_lower_bound_limit"] == payload["constants"]["limsup_dn_lower"]
     assert abs(rows[-1][1] - limit) < 1e-3
     gaps = [abs(a[1] - b[1]) for a, b in zip(rows, rows[1:])]
     assert gaps[-1] < gaps[0]
