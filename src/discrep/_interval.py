@@ -7,8 +7,8 @@ print an interval import it when they run: `discrepancy.l1_norm` and the
 and the `certificate` printer.  So the `gen`, `aux`, `lemmas` and `comb`
 commands never load mpmath, nor does `norms` on a set whose L1 is exact.
 
-An interval is a raw libmp pair (lo, hi) at an explicit precision in bits;
-no helper reads or sets a global interval precision.
+An interval is a raw libmp pair (lo, hi) at an explicit precision in bits,
+and nothing in the package reads or sets mpmath's global precision.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from mpmath import mp, mpf
 from mpmath.libmp import (
     dps_to_prec, from_int, from_rational, mpf_log, mpi_div, mpi_log, round_ceiling, round_floor,
+    round_nearest,
 )
 
 if TYPE_CHECKING:
@@ -43,13 +44,6 @@ def _iv_endpoints(x: tuple) -> tuple[mpf, mpf]:
     return mp.make_mpf(lo), mp.make_mpf(hi)
 
 
-def _as_mpf(value) -> mpf:
-    """A Fraction as num/den in mpf at mp's precision; other numbers via mpf()."""
-    if isinstance(value, Fraction):
-        return mpf(value.numerator) / mpf(value.denominator)
-    return mpf(value)
-
-
 def _fraction(value) -> Fraction:
     """The exact value of a finite mpf, a Fraction or an int."""
     if not isinstance(value, mpf):
@@ -69,16 +63,15 @@ def _nstr_directed(value, digits: int, up: bool) -> str:
     decimal, the string equals `mp.nstr(value, digits)`.
     """
     q = _fraction(value)
-    if q == 0:
-        return mp.nstr(mpf(0), digits)
-    # 10^e <= |q| < 10^(e + 1): with a digits over b, |q| < 10^(a - b + 1)
-    e = len(str(abs(q.numerator))) - len(str(q.denominator))
-    while Fraction(10) ** e > abs(q):
-        e -= 1
-    unit = Fraction(10) ** (e + 1 - digits)
-    steps = math.ceil(q / unit) if up else math.floor(q / unit)
-    with mp.workdps(digits + 10):
-        return mp.nstr(_as_mpf(steps * unit), digits)
+    if q:
+        # 10^e <= |q| < 10^(e + 1): with a digits over b, |q| < 10^(a - b + 1)
+        e = len(str(abs(q.numerator))) - len(str(q.denominator))
+        while Fraction(10) ** e > abs(q):
+            e -= 1
+        unit = Fraction(10) ** (e + 1 - digits)
+        q = (math.ceil(q / unit) if up else math.floor(q / unit)) * unit
+    nearest = from_rational(q.numerator, q.denominator, dps_to_prec(digits + 10), round_nearest)
+    return mp.nstr(mp.make_mpf(nearest), digits)
 
 
 def _l1_enclosure(form: L1Form, dps: int) -> tuple[mpf, mpf]:

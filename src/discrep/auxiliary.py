@@ -683,8 +683,8 @@ def lemma_suite(
     not passed.  A prebuilt family may be passed in (the test suite uses
     this to verify corrupted trees fail): one tree of `ps` per direction
     index 0..n, in any order; anything else raises ValueError, as in
-    `testfn.certificate`.  A witness's `d_error` wider than
-    `pointsets.MAX_DIGITS` digits raises ResourceLimitError (`exact_str`).
+    `testfn.certificate`.  A witness prints its `d_error` exactly when
+    `exact_str` accepts it, and else the least power of two at or above it.
     """
     trees = _family(ps, trees)
     n = trees[0].n
@@ -718,11 +718,15 @@ def lemma_suite(
                 f"{indices}: 0 <= 1 - {report.covered_area} <= {report.mass_bound}",
             )
         )
+        try:
+            d_error = exact_str(report.d_error)
+        except ResourceLimitError:          # too wide to print: the least 2^k >= d_error
+            k = report.d_error.numerator.bit_length() - report.d_error.denominator.bit_length()
+            d_error = f"2^{k if Fraction(2) ** k >= report.d_error else k + 1}"
         checks.append(
             CheckResult(
                 "product_discrepancy_bound", report.d_product_ok,
-                f"{indices}: |{report.d_product_integral}| <= {report.d_product_bound}"
-                f" + {exact_str(report.d_error)}",
+                f"{indices}: |{report.d_product_integral}| <= {report.d_product_bound} + {d_error}",
             )
         )
     return SuiteReport(ps.label, n, tuple(checks))

@@ -161,7 +161,7 @@ def cmd_comb(args) -> int:
     table = combinatorics.expansion_table(args.n, args.k)
     coefficients = {str(p): str(a) for p, a in table.coefficients.items()}
     payload = {"n": table.n, "k": table.k, "A": coefficients}
-    lines = [f"A_{p}^{args.n}({args.k}) = {a}" for p, a in sorted(coefficients.items())]
+    lines = [f"A_{p}^{args.n}({args.k}) = {a}" for p, a in sorted(table.coefficients.items())]
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -62,12 +62,6 @@ class OddMomentSeries(NamedTuple):
     truncation: int
     coefficients: dict[int, Fraction]
 
-    def coefficient(self, k: int) -> Fraction:
-        _require_odd(k)
-        if k > self.truncation:
-            raise ValueError(f"series truncated at {self.truncation}, asked for {k}")
-        return self.coefficients[k]
-
 
 def odd_moment_series(n: int, truncation: int) -> OddMomentSeries:
     """Exact truncated product series of sinh(t) * cosh(t)^n."""

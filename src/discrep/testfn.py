@@ -16,11 +16,11 @@ inner products of the discrepancy function with the n+1 auxiliary
 functions of its tree family, `auxiliary.build_trees` (main term,
 weighted by cos^n sin), against a fully explicit finite error series
 (odd orders p = 3..n+1, each bounded through the product bound
-`auxiliary.product_bound` summed over index tuples).  All transcendental
-factors are evaluated in interval arithmetic with directed rounding, on
-raw mpmath.libmp endpoint pairs at `dps_to_prec(DPS)` bits, so the
-reported lower bound on the L1 norm is rigorous.  mpmath is imported by
-the functions that compute with it, not by this module (`_interval`).
+`auxiliary.product_bound` summed over index tuples).  Every transcendental
+factor here, the lin values' and the constants' too, is an interval with
+directed rounding on raw mpmath.libmp pairs at `dps_to_prec(DPS)` bits, so
+the certificate's L1 lower bound is rigorous; mpmath's global context is
+never read or set, and only the functions that compute import mpmath.
 
 The expansion behind the error series is the pointwise identity (for
 s_j = +-1, a = 1/sqrt(n))
@@ -93,6 +93,32 @@ class FourierAtomFunction(NamedTuple):
 SINE = FourierAtomFunction((Atom(0, Fraction(1, 2), 1), Atom(0, Fraction(-1, 2), -1)))
 
 
+def _atom_parts(fn: FourierAtomFunction, n: int | None) -> tuple[tuple, tuple]:
+    """Re and Im of sum_j c_j (-i) f(w_j), two real interval sums at DPS digits
+    since c (-i) = im - i re, with f `_odd_terms`' p = 1 term at freq w, or
+    its n -> infinity limit w exp(-w^2/2) when n is None."""
+    from mpmath.libmp import dps_to_prec, fzero, mpi_add, mpi_exp, mpi_mul
+
+    from ._interval import _mpi_fraction
+
+    prec = dps_to_prec(DPS)
+    re = im = (fzero, fzero)
+    for a in fn.atoms:
+        f = _odd_terms(n, {1: 1}, prec, a.freq) if n is not None else mpi_mul(
+            _mpi_fraction(a.freq, prec), mpi_exp(_mpi_fraction(-a.freq ** 2 / 2, prec), prec), prec)
+        re = mpi_add(re, mpi_mul(f, _mpi_fraction(a.im, prec), prec), prec)
+        im = mpi_add(im, mpi_mul(f, _mpi_fraction(-a.re, prec), prec), prec)
+    return re, im
+
+
+def _midpoints(re: tuple, im: tuple) -> mpc:
+    """The mpc of the midpoints of two intervals at `dps_to_prec(DPS)` bits."""
+    from mpmath import mp
+    from mpmath.libmp import dps_to_prec, mpi_mid
+
+    return mp.make_mpc(tuple(mpi_mid(part, dps_to_prec(DPS)) for part in (re, im)))
+
+
 def lin_n(fn: FourierAtomFunction, n: int) -> mpc:
     """Linear-part coefficient at size parameter n.
 
@@ -101,18 +127,7 @@ def lin_n(fn: FourierAtomFunction, n: int) -> mpc:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    from mpmath import mp, mpc
-
-    from ._interval import _as_mpf
-
-    with mp.workdps(DPS):
-        root = mp.sqrt(n)
-        total = mpc(0)
-        for a in fn.atoms:
-            arg = _as_mpf(a.freq) / root
-            c = mpc(_as_mpf(a.re), _as_mpf(a.im))
-            total += c * mpc(0, -1) * mp.sin(arg) * mp.cos(arg) ** n
-        return +total
+    return _midpoints(*_atom_parts(fn, n))
 
 
 def lin_series_crosscheck(fn: FourierAtomFunction, n: int, order: int = 41) -> mpc:
@@ -137,28 +152,19 @@ def lin_series_crosscheck(fn: FourierAtomFunction, n: int, order: int = 41) -> m
         weight = sign_sum_moment(n, k) / (factorial(k) * n ** ((k - 1) // 2))
         acc_re += d_re * weight
         acc_im += d_im * weight
-    from mpmath import mp, mpc
+    from mpmath.libmp import dps_to_prec, mpi_div, mpi_mul, mpi_sqrt
 
-    from ._interval import _as_mpf
+    from ._interval import _mpi_fraction, _mpi_int
 
-    with mp.workdps(DPS):
-        root = mp.sqrt(n)
-        return +(mpc(_as_mpf(acc_re), _as_mpf(acc_im)) / root)
+    prec = dps_to_prec(DPS)
+    root = mpi_div(_mpi_int(1, prec), mpi_sqrt(_mpi_int(n, prec), prec), prec)
+    return _midpoints(mpi_mul(_mpi_fraction(acc_re, prec), root, prec),
+                      mpi_mul(_mpi_fraction(acc_im, prec), root, prec))
 
 
 def lin_limit(fn: FourierAtomFunction) -> mpc:
     """Limit value -i sum_j w_j exp(-w_j^2 / 2) c_j; for sin: 1/sqrt(e)."""
-    from mpmath import mp, mpc
-
-    from ._interval import _as_mpf
-
-    with mp.workdps(DPS):
-        total = mpc(0)
-        for a in fn.atoms:
-            w = _as_mpf(a.freq)
-            c = mpc(_as_mpf(a.re), _as_mpf(a.im))
-            total += mpc(0, -1) * w * mp.exp(-w * w / 2) * c
-        return +total
+    return _midpoints(*_atom_parts(fn, None))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +193,8 @@ class BoundCertificate(NamedTuple):
     d_n_bound: mpf | None
 
 
-def _odd_terms(n: int, weights: dict[int, Fraction], prec: int) -> tuple:
-    """Interval sum over p of cos^(n+1-p)(a) sin^p(a) w_p, with a = 1/sqrt(n),
+def _odd_terms(n: int, weights: dict[int, Fraction], prec: int, freq: Fraction = 1) -> tuple:
+    """Interval sum over p of cos^(n+1-p)(a) sin^p(a) w_p, with a = freq/sqrt(n),
     as a raw libmp interval at `prec` bits.
 
     p = 1 with the mass |sum of inner products| is the certificate's main
@@ -198,7 +204,7 @@ def _odd_terms(n: int, weights: dict[int, Fraction], prec: int) -> tuple:
 
     from ._interval import _mpi_fraction, _mpi_int
 
-    a = mpi_div(_mpi_int(1, prec), mpi_sqrt(_mpi_int(n, prec), prec), prec)
+    a = mpi_div(_mpi_fraction(freq, prec), mpi_sqrt(_mpi_int(n, prec), prec), prec)
     cos_a, sin_a = mpi_cos_sin(a, prec)
     total = (fzero, fzero)
     for p, weight in weights.items():
@@ -287,26 +293,24 @@ def main_term_floor(n: int, count: int) -> mpf:
 # reference constants
 # ---------------------------------------------------------------------------
 
-def halasz_constant() -> mpf:
-    """1 / (1152 (sqrt(e) + 1) sqrt(ln 2)), approximately 0.00039."""
-    from mpmath import mp
-
-    with mp.workdps(DPS):
-        return +(1 / (1152 * (mp.sqrt(mp.e) + 1) * mp.sqrt(mp.log(2))))
-
-
 def constants_table() -> dict[str, mpf]:
-    """The asymptotic constants at DPS digits, by name."""
+    """The asymptotic constants by name, midpoints of intervals at DPS digits.
+    With s = lin_limit(SINE).real = 1/sqrt(e) and r = 1/sqrt(ln 2): liminf
+    3 s r / 256, limsup s r / 64, and Halász's 1/(1152 (sqrt(e) + 1) sqrt(ln 2))
+    = s r / (1152 (1 + s)), about 0.00039."""
     from mpmath import mp
+    from mpmath.libmp import dps_to_prec, mpi_add, mpi_div, mpi_log, mpi_mid, mpi_mul, mpi_sqrt
 
-    with mp.workdps(DPS):
-        root = mp.sqrt(mp.e * mp.log(2))
-        return {
-            "liminf_dn_lower": 3 / (256 * root),
-            "limsup_dn_lower": 1 / (64 * root),
-            "halasz_constant": halasz_constant(),
-            "lin_limit_sin": lin_limit(SINE).real,
-        }
+    from ._interval import _mpi_fraction, _mpi_int
+
+    prec = dps_to_prec(DPS)
+    s = _atom_parts(SINE, None)[0]
+    sr = mpi_div(s, mpi_sqrt(mpi_log(_mpi_int(2, prec), prec), prec), prec)
+    halasz = mpi_mul(_mpi_int(1152, prec), mpi_add(_mpi_int(1, prec), s, prec), prec)
+    table = {"liminf_dn_lower": mpi_mul(sr, _mpi_fraction(Fraction(3, 256), prec), prec),
+             "limsup_dn_lower": mpi_div(sr, _mpi_int(64, prec), prec),
+             "halasz_constant": mpi_div(sr, halasz, prec), "lin_limit_sin": s}
+    return {name: mp.make_mpf(mpi_mid(value, prec)) for name, value in table.items()}
 
 
 def asymptotic_dn_table(n_lo: int = 2, n_hi: int = 64) -> list[tuple[int, float]]:

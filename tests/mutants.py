@@ -139,6 +139,18 @@ MUTANTS = (
         "the certificate's bounds agree with a 60-digit reference to 1e-30 relative",
     ),
     Mutant(
+        "odd_terms_at_frequency_one", "testfn.py",
+        "a = mpi_div(_mpi_fraction(freq, prec),", "a = mpi_div(_mpi_int(1, prec),",
+        ("test_testfn.py::test_lin_n_examples",),
+        "each atom's factor is taken at a = w/sqrt(n), its own frequency over sqrt(n)",
+    ),
+    Mutant(
+        "atom_sum_parts_swapped", "testfn.py",
+        "    return re, im\n", "    return im, re\n",
+        ("test_testfn.py::test_lin_limit_values",),
+        "c (-i) = im - i re: the sum of im f is the real part, of -re f the imaginary one",
+    ),
+    Mutant(
         "d_n_without_its_square_root", "testfn.py",
         "mpi_sqrt(mpi_log(_mpi_int(count, prec), prec), prec)",
         "mpi_log(_mpi_int(count, prec), prec)",

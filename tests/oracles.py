@@ -32,10 +32,18 @@ from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import dps_to_prec, from_rational, mpi_log, round_ceiling, round_floor
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
-from discrep._interval import _as_mpf, _iv_endpoints, _mpi_int
+from discrep._interval import _iv_endpoints, _mpi_int
 from discrep.discrepancy import _columns
 from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
 from discrep.testfn import Atom, FourierAtomFunction
+
+
+def _as_mpf(value) -> mpf:
+    """A Fraction as num/den in mpf at mp's precision; other numbers via mpf()."""
+    if isinstance(value, Fraction):
+        return mpf(value.numerator) / mpf(value.denominator)
+    return mpf(value)
+
 
 # ---------------------------------------------------------------------------
 # coordinates and the grid

@@ -80,7 +80,7 @@ def test_criterion_01_moment_three_routes():
         for k in range(1, 12, 2):
             closed = sign_sum_moment(n, k)
             assert closed == sign_sum_moment_bruteforce(n, k)
-            assert closed == series.coefficient(k)
+            assert closed == series.coefficients[k]
 
 
 @criterion(2, "expansion reconstruction identity", 30)

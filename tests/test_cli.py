@@ -344,6 +344,28 @@ def test_literal_budget_boundary_exit_code(tmp_path, capsys):
     assert err == "resource limit: line 2: 10^315653 exceeds the 1048576-bit budget\n"
 
 
+def test_lemmas_prints_a_wide_d_error_as_a_power_of_two(tmp_path, capsys):
+    # the product witness's d_error has a 1,048,583-bit denominator here, too
+    # wide for exact_str: it prints as the least power of two at or above
+    # it, and every check still runs, as on a point with a narrow x
+    from discrep.auxiliary import build_trees, product_bound_check
+
+    path = tmp_path / "p.csv"
+    checks = {}
+    for x in ("1e-3", "1e-315652"):
+        path.write_text(f"x,y\n{x},1/2\n")
+        code, stdout, _ = run(capsys, "lemmas", "--in", str(path), "--json")
+        assert code == 0
+        checks[x] = json.loads(stdout)["checks"]
+    assert [(c["name"], c["passed"], c["skipped"]) for c in checks["1e-315652"]] == \
+        [(c["name"], c["passed"], c["skipped"]) for c in checks["1e-3"]]
+    assert checks["1e-315652"][-1]["name"] == "product_discrepancy_bound"
+    ps = read_csv(path)
+    d_error = product_bound_check(ps, (0, 1), build_trees(ps)).d_error
+    assert Fraction(1, 2 ** 9) < d_error <= Fraction(1, 2 ** 8)
+    assert checks["1e-315652"][-1]["witness"].endswith(" + 2^-8")
+
+
 @pytest.mark.parametrize("command", ["norms", "aux", "lemmas", "certificate"])
 def test_literal_budget_exit_code(tmp_path, capsys, monkeypatch, command):
     from discrep import pointsets

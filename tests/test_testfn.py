@@ -3,13 +3,17 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, mpi_mid
 
+import discrep
+from discrep._interval import _nstr_directed
 from discrep.auxiliary import (
     build_trees, lemma_short_bound, lemma_suite, n_from_pointcount, product_bound,
 )
@@ -26,7 +30,6 @@ from discrep.testfn import (
     certificate,
     certificate_error_bound,
     constants_table,
-    halasz_constant,
     lin_limit,
     lin_n,
     lin_series_crosscheck,
@@ -84,6 +87,40 @@ def test_sqrt_n_lin_approaches_limit():
     for n in (100, 1000, 10000):
         gap = abs(math.sqrt(n) * float(lin_n(SINE, n).real) - math.exp(-0.5))
         assert gap <= 1.0 / n
+
+
+def test_lin_n_is_the_p1_term_of_odd_terms():
+    # sin's coefficient is (1/2) f(1) - (1/2) f(-1) = f(1) for the p = 1
+    # term f(w) = sin(w/sqrt(n)) cos^n(w/sqrt(n)), with no rounding between
+    prec = dps_to_prec(DPS)
+    for n in (1, 4, 100):
+        v = lin_n(SINE, n)
+        assert v.real._mpf_ == mpi_mid(_odd_terms(n, {1: 1}, prec), prec)
+        assert v.imag == 0
+
+
+def test_no_global_precision_in_the_package():
+    # mpmath's global context is read for printing only: nothing in the
+    # package sets its precision, and `_as_mpf` lives in the oracles alone
+    src = Path(discrep.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"workdps|mp\.(dps|prec) *=", text), path.name
+        assert "def _as_mpf" not in text, path.name
+
+
+def test_values_do_not_depend_on_the_context_precision():
+    def values():
+        ps = van_der_corput(3)
+        return (lin_n(SINE, 7), lin_series_crosscheck(SINE, 7), lin_limit(SINE),
+                constants_table(), certificate(ps),
+                [_nstr_directed(q, d, up) for q in (Fraction(1, 3), Fraction(-2, 7), mpf(5))
+                 for d in (3, 17) for up in (False, True)])
+
+    want = values()
+    for prec in (10, 1000):
+        with mp.workprec(prec):
+            assert values() == want, prec
 
 
 def test_lin_series_first_term():
@@ -419,5 +456,14 @@ def test_asymptotic_dn_table_converges(capsys):
 
 
 def test_halasz_constant_digits():
+    values = constants_table()
     with mp.workdps(30):
-        assert abs(halasz_constant() - mpf("0.00039363937284867681665")) < 1e-18
+        assert abs(values["halasz_constant"] - mpf("0.00039363937284867681665")) < 1e-18
+    # each constant is the closed form of the paper to 1e-45 relative
+    with mp.workdps(60):
+        root = mp.sqrt(mp.e * mp.log(2))
+        want = {"liminf_dn_lower": 3 / (256 * root), "limsup_dn_lower": 1 / (64 * root),
+                "halasz_constant": 1 / (1152 * (mp.sqrt(mp.e) + 1) * mp.sqrt(mp.log(2))),
+                "lin_limit_sin": 1 / mp.sqrt(mp.e)}
+        for name, value in want.items():
+            assert abs(values[name] / value - 1) < mpf(10) ** -45, name
