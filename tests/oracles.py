@@ -2,7 +2,8 @@
 
 None of these is part of the pipeline: the CSV literal parser without the
 digit-string fast path or the literal budget, the grid built by sorting
-Fractions and placing points by bisection, the dyadic interval and
+Fractions and placing points by bisection, the column stream of three
+passes per column, the dyadic interval and
 rectangle geometry with its Haar point kernels, pointwise D and its Haar
 inner products, the Monte-Carlo estimate of the L1 and L2 norms (the one
 user of numpy), the cell-by-cell L2 integrator (and a point set of
@@ -26,6 +27,8 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 from mpmath import iv, mp, mpc, mpf
@@ -33,7 +36,7 @@ from mpmath.libmp import dps_to_prec, from_rational, mpi_log, round_ceiling, rou
 
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
 from discrep._interval import _iv_endpoints, _mpi_int
-from discrep.discrepancy import _columns
+from discrep.discrepancy import _check_grid_budget
 from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
 from discrep.testfn import Atom, FourierAtomFunction
 
@@ -217,10 +220,32 @@ def haar_inner_product(ps: PointSet, rect: DyadicRectangle) -> Fraction:
     return acc - len(ps) * rect.area ** 2 / 16
 
 
+def columns_oracle(grid: CellDecomposition):
+    """The closed prefix counts, one tuple per x cut, in three passes per column.
+
+    A fresh row counts the column's points at each y rank, its prefix sums
+    are taken, and they are added to the previous column: the stream
+    `discrepancy._columns` replaced with one running row.  An oversize grid
+    is refused first, as the kernels refuse it.
+    """
+    _check_grid_budget(grid)
+    nx, ny = len(grid.x_cuts), len(grid.y_cuts)
+    y_ranks: list[list[int]] = [[] for _ in range(nx)]
+    for i, j in grid.point_ranks:
+        y_ranks[i].append(j)
+    column = (0,) * ny
+    for js in y_ranks:
+        row = [0] * ny
+        for j in js:
+            row[j] += 1
+        column = tuple(map(add, column, accumulate(row)))
+        yield column
+
+
 def cells(grid: CellDecomposition):
     """Yield (a, b, c, d, count) over all cells [a,b] x [c,d] of the grid."""
     xs, ys = grid.x_cuts, grid.y_cuts
-    table = tuple(_columns(grid))
+    table = tuple(columns_oracle(grid))
     for i in range(len(xs) - 1):
         row = table[i]
         for j in range(len(ys) - 1):
@@ -295,7 +320,7 @@ def linf_exact_scan(ps: PointSet) -> Fraction:
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
     best_num, best_den = 0, 1
     strict_row = (0,) * len(y_parts)
-    for x, closed_row in zip(grid.x_cuts, _columns(grid)):
+    for x, closed_row in zip(grid.x_cuts, columns_oracle(grid)):
         n_xn, xd = n * x.numerator, x.denominator
         for (yn, yd), closed, strict in zip(y_parts, closed_row, strict_row):
             den = xd * yd

@@ -388,14 +388,17 @@ def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
     from oracles import prime_reciprocals
 
     refused = []
-    columns = discrepancy._columns
+    check = discrepancy._check_grid_budget
 
     def watched(grid):
         try:
-            columns(grid)
+            check(grid)
         except ResourceLimitError:
             refused.append(len(grid))
             raise
+        raise AssertionError("the budget let an oversize grid through")
+
+    def no_columns(grid):
         raise AssertionError("columns streamed for an oversize grid")
 
     def no_integers(cuts):
@@ -405,7 +408,9 @@ def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
     # 2^24-cell budget, and a common denominator of about 56,000 bits
     primes = tmp_path / "primes.csv"
     pointsets.write_csv(prime_reciprocals(4097), primes)
-    monkeypatch.setattr(discrepancy, "_columns", watched)
+    monkeypatch.setattr(discrepancy, "_check_grid_budget", watched)
+    monkeypatch.setattr(discrepancy, "_columns", no_columns)
+    monkeypatch.setattr(discrepancy, "accumulate", no_columns)
     monkeypatch.setattr(pointsets, "_axis_integers", no_integers)
     for which in ("all", "l1", "linf", "dn"):
         code, stdout, err = run(capsys, "norms", "--in", str(primes), "--which", which, "--json")

@@ -247,6 +247,21 @@ X0_SUPREMA = [
 ]
 
 
+# Sets that reach each branch of the column step: the maximum in the x = 1
+# column, on its closed side only and on both; x cuts that hold several
+# points, tied in x and duplicated; the maximum on the strict side only,
+# for N = 1; and points on y = 1.
+COLUMN_STEPS = [
+    pointset((1, 0), (1, 0), (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 2))),
+    pointset((1, 0), (1, 0), (Fraction(1, 3), Fraction(1, 2))),
+    pointset((Fraction(1, 2), Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5)),
+             (Fraction(1, 2), Fraction(3, 5)), (Fraction(1, 4), Fraction(4, 5))),
+    pointset(*[(1, Fraction(1, 10))] * 3),
+    pointset((Fraction(3, 4), Fraction(3, 4))),
+    pointset((Fraction(1, 3), 1), (Fraction(2, 3), Fraction(1, 2))),
+]
+
+
 @settings(max_examples=500, deadline=None)
 @given(filter_traps())
 @example(MIRROR_TIES[0])
@@ -254,6 +269,12 @@ X0_SUPREMA = [
 @example(X0_SUPREMA[0])
 @example(X0_SUPREMA[1])
 @example(X0_SUPREMA[2])
+@example(COLUMN_STEPS[0])
+@example(COLUMN_STEPS[1])
+@example(COLUMN_STEPS[2])
+@example(COLUMN_STEPS[3])
+@example(COLUMN_STEPS[4])
+@example(COLUMN_STEPS[5])
 @add_examples
 def test_linf_filter_matches_exact_scans(ps):
     value = linf_norm(ps)
@@ -291,6 +312,88 @@ def test_linf_filter_keeps_corners_within_2e_of_the_running_max(monkeypatch):
     assert candidates[1, b] < top - bound and top - 2 * bound <= candidates[1, b]
     monkeypatch.setattr(discrepancy, "float", fl, raising=False)
     assert linf_norm(pointset((a, b))) == b > 1 - a * b
+
+
+def test_linf_column_bound_takes_its_float_slack(monkeypatch):
+    # A side is skipped when its bound is below h - E, and each step adds
+    # the float rise plus a slack of 4E, since the rise may err by 1.5E.
+    # Under IEEE rounding the bound of a side, carried one column, stays
+    # within a few ulps of its next float maximum plus E, because the rise
+    # and the candidates share their products; here one difference
+    # P_i - P_(i-1) comes out 8 u = 2^-50 low, well inside the rise error
+    # the proof allows.
+    # M = (1, b) on the strict side, 3b, lies 3 * 2^-60 above K = (1/2, 1),
+    # 3/2, in an earlier column.  K's candidate errs up by E, M's down by
+    # almost E, and without the slack M's side is skipped.
+    b = Fraction(1, 2) + Fraction(1, 1 << 60)
+    ps = pointset((Fraction(1, 2), Fraction(3, 4)), (Fraction(3, 4), b), (Fraction(1, 2), b))
+    n = len(ps)
+    ulp = 2.0 ** -53
+    bound = math.ldexp(6 * n, -53)          # E
+
+    class Factor(float):
+        # P_i = N float(1), whose difference with P_(i-1) comes out low
+        def __sub__(self, other):
+            return float(self) - other - 8 * ulp
+
+    class One(float):
+        # float(1), whose product with the integer N is a Factor
+        def __rmul__(self, other):
+            return Factor(other) if isinstance(other, int) else float(self) * other
+
+    skewed = {Fraction(1, 2): 0.5 + 6 * ulp, b: 0.5 - 11 * ulp / 2, Fraction(1): One(1.0)}
+
+    def fl(q):
+        return skewed.get(q, float(q))
+
+    # every candidate errs by at most E and every rise by at most 1.5E
+    grid = ps.grid
+    columns = list(oracles.columns_oracle(grid))
+    ranks = discrepancy._y_ranks(grid)
+    last = 0.0
+    for i in range(1, len(grid.x_cuts)):
+        x = grid.x_cuts[i]
+        p = n * fl(x)
+        for j, y in enumerate(grid.y_cuts):
+            v, nxy = p * fl(y), n * x * y
+            strict = columns[i - 1][j - 1] if j else 0
+            assert abs(Fraction(columns[i][j] - v) - (columns[i][j] - nxy)) <= bound
+            assert abs(Fraction(v - strict) - (nxy - strict)) <= bound
+        d, delta = p - last, n * (x - grid.x_cuts[i - 1])
+        last = p
+        ys = [grid.y_cuts[j] for j in ranks[i]]
+        ys_last = [grid.y_cuts[j] for j in ranks[i - 1]] + [Fraction(1)]
+        closed = [(k - d * fl(y), k - delta * y) for k, y in enumerate([Fraction(0), *ys])]
+        strict = [(d * fl(y) - k, delta * y - k) for k, y in enumerate(ys_last)]
+        for rise in (closed, strict):
+            assert abs(Fraction(max(r for r, _ in rise)) - max(r for _, r in rise)) <= 1.5 * bound
+    assert linf_exact_scan(ps) == 3 * b
+    monkeypatch.setattr(discrepancy, "float", fl, raising=False)
+    assert linf_norm(ps) == 3 * b
+
+
+def test_linf_builds_only_the_columns_that_can_hold_the_maximum(monkeypatch):
+    # every column a kernel builds is one `accumulate` call; the exact scan
+    # builds all 513 after x = 0 here, and the bounds leave 140 to build
+    built = []
+    prefix_sums = discrepancy.accumulate
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return prefix_sums(*args, **kwargs)
+
+    ps = random_uniform(512, seed=1)
+    assert len(ps.grid.x_cuts) == 514
+    monkeypatch.setattr(discrepancy, "accumulate", counted)
+    assert linf_norm(ps) == linf_exact_scan(ps)
+    assert len(built) < 513 / 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets)
+@add_examples
+def test_columns_match_the_three_pass_stream(ps):
+    assert [tuple(column) for column in _columns(ps.grid)] == list(oracles.columns_oracle(ps.grid))
 
 
 NEAR = Fraction(1, 1 << 70)
@@ -586,21 +689,26 @@ def oversize_set():
 @pytest.mark.parametrize("kernel", [l1_norm, linf_norm, l2_norm_sq_direct])
 def test_grid_budget_raises_before_building(kernel, monkeypatch):
     refused = []
-    columns = discrepancy._columns
+    check = discrepancy._check_grid_budget
 
     def watched(grid):
         try:
-            columns(grid)
+            check(grid)
         except ResourceLimitError:
             refused.append(len(grid))
             raise
+        raise AssertionError("the budget let an oversize grid through")
+
+    def no_columns(grid):
         raise AssertionError("columns streamed for an oversize grid")
 
     def no_integers(cuts):
         raise AssertionError("axis integers built for an oversize grid")
 
-    monkeypatch.setattr(discrepancy, "_columns", watched)
-    monkeypatch.setattr(oracles, "_columns", watched)
+    monkeypatch.setattr(discrepancy, "_check_grid_budget", watched)
+    monkeypatch.setattr(oracles, "_check_grid_budget", watched)
+    monkeypatch.setattr(discrepancy, "_columns", no_columns)
+    monkeypatch.setattr(discrepancy, "accumulate", no_columns)
     monkeypatch.setattr(pointsets, "_axis_integers", no_integers)
     # 4098^2 cells, whose axis integers would be far over their bit budget too
     with pytest.raises(ResourceLimitError, match="cell budget"):

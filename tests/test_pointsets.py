@@ -1,5 +1,6 @@
 """Generators, transforms, and exact CSV round trips."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,24 @@ def test_repeated_decimal_exponent_builds_its_power_once(tmp_path, capsys):
     # 202 x cuts over a 1,048,592-bit common denominator pass the axis budget
     assert main(["norms", "--in", str(path)]) == 3
     assert "axis integers exceed" in capsys.readouterr().err
+
+
+def test_distinct_decimal_exponents_share_one_budget(tmp_path, capsys):
+    # 200 literals 1e-(315652 - k): each power alone is admitted, and
+    # building all 200 took 7 s in `read_csv` on a 2-core Xeon before the
+    # axis budget refused the set; the second power takes the file past
+    # MAX_LITERAL_BITS
+    path = tmp_path / "distinct.csv"
+    path.write_text("x,y\n" + "".join(f"1e-{315652 - k},1/2\n" for k in range(200)))
+    start = time.perf_counter()
+    assert main(["norms", "--in", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ("resource limit: line 3: 10^315651 takes the file's powers "
+                                       "of ten past the 1048576-bit budget\n")
+    # each literal alone still parses, and a file of small distinct powers reads
+    assert parse_coordinate("1e-315651") == Fraction(1, 10 ** 315651)
+    path.write_text("x,y\n" + "".join(f"1e-{k},1/2\n" for k in range(1, 201)))
+    assert read_csv(path).points[-1].x == Fraction(1, 10 ** 200)
 
 
 def test_csv_round_trip_exact(tmp_path, monkeypatch):
