@@ -20,7 +20,6 @@ from .pointsets import (
     Point,
     PointSet,
     dyadic,
-    is_dyadic,
     random_uniform,
     read_csv,
     symmetrize,

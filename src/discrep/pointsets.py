@@ -32,8 +32,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CsvFormatError, ResourceLimitError
 
-# Both generators refuse more than 2^VDC_MAX_BITS points.
-VDC_MAX_BITS = 24
+# The generators, `symmetrize` and `read_csv` refuse over 2^MAX_POINTS_LOG2 points.
+MAX_POINTS_LOG2 = 24
 # The integers of one grid axis hold at most this many bits in all (16 MiB).
 MAX_AXIS_BITS = 1 << 27
 # A literal's 2^k or 10^e takes at most this many bits, a limit set by parse
@@ -60,19 +60,6 @@ def dyadic(numerator: int, exponent: int) -> Fraction:
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
     return Fraction(numerator, 1 << exponent)
-
-
-def is_dyadic(q: Fraction) -> bool:
-    """True when q has a power-of-two denominator (in lowest terms)."""
-    d = q.denominator
-    return d & (d - 1) == 0
-
-
-def dyadic_exponent(q: Fraction) -> int:
-    """Smallest k with q * 2**k integral.  Raises for non-dyadic rationals."""
-    if not is_dyadic(q):
-        raise ValueError(f"{q} is not a dyadic rational")
-    return q.denominator.bit_length() - 1
 
 
 class Point(NamedTuple):
@@ -221,8 +208,8 @@ def van_der_corput(m: int) -> PointSet:
     """The 2^m-point van der Corput set: (k/2^m, bitreverse_m(k)/2^m)."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m > VDC_MAX_BITS:
-        raise ResourceLimitError(f"van der Corput size 2^{m} exceeds 2^{VDC_MAX_BITS} cap")
+    if m > MAX_POINTS_LOG2:
+        raise ResourceLimitError(f"van der Corput size 2^{m} exceeds 2^{MAX_POINTS_LOG2} cap")
     pts = tuple(
         Point(dyadic(k, m), dyadic(int(f"{k:0{m}b}"[::-1], 2), m)) for k in range(1 << m)
     )
@@ -232,12 +219,12 @@ def van_der_corput(m: int) -> PointSet:
 def random_uniform(n: int, seed: int) -> PointSet:
     """n i.i.d.-uniform points quantized to denominator 2^53, fixed by seed.
 
-    More than 2^VDC_MAX_BITS points raise ResourceLimitError before any is drawn.
+    More than 2^MAX_POINTS_LOG2 points raise ResourceLimitError before any is drawn.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > 1 << VDC_MAX_BITS:
-        raise ResourceLimitError(f"{n} random points exceed the 2^{VDC_MAX_BITS} cap")
+    if n > 1 << MAX_POINTS_LOG2:
+        raise ResourceLimitError(f"{n} random points exceed the 2^{MAX_POINTS_LOG2} cap")
     rng = random.Random(seed)
     den = 1 << 53
     pts = tuple(
@@ -248,7 +235,10 @@ def random_uniform(n: int, seed: int) -> PointSet:
 
 
 def symmetrize(ps: PointSet) -> PointSet:
-    """Append the mirror image (1-x, y) of every point; cardinality doubles."""
+    """Append the mirror image (1-x, y) of every point; cardinality doubles, and
+    past 2^MAX_POINTS_LOG2 raises ResourceLimitError before any mirror point."""
+    if 2 * len(ps) > 1 << MAX_POINTS_LOG2:
+        raise ResourceLimitError(f"{2 * len(ps)} mirrored points exceed the 2^{MAX_POINTS_LOG2} cap")
     mirrored = tuple(Point(1 - p.x, p.y) for p in ps)
     return PointSet(ps.points + mirrored, label=f"{ps.label}+xmirror" if ps.label else "xmirror")
 
@@ -304,11 +294,12 @@ def exact_str(q: Fraction) -> str:
 
 
 def format_coordinate(q: Fraction) -> str:
-    if q.denominator == 1:
+    d = q.denominator
+    if d == 1:
         return str(q.numerator)
-    if is_dyadic(q):
-        return f"{q.numerator}/2^{dyadic_exponent(q)}"
-    return f"{q.numerator}/{q.denominator}"
+    if d & (d - 1) == 0:
+        return f"{q.numerator}/2^{d.bit_length() - 1}"
+    return f"{q.numerator}/{d}"
 
 
 def read_csv(path) -> PointSet:
@@ -317,7 +308,8 @@ def read_csv(path) -> PointSet:
     The distinct powers of ten that the file's decimal exponents build
     share one MAX_LITERAL_BITS budget, as one literal's power does: a
     power that would take their bits to it raises ResourceLimitError with
-    its line number, before it is built.
+    its line number, before it is built, and so does the point past
+    2^MAX_POINTS_LOG2.
     """
     path = Path(path)
     pts = []
@@ -346,6 +338,8 @@ def read_csv(path) -> PointSet:
                 continue
             if line.lower().replace(" ", "") == "x,y":
                 continue
+            if len(pts) == 1 << MAX_POINTS_LOG2:
+                raise ResourceLimitError(f"line {lineno}: more than 2^{MAX_POINTS_LOG2} points")
             parts = line.split(",")
             if len(parts) != 2:
                 raise CsvFormatError(f"line {lineno}: expected 'x,y', got {line!r}")

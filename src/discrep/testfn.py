@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .auxiliary import AuxFamilyTree, _family, inner_product, lemma_short_bound, product_bound
+from .auxiliary import AuxFamilyTree, _family, inner_product, product_bound
 from .combinatorics import sign_sum_moment
 from .errors import ResourceLimitError
 from .pointsets import PointSet
@@ -268,25 +268,6 @@ def certificate(ps: PointSet, trees: Sequence[AuxFamilyTree] | None = None) -> B
         l1_lower_bound=max(mpf(0), _iv_endpoints(diff)[0]),
         d_n_bound=None if dn is None else max(mpf(0), _iv_endpoints(dn)[0]),
     )
-
-
-def certificate_error_bound(n: int, count: int) -> mpf:
-    """The certificate's error series alone, rounded up (depends on n, N only)."""
-    from mpmath.libmp import dps_to_prec
-
-    from ._interval import _iv_endpoints
-
-    return _iv_endpoints(_odd_terms(n, _error_weights(n, count), dps_to_prec(DPS)))[1]
-
-
-def main_term_floor(n: int, count: int) -> mpf:
-    """Lower bound cos^n(a) sin(a) (n+1) |`lemma_short_bound`(n, N)| on the main term."""
-    weights = {1: -(n + 1) * lemma_short_bound(n, count)}
-    from mpmath.libmp import dps_to_prec
-
-    from ._interval import _iv_endpoints
-
-    return _iv_endpoints(_odd_terms(n, weights, dps_to_prec(DPS)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,43 @@ MUTANTS = (
         "the bound is MAX_DIGITS log2(10) bits; at 10/3 bits a digit 333,333 bits pass the "
         "check, and str() then refuses their 100,344 digits",
     ),
+    Mutant(
+        "linf_closed_bound_reset_to_one_rise", "discrepancy.py",
+        "closed_top += max(", "closed_top = max(",
+        ("test_discrepancy.py::test_linf_matches_the_closed_form_of_van_der_corput",),
+        "a skipped column's closed bound carries on to the next, raised by each rise",
+    ),
+    Mutant(
+        "linf_closed_rise_one_short", "discrepancy.py",
+        "enumerate([0.0, *ys])]) + slack", "enumerate([0.0, *ys])]) - 1 + slack",
+        ("test_discrepancy.py::test_linf_matches_the_closed_form_of_van_der_corput",),
+        "a closed bound one below its rise skips the column that holds the maximum",
+    ),
+    Mutant(
+        "linf_closed_rise_with_twice_n_delta_y", "discrepancy.py",
+        "k - d * fy for", "k - 2 * d * fy for",
+        ("test_discrepancy.py::test_linf_matches_the_closed_form_of_van_der_corput",),
+        "the closed side's maximum rises by k - N Delta y, with N Delta y taken once",
+    ),
+    Mutant(
+        "l1_zero_at_the_upper_corner_counted_crossed", "discrepancy.py",
+        "if k * bd * dd >= n_bn * dn:", "if k * bd * dd > n_bn * dn:",
+        ("test_discrepancy.py::test_l1_matches_the_closed_form_of_van_der_corput",),
+        "a cell where D >= 0 reaches 0 only at its upper-right corner is not crossed, "
+        "so the L1 norm of van der Corput stays an exact rational",
+    ),
+    Mutant(
+        "dyadic_coordinates_written_as_p_over_q", "pointsets.py",
+        '    if d & (d - 1) == 0:\n        return f"{q.numerator}/2^{d.bit_length() - 1}"\n', "",
+        ("test_pointsets.py::test_format_coordinate_forms_and_written_dyadic_literals",),
+        "the writer prints a coordinate with a power-of-two denominator as a/2^k",
+    ),
+    Mutant(
+        "csv_point_budget_one_past_its_cap", "pointsets.py",
+        "if len(pts) == 1 << MAX_POINTS_LOG2:", "if len(pts) > 1 << MAX_POINTS_LOG2:",
+        ("test_cli.py::test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it",),
+        "`read_csv` refuses the point that would take the set past 2^MAX_POINTS_LOG2",
+    ),
 )
 
 

@@ -8,7 +8,9 @@ rectangle geometry with its Haar point kernels, pointwise D and its Haar
 inner products, the Monte-Carlo estimate of the L1 and L2 norms (the one
 user of numpy), the cell-by-cell L2 integrator (and a point set of
 distinct prime denominators for its budgets), the exact L-infinity corner
-scan, the L1 log enclosure and the certificate's odd-order series in mpmath
+scan, the closed forms of the van der Corput set's L1, L2 and L-infinity
+norms and of its reflection's L2 norm, the L1 log enclosure and the
+certificate's odd-order series in mpmath
 `iv` objects at a global interval precision, which the filtered and
 raw-interval kernels replaced, the L1 enclosure with two logs per
 integer, the sine-mode and scaled test-function constructors, the float
@@ -330,6 +332,56 @@ def linf_exact_scan(ps: PointSet) -> Fraction:
                 best_num, best_den = num, den
         strict_row = (0, *closed_row[:-1])
     return Fraction(best_num, best_den)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the norms of the classical sets, N = 2^m: the van der
+# Corput (Hammersley) set and its Davenport reflection.  Each form was
+# fitted to the kernels' exact values at a few m and checked at the others.
+# ---------------------------------------------------------------------------
+
+
+def vdc_l2_sq(m: int) -> Fraction:
+    """||D||_2^2 of `van_der_corput(m)`, the shape of Halton & Zaremba's
+    formula (Monatsh. Math. 73, 1969)."""
+    return (Fraction(m * m, 64) + Fraction(29 * m, 192) + Fraction(3, 8) - Fraction(m, 1 << (m + 4))
+            + Fraction(1, 1 << (m + 2)) - Fraction(1, 72 << (2 * m)))
+
+
+def mirrored_vdc_l2_sq(m: int) -> Fraction:
+    """||D||_2^2 of `symmetrize(van_der_corput(m))` for m >= 1, Davenport's
+    reflection (Mathematika 3, 1956); at m = 0 the value is 4/9 instead."""
+    return Fraction(m, 24) + Fraction(5, 8) - Fraction(m, 1 << (m + 2)) - Fraction(1, 18 << (2 * m))
+
+
+def vdc_l1(m: int) -> Fraction:
+    """||D||_1 of `van_der_corput(m)`, from D >= 0.
+
+    Where D >= 0 almost everywhere, ||D||_1 is the integral of D, and
+    integrating each point's box count and N x y over the square gives
+
+        sum_p (1 - p_x)(1 - p_y) - N/4.
+
+    Here p = (k/N, r(k)/N) with r the m-bit reversal, a permutation of
+    0..N-1, so the sum is N - (N - 1) + sum_k k r(k) / N^2.  With
+    k = sum_i b_i 2^i and r(k) = sum_j b_j 2^(m-1-j), the bits b_i b_j
+    sum over all k to N/4 when i != j and to N/2 when i = j, so
+    sum_k k r(k) = N (N - 1)^2 / 4 + m N^2 / 8, and
+
+        ||D||_1 = 1 + (N - 1)^2 / (4N) + m/8 - N/4 = m/8 + 1/2 + 1/(4N).
+
+    The L1 kernel crosses no cell of these sets, and |D| integrates to
+    this integral of D only where D >= 0, so each match checks the premise.
+    """
+    return Fraction(m, 8) + Fraction(1, 2) + Fraction(1, 1 << (m + 2))
+
+
+def vdc_linf(m: int) -> Fraction:
+    """||D||_inf of `van_der_corput(m)`, the shape of de Clerck's formula
+    (Monatsh. Math. 101, 1986); at m = 1 the value is 3/2."""
+    if m == 1:
+        return Fraction(3, 2)
+    return Fraction(m, 3) + Fraction(13, 9) - (-1) ** m * Fraction(4, 9 << m)
 
 
 @contextmanager

@@ -93,6 +93,33 @@ def test_gen_resource_limit(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it(tmp_path, capsys, monkeypatch):
+    from discrep import pointsets
+    from discrep.errors import ResourceLimitError
+
+    # at a cap of 2^2 points: vdc m = 1 mirrored holds 4, m = 2 mirrored 8
+    monkeypatch.setattr(pointsets, "MAX_POINTS_LOG2", 2)
+    out = tmp_path / "m.csv"
+    assert run(capsys, "gen", "--kind", "vdc", "--m", "1", "--mirror", "--out", str(out))[0] == 0
+    assert len(read_csv(out)) == 4
+    out.unlink()
+    code, _, err = run(capsys, "gen", "--kind", "vdc", "--m", "2", "--mirror", "--out", str(out))
+    assert code == 3 and err == "resource limit: 8 mirrored points exceed the 2^2 cap\n"
+    assert not out.exists()
+    # `read_csv` stops at the fifth point, by its line; comments do not count
+    path = tmp_path / "five.csv"
+    path.write_text("x,y\n# four points fit\n" + "".join(f"{k}/2^3,1/2\n" for k in range(5)))
+    code, _, err = run(capsys, "norms", "--in", str(path))
+    assert code == 3 and err == "resource limit: line 7: more than 2^2 points\n"
+    path.write_text("x,y\n# four points fit\n" + "".join(f"{k}/2^3,1/2\n" for k in range(4)))
+    assert len(read_csv(path)) == 4
+    # the mirror's refusal comes before any mirror point is made
+    base = pointsets.van_der_corput(2)
+    monkeypatch.setattr(pointsets, "Point", None)
+    with pytest.raises(ResourceLimitError):
+        pointsets.symmetrize(base)
+
+
 def test_gen_unknown_kind_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--kind", "sobol", "--out", str(tmp_path / "x.csv")])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from discrep.pointsets import dyadic, dyadic_exponent, is_dyadic
+from discrep.pointsets import dyadic
 from oracles import DyadicInterval, DyadicRectangle, haar_point_kernel, subdivide
 
 UNIT = DyadicInterval.unit()
@@ -16,15 +16,6 @@ def test_dyadic_constructor():
     assert dyadic(4, 2) == 1
     with pytest.raises(ValueError):
         dyadic(1, -1)
-
-
-def test_is_dyadic_and_exponent():
-    assert is_dyadic(Fraction(5, 16))
-    assert dyadic_exponent(Fraction(5, 16)) == 4
-    assert is_dyadic(Fraction(2))
-    assert not is_dyadic(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        dyadic_exponent(Fraction(1, 3))
 
 
 def test_interval_geometry():
@@ -72,7 +63,7 @@ def test_haar_point_kernel_examples():
 def _kernel_quadrature(interval: DyadicInterval, p: Fraction) -> Fraction:
     """Independent oracle: exact Riemann sum of 1_{x>=p} h(x) on a grid fine
     enough that both factors are cell-constant (p must be dyadic)."""
-    g = max(interval.scale + 1, dyadic_exponent(p))
+    g = max(interval.scale + 1, p.denominator.bit_length() - 1)
     total = Fraction(0)
     for c in range(1 << g):
         lo = Fraction(c, 1 << g)

@@ -14,6 +14,7 @@ from discrep.pointsets import (
     MAX_LITERAL_BITS,
     Point,
     PointSet,
+    format_coordinate,
     parse_coordinate,
     random_uniform,
     read_csv,
@@ -265,6 +266,15 @@ def test_csv_round_trip_exact(tmp_path, monkeypatch):
     assert back.label == "round trip"
     assert back == ps and hash(back) == hash(ps)
     assert _tree_integers(back).distinct == 3 and back.grid == ps.grid
+
+
+def test_format_coordinate_forms_and_written_dyadic_literals(tmp_path):
+    forms = {Fraction(5, 16): "5/2^4", Fraction(1, 3): "1/3", Fraction(0): "0", Fraction(1): "1",
+             Fraction(12345, 1 << 53): "12345/2^53", Fraction(3, 10): "3/10"}
+    assert {q: format_coordinate(q) for q in forms} == forms
+    path = tmp_path / "pts.csv"
+    write_csv(PointSet(((Fraction(3, 8), Fraction(1, 3)), (1, Fraction(1, 2)))), path)
+    assert path.read_text().splitlines() == ["x,y", "3/2^3,1/3", "1,1/2^1"]
 
 
 def test_csv_reader_accepts_decimals_and_comments(tmp_path):

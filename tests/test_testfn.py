@@ -13,7 +13,7 @@ from mpmath import iv, mp, mpf
 from mpmath.libmp import dps_to_prec, mpi_mid
 
 import discrep
-from discrep._interval import _nstr_directed
+from discrep._interval import _iv_endpoints, _nstr_directed
 from discrep.auxiliary import (
     build_trees, lemma_short_bound, lemma_suite, n_from_pointcount, product_bound,
 )
@@ -28,12 +28,10 @@ from discrep.testfn import (
     _odd_terms,
     asymptotic_dn_table,
     certificate,
-    certificate_error_bound,
     constants_table,
     lin_limit,
     lin_n,
     lin_series_crosscheck,
-    main_term_floor,
 )
 from oracles import (
     _iv_precision,
@@ -310,9 +308,12 @@ def test_certificate_soundness_corpus():
 
 
 def test_certificate_main_term_floor():
+    # the main term is at least its floor at the mass (n+1) |lemma_short_bound|
     ps = van_der_corput(3)
     cert = certificate(ps)
-    assert cert.main_term >= main_term_floor(cert.n, cert.point_count)
+    n, count = cert.n, cert.point_count
+    floor = _odd_terms(n, {1: -(n + 1) * lemma_short_bound(n, count)}, dps_to_prec(DPS))
+    assert cert.main_term >= _iv_endpoints(floor)[0]
 
 
 def test_certificate_lower_bound_rounds_down():
@@ -359,8 +360,10 @@ def test_certificate_single_point():
 
 def test_certificate_error_scaling():
     # for N = 2^(n-1) the error series times sqrt(n) stays bounded
+    prec = dps_to_prec(DPS)
     scaled = [
-        float(certificate_error_bound(n, 1 << (n - 1))) * math.sqrt(n) / (that := (1 << (n - 1)) * 2.0 ** -n)
+        float(_iv_endpoints(_odd_terms(n, _error_weights(n, 1 << (n - 1)), prec))[1])
+        * math.sqrt(n) / ((1 << (n - 1)) * 2.0 ** -n)
         for n in range(4, 17)
     ]
     assert max(scaled) < 1.0
