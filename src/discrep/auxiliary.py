@@ -35,8 +35,8 @@ points of one occupied rectangle each, in parent order); empty rectangles
 are implicit, so levels cost O(N) to build regardless of n, and a level on
 which no cluster splits shares its parent's clusters and costs O(1).  The
 counts that inner products and certificates need are the cluster counts;
-the dict from index pair to members (`LevelRecord.occupied`) is derived
-only for code that looks cells up.
+the dict from index pair to members (`LevelRecord.occupied`) is built
+on each read, only by code that looks cells up.
 
 Every rectangle is an integer address (kx, ky, jx, jy), the cell
 [jx 2^-kx, (jx+1) 2^-kx) x [jy 2^-ky, (jy+1) 2^-ky), and the hot loops
@@ -67,13 +67,12 @@ them only for n <= 4.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .discrepancy import linf_norm
 from .errors import ResourceLimitError
-from .pointsets import PointSet, _Record, exact_str
+from .pointsets import PointSet, exact_str
 
 HARD_LEVEL_CAP = 64
 # Levels built past stabilization when no max_level is given.
@@ -92,7 +91,7 @@ PIECE_CAP = 2_000_000
 Cluster = tuple[tuple[int, ...], int, int, int]
 
 
-class LevelRecord(_Record):
+class LevelRecord(NamedTuple):
     """One subdivision level: its clusters, one per occupied rectangle, and
     the empty count.
 
@@ -102,32 +101,30 @@ class LevelRecord(_Record):
     `clusters` tuple itself.
     """
 
-    _fields = ("level", "scale_x", "scale_y", "clusters", "fixed_bits", "empty_count",
-               "rect_area")
+    level: int
+    scale_x: int
+    scale_y: int
+    clusters: tuple[Cluster, ...]
+    fixed_bits: int
+    empty_count: int
+    rect_area: Fraction
 
-    def __init__(self, level: int, scale_x: int, scale_y: int, clusters: tuple[Cluster, ...],
-                 fixed_bits: int, empty_count: int, rect_area: Fraction):
-        self.__dict__.update(level=level, scale_x=scale_x, scale_y=scale_y, clusters=clusters,
-                             fixed_bits=fixed_bits, empty_count=empty_count, rect_area=rect_area)
-
-    @cached_property
+    @property
     def occupied(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Members per occupied cell (jx, jy), in cluster order; built on
-        first read.  Hot loops read it once per tree (`_product_counts`):
-        an attribute cached after __init__ loads off the fast path."""
+        """Members per occupied cell (jx, jy), in cluster order, built on
+        each read: its readers read it once per level."""
         dx, dy = self.fixed_bits - self.scale_x, self.fixed_bits - self.scale_y
         return {(x0 >> dx, y0 >> dy): members for members, x0, y0, _ in self.clusters}
 
 
-class AuxFamilyTree(_Record):
+class AuxFamilyTree(NamedTuple):
     """Leveled record of the recursive construction for one direction index."""
 
-    _fields = ("pointset", "direction", "n", "levels", "stabilization_level")
-
-    def __init__(self, pointset: PointSet, direction: int, n: int,
-                 levels: tuple[LevelRecord, ...], stabilization_level: int | None):
-        self.__dict__.update(pointset=pointset, direction=direction, n=n, levels=levels,
-                             stabilization_level=stabilization_level)
+    pointset: PointSet
+    direction: int
+    n: int
+    levels: tuple[LevelRecord, ...]
+    stabilization_level: int | None
 
     @property
     def point_count(self) -> int:
@@ -512,15 +509,12 @@ class ProductBoundReport(NamedTuple):
 
 
 def product_bound_check(
-    ps: PointSet,
-    indices: Sequence[int],
-    trees: Sequence[AuxFamilyTree],
-    truncation_level: int = PRODUCT_LEVEL,
+    ps: PointSet, indices: Sequence[int], trees: Sequence[AuxFamilyTree]
 ) -> ProductBoundReport:
     """Exact piecewise integration of D * prod f and the covered area, with bounds.
 
     Requires at least two strictly increasing direction indices and the
-    trees of `ps` for them, in order, each built to `truncation_level`.  D
+    trees of `ps` for them, in order, each built to PRODUCT_LEVEL.  D
     against the Haar function of a point-free rectangle R gives
     -N |R|^2 / 16.  Raises ResourceLimitError past PIECE_CAP pieces.
     """
@@ -530,12 +524,12 @@ def product_bound_check(
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError(f"indices must be strictly increasing, got {indices}")
     trees = _trees_of(ps, trees, indices, "trees do not match the requested indices")
-    if any(t.deepest_level < truncation_level for t in trees):
-        raise ValueError(f"all trees must be built to level {truncation_level}")
+    if any(t.deepest_level < PRODUCT_LEVEL for t in trees):
+        raise ValueError(f"all trees must be built to level {PRODUCT_LEVEL}")
     n = trees[0].n
     count = len(ps)
 
-    signed, plain = _product_counts(trees, truncation_level)
+    signed, plain = _product_counts(trees, PRODUCT_LEVEL)
     top = max(plain, default=0)
     # D against the Haar function of a point-free R is -N |R|^2 / 16
     d_product = Fraction(
@@ -546,12 +540,12 @@ def product_bound_check(
     pieces = sum(plain.values())
 
     uncovered = sum(
-        (t.uncovered_mass(truncation_level) for t in trees), start=Fraction(0)
+        (t.uncovered_mass(PRODUCT_LEVEL) for t in trees), start=Fraction(0)
     )
     d_bound = product_bound(n, count, indices[-1] - indices[0])
     return ProductBoundReport(
         indices=indices,
-        truncation_level=truncation_level,
+        truncation_level=PRODUCT_LEVEL,
         mass_bound=uncovered,
         d_product_integral=d_product,
         d_product_bound=d_bound,

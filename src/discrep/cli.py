@@ -106,15 +106,19 @@ def _certificate_payload(cert: testfn.BoundCertificate) -> dict:
 
 
 def cmd_gen(args) -> int:
+    # the size written, doubled under --mirror, is refused before a generator
+    # runs; a negative --m is van_der_corput's to refuse
     if args.kind == "vdc":
         if args.m is None:
             raise ValueError("gen --kind vdc requires --m")
+        pointsets.check_point_budget(1, max(args.m, 0) + args.mirror)
         ps = pointsets.van_der_corput(args.m)
     else:
         if args.n is None:
             raise ValueError("gen --kind random requires --n")
         if args.seed is None:
             args.seed = 0       # the config line echoes the seed the set was drawn with
+        pointsets.check_point_budget(args.n, args.mirror)
         ps = pointsets.random_uniform(args.n, args.seed)
     if args.mirror:
         ps = pointsets.symmetrize(ps)

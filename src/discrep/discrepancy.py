@@ -311,18 +311,18 @@ def l1_norm(ps: PointSet) -> L1Norm:
 
     Closed-form integration summed in integers; the linear form in logs is
     enclosed once by `_interval._l1_enclosure`, at L1_DPS digits, and its
-    ends' sum and difference are taken exactly and halved by a shift; an
-    exact result loads no mpmath.
+    ends' sum and difference are taken exactly and halved by a shift, and
+    compared as Fractions; an exact result loads no mpmath.
     """
     form = _l1_form(ps.grid)
     if not form.crossed:
         return L1Norm(form.rational, Fraction(0), True, 0)
-    from ._interval import _l1_enclosure, mp
+    from ._interval import _fraction, _l1_enclosure, mp
 
     lo, hi = _l1_enclosure(form, L1_DPS)
     mid = mp.ldexp(mp.fadd(lo, hi, exact=True), -1)
     err = mp.ldexp(mp.fsub(hi, lo, exact=True), -1)
-    if err > 1e-12 * mid:
+    if _fraction(err) * 10 ** 12 > _fraction(mid):
         raise ArithmeticError(f"the L1 enclosure at {L1_DPS} digits is wider than 1e-12 of its value")
     return L1Norm(mid, err, False, form.crossed)
 

@@ -11,7 +11,8 @@ from the digit string).
 A literal longer than MAX_DIGITS characters, or whose power of two or of
 ten would take more than MAX_LITERAL_BITS bits, is refused with
 ResourceLimitError before it is read, and so is a CSV file whose distinct
-powers of ten would take more than MAX_LITERAL_BITS bits in all.
+powers of ten would take more than MAX_LITERAL_BITS bits in all; `read_csv`
+builds each of a file's powers of ten once.
 
 A set caches what the layers above read of it, such as the norms' O(N)
 grid, `CellDecomposition`, which sorts and ranks coordinates by integer
@@ -26,13 +27,13 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CsvFormatError, ResourceLimitError
 
-# The generators, `symmetrize` and `read_csv` refuse over 2^MAX_POINTS_LOG2 points.
+# A set holds at most 2^MAX_POINTS_LOG2 points (`check_point_budget`).
 MAX_POINTS_LOG2 = 24
 # The integers of one grid axis hold at most this many bits in all (16 MiB).
 MAX_AXIS_BITS = 1 << 27
@@ -77,22 +78,17 @@ def as_coordinate(value) -> Fraction:
 
 class _Record:
     """Equality, hash and repr by the fields named in `_fields`, for an
-    immutable value that is no tuple, or that caches what it computes in
-    its `__dict__`, which a NamedTuple has none of.
+    immutable value that caches what it computes in its `__dict__`, which
+    a NamedTuple has none of: `PointSet` and `CellDecomposition`.
 
     `__init__` sets the fields once, by writing `__dict__`, and assignment
     is refused afterwards: the caches assume the fields never change.
-    `_replace` is a copy with some fields changed, as a NamedTuple's is,
-    and starts with no cache.
     """
 
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
-
-    def _replace(self, **changes):
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -204,12 +200,20 @@ class CellDecomposition(_Record):
         return len(self.point_ranks)
 
 
+def check_point_budget(count: int, doublings: int = 0) -> None:
+    """ResourceLimitError when count * 2^doublings points would pass the
+    2^MAX_POINTS_LOG2 cap.  The cap is shifted, not the count, so no
+    2^doublings is built; for doublings > MAX_POINTS_LOG2 the shifted cap
+    is 0, and any point passes it."""
+    if count > (1 << MAX_POINTS_LOG2) >> doublings:
+        raise ResourceLimitError(f"more than 2^{MAX_POINTS_LOG2} points")
+
+
 def van_der_corput(m: int) -> PointSet:
     """The 2^m-point van der Corput set: (k/2^m, bitreverse_m(k)/2^m)."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m > MAX_POINTS_LOG2:
-        raise ResourceLimitError(f"van der Corput size 2^{m} exceeds 2^{MAX_POINTS_LOG2} cap")
+    check_point_budget(1, m)
     pts = tuple(
         Point(dyadic(k, m), dyadic(int(f"{k:0{m}b}"[::-1], 2), m)) for k in range(1 << m)
     )
@@ -223,8 +227,7 @@ def random_uniform(n: int, seed: int) -> PointSet:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > 1 << MAX_POINTS_LOG2:
-        raise ResourceLimitError(f"{n} random points exceed the 2^{MAX_POINTS_LOG2} cap")
+    check_point_budget(n)
     rng = random.Random(seed)
     den = 1 << 53
     pts = tuple(
@@ -237,24 +240,19 @@ def random_uniform(n: int, seed: int) -> PointSet:
 def symmetrize(ps: PointSet) -> PointSet:
     """Append the mirror image (1-x, y) of every point; cardinality doubles, and
     past 2^MAX_POINTS_LOG2 raises ResourceLimitError before any mirror point."""
-    if 2 * len(ps) > 1 << MAX_POINTS_LOG2:
-        raise ResourceLimitError(f"{2 * len(ps)} mirrored points exceed the 2^{MAX_POINTS_LOG2} cap")
+    check_point_budget(len(ps), 1)
     mirrored = tuple(Point(1 - p.x, p.y) for p in ps)
     return PointSet(ps.points + mirrored, label=f"{ps.label}+xmirror" if ps.label else "xmirror")
 
 
-def parse_coordinate(text: str) -> Fraction:
-    """Parse "a/2^k", "p/q", decimal, or integer literals exactly.
+def _parse_coordinate(text: str, power_of_ten: Callable[[int], int]) -> Fraction:
+    """Parse "a/2^k", "p/q", decimal, or integer literals exactly, with the
+    10^e of a decimal exponent taken from `power_of_ten(e)`.
 
     ResourceLimitError, before the power is built, when the 2^k of a dyadic
     literal or the 10^e of a decimal exponent would take more than
     MAX_LITERAL_BITS bits, or the literal has over MAX_DIGITS characters.
     """
-    return _parse_coordinate(text, _power_of_ten)
-
-
-def _parse_coordinate(text: str, power_of_ten: Callable[[int], int]) -> Fraction:
-    """`parse_coordinate`, with 10^e taken from `power_of_ten(e)`."""
     text = text.strip()
     if len(text) > MAX_DIGITS:
         raise ResourceLimitError(f"{len(text)} characters exceed the {MAX_DIGITS}-digit budget")
@@ -274,13 +272,6 @@ def _parse_coordinate(text: str, power_of_ten: Callable[[int], int]) -> Fraction
         raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_LITERAL_BITS}-bit budget")
     mantissa, power = Fraction(text[:m.start(1) - 1]), power_of_ten(abs(exponent))
     return mantissa * power if exponent >= 0 else mantissa / power
-
-
-@lru_cache(maxsize=16)
-def _power_of_ten(exponent: int) -> int:
-    """10^exponent, built once for a CSV that repeats one exponent on
-    every line, where `Fraction(str)` would build it for each literal."""
-    return 10 ** exponent
 
 
 def exact_str(q: Fraction) -> str:
@@ -305,27 +296,31 @@ def format_coordinate(q: Fraction) -> str:
 def read_csv(path) -> PointSet:
     """Read a point set; '#' lines are comments, an "x,y" header is optional.
 
-    The distinct powers of ten that the file's decimal exponents build
-    share one MAX_LITERAL_BITS budget, as one literal's power does: a
+    Each power of ten that the file's decimal exponents use is built once,
+    where `Fraction(str)` would build it for each literal, and the distinct
+    ones share one MAX_LITERAL_BITS budget, as one literal's power does: a
     power that would take their bits to it raises ResourceLimitError with
     its line number, before it is built, and so does the point past
-    2^MAX_POINTS_LOG2.
+    2^MAX_POINTS_LOG2.  The point budget is checked at the counts 1, 2, 4,
+    ..., which meet its power-of-two cap, so a line costs no call for it.
     """
     path = Path(path)
     pts = []
     label = path.stem
-    built: set[int] = set()
+    powers: dict[int, int] = {}
     bits = 0.0
+    next_check = 1
 
     def power_of_ten(exponent: int) -> int:
         nonlocal bits
-        if exponent not in built:
+        power = powers.get(exponent)
+        if power is None:
             bits += exponent * math.log2(10)
             if bits >= MAX_LITERAL_BITS:
                 raise ResourceLimitError(f"10^{exponent} takes the file's powers of ten past "
                                          f"the {MAX_LITERAL_BITS}-bit budget")
-            built.add(exponent)
-        return _power_of_ten(exponent)
+            power = powers[exponent] = 10 ** exponent
+        return power
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -338,12 +333,13 @@ def read_csv(path) -> PointSet:
                 continue
             if line.lower().replace(" ", "") == "x,y":
                 continue
-            if len(pts) == 1 << MAX_POINTS_LOG2:
-                raise ResourceLimitError(f"line {lineno}: more than 2^{MAX_POINTS_LOG2} points")
             parts = line.split(",")
             if len(parts) != 2:
                 raise CsvFormatError(f"line {lineno}: expected 'x,y', got {line!r}")
             try:
+                if len(pts) == next_check:
+                    check_point_budget(next_check + 1)
+                    next_check *= 2
                 x = _parse_coordinate(parts[0], power_of_ten)
                 y = _parse_coordinate(parts[1], power_of_ten)
             except (ValueError, ZeroDivisionError) as exc:

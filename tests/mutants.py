@@ -201,7 +201,7 @@ MUTANTS = (
         "return mantissa * power if exponent >= 0 else mantissa / power",
         "return mantissa * power",
         ("test_pointsets.py::test_decimal_exponent_literal_is_read_exactly",),
-        "a negative exponent divides the mantissa by the cached power of ten",
+        "a negative exponent divides the mantissa by its power of ten",
     ),
     Mutant(
         "digit_budget_at_ten_thirds_bits_a_digit", "pointsets.py",
@@ -243,9 +243,29 @@ MUTANTS = (
     ),
     Mutant(
         "csv_point_budget_one_past_its_cap", "pointsets.py",
-        "if len(pts) == 1 << MAX_POINTS_LOG2:", "if len(pts) > 1 << MAX_POINTS_LOG2:",
+        "check_point_budget(next_check + 1)", "check_point_budget(next_check)",
         ("test_cli.py::test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it",),
         "`read_csv` refuses the point that would take the set past 2^MAX_POINTS_LOG2",
+    ),
+    Mutant(
+        "point_budget_without_its_doublings", "pointsets.py",
+        "if count > (1 << MAX_POINTS_LOG2) >> doublings:", "if count > 1 << MAX_POINTS_LOG2:",
+        ("test_cli.py::test_gen_resource_limit",),
+        "a van der Corput set of 2^m points is one point doubled m times",
+    ),
+    Mutant(
+        "gen_vdc_budget_without_the_mirror", "cli.py",
+        "pointsets.check_point_budget(1, max(args.m, 0) + args.mirror)",
+        "pointsets.check_point_budget(1, max(args.m, 0))",
+        ("test_cli.py::test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it",),
+        "`gen --mirror` refuses the doubled size before the generator makes half of it",
+    ),
+    Mutant(
+        "gen_random_budget_without_the_mirror", "cli.py",
+        "pointsets.check_point_budget(args.n, args.mirror)",
+        "pointsets.check_point_budget(args.n)",
+        ("test_cli.py::test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it",),
+        "`gen --mirror` refuses the doubled size before the generator makes half of it",
     ),
 )
 

@@ -181,7 +181,7 @@ def test_criterion_08_product_bounds():
         assert n <= 4
         trees = build_trees(ps, max_level=2)
         for indices in tuples:
-            report = product_bound_check(ps, indices, [trees[i] for i in indices], 2)
+            report = product_bound_check(ps, indices, [trees[i] for i in indices])
             assert 0 <= 1 - report.covered_area <= report.mass_bound
             assert abs(report.d_product_integral) <= report.d_product_bound + report.d_error
 

@@ -12,6 +12,7 @@ from discrep.auxiliary import (
     EXTRA_LEVELS,
     HARD_LEVEL_CAP,
     AuxFamilyTree,
+    LevelRecord,
     _check_cluster_partition,
     _check_level_counts,
     _tree_integers,
@@ -225,7 +226,7 @@ def _covered_integrals_by_grid(ps, trees, grid_bits):
 
 def test_product_check_matches_grid_oracle():
     trees = [build_tree(ORIGIN, 0, max_level=2), build_tree(ORIGIN, 1, max_level=2)]
-    report = product_bound_check(ORIGIN, (0, 1), truncation_level=2, trees=trees)
+    report = product_bound_check(ORIGIN, (0, 1), trees=trees)
     # finest piece scale at level 2 is i + 2(n+1) = 5, plus one for quadrants
     oracle = _covered_integrals_by_grid(ORIGIN, trees, grid_bits=7)
     assert oracle[0] == 0
@@ -240,7 +241,7 @@ def test_product_check_bounds_vdc():
     n = n_from_pointcount(len(ps))
     trees = build_trees(ps, max_level=2)
     for indices in ((0, 2), (0, 3), (1, 2), (0, 1, 3)):
-        report = product_bound_check(ps, indices, [trees[i] for i in indices], 2)
+        report = product_bound_check(ps, indices, [trees[i] for i in indices])
         assert 0 <= 1 - report.covered_area <= report.mass_bound
         assert report.d_product_ok
         assert report.d_product_bound == Fraction(
@@ -349,7 +350,7 @@ def _with_level(tree, level, **changes):
 def test_trees_are_immutable():
     tree = build_tree(ORIGIN, 0)
     for name in ("levels", "uncovered_mass", "stabilization_level"):
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError):
             setattr(tree, name, None)
     assert _with_level(tree, 0) == tree and hash(_with_level(tree, 0)) == hash(tree)
     assert tree._replace(stabilization_level=None) != tree
@@ -795,42 +796,53 @@ def test_clusters_split_where_the_oracle_splits_them(name):
     assert _first_level_apart(trees[n], 0, 1) > _first_level_apart(trees[n], 2, 3)
 
 
-def _cells_built(tree):
-    return [rec.level for rec in tree.levels if "occupied" in rec.__dict__]
+@pytest.fixture
+def occupied_reads(monkeypatch):
+    """The level of each record whose cell dict `LevelRecord.occupied` builds."""
+    reads = []
+    occupied = LevelRecord.occupied.fget
+
+    def spy(rec):
+        reads.append(rec.level)
+        return occupied(rec)
+
+    monkeypatch.setattr(LevelRecord, "occupied", property(spy))
+    return reads
 
 
-def test_levels_without_a_split_share_their_parents_clusters():
+def test_levels_without_a_split_share_their_parents_clusters(occupied_reads):
     # every point has its own level-0 cell, so no later level splits
     ps = van_der_corput(10)
     tree = build_tree(ps, 0, max_level=HARD_LEVEL_CAP)
     assert tree.stabilization_level == 0 and tree.deepest_level == HARD_LEVEL_CAP
     assert all(rec.clusters is tree.levels[0].clusters for rec in tree.levels[1:])
-    assert _cells_built(tree) == []
+    assert occupied_reads == []
     assert [rec.empty_count for rec in tree.levels[1:]] == (
         [((1 << 24) - 1) * len(ps)] * HARD_LEVEL_CAP)
-    # a dict is built on first read, for that level only, and kept
+    # a dict is built when read, for that level only
     deep = tree.levels[40]
     cells = deep.occupied
-    assert _cells_built(tree) == [40] and deep.occupied is cells
+    assert occupied_reads == [40]
     assert list(cells.items()) == [
         (k, tuple(v)) for k, v in bucket_oracle(ps.points, range(len(ps)),
                                                 deep.scale_x, deep.scale_y).items()]
 
 
-def test_counting_routes_build_no_cell_dict():
+def test_counting_routes_build_no_cell_dict(occupied_reads):
     # n = 3: the pair splits at level 5 along direction 0, so the tree holds
     # levels with clusters carried whole before and after its split
     ps = PointSet((*_pair("x", 20), Point(Fraction(3, 4), Fraction(1, 5))))
-    n = n_from_pointcount(len(ps))
     trees = build_trees(ps)
     assert trees[0].stabilization_level == 5
     cert = certificate(ps, trees=trees)
     ips = [inner_product(t) for t in trees]
+    summaries = [_tree_payload(t) for t in trees]
     counts = [[len(rec.clusters) for rec in t.levels] for t in trees]
     assert all(_check_level_counts(tree).passed for tree in trees)
-    assert [_cells_built(tree) for tree in trees] == [[]] * (n + 1)
+    assert occupied_reads == []
     assert cert.inner_product_sum == sum(ip.value for ip in ips)
     assert counts == [[len(rec.occupied) for rec in t.levels] for t in trees]
+    assert counts == [[level["nonempty"] for level in s["levels"]] for s in summaries]
 
 
 class _Unreadable:
@@ -1004,7 +1016,9 @@ def test_product_check_matches_fraction_pieces(ps, data):
     level = data.draw(st.integers(0, 2 if n <= 3 else 1))
     indices = data.draw(st.sampled_from([(0, n), (0, 1, n)] if n >= 2 else [(0, n)]))
     trees = [build_tree(ps, i, max_level=level) for i in indices]
-    report = product_bound_check(ps, indices, trees, level)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(auxiliary, "PRODUCT_LEVEL", level)
+        report = product_bound_check(ps, indices, trees)
     d_product, covered, pieces = product_oracle(ps, trees, level)
     assert report.d_product_integral == d_product
     assert report.covered_area == covered

@@ -82,11 +82,14 @@ def test_gen_resource_limit(tmp_path, capsys, monkeypatch):
     def no_point(*args):
         raise AssertionError("point built past the cap")
 
-    # both generators stop at 2^24 points, before the first one is built
+    # both generators stop at 2^24 points, before the first one is built, and
+    # so does a mirror that would take a set past them
     monkeypatch.setattr("discrep.pointsets.Point", no_point)
     out = tmp_path / "x.csv"
     for argv in (["--kind", "vdc", "--m", "99"], ["--kind", "random", "--n", str((1 << 24) + 1)],
-                 ["--kind", "random", "--n", str(10**9)]):
+                 ["--kind", "random", "--n", str(10**9)], ["--kind", "vdc", "--m", "24", "--mirror"],
+                 ["--kind", "random", "--n", str((1 << 23) + 1), "--mirror"],
+                 ["--kind", "vdc", "--m", str(10**30), "--mirror"]):
         code, _, err = run(capsys, "gen", *argv, "--out", str(out))
         assert code == 3
         assert "resource limit" in err and "2^24" in err
@@ -97,15 +100,27 @@ def test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it(tmp_path, capsys,
     from discrep import pointsets
     from discrep.errors import ResourceLimitError
 
-    # at a cap of 2^2 points: vdc m = 1 mirrored holds 4, m = 2 mirrored 8
+    # at a cap of 2^2 points: vdc m = 1 mirrored holds 4, m = 2 mirrored 8;
+    # random n = 2 mirrored holds 4, n = 3 mirrored 6
     monkeypatch.setattr(pointsets, "MAX_POINTS_LOG2", 2)
+    made = []
+    for name in ("van_der_corput", "random_uniform"):
+        def spy(*args, make=getattr(pointsets, name), name=name):
+            made.append(name)
+            return make(*args)
+        monkeypatch.setattr(pointsets, name, spy)
     out = tmp_path / "m.csv"
-    assert run(capsys, "gen", "--kind", "vdc", "--m", "1", "--mirror", "--out", str(out))[0] == 0
-    assert len(read_csv(out)) == 4
-    out.unlink()
-    code, _, err = run(capsys, "gen", "--kind", "vdc", "--m", "2", "--mirror", "--out", str(out))
-    assert code == 3 and err == "resource limit: 8 mirrored points exceed the 2^2 cap\n"
-    assert not out.exists()
+    for kind, size in (("vdc", ("--m", "1")), ("random", ("--n", "2"))):
+        assert run(capsys, "gen", "--kind", kind, *size, "--mirror", "--out", str(out))[0] == 0
+        assert len(read_csv(out)) == 4
+        out.unlink()
+    assert made == ["van_der_corput", "random_uniform"]
+    # the doubled size is refused before a generator runs
+    for kind, size in (("vdc", ("--m", "2")), ("random", ("--n", "3"))):
+        code, _, err = run(capsys, "gen", "--kind", kind, *size, "--mirror", "--out", str(out))
+        assert code == 3 and err == "resource limit: more than 2^2 points\n"
+        assert not out.exists()
+    assert made == ["van_der_corput", "random_uniform"]
     # `read_csv` stops at the fifth point, by its line; comments do not count
     path = tmp_path / "five.csv"
     path.write_text("x,y\n# four points fit\n" + "".join(f"{k}/2^3,1/2\n" for k in range(5)))

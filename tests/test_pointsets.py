@@ -15,7 +15,6 @@ from discrep.pointsets import (
     Point,
     PointSet,
     format_coordinate,
-    parse_coordinate,
     random_uniform,
     read_csv,
     symmetrize,
@@ -88,12 +87,17 @@ def test_pointset_validates_range():
         PointSet((Point(Fraction(3, 2), Fraction(0)),))
 
 
+def parse(text):
+    """The literal as `read_csv` reads it, with each 10^e built afresh."""
+    return pointsets._parse_coordinate(text, lambda exponent: 10 ** exponent)
+
+
 def test_parse_coordinate_forms():
-    assert parse_coordinate("0.25") == Fraction(1, 4)
-    assert parse_coordinate("3/2^3") == Fraction(3, 8)
-    assert parse_coordinate("1/2^1") == Fraction(1, 2)
-    assert parse_coordinate("1/3") == Fraction(1, 3)
-    assert parse_coordinate("1") == 1
+    assert parse("0.25") == Fraction(1, 4)
+    assert parse("3/2^3") == Fraction(3, 8)
+    assert parse("1/2^1") == Fraction(1, 2)
+    assert parse("1/3") == Fraction(1, 3)
+    assert parse("1") == 1
 
 
 def outcome(parse, text):
@@ -145,7 +149,7 @@ literals = st.one_of(
 @example("1/" + "9" * 5000)
 def test_parse_coordinate_matches_the_general_reader(text):
     # the same value, or the same exception type and message
-    assert outcome(parse_coordinate, text) == outcome(parse_coordinate_oracle, text)
+    assert outcome(parse, text) == outcome(parse_coordinate_oracle, text)
 
 
 def test_literal_budget_refuses_before_building(tmp_path, monkeypatch):
@@ -162,10 +166,10 @@ def test_literal_budget_refuses_before_building(tmp_path, monkeypatch):
     for text in (f"1/2^{MAX_LITERAL_BITS}", "1/2^10000000000", "1e-315653", "2.5E+315653",
                  "1e-1_000_000_000"):
         with pytest.raises(ResourceLimitError, match="bit budget"):
-            parse_coordinate(text)
+            parse(text)
     assert built == []
-    parse_coordinate(f"1/2^{MAX_LITERAL_BITS - 1}")
-    parse_coordinate("1e-315652")
+    parse(f"1/2^{MAX_LITERAL_BITS - 1}")
+    parse("1e-315652")
     # the mantissa is read as a Fraction, and 10^e is built as an int
     assert built == [(1, MAX_LITERAL_BITS - 1), ("1",)]
     path = tmp_path / "big.csv"
@@ -177,10 +181,10 @@ def test_literal_budget_refuses_before_building(tmp_path, monkeypatch):
 def test_literal_budget_boundary_parses():
     # the widest powers admitted, one below those refused above, are built
     # and read exactly, in well under a second
-    assert parse_coordinate("1e-315652") == Fraction(1, 10 ** 315652)
-    assert parse_coordinate("2.5E+315652") == Fraction(5, 2) * 10 ** 315652
+    assert parse("1e-315652") == Fraction(1, 10 ** 315652)
+    assert parse("2.5E+315652") == Fraction(5, 2) * 10 ** 315652
     k = MAX_LITERAL_BITS - 1
-    assert parse_coordinate(f"3/2^{k}") == Fraction(3, 1 << k)
+    assert parse(f"3/2^{k}") == Fraction(3, 1 << k)
 
 
 def _grouped(size):
@@ -208,20 +212,30 @@ decimal_exponents = st.builds(
 @example("1_000.2_5e-1_0")
 @example("-0e-400")
 def test_decimal_exponent_literal_is_read_exactly(text):
-    # a literal the pattern matches is its mantissa times a cached 10^e:
+    # a literal the pattern matches is its mantissa times its 10^e:
     # the value `Fraction(str)` reads
-    assert parse_coordinate(text) == Fraction(text)
+    assert parse(text) == Fraction(text)
 
 
-def test_repeated_decimal_exponent_builds_its_power_once(tmp_path, capsys):
+def test_repeated_decimal_exponent_builds_its_power_once(tmp_path, capsys, monkeypatch):
     # 200 literals k e-315652, the widest power admitted: Fraction(str)
     # built 10^315652 for each, 11 s in all on a 2-core Xeon
     path = tmp_path / "tiny.csv"
     path.write_text("x,y\n" + "".join(f"{k}e-315652,1/2\n" for k in range(1, 201)))
-    pointsets._power_of_ten.cache_clear()
+    powers = []
+    parse_literal = pointsets._parse_coordinate
+
+    def spy(text, power_of_ten):
+        def recorded(exponent):
+            powers.append(power_of_ten(exponent))
+            return powers[-1]
+        return parse_literal(text, recorded)
+
+    monkeypatch.setattr(pointsets, "_parse_coordinate", spy)
     ps = read_csv(path)
-    info = pointsets._power_of_ten.cache_info()
-    assert (info.misses, info.hits) == (1, 199)
+    # the 200 literals get one 10^315652 object: it was built once
+    assert len(powers) == 200 and all(power is powers[0] for power in powers)
+    assert powers[0] == 10 ** 315652
     assert ps.points[6].x == Fraction(7, 10 ** 315652)
     # 202 x cuts over a 1,048,592-bit common denominator pass the axis budget
     assert main(["norms", "--in", str(path)]) == 3
@@ -241,7 +255,7 @@ def test_distinct_decimal_exponents_share_one_budget(tmp_path, capsys):
     assert capsys.readouterr().err == ("resource limit: line 3: 10^315651 takes the file's powers "
                                        "of ten past the 1048576-bit budget\n")
     # each literal alone still parses, and a file of small distinct powers reads
-    assert parse_coordinate("1e-315651") == Fraction(1, 10 ** 315651)
+    assert parse("1e-315651") == Fraction(1, 10 ** 315651)
     path.write_text("x,y\n" + "".join(f"1e-{k},1/2\n" for k in range(1, 201)))
     assert read_csv(path).points[-1].x == Fraction(1, 10 ** 200)
 

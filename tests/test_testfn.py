@@ -108,10 +108,14 @@ def test_no_global_precision_in_the_package():
 
 
 def test_values_do_not_depend_on_the_context_precision():
+    crossed = random_uniform(8, seed=1)
+    assert not l1_norm(crossed).exact
+
     def values():
         ps = van_der_corput(3)
         return (lin_n(SINE, 7), lin_series_crosscheck(SINE, 7), lin_limit(SINE),
-                constants_table(), certificate(ps),
+                constants_table(), certificate(ps), l1_norm(crossed),
+                _norms_payload(crossed, "all"),
                 [_nstr_directed(q, d, up) for q in (Fraction(1, 3), Fraction(-2, 7), mpf(5))
                  for d in (3, 17) for up in (False, True)])
 
