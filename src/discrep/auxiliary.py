@@ -43,10 +43,13 @@ Every rectangle is an integer address (kx, ky, jx, jy), the cell
 stay on integers:
 
   * each point set reads every coordinate once as a fixed-point integer
-    X = floor(x 2^S), with S = (n+1)(HARD_LEVEL_CAP+1) past the finest
-    scale any tree reaches, so the cell at scale k is X >> (S - k) =
-    floor(x 2^k) (`_tree_integers`, one record per set, which its n + 1
-    trees share);
+    X = floor(x 2^E) at its axis's own width E (`_tree_integers`, one
+    record per set, which its n + 1 trees share).  With
+    S = (n+1)(HARD_LEVEL_CAP+1) past the finest scale any tree reaches, E
+    is min(S, the largest exponent) on an axis whose denominators are all
+    powers of two, and S on any other, so the cell at scale k, floor(x 2^k),
+    is X >> (E - k) for k <= E and X << (k - E) beyond: exact there, as
+    every coordinate of such an axis is a multiple of 2^-E (`_shifts`);
   * equal points always share a cell, so a level's cluster count never
     exceeds the number of distinct interior points, and stabilization is
     the first level where the two are equal;
@@ -91,21 +94,30 @@ PIECE_CAP = 2_000_000
 Cluster = tuple[tuple[int, ...], int, int, int]
 
 
+def _shifts(width: int, scale: int) -> tuple[int, int]:
+    """(r, l) with floor(x 2^scale) = X >> r << l for the fixed-point integer
+    X = floor(x 2^width) of x's axis: a shift right up to the width, and
+    past it (reached only on an axis of multiples of 2^-width) a shift left."""
+    return (width - scale, 0) if scale <= width else (0, scale - width)
+
+
 class LevelRecord(NamedTuple):
     """One subdivision level: its clusters, one per occupied rectangle, and
     the empty count.
 
-    At this level a cluster's cell is (X0 >> (fixed_bits - scale_x),
-    Y0 >> (fixed_bits - scale_y)), with fixed_bits the set's fixed-point
-    scale S.  A level on which no cluster splits holds its parent's
-    `clusters` tuple itself.
+    At this level a cluster's cell is (jx, jy) = (floor(x 2^scale_x),
+    floor(y 2^scale_y)) of its first member, read by `_shifts` from that
+    member's fixed-point integers X0 and Y0 at the widths width_x and
+    width_y of the set's axes.  A level on which no cluster splits holds
+    its parent's `clusters` tuple itself.
     """
 
     level: int
     scale_x: int
     scale_y: int
     clusters: tuple[Cluster, ...]
-    fixed_bits: int
+    width_x: int
+    width_y: int
     empty_count: int
     rect_area: Fraction
 
@@ -113,8 +125,10 @@ class LevelRecord(NamedTuple):
     def occupied(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Members per occupied cell (jx, jy), in cluster order, built on
         each read: its readers read it once per level."""
-        dx, dy = self.fixed_bits - self.scale_x, self.fixed_bits - self.scale_y
-        return {(x0 >> dx, y0 >> dy): members for members, x0, y0, _ in self.clusters}
+        rx, lx = _shifts(self.width_x, self.scale_x)
+        ry, ly = _shifts(self.width_y, self.scale_y)
+        return {(x0 >> rx << lx, y0 >> ry << ly): members
+                for members, x0, y0, _ in self.clusters}
 
 
 class AuxFamilyTree(NamedTuple):
@@ -154,8 +168,10 @@ class _TreeIntegers(NamedTuple):
     """All that the trees read of one set (`_tree_integers`)."""
 
     scale: int                  # S = (n+1)(HARD_LEVEL_CAP+1)
-    xs: tuple[int, ...]         # floor(x 2^S) per point
-    ys: tuple[int, ...]         # floor(y 2^S) per point
+    width_x: int                # E along x: min(S, largest exponent) if dyadic, else S
+    width_y: int                # E along y, likewise
+    xs: tuple[int, ...]         # floor(x 2^width_x) per point
+    ys: tuple[int, ...]         # floor(y 2^width_y) per point
     interior: tuple[int, ...]   # the indices of the points off x = 1 and y = 1
     distinct: int               # how many of those are distinct
     lone: tuple[Cluster, ...]   # each point's one-point cluster
@@ -163,23 +179,35 @@ class _TreeIntegers(NamedTuple):
 
 def _tree_integers(ps: PointSet) -> _TreeIntegers:
     """The set's `_TreeIntegers`, cached on the set: its trees and levels
-    read one scale and share the one-point clusters ((t,), X[t], Y[t],
-    HARD_LEVEL_CAP), as a lone point never splits.  Points closer than
-    2^-S share their integers, so distinct points are told apart on their
-    exact coordinates: a tree of such twins never stabilizes."""
+    read one record and share the one-point clusters ((t,), X[t], Y[t],
+    HARD_LEVEL_CAP), as a lone point never splits.
+
+    Each axis has one width E, and every coordinate on it is stored as
+    floor(x 2^E).  E is min(S, the largest exponent) on an axis whose
+    denominators are all powers of two, so a 53-bit coordinate keeps 53
+    bits, and S on any other axis: S bits tell apart every cell a tree
+    reaches.  Points closer than 2^-S may share their integers, so
+    distinct points are told apart on their exact coordinates: a tree of
+    such twins never stabilizes."""
     record = ps.__dict__.get("_tree_integers")
     if record is None:
         points = ps.points
         scale = (n_from_pointcount(len(points)) + 1) * (HARD_LEVEL_CAP + 1)
-        xs, ys = (tuple((q.numerator << scale) // q.denominator for q in axis)
-                  for axis in zip(*points))
+        axes = tuple(zip(*points))
+        widths = []
+        for axis in axes:
+            dens = {q.denominator for q in axis}
+            dyadic = all(d & (d - 1) == 0 for d in dens)
+            widths.append(min(scale, max(dens).bit_length() - 1) if dyadic else scale)
+        xs, ys = (tuple((q.numerator << width) // q.denominator for q in axis)
+                  for axis, width in zip(axes, widths))
         interior = tuple(t for t, (x, y) in enumerate(points)
                          if x.numerator < x.denominator and y.numerator < y.denominator)
         distinct = len({(x.numerator, x.denominator, y.numerator, y.denominator)
                         for x, y in (points[t] for t in interior)})
         lone = tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys)))
         record = ps.__dict__["_tree_integers"] = _TreeIntegers(
-            scale, xs, ys, interior, distinct, lone)
+            scale, *widths, xs, ys, interior, distinct, lone)
     return record
 
 
@@ -193,24 +221,28 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     levels; an unstabilized tree keeps its residual mass bound.
 
     The tree reads the set only through its `_TreeIntegers`: cells come
-    from the integers at S = (n+1)(HARD_LEVEL_CAP+1) bits, past the finest
-    scale any level reaches, and level 0 buckets the points off x = 1 and
-    y = 1.  Each cluster records, when it is formed, the last level at
-    which all its members still share a cell: its split scale along x is
-    S minus the bit length of the OR of X ^ X0 over its members (X0 its
-    first member's), and likewise along y.  Until that level the cluster
-    moves whole to the child cell of its first member; at the next one its
-    members are bucketed.  Equal points never split, so a level has at
-    most as many clusters as there are distinct interior points, and
-    exactly as many when every cluster holds one distinct point: the tree
-    stabilizes at the first such level.
+    from each axis's integers X = floor(x 2^E) at its width E, and level 0
+    buckets the points off x = 1 and y = 1.  At scale k the bucket key is
+    X >> max(E - k, 0): past E it is X itself, which parts the points as
+    their cells X << (k - E) do.  Each cluster records, when it is formed,
+    the last level at which all its members still share a cell: its split
+    scale along x is E minus the bit length of the OR of X ^ X0 over its
+    members (X0 its first member's) when that OR is nonzero, and
+    S = (n+1)(HARD_LEVEL_CAP+1), past every scale a level reaches, when
+    it is zero, as members equal along x never split along it; likewise
+    along y.  Until that level the cluster moves whole to the child cell
+    of its first member; at the next one its members are bucketed.  Equal
+    points never split, so a level has at most as many clusters as there
+    are distinct interior points, and exactly as many when every cluster
+    holds one distinct point: the tree stabilizes at the first such level.
 
-    A level before the first split level of any cluster records its
-    parent's cluster tuple itself, with no key computed: the levels past
-    stabilization cost O(1) each.  On a level where some clusters split,
-    the others pass through untouched, and only the members of those that
-    split are bucketed.  No cell dict is built here (see
-    `LevelRecord.occupied`).
+    A level before the first split level of any cluster (`next_split`,
+    one past the least last whole level over the clusters carried and
+    formed, kept as the level is built) records its parent's cluster
+    tuple itself, with no key computed: the levels past stabilization
+    cost O(1) each.  On a level where some clusters split, the others
+    pass through untouched, and only the members of those that split are
+    bucketed.  No cell dict is built here (see `LevelRecord.occupied`).
 
     Nothing is allocated per point, since per-point containers drive the
     cyclic garbage collector.  A one-point cluster is the set's shared
@@ -233,7 +265,7 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
                 f"max_level {max_level} exceeds the cap of {HARD_LEVEL_CAP} levels"
             )
     step = n + 1
-    scale, xs, ys, interior, distinct, lone = _tree_integers(ps)
+    scale, wx, wy, xs, ys, interior, distinct, lone = _tree_integers(ps)
     children = 1 << (2 * step)
 
     # Level 0 splits the root, the unit square's cluster of the interior points.
@@ -250,11 +282,16 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
             # Child cells of distinct parents are disjoint, so each cluster
             # that splits is bucketed on its own and its parts follow each
             # other in `formed`: the clusters come out in parent order.
-            dx, dy = scale - kx, scale - ky
+            dx, dy = max(wx - kx, 0), max(wy - ky, 0)
             formed: list[Cluster] = []
+            # the least last whole level, carried or formed; a lone
+            # cluster's is HARD_LEVEL_CAP, so it lowers nothing
+            next_split = HARD_LEVEL_CAP
             for c in clusters:
                 if level <= c[3]:
                     formed.append(c)
+                    if c[3] < next_split:
+                        next_split = c[3]
                     continue
                 members = c[0]
                 if len(members) == 2 and c[3] >= 0:
@@ -283,17 +320,19 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
                     for t in part:
                         ax |= xs[t] ^ x0
                         ay |= ys[t] ^ y0
-                    last = min(
-                        (scale - ax.bit_length() - direction) // step,
-                        (scale - ay.bit_length() - (n - direction)) // step,
-                    )
+                    last = ((wx - ax.bit_length() if ax else scale) - direction) // step
+                    last_y = ((wy - ay.bit_length() if ay else scale) - (n - direction)) // step
+                    if last_y < last:
+                        last = last_y
                     formed.append((tuple(part), x0, y0, last))
+                    if last < next_split:
+                        next_split = last
             clusters = tuple(formed)
-            next_split = min((c[3] for c in clusters), default=HARD_LEVEL_CAP) + 1
+            next_split += 1
         cells = (1 << n) if level == 0 else children * parents
         area = Fraction(1, 1 << (n + 2 * step * level))
         levels.append(
-            LevelRecord(level, kx, ky, clusters, scale, cells - len(clusters), area)
+            LevelRecord(level, kx, ky, clusters, wx, wy, cells - len(clusters), area)
         )
 
         if stabilization is None and len(clusters) == distinct:
@@ -611,22 +650,24 @@ def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
 
 def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
     """Each level's clusters partition the set's interior points, each
-    member in its cell: X[t] >> (S - scale_x) == jx and
-    Y[t] >> (S - scale_y) == jy, on the set's `_TreeIntegers`.
+    member in its cell (jx, jy): its cells at the level's scales, read
+    by `_shifts` from the set's `_TreeIntegers` at their widths.
     """
-    scale, xs, ys, interior, _, _ = _tree_integers(tree.pointset)
+    record = _tree_integers(tree.pointset)
+    xs, ys = record.xs, record.ys
     for rec in tree.levels:
         seen: list[int] = []
-        dx, dy = scale - rec.scale_x, scale - rec.scale_y
+        rx, lx = _shifts(record.width_x, rec.scale_x)
+        ry, ly = _shifts(record.width_y, rec.scale_y)
         for (jx, jy), members in rec.occupied.items():
             for t in members:
-                if xs[t] >> dx != jx or ys[t] >> dy != jy:
+                if xs[t] >> rx << lx != jx or ys[t] >> ry << ly != jy:
                     return CheckResult(
                         "cluster_partition", False,
                         f"i={tree.direction} l={rec.level}: point {t} outside its cell",
                     )
             seen.extend(members)
-        if tuple(sorted(seen)) != interior:
+        if tuple(sorted(seen)) != record.interior:
             return CheckResult(
                 "cluster_partition", False,
                 f"i={tree.direction} l={rec.level}: clusters do not partition the points",

@@ -90,6 +90,21 @@ MUTANTS = (
         "every tree and level shares each point's one one-point cluster",
     ),
     Mutant(
+        "split_scale_of_equal_members_from_the_width", "auxiliary.py",
+        "(wx - ax.bit_length() if ax else scale)", "(wx - ax.bit_length())",
+        ("test_auxiliary.py::test_bucket_and_tree_match_fraction_floor",),
+        "members equal along a dyadic axis share its cells at every scale, past its width too",
+    ),
+    Mutant(
+        "next_split_lowered_only_by_formed_clusters", "auxiliary.py",
+        "                    formed.append(c)\n"
+        "                    if c[3] < next_split:\n"
+        "                        next_split = c[3]\n",
+        "                    formed.append(c)\n",
+        ("test_auxiliary.py::test_clusters_split_where_the_oracle_splits_them",),
+        "a cluster carried whole may split before every cluster formed on this level",
+    ),
+    Mutant(
         "distinct_count_on_the_integers", "auxiliary.py",
         "distinct = len({(x.numerator, x.denominator, y.numerator, y.denominator)\n"
         "                        for x, y in (points[t] for t in interior)})",

@@ -13,6 +13,7 @@ from discrep.auxiliary import (
     HARD_LEVEL_CAP,
     AuxFamilyTree,
     LevelRecord,
+    _shifts,
     _check_cluster_partition,
     _check_level_counts,
     _tree_integers,
@@ -685,16 +686,29 @@ def assert_tree_matches_oracle(ps, tree):
 @example(PointSet((Point(Fraction(1, 3), Fraction(1, 5)),
                    Point(Fraction(1, 3) + Fraction(1, 1 << 64),
                          Fraction(1, 5) + Fraction(1, 1 << 64)))), 0, 0)
+# a pair equal along the dyadic x axis (width 2) and 2^-20 apart along y:
+# equal members never split along x, at any scale past its width; and the
+# transpose
+@example(PointSet((Point(Fraction(1, 4), Fraction(1, 3)),
+                   Point(Fraction(1, 4), Fraction(1, 3) + Fraction(1, 1 << 20)))), 0, 0)
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 4)),
+                   Point(Fraction(1, 3) + Fraction(1, 1 << 20), Fraction(1, 4)))), 0, 0)
 def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
-    # one shift of the fixed-point integers gives the cell at any scale up
-    # to S, and 2^k exactly on x = 1 or y = 1
-    scale, xs, ys = _tree_integers(ps)[:3]
+    # an axis's width E is the least e <= S at which all its coordinates
+    # are multiples of 2^-e, else S; a shift of its integers (right up to
+    # E, left past it) gives the cell at any scale up to S, and 2^k
+    # exactly on x = 1 or y = 1
+    record = _tree_integers(ps)
+    scale = record.scale
     n = n_from_pointcount(len(ps))
     assert scale == (n + 1) * (HARD_LEVEL_CAP + 1)
-    kx, ky = kx % (scale + 1), ky % (scale + 1)
-    for p, fx, fy in zip(ps.points, xs, ys):
-        assert fx >> (scale - kx) == math.floor(p.x * (1 << kx))
-        assert fy >> (scale - ky) == math.floor(p.y * (1 << ky))
+    axes = ((0, record.xs, record.width_x, kx), (1, record.ys, record.width_y, ky))
+    for axis, ints, width, drawn in axes:
+        assert width == next((e for e in range(scale + 1)
+                              if all((p[axis] * (1 << e)).denominator == 1 for p in ps)), scale)
+        for k in {drawn % (scale + 1), *(j for j in (width - 1, width + 1) if 0 <= j <= scale)}:
+            r, l = _shifts(width, k)
+            assert [v >> r << l for v in ints] == [math.floor(p[axis] * (1 << k)) for p in ps]
     twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in ps.points for p in ps)
     for direction in {0, n // 2, n}:
         tree = assert_depths_match_oracle(ps, direction)
@@ -702,9 +716,11 @@ def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
             assert tree.deepest_level == HARD_LEVEL_CAP and not tree.stabilized
             if direction in (0, n):
                 # the finest scale along x (direction n) or y (direction 0)
-                # is S - 1, so its Haar halves are still told apart by S bits
+                # is S - 1, so its Haar halves are still told apart by the
+                # twins' S-bit integers
                 deepest = tree.levels[-1]
-                assert max(deepest.scale_x, deepest.scale_y) == deepest.fixed_bits - 1
+                assert max(deepest.scale_x, deepest.scale_y) == scale - 1
+                assert (deepest.width_x, deepest.width_y) == (scale, scale)
 
 
 def assert_depths_match_oracle(ps, direction):
@@ -899,33 +915,49 @@ def test_lone_clusters_are_shared_across_trees_and_builds():
     assert set(lone) == {(0,), (1,), (4,)}
 
 
+# Each set with its widths along x and y, None standing for S.
 RECORD_SETS = (
     # two copies of (1/3, 1/2), and (0, 1) on y = 1
-    PointSet(((THIRD, Fraction(1, 2)), (0, 1), (THIRD, Fraction(2, 4)), (0, 0))),
-    # x = 1 reads as 2^S
-    PointSet(((THIRD, Fraction(1, 2)), (1, 0))),
+    (PointSet(((THIRD, Fraction(1, 2)), (0, 1), (THIRD, Fraction(2, 4)), (0, 0))), None, 1),
+    # x = 1 reads as 2^S, y = 0 and 1/2 at width 1
+    (PointSet(((THIRD, Fraction(1, 2)), (1, 0))), None, 1),
     # duplicates, 1 - 2^-1000 inside, and every point on x = 1 or y = 1 out
-    PointSet(((THIRD, THIRD), (1, THIRD), (THIRD, 1), (1, 1), (THIRD, THIRD),
-              (1 - TWIN_GAP, 1 - TWIN_GAP), (1 - TWIN_GAP, 1), (0, 0), (1, 0),
-              (0, 1 - TWIN_GAP))),
+    (PointSet(((THIRD, THIRD), (1, THIRD), (THIRD, 1), (1, 1), (THIRD, THIRD),
+               (1 - TWIN_GAP, 1 - TWIN_GAP), (1 - TWIN_GAP, 1), (0, 0), (1, 0),
+               (0, 1 - TWIN_GAP))), None, None),
     # twins 2^-1000 apart share their integers but are two points
-    PointSet(((THIRD, Fraction(1, 5)), (THIRD + TWIN_GAP, Fraction(1, 5) + TWIN_GAP))),
-    PointSet(((1, 1),)),
+    (PointSet(((THIRD, Fraction(1, 5)), (THIRD + TWIN_GAP, Fraction(1, 5) + TWIN_GAP))),
+     None, None),
+    # (1, 1) reads as (2^0, 2^0)
+    (PointSet(((1, 1),)), 0, 0),
+    # dyadic twins 2^-1000 apart: finer than 2^-S, so the width stops at S
+    (PointSet(((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 4) + TWIN_GAP, Fraction(1, 2)))),
+     None, 1),
+    # 53-bit and m-bit coordinates keep 53 and m bits
+    (random_uniform(64, 1), 53, 53),
+    (van_der_corput(6), 6, 6),
 )
 
 
-@pytest.mark.parametrize("ps", RECORD_SETS)
-def test_tree_integers_match_fraction_oracle(ps):
-    # S is (n+1)(HARD_LEVEL_CAP+1) with 2^(n-1) < 2N <= 2^n, X = floor(x 2^S),
-    # the interior is the points with x < 1 and y < 1, and the distinct
-    # count is taken on exact points
+@pytest.mark.parametrize("ps, width_x, width_y", RECORD_SETS,
+                         ids=[f"ps{i}" for i in range(len(RECORD_SETS))])
+def test_tree_integers_match_fraction_oracle(ps, width_x, width_y):
+    # S is (n+1)(HARD_LEVEL_CAP+1) with 2^(n-1) < 2N <= 2^n, each axis is
+    # read as X = floor(x 2^E) at its width E, the interior is the points
+    # with x < 1 and y < 1, and the distinct count is taken on exact points
     n = next(n for n in range(64) if 2 * len(ps) <= 1 << n)
     scale = (n + 1) * (HARD_LEVEL_CAP + 1)
     interior = tuple(t for t, p in enumerate(ps) if p.x < 1 and p.y < 1)
     record = _tree_integers(ps)
     assert record.scale == scale
-    assert record.xs == tuple(math.floor(p.x * (1 << scale)) for p in ps)
-    assert record.ys == tuple(math.floor(p.y * (1 << scale)) for p in ps)
+    widths = (scale if width_x is None else width_x, scale if width_y is None else width_y)
+    assert (record.width_x, record.width_y) == widths
+    assert record.xs == tuple(math.floor(p.x * (1 << widths[0])) for p in ps)
+    assert record.ys == tuple(math.floor(p.y * (1 << widths[1])) for p in ps)
+    # the memory: an axis holds integers of at most its width's bits, one
+    # more for a coordinate 1, so a dyadic one no more than its exponent's
+    for axis, ints, width in ((0, record.xs, widths[0]), (1, record.ys, widths[1])):
+        assert all(v.bit_length() <= width + (p[axis] == 1) for v, p in zip(ints, ps))
     assert record.interior == interior
     assert record.distinct == len({ps[t] for t in interior})
     assert record.lone == tuple(((t,), x, y, HARD_LEVEL_CAP)
@@ -947,7 +979,8 @@ def test_tree_integers_are_built_once_per_set(monkeypatch):
     certificate(ps, trees=trees)
     assert len(made) == 1
     record = _tree_integers(ps)
-    assert all(rec.fixed_bits == record.scale for tree in trees for rec in tree.levels)
+    assert all((rec.width_x, rec.width_y) == (record.width_x, record.width_y)
+               for tree in trees for rec in tree.levels)
     # two builds of one set and direction are equal, and equal to a build
     # on a fresh copy of the set
     fresh = PointSet(ps.points, ps.label)
