@@ -38,13 +38,15 @@ def _config_echo(args) -> dict:
     return {k: getattr(args, k, None) for k in keys}
 
 
+def _config_line(args) -> str:
+    return "config: " + ", ".join(f"{k}={v}" for k, v in sorted(_config_echo(args).items()))
+
+
 def _emit(args, payload: dict, text_lines) -> None:
-    payload = {"config": _config_echo(args), **payload}
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"config": _config_echo(args), **payload}, sort_keys=True))
     else:
-        config = payload["config"]
-        print("# config: " + ", ".join(f"{k}={v}" for k, v in sorted(config.items())))
+        print(f"# {_config_line(args)}")
         for line in text_lines:
             print(line)
 
@@ -122,8 +124,7 @@ def cmd_gen(args) -> int:
         ps = pointsets.random_uniform(args.n, args.seed)
     if args.mirror:
         ps = pointsets.symmetrize(ps)
-    config = ", ".join(f"{k}={v}" for k, v in sorted(_config_echo(args).items()))
-    pointsets.write_csv(ps, args.out, comments=[f"config: {config}"])
+    pointsets.write_csv(ps, args.out, comments=[_config_line(args)])
     print(f"wrote {len(ps)} points to {args.out}")
     return EXIT_OK
 

@@ -9,12 +9,13 @@ grid cut by the point coordinates, so on each cell D = c - N*x*y with an
 integer c, and every norm reduces to closed-form cell integrals.
 
 The three exact norms read the set's one O(N) grid, `PointSet.grid`: the
-sorted distinct cuts of each axis (0 and 1 included, sorted and ranked by
-integer keys), each axis's cuts as integers over its common denominator,
-and each point's cut ranks.  With K x-cuts and L y-cuts (K, L <= N + 2),
-L1 and L-infinity read the closed prefix counts one column at a time, in
-O(N) memory: one running row of point counts per y rank takes each x
-cut's points in turn, and a column is its prefix sums (`_columns`).
+sorted distinct cuts of each axis (0 and 1 included, ranked by integer
+keys) and each x cut's sorted y ranks; L1 and L2 also read the cuts as
+integers over each axis's common denominator, `PointSet.axes`.  With
+K x-cuts and L y-cuts (K, L <= N + 2), L1 and L-infinity read the closed
+prefix counts one column at a time, in O(N) memory: one running row of
+point counts per y rank takes each x cut's points in turn, and a column
+is its prefix sums (`_columns`).
 
   * L-infinity, O(K L) at worst: the sup is attained at (or as a
     one-sided limit toward) a grid corner.  At corner (i, j) the closed
@@ -99,14 +100,6 @@ def _check_grid_budget(grid: CellDecomposition) -> None:
         raise ResourceLimitError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS}-cell budget")
 
 
-def _y_ranks(grid: CellDecomposition) -> list[list[int]]:
-    """The y ranks of the points on each x cut, in increasing order."""
-    ranks: list[list[int]] = [[] for _ in grid.x_cuts]
-    for i, j in sorted(grid.point_ranks):
-        ranks[i].append(j)
-    return ranks
-
-
 def _columns(grid: CellDecomposition) -> Iterator[list[int]]:
     """The closed prefix counts, one column per x cut, in order.
 
@@ -118,7 +111,7 @@ def _columns(grid: CellDecomposition) -> Iterator[list[int]]:
     C pass.  The caller checks the grid budget first.
     """
     row = [0] * len(grid.y_cuts)
-    for js in _y_ranks(grid):
+    for js in grid.y_ranks:
         for j in js:
             row[j] += 1
         yield list(accumulate(row))
@@ -136,30 +129,31 @@ def l2_norm_sq(ps: PointSet) -> Fraction:
     points.  Coordinates are integer numerators over each axis's common
     denominator; one Fraction is built at the end.
     """
-    grid = ps.grid
-    n = len(grid)
-    (qx, xi), (qy, yi) = grid.axes
+    n = len(ps)
+    (qx, xi), (qy, yi) = ps.axes
     size = len(yi)
     tree_count = [0] * (size + 1)
     tree_sum = [0] * (size + 1)
     seen_sum = pair = single = 0
-    for i, j in sorted(grid.point_ranks):
-        u, v = qx - xi[i], qy - yi[j]
-        below_count = below_sum = 0
-        r = j + 1
-        while r:
-            below_count += tree_count[r]
-            below_sum += tree_sum[r]
-            r &= r - 1
-        # min(1 - p_y, 1 - q_y) is 1 - q_y for earlier q above p, else 1 - p_y
-        pair += u * (v + 2 * (seen_sum - below_sum + v * below_count))
-        seen_sum += v
-        r = j + 1
-        while r <= size:
-            tree_count[r] += 1
-            tree_sum[r] += v
-            r += r & -r
-        single += (qx * qx - xi[i] * xi[i]) * (qy * qy - yi[j] * yi[j])
+    for i, js in enumerate(ps.grid.y_ranks):
+        u, u2 = qx - xi[i], qx * qx - xi[i] * xi[i]
+        for j in js:
+            v = qy - yi[j]
+            below_count = below_sum = 0
+            r = j + 1
+            while r:
+                below_count += tree_count[r]
+                below_sum += tree_sum[r]
+                r &= r - 1
+            # min(1 - p_y, 1 - q_y) is 1 - q_y for earlier q above p, else 1 - p_y
+            pair += u * (v + 2 * (seen_sum - below_sum + v * below_count))
+            seen_sum += v
+            r = j + 1
+            while r <= size:
+                tree_count[r] += 1
+                tree_sum[r] += v
+                r += r & -r
+            single += u2 * (qy * qy - yi[j] * yi[j])
     q2 = (qx * qy) ** 2
     return Fraction(18 * pair * qx * qy - 9 * n * single + 2 * n * n * q2, 18 * q2)
 
@@ -197,7 +191,7 @@ class L1Form(NamedTuple):
     crossed: int
 
 
-def _l1_form(grid: CellDecomposition) -> L1Form:
+def _l1_form(ps: PointSet) -> L1Form:
     """The L1 integral split into an exact rational and a linear form in logs.
 
     Every cell contributes s * [k (b-a)(d-c) - N/4 (b^2-a^2)(d^2-c^2)] with
@@ -227,11 +221,12 @@ def _l1_form(grid: CellDecomposition) -> L1Form:
     Each of those goes to the integers of ln p - ln q or ln k - ln N, each
     split once into a power of two and an odd part.
     """
+    grid = ps.grid
     _check_grid_budget(grid)    # before any column or integer is built
     columns = _columns(grid)
-    n = len(grid)
+    n = len(ps)
     xs, ys = grid.x_cuts, grid.y_cuts
-    (qx, xi), (qy, yi) = grid.axes
+    (qx, xi), (qy, yi) = ps.axes
     y_sq = [v * v for v in yi]
     rows = [
         (j, yi[j + 1] - yi[j], y_sq[j + 1] - y_sq[j],
@@ -314,7 +309,7 @@ def l1_norm(ps: PointSet) -> L1Norm:
     ends' sum and difference are taken exactly and halved by a shift, and
     compared as Fractions; an exact result loads no mpmath.
     """
-    form = _l1_form(ps.grid)
+    form = _l1_form(ps)
     if not form.crossed:
         return L1Norm(form.rational, Fraction(0), True, 0)
     from ._interval import _fraction, _l1_enclosure, mp
@@ -421,12 +416,12 @@ def linf_norm(ps: PointSet) -> Fraction:
     """
     grid = ps.grid
     _check_grid_budget(grid)
-    n = len(grid)
+    n = len(ps)
     bound = math.ldexp(6 * n, -53)          # E, exact in floats
     slack = 4 * bound
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
     y_floats = [float(q) for q in grid.y_cuts]
-    ranks = _y_ranks(grid)
+    ranks = grid.y_ranks
     row = [0] * len(y_floats)
     for j in ranks[0]:
         row[j] += 1

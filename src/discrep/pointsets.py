@@ -14,11 +14,11 @@ ResourceLimitError before it is read, and so is a CSV file whose distinct
 powers of ten would take more than MAX_LITERAL_BITS bits in all; `read_csv`
 builds each of a file's powers of ten once.
 
-A set caches what the layers above read of it, such as the norms' O(N)
-grid, `CellDecomposition`, which sorts and ranks coordinates by integer
-keys and compares two of them as Fractions only when they lie within
-2^-64 of each other.  Both are `_Record`s: immutable values that keep
-such caches in their `__dict__`.
+A `PointSet` is immutable and caches in its `__dict__` what the layers
+above read of it: the norms' O(N) grid, `CellDecomposition`, which sorts
+and ranks coordinates by integer keys and compares two of them as
+Fractions only when they lie within 2^-64 of each other; the grid's axes
+as integers; and the trees' integers (`auxiliary._tree_integers`).
 """
 
 from __future__ import annotations
@@ -76,49 +76,33 @@ def as_coordinate(value) -> Fraction:
     return q
 
 
-class _Record:
-    """Equality, hash and repr by the fields named in `_fields`, for an
-    immutable value that caches what it computes in its `__dict__`, which
-    a NamedTuple has none of: `PointSet` and `CellDecomposition`.
-
-    `__init__` sets the fields once, by writing `__dict__`, and assignment
-    is refused afterwards: the caches assume the fields never change.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class PointSet(_Record):
-    """Ordered multiset of points; duplicates allowed and counted."""
-
-    _fields = ("points", "label")
+class PointSet:
+    """Ordered multiset of points; duplicates allowed and counted.  Equality,
+    hash and repr go by (points, label), and assignment and deletion raise
+    AttributeError: the caches assume the fields never change."""
 
     def __init__(self, points: Iterable, label: str = ""):
         self.__dict__.update(
             points=tuple(Point(as_coordinate(p[0]), as_coordinate(p[1])) for p in points),
             label=label,
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.label) == (other.points, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.label))
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self.points!r}, label={self.label!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PointSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PointSet is immutable")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -133,6 +117,13 @@ class PointSet(_Record):
     def grid(self) -> "CellDecomposition":
         """The set's `CellDecomposition`, built once."""
         return CellDecomposition.from_pointset(self)
+
+    @cached_property
+    def axes(self) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
+        """((x_den, x_ints), (y_den, y_ints)) with grid.x_cuts[i] == x_ints[i] / x_den
+        and x_den the lcm of the x cuts' denominators (likewise y), built once.  Kept
+        off the grid so that a kernel can refuse an oversize grid before building it."""
+        return _axis_integers(self.grid.x_cuts), _axis_integers(self.grid.y_cuts)
 
 
 def _axis_integers(cuts: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
@@ -162,42 +153,32 @@ def _axis_cuts(values: list[Fraction]) -> tuple[tuple[Fraction, ...], list[int]]
     return tuple(q for _, q in order), [rank[key] for key in keys]
 
 
-class CellDecomposition(_Record):
+class CellDecomposition(NamedTuple):
     """The grid cut by the point coordinates: O(N) entries, no count.
 
     x_cuts and y_cuts are the sorted distinct coordinates of each axis, 0
-    and 1 included, and point_ranks[k] holds the cut indices of point k;
-    `from_pointset` sorts and ranks them by integer keys (`_axis_cuts`).
-    axes, built on first read, is ((x_den, x_ints), (y_den, y_ints)) with
-    x_cuts[i] == x_ints[i] / x_den, x_den the lcm of the x cuts'
-    denominators (likewise y).  It stays lazy so that a kernel can refuse
-    an oversize grid before any axis integer is built.  No count is
-    stored: the L1 and L-infinity kernels keep one running row of counts
-    per y rank and take a column's closed-box counts as its prefix sums,
-    one x cut at a time.
+    and 1 included, and y_ranks[i] is the sorted tuple of the y ranks of
+    the points on x cut i, duplicates repeated; `from_pointset` sorts and
+    ranks the cuts by integer keys (`_axis_cuts`) and sorts the points'
+    rank pairs once.  No count is stored: the L1 and L-infinity kernels
+    keep one running row of counts per y rank, add each x cut's ranks to
+    it in turn and take a column's closed-box counts as its prefix sums.
     """
 
-    _fields = ("x_cuts", "y_cuts", "point_ranks")
-
-    def __init__(self, x_cuts: tuple[Fraction, ...], y_cuts: tuple[Fraction, ...],
-                 point_ranks: tuple[tuple[int, int], ...]):
-        self.__dict__.update(x_cuts=x_cuts, y_cuts=y_cuts, point_ranks=point_ranks)
+    x_cuts: tuple[Fraction, ...]
+    y_cuts: tuple[Fraction, ...]
+    y_ranks: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_pointset(cls, ps: PointSet) -> "CellDecomposition":
         if len(ps) < 1:
             raise ValueError("point set must be nonempty")
-        x_cuts, x_ranks = _axis_cuts([p.x for p in ps])
-        y_cuts, y_ranks = _axis_cuts([p.y for p in ps])
-        return cls(x_cuts, y_cuts, tuple(zip(x_ranks, y_ranks)))
-
-    @cached_property
-    def axes(self) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
-        return _axis_integers(self.x_cuts), _axis_integers(self.y_cuts)
-
-    def __len__(self) -> int:
-        """The number of points, duplicates counted."""
-        return len(self.point_ranks)
+        x_cuts, xr = _axis_cuts([p.x for p in ps])
+        y_cuts, yr = _axis_cuts([p.y for p in ps])
+        ranks: list[list[int]] = [[] for _ in x_cuts]
+        for i, j in sorted(zip(xr, yr)):
+            ranks[i].append(j)
+        return cls(x_cuts, y_cuts, tuple(map(tuple, ranks)))
 
 
 def check_point_budget(count: int, doublings: int = 0) -> None:

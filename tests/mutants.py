@@ -128,6 +128,26 @@ MUTANTS = (
         "two cuts within 2^-64 of each other share their key and are ordered as Fractions",
     ),
     Mutant(
+        "grid_y_ranks_grouped_unsorted", "pointsets.py",
+        "for i, j in sorted(zip(xr, yr)):", "for i, j in zip(xr, yr):",
+        ("test_grid_kernels.py::test_grid_matches_sort_and_bisect_oracle",),
+        "L-infinity's column bounds read each x cut's y ranks in increasing order",
+    ),
+    Mutant(
+        "l1_axes_before_the_grid_budget", "discrepancy.py",
+        "    _check_grid_budget(grid)    # before any column or integer is built\n",
+        "    ps.axes\n    _check_grid_budget(grid)    # before any column or integer is built\n",
+        ("test_grid_kernels.py::test_grid_budget_raises_before_building",),
+        "L1 refuses an oversize grid before any axis integer is built",
+    ),
+    Mutant(
+        "pointset_eq_without_its_class_check", "pointsets.py",
+        "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+        "",
+        ("test_pointsets.py::test_pointset_is_an_immutable_record_that_caches",),
+        "a point set equals only a point set, not a record of other type with its fields",
+    ),
+    Mutant(
         "linf_seeded_below_the_top_of_x_0", "discrepancy.py",
         "best_num, best_den = len(ranks[0]), 1",
         "best_num, best_den = len(ranks[0]) - ranks[0].count(len(row) - 1), 1",

@@ -65,12 +65,15 @@ def parse_coordinate_oracle(text: str) -> Fraction:
 
 
 def grid_oracle(ps: PointSet) -> CellDecomposition:
-    """The grid with the cuts sorted as Fractions and each point placed by
-    `bisect_left`, every comparison a cross-multiplication."""
+    """The grid with the cuts sorted as Fractions, each point placed by
+    `bisect_left`, every comparison a cross-multiplication, and each x
+    cut's y ranks sorted on their own."""
     xs = sorted({Fraction(0), Fraction(1), *(p.x for p in ps)})
     ys = sorted({Fraction(0), Fraction(1), *(p.y for p in ps)})
-    ranks = tuple((bisect_left(xs, p.x), bisect_left(ys, p.y)) for p in ps)
-    return CellDecomposition(tuple(xs), tuple(ys), ranks)
+    ranks: list[list[int]] = [[] for _ in xs]
+    for p in ps:
+        ranks[bisect_left(xs, p.x)].append(bisect_left(ys, p.y))
+    return CellDecomposition(tuple(xs), tuple(ys), tuple(tuple(sorted(js)) for js in ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +234,9 @@ def columns_oracle(grid: CellDecomposition):
     is refused first, as the kernels refuse it.
     """
     _check_grid_budget(grid)
-    nx, ny = len(grid.x_cuts), len(grid.y_cuts)
-    y_ranks: list[list[int]] = [[] for _ in range(nx)]
-    for i, j in grid.point_ranks:
-        y_ranks[i].append(j)
+    ny = len(grid.y_cuts)
     column = (0,) * ny
-    for js in y_ranks:
+    for js in grid.y_ranks:
         row = [0] * ny
         for j in js:
             row[j] += 1
@@ -318,7 +318,7 @@ def linf_exact_scan(ps: PointSet) -> Fraction:
     filter.
     """
     grid = ps.grid
-    n = len(grid)
+    n = len(ps)
     y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
     best_num, best_den = 0, 1
     strict_row = (0,) * len(y_parts)

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from fnmatch import fnmatchcase
 from fractions import Fraction
 from pathlib import Path
 
@@ -436,7 +438,7 @@ def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
         try:
             check(grid)
         except ResourceLimitError:
-            refused.append(len(grid))
+            refused.append(sum(map(len, grid.y_ranks)))
             raise
         raise AssertionError("the budget let an oversize grid through")
 
@@ -750,3 +752,92 @@ def test_golden_text_output(name, argv, capsys):
     code, stdout, _ = run(capsys, *argv)
     assert code == 0
     assert stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# The output contract (ROADMAP item 10): every number printed is exact, a
+# bound rounded in its safe direction, or a value printed with its error
+# field.  A path joins the dict keys down to a leaf with "." and skips list
+# indices; "*" matches any key.  A value named with its error field maps to
+# that field's path.
+EXACT, DOWN, UP = "exact", "rounded down", "rounded up"
+CONFIG_CONTRACT = {f"config.{k}": EXACT for k in ("seed", "samples", "precision", "max_level")}
+CONTRACT = {
+    "norms": {"n_points": EXACT, "l2_sq": EXACT, "linf": EXACT, "l1": "l1_err", "l1_err": UP},
+    # the built levels' sum of |R|^2 and the inner product over them are
+    # exact once a tree stabilizes, and bound the whole tree's otherwise
+    "aux": {"n_points": EXACT, "trees.i": EXACT, "trees.n": EXACT, "trees.l_star": EXACT,
+            "trees.levels.*": EXACT, "trees.sum_area_sq": DOWN, "trees.inner_product": UP},
+    "lemmas": {"n": EXACT, "skipped": EXACT},
+    "certificate": {"N": EXACT, "n": EXACT, "inner_product_sum": "inner_product_error",
+                    "inner_product_error": EXACT, "main_term": DOWN, "error_bound": UP,
+                    "l1_lower_bound": DOWN, "d_n_bound": DOWN},
+    "comb": {"n": EXACT, "k": EXACT, "A.*": EXACT},
+    "lin": {"n": EXACT, "order": EXACT},
+    "constants": {},
+}
+# Numbers printed today outside the contract, each a float rounded to
+# nearest (ROADMAP item 10).  The lin and constants bytes are pinned by the
+# benchmark's digests (ROADMAP item 1), so they change with those pins.
+PINNED = "ROADMAP items 10 and 1: rounded to nearest, and its bytes are pinned"
+KNOWN_VIOLATIONS = {
+    "norms": {"d_n": "ROADMAP item 10: L1 over sqrt(ln N) as a .12g float; a directed d_n "
+                     "needs an interval sqrt(ln N), which would load mpmath on exact sets"},
+    "lin": dict.fromkeys(("lin_n_sin", "series_crosscheck", "two_route_gap", "limit_sin",
+                          "sqrt_n_times_lin"), PINNED),
+    "constants": dict.fromkeys(("constants.*", "dn_lower_bound_table", "dn_lower_bound_limit"),
+                               PINNED),
+}
+EXACT_FORM = re.compile(r"-?\d+(/\d+)?")
+
+
+def _leaves(node, path=""):
+    """(path, value, the dict or list holding it) for every scalar of a payload."""
+    items = node.items() if isinstance(node, dict) else ((None, value) for value in node)
+    for key, value in items:
+        child = path if key is None else f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, child)
+        else:
+            yield child, value, node
+
+
+def _is_number(value) -> bool:
+    if value is None or isinstance(value, bool):
+        return False
+    try:
+        Fraction(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _kind(table: dict, path: str):
+    return next((kind for pattern, kind in table.items() if fnmatchcase(path, pattern)), None)
+
+
+def test_every_printed_number_is_exact_directed_or_carries_its_error(capsys):
+    unused = {(command, pattern) for command, known in KNOWN_VIOLATIONS.items()
+              for pattern in known}
+    for name, argv in GOLDEN_RUNS:
+        command = argv[0]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        table = {**CONFIG_CONTRACT, **CONTRACT[command]}
+        for path, value, holder in _leaves(json.loads(stdout)):
+            if not _is_number(value):
+                continue
+            known = _kind({p: p for p in KNOWN_VIOLATIONS.get(command, {})}, path)
+            if known is not None:
+                unused.discard((command, known))
+                continue
+            kind = _kind(table, path)
+            where = f"{name}: {path} = {value!r}"
+            assert kind is not None, f"{where} is neither exact, directed nor with its error"
+            if kind == EXACT:
+                assert type(value) is int or EXACT_FORM.fullmatch(value), f"{where} is not exact"
+            elif kind not in (DOWN, UP):
+                # the error field sits beside the value and is exact or rounded up
+                error_path = f"{path.rpartition('.')[0]}.{kind}".lstrip(".")
+                assert _is_number(holder.get(kind)), f"{where} is printed without {kind}"
+                assert table[error_path] in (EXACT, UP), f"{where}: {kind} may be low"
+    assert not unused, f"known violations no longer printed: {sorted(unused)}"

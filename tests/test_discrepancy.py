@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from discrep import _interval, discrepancy
+from discrep import _interval, discrepancy, pointsets
 from discrep._interval import _nstr_directed
 from discrep.cli import _norms_payload
 from discrep.discrepancy import (
@@ -265,7 +265,7 @@ def test_l1_value_and_error_are_the_enclosure(n, seed):
     # value - error and value + error are the ends of the enclosure, exactly
     ps = random_uniform(n, seed)
     norm = l1_norm(ps)
-    form = discrepancy._l1_form(ps.grid)
+    form = discrepancy._l1_form(ps)
     if form.crossed:
         lo, hi = _interval._l1_enclosure(form, L1_DPS)
         assert _exact(norm.value) - _exact(norm.error) == _exact(lo)
@@ -321,9 +321,9 @@ def test_norms_report_computes_l1_once(monkeypatch):
     calls = []
     form = discrepancy._l1_form
 
-    def counting(grid):
-        calls.append(len(grid))
-        return form(grid)
+    def counting(ps):
+        calls.append(len(ps))
+        return form(ps)
 
     monkeypatch.setattr(discrepancy, "_l1_form", counting)
     report = _norms_payload(random_uniform(16, seed=3), "all")
@@ -334,24 +334,37 @@ def test_norms_report_computes_l1_once(monkeypatch):
 def test_norms_report_builds_the_grid_once(monkeypatch):
     calls = []
     build = CellDecomposition.from_pointset
+    axis_calls = []
+    integers = pointsets._axis_integers
 
     def counting(ps):
         calls.append(len(ps))
         return build(ps)
 
+    def counting_axis(cuts):
+        axis_calls.append(len(cuts))
+        return integers(cuts)
+
     monkeypatch.setattr(CellDecomposition, "from_pointset", staticmethod(counting))
+    monkeypatch.setattr(pointsets, "_axis_integers", counting_axis)
     report = _norms_payload(random_uniform(16, seed=3), "all")
-    assert calls == [16]
+    # one grid, and one set of integers for x and one for y, shared by L1 and L2
+    assert calls == [16] and axis_calls == [18, 18]
+    # L-infinity reads no axis integer
+    axis_calls.clear()
+    assert report["linf"] == _norms_payload(random_uniform(16, seed=3), "linf")["linf"]
+    assert calls == [16, 16] and axis_calls == []
     assert report["linf"] == str(linf_norm(random_uniform(16, seed=3)))
     # every norm and both of lemma_suite's product checks share one set's grid
     calls.clear()
+    axis_calls.clear()
     ps = van_der_corput(2)
     l1_norm(ps), l2_norm_sq(ps), linf_norm(ps), _norms_payload(ps, "all")
     # n = 3: both product checks, (0, 3) and (0, 1, 3), read linf_norm
     suite = lemma_suite(ps)
     products = [c for c in suite.checks if c.name == "product_discrepancy_bound"]
     assert len(products) == 2 and not any(c.skipped for c in products)
-    assert calls == [4]
+    assert calls == [4] and axis_calls == [5, 5]
 
 
 SRC = Path(discrepancy.__file__).resolve().parents[1]

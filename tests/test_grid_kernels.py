@@ -349,7 +349,7 @@ def test_linf_column_bound_takes_its_float_slack(monkeypatch):
     # every candidate errs by at most E and every rise by at most 1.5E
     grid = ps.grid
     columns = list(oracles.columns_oracle(grid))
-    ranks = discrepancy._y_ranks(grid)
+    ranks = grid.y_ranks
     last = 0.0
     for i in range(1, len(grid.x_cuts)):
         x = grid.x_cuts[i]
@@ -436,7 +436,7 @@ def test_grid_matches_sort_and_bisect_oracle(ps):
 @given(point_sets)
 @add_examples
 def test_l1_terms_match_per_cell_oracle(ps):
-    form = _l1_form(CellDecomposition.from_pointset(ps))
+    form = _l1_form(ps)
     want_rational, want_logs = l1_terms_oracle(ps)
     assert form.rational == want_rational
     assert form.crossed == len(want_logs)
@@ -464,7 +464,7 @@ def test_l1_enclosure_matches_iv_objects(dps):
     # wider than theirs at dps
     inexact = 0
     for ps in (*ADVERSARIAL, random_uniform(32, seed=1), van_der_corput(5), prime_reciprocals(12)):
-        form = _l1_form(ps.grid)
+        form = _l1_form(ps)
         lo, hi = _l1_enclosure(form, dps)
         assert contains((lo, hi), l1_enclosure_iv(form, 4 * dps))
         assert width((lo, hi)) <= width(l1_enclosure_iv(form, dps))
@@ -481,7 +481,7 @@ def test_printed_l1_and_error_hold_the_norm(ps):
     # the printed l1 +- l1_err holds the `iv` objects' enclosure at 60 digits
     report = _norms_payload(ps, "l1")
     l1, err = Fraction(report["l1"]), Fraction(report["l1_err"])
-    form = _l1_form(ps.grid)
+    form = _l1_form(ps)
     if form.crossed:
         lo, hi = l1_enclosure_iv(form, 60)
         assert l1 - err <= exact(lo) and exact(hi) <= l1 + err
@@ -492,7 +492,7 @@ def test_printed_l1_and_error_hold_the_norm(ps):
 @settings(max_examples=100, deadline=None)
 @given(point_sets, st.sampled_from([5, 30, 60]))
 def test_l1_enclosure_holds_finer_iv_within_three_ulps(ps, dps):
-    form = _l1_form(ps.grid)
+    form = _l1_form(ps)
     lo, hi = _l1_enclosure(form, dps)
     assert contains((lo, hi), l1_enclosure_iv(form, 4 * dps))
     assert width((lo, hi)) <= 3 * ulp(hi, dps_to_prec(dps))
@@ -532,7 +532,7 @@ def test_l1_enclosure_logs_an_interval_holding_each_integer(monkeypatch, dps):
 
     monkeypatch.setattr(_interval, "mpf_log", recording_mpf)
     monkeypatch.setattr(_interval, "mpi_log", recording_mpi)
-    for form in (L1Form(Fraction(0), ((1, 3 ** 200),), 1, 1), _l1_form(DENOMINATOR_3_80.grid)):
+    for form in (L1Form(Fraction(0), ((1, 3 ** 200),), 1, 1), _l1_form(DENOMINATOR_3_80)):
         seen.clear()
         _l1_enclosure(form, dps)
         assert len(seen) == len(form.logs)
@@ -561,11 +561,11 @@ def cancelled(form):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(point_sets.map(lambda ps: _l1_form(ps.grid)), log_forms,
+@given(st.one_of(point_sets.map(_l1_form), log_forms,
                  log_forms.map(cancelled)),
        st.sampled_from([1, 5, 12, 20, 30, 50]))
 @example(L1Form(Fraction(0), ((1, 3 ** 200),), 1, 1), 5)
-@example(_l1_form(DENOMINATOR_3_80.grid), 30)
+@example(_l1_form(DENOMINATOR_3_80), 30)
 def test_l1_enclosure_is_bit_equal_to_two_logs_per_integer(form, dps):
     # the next w-bit float above ln m rounded down is ln m rounded up
     got, want = _l1_enclosure(form, dps), oracles.l1_enclosure_two_logs(form, dps)
@@ -627,11 +627,13 @@ def test_grid_fields_agree():
     grid = CellDecomposition.from_pointset(ps)
     assert grid.x_cuts == (0, Fraction(1, 3), 1)
     assert grid.y_cuts == (0, Fraction(1, 4), Fraction(3, 5), 1)
-    (x_den, x_ints), (y_den, y_ints) = grid.axes
+    # x = 0 holds (0, 3/5), x = 1/3 holds y = 1/4 and y = 1, x = 1 none
+    assert grid.y_ranks == ((2,), (1, 3), ())
+    assert ps.grid == grid
+    (x_den, x_ints), (y_den, y_ints) = ps.axes
     assert x_den == 3 and y_den == 20
     assert [Fraction(v, x_den) for v in x_ints] == list(grid.x_cuts)
     assert [Fraction(v, y_den) for v in y_ints] == list(grid.y_cuts)
-    assert grid.point_ranks == ((1, 1), (1, 3), (0, 2))
     table = tuple(_columns(grid))
     for i, x in enumerate(grid.x_cuts):
         for j, y in enumerate(grid.y_cuts):
@@ -695,7 +697,7 @@ def test_grid_budget_raises_before_building(kernel, monkeypatch):
         try:
             check(grid)
         except ResourceLimitError:
-            refused.append(len(grid))
+            refused.append(sum(map(len, grid.y_ranks)))
             raise
         raise AssertionError("the budget let an oversize grid through")
 

@@ -1,6 +1,7 @@
 """Generators, transforms, and exact CSV round trips."""
 
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,32 @@ def test_symmetrize():
 def test_pointset_validates_range():
     with pytest.raises(ValueError):
         PointSet((Point(Fraction(3, 2), Fraction(0)),))
+
+
+def test_pointset_is_an_immutable_record_that_caches(tmp_path):
+    a = PointSet(((Fraction(1, 3), 0), (1, Fraction(1, 2))), label="s")
+    b = PointSet(a.points, label="s")
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != PointSet(a.points, label="t")
+    # a record of other type with the same fields is not a point set
+    fields = namedtuple("PointSet", "points label")(a.points, a.label)
+    assert a != fields and fields != a
+    assert a != (a.points, a.label)
+    assert repr(a) == f"PointSet(points={a.points!r}, label='s')"
+    # a set read from CSV is built without __init__, and is the same value
+    write_csv(a, tmp_path / "s.csv")
+    back = read_csv(tmp_path / "s.csv")
+    assert back == a and hash(back) == hash(a)
+    for name in ("points", "label", "grid", "axes"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(a, name, None)
+    grid, axes = a.grid, a.axes
+    for name in ("points", "label", "grid", "axes", "missing"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(a, name)
+    # each cache is built once per set and kept
+    assert a.grid is grid and a.axes is axes and _tree_integers(a) is _tree_integers(a)
+    assert a.points == b.points and a.label == "s" and a.grid == b.grid
 
 
 def parse(text):
