@@ -49,7 +49,12 @@ stay on integers:
     is min(S, the largest exponent) on an axis whose denominators are all
     powers of two, and S on any other, so the cell at scale k, floor(x 2^k),
     is X >> (E - k) for k <= E and X << (k - E) beyond: exact there, as
-    every coordinate of such an axis is a multiple of 2^-E (`_shifts`);
+    every coordinate of such an axis is a multiple of 2^-E (`_shifts`).
+    The record also holds each point's cells at scale n, floor(x 2^n) and
+    floor(y 2^n), whose top bits are its level-0 cells in every direction;
+  * every bucket key is one integer: at level 0 the two cells' prefixes
+    side by side, below 2^n, and deeper the two cells' integers side by
+    side, so no tuple is built per point;
   * equal points always share a cell, so a level's cluster count never
     exceeds the number of distinct interior points, and stabilization is
     the first level where the two are equal;
@@ -57,6 +62,8 @@ stay on integers:
     scale passes its split scale, and no container is made per point
     (`build_tree`): per-point lists and tuples made CPython's cyclic
     collector run often, and its full passes walk every live object;
+  * a level's cell area, 2^-(scale_x + scale_y), is read from its scales
+    (`LevelRecord.rect_area`), so no Fraction is built per level;
   * the product checks walk each tree only through cells nested with the
     current intersection, carry each piece's sign as a running parity of
     index bits, and keep signed and plain piece counts per area exponent
@@ -119,7 +126,11 @@ class LevelRecord(NamedTuple):
     width_x: int
     width_y: int
     empty_count: int
-    rect_area: Fraction
+
+    @property
+    def rect_area(self) -> Fraction:
+        """The area 2^-(scale_x + scale_y) of each of the level's cells."""
+        return Fraction(1, 1 << (self.scale_x + self.scale_y))
 
     @property
     def occupied(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -172,6 +183,8 @@ class _TreeIntegers(NamedTuple):
     width_y: int                # E along y, likewise
     xs: tuple[int, ...]         # floor(x 2^width_x) per point
     ys: tuple[int, ...]         # floor(y 2^width_y) per point
+    cx: tuple[int, ...]         # floor(x 2^n) per point, its cell at scale n
+    cy: tuple[int, ...]         # floor(y 2^n) per point
     interior: tuple[int, ...]   # the indices of the points off x = 1 and y = 1
     distinct: int               # how many of those are distinct
     lone: tuple[Cluster, ...]   # each point's one-point cluster
@@ -188,11 +201,16 @@ def _tree_integers(ps: PointSet) -> _TreeIntegers:
     bits, and S on any other axis: S bits tell apart every cell a tree
     reaches.  Points closer than 2^-S may share their integers, so
     distinct points are told apart on their exact coordinates: a tree of
-    such twins never stabilizes."""
+    such twins never stabilizes.
+
+    Each point's cells at scale n, cx = floor(x 2^n) and cy = floor(y 2^n),
+    are read once from those integers by `_shifts`: every level 0 keys on
+    their top bits (`build_tree`) and never shifts the E-bit integers."""
     record = ps.__dict__.get("_tree_integers")
     if record is None:
         points = ps.points
-        scale = (n_from_pointcount(len(points)) + 1) * (HARD_LEVEL_CAP + 1)
+        n = n_from_pointcount(len(points))
+        scale = (n + 1) * (HARD_LEVEL_CAP + 1)
         axes = tuple(zip(*points))
         widths = []
         for axis in axes:
@@ -201,13 +219,15 @@ def _tree_integers(ps: PointSet) -> _TreeIntegers:
             widths.append(min(scale, max(dens).bit_length() - 1) if dyadic else scale)
         xs, ys = (tuple((q.numerator << width) // q.denominator for q in axis)
                   for axis, width in zip(axes, widths))
+        cx, cy = (tuple(v >> r << l for v in ints)
+                  for ints, (r, l) in zip((xs, ys), (_shifts(w, n) for w in widths)))
         interior = tuple(t for t, (x, y) in enumerate(points)
                          if x.numerator < x.denominator and y.numerator < y.denominator)
         distinct = len({(x.numerator, x.denominator, y.numerator, y.denominator)
                         for x, y in (points[t] for t in interior)})
         lone = tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys)))
         record = ps.__dict__["_tree_integers"] = _TreeIntegers(
-            scale, *widths, xs, ys, interior, distinct, lone)
+            scale, *widths, xs, ys, cx, cy, interior, distinct, lone)
     return record
 
 
@@ -220,14 +240,20 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     EXTRA_LEVELS past stabilization, with a hard cap of HARD_LEVEL_CAP
     levels; an unstabilized tree keeps its residual mass bound.
 
-    The tree reads the set only through its `_TreeIntegers`: cells come
-    from each axis's integers X = floor(x 2^E) at its width E, and level 0
-    buckets the points off x = 1 and y = 1.  At scale k the bucket key is
-    X >> max(E - k, 0): past E it is X itself, which parts the points as
-    their cells X << (k - E) do.  Each cluster records, when it is formed,
-    the last level at which all its members still share a cell: its split
-    scale along x is E minus the bit length of the OR of X ^ X0 over its
-    members (X0 its first member's) when that OR is nonzero, and
+    The tree reads the set only through its `_TreeIntegers`.  Level 0
+    buckets the points off x = 1 and y = 1 on one small integer each, made
+    from their n-bit cells cx = floor(x 2^n) and cy = floor(y 2^n): the
+    level-0 cell (floor(x 2^i), floor(y 2^(n-i))) is (cx >> (n-i), cy >> i),
+    so cx & (-1 << (n-i)) | cy >> i, below 2^n, tells the cells apart.  A
+    deeper level at scales (kx, ky) keys a point on its integers
+    X = floor(x 2^E_x) and Y = floor(y 2^E_y) as
+    X >> dx << (E_y - dy) | Y >> dy, with d = max(E - k, 0) per axis: past
+    E the key holds X itself, which parts the points as their cells
+    X << (k - E) do, and Y >> dy stays below 2^(E_y - dy).  Each cluster
+    records, when it is formed, the last level at which all its members
+    still share a cell: its split scale along x is E_x minus the bit
+    length of the OR of X ^ X0 over its members (X0 its first member's;
+    one XOR for a pair) when that OR is nonzero, and
     S = (n+1)(HARD_LEVEL_CAP+1), past every scale a level reaches, when
     it is zero, as members equal along x never split along it; likewise
     along y.  Until that level the cluster moves whole to the child cell
@@ -247,12 +273,13 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     Nothing is allocated per point, since per-point containers drive the
     cyclic garbage collector.  A one-point cluster is the set's shared
     one (the record's `lone`), so every tree and level reuses it.  While
-    bucketing, a cell holds a lone member as its bare index, and a list
-    is made only when a second point lands there.  A formed two-point
-    cluster (last >= 0) always parts into two one-point cells at the
-    level after its last whole one, so its members' shared clusters are
-    emitted in member order with no bucketing; the root (last = -1) is
-    always bucketed.
+    bucketing, a cell holds its first point's shared cluster, and only a
+    cell that a second point lands in is rewritten, first as a list of
+    members and then as the cluster they form.  A formed two-point
+    cluster always parts into two one-point cells at the level after its
+    last whole one, so its members' shared clusters are emitted in member
+    order with no bucketing; the root, split at level 0, is always
+    bucketed.
     """
     n = n_from_pointcount(len(ps))
     if not 0 <= direction <= n:
@@ -265,76 +292,60 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
                 f"max_level {max_level} exceeds the cap of {HARD_LEVEL_CAP} levels"
             )
     step = n + 1
-    scale, wx, wy, xs, ys, interior, distinct, lone = _tree_integers(ps)
+    scale, wx, wy, xs, ys, cx, cy, interior, distinct, lone = _tree_integers(ps)
     children = 1 << (2 * step)
+    kx, ky = direction, n - direction
+
+    def bucket(members: Sequence[int], keys: Sequence[int], formed: list[Cluster]) -> int:
+        """Append the parts of `members`, one per distinct key in order of
+        first appearance, to `formed`; return the least last whole level
+        of those that hold two points or more (HARD_LEVEL_CAP if none)."""
+        least = HARD_LEVEL_CAP
+        parts: dict[int, Cluster | list[int]] = {}
+        get = parts.get
+        grown: list[int] = []       # the keys of the cells with two points or more
+        for t, key in zip(members, keys):
+            part = get(key)
+            if part is None:
+                parts[key] = lone[t]
+            elif type(part) is tuple:
+                parts[key] = [part[0][0], t]
+                grown.append(key)
+            else:
+                part.append(t)
+        for key in grown:
+            part = parts[key]
+            x0, y0 = xs[part[0]], ys[part[0]]
+            if len(part) == 2:
+                ax, ay = x0 ^ xs[part[1]], y0 ^ ys[part[1]]
+            else:
+                ax = ay = 0
+                for t in part:
+                    ax |= xs[t] ^ x0
+                    ay |= ys[t] ^ y0
+            last = ((wx - ax.bit_length() if ax else scale) - direction) // step
+            last_y = ((wy - ay.bit_length() if ay else scale) - (n - direction)) // step
+            if last_y < last:
+                last = last_y
+            parts[key] = (tuple(part), x0, y0, last)
+            if last < least:
+                least = last
+        formed.extend(parts.values())
+        return least
 
     # Level 0 splits the root, the unit square's cluster of the interior points.
-    clusters: tuple[Cluster, ...] = ((interior, 0, 0, -1),)
-    next_split = 0
-    kx, ky = direction, n - direction
+    formed: list[Cluster] = []
+    mask = -1 << (n - direction)
+    next_split = bucket(interior, [cx[t] & mask | cy[t] >> direction for t in interior],
+                        formed) + 1
+    clusters = tuple(formed)
     levels: list[LevelRecord] = []
     stabilization: int | None = None
 
     level = 0
     while True:
-        parents = len(clusters)
-        if level >= next_split:
-            # Child cells of distinct parents are disjoint, so each cluster
-            # that splits is bucketed on its own and its parts follow each
-            # other in `formed`: the clusters come out in parent order.
-            dx, dy = max(wx - kx, 0), max(wy - ky, 0)
-            formed: list[Cluster] = []
-            # the least last whole level, carried or formed; a lone
-            # cluster's is HARD_LEVEL_CAP, so it lowers nothing
-            next_split = HARD_LEVEL_CAP
-            for c in clusters:
-                if level <= c[3]:
-                    formed.append(c)
-                    if c[3] < next_split:
-                        next_split = c[3]
-                    continue
-                members = c[0]
-                if len(members) == 2 and c[3] >= 0:
-                    # a formed pair's members part at the level after its
-                    # last whole one; bucketing keeps member order
-                    formed.append(lone[members[0]])
-                    formed.append(lone[members[1]])
-                    continue
-                # a lone part is its bare index until a second point lands
-                parts: dict[tuple[int, int], int | list[int]] = {}
-                for t in members:
-                    key = (xs[t] >> dx, ys[t] >> dy)
-                    part = parts.get(key)
-                    if part is None:
-                        parts[key] = t
-                    elif type(part) is int:
-                        parts[key] = [part, t]
-                    else:
-                        part.append(t)
-                for part in parts.values():
-                    if type(part) is int:
-                        formed.append(lone[part])
-                        continue
-                    x0, y0 = xs[part[0]], ys[part[0]]
-                    ax = ay = 0
-                    for t in part:
-                        ax |= xs[t] ^ x0
-                        ay |= ys[t] ^ y0
-                    last = ((wx - ax.bit_length() if ax else scale) - direction) // step
-                    last_y = ((wy - ay.bit_length() if ay else scale) - (n - direction)) // step
-                    if last_y < last:
-                        last = last_y
-                    formed.append((tuple(part), x0, y0, last))
-                    if last < next_split:
-                        next_split = last
-            clusters = tuple(formed)
-            next_split += 1
         cells = (1 << n) if level == 0 else children * parents
-        area = Fraction(1, 1 << (n + 2 * step * level))
-        levels.append(
-            LevelRecord(level, kx, ky, clusters, wx, wy, cells - len(clusters), area)
-        )
-
+        levels.append(LevelRecord(level, kx, ky, clusters, wx, wy, cells - len(clusters)))
         if stabilization is None and len(clusters) == distinct:
             stabilization = level
         if max_level is not None:
@@ -348,6 +359,36 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         level += 1
         kx += step
         ky += step
+        parents = len(clusters)
+        if level < next_split:
+            continue
+        # Child cells of distinct parents are disjoint, so each cluster
+        # that splits is bucketed on its own and its parts follow each
+        # other in `formed`: the clusters come out in parent order.
+        dx, dy = max(wx - kx, 0), max(wy - ky, 0)
+        y_bits = wy - dy                    # Y >> dy < 2^y_bits
+        formed = []
+        # the least last whole level, carried or formed; a lone cluster's
+        # is HARD_LEVEL_CAP, so it lowers nothing
+        least = HARD_LEVEL_CAP
+        for c in clusters:
+            if level <= c[3]:
+                formed.append(c)
+                if c[3] < least:
+                    least = c[3]
+                continue
+            members = c[0]
+            if len(members) == 2:
+                # a formed pair's members part at the level after its
+                # last whole one; bucketing keeps member order
+                formed.append(lone[members[0]])
+                formed.append(lone[members[1]])
+                continue
+            last = bucket(members, [xs[t] >> dx << y_bits | ys[t] >> dy for t in members], formed)
+            if last < least:
+                least = last
+        clusters = tuple(formed)
+        next_split = least + 1
 
     return AuxFamilyTree(ps, direction, n, tuple(levels), stabilization)
 
@@ -623,7 +664,9 @@ class SuiteReport(NamedTuple):
 
 
 def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
-    """Counting identities: empties + occupied exhaust the parent cells."""
+    """Counting identities: empties + occupied exhaust the parent cells, at
+    most N cells are occupied, and the cell area 2^-(scale_x + scale_y) is
+    2^-(n + 2(n+1) l) at level l."""
     n, count = tree.n, tree.point_count
     children = 1 << (2 * (n + 1))
     for rec in tree.levels:
@@ -641,7 +684,7 @@ def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
                 "level_counts", False,
                 f"i={tree.direction} l={rec.level}: occupied {occupied} > N={count}",
             )
-        if rec.rect_area != Fraction(1, 1 << (n + 2 * (n + 1) * rec.level)):
+        if rec.scale_x + rec.scale_y != n + 2 * (n + 1) * rec.level:
             return CheckResult(
                 "level_counts", False, f"i={tree.direction} l={rec.level}: wrong area"
             )

@@ -335,7 +335,9 @@ def linf_norm(ps: PointSet) -> Fraction:
     takes each x cut's points in turn, and a column C_i is its prefix
     sums: those before x_i's points are added give the strict counts of
     column i, shifted down one y cut, and those after give its closed
-    counts.  Each is built only when its side can still hold the maximum.
+    counts.  Each is built only when its side can still hold the maximum,
+    and column i's strict counts are [0, *C_(i-1)[:-1]], with no prefix
+    sums taken, when column i - 1's closed side was built.
 
     The x = 0 column is read exactly: there Nxy = 0 and every strict
     count is 0, so each candidate is its closed count, and the column's
@@ -430,6 +432,7 @@ def linf_norm(ps: PointSet) -> Fraction:
     high = closed_top = float(best_num)
     strict_top = 0.0
     p_last, ys_last = 0.0, [y_floats[j] for j in ranks[0]]
+    closed = None                           # the last column's closed counts, if built
     for x, js in zip(grid.x_cuts[1:], ranks[1:]):
         p = n * float(x)
         d = p - p_last
@@ -440,11 +443,14 @@ def linf_norm(ps: PointSet) -> Fraction:
         needed = high - bound               # a side whose bound is below cannot hold the max
         sides = []
         if strict_top >= needed:
-            sides.append((-1, list(accumulate(row[:-1], initial=0))))
+            strict = (list(accumulate(row[:-1], initial=0)) if closed is None
+                      else [0, *closed[:-1]])
+            sides.append((-1, strict))
         for j in js:
             row[j] += 1
-        if closed_top >= needed:
-            sides.append((1, list(accumulate(row))))
+        closed = list(accumulate(row)) if closed_top >= needed else None
+        if closed is not None:
+            sides.append((1, closed))
         if not sides:
             continue
         nxy = list(map(p.__mul__, y_floats))

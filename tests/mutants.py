@@ -71,21 +71,34 @@ MUTANTS = (
         "a negative coefficient takes its lower end from the log's upper end",
     ),
     Mutant(
-        "root_pair_split_without_bucketing", "auxiliary.py",
-        "if len(members) == 2 and c[3] >= 0:", "if len(members) == 2:",
+        "level_0_mask_one_bit_short", "auxiliary.py",
+        "mask = -1 << (n - direction)", "mask = -1 << (n - direction + 1)",
         ("test_auxiliary.py::test_bucket_and_tree_match_fraction_floor",),
-        "the root's two points may share their level-0 cell, so the root is bucketed",
+        "a level-0 key keeps the top i of the n bits of x's cell, below them y's top n - i",
+    ),
+    Mutant(
+        "level_0_y_prefix_one_bit_short", "auxiliary.py",
+        "cx[t] & mask | cy[t] >> direction", "cx[t] & mask | cy[t] >> (direction + 1)",
+        ("test_auxiliary.py::test_bucket_and_tree_match_fraction_floor",),
+        "level 0 of direction i cuts y at scale n - i, the top n - i bits of its n-bit cell",
+    ),
+    Mutant(
+        "rect_area_from_scale_x_alone", "auxiliary.py",
+        "1 << (self.scale_x + self.scale_y)", "1 << (2 * self.scale_x)",
+        ("test_auxiliary.py::test_singleton_tree_levels",
+         "test_auxiliary.py::test_inner_product_deep_truncation_matches_tail"),
+        "a cell's area is 2^-(scale_x + scale_y), and the two scales differ off i = n/2",
     ),
     Mutant(
         "pair_members_in_reverse_order", "auxiliary.py",
-        "formed.append(lone[members[0]])\n                    formed.append(lone[members[1]])",
-        "formed.append(lone[members[1]])\n                    formed.append(lone[members[0]])",
+        "formed.append(lone[members[0]])\n                formed.append(lone[members[1]])",
+        "formed.append(lone[members[1]])\n                formed.append(lone[members[0]])",
         ("test_auxiliary.py::test_bucket_and_tree_match_fraction_floor",),
         "a parted pair's clusters come out in member order, as bucketing would emit them",
     ),
     Mutant(
         "fresh_one_point_cluster", "auxiliary.py",
-        "formed.append(lone[part])", "formed.append(((part,), xs[part], ys[part], HARD_LEVEL_CAP))",
+        "parts[key] = lone[t]", "parts[key] = ((t,), xs[t], ys[t], HARD_LEVEL_CAP)",
         ("test_auxiliary.py::test_lone_clusters_are_shared_across_trees_and_builds",),
         "every tree and level shares each point's one one-point cluster",
     ),
@@ -97,10 +110,10 @@ MUTANTS = (
     ),
     Mutant(
         "next_split_lowered_only_by_formed_clusters", "auxiliary.py",
-        "                    formed.append(c)\n"
-        "                    if c[3] < next_split:\n"
-        "                        next_split = c[3]\n",
-        "                    formed.append(c)\n",
+        "                formed.append(c)\n"
+        "                if c[3] < least:\n"
+        "                    least = c[3]\n",
+        "                formed.append(c)\n",
         ("test_auxiliary.py::test_clusters_split_where_the_oracle_splits_them",),
         "a cluster carried whole may split before every cluster formed on this level",
     ),
@@ -262,6 +275,12 @@ MUTANTS = (
         "k - d * fy for", "k - 2 * d * fy for",
         ("test_discrepancy.py::test_linf_matches_the_closed_form_of_van_der_corput",),
         "the closed side's maximum rises by k - N Delta y, with N Delta y taken once",
+    ),
+    Mutant(
+        "linf_strict_side_copied_unshifted", "discrepancy.py",
+        "else [0, *closed[:-1]])", "else closed)",
+        ("test_grid_kernels.py::test_linf_takes_a_strict_side_from_the_last_closed_column",),
+        "column i's strict counts are column i - 1's closed counts shifted down one y cut",
     ),
     Mutant(
         "l1_zero_at_the_upper_corner_counted_crossed", "discrepancy.py",

@@ -397,8 +397,12 @@ def test_level_counts_fails_more_clusters_than_points():
 
 
 def test_level_counts_fails_a_wrong_area():
+    # the area is read from the scales, so a scale one too fine halves it
     trees = build_trees(ORIGIN)
-    trees[1] = _with_level(trees[1], 1, rect_area=trees[1].levels[1].rect_area * 2)
+    rec = trees[1].levels[1]
+    assert rec.rect_area == Fraction(1, 1 << (rec.scale_x + rec.scale_y)) == Fraction(1, 32)
+    trees[1] = _with_level(trees[1], 1, scale_x=rec.scale_x + 1)
+    assert trees[1].levels[1].rect_area == Fraction(1, 64)
     assert _failed_check(ORIGIN, trees, "level_counts") == "i=1 l=1: wrong area"
 
 
@@ -693,6 +697,12 @@ def assert_tree_matches_oracle(ps, tree):
                    Point(Fraction(1, 4), Fraction(1, 3) + Fraction(1, 1 << 20)))), 0, 0)
 @example(PointSet((Point(Fraction(1, 3), Fraction(1, 4)),
                    Point(Fraction(1, 3) + Fraction(1, 1 << 20), Fraction(1, 4)))), 0, 0)
+# n = 2: a pair whose n-bit cells differ in their last bit along x, which
+# level 0 of direction n parts, and the transpose, parted by direction 0
+@example(PointSet((Point(Fraction(1, 8), Fraction(1, 3)),
+                   Point(Fraction(3, 8), Fraction(1, 3)))), 0, 0)
+@example(PointSet((Point(Fraction(1, 3), Fraction(1, 8)),
+                   Point(Fraction(1, 3), Fraction(3, 8)))), 0, 0)
 def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
     # an axis's width E is the least e <= S at which all its coordinates
     # are multiples of 2^-e, else S; a shift of its integers (right up to
@@ -933,9 +943,11 @@ RECORD_SETS = (
     # dyadic twins 2^-1000 apart: finer than 2^-S, so the width stops at S
     (PointSet(((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 4) + TWIN_GAP, Fraction(1, 2)))),
      None, 1),
-    # 53-bit and m-bit coordinates keep 53 and m bits
+    # 53-bit and m-bit coordinates keep 53 and m bits; a van der Corput
+    # set's n is m + 1, past its width, so its n-bit cells are shifted left
     (random_uniform(64, 1), 53, 53),
     (van_der_corput(6), 6, 6),
+    (van_der_corput(1), 1, 1),
 )
 
 
@@ -954,6 +966,9 @@ def test_tree_integers_match_fraction_oracle(ps, width_x, width_y):
     assert (record.width_x, record.width_y) == widths
     assert record.xs == tuple(math.floor(p.x * (1 << widths[0])) for p in ps)
     assert record.ys == tuple(math.floor(p.y * (1 << widths[1])) for p in ps)
+    # each point's cells at scale n, which level 0 keys on: 2^n on x = 1
+    assert record.cx == tuple(math.floor(p.x * 2**n) for p in ps)
+    assert record.cy == tuple(math.floor(p.y * 2**n) for p in ps)
     # the memory: an axis holds integers of at most its width's bits, one
     # more for a coordinate 1, so a dyadic one no more than its exponent's
     for axis, ints, width in ((0, record.xs, widths[0]), (1, record.ys, widths[1])):

@@ -33,7 +33,9 @@ from discrep.discrepancy import (
     linf_norm,
 )
 from discrep.errors import ResourceLimitError
-from discrep.pointsets import Point, PointSet, random_uniform, read_csv, van_der_corput
+from discrep.pointsets import (
+    Point, PointSet, random_uniform, read_csv, symmetrize, van_der_corput,
+)
 from discrep.testfn import _error_weights, certificate
 from oracles import (
     _iv_precision,
@@ -387,6 +389,30 @@ def test_linf_builds_only_the_columns_that_can_hold_the_maximum(monkeypatch):
     monkeypatch.setattr(discrepancy, "accumulate", counted)
     assert linf_norm(ps) == linf_exact_scan(ps)
     assert len(built) < 513 / 3
+
+
+def test_linf_takes_a_strict_side_from_the_last_closed_column(monkeypatch):
+    # each side built takes one `sub` per y cut; a strict side whose last
+    # column's closed side was built copies it shifted down one cut, so
+    # only the other sides take prefix sums
+    prefix_sums, minus = discrepancy.accumulate, discrepancy.sub
+    built, subtracted = [], []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return prefix_sums(*args, **kwargs)
+
+    def counted_sub(a, b):
+        subtracted.append(1)
+        return minus(a, b)
+
+    ps = symmetrize(van_der_corput(8))
+    monkeypatch.setattr(discrepancy, "accumulate", counted)
+    monkeypatch.setattr(discrepancy, "sub", counted_sub)
+    assert linf_norm(ps) == linf_exact_scan(ps) == Fraction(143, 32)
+    sides, rest = divmod(len(subtracted), len(ps.grid.y_cuts))
+    assert (sides, rest) == (321, 0)
+    assert len(built) == 231
 
 
 @settings(max_examples=150, deadline=None)
