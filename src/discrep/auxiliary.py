@@ -42,12 +42,12 @@ Every rectangle is an integer address (kx, ky, jx, jy), the cell
 [jx 2^-kx, (jx+1) 2^-kx) x [jy 2^-ky, (jy+1) 2^-ky), and the hot loops
 stay on integers:
 
-  * each point set reads every coordinate once as a fixed-point integer
-    X = floor(x 2^E) at its axis's own width E (`_tree_integers`, one
-    record per set, which its n + 1 trees share).  With
+  * each point set reads every coordinate a / D once as a fixed-point
+    integer X = floor(x 2^E) at its axis's own width E (`_tree_integers`,
+    one record per set, which its n + 1 trees share).  With
     S = (n+1)(HARD_LEVEL_CAP+1) past the finest scale any tree reaches, E
-    is min(S, the largest exponent) on an axis whose denominators are all
-    powers of two, and S on any other, so the cell at scale k, floor(x 2^k),
+    is min(S, k) on an axis with D = 2^k, whose integers are then its
+    numerators, and S on any other, so the cell at scale k, floor(x 2^k),
     is X >> (E - k) for k <= E and X << (k - E) beyond: exact there, as
     every coordinate of such an axis is a multiple of 2^-E (`_shifts`).
     The record also holds each point's cells at scale n, floor(x 2^n) and
@@ -179,9 +179,9 @@ class _TreeIntegers(NamedTuple):
     """All that the trees read of one set (`_tree_integers`)."""
 
     scale: int                  # S = (n+1)(HARD_LEVEL_CAP+1)
-    width_x: int                # E along x: min(S, largest exponent) if dyadic, else S
+    width_x: int                # E along x: min(S, k) if D = 2^k, else S
     width_y: int                # E along y, likewise
-    xs: tuple[int, ...]         # floor(x 2^width_x) per point
+    xs: tuple[int, ...]         # floor(x 2^width_x) per point: the numerators if D = 2^E
     ys: tuple[int, ...]         # floor(y 2^width_y) per point
     cx: tuple[int, ...]         # floor(x 2^n) per point, its cell at scale n
     cy: tuple[int, ...]         # floor(y 2^n) per point
@@ -195,36 +195,37 @@ def _tree_integers(ps: PointSet) -> _TreeIntegers:
     read one record and share the one-point clusters ((t,), X[t], Y[t],
     HARD_LEVEL_CAP), as a lone point never splits.
 
-    Each axis has one width E, and every coordinate on it is stored as
-    floor(x 2^E).  E is min(S, the largest exponent) on an axis whose
-    denominators are all powers of two, so a 53-bit coordinate keeps 53
-    bits, and S on any other axis: S bits tell apart every cell a tree
-    reaches.  Points closer than 2^-S may share their integers, so
-    distinct points are told apart on their exact coordinates: a tree of
-    such twins never stabilizes.
+    Each axis has one width E, and every coordinate a / D on it is stored
+    as X = floor(a 2^E / D), read from the set's numerators (`PointSet.axes`).
+    On an axis with D = 2^k, E = min(S, k), so X is the numerator itself,
+    shifted down only past S bits, and a 53-bit coordinate keeps 53 bits;
+    on any other axis E = S and X = (a << S) // D: S bits tell apart every
+    cell a tree reaches.  Points closer than 2^-S may share their integers,
+    so distinct points are told apart on their numerators: a tree of such
+    twins never stabilizes.
 
     Each point's cells at scale n, cx = floor(x 2^n) and cy = floor(y 2^n),
     are read once from those integers by `_shifts`: every level 0 keys on
     their top bits (`build_tree`) and never shifts the E-bit integers."""
     record = ps.__dict__.get("_tree_integers")
     if record is None:
-        points = ps.points
-        n = n_from_pointcount(len(points))
+        (dx, xnum), (dy, ynum) = ps.axes
+        n = n_from_pointcount(len(xnum))
         scale = (n + 1) * (HARD_LEVEL_CAP + 1)
-        axes = tuple(zip(*points))
-        widths = []
-        for axis in axes:
-            dens = {q.denominator for q in axis}
-            dyadic = all(d & (d - 1) == 0 for d in dens)
-            widths.append(min(scale, max(dens).bit_length() - 1) if dyadic else scale)
-        xs, ys = (tuple((q.numerator << width) // q.denominator for q in axis)
-                  for axis, width in zip(axes, widths))
-        cx, cy = (tuple(v >> r << l for v in ints)
-                  for ints, (r, l) in zip((xs, ys), (_shifts(w, n) for w in widths)))
-        interior = tuple(t for t, (x, y) in enumerate(points)
-                         if x.numerator < x.denominator and y.numerator < y.denominator)
-        distinct = len({(x.numerator, x.denominator, y.numerator, y.denominator)
-                        for x, y in (points[t] for t in interior)})
+        widths, ints = [], []
+        for den, nums in ps.axes:
+            if den & (den - 1):
+                widths.append(scale)
+                ints.append(tuple((a << scale) // den for a in nums))
+            else:
+                k = den.bit_length() - 1
+                widths.append(min(scale, k))
+                ints.append(nums if k <= scale else tuple(a >> (k - scale) for a in nums))
+        xs, ys = ints
+        cx, cy = (tuple(v >> r << l for v in axis)
+                  for axis, (r, l) in zip(ints, (_shifts(w, n) for w in widths)))
+        interior = tuple(t for t, (a, b) in enumerate(zip(xnum, ynum)) if a < dx and b < dy)
+        distinct = len({(xnum[t], ynum[t]) for t in interior})
         lone = tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys)))
         record = ps.__dict__["_tree_integers"] = _TreeIntegers(
             scale, *widths, xs, ys, cx, cy, interior, distinct, lone)

@@ -9,9 +9,10 @@ grid cut by the point coordinates, so on each cell D = c - N*x*y with an
 integer c, and every norm reduces to closed-form cell integrals.
 
 The three exact norms read the set's one O(N) grid, `PointSet.grid`: the
-sorted distinct cuts of each axis (0 and 1 included, ranked by integer
-keys) and each x cut's sorted y ranks; L1 and L2 also read the cuts as
-integers over each axis's common denominator, `PointSet.axes`.  With
+sorted distinct cuts of each axis, 0 and 1 included, as the set's own
+integer numerators over the axis's denominator D (`PointSet.axes`), and
+each x cut's sorted y ranks.  L1 also reads each cut in lowest terms,
+one gcd per cut (`pointsets._lowest`), for its logs.  With
 K x-cuts and L y-cuts (K, L <= N + 2), L1 and L-infinity read the closed
 prefix counts one column at a time, in O(N) memory: one running row of
 point counts per y rank takes each x cut's points in turn, and a column
@@ -24,7 +25,7 @@ is its prefix sums (`_columns`).
     seed the maximum.  Every other corner's deviation is computed in
     floats with a derived error bound E, and only a corner within 2E of
     the largest float deviation so far is compared exactly, by
-    cross-multiplying each coordinate's own numerator and denominator (a
+    cross-multiplying the cuts' numerators over the two D's (a
     filtered predicate: Shewchuk, DCG 1997; Bronnimann, Burnikel & Pion,
     1998).  Before a column is built, each of its two sides (closed and
     strict) takes a float bound on its exact maximum, carried from the
@@ -60,10 +61,9 @@ The norms are returned as Fractions, or for an inexact L1 as an mpf
 midpoint and half-width (`L1Norm`); `cli` prints them.
 
 L1 and L-infinity raise ResourceLimitError on a grid of more than
-MAX_GRID_CELLS cells, before any column or axis integer is built; L2 has
-no cell budget.  L1 and L2 refuse axis integers of more than
-`pointsets.MAX_AXIS_BITS` bits per axis before building them; L-infinity
-reads no axis integer.
+MAX_GRID_CELLS cells, before any column is built; L2 has no cell budget.
+The integers' own budget, `pointsets.MAX_AXIS_BITS`, is checked when a
+set is made.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, compress
-from operator import sub
+from operator import sub, truediv
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
-from .pointsets import CellDecomposition, PointSet
+from .pointsets import CellDecomposition, PointSet, _lowest
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -93,8 +93,7 @@ L1_DPS = 20
 def _check_grid_budget(grid: CellDecomposition) -> None:
     """ResourceLimitError on a grid of more than MAX_GRID_CELLS cells.
 
-    L1 and L-infinity call it first, before any column or axis integer is
-    built.
+    L1 and L-infinity call it first, before any column is built.
     """
     if (cells := (len(grid.x_cuts) - 1) * (len(grid.y_cuts) - 1)) > MAX_GRID_CELLS:
         raise ResourceLimitError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS}-cell budget")
@@ -126,16 +125,18 @@ def l2_norm_sq(ps: PointSet) -> Fraction:
     with the pair sum taken in O(N log N): points are visited by increasing
     x, so every earlier point q has 1 - q_x >= 1 - p_x, and a Fenwick tree
     over the y ranks holds the count and the sum of 1 - q_y of the earlier
-    points.  Coordinates are integer numerators over each axis's common
+    points.  Coordinates are the grid's integer numerators over each axis's
     denominator; one Fraction is built at the end.
     """
     n = len(ps)
-    (qx, xi), (qy, yi) = ps.axes
+    grid = ps.grid
+    (qx, _), (qy, _) = ps.axes
+    xi, yi = grid.x_cuts, grid.y_cuts
     size = len(yi)
     tree_count = [0] * (size + 1)
     tree_sum = [0] * (size + 1)
     seen_sum = pair = single = 0
-    for i, js in enumerate(ps.grid.y_ranks):
+    for i, js in enumerate(grid.y_ranks):
         u, u2 = qx - xi[i], qx * qx - xi[i] * xi[i]
         for j in js:
             v = qy - yi[j]
@@ -222,17 +223,15 @@ def _l1_form(ps: PointSet) -> L1Form:
     split once into a power of two and an odd part.
     """
     grid = ps.grid
-    _check_grid_budget(grid)    # before any column or integer is built
+    _check_grid_budget(grid)    # before any column is built
     columns = _columns(grid)
     n = len(ps)
-    xs, ys = grid.x_cuts, grid.y_cuts
-    (qx, xi), (qy, yi) = ps.axes
+    (qx, _), (qy, _) = ps.axes
+    xi, yi = grid.x_cuts, grid.y_cuts
+    xs, ys = [_lowest(a, qx) for a in xi], [_lowest(b, qy) for b in yi]
     y_sq = [v * v for v in yi]
-    rows = [
-        (j, yi[j + 1] - yi[j], y_sq[j + 1] - y_sq[j],
-         ys[j].numerator, ys[j].denominator, ys[j + 1].numerator, ys[j + 1].denominator)
-        for j in range(len(ys) - 1)
-    ]
+    rows = [(j, yi[j + 1] - yi[j], y_sq[j + 1] - y_sq[j], *ys[j], *ys[j + 1])
+            for j in range(len(ys) - 1)]
     x_logs = [0] * len(xs)
     y_logs = [0] * len(ys)
     k_logs = [0] * (n + 1)
@@ -241,9 +240,8 @@ def _l1_form(ps: PointSet) -> L1Form:
     sum_sq = sum_lin = crossed = 0
     # zip stops before the x = 1 column, which holds no cell
     for i, counts in zip(range(len(xs) - 1), columns):
-        a, b = xs[i], xs[i + 1]
-        n_an, ad = n * a.numerator, a.denominator
-        n_bn, bd = n * b.numerator, b.denominator
+        (an, ad), (bn, bd) = xs[i], xs[i + 1]
+        n_an, n_bn = n * an, n * bn
         col_kdy = col_dy2 = 0
         hi_sq = hi_lin = lo_sq = lo_lin = hi_log = lo_log = 0
         # zip stops before the y = 1 column, which holds no cell
@@ -290,7 +288,7 @@ def _l1_form(ps: PointSet) -> L1Form:
     )
     cuts = chain(zip(xs, x_logs), zip(ys, y_logs))
     # ln(p/q) = ln p - ln q and ln(k/N) = ln k - ln N, so ln N takes -sum(k_logs) = sum_k2
-    terms = chain(chain.from_iterable(((q.numerator, c), (q.denominator, -c)) for q, c in cuts if c),
+    terms = chain(chain.from_iterable(((p, c), (q, -c)) for (p, q), c in cuts if c),
                   compress(enumerate(k_logs), k_logs), [(n, sum_k2)])
     coeffs: dict[int, int] = {}
     for m, c in terms:
@@ -345,19 +343,20 @@ def linf_norm(ps: PointSet) -> Fraction:
     included).  It seeds the maximum, and it is also the exact maximum of
     that column's closed side; its strict side's maximum is 0.  Elsewhere
     each candidate is first computed in floats, c' = closed - v or
-    v - strict with v = (N * float(x)) * float(y), and the exact
+    v - strict with v = (N * fx) * fy, and the exact
     cross-multiplied comparison runs only for a corner that the float
     filter cannot rule out.  The filter is rigorous, with E = 6 u N and
     u = 2^-53 (N < 2^48, so N, the counts, E and 4E are exact floats):
 
-      * float() of a Fraction, and each float product and difference, is
-        correctly rounded: fl(t) = t (1 + d) + e with |d| <= u and
-        |e| <= 2^-1075, where e != 0 only when t underflows.  As 0 <= x,
-        y <= 1 and N is exact, 0 <= float(x), float(y) <= 1 and
-        0 <= N float(x) <= N, so
+      * a cut's float fx is a / D for its numerator a over its axis's
+        D, an int true division, which is correctly rounded, as each float
+        product and difference is: fl(t) = t (1 + d) + e with |d| <= u
+        and |e| <= 2^-1075, where e != 0 only when t underflows.  As
+        0 <= x, y <= 1 and N is exact, 0 <= fx, fy <= 1 and
+        0 <= N fx <= N, so
         |v - Nxy| <= |fl(P fy) - P fy| + |fl(N fx) - N fx| fy
                      + N |fx - x| fy + N x |fy - y|
-                  <= 4 u N + (N + 1) 2^-1074   (P = fl(N fx), fx = float(x)).
+                  <= 4 u N + (N + 1) 2^-1074   (P = fl(N fx)).
       * closed, strict and v lie in [0, N], so each difference adds at
         most u N: |c' - c| <= 5 u N + (N + 1) 2^-1074 <= E.  The absolute
         term, from a float that underflows (x = 2^-1000 and y = 2^-60
@@ -395,7 +394,7 @@ def linf_norm(ps: PointSet) -> Fraction:
 
     which is N Delta on the strict side when x_(i-1) holds no point.  Both
     rises are at least 0.  They are computed from D = fl(P_i - P_(i-1)),
-    with P_i = fl(N float(x_i)) the factor of every v in column i
+    with P_i = fl(N fx_i) the factor of every v in column i
     (P_0 = 0):
 
       * |P_i - N x_i| <= 2 u N + (N + 1) 2^-1075, and P_i rises with x_i,
@@ -421,8 +420,11 @@ def linf_norm(ps: PointSet) -> Fraction:
     n = len(ps)
     bound = math.ldexp(6 * n, -53)          # E, exact in floats
     slack = 4 * bound
-    y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
-    y_floats = [float(q) for q in grid.y_cuts]
+    (qx, _), (qy, _) = ps.axes
+    den = qx * qy
+    y_cuts = grid.y_cuts
+    # a cut's float: its numerator's int true division by D, correctly rounded
+    y_floats = [truediv(b, qy) for b in y_cuts]
     ranks = grid.y_ranks
     row = [0] * len(y_floats)
     for j in ranks[0]:
@@ -433,8 +435,8 @@ def linf_norm(ps: PointSet) -> Fraction:
     strict_top = 0.0
     p_last, ys_last = 0.0, [y_floats[j] for j in ranks[0]]
     closed = None                           # the last column's closed counts, if built
-    for x, js in zip(grid.x_cuts[1:], ranks[1:]):
-        p = n * float(x)
+    for a, js in zip(grid.x_cuts[1:], ranks[1:]):
+        p = n * truediv(a, qx)
         d = p - p_last
         ys = [y_floats[j] for j in js]
         closed_top += max([k - d * fy for k, fy in enumerate([0.0, *ys])]) + slack
@@ -454,7 +456,7 @@ def linf_norm(ps: PointSet) -> Fraction:
         if not sides:
             continue
         nxy = list(map(p.__mul__, y_floats))
-        n_xn, xd = n * x.numerator, x.denominator
+        n_a = n * a
         for sign, counts in sides:
             # c' = closed - v or v - strict
             approx = list(map(sub, counts, nxy) if sign > 0 else map(sub, nxy, counts))
@@ -467,9 +469,8 @@ def linf_norm(ps: PointSet) -> Fraction:
                 continue
             high = max(high, top)
             threshold = high - 2 * bound
-            for (yn, yd), count in compress(zip(y_parts, counts), map(threshold.__le__, approx)):
-                den = xd * yd
-                num = sign * (count * den - n_xn * yn)      # N x y = n_xn yn / den
+            for b, count in compress(zip(y_cuts, counts), map(threshold.__le__, approx)):
+                num = sign * (count * den - n_a * b)        # N x y = n_a b / den
                 if num * best_den > best_num * den:
                     best_num, best_den = num, den
     return Fraction(best_num, best_den)

@@ -1,24 +1,31 @@
 """Point-set generation, transformation, and exact CSV persistence.
 
 Point sets are finite multisets in the closed unit square with exact
-rational coordinates (``fractions.Fraction``; a dyadic rational is one
-whose denominator in lowest terms is a power of two).  The CSV form is
-designed so that write followed by read is the identity on coordinates:
-dyadic values are written as "a/2^k", other rationals as "p/q", integers
-bare.  The reader also accepts plain decimal literals (parsed exactly
-from the digit string).
+rational coordinates.  Each axis of a set is one denominator D and one
+integer numerator a per point, the coordinate a / D in [0, 1]; D is the
+lcm of the axis's denominators in lowest terms, so equal sets hold equal
+integers (a dyadic rational is one whose denominator in lowest terms is
+a power of two).  `read_csv`, `PointSet(...)`, the generators and
+`symmetrize` build these integers directly, and every layer above reads
+them: no Fraction is kept, and one is built only to print a coordinate.
+An axis whose N numerators would take N (bitlen(D) - 64) > MAX_AXIS_BITS
+bits past 64 each is refused with ResourceLimitError before any numerator
+is built.
 
-A literal longer than MAX_DIGITS characters, or whose power of two or of
-ten would take more than MAX_LITERAL_BITS bits, is refused with
-ResourceLimitError before it is read, and so is a CSV file whose distinct
-powers of ten would take more than MAX_LITERAL_BITS bits in all; `read_csv`
-builds each of a file's powers of ten once.
+The CSV form is designed so that write followed by read is the identity
+on coordinates: dyadic values are written as "a/2^k", other rationals as
+"p/q", integers bare.  The reader also accepts plain decimal literals
+(read exactly from the digit string).  A literal longer than MAX_DIGITS
+characters, or whose power of two or of ten would take more than
+MAX_LITERAL_BITS bits, is refused with ResourceLimitError before it is
+read, and so is a CSV file whose distinct powers of ten would take more
+than MAX_LITERAL_BITS bits in all; `read_csv` builds each of a file's
+powers of ten once.
 
-A `PointSet` is immutable and caches in its `__dict__` what the layers
-above read of it: the norms' O(N) grid, `CellDecomposition`, which sorts
-and ranks coordinates by integer keys and compares two of them as
-Fractions only when they lie within 2^-64 of each other; the grid's axes
-as integers; and the trees' integers (`auxiliary._tree_integers`).
+A `PointSet` is immutable, and caches in its `__dict__` what the layers
+above build from its integers: the norms' O(N) grid, `CellDecomposition`,
+which sorts and ranks each axis's numerators, and the trees' integers
+(`auxiliary._tree_integers`).
 """
 
 from __future__ import annotations
@@ -28,14 +35,19 @@ import random
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CsvFormatError, ResourceLimitError
 
 # A set holds at most 2^MAX_POINTS_LOG2 points (`check_point_budget`).
 MAX_POINTS_LOG2 = 24
-# The integers of one grid axis hold at most this many bits in all (16 MiB).
+# The numerators of one axis hold at most this many bits in all (16 MiB)
+# past the 64 bits a numerator that the point budget already pays for,
+# counted as N (bitlen(D) - 64): a set with D <= 2^64, such as every set
+# the generators make, meets the point budget alone.
 MAX_AXIS_BITS = 1 << 27
 # A literal's 2^k or 10^e takes at most this many bits, a limit set by parse
 # time: 10^e costs about e^1.6, and the widest power admitted, 1e-315652,
@@ -64,6 +76,8 @@ def dyadic(numerator: int, exponent: int) -> Fraction:
 
 
 class Point(NamedTuple):
+    """A point as two exact coordinates, one form that `PointSet` reads."""
+
     x: Fraction
     y: Fraction
 
@@ -76,27 +90,37 @@ def as_coordinate(value) -> Fraction:
     return q
 
 
+Axis = tuple[int, tuple[int, ...]]      # (D, the numerators over D)
+
+
 class PointSet:
-    """Ordered multiset of points; duplicates allowed and counted.  Equality,
-    hash and repr go by (points, label), and assignment and deletion raise
-    AttributeError: the caches assume the fields never change."""
+    """Ordered multiset of points; duplicates allowed and counted.
+
+    `axes` is ((Dx, xs), (Dy, ys)): point k is (xs[k] / Dx, ys[k] / Dy), each
+    D the lcm of its axis's lowest-terms denominators.  `PointSet(points)`
+    reads any pairs of exact coordinates (Fractions, ints, strings).
+    Equality, hash and repr go by (axes, label), and assignment and
+    deletion raise AttributeError: the caches assume the fields never
+    change."""
 
     def __init__(self, points: Iterable, label: str = ""):
+        coords = [(as_coordinate(p[0]), as_coordinate(p[1])) for p in points]
         self.__dict__.update(
-            points=tuple(Point(as_coordinate(p[0]), as_coordinate(p[1])) for p in points),
+            axes=tuple(_axis([q.numerator for q in axis], [q.denominator for q in axis])
+                       for axis in (zip(*coords) if coords else ((), ()))),
             label=label,
         )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.points, self.label) == (other.points, other.label)
+        return (self.axes, self.label) == (other.axes, other.label)
 
     def __hash__(self) -> int:
-        return hash((self.points, self.label))
+        return hash((self.axes, self.label))
 
     def __repr__(self) -> str:
-        return f"PointSet(points={self.points!r}, label={self.label!r})"
+        return f"PointSet(axes={self.axes!r}, label={self.label!r})"
 
     def __setattr__(self, name, value):
         raise AttributeError("PointSet is immutable")
@@ -105,76 +129,78 @@ class PointSet:
         raise AttributeError("PointSet is immutable")
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
-
-    def __getitem__(self, k) -> Point:
-        return self.points[k]
+        return len(self.axes[0][1])
 
     @cached_property
     def grid(self) -> "CellDecomposition":
         """The set's `CellDecomposition`, built once."""
         return CellDecomposition.from_pointset(self)
 
-    @cached_property
-    def axes(self) -> tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]:
-        """((x_den, x_ints), (y_den, y_ints)) with grid.x_cuts[i] == x_ints[i] / x_den
-        and x_den the lcm of the x cuts' denominators (likewise y), built once.  Kept
-        off the grid so that a kernel can refuse an oversize grid before building it."""
-        return _axis_integers(self.grid.x_cuts), _axis_integers(self.grid.y_cuts)
+
+def _pointset(axes: tuple[Axis, Axis], label: str) -> PointSet:
+    """A set of these axes, which the caller has built canonical and budgeted."""
+    ps = object.__new__(PointSet)
+    ps.__dict__.update(axes=axes, label=label)
+    return ps
 
 
-def _axis_integers(cuts: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    """(Q, cuts * Q) with Q the lcm of the cuts' denominators; ResourceLimitError
-    before any integer is built if they would hold over MAX_AXIS_BITS bits."""
+def _check_axis_budget(count: int, den: int) -> None:
+    """ResourceLimitError when `count` numerators over `den` would take
+    count * (bitlen(den) - 64) > MAX_AXIS_BITS bits past 64 each."""
+    if count * (den.bit_length() - 64) > MAX_AXIS_BITS:
+        raise ResourceLimitError(f"axis integers exceed the {MAX_AXIS_BITS}-bit budget")
+
+
+def _axis(nums: Sequence[int], dens: Sequence[int]) -> Axis:
+    """(D, the numerators over D) of the lowest-terms pairs nums[k] / dens[k],
+    with D the lcm of the dens; ResourceLimitError before any numerator is
+    built when N (bitlen(D) - 64) passes MAX_AXIS_BITS."""
+    distinct = set(dens)
     den = 1
-    for q in cuts:
-        den = math.lcm(den, q.denominator)
-        if len(cuts) * den.bit_length() > MAX_AXIS_BITS:
-            raise ResourceLimitError(f"axis integers exceed the {MAX_AXIS_BITS}-bit budget")
-    return den, tuple(q.numerator * (den // q.denominator) for q in cuts)
+    for q in distinct:
+        den = math.lcm(den, q)
+        _check_axis_budget(len(nums), den)
+    scale = {q: den // q for q in distinct}
+    return den, tuple(map(mul, nums, map(scale.__getitem__, dens)))
 
 
-def _axis_cuts(values: list[Fraction]) -> tuple[tuple[Fraction, ...], list[int]]:
-    """The sorted distinct values with 0 and 1 added, and each value's index there.
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
-    A Fraction is in lowest terms, so (numerator, denominator) keys the
-    distinct values exactly.  They sort by (floor(q 2^64), q): two cuts
-    are compared as Fractions only when they lie within 2^-64 of each
-    other, as floor is monotone.
-    """
-    keys = [(q.numerator, q.denominator) for q in values]
-    cuts = {(0, 1): Fraction(0), (1, 1): Fraction(1)}
-    cuts.update(zip(keys, values))
-    order = sorted(cuts.items(), key=lambda item: ((item[0][0] << 64) // item[0][1], item[1]))
-    rank = {key: i for i, (key, _) in enumerate(order)}
-    return tuple(q for _, q in order), [rank[key] for key in keys]
+
+def _axis_cuts(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], list[int]]:
+    """The sorted distinct numerators with 0 and den added, and each one's index there."""
+    cuts = sorted({0, den, *nums})
+    rank = {a: i for i, a in enumerate(cuts)}
+    return tuple(cuts), list(map(rank.__getitem__, nums))
 
 
 class CellDecomposition(NamedTuple):
     """The grid cut by the point coordinates: O(N) entries, no count.
 
-    x_cuts and y_cuts are the sorted distinct coordinates of each axis, 0
-    and 1 included, and y_ranks[i] is the sorted tuple of the y ranks of
-    the points on x cut i, duplicates repeated; `from_pointset` sorts and
-    ranks the cuts by integer keys (`_axis_cuts`) and sorts the points'
-    rank pairs once.  No count is stored: the L1 and L-infinity kernels
-    keep one running row of counts per y rank, add each x cut's ranks to
-    it in turn and take a column's closed-box counts as its prefix sums.
+    x_cuts and y_cuts are the sorted distinct numerators of each axis over
+    its denominator D (`PointSet.axes`), 0 and D included, and y_ranks[i]
+    is the sorted tuple of the y ranks of the points on x cut i,
+    duplicates repeated; `from_pointset` sorts and ranks the integers
+    themselves and sorts the points' rank pairs once.  No count is stored:
+    the L1 and L-infinity kernels keep one running row of counts per y
+    rank, add each x cut's ranks to it in turn and take a column's
+    closed-box counts as its prefix sums.
     """
 
-    x_cuts: tuple[Fraction, ...]
-    y_cuts: tuple[Fraction, ...]
+    x_cuts: tuple[int, ...]
+    y_cuts: tuple[int, ...]
     y_ranks: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_pointset(cls, ps: PointSet) -> "CellDecomposition":
         if len(ps) < 1:
             raise ValueError("point set must be nonempty")
-        x_cuts, xr = _axis_cuts([p.x for p in ps])
-        y_cuts, yr = _axis_cuts([p.y for p in ps])
+        (dx, xs), (dy, ys) = ps.axes
+        x_cuts, xr = _axis_cuts(xs, dx)
+        y_cuts, yr = _axis_cuts(ys, dy)
         ranks: list[list[int]] = [[] for _ in x_cuts]
         for i, j in sorted(zip(xr, yr)):
             ranks[i].append(j)
@@ -191,44 +217,52 @@ def check_point_budget(count: int, doublings: int = 0) -> None:
 
 
 def van_der_corput(m: int) -> PointSet:
-    """The 2^m-point van der Corput set: (k/2^m, bitreverse_m(k)/2^m)."""
+    """The 2^m-point van der Corput set: (k/2^m, bitreverse_m(k)/2^m), D = 2^m."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     check_point_budget(1, m)
-    pts = tuple(
-        Point(dyadic(k, m), dyadic(int(f"{k:0{m}b}"[::-1], 2), m)) for k in range(1 << m)
-    )
-    return PointSet(pts, label=f"vdc_m{m}")
+    size = 1 << m
+    ys = tuple(int(f"{k:0{m}b}"[::-1], 2) for k in range(size))
+    return _pointset(((size, tuple(range(size))), (size, ys)), f"vdc_m{m}")
 
 
 def random_uniform(n: int, seed: int) -> PointSet:
     """n i.i.d.-uniform points quantized to denominator 2^53, fixed by seed.
 
-    More than 2^MAX_POINTS_LOG2 points raise ResourceLimitError before any is drawn.
+    The draws alternate x and y, point by point.  An axis whose numerators
+    are all even has its lowest-terms D below 2^53.  More than
+    2^MAX_POINTS_LOG2 points raise ResourceLimitError before any is drawn.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_point_budget(n)
-    rng = random.Random(seed)
     den = 1 << 53
-    pts = tuple(
-        Point(Fraction(rng.getrandbits(53), den), Fraction(rng.getrandbits(53), den))
-        for _ in range(n)
-    )
-    return PointSet(pts, label=f"uniform_n{n}_seed{seed}")
+    draws = tuple(map(random.Random(seed).getrandbits, repeat(53, 2 * n)))
+    axes = []
+    for nums in (draws[0::2], draws[1::2]):
+        g = math.gcd(den, math.gcd(*nums))
+        axes.append((den // g, tuple(a // g for a in nums)) if g > 1 else (den, nums))
+    return _pointset(tuple(axes), f"uniform_n{n}_seed{seed}")
 
 
 def symmetrize(ps: PointSet) -> PointSet:
-    """Append the mirror image (1-x, y) of every point; cardinality doubles, and
-    past 2^MAX_POINTS_LOG2 raises ResourceLimitError before any mirror point."""
+    """Append the mirror image (1-x, y) of every point, a -> D - a along x;
+    cardinality doubles, and past 2^MAX_POINTS_LOG2 or the axis budget
+    raises ResourceLimitError before any mirror point."""
     check_point_budget(len(ps), 1)
-    mirrored = tuple(Point(1 - p.x, p.y) for p in ps)
-    return PointSet(ps.points + mirrored, label=f"{ps.label}+xmirror" if ps.label else "xmirror")
+    (dx, xs), (dy, ys) = ps.axes
+    for den in (dx, dy):
+        _check_axis_budget(2 * len(xs), den)
+    axes = ((dx, xs + tuple(map(dx.__sub__, xs))), (dy, ys + ys))
+    return _pointset(axes, f"{ps.label}+xmirror" if ps.label else "xmirror")
 
 
-def _parse_coordinate(text: str, power_of_ten: Callable[[int], int]) -> Fraction:
-    """Parse "a/2^k", "p/q", decimal, or integer literals exactly, with the
-    10^e of a decimal exponent taken from `power_of_ten(e)`.
+def _parse_coordinate(text: str, power_of_ten: Callable[[int], int]) -> tuple[int, int]:
+    """Read "a/2^k", "p/q", decimal, or integer literals exactly, as their
+    lowest-terms pair (numerator, denominator).  "a/2^k", "p/q" and
+    unsigned integers are read as ints, with no Fraction; a decimal with an
+    exponent is its `Fraction(str)` mantissa times the 10^e that
+    `power_of_ten(e)` gives, and any other literal is `Fraction(str)`'s.
 
     ResourceLimitError, before the power is built, when the 2^k of a dyadic
     literal or the 10^e of a decimal exponent would take more than
@@ -238,21 +272,25 @@ def _parse_coordinate(text: str, power_of_ten: Callable[[int], int]) -> Fraction
     if len(text) > MAX_DIGITS:
         raise ResourceLimitError(f"{len(text)} characters exceed the {MAX_DIGITS}-digit budget")
     num, slash, den = text.partition("/")
-    if slash and num.isdecimal() and den.isdecimal():
-        return Fraction(int(num), int(den))
+    if num.isdecimal() and (den.isdecimal() or not slash):
+        if not (q := int(den or 1)):
+            raise ZeroDivisionError(f"Fraction({int(num)}, 0)")
+        return _lowest(int(num), q)
     m = _DYADIC_LITERAL.match(text)
     if m:
         exponent = int(m.group(2))
         if exponent >= MAX_LITERAL_BITS:            # 2^k takes k + 1 bits
             raise ResourceLimitError(f"2^{exponent} exceeds the {MAX_LITERAL_BITS}-bit budget")
-        return dyadic(int(m.group(1)), exponent)
+        return _lowest(int(m.group(1)), 1 << exponent)
     m = _DECIMAL_EXPONENT.fullmatch(text)
     if not m:
-        return Fraction(text)
-    if abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_LITERAL_BITS:
+        q = Fraction(text)
+    elif abs(exponent := int(m.group(1))) * math.log2(10) >= MAX_LITERAL_BITS:
         raise ResourceLimitError(f"10^{abs(exponent)} exceeds the {MAX_LITERAL_BITS}-bit budget")
-    mantissa, power = Fraction(text[:m.start(1) - 1]), power_of_ten(abs(exponent))
-    return mantissa * power if exponent >= 0 else mantissa / power
+    else:
+        mantissa, power = Fraction(text[:m.start(1) - 1]), power_of_ten(abs(exponent))
+        q = mantissa * power if exponent >= 0 else mantissa / power
+    return q.numerator, q.denominator
 
 
 def exact_str(q: Fraction) -> str:
@@ -265,28 +303,34 @@ def exact_str(q: Fraction) -> str:
     return str(q)
 
 
-def format_coordinate(q: Fraction) -> str:
-    d = q.denominator
-    if d == 1:
-        return str(q.numerator)
-    if d & (d - 1) == 0:
-        return f"{q.numerator}/2^{d.bit_length() - 1}"
-    return f"{q.numerator}/{d}"
+def format_coordinate(a: int, den: int) -> str:
+    """The literal of a / den (den > 0) that `read_csv` reads back: in lowest
+    terms p/q, "p/2^k" when q is a power of two, bare p when q is 1."""
+    p, q = _lowest(a, den)
+    if q == 1:
+        return str(p)
+    if q & (q - 1) == 0:
+        return f"{p}/2^{q.bit_length() - 1}"
+    return f"{p}/{q}"
 
 
 def read_csv(path) -> PointSet:
     """Read a point set; '#' lines are comments, an "x,y" header is optional.
 
-    Each power of ten that the file's decimal exponents use is built once,
-    where `Fraction(str)` would build it for each literal, and the distinct
-    ones share one MAX_LITERAL_BITS budget, as one literal's power does: a
-    power that would take their bits to it raises ResourceLimitError with
-    its line number, before it is built, and so does the point past
+    Each literal is read as its lowest-terms pair, and each axis becomes
+    its numerators over the lcm of its denominators (`_axis`), refused
+    with ResourceLimitError before any numerator is built when they would
+    pass MAX_AXIS_BITS.  Each power of ten that the file's decimal
+    exponents use is built once, and the distinct ones share one
+    MAX_LITERAL_BITS budget, as one literal's power does: a power that
+    would take their bits to it raises ResourceLimitError with its line
+    number, before it is built, and so does the point past
     2^MAX_POINTS_LOG2.  The point budget is checked at the counts 1, 2, 4,
     ..., which meet its power-of-two cap, so a line costs no call for it.
     """
     path = Path(path)
-    pts = []
+    xs: list[int] = []          # each x literal's numerator and denominator in turn
+    ys: list[int] = []
     label = path.stem
     powers: dict[int, int] = {}
     bits = 0.0
@@ -318,7 +362,7 @@ def read_csv(path) -> PointSet:
             if len(parts) != 2:
                 raise CsvFormatError(f"line {lineno}: expected 'x,y', got {line!r}")
             try:
-                if len(pts) == next_check:
+                if len(xs) == 2 * next_check:
                     check_point_budget(next_check + 1)
                     next_check *= 2
                 x = _parse_coordinate(parts[0], power_of_ten)
@@ -327,22 +371,21 @@ def read_csv(path) -> PointSet:
                 raise CsvFormatError(f"line {lineno}: {exc}") from exc
             except ResourceLimitError as exc:
                 raise ResourceLimitError(f"line {lineno}: {exc}") from exc
-            if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
+            if not (0 <= x[0] <= x[1] and 0 <= y[0] <= y[1]):
                 raise CsvFormatError(f"line {lineno}: coordinate outside [0, 1]")
-            pts.append(Point(x, y))
-    # each coordinate is checked above; `PointSet.__init__` would check it again
-    ps = object.__new__(PointSet)
-    ps.__dict__.update(points=tuple(pts), label=label)
-    return ps
+            xs += x
+            ys += y
+    return _pointset((_axis(xs[0::2], xs[1::2]), _axis(ys[0::2], ys[1::2])), label)
 
 
 def write_csv(ps: PointSet, path, comments: Iterable[str] = ()) -> None:
     path = Path(path)
+    (dx, xs), (dy, ys) = ps.axes
     with path.open("w", encoding="utf-8") as fh:
         if ps.label:
             fh.write(f"# label: {ps.label}\n")
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write("x,y\n")
-        for p in ps:
-            fh.write(f"{format_coordinate(p.x)},{format_coordinate(p.y)}\n")
+        for a, b in zip(xs, ys):
+            fh.write(f"{format_coordinate(a, dx)},{format_coordinate(b, dy)}\n")

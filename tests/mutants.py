@@ -119,8 +119,7 @@ MUTANTS = (
     ),
     Mutant(
         "distinct_count_on_the_integers", "auxiliary.py",
-        "distinct = len({(x.numerator, x.denominator, y.numerator, y.denominator)\n"
-        "                        for x, y in (points[t] for t in interior)})",
+        "distinct = len({(xnum[t], ynum[t]) for t in interior})",
         "distinct = len({(xs[t], ys[t]) for t in interior})",
         ("test_auxiliary.py::test_tree_integers_match_fraction_oracle",
          "test_auxiliary.py::test_bucket_and_tree_match_fraction_floor"),
@@ -128,17 +127,16 @@ MUTANTS = (
     ),
     Mutant(
         "interior_with_x_1", "auxiliary.py",
-        "if x.numerator < x.denominator and y.numerator < y.denominator)",
-        "if x.numerator <= x.denominator and y.numerator < y.denominator)",
+        "if a < dx and b < dy)",
+        "if a <= dx and b < dy)",
         ("test_auxiliary.py::test_tree_integers_match_fraction_oracle",),
         "a point on x = 1 lies in no half-open dyadic rectangle",
     ),
     Mutant(
-        "cuts_sorted_by_the_64_bit_key_alone", "pointsets.py",
-        "key=lambda item: ((item[0][0] << 64) // item[0][1], item[1]))",
-        "key=lambda item: (item[0][0] << 64) // item[0][1])",
+        "grid_cuts_without_the_top_cut", "pointsets.py",
+        "cuts = sorted({0, den, *nums})", "cuts = sorted({0, *nums})",
         ("test_grid_kernels.py::test_grid_matches_sort_and_bisect_oracle",),
-        "two cuts within 2^-64 of each other share their key and are ordered as Fractions",
+        "each axis's cuts end at 1, the numerator D, whether or not a point lies there",
     ),
     Mutant(
         "grid_y_ranks_grouped_unsorted", "pointsets.py",
@@ -147,11 +145,12 @@ MUTANTS = (
         "L-infinity's column bounds read each x cut's y ranks in increasing order",
     ),
     Mutant(
-        "l1_axes_before_the_grid_budget", "discrepancy.py",
-        "    _check_grid_budget(grid)    # before any column or integer is built\n",
-        "    ps.axes\n    _check_grid_budget(grid)    # before any column or integer is built\n",
+        "l1_cuts_read_before_the_grid_budget", "discrepancy.py",
+        "    _check_grid_budget(grid)    # before any column is built\n",
+        "    _lowest(grid.x_cuts[1], ps.axes[0][0])\n"
+        "    _check_grid_budget(grid)    # before any column is built\n",
         ("test_grid_kernels.py::test_grid_budget_raises_before_building",),
-        "L1 refuses an oversize grid before any axis integer is built",
+        "L1 refuses an oversize grid before it reads a cut",
     ),
     Mutant(
         "pointset_eq_without_its_class_check", "pointsets.py",
@@ -182,9 +181,10 @@ MUTANTS = (
     ),
     Mutant(
         "fraction_fast_path_checks_only_p", "pointsets.py",
-        "if slash and num.isdecimal() and den.isdecimal():", "if slash and num.isdecimal():",
+        "if num.isdecimal() and (den.isdecimal() or not slash):", "if num.isdecimal():",
         ("test_pointsets.py::test_parse_coordinate_matches_the_general_reader",),
-        "only a literal with decimal digits on both sides of its slash is read as p/q",
+        "only a literal with decimal digits on both sides of its slash, or an unsigned "
+        "integer, is read as p/q",
     ),
     Mutant(
         "each_power_of_ten_budgeted_alone", "pointsets.py",
@@ -246,8 +246,8 @@ MUTANTS = (
     ),
     Mutant(
         "decimal_exponent_without_its_sign", "pointsets.py",
-        "return mantissa * power if exponent >= 0 else mantissa / power",
-        "return mantissa * power",
+        "q = mantissa * power if exponent >= 0 else mantissa / power",
+        "q = mantissa * power",
         ("test_pointsets.py::test_decimal_exponent_literal_is_read_exactly",),
         "a negative exponent divides the mantissa by its power of ten",
     ),
@@ -291,7 +291,7 @@ MUTANTS = (
     ),
     Mutant(
         "dyadic_coordinates_written_as_p_over_q", "pointsets.py",
-        '    if d & (d - 1) == 0:\n        return f"{q.numerator}/2^{d.bit_length() - 1}"\n', "",
+        '    if q & (q - 1) == 0:\n        return f"{p}/2^{q.bit_length() - 1}"\n', "",
         ("test_pointsets.py::test_format_coordinate_forms_and_written_dyadic_literals",),
         "the writer prints a coordinate with a power-of-two denominator as a/2^k",
     ),
@@ -320,6 +320,56 @@ MUTANTS = (
         "pointsets.check_point_budget(args.n)",
         ("test_cli.py::test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it",),
         "`gen --mirror` refuses the doubled size before the generator makes half of it",
+    ),
+    Mutant(
+        "literal_pair_unreduced", "pointsets.py",
+        "    g = math.gcd(num, den)\n", "    g = 1\n",
+        ("test_pointsets.py::test_integer_sets_match_the_fraction_oracle",),
+        "a literal is read in lowest terms, so an axis's D is the lcm of lowest-terms "
+        "denominators and equal sets hold equal integers",
+    ),
+    Mutant(
+        "random_axis_unreduced", "pointsets.py",
+        "g = math.gcd(den, math.gcd(*nums))", "g = 1",
+        ("test_pointsets.py::test_generators_match_the_fraction_oracle",),
+        "an axis of even 53-bit draws has a lowest-terms D below 2^53",
+    ),
+    Mutant(
+        "symmetrize_maps_a_to_a", "pointsets.py",
+        "xs + tuple(map(dx.__sub__, xs))", "xs + xs",
+        ("test_pointsets.py::test_symmetrize",),
+        "the mirror image of a / D is (D - a) / D",
+    ),
+    Mutant(
+        "axis_budget_one_past_its_cap", "pointsets.py",
+        "if count * (den.bit_length() - 64) > MAX_AXIS_BITS:",
+        "if count * (den.bit_length() - 64) > MAX_AXIS_BITS + 1:",
+        ("test_grid_kernels.py::test_axis_bit_budget_counts_every_integer",),
+        "N numerators over D count N (bitlen(D) - 64) bits, refused one bit past MAX_AXIS_BITS",
+    ),
+    Mutant(
+        "axis_budget_counts_the_first_64_bits", "pointsets.py",
+        "if count * (den.bit_length() - 64) > MAX_AXIS_BITS:",
+        "if count * den.bit_length() > MAX_AXIS_BITS:",
+        ("test_grid_kernels.py::test_axis_bit_budget_counts_every_integer",),
+        "a numerator's first 64 bits are paid for by the point budget, so a set with "
+        "D <= 2^64, every generated one included, meets the point budget alone",
+    ),
+    Mutant(
+        "dyadic_budget_checked_after_its_power", "pointsets.py",
+        "        if exponent >= MAX_LITERAL_BITS:            # 2^k takes k + 1 bits\n",
+        "        power = 1 << exponent\n"
+        "        if exponent >= MAX_LITERAL_BITS:            # 2^k takes k + 1 bits\n",
+        ("test_pointsets.py::test_literal_budget_refuses_before_building",),
+        "a refused a/2^k literal never builds its 2^k",
+    ),
+    Mutant(
+        "l1_log_term_from_the_unreduced_pair", "discrepancy.py",
+        "    cuts = chain(zip(xs, x_logs), zip(ys, y_logs))",
+        "    cuts = chain(zip(((a, qx) for a in xi), x_logs), zip(ys, y_logs))",
+        ("test_grid_kernels.py::test_l1_terms_match_per_cell_oracle",),
+        "a cut's logs are those of its lowest-terms numerator and denominator, not of "
+        "its numerator over D: the enclosure's integers stay those of each cut",
     ),
 )
 

@@ -1,7 +1,9 @@
 """Slow, independent routes that the tests check the library against.
 
-None of these is part of the pipeline: the CSV literal parser without the
-digit-string fast path or the literal budget, the grid built by sorting
+None of these is part of the pipeline: a set's points as Fractions, read
+back from its integer axes, and the axes, the generators' points and the
+trees' integers computed from Fractions; the CSV literal parser without
+the digit-string fast path or the literal budget, the grid built by sorting
 Fractions and placing points by bisection, the column stream of three
 passes per column, the dyadic interval and
 rectangle geometry with its Haar point kernels, pointwise D and its Haar
@@ -25,10 +27,12 @@ approximate.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Sequence
@@ -36,10 +40,11 @@ from typing import Sequence
 from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import dps_to_prec, from_rational, mpi_log, round_ceiling, round_floor
 
+from discrep.auxiliary import HARD_LEVEL_CAP, _TreeIntegers
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
 from discrep._interval import _iv_endpoints, _mpi_int
 from discrep.discrepancy import _check_grid_budget
-from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet, dyadic
+from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, Point, PointSet, dyadic
 from discrep.testfn import Atom, FourierAtomFunction
 
 
@@ -64,16 +69,75 @@ def parse_coordinate_oracle(text: str) -> Fraction:
     return Fraction(text)
 
 
+@lru_cache(maxsize=256)
+def fraction_points(ps: PointSet) -> tuple[Point, ...]:
+    """The set's points as exact Fractions, (xs[k] / Dx, ys[k] / Dy) of its axes."""
+    (dx, xs), (dy, ys) = ps.axes
+    return tuple(Point(Fraction(a, dx), Fraction(b, dy)) for a, b in zip(xs, ys))
+
+
+def fraction_cuts(ps: PointSet, grid: CellDecomposition | None = None):
+    """The cuts of the set's grid (or of `grid`, built from it) as Fractions."""
+    grid = ps.grid if grid is None else grid
+    (dx, _), (dy, _) = ps.axes
+    return [Fraction(a, dx) for a in grid.x_cuts], [Fraction(b, dy) for b in grid.y_cuts]
+
+
+def axes_oracle(points: Sequence) -> tuple:
+    """((Dx, xs), (Dy, ys)) of Fraction points: each D the lcm of its axis's
+    denominators (a Fraction is in lowest terms), each numerator q D."""
+    axes = []
+    for axis in zip(*points) if points else ((), ()):
+        den = math.lcm(*(q.denominator for q in axis))
+        axes.append((den, tuple(int(q * den) for q in axis)))
+    return tuple(axes)
+
+
+def van_der_corput_oracle(m: int) -> tuple[Point, ...]:
+    """(k / 2^m, the m bits of k reversed / 2^m) for k < 2^m, as Fractions."""
+    reverse = lambda k: sum(((k >> b) & 1) << (m - 1 - b) for b in range(m))  # noqa: E731
+    return tuple(Point(dyadic(k, m), dyadic(reverse(k), m)) for k in range(1 << m))
+
+
+def random_uniform_oracle(n: int, seed: int) -> tuple[Point, ...]:
+    """n points of 53-bit draws over 2^53, x then y, as Fractions."""
+    rng = random.Random(seed)
+    return tuple(Point(Fraction(rng.getrandbits(53), 1 << 53), Fraction(rng.getrandbits(53), 1 << 53))
+                 for _ in range(n))
+
+
+def tree_integers_oracle(points: Sequence[Point]) -> _TreeIntegers:
+    """Every `_TreeIntegers` field from Fraction points.  An axis's width E
+    is the least e <= S at which every coordinate is a multiple of 2^-e,
+    else S; X = floor(x 2^E) and the cell at scale n is floor(x 2^n); the
+    interior is the points with x < 1 and y < 1, counted distinct as
+    Fractions."""
+    n = next(n for n in range(64) if 2 * len(points) <= 1 << n)
+    scale = (n + 1) * (HARD_LEVEL_CAP + 1)
+    widths = [next((e for e in range(scale + 1) if all((q * (1 << e)).denominator == 1 for q in axis)),
+                   scale) for axis in zip(*points)]
+    xs, ys = (tuple(math.floor(p[axis] * (1 << widths[axis])) for p in points) for axis in (0, 1))
+    cx, cy = (tuple(math.floor(p[axis] * (1 << n)) for p in points) for axis in (0, 1))
+    interior = tuple(t for t, p in enumerate(points) if p[0] < 1 and p[1] < 1)
+    return _TreeIntegers(scale, *widths, xs, ys, cx, cy, interior,
+                         len({tuple(points[t]) for t in interior}),
+                         tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys))))
+
+
 def grid_oracle(ps: PointSet) -> CellDecomposition:
     """The grid with the cuts sorted as Fractions, each point placed by
     `bisect_left`, every comparison a cross-multiplication, and each x
-    cut's y ranks sorted on their own."""
-    xs = sorted({Fraction(0), Fraction(1), *(p.x for p in ps)})
-    ys = sorted({Fraction(0), Fraction(1), *(p.y for p in ps)})
+    cut's y ranks sorted on their own; the cuts are returned as numerators
+    over the denominators of `axes_oracle`."""
+    pts = fraction_points(ps)
+    xs = sorted({Fraction(0), Fraction(1), *(p.x for p in pts)})
+    ys = sorted({Fraction(0), Fraction(1), *(p.y for p in pts)})
     ranks: list[list[int]] = [[] for _ in xs]
-    for p in ps:
+    for p in pts:
         ranks[bisect_left(xs, p.x)].append(bisect_left(ys, p.y))
-    return CellDecomposition(tuple(xs), tuple(ys), tuple(tuple(sorted(js)) for js in ranks))
+    (dx, _), (dy, _) = axes_oracle(pts)
+    return CellDecomposition(tuple(int(q * dx) for q in xs), tuple(int(q * dy) for q in ys),
+                             tuple(tuple(sorted(js)) for js in ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +270,7 @@ def eval_discrepancy(ps: PointSet, x, y) -> Fraction:
     x, y = Fraction(x), Fraction(y)
     if not (0 <= x <= 1 and 0 <= y <= 1):
         raise ValueError(f"({x}, {y}) outside the unit square")
-    count = sum(1 for p in ps if p.x <= x and p.y <= y)
+    count = sum(1 for p in fraction_points(ps) if p.x <= x and p.y <= y)
     return count - len(ps) * x * y
 
 
@@ -218,7 +282,7 @@ def haar_inner_product(ps: PointSet, rect: DyadicRectangle) -> Fraction:
     the value collapses to -N |R|^2 / 16.
     """
     acc = Fraction(0)
-    for p in ps:
+    for p in fraction_points(ps):
         kx = haar_point_kernel(rect.x, p.x)
         if kx:
             acc += kx * haar_point_kernel(rect.y, p.y)
@@ -244,10 +308,12 @@ def columns_oracle(grid: CellDecomposition):
         yield column
 
 
-def cells(grid: CellDecomposition):
-    """Yield (a, b, c, d, count) over all cells [a,b] x [c,d] of the grid."""
-    xs, ys = grid.x_cuts, grid.y_cuts
+def cells(ps: PointSet):
+    """Yield (a, b, c, d, count) over all cells [a,b] x [c,d] of the set's
+    grid, built afresh, with Fraction cuts."""
+    grid = CellDecomposition.from_pointset(ps)
     table = tuple(columns_oracle(grid))
+    xs, ys = fraction_cuts(ps, grid)
     for i in range(len(xs) - 1):
         row = table[i]
         for j in range(len(ys) - 1):
@@ -272,7 +338,7 @@ def monte_carlo_norm(
     xs = rng.random(samples)
     ys = rng.random(samples)
     counts = np.zeros(samples, dtype=np.int64)
-    for p in ps:
+    for p in fraction_points(ps):
         counts += (float(p.x) <= xs) & (float(p.y) <= ys)
     d = counts - len(ps) * xs * ys
     vals = np.abs(d) if which == "l1" else d * d
@@ -283,7 +349,7 @@ def l2_norm_sq_direct(ps: PointSet) -> Fraction:
     """Integrate (c - N x y)^2 cell by cell, exactly."""
     n = len(ps)
     total = Fraction(0)
-    for a, b, c, d, k in cells(CellDecomposition.from_pointset(ps)):
+    for a, b, c, d, k in cells(ps):
         area = (b - a) * (d - c)
         ixy = Fraction(1, 4) * (b * b - a * a) * (d * d - c * c)
         ix2y2 = Fraction(1, 9) * (b ** 3 - a ** 3) * (d ** 3 - c ** 3)
@@ -291,11 +357,12 @@ def l2_norm_sq_direct(ps: PointSet) -> Fraction:
     return total
 
 
-def prime_reciprocals(count: int) -> PointSet:
-    """(1/p, 1 - 1/p) over the first `count` primes.
+def prime_reciprocals(count: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The points (1/p, 1 - 1/p) over the first `count` primes.
 
     Every coordinate is distinct, and each axis's common denominator is the
-    product of the primes: about 56,000 bits for 4097 of them.
+    product of the primes: about 56,000 bits for 4097 of them, past the
+    axis budget.
     """
     limit = max(16, count * (count.bit_length() + 2))
     sieve = bytearray([1]) * limit
@@ -305,7 +372,7 @@ def prime_reciprocals(count: int) -> PointSet:
             sieve[k * k::k] = bytes(len(range(k * k, limit, k)))
     primes = [k for k in range(limit) if sieve[k]][:count]
     assert len(primes) == count
-    return PointSet(tuple((Fraction(1, p), 1 - Fraction(1, p)) for p in primes))
+    return tuple((Fraction(1, p), 1 - Fraction(1, p)) for p in primes)
 
 
 def linf_exact_scan(ps: PointSet) -> Fraction:
@@ -319,10 +386,11 @@ def linf_exact_scan(ps: PointSet) -> Fraction:
     """
     grid = ps.grid
     n = len(ps)
-    y_parts = [(q.numerator, q.denominator) for q in grid.y_cuts]
+    x_cuts, y_cuts = fraction_cuts(ps)
+    y_parts = [(q.numerator, q.denominator) for q in y_cuts]
     best_num, best_den = 0, 1
     strict_row = (0,) * len(y_parts)
-    for x, closed_row in zip(grid.x_cuts, columns_oracle(grid)):
+    for x, closed_row in zip(x_cuts, columns_oracle(grid)):
         n_xn, xd = n * x.numerator, x.denominator
         for (yn, yd), closed, strict in zip(y_parts, closed_row, strict_row):
             den = xd * yd

@@ -30,7 +30,7 @@ from discrep.cli import _tree_payload
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import certificate
-from oracles import eval_discrepancy
+from oracles import eval_discrepancy, fraction_points, tree_integers_oracle
 
 ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
 
@@ -158,7 +158,7 @@ def tree_queries(draw):
     ps = tree.pointset
     interior = _tree_integers(ps).interior
     if interior and draw(st.booleans()):
-        p = ps.points[draw(st.sampled_from(interior))]
+        p = fraction_points(ps)[draw(st.sampled_from(interior))]
         gap = st.one_of(st.just(F(0)), st.integers(1, 200).map(lambda g: F(1, 1 << g)))
         return tree, _apart(p.x, draw(gap)), _apart(p.y, draw(gap))
     coordinate = st.fractions(min_value=0, max_value=1).filter(lambda q: q < 1)
@@ -218,7 +218,7 @@ def _covered_integrals_by_grid(ps, trees, grid_bits):
             c, d = Fraction(iy, g), Fraction(iy + 1, g)
             cell_d = sum(
                 (b - max(a, p.x)) * (d - max(c, p.y))
-                for p in ps
+                for p in fraction_points(ps)
                 if p.x < b and p.y < d
             ) - Fraction(n, 4) * (b * b - a * a) * (d * d - c * c)
             tot_d += sign * cell_d
@@ -657,11 +657,11 @@ def assert_tree_matches_oracle(ps, tree):
     for rec in tree.levels:
         want = {}
         for group in parents:
-            want.update(bucket_oracle(ps.points, group, rec.scale_x, rec.scale_y))
+            want.update(bucket_oracle(fraction_points(ps), group, rec.scale_x, rec.scale_y))
         assert list(rec.occupied.items()) == [(k, tuple(v)) for k, v in want.items()]
         assert len(rec.clusters) == len(want)
         if stable_at is None and all(
-            len({ps.points[t] for t in group}) == 1 for group in rec.occupied.values()
+            len({fraction_points(ps)[t] for t in group}) == 1 for group in rec.occupied.values()
         ):
             stable_at = rec.level
         parents = list(rec.occupied.values())
@@ -711,15 +711,16 @@ def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
     record = _tree_integers(ps)
     scale = record.scale
     n = n_from_pointcount(len(ps))
+    pts = fraction_points(ps)
     assert scale == (n + 1) * (HARD_LEVEL_CAP + 1)
     axes = ((0, record.xs, record.width_x, kx), (1, record.ys, record.width_y, ky))
     for axis, ints, width, drawn in axes:
         assert width == next((e for e in range(scale + 1)
-                              if all((p[axis] * (1 << e)).denominator == 1 for p in ps)), scale)
+                              if all((p[axis] * (1 << e)).denominator == 1 for p in pts)), scale)
         for k in {drawn % (scale + 1), *(j for j in (width - 1, width + 1) if 0 <= j <= scale)}:
             r, l = _shifts(width, k)
-            assert [v >> r << l for v in ints] == [math.floor(p[axis] * (1 << k)) for p in ps]
-    twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in ps.points for p in ps)
+            assert [v >> r << l for v in ints] == [math.floor(p[axis] * (1 << k)) for p in pts]
+    twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in pts for p in pts)
     for direction in {0, n // 2, n}:
         tree = assert_depths_match_oracle(ps, direction)
         if twins:
@@ -850,7 +851,7 @@ def test_levels_without_a_split_share_their_parents_clusters(occupied_reads):
     cells = deep.occupied
     assert occupied_reads == [40]
     assert list(cells.items()) == [
-        (k, tuple(v)) for k, v in bucket_oracle(ps.points, range(len(ps)),
+        (k, tuple(v)) for k, v in bucket_oracle(fraction_points(ps), range(len(ps)),
                                                 deep.scale_x, deep.scale_y).items()]
 
 
@@ -872,7 +873,7 @@ def test_counting_routes_build_no_cell_dict(occupied_reads):
 
 
 class _Unreadable:
-    """Stands in for a point whose caches are filled: reading it fails."""
+    """Stands in for a numerator whose caches are filled: reading it fails."""
 
     def __getattr__(self, name):
         raise AssertionError(f"a point's .{name} was read after caching")
@@ -889,9 +890,9 @@ def test_tree_layer_reads_only_the_cached_integers():
            Point(Fraction(1), THIRD), Point(Fraction(2, 7), Fraction(1)))
     ps, twin = PointSet(pts), PointSet(pts)
     # fill the caches that build_tree and the product checks' linf_norm
-    # read, then make every coordinate unreadable
+    # read, then make every numerator unreadable; the denominators stay
     _tree_integers(ps), ps.grid
-    object.__setattr__(ps, "points", tuple(_Unreadable() for _ in pts))
+    ps.__dict__["axes"] = tuple((den, tuple(_Unreadable() for _ in nums)) for den, nums in ps.axes)
     trees = build_trees(ps)
     want = build_trees(twin)
     assert [[rec.clusters for rec in t.levels] for t in trees] == [
@@ -959,22 +960,26 @@ def test_tree_integers_match_fraction_oracle(ps, width_x, width_y):
     # with x < 1 and y < 1, and the distinct count is taken on exact points
     n = next(n for n in range(64) if 2 * len(ps) <= 1 << n)
     scale = (n + 1) * (HARD_LEVEL_CAP + 1)
-    interior = tuple(t for t, p in enumerate(ps) if p.x < 1 and p.y < 1)
+    pts = fraction_points(ps)
+    interior = tuple(t for t, p in enumerate(pts) if p.x < 1 and p.y < 1)
     record = _tree_integers(ps)
+    assert record == tree_integers_oracle(pts)
     assert record.scale == scale
     widths = (scale if width_x is None else width_x, scale if width_y is None else width_y)
     assert (record.width_x, record.width_y) == widths
-    assert record.xs == tuple(math.floor(p.x * (1 << widths[0])) for p in ps)
-    assert record.ys == tuple(math.floor(p.y * (1 << widths[1])) for p in ps)
+    assert record.xs == tuple(math.floor(p.x * (1 << widths[0])) for p in pts)
+    assert record.ys == tuple(math.floor(p.y * (1 << widths[1])) for p in pts)
     # each point's cells at scale n, which level 0 keys on: 2^n on x = 1
-    assert record.cx == tuple(math.floor(p.x * 2**n) for p in ps)
-    assert record.cy == tuple(math.floor(p.y * 2**n) for p in ps)
+    assert record.cx == tuple(math.floor(p.x * 2**n) for p in pts)
+    assert record.cy == tuple(math.floor(p.y * 2**n) for p in pts)
     # the memory: an axis holds integers of at most its width's bits, one
-    # more for a coordinate 1, so a dyadic one no more than its exponent's
-    for axis, ints, width in ((0, record.xs, widths[0]), (1, record.ys, widths[1])):
-        assert all(v.bit_length() <= width + (p[axis] == 1) for v, p in zip(ints, ps))
+    # more for a coordinate 1, so a dyadic one no more than its exponent's;
+    # an axis over D = 2^E below 2^S holds the set's own numerators
+    for (den, nums), ints, width in zip(ps.axes, (record.xs, record.ys), widths):
+        assert all(v.bit_length() <= width + (a == den) for v, a in zip(ints, nums))
+        assert (ints is nums) == (den == 1 << width)
     assert record.interior == interior
-    assert record.distinct == len({ps[t] for t in interior})
+    assert record.distinct == len({pts[t] for t in interior})
     assert record.lone == tuple(((t,), x, y, HARD_LEVEL_CAP)
                                 for t, (x, y) in enumerate(zip(record.xs, record.ys)))
     assert _tree_integers(ps) is record
@@ -998,7 +1003,7 @@ def test_tree_integers_are_built_once_per_set(monkeypatch):
                for tree in trees for rec in tree.levels)
     # two builds of one set and direction are equal, and equal to a build
     # on a fresh copy of the set
-    fresh = PointSet(ps.points, ps.label)
+    fresh = PointSet(fraction_points(ps), ps.label)
     assert fresh == ps and hash(fresh) == hash(ps)
     for tree in trees:
         again = build_tree(ps, tree.direction)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from discrep import cli
 from discrep.cli import main
 from discrep.pointsets import read_csv
+from oracles import fraction_points
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,7 +69,8 @@ def test_gen_mirror_appends_the_mirrored_copy(tmp_path, capsys):
     assert code == 0 and "wrote 8 points" in stdout
     base, both = read_csv(plain), read_csv(mirrored)
     assert both.label == "vdc_m2+xmirror"
-    assert both.points == base.points + tuple((1 - p.x, p.y) for p in base)
+    points = fraction_points(base)
+    assert fraction_points(both) == points + tuple((1 - p.x, p.y) for p in points)
 
 
 @pytest.mark.parametrize("kind, missing", [("vdc", "--m"), ("random", "--n")])
@@ -81,12 +83,14 @@ def test_gen_without_its_size_is_usage_error(tmp_path, capsys, kind, missing):
 
 
 def test_gen_resource_limit(tmp_path, capsys, monkeypatch):
-    def no_point(*args):
-        raise AssertionError("point built past the cap")
+    def no_set(*args):
+        raise AssertionError("a generator ran past the cap")
 
-    # both generators stop at 2^24 points, before the first one is built, and
-    # so does a mirror that would take a set past them
-    monkeypatch.setattr("discrep.pointsets.Point", no_point)
+    # both generators stop at 2^24 points, and so does a mirror that would
+    # take a set past them: `gen` refuses the size before a generator runs,
+    # so no point is built
+    for name in ("van_der_corput", "random_uniform", "symmetrize"):
+        monkeypatch.setattr(f"discrep.pointsets.{name}", no_set)
     out = tmp_path / "x.csv"
     for argv in (["--kind", "vdc", "--m", "99"], ["--kind", "random", "--n", str((1 << 24) + 1)],
                  ["--kind", "random", "--n", str(10**9)], ["--kind", "vdc", "--m", "24", "--mirror"],
@@ -130,9 +134,14 @@ def test_point_budget_refuses_a_mirrored_set_and_a_csv_past_it(tmp_path, capsys,
     assert code == 3 and err == "resource limit: line 7: more than 2^2 points\n"
     path.write_text("x,y\n# four points fit\n" + "".join(f"{k}/2^3,1/2\n" for k in range(4)))
     assert len(read_csv(path)) == 4
-    # the mirror's refusal comes before any mirror point is made
-    base = pointsets.van_der_corput(2)
-    monkeypatch.setattr(pointsets, "Point", None)
+    # the mirror's refusal comes before any mirror point is made: the
+    # base's x numerators cannot be read
+    class Unread(tuple):
+        def __iter__(self):
+            raise AssertionError("a mirror point made past the cap")
+
+    (dx, xs), y_axis = pointsets.van_der_corput(2).axes
+    base = pointsets._pointset(((dx, Unread(xs)), y_axis), "vdc_m2")
     with pytest.raises(ResourceLimitError):
         pointsets.symmetrize(base)
 
@@ -414,13 +423,17 @@ def test_lemmas_prints_a_wide_d_error_as_a_power_of_two(tmp_path, capsys):
 def test_literal_budget_exit_code(tmp_path, capsys, monkeypatch, command):
     from discrep import pointsets
 
-    def no_power(*args):
-        raise AssertionError("power built for a literal over the bit budget")
+    lowest = pointsets._lowest
+
+    def no_power(num, den):
+        # every a/2^k literal's pair passes here, with its 2^k
+        assert den.bit_length() <= pointsets.MAX_LITERAL_BITS, "power built over the bit budget"
+        return lowest(num, den)
 
     # 15 bytes that would ask for a denominator of 10^10 bits
     path = tmp_path / "huge.csv"
     path.write_text("x,y\n1/2,1/3\n1/2^10000000000,1/2\n")
-    monkeypatch.setattr(pointsets, "dyadic", no_power)
+    monkeypatch.setattr(pointsets, "_lowest", no_power)
     code, stdout, err = run(capsys, command, "--in", str(path))
     assert code == 3 and stdout == ""
     assert "line 3" in err and "bit budget" in err
@@ -429,7 +442,6 @@ def test_literal_budget_exit_code(tmp_path, capsys, monkeypatch, command):
 def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
     from discrep import discrepancy, pointsets
     from discrep.errors import ResourceLimitError
-    from oracles import prime_reciprocals
 
     refused = []
     check = discrepancy._check_grid_budget
@@ -445,36 +457,47 @@ def test_norms_grid_budget_exit_code(tmp_path, capsys, monkeypatch):
     def no_columns(grid):
         raise AssertionError("columns streamed for an oversize grid")
 
-    def no_integers(cuts):
-        raise AssertionError("axis integers built for an oversize grid")
-
-    # 4097 distinct prime denominators per axis: 4098^2 cells, over the
-    # 2^24-cell budget, and a common denominator of about 56,000 bits
-    primes = tmp_path / "primes.csv"
-    pointsets.write_csv(prime_reciprocals(4097), primes)
+    # 4097 points over D = 4097 on the antidiagonal: 4097^2 cells, over the
+    # 2^24-cell budget, of small integers
+    side = 4097
+    big = tmp_path / "big.csv"
+    big.write_text("x,y\n" + "".join(f"{k}/{side},{side - k}/{side}\n" for k in range(side)))
     monkeypatch.setattr(discrepancy, "_check_grid_budget", watched)
     monkeypatch.setattr(discrepancy, "_columns", no_columns)
     monkeypatch.setattr(discrepancy, "accumulate", no_columns)
-    monkeypatch.setattr(pointsets, "_axis_integers", no_integers)
     for which in ("all", "l1", "linf", "dn"):
-        code, stdout, err = run(capsys, "norms", "--in", str(primes), "--which", which, "--json")
+        code, stdout, err = run(capsys, "norms", "--in", str(big), "--which", which, "--json")
         assert code == 3 and stdout == ""
         assert "cell budget" in err
     assert refused == [4097] * 4
     monkeypatch.undo()
-    # L2 reads no column: the bit budget of its axis integers refuses it
-    code, stdout, err = run(capsys, "norms", "--in", str(primes), "--which", "l2", "--json")
-    assert code == 3 and stdout == ""
-    assert "bit budget" in err
-    # and a set over the cell budget whose integers are small gets its value
-    side = 4097
-    big = tmp_path / "big.csv"
-    big.write_text("x,y\n" + "".join(f"{k}/{side},{side - k}/{side}\n" for k in range(side)))
+    # L2 has no cell budget, and gets its value
     code, stdout, _ = run(capsys, "norms", "--in", str(big), "--which", "l2", "--json")
     assert code == 0
     payload = json.loads(stdout)
     assert payload["n_points"] == side
     assert payload["l2_sq"] == str(discrepancy.l2_norm_sq(pointsets.read_csv(big)))
+
+
+@pytest.mark.parametrize("argv", [["norms", "--which", "linf"], ["norms", "--which", "l2"],
+                                  ["aux"], ["certificate"]])
+def test_axis_budget_refuses_a_csv_before_any_numerator(tmp_path, capsys, monkeypatch, argv):
+    from discrep import pointsets
+    from oracles import prime_reciprocals
+
+    def no_numerator(*args):
+        raise AssertionError("a numerator was built over the oversize denominator")
+
+    # 4097 distinct prime denominators per axis: a common denominator of
+    # about 56,000 bits, 4097 times over, past the 2^27-bit budget, which
+    # trees and L-infinity once accepted
+    path = tmp_path / "primes.csv"
+    path.write_text("x,y\n" + "".join(f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}\n"
+                                      for x, y in prime_reciprocals(4097)))
+    monkeypatch.setattr(pointsets, "mul", no_numerator)
+    code, stdout, err = run(capsys, *argv, "--in", str(path))
+    assert code == 3 and stdout == ""
+    assert err == f"resource limit: axis integers exceed the {pointsets.MAX_AXIS_BITS}-bit budget\n"
 
 
 def test_comb_json(capsys):

@@ -30,6 +30,7 @@ from oracles import (
     DyadicRectangle,
     cells,
     eval_discrepancy,
+    fraction_points,
     haar_inner_product,
     l2_norm_sq_direct,
     mirrored_vdc_l2_sq,
@@ -64,7 +65,7 @@ def test_cell_decomposition_counts_monotone():
                     assert counts[i][j] >= counts[i - 1][j]
                 if j:
                     assert counts[i][j] >= counts[i][j - 1]
-        total = sum((b - a) * (d - c) for a, b, c, d, _ in cells(cd))
+        total = sum((b - a) * (d - c) for a, b, c, d, _ in cells(ps))
         assert total == 1
 
 
@@ -80,7 +81,7 @@ def test_haar_inner_product_empty_rectangle_rule():
     # rectangles with no point: exactly -N |R|^2 / 16
     ps = van_der_corput(2)
     r = rect(2, 3, 2, 0)  # [3/4,1) x [0,1/4) holds no vdc point
-    assert all(not r.contains(p.x, p.y) for p in ps)
+    assert all(not r.contains(p.x, p.y) for p in fraction_points(ps))
     assert haar_inner_product(ps, r) == -len(ps) * r.area ** 2 / 16
 
 
@@ -130,7 +131,7 @@ def test_empty_rectangle_rule_over_random_rects():
         while found < 10:
             kx, ky = rng.randint(0, 3), rng.randint(0, 3)
             r = rect(kx, rng.randrange(1 << kx), ky, rng.randrange(1 << ky))
-            if any(r.contains(p.x, p.y) for p in ps):
+            if any(r.contains(p.x, p.y) for p in fraction_points(ps)):
                 continue
             found += 1
             assert haar_inner_product(ps, r) == -len(ps) * r.area ** 2 / 16
@@ -334,37 +335,36 @@ def test_norms_report_computes_l1_once(monkeypatch):
 def test_norms_report_builds_the_grid_once(monkeypatch):
     calls = []
     build = CellDecomposition.from_pointset
-    axis_calls = []
-    integers = pointsets._axis_integers
+    terms = []
+    lowest = discrepancy._lowest
 
     def counting(ps):
         calls.append(len(ps))
         return build(ps)
 
-    def counting_axis(cuts):
-        axis_calls.append(len(cuts))
-        return integers(cuts)
+    def counting_terms(a, den):
+        terms.append(den)
+        return lowest(a, den)
 
     monkeypatch.setattr(CellDecomposition, "from_pointset", staticmethod(counting))
-    monkeypatch.setattr(pointsets, "_axis_integers", counting_axis)
+    monkeypatch.setattr(discrepancy, "_lowest", counting_terms)
     report = _norms_payload(random_uniform(16, seed=3), "all")
-    # one grid, and one set of integers for x and one for y, shared by L1 and L2
-    assert calls == [16] and axis_calls == [18, 18]
-    # L-infinity reads no axis integer
-    axis_calls.clear()
+    # one grid shared by the three norms; L1 reads its 18 x and 18 y cuts
+    # in lowest terms, and L2 and L-infinity read the grid's integers alone
+    assert calls == [16] and len(terms) == 18 + 18
+    terms.clear()
     assert report["linf"] == _norms_payload(random_uniform(16, seed=3), "linf")["linf"]
-    assert calls == [16, 16] and axis_calls == []
+    assert calls == [16, 16] and terms == []
     assert report["linf"] == str(linf_norm(random_uniform(16, seed=3)))
     # every norm and both of lemma_suite's product checks share one set's grid
     calls.clear()
-    axis_calls.clear()
     ps = van_der_corput(2)
     l1_norm(ps), l2_norm_sq(ps), linf_norm(ps), _norms_payload(ps, "all")
     # n = 3: both product checks, (0, 3) and (0, 1, 3), read linf_norm
     suite = lemma_suite(ps)
     products = [c for c in suite.checks if c.name == "product_discrepancy_bound"]
     assert len(products) == 2 and not any(c.skipped for c in products)
-    assert calls == [4] and axis_calls == [5, 5]
+    assert calls == [4]
 
 
 SRC = Path(discrepancy.__file__).resolve().parents[1]

@@ -40,6 +40,8 @@ from discrep.testfn import _error_weights, certificate
 from oracles import (
     _iv_precision,
     cells,
+    fraction_cuts,
+    fraction_points,
     grid_oracle,
     iv_fraction,
     l1_enclosure_iv,
@@ -52,6 +54,7 @@ from oracles import (
 
 def linf_oracle(ps):
     n = len(ps)
+    ps = fraction_points(ps)
     xs = sorted({Fraction(1), *(p.x for p in ps)})
     ys = sorted({Fraction(1), *(p.y for p in ps)})
     best = Fraction(0)
@@ -68,7 +71,7 @@ def l1_terms_oracle(ps):
     n = len(ps)
     rational = Fraction(0)
     logs = []
-    for a, b, c, d, k in cells(CellDecomposition.from_pointset(ps)):
+    for a, b, c, d, k in cells(ps):
         signed = k * (b - a) * (d - c) - Fraction(n, 4) * (b * b - a * a) * (d * d - c * c)
         t = Fraction(k, n)
         if t >= b * d:
@@ -96,6 +99,7 @@ def l1_terms_oracle(ps):
 
 def l2_oracle(ps):
     n = len(ps)
+    ps = fraction_points(ps)
     pair_sum = Fraction(0)
     for p in ps:
         for q in ps:
@@ -240,7 +244,8 @@ MIRROR_TIES = [
 # seed: all points on x = 0; a duplicate stack at x = 0 under a cloud
 # (every other corner is below 4); and a point at (0, 1), whose corner is
 # the only one at 4 and the last of that column.
-CLOUD = [(Fraction(1, 2) + p.x / 2, Fraction(1, 2) + p.y / 2) for p in random_uniform(4, seed=5)]
+CLOUD = [(Fraction(1, 2) + p.x / 2, Fraction(1, 2) + p.y / 2)
+         for p in fraction_points(random_uniform(4, seed=5))]
 X0_SUPREMA = [
     pointset((0, Fraction(1, 3)), (0, Fraction(2, 3)), (0, 1), (0, 0)),
     pointset(*[(0, Fraction(1, 10))] * 4, *CLOUD),
@@ -302,6 +307,10 @@ def test_linf_filter_keeps_corners_within_2e_of_the_running_max(monkeypatch):
     def fl(q):
         return skewed.get(q, float(q))
 
+    def skewed_division(p, q):
+        # a cut's float, the int true division of its lowest-terms pair
+        return fl(Fraction(p, q))
+
     bound = math.ldexp(6, -53)              # E at N = 1
     candidates = {}
     for x in (a, Fraction(1)):
@@ -312,7 +321,7 @@ def test_linf_filter_keeps_corners_within_2e_of_the_running_max(monkeypatch):
             assert abs(Fraction(candidates[x, y]) - exact) <= bound
     top = candidates[a, b]
     assert candidates[1, b] < top - bound and top - 2 * bound <= candidates[1, b]
-    monkeypatch.setattr(discrepancy, "float", fl, raising=False)
+    monkeypatch.setattr(discrepancy, "truediv", skewed_division)
     assert linf_norm(pointset((a, b))) == b > 1 - a * b
 
 
@@ -348,29 +357,34 @@ def test_linf_column_bound_takes_its_float_slack(monkeypatch):
     def fl(q):
         return skewed.get(q, float(q))
 
+    def skewed_division(p, q):
+        # a cut's float, the int true division of its lowest-terms pair
+        return fl(Fraction(p, q))
+
     # every candidate errs by at most E and every rise by at most 1.5E
     grid = ps.grid
+    x_cuts, y_cuts = fraction_cuts(ps)
     columns = list(oracles.columns_oracle(grid))
     ranks = grid.y_ranks
     last = 0.0
-    for i in range(1, len(grid.x_cuts)):
-        x = grid.x_cuts[i]
+    for i in range(1, len(x_cuts)):
+        x = x_cuts[i]
         p = n * fl(x)
-        for j, y in enumerate(grid.y_cuts):
+        for j, y in enumerate(y_cuts):
             v, nxy = p * fl(y), n * x * y
             strict = columns[i - 1][j - 1] if j else 0
             assert abs(Fraction(columns[i][j] - v) - (columns[i][j] - nxy)) <= bound
             assert abs(Fraction(v - strict) - (nxy - strict)) <= bound
-        d, delta = p - last, n * (x - grid.x_cuts[i - 1])
+        d, delta = p - last, n * (x - x_cuts[i - 1])
         last = p
-        ys = [grid.y_cuts[j] for j in ranks[i]]
-        ys_last = [grid.y_cuts[j] for j in ranks[i - 1]] + [Fraction(1)]
+        ys = [y_cuts[j] for j in ranks[i]]
+        ys_last = [y_cuts[j] for j in ranks[i - 1]] + [Fraction(1)]
         closed = [(k - d * fl(y), k - delta * y) for k, y in enumerate([Fraction(0), *ys])]
         strict = [(d * fl(y) - k, delta * y - k) for k, y in enumerate(ys_last)]
         for rise in (closed, strict):
             assert abs(Fraction(max(r for r, _ in rise)) - max(r for _, r in rise)) <= 1.5 * bound
     assert linf_exact_scan(ps) == 3 * b
-    monkeypatch.setattr(discrepancy, "float", fl, raising=False)
+    monkeypatch.setattr(discrepancy, "truediv", skewed_division)
     assert linf_norm(ps) == 3 * b
 
 
@@ -470,6 +484,12 @@ def test_l1_terms_match_per_cell_oracle(ps):
     atoms = [m for _, m in form.logs]
     assert all(m == 2 or m >= 3 and m % 2 for m in atoms) and len(set(atoms)) == len(atoms)
     assert all(coeff for coeff, _ in form.logs)
+    # each atom is 2 or the odd part of a count k <= N, or of a cut's
+    # numerator or denominator in lowest terms, not over its axis's D
+    x_cuts, y_cuts = fraction_cuts(ps)
+    parts = [k for k in range(1, len(ps) + 1)]
+    parts += [m for q in (*x_cuts, *y_cuts) for m in (q.numerator, q.denominator) if m]
+    assert set(atoms) <= {2, *(m >> ((m & -m).bit_length() - 1) for m in parts)}
     if len(ps) <= 8:
         # sum (k^2/N) ln(ratio) == sum coeff ln(atom) / N, exponentiated
         oracle = power_product((coeff * len(ps), ratio) for coeff, ratio in want_logs)
@@ -489,7 +509,8 @@ def test_l1_enclosure_matches_iv_objects(dps):
     # the one exact sum holds the `iv` objects' enclosure at 4 dps and is no
     # wider than theirs at dps
     inexact = 0
-    for ps in (*ADVERSARIAL, random_uniform(32, seed=1), van_der_corput(5), prime_reciprocals(12)):
+    for ps in (*ADVERSARIAL, random_uniform(32, seed=1), van_der_corput(5),
+               PointSet(prime_reciprocals(12))):
         form = _l1_form(ps)
         lo, hi = _l1_enclosure(form, dps)
         assert contains((lo, hi), l1_enclosure_iv(form, 4 * dps))
@@ -651,19 +672,19 @@ def test_l2_matches_pairwise_oracle(ps):
 def test_grid_fields_agree():
     ps = pointset((Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 3), 1), (0, Fraction(3, 5)))
     grid = CellDecomposition.from_pointset(ps)
-    assert grid.x_cuts == (0, Fraction(1, 3), 1)
-    assert grid.y_cuts == (0, Fraction(1, 4), Fraction(3, 5), 1)
+    # the cuts are the numerators over each axis's D, 3 and 20
+    assert ps.axes == ((3, (1, 1, 0)), (20, (5, 20, 12)))
+    assert grid.x_cuts == (0, 1, 3)
+    assert grid.y_cuts == (0, 5, 12, 20)
     # x = 0 holds (0, 3/5), x = 1/3 holds y = 1/4 and y = 1, x = 1 none
     assert grid.y_ranks == ((2,), (1, 3), ())
     assert ps.grid == grid
-    (x_den, x_ints), (y_den, y_ints) = ps.axes
-    assert x_den == 3 and y_den == 20
-    assert [Fraction(v, x_den) for v in x_ints] == list(grid.x_cuts)
-    assert [Fraction(v, y_den) for v in y_ints] == list(grid.y_cuts)
+    x_cuts, y_cuts = fraction_cuts(ps)
+    assert x_cuts == [0, Fraction(1, 3), 1] and y_cuts == [0, Fraction(1, 4), Fraction(3, 5), 1]
     table = tuple(_columns(grid))
-    for i, x in enumerate(grid.x_cuts):
-        for j, y in enumerate(grid.y_cuts):
-            assert table[i][j] == sum(1 for p in ps if p.x <= x and p.y <= y)
+    for i, x in enumerate(x_cuts):
+        for j, y in enumerate(y_cuts):
+            assert table[i][j] == sum(1 for p in fraction_points(ps) if p.x <= x and p.y <= y)
 
 
 def test_l1_norm_on_adversarial_corpus_is_certified():
@@ -730,34 +751,46 @@ def test_grid_budget_raises_before_building(kernel, monkeypatch):
     def no_columns(grid):
         raise AssertionError("columns streamed for an oversize grid")
 
-    def no_integers(cuts):
-        raise AssertionError("axis integers built for an oversize grid")
+    def no_lowest(a, den):
+        raise AssertionError("a cut read for an oversize grid")
 
     monkeypatch.setattr(discrepancy, "_check_grid_budget", watched)
     monkeypatch.setattr(oracles, "_check_grid_budget", watched)
     monkeypatch.setattr(discrepancy, "_columns", no_columns)
     monkeypatch.setattr(discrepancy, "accumulate", no_columns)
-    monkeypatch.setattr(pointsets, "_axis_integers", no_integers)
-    # 4098^2 cells, whose axis integers would be far over their bit budget too
+    monkeypatch.setattr(discrepancy, "_lowest", no_lowest)
+    # 4097^2 cells over small integers
     with pytest.raises(ResourceLimitError, match="cell budget"):
-        kernel(prime_reciprocals(4097))
+        kernel(oversize_set())
     assert refused == [4097]
 
 
 def test_l2_refuses_axis_integers_over_budget():
-    # 4099 x cuts over a common denominator of about 56,000 bits
+    # 4097 distinct prime denominators per axis: a common denominator of
+    # about 56,000 bits, 4097 times over, past MAX_AXIS_BITS; the set is
+    # refused as it is made, so L2 never reads it
     with pytest.raises(ResourceLimitError, match="bit budget"):
-        l2_norm_sq(prime_reciprocals(4097))
+        l2_norm_sq(PointSet(prime_reciprocals(4097)))
 
 
 def test_axis_bit_budget_counts_every_integer(monkeypatch):
-    # Q = 15 has 4 bits, so the four cuts take 16 bits
-    cuts = (Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(1))
-    monkeypatch.setattr(pointsets, "MAX_AXIS_BITS", 16)
-    assert pointsets._axis_integers(cuts) == (15, (0, 5, 6, 15))
-    monkeypatch.setattr(pointsets, "MAX_AXIS_BITS", 15)
-    with pytest.raises(ResourceLimitError, match="15-bit budget"):
-        pointsets._axis_integers(cuts)
+    # D = 3 2^64 has 66 bits, 2 past the 64 that the point budget pays for,
+    # so the four numerators count 8 bits
+    pairs = [(0, 1), (1, 3), (1, 1 << 64), (1, 1)]
+    nums, dens = zip(*pairs)
+    axis = (3 << 64, (0, 1 << 64, 3, 3 << 64))
+    monkeypatch.setattr(pointsets, "MAX_AXIS_BITS", 8)
+    assert pointsets._axis(nums, dens) == axis
+    assert PointSet(zip([Fraction(p, q) for p, q in pairs], [0] * 4)).axes[0] == axis
+    monkeypatch.setattr(pointsets, "MAX_AXIS_BITS", 7)
+    for make in (lambda: pointsets._axis(nums, dens),
+                 lambda: PointSet(zip([Fraction(p, q) for p, q in pairs], [0] * 4))):
+        with pytest.raises(ResourceLimitError, match="7-bit budget"):
+            make()
+    # a D of 64 bits or fewer costs nothing, whatever N
+    monkeypatch.setattr(pointsets, "MAX_AXIS_BITS", 0)
+    assert pointsets._axis(nums[:2] * 1000, dens[:2] * 1000)[0] == 3
+    assert len(pointsets.symmetrize(pointsets.random_uniform(4, 1))) == 8
 
 
 def test_l2_reads_no_column_and_has_no_budget(monkeypatch):
