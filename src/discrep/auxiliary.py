@@ -13,10 +13,10 @@ the measure-zero residue that never leaves occupied rectangles.  Built to
 a finite depth, it is +-1 off the deepest level's occupied cells, whose
 measure is at most the tree's bound `uncovered_mass`, N times the cell
 area, because the suite's `level_counts` check finds at most N occupied
-cells.  The n + 1 trees of a set, one per direction index in order, are
-its family (`build_trees`): `lemma_suite` and `testfn.certificate` build
-it, or check that a family passed in has no missing, repeated or foreign
-tree.
+cells.  The n + 1 trees of a set, one per direction index, are its family
+(`build_trees`), in direction order, as a stream: `lemma_suite` and
+`testfn.certificate` read and check each tree as it passes, a family
+passed in too, and keep none they do not need.
 
 The construction is infinite, but once every occupied rectangle's points
 coincide ("stabilization", level l*) the occupied count c is constant
@@ -77,8 +77,7 @@ them only for n <= 4.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .discrepancy import linf_norm
 from .errors import ResourceLimitError
@@ -394,33 +393,30 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
     return AuxFamilyTree(ps, direction, n, tuple(levels), stabilization)
 
 
-def build_trees(ps: PointSet, max_level: int | None = None) -> list[AuxFamilyTree]:
-    """The family of `ps`: its tree for each direction index 0..n, in order."""
-    return [build_tree(ps, i, max_level) for i in range(n_from_pointcount(len(ps)) + 1)]
+def build_trees(ps: PointSet, max_level: int | None = None) -> Iterator[AuxFamilyTree]:
+    """The family of `ps`, its tree for each direction index 0..n, as a stream
+    in direction order: each tree is built when the next one is asked for."""
+    for i in range(n_from_pointcount(len(ps)) + 1):
+        yield build_tree(ps, i, max_level)
 
 
-def _family(ps: PointSet, trees: Sequence[AuxFamilyTree] | None) -> list[AuxFamilyTree]:
-    """`build_trees(ps)` when `trees` is None, else `trees` in direction order.
-
-    A family passed in must be one tree of `ps` per direction index 0..n;
-    a missing, repeated or foreign tree raises ValueError.
-    """
-    if trees is None:
-        return build_trees(ps)
+def _family(ps: PointSet, trees: Iterable[AuxFamilyTree] | None,
+            indices: Sequence[int] | None = None) -> Iterator[AuxFamilyTree]:
+    """`trees`, or `build_trees(ps)` if None, checked as they pass: each must be
+    the tree of `ps` for the next of `indices` (0..n if None), and none may be
+    left at the end; a tree out of order, missing, repeated or foreign raises ValueError."""
     n = n_from_pointcount(len(ps))
-    return _trees_of(ps, sorted(trees, key=lambda t: t.direction), range(n + 1),
-                     f"need one tree per direction index 0..{n}")
-
-
-def _trees_of(ps: PointSet, trees: Sequence[AuxFamilyTree], directions: Sequence[int],
-              mismatch: str) -> list[AuxFamilyTree]:
-    """`trees` as a list; ValueError unless they are trees of `ps` for `directions`, in order."""
-    trees = list(trees)
-    if [t.direction for t in trees] != list(directions):
+    expected = iter(range(n + 1) if indices is None else indices)
+    mismatch = (f"need one tree per direction index 0..{n}" if indices is None
+                else "trees do not match the requested indices")
+    for tree in build_trees(ps) if trees is None else trees:
+        if tree.direction != next(expected, None):
+            raise ValueError(mismatch)
+        if tree.pointset != ps:
+            raise ValueError("trees were built for another point set")
+        yield tree
+    if next(expected, None) is not None:
         raise ValueError(mismatch)
-    if any(t.pointset != ps for t in trees):
-        raise ValueError("trees were built for another point set")
-    return trees
 
 
 class InnerProduct(NamedTuple):
@@ -590,7 +586,7 @@ class ProductBoundReport(NamedTuple):
 
 
 def product_bound_check(
-    ps: PointSet, indices: Sequence[int], trees: Sequence[AuxFamilyTree]
+    ps: PointSet, indices: Sequence[int], trees: Iterable[AuxFamilyTree]
 ) -> ProductBoundReport:
     """Exact piecewise integration of D * prod f and the covered area, with bounds.
 
@@ -604,7 +600,7 @@ def product_bound_check(
         raise ValueError("need at least two direction indices")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError(f"indices must be strictly increasing, got {indices}")
-    trees = _trees_of(ps, trees, indices, "trees do not match the requested indices")
+    trees = list(_family(ps, trees, indices))
     if any(t.deepest_level < PRODUCT_LEVEL for t in trees):
         raise ValueError(f"all trees must be built to level {PRODUCT_LEVEL}")
     n = trees[0].n
@@ -733,61 +729,65 @@ def _check_inner_bound(tree: AuxFamilyTree) -> CheckResult:
     )
 
 
-def _check_side_lengths(trees: Sequence[AuxFamilyTree]) -> CheckResult:
-    """Across distinct direction indices, x side lengths never tie (nor y)."""
-    for a, b in combinations(trees, 2):
-        for ra in a.levels:
-            for rb in b.levels:
-                if ra.scale_x == rb.scale_x or ra.scale_y == rb.scale_y:
-                    return CheckResult(
-                        "side_lengths_distinct", False,
-                        f"i={a.direction} l={ra.level} vs i={b.direction} l={rb.level}",
-                    )
-    return CheckResult("side_lengths_distinct", True, f"{len(trees)} trees compared")
+def _side_length_fault(tree: AuxFamilyTree) -> str | None:
+    """The first level of `tree` off scale_x = i + (n+1) l and scale_y =
+    n - i + (n+1) l, or None.  Then scale_x mod (n+1) = i and scale_y mod
+    (n+1) = n - i, 0 <= i <= n: trees of distinct i never tie a side length."""
+    n, i = tree.n, tree.direction
+    for rec in tree.levels:
+        want = (i + (n + 1) * rec.level, n - i + (n + 1) * rec.level)
+        if (rec.scale_x, rec.scale_y) != want:
+            return f"i={i} l={rec.level}: scales ({rec.scale_x}, {rec.scale_y}) != {want}"
+    return None
 
 
 def lemma_suite(
-    ps: PointSet, trees: Sequence[AuxFamilyTree] | None = None
+    ps: PointSet, trees: Iterable[AuxFamilyTree] | None = None
 ) -> SuiteReport:
     """Run every structural check on the family of `ps`.
 
     Every check is exact and samples nothing, so one family always gives
-    the same report.
+    the same report.  The per-tree checks run as each tree arrives.
 
     Product checks run at level PRODUCT_LEVEL on the family's trees for
     the extreme index tuples (0, n) and, when n >= 2, (0, 1, n), which carry
-    the weakest bounds; they are skipped beyond n = PRODUCT_MAX_N
-    (intersection piece counts explode), past PIECE_CAP pieces, or when a
-    tree of a tuple stops before PRODUCT_LEVEL, and recorded as skipped,
-    not passed.  A prebuilt family may be passed in (the test suite uses
-    this to verify corrupted trees fail): one tree of `ps` per direction
-    index 0..n, in any order; anything else raises ValueError, as in
-    `testfn.certificate`.  A witness prints its `d_error` exactly when
-    `exact_str` accepts it, and else the least power of two at or above it.
+    the weakest bounds, and only those trees are kept; they are skipped
+    beyond n = PRODUCT_MAX_N (intersection piece counts explode), past
+    PIECE_CAP pieces, or when a tree of a tuple stops before PRODUCT_LEVEL,
+    and recorded as skipped, not passed.  A family built to a max level,
+    or a corrupted one, may be passed in: one tree of `ps` per direction
+    index 0..n, in direction order, as a list or a stream; anything else
+    raises ValueError, as in `testfn.certificate`.  A witness prints its
+    `d_error` exactly when `exact_str` accepts it, and else the least power
+    of two at or above it.
     """
-    trees = _family(ps, trees)
-    n = trees[0].n
+    n = n_from_pointcount(len(ps))
+    tuples = [] if n > PRODUCT_MAX_N else [(0, n), (0, 1, n)] if n >= 2 else [(0, n)]
+    kept: dict[int, AuxFamilyTree] = {}     # the trees of the product tuples
     checks: list[CheckResult] = []
-    for tree in trees:
+    side_fault = None
+    for tree in _family(ps, trees):
         checks.append(_check_level_counts(tree))
         checks.append(_check_cluster_partition(tree))
         checks.append(_check_inner_bound(tree))
-    checks.append(_check_side_lengths(trees))
+        side_fault = side_fault or _side_length_fault(tree)
+        if any(tree.direction in indices for indices in tuples):
+            kept[tree.direction] = tree
+    checks.append(CheckResult("side_lengths_distinct", side_fault is None,
+                              side_fault or f"{n + 1} trees compared"))
 
     def skip(witness: str) -> None:
         checks.append(CheckResult("product_bounds", False, witness, skipped=True))
 
-    tuples: list[tuple[int, ...]] = [(0, n), (0, 1, n)] if n >= 2 else [(0, n)]
     if n > PRODUCT_MAX_N:
         skip(f"skipped: n={n} exceeds the n<={PRODUCT_MAX_N} guard")
-        tuples = []
     for indices in tuples:
-        unusable = [i for i in indices if trees[i].deepest_level < PRODUCT_LEVEL]
+        unusable = [i for i in indices if kept[i].deepest_level < PRODUCT_LEVEL]
         if unusable:
             skip(f"{indices}: skipped (no tree to level {PRODUCT_LEVEL} for {unusable})")
             continue
         try:
-            report = product_bound_check(ps, indices, [trees[i] for i in indices])
+            report = product_bound_check(ps, indices, [kept[i] for i in indices])
         except ResourceLimitError as exc:
             skip(f"{indices}: skipped ({exc})")
             continue

@@ -137,11 +137,9 @@ def cmd_norms(args) -> int:
 
 def cmd_aux(args) -> int:
     ps = pointsets.read_csv(args.input)
-    if args.index is None:
-        trees = auxiliary.build_trees(ps, args.max_level)
-    else:
-        trees = [auxiliary.build_tree(ps, args.index, args.max_level)]
-    summaries = [_tree_payload(tree) for tree in trees]
+    trees = (auxiliary.build_trees(ps, args.max_level) if args.index is None
+             else [auxiliary.build_tree(ps, args.index, args.max_level)])
+    summaries = list(map(_tree_payload, trees))     # one tree alive at a time
     lines = [f"i={s['i']} n={s['n']} l*={s['l_star']} stabilized={s['stabilized']} "
              f"inner_product={s['inner_product']}" for s in summaries]
     _emit(args, {"n_points": len(ps), "trees": summaries}, lines)
@@ -150,8 +148,7 @@ def cmd_aux(args) -> int:
 
 def cmd_lemmas(args) -> int:
     ps = pointsets.read_csv(args.input)
-    trees = auxiliary.build_trees(ps, args.max_level)
-    report = auxiliary.lemma_suite(ps, trees=trees)
+    report = auxiliary.lemma_suite(ps, trees=auxiliary.build_trees(ps, args.max_level))
     lines = [f"{'SKIP' if c.skipped else 'PASS' if c.passed else 'FAIL'} {c.name}: {c.witness}"
              for c in report.checks]
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} ({report.skipped} skipped)")
@@ -191,8 +188,7 @@ def cmd_lin(args) -> int:
 
 def cmd_certificate(args) -> int:
     ps = pointsets.read_csv(args.input)
-    trees = auxiliary.build_trees(ps, args.max_level)
-    cert = testfn.certificate(ps, trees=trees)
+    cert = testfn.certificate(ps, trees=auxiliary.build_trees(ps, args.max_level))
     p = _certificate_payload(cert)
     lines = [f"N={p['N']} n={p['n']}", f"inner_product_sum: {p['inner_product_sum']}",
              f"main_term >= {p['main_term']}", f"error_bound <= {p['error_bound']}",

@@ -13,8 +13,8 @@ over unit coefficient mass singles out T = sin, whose limit value is
 
 The certificate combines, for a concrete point set, the exact rational
 inner products of the discrepancy function with the n+1 auxiliary
-functions of its tree family, `auxiliary.build_trees` (main term,
-weighted by cos^n sin), against a fully explicit finite error series
+functions of its tree family, the stream `auxiliary.build_trees` (main
+term, weighted by cos^n sin), against a fully explicit finite error series
 (odd orders p = 3..n+1, each bounded through the product bound
 `auxiliary.product_bound` summed over index tuples).  Every transcendental
 factor here, the lin values' and the constants' too, is an interval with
@@ -38,9 +38,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import comb, factorial
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .auxiliary import AuxFamilyTree, _family, inner_product, product_bound
+from .auxiliary import AuxFamilyTree, _family, inner_product, n_from_pointcount, product_bound
 from .combinatorics import sign_sum_moment
 from .errors import ResourceLimitError
 from .pointsets import PointSet
@@ -228,21 +228,24 @@ def _error_weights(n: int, count: int) -> dict[int, Fraction]:
     }
 
 
-def certificate(ps: PointSet, trees: Sequence[AuxFamilyTree] | None = None) -> BoundCertificate:
+def certificate(ps: PointSet, trees: Iterable[AuxFamilyTree] | None = None) -> BoundCertificate:
     """End-to-end lower-bound certificate for one point set (T = sin route).
 
     All rounding is directed: the main term rounds down, the error series
     rounds up and their difference rounds down, so l1_lower_bound <=
     main_term - error_bound <= ||D||_1 holds rigorously.  The inner
-    products are those of the family of `ps` (`auxiliary.build_trees`), or
-    of a prebuilt family: one tree of `ps` per direction index 0..n, in any
-    order (truncated trees are sound); anything else raises ValueError.
+    products are those of the family of `ps`, read one tree at a time as
+    `auxiliary.build_trees` makes them, or of a prebuilt family: one tree
+    of `ps` per direction index 0..n, in direction order, as a list or a
+    stream (truncated trees are sound); anything else raises ValueError.
     """
-    trees = _family(ps, trees)
-    count, n = len(ps), trees[0].n
-    ips = [inner_product(tree) for tree in trees]
-    total = sum(ip.value for ip in ips)
-    total_error = sum(ip.error for ip in ips)
+    count, n = len(ps), n_from_pointcount(len(ps))
+    total, total_error, stabilized = Fraction(0), Fraction(0), True
+    for tree in _family(ps, trees):
+        ip = inner_product(tree)
+        total += ip.value
+        total_error += ip.error
+        stabilized &= tree.stabilized
 
     from mpmath import mpf
     from mpmath.libmp import dps_to_prec, mpi_div, mpi_log, mpi_sqrt, mpi_sub
@@ -262,7 +265,7 @@ def certificate(ps: PointSet, trees: Sequence[AuxFamilyTree] | None = None) -> B
         point_count=count,
         inner_product_sum=total,
         inner_product_error=total_error,
-        trees_stabilized=all(t.stabilized for t in trees),
+        trees_stabilized=stabilized,
         main_term=_iv_endpoints(main)[0],
         error_bound=_iv_endpoints(err)[1],
         l1_lower_bound=max(mpf(0), _iv_endpoints(diff)[0]),

@@ -133,6 +133,24 @@ MUTANTS = (
         "a point on x = 1 lies in no half-open dyadic rectangle",
     ),
     Mutant(
+        "family_without_its_end_count", "auxiliary.py",
+        "    if next(expected, None) is not None:\n        raise ValueError(mismatch)\n", "",
+        ("test_testfn.py::test_certificate_refuses_trees_that_are_not_one_per_direction",),
+        "a family that stops short of its last direction index is refused once it ends",
+    ),
+    Mutant(
+        "family_without_its_direction_check", "auxiliary.py",
+        "if tree.direction != next(expected, None):", "if next(expected, None) is None:",
+        ("test_testfn.py::test_certificate_refuses_trees_that_are_not_one_per_direction",),
+        "each tree of a family is the one of the next direction index, in order",
+    ),
+    Mutant(
+        "side_lengths_by_their_sum", "auxiliary.py",
+        "if (rec.scale_x, rec.scale_y) != want:", "if rec.scale_x + rec.scale_y != sum(want):",
+        ("test_auxiliary.py::test_side_lengths_fails_a_tie",),
+        "each scale has its own identity: their sum, the area, cannot tell a tie apart",
+    ),
+    Mutant(
         "grid_cuts_without_the_top_cut", "pointsets.py",
         "cuts = sorted({0, den, *nums})", "cuts = sorted({0, *nums})",
         ("test_grid_kernels.py::test_grid_matches_sort_and_bisect_oracle",),

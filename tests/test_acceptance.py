@@ -179,7 +179,7 @@ def test_criterion_08_product_bounds():
     for ps, tuples in configs:
         n = n_from_pointcount(len(ps))
         assert n <= 4
-        trees = build_trees(ps, max_level=2)
+        trees = list(build_trees(ps, max_level=2))
         for indices in tuples:
             report = product_bound_check(ps, indices, [trees[i] for i in indices])
             assert 0 <= 1 - report.covered_area <= report.mass_bound

@@ -240,7 +240,7 @@ def test_product_check_matches_grid_oracle():
 def test_product_check_bounds_vdc():
     ps = van_der_corput(2)
     n = n_from_pointcount(len(ps))
-    trees = build_trees(ps, max_level=2)
+    trees = list(build_trees(ps, max_level=2))
     for indices in ((0, 2), (0, 3), (1, 2), (0, 1, 3)):
         report = product_bound_check(ps, indices, [trees[i] for i in indices])
         assert 0 <= 1 - report.covered_area <= report.mass_bound
@@ -252,7 +252,7 @@ def test_product_check_bounds_vdc():
 
 def test_product_check_validation(monkeypatch):
     ps = van_der_corput(2)
-    trees = build_trees(ps, max_level=2)
+    trees = list(build_trees(ps, max_level=2))
     with pytest.raises(ValueError, match="at least two"):
         product_bound_check(ps, (0,), trees[:1])
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -260,7 +260,7 @@ def test_product_check_validation(monkeypatch):
     with pytest.raises(ValueError, match="requested indices"):
         product_bound_check(ps, (0, 3), [trees[0], trees[2]])
     with pytest.raises(ValueError, match="built to level 2"):
-        product_bound_check(ps, (0, 3), build_trees(ps, max_level=1)[::3])
+        product_bound_check(ps, (0, 3), list(build_trees(ps, max_level=1))[::3])
     other = [build_tree(random_uniform(4, seed=1), i, max_level=2) for i in (0, 3)]
     with pytest.raises(ValueError, match="another point set"):
         product_bound_check(ps, (0, 3), other)
@@ -271,7 +271,7 @@ def test_product_check_validation(monkeypatch):
 
 def test_side_lengths_never_tie():
     ps = van_der_corput(2)
-    trees = build_trees(ps, max_level=3)
+    trees = list(build_trees(ps, max_level=3))
     for a in trees:
         for b in trees:
             if a.direction >= b.direction:
@@ -327,7 +327,7 @@ def test_lemma_suite_skips_products_without_level_2_trees():
                 if c.name.startswith("product")]
     assert len(products) == 2
     assert all(c.skipped and not c.passed and "level 2" in c.witness for c in products)
-    products = [c for c in lemma_suite(ps, trees=build_trees(ps)[::-1]).checks
+    products = [c for c in lemma_suite(ps, trees=build_trees(ps)).checks
                 if c.name.startswith("product")]
     assert len(products) == 4 and all(c.passed for c in products)
 
@@ -335,7 +335,7 @@ def test_lemma_suite_skips_products_without_level_2_trees():
 def test_build_trees_is_one_tree_per_direction_in_order():
     ps = van_der_corput(3)  # n = 4
     for max_level in (None, 0, 3):
-        trees = build_trees(ps, max_level)
+        trees = list(build_trees(ps, max_level))
         assert [t.direction for t in trees] == list(range(5))
         assert [[r.clusters for r in t.levels] for t in trees] == [
             [r.clusters for r in build_tree(ps, i, max_level).levels] for i in range(5)]
@@ -359,7 +359,7 @@ def test_trees_are_immutable():
 
 def test_lemma_suite_flags_corrupted_tree():
     ps = van_der_corput(2)
-    trees = build_trees(ps)
+    trees = list(build_trees(ps))
     # tamper with the level-0 empty count
     trees[1] = _with_level(trees[1], 0, empty_count=trees[1].levels[0].empty_count + 1)
     report = lemma_suite(ps, trees=trees)
@@ -370,7 +370,7 @@ def test_lemma_suite_flags_corrupted_tree():
 
 def test_lemma_suite_refuses_trees_of_another_set():
     ps, other = van_der_corput(4), random_uniform(16, 3)
-    own = build_trees(ps)
+    own = list(build_trees(ps))
     for trees in (build_trees(other), [*own[:5], build_tree(other, 5)]):
         with pytest.raises(ValueError, match="another point set"):
             lemma_suite(ps, trees=trees)
@@ -389,7 +389,7 @@ def _failed_check(ps, trees, name):
 
 def test_level_counts_fails_more_clusters_than_points():
     # two copies of the one cluster, with the empty count cut to match
-    trees = build_trees(ORIGIN)
+    trees = list(build_trees(ORIGIN))
     rec = trees[0].levels[0]
     trees[0] = _with_level(trees[0], 0, clusters=rec.clusters * 2, empty_count=0)
     witness = _failed_check(ORIGIN, trees, "level_counts")
@@ -398,7 +398,7 @@ def test_level_counts_fails_more_clusters_than_points():
 
 def test_level_counts_fails_a_wrong_area():
     # the area is read from the scales, so a scale one too fine halves it
-    trees = build_trees(ORIGIN)
+    trees = list(build_trees(ORIGIN))
     rec = trees[1].levels[1]
     assert rec.rect_area == Fraction(1, 1 << (rec.scale_x + rec.scale_y)) == Fraction(1, 32)
     trees[1] = _with_level(trees[1], 1, scale_x=rec.scale_x + 1)
@@ -408,7 +408,7 @@ def test_level_counts_fails_a_wrong_area():
 
 def test_cluster_partition_fails_a_dropped_cluster():
     ps = van_der_corput(1)
-    trees = build_trees(ps)
+    trees = list(build_trees(ps))
     rec = trees[0].levels[0]
     assert len(rec.clusters) == 2
     trees[0] = _with_level(trees[0], 0, clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
@@ -417,7 +417,7 @@ def test_cluster_partition_fails_a_dropped_cluster():
 
 
 def test_inner_product_bound_fails_missing_empty_rectangles():
-    trees = build_trees(ORIGIN)
+    trees = list(build_trees(ORIGIN))
     trees[1] = trees[1]._replace(levels=tuple(rec._replace(empty_count=0)
                                               for rec in trees[1].levels))
     witness = _failed_check(ORIGIN, trees, "inner_product_upper_bound")
@@ -425,10 +425,14 @@ def test_inner_product_bound_fails_missing_empty_rectangles():
 
 
 def test_side_lengths_fails_a_tie():
-    trees = build_trees(ORIGIN)
-    assert (trees[0].levels[0].scale_x, trees[1].levels[0].scale_x) == (0, 1)
-    trees[1] = _with_level(trees[1], 0, scale_x=0)
-    assert _failed_check(ORIGIN, trees, "side_lengths_distinct") == "i=0 l=0 vs i=1 l=0"
+    # tree 1's level 0 takes tree 0's scales: the area, read from their
+    # sum, stays right, and only the per-tree scale identity sees the tie
+    trees = list(build_trees(ORIGIN))
+    rec0, rec1 = trees[0].levels[0], trees[1].levels[0]
+    assert ((rec0.scale_x, rec0.scale_y), (rec1.scale_x, rec1.scale_y)) == ((0, 1), (1, 0))
+    trees[1] = _with_level(trees[1], 0, scale_x=0, scale_y=1)
+    assert _failed_check(ORIGIN, trees, "side_lengths_distinct") == \
+        "i=1 l=0: scales (0, 1) != (1, 0)"
 
 
 def test_skipped_product_checks_are_not_passed(monkeypatch):
@@ -859,7 +863,7 @@ def test_counting_routes_build_no_cell_dict(occupied_reads):
     # n = 3: the pair splits at level 5 along direction 0, so the tree holds
     # levels with clusters carried whole before and after its split
     ps = PointSet((*_pair("x", 20), Point(Fraction(3, 4), Fraction(1, 5))))
-    trees = build_trees(ps)
+    trees = list(build_trees(ps))
     assert trees[0].stabilization_level == 5
     cert = certificate(ps, trees=trees)
     ips = [inner_product(t) for t in trees]
@@ -893,8 +897,8 @@ def test_tree_layer_reads_only_the_cached_integers():
     # read, then make every numerator unreadable; the denominators stay
     _tree_integers(ps), ps.grid
     ps.__dict__["axes"] = tuple((den, tuple(_Unreadable() for _ in nums)) for den, nums in ps.axes)
-    trees = build_trees(ps)
-    want = build_trees(twin)
+    trees = list(build_trees(ps))
+    want = list(build_trees(twin))
     assert [[rec.clusters for rec in t.levels] for t in trees] == [
         [rec.clusters for rec in t.levels] for t in want]
     # trees of ps and twin differ only in their pointset, whose points are unreadable
@@ -917,7 +921,7 @@ def test_lone_clusters_are_shared_across_trees_and_builds():
     copy = Point(Fraction(3, 4), Fraction(1, 5))
     ps = PointSet((*_pair("x", 20), copy, copy, Point(Fraction(1, 7), Fraction(5, 6))))
     lone = {}
-    for tree in build_trees(ps) + build_trees(ps):
+    for tree in [*build_trees(ps), *build_trees(ps)]:
         for rec in tree.levels:
             for cluster in rec.clusters:
                 if len(cluster[0]) == 1:
@@ -992,7 +996,7 @@ def test_tree_integers_are_built_once_per_set(monkeypatch):
                         lambda *fields: made.append(fields) or record_type(*fields))
     ps = PointSet((*_pair("y", 9), Point(Fraction(1), THIRD),
                    Point(Fraction(2, 7), Fraction(3, 7))))
-    trees = build_trees(ps)
+    trees = list(build_trees(ps))
     lemma_suite(ps)
     lemma_suite(ps, trees=trees)
     certificate(ps)

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
+import gc
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from discrep import cli
+from discrep import auxiliary, cli
 from discrep.cli import main
 from discrep.pointsets import read_csv
 from oracles import fraction_points
@@ -296,6 +297,28 @@ def test_max_level_outside_range_exit_codes(capsys, command, max_level, exit_cod
     assert code == exit_code
     assert stdout == ""
     assert err.startswith(message) and "max_level" in err
+
+
+@pytest.mark.parametrize("command", ["certificate", "aux", "lemmas"])
+def test_commands_keep_one_tree_alive(tmp_path, capsys, monkeypatch, command):
+    # n = 6 > PRODUCT_MAX_N, so the suite keeps no tree for its product
+    # checks; each tree must be dropped before the next is built.  A
+    # NamedTuple takes no weak reference, so the live trees are counted
+    # among the collector's objects, those of the set being built alone.
+    out = tmp_path / "p.csv"
+    run(capsys, "gen", "--kind", "vdc", "--m", "5", "--out", str(out))
+    assert auxiliary.n_from_pointcount(32) == 6 > auxiliary.PRODUCT_MAX_N
+    build, alive = auxiliary.build_tree, []
+
+    def counting(ps, direction, max_level=None):
+        alive.append(sum(type(o) is auxiliary.AuxFamilyTree and o.pointset is ps
+                         for o in gc.get_objects()))
+        return build(ps, direction, max_level)
+
+    monkeypatch.setattr(auxiliary, "build_tree", counting)
+    code, _, _ = run(capsys, command, "--in", str(out), "--json")
+    assert code == 0
+    assert len(alive) == 7 and max(alive) <= 1
 
 
 def test_lemmas_max_level_sets_the_suite_depth(capsys):

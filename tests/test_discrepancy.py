@@ -481,7 +481,7 @@ restored = auxiliary.build_tree is original
 spans = tracer.spans
 nested = {{spans[i][0]: dict(Counter(s[0] for s in spans if s[3] == i))
           for i, span in enumerate(spans) if span[3] is None}}
-family = auxiliary.build_trees(ps)
+family = list(auxiliary.build_trees(ps))
 built = [tree, *family, *family]
 print(json.dumps({{
     "restored": restored,

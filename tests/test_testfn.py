@@ -386,19 +386,23 @@ def test_certificate_unstabilized_still_sound():
 @pytest.mark.parametrize("consumer", [certificate, lemma_suite], ids=lambda f: f.__name__)
 def test_certificate_refuses_trees_that_are_not_one_per_direction(consumer):
     ps = van_der_corput(4)  # N = 16, n = 5
-    trees = build_trees(ps)
+    trees = list(build_trees(ps))
     want = consumer(ps)
     assert consumer(ps, trees=trees) == want
-    assert consumer(ps, trees=trees[::-1]) == want
-    other = build_trees(random_uniform(16, seed=1))
+    assert consumer(ps, trees=iter(trees)) == want
+    other = list(build_trees(random_uniform(16, seed=1)))
     # a hundred copies once certified 2.41 > ||D||_1 = 65/64, and no trees 0;
-    # the suite once passed on no trees, on one tree twice and on a partial family
+    # the suite once passed on no trees, on one tree twice and on a partial
+    # family; a family is read in direction order, as a stream
     for wrong, message in (([], "one tree per direction"),
                            ([trees[1]] * 2, "one tree per direction"),
                            (trees * 2, "one tree per direction"),
                            (trees * 100, "one tree per direction"),
                            (trees[:-1], "one tree per direction"),
-                           (other, "another point set")):
+                           (trees[::-1], "one tree per direction"),
+                           (other, "another point set"),
+                           ((other[i] if i == 3 else t for i, t in enumerate(trees)),
+                            "another point set")):
         with pytest.raises(ValueError, match=message):
             consumer(ps, trees=wrong)
 
