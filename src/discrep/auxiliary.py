@@ -12,10 +12,10 @@ empty rectangles of all levels: +-1 almost everywhere, +1 by convention on
 the measure-zero residue that never leaves occupied rectangles.  Built to
 a finite depth, it is +-1 off the deepest level's occupied cells, whose
 measure is at most the tree's bound `uncovered_mass`, N times the cell
-area, because the suite's `level_counts` check finds at most N occupied
-cells.  The n + 1 trees of a set, one per direction index, are its family
-(`build_trees`), in direction order, as a stream: `lemma_suite` and
-`testfn.certificate` read and check each tree as it passes, a family
+area, as the suite's `cluster_partition` check finds one nonempty cluster
+per occupied cell.  The n + 1 trees of a set, one per direction index, are
+its family (`build_trees`), in direction order, as a stream: `lemma_suite`
+and `testfn.certificate` read and check each tree as it passes, a family
 passed in too, and keep none they do not need.
 
 The construction is infinite, but once every occupied rectangle's points
@@ -661,72 +661,70 @@ class SuiteReport(NamedTuple):
 
 
 def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
-    """Counting identities: empties + occupied exhaust the parent cells, at
-    most N cells are occupied, and the cell area 2^-(scale_x + scale_y) is
-    2^-(n + 2(n+1) l) at level l."""
-    n, count = tree.n, tree.point_count
-    children = 1 << (2 * (n + 1))
+    """Empties plus occupied exhaust level 0's 2^n cells, and below it the
+    2^(2(n+1)) children of each occupied parent cell.  The cell area follows
+    from `_side_length_fault`, and "at most N occupied" from the partition
+    into nonempty clusters (`_check_cluster_partition`)."""
+    children, expected = 1 << (2 * (tree.n + 1)), 1 << tree.n
     for rec in tree.levels:
-        expected = (1 << n) if rec.level == 0 else children * len(
-            tree.levels[rec.level - 1].clusters
-        )
         occupied = len(rec.clusters)
         if rec.empty_count + occupied != expected:
-            return CheckResult(
-                "level_counts", False,
-                f"i={tree.direction} l={rec.level}: {rec.empty_count}+{occupied} != {expected}",
-            )
-        if occupied > count:
-            return CheckResult(
-                "level_counts", False,
-                f"i={tree.direction} l={rec.level}: occupied {occupied} > N={count}",
-            )
-        if rec.scale_x + rec.scale_y != n + 2 * (n + 1) * rec.level:
-            return CheckResult(
-                "level_counts", False, f"i={tree.direction} l={rec.level}: wrong area"
-            )
+            return CheckResult("level_counts", False, f"i={tree.direction} l={rec.level}: "
+                               f"{rec.empty_count}+{occupied} != {expected}")
+        expected = children * occupied
     return CheckResult("level_counts", True, f"i={tree.direction}: {len(tree.levels)} levels")
 
 
 def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
-    """Each level's clusters partition the set's interior points, each
-    member in its cell (jx, jy): its cells at the level's scales, read
-    by `_shifts` from the set's `_TreeIntegers` at their widths.
-    """
+    """Each level's clusters part the interior points into distinct cells,
+    each member in its cluster's cell, read by `_shifts` from its (X0, Y0).
+
+    A level whose cluster tuple is new is read whole: each cluster is
+    nonempty and keyed by its first member's integers, the cells are
+    distinct, and the members, sorted, are the interior points.  On every
+    level, the members of each cluster of two or more are checked against
+    its cell.  No cell dict is built, and that is the whole fact: a level
+    that holds its parent's tuple (the same object) has its partition;
+    cells nest (a cell at scale k' > k is `>> (k' - k)` of one at scale k,
+    and `_side_length_fault` makes the scales grow), so distinct cells stay
+    distinct; and a lone cluster holds its point in its cell at every scale."""
     record = _tree_integers(tree.pointset)
     xs, ys = record.xs, record.ys
+    clusters: tuple[Cluster, ...] | None = None
+    crowded: list[Cluster] = []             # the clusters of two points or more
+
+    def fault(why: str) -> CheckResult:
+        return CheckResult("cluster_partition", False, f"i={tree.direction} l={rec.level}: {why}")
+
     for rec in tree.levels:
-        seen: list[int] = []
         rx, lx = _shifts(record.width_x, rec.scale_x)
         ry, ly = _shifts(record.width_y, rec.scale_y)
-        for (jx, jy), members in rec.occupied.items():
+        if rec.clusters is not clusters:
+            clusters = rec.clusters
+            seen: list[int] = []
+            for members, x0, y0, _ in clusters:
+                if not members or x0 != xs[members[0]] or y0 != ys[members[0]]:
+                    return fault("a cluster not keyed by its first member")
+                seen += members
+            if tuple(sorted(seen)) != record.interior:
+                return fault("clusters do not partition the points")
+            # the members are interior, so jy < 2^scale_y and one integer keys a cell
+            if len({x0 >> rx << lx << rec.scale_y | y0 >> ry << ly
+                    for _, x0, y0, _ in clusters}) != len(clusters):
+                return fault("two clusters share a cell")
+            crowded = [c for c in clusters if len(c[0]) > 1]
+        for members, x0, y0, _ in crowded:
+            jx, jy = x0 >> rx << lx, y0 >> ry << ly
             for t in members:
                 if xs[t] >> rx << lx != jx or ys[t] >> ry << ly != jy:
-                    return CheckResult(
-                        "cluster_partition", False,
-                        f"i={tree.direction} l={rec.level}: point {t} outside its cell",
-                    )
-            seen.extend(members)
-        if tuple(sorted(seen)) != record.interior:
-            return CheckResult(
-                "cluster_partition", False,
-                f"i={tree.direction} l={rec.level}: clusters do not partition the points",
-            )
+                    return fault(f"point {t} outside its cell")
     return CheckResult("cluster_partition", True, f"i={tree.direction}")
 
 
 def _check_inner_bound(tree: AuxFamilyTree) -> CheckResult:
-    ip = inner_product(tree)
-    bound = lemma_short_bound(tree.n, tree.point_count)
-    if not ip.value <= bound:
-        return CheckResult(
-            "inner_product_upper_bound", False,
-            f"i={tree.direction}: {ip.value} > {bound}",
-        )
-    return CheckResult(
-        "inner_product_upper_bound", True,
-        f"i={tree.direction}: {ip.value} <= {bound}",
-    )
+    value, bound = inner_product(tree).value, lemma_short_bound(tree.n, tree.point_count)
+    return CheckResult("inner_product_upper_bound", value <= bound,
+                       f"i={tree.direction}: {value} {'<=' if value <= bound else '>'} {bound}")
 
 
 def _side_length_fault(tree: AuxFamilyTree) -> str | None:

@@ -6,13 +6,13 @@ Exit codes: 0 ok, 1 a verification check failed, 2 usage or input error,
 
 The library returns records and numbers, and each command turns them into
 one payload: sorted JSON with `--json`, else text lines.  Every run echoes
-its configuration (seed, samples, precision, max level), and identical
-configurations produce byte-identical output.  Exact values print as
-rational strings of at most `pointsets.MAX_DIGITS` digits per integer, and
-decimals only where logarithms force them, each bound rounded in its safe
-direction.  `_interval` is imported only to print an inexact L1 or a
-certificate.  `--samples` and `--precision` are only echoed: no command
-samples or reads a precision.
+its configuration (seed, samples, precision, max level; null where its
+command takes no such option), and identical configurations produce
+byte-identical output.  Exact values print as rational strings of at most
+`pointsets.MAX_DIGITS` digits per integer, and decimals only where
+logarithms force them, each bound rounded in its safe direction.
+`_interval` is imported only to print an inexact L1 or a certificate.
+`--samples` and `--precision` are only echoed: no command reads either.
 """
 
 from __future__ import annotations
@@ -216,13 +216,13 @@ def cmd_constants(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed of gen --kind random")
     common.add_argument("--samples", type=int, default=10**6,
                         help="echoed in the config only; no command reads it")
     common.add_argument("--precision", type=int, default=50,
                         help="echoed in the config only; no command reads it")
-    common.add_argument("--max-level", dest="max_level", type=int, default=None,
-                        help=f"subdivision truncation level, 0..{auxiliary.HARD_LEVEL_CAP}")
+    trees = argparse.ArgumentParser(add_help=False, parents=[common])
+    trees.add_argument("--max-level", dest="max_level", type=int, default=None,
+                       help=f"subdivision truncation level, 0..{auxiliary.HARD_LEVEL_CAP}")
 
     parser = argparse.ArgumentParser(prog="discrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -231,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["vdc", "random"], required=True)
     p.add_argument("--m", type=int, default=None, help="vdc size exponent (2^m points)")
     p.add_argument("--n", type=int, default=None, help="random point count")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed of --kind random")
     p.add_argument("--mirror", action="store_true", help="append the x-mirrored copy")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -240,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["l1", "l2", "linf", "dn", "all"], default="all")
     p.set_defaults(func=cmd_norms)
 
-    p = sub.add_parser("aux", parents=[common], help="auxiliary construction summaries")
+    p = sub.add_parser("aux", parents=[trees], help="auxiliary construction summaries")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--index", type=int, default=None, help="single direction index")
     p.set_defaults(func=cmd_aux)
 
-    p = sub.add_parser("lemmas", parents=[common], help="run the verification suite")
+    p = sub.add_parser("lemmas", parents=[trees], help="run the verification suite")
     p.add_argument("--in", dest="input", required=True)
     p.set_defaults(func=cmd_lemmas)
 
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=41, help="series truncation order")
     p.set_defaults(func=cmd_lin)
 
-    p = sub.add_parser("certificate", parents=[common], help="L1 lower-bound certificate")
+    p = sub.add_parser("certificate", parents=[trees], help="L1 lower-bound certificate")
     p.add_argument("--in", dest="input", required=True)
     p.set_defaults(func=cmd_certificate)
 

@@ -133,6 +133,36 @@ MUTANTS = (
         "a point on x = 1 lies in no half-open dyadic rectangle",
     ),
     Mutant(
+        "partition_reads_every_level_whole", "auxiliary.py",
+        "        if rec.clusters is not clusters:\n", "        if True:\n",
+        ("test_auxiliary.py::test_cluster_partition_reads_a_shared_tuple_once",),
+        "a level that holds its parent's cluster tuple has the same partition: it is not "
+        "read again",
+    ),
+    Mutant(
+        "partition_reads_only_level_0_whole", "auxiliary.py",
+        "        if rec.clusters is not clusters:\n", "        if clusters is None:\n",
+        ("test_auxiliary.py::test_cluster_partition_matches_the_cell_dict_reference",),
+        "every level whose cluster tuple is new is read whole",
+    ),
+    Mutant(
+        "partition_without_the_first_member_integers", "auxiliary.py",
+        "if not members or x0 != xs[members[0]] or y0 != ys[members[0]]:",
+        "if not members:",
+        ("test_auxiliary.py::test_cluster_partition_fails_a_new_tuple_read_whole",
+         "test_auxiliary.py::test_cluster_partition_matches_the_cell_dict_reference"),
+        "a lone cluster holds its point in its cell at every scale only if its integers "
+        "are its point's",
+    ),
+    Mutant(
+        "partition_without_distinct_cells", "auxiliary.py",
+        "for _, x0, y0, _ in clusters}) != len(clusters):",
+        "for _, x0, y0, _ in clusters}) < 0:",
+        ("test_auxiliary.py::test_cluster_partition_fails_a_new_tuple_read_whole",
+         "test_auxiliary.py::test_cluster_partition_matches_the_cell_dict_reference"),
+        "two clusters in one cell are one occupied cell counted twice",
+    ),
+    Mutant(
         "family_without_its_end_count", "auxiliary.py",
         "    if next(expected, None) is not None:\n        raise ValueError(mismatch)\n", "",
         ("test_testfn.py::test_certificate_refuses_trees_that_are_not_one_per_direction",),

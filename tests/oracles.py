@@ -2,7 +2,8 @@
 
 None of these is part of the pipeline: a set's points as Fractions, read
 back from its integer axes, and the axes, the generators' points and the
-trees' integers computed from Fractions; the CSV literal parser without
+trees' integers computed from Fractions; the cluster partition check read
+through a cell dict built at every level; the CSV literal parser without
 the digit-string fast path or the literal budget, the grid built by sorting
 Fractions and placing points by bisection, the column stream of three
 passes per column, the dyadic interval and
@@ -40,7 +41,8 @@ from typing import Sequence
 from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import dps_to_prec, from_rational, mpi_log, round_ceiling, round_floor
 
-from discrep.auxiliary import HARD_LEVEL_CAP, _TreeIntegers
+from discrep.auxiliary import (HARD_LEVEL_CAP, AuxFamilyTree, CheckResult, _shifts,
+                                _tree_integers, _TreeIntegers)
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
 from discrep._interval import _iv_endpoints, _mpi_int
 from discrep.discrepancy import _check_grid_budget
@@ -122,6 +124,33 @@ def tree_integers_oracle(points: Sequence[Point]) -> _TreeIntegers:
     return _TreeIntegers(scale, *widths, xs, ys, cx, cy, interior,
                          len({tuple(points[t]) for t in interior}),
                          tuple(((t,), x, y, HARD_LEVEL_CAP) for t, (x, y) in enumerate(zip(xs, ys))))
+
+
+def cluster_partition_oracle(tree: AuxFamilyTree) -> CheckResult:
+    """The cluster partition check read through each level's cell dict
+    (`LevelRecord.occupied`), built anew at every level: each member lies
+    in the cell of its cluster's (X0, Y0), and the members of the dict's
+    clusters, sorted, are the interior points."""
+    record = _tree_integers(tree.pointset)
+    xs, ys = record.xs, record.ys
+    for rec in tree.levels:
+        seen: list[int] = []
+        rx, lx = _shifts(record.width_x, rec.scale_x)
+        ry, ly = _shifts(record.width_y, rec.scale_y)
+        for (jx, jy), members in rec.occupied.items():
+            for t in members:
+                if xs[t] >> rx << lx != jx or ys[t] >> ry << ly != jy:
+                    return CheckResult(
+                        "cluster_partition", False,
+                        f"i={tree.direction} l={rec.level}: point {t} outside its cell",
+                    )
+            seen.extend(members)
+        if tuple(sorted(seen)) != record.interior:
+            return CheckResult(
+                "cluster_partition", False,
+                f"i={tree.direction} l={rec.level}: clusters do not partition the points",
+            )
+    return CheckResult("cluster_partition", True, f"i={tree.direction}")
 
 
 def grid_oracle(ps: PointSet) -> CellDecomposition:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from discrep import auxiliary
 from discrep.auxiliary import (
@@ -30,7 +30,8 @@ from discrep.cli import _tree_payload
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
 from discrep.testfn import certificate
-from oracles import eval_discrepancy, fraction_points, tree_integers_oracle
+from oracles import (cluster_partition_oracle, eval_discrepancy, fraction_points,
+                     tree_integers_oracle)
 
 ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
 
@@ -388,22 +389,43 @@ def _failed_check(ps, trees, name):
 
 
 def test_level_counts_fails_more_clusters_than_points():
-    # two copies of the one cluster, with the empty count cut to match
+    # two copies of the one cluster, with the empty count cut to match: at
+    # most N occupied cells follows from the partition into nonempty
+    # clusters, so the partition check fails the copy
     trees = list(build_trees(ORIGIN))
     rec = trees[0].levels[0]
     trees[0] = _with_level(trees[0], 0, clusters=rec.clusters * 2, empty_count=0)
-    witness = _failed_check(ORIGIN, trees, "level_counts")
-    assert witness == "i=0 l=0: occupied 2 > N=1"
+    witness = _failed_check(ORIGIN, trees, "cluster_partition")
+    assert witness == "i=0 l=0: clusters do not partition the points"
 
 
 def test_level_counts_fails_a_wrong_area():
-    # the area is read from the scales, so a scale one too fine halves it
+    # the area is read from the scales, so a scale one too fine halves it;
+    # the per-tree scale identity, whose scales sum to n + 2(n+1) l, fails it
     trees = list(build_trees(ORIGIN))
     rec = trees[1].levels[1]
     assert rec.rect_area == Fraction(1, 1 << (rec.scale_x + rec.scale_y)) == Fraction(1, 32)
     trees[1] = _with_level(trees[1], 1, scale_x=rec.scale_x + 1)
     assert trees[1].levels[1].rect_area == Fraction(1, 64)
-    assert _failed_check(ORIGIN, trees, "level_counts") == "i=1 l=1: wrong area"
+    assert _failed_check(ORIGIN, trees, "side_lengths_distinct") == \
+        "i=1 l=1: scales (4, 2) != (3, 2)"
+
+
+def test_lemma_suite_fails_a_repeated_cluster_below_n_cells():
+    # 18 points, four of them twice: the deepest level of tree 2 repeats a
+    # cluster and gives up an empty cell, which keeps the exhaustion
+    # identity and 15 occupied cells, fewer than N
+    pts = fraction_points(random_uniform(14, 3))
+    ps = PointSet(pts + pts[:4])
+    trees = list(build_trees(ps))
+    deepest = trees[2].deepest_level
+    rec = trees[2].levels[deepest]
+    trees[2] = _with_level(trees[2], deepest, clusters=rec.clusters + rec.clusters[:1],
+                           empty_count=rec.empty_count - 1)
+    assert len(trees[2].levels[deepest].clusters) == 15 < len(ps)
+    assert _check_level_counts(trees[2]).passed
+    witness = _failed_check(ps, trees, "cluster_partition")
+    assert witness == f"i=2 l={deepest}: clusters do not partition the points"
 
 
 def test_cluster_partition_fails_a_dropped_cluster():
@@ -876,6 +898,17 @@ def test_counting_routes_build_no_cell_dict(occupied_reads):
     assert counts == [[level["nonempty"] for level in s["levels"]] for s in summaries]
 
 
+def test_lemma_suite_builds_no_cell_dict(occupied_reads):
+    # n = 6 > PRODUCT_MAX_N, so no product check looks a cell up; a pair
+    # that splits at a middle level and a duplicate give clusters of two
+    ps = PointSet((*_pair("x", 20), *fraction_points(van_der_corput(4)),
+                   Point(Fraction(1, 2), Fraction(1, 2))))
+    assert n_from_pointcount(len(ps)) == 6 > auxiliary.PRODUCT_MAX_N
+    report = lemma_suite(ps)
+    assert report.passed and report.skipped == 1
+    assert occupied_reads == []
+
+
 class _Unreadable:
     """Stands in for a numerator whose caches are filled: reading it fails."""
 
@@ -1081,3 +1114,124 @@ def test_product_check_matches_fraction_pieces(ps, data):
     assert report.covered_area == covered
     assert 0 <= 1 - report.covered_area <= report.mass_bound
     assert report.piece_count == pieces
+
+
+def _corrupted(tree, kind, draw):
+    """`tree` with one corruption of `kind` at a drawn level, or None if the
+    tree has no level it applies to.  A corrupted tuple replaces every level
+    that held the original one, so the levels still share it."""
+    levels = tree.levels
+    record = _tree_integers(tree.pointset)
+    xs, ys = record.xs, record.ys
+    if kind == "reuse":
+        # a level on which some cluster splits holds its parent's tuple
+        split = [rec.level for rec, parent in zip(levels[1:], levels)
+                 if rec.clusters is not parent.clusters]
+        if not split:
+            return None
+        level = draw(st.sampled_from(split))
+        return _with_level(tree, level, clusters=levels[level - 1].clusters)
+    old = levels[draw(st.integers(0, len(levels) - 1))].clusters
+    clusters = list(old)
+    if not clusters:
+        return None
+    k = draw(st.integers(0, len(clusters) - 1))
+    members, x0, y0, last = clusters[k]
+    if kind == "drop":
+        del clusters[k]
+    elif kind == "repeat":
+        clusters.insert(k, clusters[k])
+    elif kind == "empty":
+        clusters.insert(k, ((), x0, y0, last))
+    elif kind == "x0_low_bit":
+        lone = [j for j, c in enumerate(clusters) if len(c[0]) == 1]
+        if not lone:
+            return None
+        j = draw(st.sampled_from(lone))
+        members, x0, y0, last = clusters[j]
+        clusters[j] = (members, x0 ^ 1, y0, last)
+    elif kind == "part":                # a cluster of two or more cut in two in its cell
+        crowded = [j for j, c in enumerate(clusters) if len(c[0]) > 1]
+        if not crowded:
+            return None
+        j = draw(st.sampled_from(crowded))
+        members, _, _, last = clusters[j]
+        clusters[j:j + 1] = [(part, xs[part[0]], ys[part[0]], last)
+                             for part in (members[:1], members[1:])]
+    else:                               # "move": a member to a neighbouring cluster
+        if len(clusters) < 2:
+            return None
+        j = k + 1 if k + 1 < len(clusters) else k - 1
+        other, *rest = clusters[j]
+        clusters[k] = (members[:-1], x0, y0, last)
+        clusters[j] = (other + members[-1:], *rest)
+    new = tuple(clusters)
+    return tree._replace(levels=tuple(rec._replace(clusters=new) if rec.clusters is old else rec
+                                      for rec in levels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(adversarial_sets(), st.data())
+def test_cluster_partition_matches_the_cell_dict_reference(ps, data):
+    """The check reads each level's cluster tuple, the reference a cell dict
+    built at every level.  On a built tree the two give the same passing
+    verdict; on a corrupted one the check fails, so it fails wherever the
+    reference fails.  It also fails where the reference may pass: an X0
+    wrong only in bits that no level's scale reaches, and an empty or
+    repeated cluster, which the dict hides."""
+    n = n_from_pointcount(len(ps))
+    tree = build_tree(ps, data.draw(st.integers(0, n)))
+    assert _check_cluster_partition(tree) == cluster_partition_oracle(tree)
+    assert _check_cluster_partition(tree).passed
+    kind = data.draw(st.sampled_from(
+        ("drop", "repeat", "empty", "x0_low_bit", "part", "move", "reuse")))
+    bad = _corrupted(tree, kind, data.draw)
+    event(f"{kind} {'applied' if bad else 'not applicable'}")
+    if bad is not None:
+        check, reference = _check_cluster_partition(bad), cluster_partition_oracle(bad)
+        event(f"{kind}: reference {'passes' if reference.passed else 'fails'}")
+        assert not check.passed
+        if kind in ("drop", "part", "move", "reuse"):
+            assert not reference.passed
+
+
+def test_cluster_partition_reads_a_shared_tuple_once():
+    # every point has its own level-0 cell, so all 65 levels hold one tuple:
+    # it is read whole on level 0 only, and it holds no cluster of two
+    reads = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    tree = build_tree(van_der_corput(10), 0, max_level=HARD_LEVEL_CAP)
+    shared = Counted(tree.levels[0].clusters)
+    levels = tuple(rec._replace(clusters=shared) for rec in tree.levels)
+
+    def reads_of(depth):
+        reads.clear()
+        assert _check_cluster_partition(tree._replace(levels=levels[:depth])).passed
+        return len(reads)
+
+    assert reads_of(1) == reads_of(HARD_LEVEL_CAP + 1) > 0
+
+
+@pytest.mark.parametrize("corruption, witness", [
+    ("x0", "a cluster not keyed by its first member"),
+    ("part", "two clusters share a cell"),
+])
+def test_cluster_partition_fails_a_new_tuple_read_whole(corruption, witness):
+    # the pair shares its cell up to level 1 along direction 0; level 0 gets
+    # a new tuple: the pair keyed by point 1's integers, or cut in two
+    ps = PointSet(tuple(_pair("x", 6)))
+    tree = build_tree(ps, 0)
+    (members, _, _, last), = tree.levels[0].clusters
+    record = _tree_integers(ps)
+    if corruption == "x0":
+        clusters = ((members, record.xs[1], record.ys[1], last),)
+    else:
+        clusters = tuple(((t,), record.xs[t], record.ys[t], HARD_LEVEL_CAP) for t in members)
+    bad = _with_level(tree, 0, clusters=clusters)
+    check = _check_cluster_partition(bad)
+    assert not check.passed and check.witness == f"i=0 l=0: {witness}"

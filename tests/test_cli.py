@@ -397,16 +397,27 @@ def test_lemmas_skipped_product_check_is_not_passed(tmp_path, capsys):
 
 
 def test_lemmas_checks_do_not_depend_on_seed(tmp_path, capsys):
-    # the suite samples nothing: --seed reaches only the config echo
+    # the suite samples nothing, so lemmas takes no --seed (refused below)
+    # and its config echoes the seed as null
     out = tmp_path / "p.csv"
     run(capsys, "gen", "--kind", "random", "--n", "3", "--seed", "12", "--out", str(out))
-    payloads = []
-    for extra in ((), ("--seed", "0")):
-        code, stdout, _ = run(capsys, "lemmas", "--in", str(out), "--json", *extra)
-        assert code == 0
-        payloads.append(json.loads(stdout))
-    assert payloads[0]["checks"] == payloads[1]["checks"]
-    assert [p["config"]["seed"] for p in payloads] == [None, 0]
+    code, stdout, _ = run(capsys, "lemmas", "--in", str(out), "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["passed"] and payload["config"]["seed"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--in", str(GOLDEN / "vdc3.csv"), "--max-level", "3"],
+    ["lemmas", "--in", str(GOLDEN / "vdc3.csv"), "--seed", "0"],
+    ["comb", "--n", "2", "--k", "3", "--seed", "1"],
+    ["gen", "--kind", "vdc", "--m", "2", "--out", "p.csv", "--max-level", "1"],
+], ids=["norms-max-level", "lemmas-seed", "comb-seed", "gen-max-level"])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_literal_budget_boundary_exit_code(tmp_path, capsys):
@@ -601,7 +612,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
     run(capsys, "gen", "--kind", "vdc", "--m", "2", "--out", str(out))
     outputs = []
     for _ in range(2):
-        code, stdout, _ = run(capsys, "lemmas", "--in", str(out), "--json", "--seed", "9")
+        code, stdout, _ = run(capsys, "lemmas", "--in", str(out), "--json", "--samples", "9")
         assert code == 0
         outputs.append(stdout)
     assert outputs[0] == outputs[1]
@@ -657,7 +668,7 @@ EDGE_INTS = ("-9223372036854775808", "-1", "0", "1", "2", "3", "4", "11", "12", 
 LITERALS = ("0", "1", "1/2", "1/3", "2/3", "1/2^3", "0.25", "1e-3", "3E-2", " 1/7 ", "5/2^70")
 BAD_LITERALS = ("-1", "2", "1/0", "nan", "inf", "", "x", "1/2^10000000000", "1e-999999999",
                 "0x1")
-COMMON_FLAGS = ("--json", "--seed", "--samples", "--precision", "--max-level")
+COMMON_FLAGS = ("--json", "--samples", "--precision")
 COMMANDS = {
     "gen": ("--kind", "--m", "--n", "--mirror", "--out"),
     "norms": ("--in", "--which"),
@@ -668,6 +679,9 @@ COMMANDS = {
     "certificate": ("--in",),
     "constants": (),
 }
+# the flags a command takes that are drawn like the common ones, not always given
+DRAWN_FLAGS = {"gen": ("--seed",), "aux": ("--max-level",), "lemmas": ("--max-level",),
+               "certificate": ("--max-level",)}
 CHOICES = {"--kind": ("vdc", "random", "sobol"), "--which": ("l1", "l2", "linf", "dn", "all", "l3")}
 
 
@@ -678,7 +692,8 @@ def _cli_runs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = [command]
     flags = COMMANDS[command]
-    for flag in draw(st.lists(st.sampled_from(flags + COMMON_FLAGS), max_size=5)) + list(flags):
+    drawn = flags + COMMON_FLAGS + DRAWN_FLAGS.get(command, ())
+    for flag in draw(st.lists(st.sampled_from(drawn), max_size=5)) + list(flags):
         if flag in ("--json", "--mirror"):
             argv.append(flag)
         elif flag in ("--in", "--out"):
