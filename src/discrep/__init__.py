@@ -17,9 +17,7 @@ run, so `import discrep` loads no mpmath.
 from .errors import CsvFormatError, ResourceLimitError
 from .pointsets import (
     CellDecomposition,
-    Point,
     PointSet,
-    dyadic,
     random_uniform,
     read_csv,
     symmetrize,

@@ -33,10 +33,11 @@ The two lemma bounds the certificate rests on, `lemma_short_bound` and
 Only occupied rectangles are materialized, as each level's clusters (the
 points of one occupied rectangle each, in parent order); empty rectangles
 are implicit, so levels cost O(N) to build regardless of n, and a level on
-which no cluster splits shares its parent's clusters and costs O(1).  The
-counts that inner products and certificates need are the cluster counts;
-the dict from index pair to members (`LevelRecord.occupied`) is built
-on each read, only by code that looks cells up.
+which no cluster splits shares its parent's clusters and costs O(1).  A
+tree stores nothing its clusters fix: inner products, certificates and
+l* read the cluster counts (`AuxFamilyTree`), and the dict from index
+pair to members (`LevelRecord.occupied`) is built on each read, only by
+code that looks cells up.
 
 Every rectangle is an integer address (kx, ky, jx, jy), the cell
 [jx 2^-kx, (jx+1) 2^-kx) x [jy 2^-ky, (jy+1) 2^-ky), and the hot loops
@@ -108,23 +109,22 @@ def _shifts(width: int, scale: int) -> tuple[int, int]:
 
 
 class LevelRecord(NamedTuple):
-    """One subdivision level: its clusters, one per occupied rectangle, and
-    the empty count.
+    """One subdivision level, whose index is its position in the tree:
+    its clusters, one per occupied rectangle.
 
     At this level a cluster's cell is (jx, jy) = (floor(x 2^scale_x),
     floor(y 2^scale_y)) of its first member, read by `_shifts` from that
     member's fixed-point integers X0 and Y0 at the widths width_x and
     width_y of the set's axes.  A level on which no cluster splits holds
-    its parent's `clusters` tuple itself.
+    its parent's `clusters` tuple itself.  The empty count is read from
+    the cluster counts (`AuxFamilyTree.empty_counts`).
     """
 
-    level: int
     scale_x: int
     scale_y: int
     clusters: tuple[Cluster, ...]
     width_x: int
     width_y: int
-    empty_count: int
 
     @property
     def rect_area(self) -> Fraction:
@@ -142,13 +142,22 @@ class LevelRecord(NamedTuple):
 
 
 class AuxFamilyTree(NamedTuple):
-    """Leveled record of the recursive construction for one direction index."""
+    """Leveled record of the recursive construction for one direction index.
+
+    The tree is its set, its direction and its levels' clusters: n, the
+    empty counts and l* are read from them.  Clusters only split, so the
+    cluster count never falls and never exceeds the set's distinct
+    interior points: the tree is stabilized when its deepest level's count
+    equals that number, and l* is the first level where it does.
+    """
 
     pointset: PointSet
     direction: int
-    n: int
     levels: tuple[LevelRecord, ...]
-    stabilization_level: int | None
+
+    @property
+    def n(self) -> int:
+        return n_from_pointcount(len(self.pointset))
 
     @property
     def point_count(self) -> int:
@@ -156,7 +165,27 @@ class AuxFamilyTree(NamedTuple):
 
     @property
     def stabilized(self) -> bool:
-        return self.stabilization_level is not None
+        return len(self.levels[-1].clusters) == _tree_integers(self.pointset).distinct
+
+    @property
+    def stabilization_level(self) -> int | None:
+        """l*, the first level with the deepest level's cluster count, or None."""
+        if not self.stabilized:
+            return None
+        counts = [len(rec.clusters) for rec in self.levels]
+        return counts.index(counts[-1])
+
+    def empty_counts(self) -> list[int]:
+        """Empty rectangles per level: 2^n - c_0 at level 0, and below it
+        2^(2(n+1)) c_(l-1) - c_l, the children of the parent's occupied
+        cells less the occupied ones, with c_l the level's cluster count."""
+        n = self.n
+        children, cells, empties = 1 << (2 * (n + 1)), 1 << n, []
+        for rec in self.levels:
+            count = len(rec.clusters)
+            empties.append(cells - count)
+            cells = children * count
+        return empties
 
     @property
     def deepest_level(self) -> int:
@@ -293,7 +322,6 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
             )
     step = n + 1
     scale, wx, wy, xs, ys, cx, cy, interior, distinct, lone = _tree_integers(ps)
-    children = 1 << (2 * step)
     kx, ky = direction, n - direction
 
     def bucket(members: Sequence[int], keys: Sequence[int], formed: list[Cluster]) -> int:
@@ -344,8 +372,7 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
 
     level = 0
     while True:
-        cells = (1 << n) if level == 0 else children * parents
-        levels.append(LevelRecord(level, kx, ky, clusters, wx, wy, cells - len(clusters)))
+        levels.append(LevelRecord(kx, ky, clusters, wx, wy))
         if stabilization is None and len(clusters) == distinct:
             stabilization = level
         if max_level is not None:
@@ -359,7 +386,6 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         level += 1
         kx += step
         ky += step
-        parents = len(clusters)
         if level < next_split:
             continue
         # Child cells of distinct parents are disjoint, so each cluster
@@ -390,7 +416,7 @@ def build_tree(ps: PointSet, direction: int, max_level: int | None = None) -> Au
         clusters = tuple(formed)
         next_split = least + 1
 
-    return AuxFamilyTree(ps, direction, n, tuple(levels), stabilization)
+    return AuxFamilyTree(ps, direction, tuple(levels))
 
 
 def build_trees(ps: PointSet, max_level: int | None = None) -> Iterator[AuxFamilyTree]:
@@ -445,8 +471,8 @@ def sum_empty_area_sq(tree: AuxFamilyTree) -> tuple[Fraction, Fraction]:
     n = tree.n
     step = 4 * (n + 1)  # 4^(e_l - e_(l-1)) = 2^step
     numerator = 0
-    for rec in tree.levels:
-        numerator = (numerator << step) + rec.empty_count
+    for empty in tree.empty_counts():
+        numerator = (numerator << step) + empty
     e_deep = n + 2 * (n + 1) * tree.deepest_level
     c = len(tree.levels[-1].clusters)
     if tree.stabilized:
@@ -660,21 +686,6 @@ class SuiteReport(NamedTuple):
         return sum(c.skipped for c in self.checks)
 
 
-def _check_level_counts(tree: AuxFamilyTree) -> CheckResult:
-    """Empties plus occupied exhaust level 0's 2^n cells, and below it the
-    2^(2(n+1)) children of each occupied parent cell.  The cell area follows
-    from `_side_length_fault`, and "at most N occupied" from the partition
-    into nonempty clusters (`_check_cluster_partition`)."""
-    children, expected = 1 << (2 * (tree.n + 1)), 1 << tree.n
-    for rec in tree.levels:
-        occupied = len(rec.clusters)
-        if rec.empty_count + occupied != expected:
-            return CheckResult("level_counts", False, f"i={tree.direction} l={rec.level}: "
-                               f"{rec.empty_count}+{occupied} != {expected}")
-        expected = children * occupied
-    return CheckResult("level_counts", True, f"i={tree.direction}: {len(tree.levels)} levels")
-
-
 def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
     """Each level's clusters part the interior points into distinct cells,
     each member in its cluster's cell, read by `_shifts` from its (X0, Y0).
@@ -694,9 +705,9 @@ def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
     crowded: list[Cluster] = []             # the clusters of two points or more
 
     def fault(why: str) -> CheckResult:
-        return CheckResult("cluster_partition", False, f"i={tree.direction} l={rec.level}: {why}")
+        return CheckResult("cluster_partition", False, f"i={tree.direction} l={level}: {why}")
 
-    for rec in tree.levels:
+    for level, rec in enumerate(tree.levels):
         rx, lx = _shifts(record.width_x, rec.scale_x)
         ry, ly = _shifts(record.width_y, rec.scale_y)
         if rec.clusters is not clusters:
@@ -718,7 +729,7 @@ def _check_cluster_partition(tree: AuxFamilyTree) -> CheckResult:
             for t in members:
                 if xs[t] >> rx << lx != jx or ys[t] >> ry << ly != jy:
                     return fault(f"point {t} outside its cell")
-    return CheckResult("cluster_partition", True, f"i={tree.direction}")
+    return CheckResult("cluster_partition", True, f"i={tree.direction}: {len(tree.levels)} levels")
 
 
 def _check_inner_bound(tree: AuxFamilyTree) -> CheckResult:
@@ -732,10 +743,10 @@ def _side_length_fault(tree: AuxFamilyTree) -> str | None:
     n - i + (n+1) l, or None.  Then scale_x mod (n+1) = i and scale_y mod
     (n+1) = n - i, 0 <= i <= n: trees of distinct i never tie a side length."""
     n, i = tree.n, tree.direction
-    for rec in tree.levels:
-        want = (i + (n + 1) * rec.level, n - i + (n + 1) * rec.level)
+    for level, rec in enumerate(tree.levels):
+        want = (i + (n + 1) * level, n - i + (n + 1) * level)
         if (rec.scale_x, rec.scale_y) != want:
-            return f"i={i} l={rec.level}: scales ({rec.scale_x}, {rec.scale_y}) != {want}"
+            return f"i={i} l={level}: scales ({rec.scale_x}, {rec.scale_y}) != {want}"
     return None
 
 
@@ -745,7 +756,12 @@ def lemma_suite(
     """Run every structural check on the family of `ps`.
 
     Every check is exact and samples nothing, so one family always gives
-    the same report.  The per-tree checks run as each tree arrives.
+    the same report.  The per-tree checks run as each tree arrives:
+    `cluster_partition`, whose passing witness gives the levels it read,
+    and the inner-product upper bound; the side lengths are checked on
+    every tree's scales.  The empty counts and l* are not checked, as no
+    tree stores them: they are read from the clusters the partition check
+    reads.
 
     Product checks run at level PRODUCT_LEVEL on the family's trees for
     the extreme index tuples (0, n) and, when n >= 2, (0, 1, n), which carry
@@ -765,7 +781,6 @@ def lemma_suite(
     checks: list[CheckResult] = []
     side_fault = None
     for tree in _family(ps, trees):
-        checks.append(_check_level_counts(tree))
         checks.append(_check_cluster_partition(tree))
         checks.append(_check_inner_bound(tree))
         side_fault = side_fault or _side_length_fault(tree)

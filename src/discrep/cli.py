@@ -84,8 +84,8 @@ def _norms_payload(ps: pointsets.PointSet, which: str) -> dict:
 
 
 def _tree_payload(tree: auxiliary.AuxFamilyTree) -> dict:
-    levels = [{"l": rec.level, "nonempty": len(rec.clusters), "empty": rec.empty_count}
-              for rec in tree.levels]
+    levels = [{"l": level, "nonempty": len(rec.clusters), "empty": empty}
+              for level, (rec, empty) in enumerate(zip(tree.levels, tree.empty_counts()))]
     return {"i": tree.direction, "n": tree.n, "levels": levels, "stabilized": tree.stabilized,
             "l_star": tree.stabilization_level,
             "sum_area_sq": str(auxiliary.sum_empty_area_sq(tree)[0]),

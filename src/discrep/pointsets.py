@@ -68,20 +68,6 @@ _DECIMAL_EXPONENT = re.compile(
 )
 
 
-def dyadic(numerator: int, exponent: int) -> Fraction:
-    """The exact rational numerator / 2**exponent."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return Fraction(numerator, 1 << exponent)
-
-
-class Point(NamedTuple):
-    """A point as two exact coordinates, one form that `PointSet` reads."""
-
-    x: Fraction
-    y: Fraction
-
-
 def as_coordinate(value) -> Fraction:
     """Coerce to an exact Fraction in [0, 1]; a Fraction is kept as it is."""
     q = value if isinstance(value, Fraction) else Fraction(value)

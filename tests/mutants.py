@@ -133,6 +133,24 @@ MUTANTS = (
         "a point on x = 1 lies in no half-open dyadic rectangle",
     ),
     Mutant(
+        "empties_from_the_current_count", "auxiliary.py",
+        "            empties.append(cells - count)\n            cells = children * count\n",
+        "            cells = children * count if empties else cells\n"
+        "            empties.append(cells - count)\n",
+        ("test_auxiliary.py::test_empty_counts_follow_the_parent_cluster_count",
+         "test_auxiliary.py::test_sum_empty_area_sq_matches_fraction_loop"),
+        "a level's cells are the children of its parent's occupied cells, not of its own",
+    ),
+    Mutant(
+        "stabilized_read_from_level_0", "auxiliary.py",
+        "return len(self.levels[-1].clusters) == _tree_integers(self.pointset).distinct",
+        "return len(self.levels[0].clusters) == _tree_integers(self.pointset).distinct",
+        ("test_auxiliary.py::test_pair_splits_at_the_first_level_whose_scale_reaches_its_gap",
+         "test_auxiliary.py::test_inner_product_unstabilized_brackets_truth"),
+        "a tree is stabilized when its deepest level's clusters are the distinct points, "
+        "whatever level 0 holds",
+    ),
+    Mutant(
         "partition_reads_every_level_whole", "auxiliary.py",
         "        if rec.clusters is not clusters:\n", "        if True:\n",
         ("test_auxiliary.py::test_cluster_partition_reads_a_shared_tuple_once",),

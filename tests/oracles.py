@@ -46,8 +46,10 @@ from discrep.auxiliary import (HARD_LEVEL_CAP, AuxFamilyTree, CheckResult, _shif
 from discrep.combinatorics import OddExpansionTable, elementary_symmetric
 from discrep._interval import _iv_endpoints, _mpi_int
 from discrep.discrepancy import _check_grid_budget
-from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, Point, PointSet, dyadic
+from discrep.pointsets import _DYADIC_LITERAL, CellDecomposition, PointSet
 from discrep.testfn import Atom, FourierAtomFunction
+
+Pair = tuple[Fraction, Fraction]        # a point as its two exact coordinates
 
 
 def _as_mpf(value) -> mpf:
@@ -67,15 +69,15 @@ def parse_coordinate_oracle(text: str) -> Fraction:
     text = text.strip()
     m = _DYADIC_LITERAL.match(text)
     if m:
-        return dyadic(int(m.group(1)), int(m.group(2)))
+        return Fraction(int(m.group(1)), 1 << int(m.group(2)))
     return Fraction(text)
 
 
 @lru_cache(maxsize=256)
-def fraction_points(ps: PointSet) -> tuple[Point, ...]:
+def fraction_points(ps: PointSet) -> tuple[Pair, ...]:
     """The set's points as exact Fractions, (xs[k] / Dx, ys[k] / Dy) of its axes."""
     (dx, xs), (dy, ys) = ps.axes
-    return tuple(Point(Fraction(a, dx), Fraction(b, dy)) for a, b in zip(xs, ys))
+    return tuple((Fraction(a, dx), Fraction(b, dy)) for a, b in zip(xs, ys))
 
 
 def fraction_cuts(ps: PointSet, grid: CellDecomposition | None = None):
@@ -95,20 +97,20 @@ def axes_oracle(points: Sequence) -> tuple:
     return tuple(axes)
 
 
-def van_der_corput_oracle(m: int) -> tuple[Point, ...]:
+def van_der_corput_oracle(m: int) -> tuple[Pair, ...]:
     """(k / 2^m, the m bits of k reversed / 2^m) for k < 2^m, as Fractions."""
     reverse = lambda k: sum(((k >> b) & 1) << (m - 1 - b) for b in range(m))  # noqa: E731
-    return tuple(Point(dyadic(k, m), dyadic(reverse(k), m)) for k in range(1 << m))
+    return tuple((Fraction(k, 1 << m), Fraction(reverse(k), 1 << m)) for k in range(1 << m))
 
 
-def random_uniform_oracle(n: int, seed: int) -> tuple[Point, ...]:
+def random_uniform_oracle(n: int, seed: int) -> tuple[Pair, ...]:
     """n points of 53-bit draws over 2^53, x then y, as Fractions."""
     rng = random.Random(seed)
-    return tuple(Point(Fraction(rng.getrandbits(53), 1 << 53), Fraction(rng.getrandbits(53), 1 << 53))
+    return tuple((Fraction(rng.getrandbits(53), 1 << 53), Fraction(rng.getrandbits(53), 1 << 53))
                  for _ in range(n))
 
 
-def tree_integers_oracle(points: Sequence[Point]) -> _TreeIntegers:
+def tree_integers_oracle(points: Sequence[Pair]) -> _TreeIntegers:
     """Every `_TreeIntegers` field from Fraction points.  An axis's width E
     is the least e <= S at which every coordinate is a multiple of 2^-e,
     else S; X = floor(x 2^E) and the cell at scale n is floor(x 2^n); the
@@ -133,7 +135,7 @@ def cluster_partition_oracle(tree: AuxFamilyTree) -> CheckResult:
     clusters, sorted, are the interior points."""
     record = _tree_integers(tree.pointset)
     xs, ys = record.xs, record.ys
-    for rec in tree.levels:
+    for level, rec in enumerate(tree.levels):
         seen: list[int] = []
         rx, lx = _shifts(record.width_x, rec.scale_x)
         ry, ly = _shifts(record.width_y, rec.scale_y)
@@ -142,15 +144,32 @@ def cluster_partition_oracle(tree: AuxFamilyTree) -> CheckResult:
                 if xs[t] >> rx << lx != jx or ys[t] >> ry << ly != jy:
                     return CheckResult(
                         "cluster_partition", False,
-                        f"i={tree.direction} l={rec.level}: point {t} outside its cell",
+                        f"i={tree.direction} l={level}: point {t} outside its cell",
                     )
             seen.extend(members)
         if tuple(sorted(seen)) != record.interior:
             return CheckResult(
                 "cluster_partition", False,
-                f"i={tree.direction} l={rec.level}: clusters do not partition the points",
+                f"i={tree.direction} l={level}: clusters do not partition the points",
             )
-    return CheckResult("cluster_partition", True, f"i={tree.direction}")
+    return CheckResult("cluster_partition", True, f"i={tree.direction}: {len(tree.levels)} levels")
+
+
+def empty_counts_oracle(tree: AuxFamilyTree) -> list[int]:
+    """Empty rectangles per level, counted on the cell dicts: the 2^n
+    level-0 cells, and below it the 2^(2(n+1)) children of each occupied
+    parent cell, less the occupied cells that lie in one of them."""
+    step, empties = tree.n + 1, []
+    parents = None
+    for rec in tree.levels:
+        cells = rec.occupied
+        if parents is None:
+            empties.append((1 << tree.n) - len(cells))
+        else:
+            inside = sum((jx >> step, jy >> step) in parents for jx, jy in cells)
+            empties.append((len(parents) << (2 * step)) - inside)
+        parents = cells
+    return empties
 
 
 def grid_oracle(ps: PointSet) -> CellDecomposition:
@@ -159,11 +178,11 @@ def grid_oracle(ps: PointSet) -> CellDecomposition:
     cut's y ranks sorted on their own; the cuts are returned as numerators
     over the denominators of `axes_oracle`."""
     pts = fraction_points(ps)
-    xs = sorted({Fraction(0), Fraction(1), *(p.x for p in pts)})
-    ys = sorted({Fraction(0), Fraction(1), *(p.y for p in pts)})
+    xs = sorted({Fraction(0), Fraction(1), *(x for x, _ in pts)})
+    ys = sorted({Fraction(0), Fraction(1), *(y for _, y in pts)})
     ranks: list[list[int]] = [[] for _ in xs]
-    for p in pts:
-        ranks[bisect_left(xs, p.x)].append(bisect_left(ys, p.y))
+    for x, y in pts:
+        ranks[bisect_left(xs, x)].append(bisect_left(ys, y))
     (dx, _), (dy, _) = axes_oracle(pts)
     return CellDecomposition(tuple(int(q * dx) for q in xs), tuple(int(q * dy) for q in ys),
                              tuple(tuple(sorted(js)) for js in ranks))
@@ -299,7 +318,7 @@ def eval_discrepancy(ps: PointSet, x, y) -> Fraction:
     x, y = Fraction(x), Fraction(y)
     if not (0 <= x <= 1 and 0 <= y <= 1):
         raise ValueError(f"({x}, {y}) outside the unit square")
-    count = sum(1 for p in fraction_points(ps) if p.x <= x and p.y <= y)
+    count = sum(1 for px, py in fraction_points(ps) if px <= x and py <= y)
     return count - len(ps) * x * y
 
 
@@ -311,10 +330,10 @@ def haar_inner_product(ps: PointSet, rect: DyadicRectangle) -> Fraction:
     the value collapses to -N |R|^2 / 16.
     """
     acc = Fraction(0)
-    for p in fraction_points(ps):
-        kx = haar_point_kernel(rect.x, p.x)
+    for px, py in fraction_points(ps):
+        kx = haar_point_kernel(rect.x, px)
         if kx:
-            acc += kx * haar_point_kernel(rect.y, p.y)
+            acc += kx * haar_point_kernel(rect.y, py)
     return acc - len(ps) * rect.area ** 2 / 16
 
 
@@ -367,8 +386,8 @@ def monte_carlo_norm(
     xs = rng.random(samples)
     ys = rng.random(samples)
     counts = np.zeros(samples, dtype=np.int64)
-    for p in fraction_points(ps):
-        counts += (float(p.x) <= xs) & (float(p.y) <= ys)
+    for x, y in fraction_points(ps):
+        counts += (float(x) <= xs) & (float(y) <= ys)
     d = counts - len(ps) * xs * ys
     vals = np.abs(d) if which == "l1" else d * d
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

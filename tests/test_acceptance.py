@@ -32,7 +32,7 @@ from discrep.combinatorics import (
     sign_sum_moment_bruteforce,
 )
 from discrep.discrepancy import l1_norm, l2_norm_sq, linf_norm
-from discrep.pointsets import Point, PointSet, random_uniform, symmetrize, van_der_corput
+from discrep.pointsets import PointSet, random_uniform, symmetrize, van_der_corput
 from discrep.testfn import (
     SINE,
     asymptotic_dn_table,
@@ -51,7 +51,7 @@ from oracles import (
     sine_modes,
 )
 
-ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
+ORIGIN = PointSet(((Fraction(0), Fraction(0)),), label="origin")
 
 
 def criterion(number: int, title: str, budget_seconds: float):
@@ -192,7 +192,7 @@ def test_criterion_09_norms():
     assert l2_norm_sq(ORIGIN) == Fraction(11, 18)
     corpus = [
         ORIGIN,
-        PointSet((Point(Fraction(1), Fraction(1)),)),
+        PointSet(((Fraction(1), Fraction(1)),)),
         van_der_corput(2),
         van_der_corput(4),
         van_der_corput(6),
@@ -201,7 +201,7 @@ def test_criterion_09_norms():
         random_uniform(16, seed=2),
         random_uniform(33, seed=3),
         random_uniform(64, seed=4),
-        PointSet((Point(Fraction(1, 3), Fraction(2, 3)),) * 2),
+        PointSet(((Fraction(1, 3), Fraction(2, 3)),) * 2),
     ]
     for ps in corpus:
         assert len(ps) <= 64

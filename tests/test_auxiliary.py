@@ -15,7 +15,6 @@ from discrep.auxiliary import (
     LevelRecord,
     _shifts,
     _check_cluster_partition,
-    _check_level_counts,
     _tree_integers,
     build_tree,
     build_trees,
@@ -28,12 +27,12 @@ from discrep.auxiliary import (
 )
 from discrep.cli import _tree_payload
 from discrep.errors import ResourceLimitError
-from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
+from discrep.pointsets import PointSet, random_uniform, van_der_corput
 from discrep.testfn import certificate
-from oracles import (cluster_partition_oracle, eval_discrepancy, fraction_points,
-                     tree_integers_oracle)
+from oracles import (cluster_partition_oracle, empty_counts_oracle, eval_discrepancy,
+                     fraction_points, tree_integers_oracle)
 
-ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
+ORIGIN = PointSet(((Fraction(0), Fraction(0)),), label="origin")
 
 
 def test_n_from_pointcount_examples():
@@ -52,13 +51,12 @@ def test_singleton_tree_levels():
     tree = build_tree(ORIGIN, 0)
     assert tree.n == 1
     lev0 = tree.levels[0]
-    assert lev0.empty_count == 1
     assert list(lev0.occupied) == [(0, 0)]
     assert lev0.rect_area == Fraction(1, 2)
     # level 1: 2^(2(n+1)) = 16 children of the one occupied rectangle
     lev1 = tree.levels[1]
-    assert lev1.empty_count == 15
     assert len(lev1.occupied) == 1
+    assert tree.empty_counts() == empty_counts_oracle(tree) == [1, 15, 15]
     assert tree.stabilization_level == 0
     assert tree.stabilized
 
@@ -72,7 +70,7 @@ def test_occupied_never_exceeds_point_count():
 
 
 def test_boundary_points_fall_outside_all_rectangles():
-    ps = PointSet((Point(Fraction(1), Fraction(1, 2)), Point(Fraction(0), Fraction(0))))
+    ps = PointSet(((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(0))))
     tree = build_tree(ps, 0)
     members = {t for rec in tree.levels for m in rec.occupied.values() for t in m}
     assert members == {1}
@@ -102,7 +100,7 @@ def test_inner_product_deep_truncation_matches_tail():
         assert inner_product(auto).value == inner_product(deep).value
         # partial sums (no tail) differ by exactly the remaining geometric tail
         partial = -Fraction(len(ps), 16) * sum(
-            rec.empty_count * rec.rect_area ** 2 for rec in deep.levels
+            empty * rec.rect_area ** 2 for rec, empty in zip(deep.levels, empty_counts_oracle(deep))
         )
         n = deep.n
         c = len(deep.levels[-1].occupied)
@@ -126,10 +124,10 @@ def test_inner_product_upper_bound_across_corpus():
 def test_inner_product_unstabilized_brackets_truth():
     # two distinct points sharing a level-0 cell: several levels to separate
     ps = PointSet(
-        (Point(Fraction(0), Fraction(0)), Point(Fraction(1, 1024), Fraction(1, 1024)))
+        ((Fraction(0), Fraction(0)), (Fraction(1, 1024), Fraction(1, 1024)))
     )
     full = build_tree(ps, 1)
-    assert full.stabilization_level and full.stabilization_level > 0
+    assert full.stabilized and full.stabilization_level and full.stabilization_level > 0
     truth = inner_product(full).value
     shallow = build_tree(ps, 1, max_level=0)
     assert not shallow.stabilized
@@ -142,10 +140,10 @@ F = Fraction
 EVAL_SETS = (
     van_der_corput(2),
     random_uniform(5, seed=5),
-    PointSet((Point(F(1, 3), F(1, 5)), Point(F(1, 3), F(1, 5)),
-              Point(F(3, 4), F(1, 2)), Point(F(3, 4), F(1, 2))), label="duplicates"),
-    PointSet((Point(F(0), F(1, 3)), Point(F(1), F(1, 2)),
-              Point(F(1, 5), F(0)), Point(F(2, 7), F(1))), label="boundary"),
+    PointSet(((F(1, 3), F(1, 5)), (F(1, 3), F(1, 5)),
+              (F(3, 4), F(1, 2)), (F(3, 4), F(1, 2))), label="duplicates"),
+    PointSet(((F(0), F(1, 3)), (F(1), F(1, 2)),
+              (F(1, 5), F(0)), (F(2, 7), F(1))), label="boundary"),
 )
 EVAL_TREES = [tree for ps in EVAL_SETS for tree in build_trees(ps)]
 
@@ -159,9 +157,9 @@ def tree_queries(draw):
     ps = tree.pointset
     interior = _tree_integers(ps).interior
     if interior and draw(st.booleans()):
-        p = fraction_points(ps)[draw(st.sampled_from(interior))]
+        x, y = fraction_points(ps)[draw(st.sampled_from(interior))]
         gap = st.one_of(st.just(F(0)), st.integers(1, 200).map(lambda g: F(1, 1 << g)))
-        return tree, _apart(p.x, draw(gap)), _apart(p.y, draw(gap))
+        return tree, _apart(x, draw(gap)), _apart(y, draw(gap))
     coordinate = st.fractions(min_value=0, max_value=1).filter(lambda q: q < 1)
     return tree, draw(coordinate), draw(coordinate)
 
@@ -218,9 +216,9 @@ def _covered_integrals_by_grid(ps, trees, grid_bits):
             a, b = Fraction(ix, g), Fraction(ix + 1, g)
             c, d = Fraction(iy, g), Fraction(iy + 1, g)
             cell_d = sum(
-                (b - max(a, p.x)) * (d - max(c, p.y))
-                for p in fraction_points(ps)
-                if p.x < b and p.y < d
+                (b - max(a, px)) * (d - max(c, py))
+                for px, py in fraction_points(ps)
+                if px < b and py < d
             ) - Fraction(n, 4) * (b * b - a * a) * (d * d - c * c)
             tot_d += sign * cell_d
     return tot_prod, tot_d, covered
@@ -351,18 +349,18 @@ def _with_level(tree, level, **changes):
 
 def test_trees_are_immutable():
     tree = build_tree(ORIGIN, 0)
-    for name in ("levels", "uncovered_mass", "stabilization_level"):
+    for name in ("levels", "uncovered_mass", "n", "stabilization_level"):
         with pytest.raises(AttributeError):
             setattr(tree, name, None)
     assert _with_level(tree, 0) == tree and hash(_with_level(tree, 0)) == hash(tree)
-    assert tree._replace(stabilization_level=None) != tree
+    assert tree._replace(levels=tree.levels[:1]) != tree
 
 
 def test_lemma_suite_flags_corrupted_tree():
     ps = van_der_corput(2)
     trees = list(build_trees(ps))
-    # tamper with the level-0 empty count
-    trees[1] = _with_level(trees[1], 0, empty_count=trees[1].levels[0].empty_count + 1)
+    # drop a level-0 cluster, which frees an empty cell
+    trees[1] = _with_level(trees[1], 0, clusters=trees[1].levels[0].clusters[1:])
     report = lemma_suite(ps, trees=trees)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
@@ -388,18 +386,19 @@ def _failed_check(ps, trees, name):
     return failing[0].witness
 
 
-def test_level_counts_fails_more_clusters_than_points():
-    # two copies of the one cluster, with the empty count cut to match: at
-    # most N occupied cells follows from the partition into nonempty
-    # clusters, so the partition check fails the copy
+def test_cluster_partition_fails_more_clusters_than_points():
+    # two copies of the one cluster leave no empty cell: at most N occupied
+    # cells follows from the partition into nonempty clusters, so the
+    # partition check fails the copy
     trees = list(build_trees(ORIGIN))
     rec = trees[0].levels[0]
-    trees[0] = _with_level(trees[0], 0, clusters=rec.clusters * 2, empty_count=0)
+    trees[0] = _with_level(trees[0], 0, clusters=rec.clusters * 2)
+    assert trees[0].empty_counts()[0] == 0
     witness = _failed_check(ORIGIN, trees, "cluster_partition")
     assert witness == "i=0 l=0: clusters do not partition the points"
 
 
-def test_level_counts_fails_a_wrong_area():
+def test_side_lengths_fails_a_wrong_area():
     # the area is read from the scales, so a scale one too fine halves it;
     # the per-tree scale identity, whose scales sum to n + 2(n+1) l, fails it
     trees = list(build_trees(ORIGIN))
@@ -413,17 +412,17 @@ def test_level_counts_fails_a_wrong_area():
 
 def test_lemma_suite_fails_a_repeated_cluster_below_n_cells():
     # 18 points, four of them twice: the deepest level of tree 2 repeats a
-    # cluster and gives up an empty cell, which keeps the exhaustion
-    # identity and 15 occupied cells, fewer than N
+    # cluster, which gives up an empty cell and leaves 15 occupied cells,
+    # fewer than N
     pts = fraction_points(random_uniform(14, 3))
     ps = PointSet(pts + pts[:4])
     trees = list(build_trees(ps))
     deepest = trees[2].deepest_level
     rec = trees[2].levels[deepest]
-    trees[2] = _with_level(trees[2], deepest, clusters=rec.clusters + rec.clusters[:1],
-                           empty_count=rec.empty_count - 1)
+    empties = trees[2].empty_counts()
+    trees[2] = _with_level(trees[2], deepest, clusters=rec.clusters + rec.clusters[:1])
     assert len(trees[2].levels[deepest].clusters) == 15 < len(ps)
-    assert _check_level_counts(trees[2]).passed
+    assert trees[2].empty_counts() == empties[:-1] + [empties[-1] - 1]
     witness = _failed_check(ps, trees, "cluster_partition")
     assert witness == f"i=2 l={deepest}: clusters do not partition the points"
 
@@ -433,17 +432,20 @@ def test_cluster_partition_fails_a_dropped_cluster():
     trees = list(build_trees(ps))
     rec = trees[0].levels[0]
     assert len(rec.clusters) == 2
-    trees[0] = _with_level(trees[0], 0, clusters=rec.clusters[:1], empty_count=rec.empty_count + 1)
+    trees[0] = _with_level(trees[0], 0, clusters=rec.clusters[:1])
     witness = _failed_check(ps, trees, "cluster_partition")
     assert witness == "i=0 l=0: clusters do not partition the points"
 
 
 def test_inner_product_bound_fails_missing_empty_rectangles():
+    # copies of the one cluster fill every cell of each level (2 at level
+    # 0, 16 per parent below it), so no empty rectangle is left
     trees = list(build_trees(ORIGIN))
-    trees[1] = trees[1]._replace(levels=tuple(rec._replace(empty_count=0)
-                                              for rec in trees[1].levels))
+    trees[1] = trees[1]._replace(levels=tuple(rec._replace(clusters=rec.clusters * (2 << 4 * level))
+                                              for level, rec in enumerate(trees[1].levels)))
+    assert trees[1].empty_counts() == [0, 0, 0] and not trees[1].stabilized
     witness = _failed_check(ORIGIN, trees, "inner_product_upper_bound")
-    assert witness.startswith("i=1: ") and witness.endswith(" > -1/64")
+    assert witness == "i=1: 0 > -1/64"
 
 
 def test_side_lengths_fails_a_tie():
@@ -476,8 +478,8 @@ def test_suite_passes_former_false_alarm_sets():
     for seed in (12, 27, 56, 87, 88):
         report = lemma_suite(random_uniform(3, seed))
         assert report.passed and not report.skipped, report.checks
-        # three checks per tree of n = 3, side lengths, two per product tuple
-        assert len(report.checks) == 3 * 4 + 1 + 2 * 2
+        # two checks per tree of n = 3, side lengths, two per product tuple
+        assert len(report.checks) == 2 * 4 + 1 + 2 * 2
 
 
 def test_max_level_outside_range_is_refused():
@@ -526,9 +528,9 @@ def bucket_oracle(points, members, kx, ky):
     """Cells by Fraction floor; points on x=1 or y=1 fall outside."""
     out = {}
     for idx in members:
-        p = points[idx]
-        jx = math.floor(p.x * (1 << kx))
-        jy = math.floor(p.y * (1 << ky))
+        x, y = points[idx]
+        jx = math.floor(x * (1 << kx))
+        jy = math.floor(y * (1 << ky))
         if jx == (1 << kx) or jy == (1 << ky):
             continue
         out.setdefault((jx, jy), []).append(idx)
@@ -650,7 +652,7 @@ coordinates = st.one_of(
               st.integers(0, 1 << 40)),
     st.integers(0, 8).map(lambda a: Fraction(a, 8)),
 )
-points = st.builds(Point, coordinates, coordinates)
+points = st.tuples(coordinates, coordinates)
 
 
 def _apart(c: Fraction, gap: Fraction) -> Fraction:
@@ -671,16 +673,17 @@ def adversarial_sets(draw, max_distinct=5):
     for gap in (Fraction(1, 1 << draw(st.integers(5, 200))), TWIN_GAP):
         if draw(st.booleans()):
             x, y = draw(inside), draw(inside)
-            pts += [Point(x, y), Point(_apart(x, gap), _apart(y, gap))]
+            pts += [(x, y), (_apart(x, gap), _apart(y, gap))]
     return PointSet(tuple(draw(st.permutations(pts))))
 
 
 def assert_tree_matches_oracle(ps, tree):
     """Every level's clusters, in order, are those of Fraction bucketing
-    per parent cluster, and l* is the first level of one-point clusters."""
+    per parent cluster, l* is the first level of one-point clusters, and
+    the tree is stabilized iff it has one."""
     parents = [tuple(range(len(ps)))]
     stable_at = None
-    for rec in tree.levels:
+    for level, rec in enumerate(tree.levels):
         want = {}
         for group in parents:
             want.update(bucket_oracle(fraction_points(ps), group, rec.scale_x, rec.scale_y))
@@ -689,46 +692,47 @@ def assert_tree_matches_oracle(ps, tree):
         if stable_at is None and all(
             len({fraction_points(ps)[t] for t in group}) == 1 for group in rec.occupied.values()
         ):
-            stable_at = rec.level
+            stable_at = level
         parents = list(rec.occupied.values())
     assert tree.stabilization_level == stable_at
+    assert tree.stabilized == (stable_at is not None)
 
 
 @settings(max_examples=60, deadline=None)
 @given(adversarial_sets(), st.integers(0, 300), st.integers(0, 300))
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 3)),
-                   Point(Fraction(1, 3) + TWIN_GAP, Fraction(1, 3) + TWIN_GAP))), 0, 0)
-@example(PointSet((Point(Fraction(1), Fraction(1, 2)),)), 0, 0)
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 5)),
-                   Point(Fraction(1, 3) + Fraction(1, 1 << 40), Fraction(1, 5)),
-                   Point(Fraction(3, 4), Fraction(3, 4)), Point(Fraction(3, 4), Fraction(3, 4)),
-                   Point(Fraction(1, 8), Fraction(7, 8)))), 0, 0)
+@example(PointSet(((Fraction(1, 3), Fraction(1, 3)),
+                   (Fraction(1, 3) + TWIN_GAP, Fraction(1, 3) + TWIN_GAP))), 0, 0)
+@example(PointSet(((Fraction(1), Fraction(1, 2)),)), 0, 0)
+@example(PointSet(((Fraction(1, 3), Fraction(1, 5)),
+                   (Fraction(1, 3) + Fraction(1, 1 << 40), Fraction(1, 5)),
+                   (Fraction(3, 4), Fraction(3, 4)), (Fraction(3, 4), Fraction(3, 4)),
+                   (Fraction(1, 8), Fraction(7, 8)))), 0, 0)
 # the root pair shares its level-0 cell, so it must be bucketed, not split
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 5)),
-                   Point(Fraction(1, 3) + Fraction(1, 1 << 9), Fraction(1, 5)))), 0, 0)
+@example(PointSet(((Fraction(1, 3), Fraction(1, 5)),
+                   (Fraction(1, 3) + Fraction(1, 1 << 9), Fraction(1, 5)))), 0, 0)
 # a duplicate pair never splits
-@example(PointSet((Point(Fraction(2, 7), Fraction(3, 5)),) * 2), 0, 0)
+@example(PointSet(((Fraction(2, 7), Fraction(3, 5)),) * 2), 0, 0)
 # the far point leaves first, and the pair it leaves splits later
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 3)),
-                   Point(Fraction(1, 3) + Fraction(1, 1 << 30), Fraction(1, 3)),
-                   Point(Fraction(1, 3) + Fraction(1, 1 << 8), Fraction(1, 3)))), 0, 0)
+@example(PointSet(((Fraction(1, 3), Fraction(1, 3)),
+                   (Fraction(1, 3) + Fraction(1, 1 << 30), Fraction(1, 3)),
+                   (Fraction(1, 3) + Fraction(1, 1 << 8), Fraction(1, 3)))), 0, 0)
 # a pair 2^-64 apart, which splits at a deep level
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 5)),
-                   Point(Fraction(1, 3) + Fraction(1, 1 << 64),
+@example(PointSet(((Fraction(1, 3), Fraction(1, 5)),
+                   (Fraction(1, 3) + Fraction(1, 1 << 64),
                          Fraction(1, 5) + Fraction(1, 1 << 64)))), 0, 0)
 # a pair equal along the dyadic x axis (width 2) and 2^-20 apart along y:
 # equal members never split along x, at any scale past its width; and the
 # transpose
-@example(PointSet((Point(Fraction(1, 4), Fraction(1, 3)),
-                   Point(Fraction(1, 4), Fraction(1, 3) + Fraction(1, 1 << 20)))), 0, 0)
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 4)),
-                   Point(Fraction(1, 3) + Fraction(1, 1 << 20), Fraction(1, 4)))), 0, 0)
+@example(PointSet(((Fraction(1, 4), Fraction(1, 3)),
+                   (Fraction(1, 4), Fraction(1, 3) + Fraction(1, 1 << 20)))), 0, 0)
+@example(PointSet(((Fraction(1, 3), Fraction(1, 4)),
+                   (Fraction(1, 3) + Fraction(1, 1 << 20), Fraction(1, 4)))), 0, 0)
 # n = 2: a pair whose n-bit cells differ in their last bit along x, which
 # level 0 of direction n parts, and the transpose, parted by direction 0
-@example(PointSet((Point(Fraction(1, 8), Fraction(1, 3)),
-                   Point(Fraction(3, 8), Fraction(1, 3)))), 0, 0)
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 8)),
-                   Point(Fraction(1, 3), Fraction(3, 8)))), 0, 0)
+@example(PointSet(((Fraction(1, 8), Fraction(1, 3)),
+                   (Fraction(3, 8), Fraction(1, 3)))), 0, 0)
+@example(PointSet(((Fraction(1, 3), Fraction(1, 8)),
+                   (Fraction(1, 3), Fraction(3, 8)))), 0, 0)
 def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
     # an axis's width E is the least e <= S at which all its coordinates
     # are multiples of 2^-e, else S; a shift of its integers (right up to
@@ -746,7 +750,7 @@ def test_bucket_and_tree_match_fraction_floor(ps, kx, ky):
         for k in {drawn % (scale + 1), *(j for j in (width - 1, width + 1) if 0 <= j <= scale)}:
             r, l = _shifts(width, k)
             assert [v >> r << l for v in ints] == [math.floor(p[axis] * (1 << k)) for p in pts]
-    twins = any(Point(p.x + TWIN_GAP, p.y + TWIN_GAP) in pts for p in pts)
+    twins = any((x + TWIN_GAP, y + TWIN_GAP) in pts for x, y in pts)
     for direction in {0, n // 2, n}:
         tree = assert_depths_match_oracle(ps, direction)
         if twins:
@@ -787,8 +791,8 @@ def _pair(axis, gap, base=Fraction(1, 4), other=THIRD):
     scale >= gap (base is a multiple of 2^-2)."""
     far = base + Fraction(1, 1 << gap)
     if axis == "x":
-        return [Point(base, other), Point(far, other)]
-    return [Point(other, base), Point(other, far)]
+        return [(base, other), (far, other)]
+    return [(other, base), (other, far)]
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -811,9 +815,9 @@ def test_pair_splits_at_the_first_level_whose_scale_reaches_its_gap(axis, gap):
 SPLIT_SETS = {
     # a three-point cluster: one point leaves at about scale 12, the other
     # two part at about scale 40
-    "two_stages": (Point(THIRD, THIRD),
-                   Point(THIRD + Fraction(1, 1 << 12), THIRD + Fraction(1, 1 << 12)),
-                   Point(THIRD + Fraction(1, 1 << 40), THIRD)),
+    "two_stages": ((THIRD, THIRD),
+                   (THIRD + Fraction(1, 1 << 12), THIRD + Fraction(1, 1 << 12)),
+                   (THIRD + Fraction(1, 1 << 40), THIRD)),
     # pair A equal in x and 2^-21 apart in y, pair B the reverse: along
     # direction i pair A splits at the first level with n - i + (n+1)l >= 21
     # and pair B at the first with i + (n+1)l >= 21, so the order of the
@@ -822,12 +826,12 @@ SPLIT_SETS = {
     "x_and_y_gaps": (*_pair("y", 21, base=Fraction(1, 2)), *_pair("x", 21)),
     # the same with a copy of a pair-B point (n = 4) and a point on x = 1
     "with_copy_and_edge": (*_pair("y", 21, base=Fraction(1, 2)), *_pair("x", 21),
-                           Point(Fraction(1, 4), THIRD), Point(Fraction(1), THIRD)),
+                           (Fraction(1, 4), THIRD), (Fraction(1), THIRD)),
 }
 
 
 def _first_level_apart(tree, a, b):
-    return next(rec.level for rec in tree.levels
+    return next(level for level, rec in enumerate(tree.levels)
                 if not any({a, b} <= set(m) for m in rec.occupied.values()))
 
 
@@ -851,12 +855,12 @@ def test_clusters_split_where_the_oracle_splits_them(name):
 
 @pytest.fixture
 def occupied_reads(monkeypatch):
-    """The level of each record whose cell dict `LevelRecord.occupied` builds."""
+    """Each record whose cell dict `LevelRecord.occupied` builds."""
     reads = []
     occupied = LevelRecord.occupied.fget
 
     def spy(rec):
-        reads.append(rec.level)
+        reads.append(rec)
         return occupied(rec)
 
     monkeypatch.setattr(LevelRecord, "occupied", property(spy))
@@ -870,12 +874,11 @@ def test_levels_without_a_split_share_their_parents_clusters(occupied_reads):
     assert tree.stabilization_level == 0 and tree.deepest_level == HARD_LEVEL_CAP
     assert all(rec.clusters is tree.levels[0].clusters for rec in tree.levels[1:])
     assert occupied_reads == []
-    assert [rec.empty_count for rec in tree.levels[1:]] == (
-        [((1 << 24) - 1) * len(ps)] * HARD_LEVEL_CAP)
+    assert tree.empty_counts()[1:] == [((1 << 24) - 1) * len(ps)] * HARD_LEVEL_CAP
     # a dict is built when read, for that level only
     deep = tree.levels[40]
     cells = deep.occupied
-    assert occupied_reads == [40]
+    assert len(occupied_reads) == 1 and occupied_reads[0] is deep
     assert list(cells.items()) == [
         (k, tuple(v)) for k, v in bucket_oracle(fraction_points(ps), range(len(ps)),
                                                 deep.scale_x, deep.scale_y).items()]
@@ -884,15 +887,17 @@ def test_levels_without_a_split_share_their_parents_clusters(occupied_reads):
 def test_counting_routes_build_no_cell_dict(occupied_reads):
     # n = 3: the pair splits at level 5 along direction 0, so the tree holds
     # levels with clusters carried whole before and after its split
-    ps = PointSet((*_pair("x", 20), Point(Fraction(3, 4), Fraction(1, 5))))
+    ps = PointSet((*_pair("x", 20), (Fraction(3, 4), Fraction(1, 5))))
     trees = list(build_trees(ps))
     assert trees[0].stabilization_level == 5
     cert = certificate(ps, trees=trees)
     ips = [inner_product(t) for t in trees]
     summaries = [_tree_payload(t) for t in trees]
     counts = [[len(rec.clusters) for rec in t.levels] for t in trees]
-    assert all(_check_level_counts(tree).passed for tree in trees)
+    empties = [t.empty_counts() for t in trees]
     assert occupied_reads == []
+    assert empties == [[level["empty"] for level in s["levels"]] for s in summaries]
+    assert empties == [empty_counts_oracle(t) for t in trees]
     assert cert.inner_product_sum == sum(ip.value for ip in ips)
     assert counts == [[len(rec.occupied) for rec in t.levels] for t in trees]
     assert counts == [[level["nonempty"] for level in s["levels"]] for s in summaries]
@@ -902,7 +907,7 @@ def test_lemma_suite_builds_no_cell_dict(occupied_reads):
     # n = 6 > PRODUCT_MAX_N, so no product check looks a cell up; a pair
     # that splits at a middle level and a duplicate give clusters of two
     ps = PointSet((*_pair("x", 20), *fraction_points(van_der_corput(4)),
-                   Point(Fraction(1, 2), Fraction(1, 2))))
+                   (Fraction(1, 2), Fraction(1, 2))))
     assert n_from_pointcount(len(ps)) == 6 > auxiliary.PRODUCT_MAX_N
     report = lemma_suite(ps)
     assert report.passed and report.skipped == 1
@@ -922,9 +927,9 @@ class _Unreadable:
 def test_tree_layer_reads_only_the_cached_integers():
     # a duplicate, a pair that splits at a middle level, a non-dyadic point
     # and points on x = 1 and y = 1 (n = 4)
-    copy = Point(Fraction(3, 4), Fraction(1, 5))
+    copy = (Fraction(3, 4), Fraction(1, 5))
     pts = (*_pair("x", 20), copy, copy,
-           Point(Fraction(1), THIRD), Point(Fraction(2, 7), Fraction(1)))
+           (Fraction(1), THIRD), (Fraction(2, 7), Fraction(1)))
     ps, twin = PointSet(pts), PointSet(pts)
     # fill the caches that build_tree and the product checks' linf_norm
     # read, then make every numerator unreadable; the denominators stay
@@ -942,7 +947,7 @@ def test_tree_layer_reads_only_the_cached_integers():
     assert suite.passed and suite == lemma_suite(twin)
     assert sum(c.name == "product_discrepancy_bound" for c in suite.checks) == 2
     assert certificate(ps) == certificate(twin)
-    queries = [(p.x, p.y) for p in pts if p.x < 1 and p.y < 1]
+    queries = [(x, y) for x, y in pts if x < 1 and y < 1]
     queries += [(THIRD, Fraction(1, 5)), (Fraction(1, 4) + Fraction(1, 1 << 21), THIRD)]
     for tree, other in zip(trees, want):
         for x, y in queries:
@@ -951,8 +956,8 @@ def test_tree_layer_reads_only_the_cached_integers():
 
 def test_lone_clusters_are_shared_across_trees_and_builds():
     # a pair that splits at a middle level, a duplicate and a lone point
-    copy = Point(Fraction(3, 4), Fraction(1, 5))
-    ps = PointSet((*_pair("x", 20), copy, copy, Point(Fraction(1, 7), Fraction(5, 6))))
+    copy = (Fraction(3, 4), Fraction(1, 5))
+    ps = PointSet((*_pair("x", 20), copy, copy, (Fraction(1, 7), Fraction(5, 6))))
     lone = {}
     for tree in [*build_trees(ps), *build_trees(ps)]:
         for rec in tree.levels:
@@ -998,17 +1003,17 @@ def test_tree_integers_match_fraction_oracle(ps, width_x, width_y):
     n = next(n for n in range(64) if 2 * len(ps) <= 1 << n)
     scale = (n + 1) * (HARD_LEVEL_CAP + 1)
     pts = fraction_points(ps)
-    interior = tuple(t for t, p in enumerate(pts) if p.x < 1 and p.y < 1)
+    interior = tuple(t for t, (x, y) in enumerate(pts) if x < 1 and y < 1)
     record = _tree_integers(ps)
     assert record == tree_integers_oracle(pts)
     assert record.scale == scale
     widths = (scale if width_x is None else width_x, scale if width_y is None else width_y)
     assert (record.width_x, record.width_y) == widths
-    assert record.xs == tuple(math.floor(p.x * (1 << widths[0])) for p in pts)
-    assert record.ys == tuple(math.floor(p.y * (1 << widths[1])) for p in pts)
+    assert record.xs == tuple(math.floor(x * (1 << widths[0])) for x, _ in pts)
+    assert record.ys == tuple(math.floor(y * (1 << widths[1])) for _, y in pts)
     # each point's cells at scale n, which level 0 keys on: 2^n on x = 1
-    assert record.cx == tuple(math.floor(p.x * 2**n) for p in pts)
-    assert record.cy == tuple(math.floor(p.y * 2**n) for p in pts)
+    assert record.cx == tuple(math.floor(x * 2**n) for x, _ in pts)
+    assert record.cy == tuple(math.floor(y * 2**n) for _, y in pts)
     # the memory: an axis holds integers of at most its width's bits, one
     # more for a coordinate 1, so a dyadic one no more than its exponent's;
     # an axis over D = 2^E below 2^S holds the set's own numerators
@@ -1027,8 +1032,8 @@ def test_tree_integers_are_built_once_per_set(monkeypatch):
     record_type = auxiliary._TreeIntegers
     monkeypatch.setattr(auxiliary, "_TreeIntegers",
                         lambda *fields: made.append(fields) or record_type(*fields))
-    ps = PointSet((*_pair("y", 9), Point(Fraction(1), THIRD),
-                   Point(Fraction(2, 7), Fraction(3, 7))))
+    ps = PointSet((*_pair("y", 9), (Fraction(1), THIRD),
+                   (Fraction(2, 7), Fraction(3, 7))))
     trees = list(build_trees(ps))
     lemma_suite(ps)
     lemma_suite(ps, trees=trees)
@@ -1051,7 +1056,7 @@ def test_tree_integers_are_built_once_per_set(monkeypatch):
 
 def test_cluster_partition_fails_a_cluster_carried_past_its_split():
     # the pair splits at level 2 along direction 0; carry it whole one level
-    # further, keeping the counting identities intact
+    # further
     ps = PointSet(tuple(_pair("x", 6)))
     tree = build_tree(ps, 0)
     assert [len(rec.occupied) for rec in tree.levels] == [1, 1, 2, 2, 2]
@@ -1060,22 +1065,30 @@ def test_cluster_partition_fails_a_cluster_carried_past_its_split():
     first_cell = next(iter(rec.occupied))
     # level 2 keeps level 1's cluster sequence: the pair, keyed by point 0
     carried = tree.levels[1].clusters
-    tree = _with_level(tree, 2, clusters=carried, empty_count=rec.empty_count + 1)
+    tree = _with_level(tree, 2, clusters=carried)
     assert tree.levels[2].occupied == {first_cell: (0, 1)}
-    tree = _with_level(tree, 3, empty_count=tree.levels[3].empty_count - (1 << 6))
-    assert _check_level_counts(tree).passed
     check = _check_cluster_partition(tree)
     assert not check.passed and "point 1 outside its cell" in check.witness
     assert not lemma_suite(ps, trees=[tree, *(build_tree(ps, i) for i in (1, 2))]).passed
 
 
+def test_empty_counts_follow_the_parent_cluster_count():
+    # n = 2: the pair splits at level 2 along direction 0, where its one
+    # parent cell is cut into 64 children and two of them are occupied
+    ps = PointSet(tuple(_pair("x", 6)))
+    tree = build_tree(ps, 0)
+    assert [len(rec.clusters) for rec in tree.levels] == [1, 1, 2, 2, 2]
+    assert tree.empty_counts() == empty_counts_oracle(tree) == [3, 63, 62, 126, 126]
+
+
 def sum_empty_area_sq_oracle(tree):
-    """Fraction sums over the recorded areas, level by level, plus the
-    geometric tail or the truncation bound."""
+    """Fraction sums over the recorded areas, level by level, of the
+    empties counted on the cell dicts, plus the geometric tail or the
+    truncation bound."""
     n = tree.n
     total = Fraction(0)
-    for rec in tree.levels:
-        total += rec.empty_count * rec.rect_area ** 2
+    for rec, empty in zip(tree.levels, empty_counts_oracle(tree)):
+        total += empty * rec.rect_area ** 2
     deepest = tree.levels[-1]
     c = len(deepest.occupied)
     next_area = deepest.rect_area / (1 << (2 * (n + 1)))
@@ -1090,8 +1103,8 @@ def sum_empty_area_sq_oracle(tree):
 @settings(max_examples=40, deadline=None)
 @given(adversarial_sets(), st.integers(0, 5),
        st.none() | st.integers(0, 6) | st.just(HARD_LEVEL_CAP))
-@example(PointSet((Point(Fraction(1, 3), Fraction(1, 3)),
-                   Point(Fraction(1, 3) + TWIN_GAP, Fraction(1, 3) + TWIN_GAP))), 1, None)
+@example(PointSet(((Fraction(1, 3), Fraction(1, 3)),
+                   (Fraction(1, 3) + TWIN_GAP, Fraction(1, 3) + TWIN_GAP))), 1, None)
 @example(van_der_corput(2), 2, HARD_LEVEL_CAP)
 def test_sum_empty_area_sq_matches_fraction_loop(ps, direction, depth):
     n = n_from_pointcount(len(ps))
@@ -1125,7 +1138,7 @@ def _corrupted(tree, kind, draw):
     xs, ys = record.xs, record.ys
     if kind == "reuse":
         # a level on which some cluster splits holds its parent's tuple
-        split = [rec.level for rec, parent in zip(levels[1:], levels)
+        split = [level for level, (rec, parent) in enumerate(zip(levels[1:], levels), 1)
                  if rec.clusters is not parent.clusters]
         if not split:
             return None

@@ -71,7 +71,7 @@ def test_gen_mirror_appends_the_mirrored_copy(tmp_path, capsys):
     base, both = read_csv(plain), read_csv(mirrored)
     assert both.label == "vdc_m2+xmirror"
     points = fraction_points(base)
-    assert fraction_points(both) == points + tuple((1 - p.x, p.y) for p in points)
+    assert fraction_points(both) == points + tuple((1 - x, y) for x, y in points)
 
 
 @pytest.mark.parametrize("kind, missing", [("vdc", "--m"), ("random", "--n")])
@@ -328,7 +328,7 @@ def test_lemmas_max_level_sets_the_suite_depth(capsys):
         assert code == 0
         payload = json.loads(stdout)
         assert payload["config"]["max_level"] == int(max_level)
-        counts = [c["witness"] for c in payload["checks"] if c["name"] == "level_counts"]
+        counts = [c["witness"] for c in payload["checks"] if c["name"] == "cluster_partition"]
         assert counts == [f"i={i}: {levels} levels" for i in range(4)]
         products = [c for c in payload["checks"] if c["name"].startswith("product")]
         if levels < 3:
@@ -339,7 +339,7 @@ def test_lemmas_max_level_sets_the_suite_depth(capsys):
             assert len(products) == 4 and payload["skipped"] == 0
             assert all(c["passed"] for c in products)
     code, stdout, _ = run(capsys, "lemmas", "--in", mixed, "--max-level", "0")
-    assert "PASS level_counts: i=0: 1 levels" in stdout
+    assert "PASS cluster_partition: i=0: 1 levels" in stdout
     assert stdout.count("SKIP product_bounds") == 2
 
 
@@ -366,7 +366,7 @@ def test_lemmas_failing_check_exits_nonzero(tmp_path, capsys, monkeypatch):
     from discrep.auxiliary import CheckResult, SuiteReport
 
     def fake_suite(ps, **kwargs):
-        return SuiteReport(ps.label, 1, (CheckResult("level_counts", False, "i=0: forged"),))
+        return SuiteReport(ps.label, 1, (CheckResult("cluster_partition", False, "i=0: forged"),))
 
     monkeypatch.setattr("discrep.cli.auxiliary.lemma_suite", fake_suite)
     out = tmp_path / "p.csv"

@@ -24,7 +24,7 @@ from discrep.discrepancy import (
     linf_norm,
 )
 from discrep.auxiliary import lemma_suite
-from discrep.pointsets import Point, PointSet, random_uniform, symmetrize, van_der_corput
+from discrep.pointsets import PointSet, random_uniform, symmetrize, van_der_corput
 from oracles import (
     DyadicInterval,
     DyadicRectangle,
@@ -40,8 +40,8 @@ from oracles import (
     vdc_linf,
 )
 
-ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
-CORNER = PointSet((Point(Fraction(1), Fraction(1)),), label="corner")
+ORIGIN = PointSet(((Fraction(0), Fraction(0)),), label="origin")
+CORNER = PointSet(((Fraction(1), Fraction(1)),), label="corner")
 
 
 def rect(kx, jx, ky, jy):
@@ -70,7 +70,7 @@ def test_cell_decomposition_counts_monotone():
 
 
 def test_haar_inner_product_examples():
-    far = PointSet((Point(Fraction(9, 10), Fraction(9, 10)),))
+    far = PointSet(((Fraction(9, 10), Fraction(9, 10)),))
     assert haar_inner_product(far, rect(1, 0, 1, 0)) == Fraction(-1, 256)
     assert haar_inner_product(CORNER, rect(1, 0, 1, 0)) == Fraction(-1, 256)
     # a point sitting on the left/bottom edge contributes zero kernel
@@ -81,7 +81,7 @@ def test_haar_inner_product_empty_rectangle_rule():
     # rectangles with no point: exactly -N |R|^2 / 16
     ps = van_der_corput(2)
     r = rect(2, 3, 2, 0)  # [3/4,1) x [0,1/4) holds no vdc point
-    assert all(not r.contains(p.x, p.y) for p in fraction_points(ps))
+    assert all(not r.contains(x, y) for x, y in fraction_points(ps))
     assert haar_inner_product(ps, r) == -len(ps) * r.area ** 2 / 16
 
 
@@ -115,7 +115,7 @@ def test_l2_two_routes_agree_exactly():
         van_der_corput(3),
         symmetrize(van_der_corput(2)),
         random_uniform(13, seed=5),
-        PointSet((Point(Fraction(1, 3), Fraction(2, 3)),) * 3),  # duplicates
+        PointSet(((Fraction(1, 3), Fraction(2, 3)),) * 3),  # duplicates
     ]
     for ps in sets:
         value = l2_norm_sq(ps)
@@ -131,7 +131,7 @@ def test_empty_rectangle_rule_over_random_rects():
         while found < 10:
             kx, ky = rng.randint(0, 3), rng.randint(0, 3)
             r = rect(kx, rng.randrange(1 << kx), ky, rng.randrange(1 << ky))
-            if any(r.contains(p.x, p.y) for p in fraction_points(ps)):
+            if any(r.contains(x, y) for x, y in fraction_points(ps)):
                 continue
             found += 1
             assert haar_inner_product(ps, r) == -len(ps) * r.area ** 2 / 16
@@ -247,7 +247,7 @@ def test_monte_carlo_determinism_and_validation():
 
 
 def test_d_n_contract():
-    two = PointSet((Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(1))))
+    two = PointSet(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
     v = float(l1_norm(two).value)
     assert _norms_payload(two, "all")["d_n"] == f"{v / math.sqrt(math.log(2)):.12g}"
     assert float(_norms_payload(van_der_corput(4), "dn")["d_n"]) > 0

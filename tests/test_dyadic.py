@@ -5,17 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from discrep.pointsets import dyadic
 from oracles import DyadicInterval, DyadicRectangle, haar_point_kernel, subdivide
 
 UNIT = DyadicInterval.unit()
-
-
-def test_dyadic_constructor():
-    assert dyadic(3, 3) == Fraction(3, 8)
-    assert dyadic(4, 2) == 1
-    with pytest.raises(ValueError):
-        dyadic(1, -1)
 
 
 def test_interval_geometry():

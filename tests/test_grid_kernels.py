@@ -20,6 +20,7 @@ from mpmath.libmp import dps_to_prec, mpf_log, mpi_log
 
 import oracles
 from discrep import _interval, discrepancy, pointsets
+from discrep.auxiliary import AuxFamilyTree, build_trees, lemma_suite
 from discrep.cli import _norms_payload
 from discrep._interval import _iv_endpoints, _l1_enclosure
 from discrep.discrepancy import (
@@ -34,7 +35,7 @@ from discrep.discrepancy import (
 )
 from discrep.errors import ResourceLimitError
 from discrep.pointsets import (
-    Point, PointSet, random_uniform, read_csv, symmetrize, van_der_corput,
+    PointSet, random_uniform, read_csv, symmetrize, van_der_corput,
 )
 from discrep.testfn import _error_weights, certificate
 from oracles import (
@@ -55,13 +56,13 @@ from oracles import (
 def linf_oracle(ps):
     n = len(ps)
     ps = fraction_points(ps)
-    xs = sorted({Fraction(1), *(p.x for p in ps)})
-    ys = sorted({Fraction(1), *(p.y for p in ps)})
+    xs = sorted({Fraction(1), *(px for px, _ in ps)})
+    ys = sorted({Fraction(1), *(py for _, py in ps)})
     best = Fraction(0)
     for x in xs:
         for y in ys:
-            closed = sum(1 for p in ps if p.x <= x and p.y <= y)
-            strict = sum(1 for p in ps if p.x < x and p.y < y)
+            closed = sum(1 for px, py in ps if px <= x and py <= y)
+            strict = sum(1 for px, py in ps if px < x and py < y)
             nxy = n * x * y
             best = max(best, abs(closed - nxy), abs(strict - nxy))
     return best
@@ -101,15 +102,15 @@ def l2_oracle(ps):
     n = len(ps)
     ps = fraction_points(ps)
     pair_sum = Fraction(0)
-    for p in ps:
-        for q in ps:
-            pair_sum += (1 - max(p.x, q.x)) * (1 - max(p.y, q.y))
-    single = sum((1 - p.x ** 2) * (1 - p.y ** 2) for p in ps)
+    for px, py in ps:
+        for qx, qy in ps:
+            pair_sum += (1 - max(px, qx)) * (1 - max(py, qy))
+    single = sum((1 - x ** 2) * (1 - y ** 2) for x, y in ps)
     return pair_sum - Fraction(n, 2) * single + Fraction(n * n, 9)
 
 
 def pointset(*pts):
-    return PointSet(tuple(Point(Fraction(x), Fraction(y)) for x, y in pts))
+    return PointSet(tuple((Fraction(x), Fraction(y)) for x, y in pts))
 
 
 # dyadic, 2^53, odd primes and 3^20, mixed within one set
@@ -120,7 +121,7 @@ coordinates = st.one_of(
         lambda q: st.integers(0, q).map(lambda k: Fraction(k, q))
     ),
 )
-distinct_points = st.lists(st.builds(Point, coordinates, coordinates), min_size=1, max_size=10)
+distinct_points = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=10)
 # repeat some of the points to get duplicates
 point_sets = distinct_points.flatmap(
     lambda pts: st.lists(st.sampled_from(pts), max_size=4).map(
@@ -201,11 +202,11 @@ def filter_traps(draw):
     n = draw(st.integers(1, 8))
     if draw(st.booleans()):
         tiny = st.sampled_from([TINY, -TINY])
-        points = [Point(draw(odd_coordinates), draw(odd_coordinates)) for _ in range(n // 2)]
-        points += [Point(y + draw(tiny), x + draw(tiny)) for x, y in points]
+        points = [(draw(odd_coordinates), draw(odd_coordinates)) for _ in range(n // 2)]
+        points += [(y + draw(tiny), x + draw(tiny)) for x, y in points]
         if n % 2:
             t = draw(odd_coordinates)
-            points.append(Point(t, t))
+            points.append((t, t))
         return PointSet(tuple(points))
 
     def offset():
@@ -226,7 +227,7 @@ def filter_traps(draw):
             y = clamp(Fraction(draw(st.integers(0, n)), n) / x + offset()) if x else coordinate()
         else:
             x, y = draw(st.sampled_from(points))
-        points.append(Point(x, y))
+        points.append((x, y))
     return PointSet(tuple(points))
 
 
@@ -244,8 +245,8 @@ MIRROR_TIES = [
 # seed: all points on x = 0; a duplicate stack at x = 0 under a cloud
 # (every other corner is below 4); and a point at (0, 1), whose corner is
 # the only one at 4 and the last of that column.
-CLOUD = [(Fraction(1, 2) + p.x / 2, Fraction(1, 2) + p.y / 2)
-         for p in fraction_points(random_uniform(4, seed=5))]
+CLOUD = [(Fraction(1, 2) + x / 2, Fraction(1, 2) + y / 2)
+         for x, y in fraction_points(random_uniform(4, seed=5))]
 X0_SUPREMA = [
     pointset((0, Fraction(1, 3)), (0, Fraction(2, 3)), (0, 1), (0, 0)),
     pointset(*[(0, Fraction(1, 10))] * 4, *CLOUD),
@@ -448,7 +449,7 @@ grid_coordinates = st.one_of(
         lambda q: st.integers(-2, 2).map(lambda k: clamp(q + k * NEAR))
     ),
 )
-grid_traps = st.lists(st.builds(Point, grid_coordinates, grid_coordinates), min_size=1,
+grid_traps = st.lists(st.tuples(grid_coordinates, grid_coordinates), min_size=1,
                       max_size=10).flatmap(
     lambda pts: st.lists(st.sampled_from(pts), max_size=4).map(lambda dups: PointSet(tuple(pts + dups)))
 )
@@ -684,7 +685,7 @@ def test_grid_fields_agree():
     table = tuple(_columns(grid))
     for i, x in enumerate(x_cuts):
         for j, y in enumerate(y_cuts):
-            assert table[i][j] == sum(1 for p in fraction_points(ps) if p.x <= x and p.y <= y)
+            assert table[i][j] == sum(1 for px, py in fraction_points(ps) if px <= x and py <= y)
 
 
 def test_l1_norm_on_adversarial_corpus_is_certified():
@@ -709,6 +710,24 @@ def test_norm_chain_on_adversarial_corpus():
         l1_low = norm.value if norm.exact else exact(norm.value) - exact(norm.error)
         assert exact(certificate(ps).l1_lower_bound) <= l1_low
         assert max(l1_low, 0) ** 2 <= l2_norm_sq(ps) <= linf_norm(ps) ** 2
+
+
+@pytest.mark.parametrize("max_level", [0, 2, None])
+def test_a_family_rebuilt_from_its_clusters_gives_the_same_reports(max_level):
+    # a tree is its set, its direction and its levels' clusters: n, l*, the
+    # stabilized flag and the empty counts are read from them, so a family
+    # rebuilt from those three fields certifies and checks as the built one
+    for ps in (*ADVERSARIAL, random_uniform(64, 1)):
+        built = list(build_trees(ps, max_level))
+        rebuilt = [AuxFamilyTree(t.pointset, t.direction, t.levels) for t in built]
+        cert = certificate(ps, trees=rebuilt)
+        assert cert == certificate(ps, trees=built)
+        assert lemma_suite(ps, trees=rebuilt) == lemma_suite(ps, trees=built)
+    # the 64 points share level-0 cells, so cut there no tree is stabilized,
+    # and the certificate widens its inner products
+    if max_level == 0:
+        assert not cert.trees_stabilized
+        assert cert.inner_product_error == Fraction(205, 134217728)
 
 
 def test_certificate_bounds_within_1e_30_of_a_60_digit_reference():

@@ -16,7 +16,6 @@ from discrep.cli import main
 from discrep.errors import CsvFormatError, ResourceLimitError
 from discrep.pointsets import (
     MAX_LITERAL_BITS,
-    Point,
     PointSet,
     format_coordinate,
     random_uniform,
@@ -37,24 +36,24 @@ from oracles import (
 
 
 def test_van_der_corput_small():
-    assert fraction_points(van_der_corput(0)) == (Point(Fraction(0), Fraction(0)),)
+    assert fraction_points(van_der_corput(0)) == ((Fraction(0), Fraction(0)),)
     ps = van_der_corput(2)
     assert set(fraction_points(ps)) == {
-        Point(Fraction(0), Fraction(0)),
-        Point(Fraction(1, 4), Fraction(1, 2)),
-        Point(Fraction(1, 2), Fraction(1, 4)),
-        Point(Fraction(3, 4), Fraction(3, 4)),
+        (Fraction(0), Fraction(0)),
+        (Fraction(1, 4), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 4)),
+        (Fraction(3, 4), Fraction(3, 4)),
     }
     # bit reversal of 001 over three bits is 100
-    assert fraction_points(van_der_corput(3))[1] == Point(Fraction(1, 8), Fraction(1, 2))
+    assert fraction_points(van_der_corput(3))[1] == (Fraction(1, 8), Fraction(1, 2))
     assert van_der_corput(3).axes[1] == (8, (0, 4, 2, 6, 1, 5, 3, 7))
 
 
 def test_van_der_corput_coordinates_distinct():
     for m in (1, 2, 3, 4):
         ps = van_der_corput(m)
-        assert len({p.x for p in fraction_points(ps)}) == len(ps)
-        assert len({p.y for p in fraction_points(ps)}) == len(ps)
+        assert len({x for x, _ in fraction_points(ps)}) == len(ps)
+        assert len({y for _, y in fraction_points(ps)}) == len(ps)
 
 
 def test_van_der_corput_cap():
@@ -67,12 +66,12 @@ def test_random_uniform_deterministic():
     b = random_uniform(50, seed=7)
     assert a.axes == b.axes
     assert a.axes != random_uniform(50, seed=8).axes
-    assert all(p.x.denominator <= 1 << 53 for p in fraction_points(a))
+    assert all(x.denominator <= 1 << 53 for x, _ in fraction_points(a))
 
 
 def test_random_uniform_mean_sanity():
     ps = random_uniform(1000, seed=7)
-    mean_x = sum(p.x for p in fraction_points(ps)) / len(ps)
+    mean_x = sum(x for x, _ in fraction_points(ps)) / len(ps)
     assert abs(mean_x - Fraction(1, 2)) < Fraction(5, 100)
 
 
@@ -82,24 +81,24 @@ def test_random_uniform_validation():
 
 
 def test_symmetrize():
-    assert fraction_points(symmetrize(PointSet((Point(Fraction(0), Fraction(0)),)))) == (
-        Point(Fraction(0), Fraction(0)),
-        Point(Fraction(1), Fraction(0)),
+    assert fraction_points(symmetrize(PointSet(((Fraction(0), Fraction(0)),)))) == (
+        (Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(0)),
     )
     # a fixed point of the reflection is kept twice (multiset semantics)
-    ps = symmetrize(PointSet((Point(Fraction(1, 2), Fraction(1, 4)),)))
+    ps = symmetrize(PointSet(((Fraction(1, 2), Fraction(1, 4)),)))
     assert len(ps) == 2
     assert fraction_points(ps)[0] == fraction_points(ps)[1]
     mirrored = symmetrize(van_der_corput(2))
     assert len(mirrored) == 8
-    assert Point(Fraction(3, 4), Fraction(1, 2)) in fraction_points(mirrored)
+    assert (Fraction(3, 4), Fraction(1, 2)) in fraction_points(mirrored)
     # along x each numerator a becomes D - a, over the same D
     assert mirrored.axes[0] == (4, (0, 1, 2, 3, 4, 3, 2, 1))
 
 
 def test_pointset_validates_range():
     with pytest.raises(ValueError):
-        PointSet((Point(Fraction(3, 2), Fraction(0)),))
+        PointSet(((Fraction(3, 2), Fraction(0)),))
 
 
 def test_pointset_is_an_immutable_record_that_caches(tmp_path):
@@ -307,7 +306,7 @@ def test_repeated_decimal_exponent_builds_its_power_once(tmp_path, capsys, monke
     assert "axis integers exceed" in capsys.readouterr().err
     # the first eight lines fit the budget, and are read exactly
     path.write_text("x,y\n" + "".join(f"{k}e-315652,1/2\n" for k in range(1, 9)))
-    assert fraction_points(read_csv(path))[6].x == Fraction(7, 10 ** 315652)
+    assert fraction_points(read_csv(path))[6][0] == Fraction(7, 10 ** 315652)
 
 
 def test_distinct_decimal_exponents_share_one_budget(tmp_path, capsys):
@@ -325,16 +324,16 @@ def test_distinct_decimal_exponents_share_one_budget(tmp_path, capsys):
     # each literal alone still parses, and a file of small distinct powers reads
     assert parse("1e-315651") == Fraction(1, 10 ** 315651)
     path.write_text("x,y\n" + "".join(f"1e-{k},1/2\n" for k in range(1, 201)))
-    assert fraction_points(read_csv(path))[-1].x == Fraction(1, 10 ** 200)
+    assert fraction_points(read_csv(path))[-1][0] == Fraction(1, 10 ** 200)
 
 
 def test_csv_round_trip_exact(tmp_path, monkeypatch):
     pts = (
-        Point(Fraction(0), Fraction(1)),
-        Point(Fraction(1, 3), Fraction(5, 7)),         # non-dyadic rationals
-        Point(Fraction(12345, 1 << 53), Fraction(1, 2)),
-        Point(Fraction(1, 4), Fraction(1, 4)),          # duplicate below
-        Point(Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(0), Fraction(1)),
+        (Fraction(1, 3), Fraction(5, 7)),         # non-dyadic rationals
+        (Fraction(12345, 1 << 53), Fraction(1, 2)),
+        (Fraction(1, 4), Fraction(1, 4)),          # duplicate below
+        (Fraction(1, 4), Fraction(1, 4)),
     )
     ps = PointSet(pts, label="round trip")
     path = tmp_path / "pts.csv"
@@ -370,8 +369,8 @@ def test_csv_reader_accepts_decimals_and_comments(tmp_path):
     path.write_text("# a comment\nx,y\n0.25,0.5\n# another\n3/2^3,1/2^1\n")
     ps = read_csv(path)
     assert fraction_points(ps) == (
-        Point(Fraction(1, 4), Fraction(1, 2)),
-        Point(Fraction(3, 8), Fraction(1, 2)),
+        (Fraction(1, 4), Fraction(1, 2)),
+        (Fraction(3, 8), Fraction(1, 2)),
     )
     assert ps.axes == ((8, (2, 3)), (2, (1, 1)))
 
@@ -432,7 +431,7 @@ def fraction_sets(draw):
         inside = coordinates.filter(lambda q: q < 1)
         x, y = draw(inside), draw(inside)
         pts += [(x, y), (x + TWIN_GAP, y + TWIN_GAP)]
-    return [Point(*p) for p in draw(st.permutations(pts))]
+    return draw(st.permutations(pts))
 
 
 def literal(q: Fraction, pick: int) -> str:
@@ -464,8 +463,8 @@ def test_integer_sets_match_the_fraction_oracle(points, picks):
     assert ps.grid == grid_oracle(ps)
     assert _tree_integers(ps) == tree_integers_oracle(points)
     mirrored = symmetrize(ps)
-    assert mirrored.axes == axes_oracle(points + [Point(1 - x, y) for x, y in points])
-    assert mirrored == PointSet(points + [Point(1 - x, y) for x, y in points], label="drawn+xmirror")
+    assert mirrored.axes == axes_oracle(points + [(1 - x, y) for x, y in points])
+    assert mirrored == PointSet(points + [(1 - x, y) for x, y in points], label="drawn+xmirror")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.csv"
         write_csv(ps, path)
@@ -481,7 +480,7 @@ def test_generators_match_the_fraction_oracle():
         points = van_der_corput_oracle(m)
         ps = van_der_corput(m)
         assert ps.axes == axes_oracle(points) and fraction_points(ps) == points
-        assert symmetrize(ps).axes == axes_oracle(points + tuple(Point(1 - x, y) for x, y in points))
+        assert symmetrize(ps).axes == axes_oracle(points + tuple((1 - x, y) for x, y in points))
     draws = [(n, seed) for n in (1, 2, 17) for seed in range(8)]
     for n, seed in draws:
         points = random_uniform_oracle(n, seed)

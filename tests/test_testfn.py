@@ -19,7 +19,7 @@ from discrep.auxiliary import (
 )
 from discrep.cli import _certificate_payload, _norms_payload, main
 from discrep.discrepancy import l1_norm
-from discrep.pointsets import Point, PointSet, random_uniform, van_der_corput
+from discrep.pointsets import PointSet, random_uniform, van_der_corput
 from discrep.testfn import (
     DPS,
     SINE,
@@ -47,7 +47,7 @@ from oracles import (
     sup_norm_via_coefficients,
 )
 
-ORIGIN = PointSet((Point(Fraction(0), Fraction(0)),), label="origin")
+ORIGIN = PointSet(((Fraction(0), Fraction(0)),), label="origin")
 
 
 def random_odd_function(rng: random.Random, max_freq: int = 2) -> FourierAtomFunction:
@@ -375,7 +375,7 @@ def test_certificate_error_scaling():
 
 def test_certificate_unstabilized_still_sound():
     ps = PointSet(
-        (Point(Fraction(0), Fraction(0)), Point(Fraction(1, 2**30), Fraction(0)))
+        ((Fraction(0), Fraction(0)), (Fraction(1, 2**30), Fraction(0)))
     )
     cert = certificate(ps, trees=build_trees(ps, max_level=0))
     assert not cert.trees_stabilized
